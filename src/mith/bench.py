@@ -1,5 +1,5 @@
-"""Microbenchmarks: primitive operations, end-to-end proof runs with both
-commitment schemes, and compiled-vs-pure kernel comparison."""
+"""Microbenchmarks: primitive operations and end-to-end proof runs with
+both commitment schemes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from mith import _core, mpc
+from mith import mpc
 from mith import protocol as proto
 from mith.commit import BENCH_GROUP_257, TEST_GROUP_64, PedersenScheme, scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_instance
@@ -60,34 +60,29 @@ def bench_primitives(m: Modulus, rng: RandomSource) -> list[BenchRow]:
         "protocol": _time_ms(lambda: mpc.gate_mul(sh, sh2, mul_rand)),
     }))
 
-    # Commitments over a view-sized message of this field.
-    c = bench_circuit_a(m) if m.p == 101 else None
-    if c is None:
-        # Synthesize a message of a typical view size for other fields.
-        elements = [rng.randbelow(m.p) for _ in range(24)]
-        blob = b"".join(v.to_bytes(m.byte_length, "big") for v in elements)
-    else:
-        inst, w = random_instance(random.Random(0), c)
-        rp = proto.random_prover_rand(rng, c, scheme_by_name("prf"))
-        st, _ = proto.prover_commit(rp, w, inst, scheme_by_name("prf"))
-        blob = mpc.encode_view(c, st.views[0])
-        elements = mpc.view_elements(c, st.views[0])
-
+    # Commitments over one view of bench_circuit_a in this field.
+    c = bench_circuit_a(m)
+    inst, w = random_instance(random.Random(0), c)
     prf = scheme_by_name("prf")
-    key = prf.keygen(rng, len(elements))
-    com, op = prf.commit_view(key, blob, elements)
+    rp = proto.random_prover_rand(rng, c, prf)
+    st, _ = proto.prover_commit(rp, w, inst, prf)
+    view = st.views[0]
+    n_el = mpc.view_element_count(c)
+
+    key = prf.keygen(rng, n_el)
+    com, op = prf.commit_view(key, c, view)
     rows.append(BenchRow(label, "HMAC-SHA256 commitment", {
-        "commit": _time_ms(lambda: prf.commit_view(key, blob, elements)),
-        "verify": _time_ms(lambda: prf.verify_view(blob, elements, com, op)),
+        "commit": _time_ms(lambda: prf.commit_view(key, c, view)),
+        "verify": _time_ms(lambda: prf.verify_view(c, view, com, op)),
     }))
     group = TEST_GROUP_64 if m.p <= TEST_GROUP_64.order else BENCH_GROUP_257
     ped = PedersenScheme(group)
-    pkey = ped.keygen(rng, len(elements))
-    pcom, pop = ped.commit_view(pkey, blob, elements)
+    pkey = ped.keygen(rng, n_el)
+    pcom, pop = ped.commit_view(pkey, c, view)
     rows.append(BenchRow(label, "Pedersen commitment", {
-        "rand": _time_ms(lambda: ped.keygen(rng, len(elements))),
-        "commit": _time_ms(lambda: ped.commit_view(pkey, blob, elements)),
-        "verify": _time_ms(lambda: ped.verify_view(blob, elements, pcom, pop)),
+        "rand": _time_ms(lambda: ped.keygen(rng, n_el)),
+        "commit": _time_ms(lambda: ped.commit_view(pkey, c, view)),
+        "verify": _time_ms(lambda: ped.verify_view(c, view, pcom, pop)),
     }))
     return rows
 
@@ -102,7 +97,7 @@ def bench_mith(circuit, rng: RandomSource, scheme_name: str) -> BenchRow:
     vst, ch = proto.verifier_challenge(rng, inst, cm)
     resp = proto.prover_respond(st, ch)
 
-    n_mul = len(mpc.mul_gate_ids(circuit))
+    n_mul = mpc.program(circuit).n_mul
     name = (f"MitH ({circuit.topology.n_gates} gates, {n_mul} MUL) "
             f"[{scheme_name}]")
 
@@ -122,39 +117,8 @@ def bench_mith(circuit, rng: RandomSource, scheme_name: str) -> BenchRow:
     })
 
 
-def bench_kernels(rng: RandomSource) -> list[BenchRow]:
-    """Same kernel workload on every available backend."""
-    m = Modulus(101)
-    rows = []
-    saved = m.ops
-    sh = tuple(rng.randbelow(m.p) for _ in range(5))
-    sh2 = tuple(rng.randbelow(m.p) for _ in range(5))
-    b1 = tuple(rng.randbelow(m.p) for _ in range(5))
-    b2 = tuple(rng.randbelow(m.p) for _ in range(5))
-    for backend in _core.backends():
-        cells = {
-            "share5": _time_ms(lambda: backend.share5(7, 3, 5, m.p)),
-            "dot5": _time_ms(lambda: backend.dot5(m.recon_weights, sh, m.p)),
-            "mul_gate5": _time_ms(
-                lambda: backend.mul_gate5(sh, sh2, b1, b2, m.recon_weights, m.p)),
-            "refresh5": _time_ms(lambda: backend.refresh5(sh, b1, b2, m.p)),
-        }
-        # Whole-protocol run with this backend selected for the modulus.
-        m.ops = backend
-        c = bench_circuit_a(m)
-        inst, w = random_instance(random.Random(2), c)
-        scheme = scheme_by_name("prf")
-        rp = proto.random_prover_rand(rng, c, scheme)
-        sharings = [share(v, r) for v, r in zip(w.secret_inputs, rp.input_r)]
-        cells["protocol"] = _time_ms(lambda: mpc.run_protocol(inst, sharings, rp.mpc))
-        m.ops = saved
-        rows.append(BenchRow("kernels (field 101)", backend.BACKEND, cells))
-    return rows
-
-
 def format_rows(rows: list[BenchRow]) -> str:
-    columns = ["rand", "share", "reconstruct", "protocol", "commit", "verify",
-               "share5", "dot5", "mul_gate5", "refresh5"]
+    columns = ["rand", "share", "reconstruct", "protocol", "commit", "verify"]
     used = [c for c in columns if any(c in r.cells for r in rows)]
     name_w = max(len(r.name) for r in rows) + 2
     sect_w = max(len(r.section) for r in rows) + 2

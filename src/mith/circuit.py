@@ -97,23 +97,23 @@ class Witness:
 
 
 # ---------------------------------------------------------------------------
-# Tree walks
+# Tree walks.  Every pass is iterative, so circuit depth is not bounded by
+# the interpreter's recursion limit.
 
 
 def iter_gates(gate: Gate):
     """Post-order walk over every node of the tree."""
-    if isinstance(gate, _BINARY):
-        yield from iter_gates(gate.left)
-        yield from iter_gates(gate.right)
-    yield gate
+    stack = [(gate, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded or not isinstance(g, _BINARY):
+            yield g
+        else:
+            stack += ((g, True), (g.right, False), (g.left, False))
 
 
 def gate_ids(gate: Gate) -> list[int]:
     return [g.gid for g in iter_gates(gate) if not isinstance(g, (PInput, SInput))]
-
-
-def _contains_sinput(gate: Gate) -> bool:
-    return any(isinstance(g, SInput) for g in iter_gates(gate))
 
 
 def mul_gate_ids(circuit: Circuit) -> list[int]:
@@ -123,21 +123,13 @@ def mul_gate_ids(circuit: Circuit) -> list[int]:
     the clear and consume no randomness.
     """
     out = []
-
-    def walk(g: Gate, public: bool):
-        if isinstance(g, Multiplication):
-            if not public:
+    stack = [(circuit.root, False)]
+    while stack:
+        g, public = stack.pop()
+        if isinstance(g, _BINARY):
+            if isinstance(g, Multiplication) and not public:
                 out.append(g.gid)
-            walk(g.left, public)
-            walk(g.right, public)
-        elif isinstance(g, SMultiplication):
-            walk(g.left, True)
-            walk(g.right, public)
-        elif isinstance(g, Addition):
-            walk(g.left, public)
-            walk(g.right, public)
-
-    walk(circuit.root, False)
+            stack += ((g.left, public or isinstance(g, SMultiplication)), (g.right, public))
     return sorted(out)
 
 
@@ -151,51 +143,67 @@ def validate_circuit(c: Circuit) -> None:
     if topo.n_gates < 1:
         raise CircuitError(f"topology: gate count {topo.n_gates} must be at least 1")
     seen: set[int] = set()
-    count = 0
+    secret: list[bool] = []  # per finished subtree: does it read an sinput
     for g in iter_gates(c.root):
         if isinstance(g, PInput):
             if not 0 <= g.wire < topo.n_public:
                 raise CircuitError(
                     f"public input index {g.wire} out of range [0, {topo.n_public})")
-        elif isinstance(g, SInput):
+            secret.append(False)
+            continue
+        if isinstance(g, SInput):
             if not 0 <= g.wire < topo.n_secret:
                 raise CircuitError(
                     f"secret input index {g.wire} out of range [0, {topo.n_secret})")
-        else:
-            count += 1
-            if g.gid in seen:
-                raise CircuitError(f"duplicate gate id {g.gid}")
-            seen.add(g.gid)
-            if isinstance(g, Constant) and g.value.modulus != c.modulus:
+            secret.append(True)
+            continue
+        if g.gid in seen:
+            raise CircuitError(f"duplicate gate id {g.gid}")
+        seen.add(g.gid)
+        if isinstance(g, Constant):
+            if g.value.modulus != c.modulus:
                 raise CircuitError(
                     f"constant at gate {g.gid} uses modulus "
                     f"{g.value.modulus.p}, circuit uses {c.modulus.p}")
-            if isinstance(g, SMultiplication) and _contains_sinput(g.left):
-                raise CircuitError(
-                    f"smul gate {g.gid} has a secret input in its scalar "
-                    f"(left) subtree")
-    if count != topo.n_gates:
+            secret.append(False)
+            continue
+        right, left = secret.pop(), secret.pop()
+        if isinstance(g, SMultiplication) and left:
+            raise CircuitError(
+                f"smul gate {g.gid} has a secret input in its scalar "
+                f"(left) subtree")
+        secret.append(left or right)
+    if len(seen) != topo.n_gates:
         raise CircuitError(
-            f"gate count mismatch: topology declares {topo.n_gates}, tree has {count}")
+            f"gate count mismatch: topology declares {topo.n_gates}, tree has {len(seen)}")
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
+def _evaluate(root: Gate, leaf) -> FieldElement:
+    """Cleartext post-order evaluation; leaf(g) gives each leaf's value."""
+    vals: list[FieldElement] = []
+    for g in iter_gates(root):
+        if isinstance(g, _BINARY):
+            right, left = vals.pop(), vals.pop()
+            vals.append(left + right if isinstance(g, Addition) else left * right)
+        else:
+            vals.append(leaf(g))
+    return vals[0]
+
+
 def eval_public(gate: Gate, public_inputs, modulus: Modulus) -> FieldElement:
     """Cleartext evaluation of a public (sinput-free) subtree."""
-    if isinstance(gate, PInput):
-        return public_inputs[gate.wire]
-    if isinstance(gate, SInput):
-        raise CircuitError("secret input inside a public subtree")
-    if isinstance(gate, Constant):
-        return gate.value
-    left = eval_public(gate.left, public_inputs, modulus)
-    right = eval_public(gate.right, public_inputs, modulus)
-    if isinstance(gate, Addition):
-        return left + right
-    return left * right
+    def leaf(g):
+        if isinstance(g, PInput):
+            return public_inputs[g.wire]
+        if isinstance(g, SInput):
+            raise CircuitError("secret input inside a public subtree")
+        return g.value
+
+    return _evaluate(gate, leaf)
 
 
 def eval_plain(s: Statement, w: Witness) -> FieldElement:
@@ -206,20 +214,14 @@ def eval_plain(s: Statement, w: Witness) -> FieldElement:
             f"witness has {len(w.secret_inputs)} secret inputs, "
             f"topology wants {topo.n_secret}")
 
-    def walk(g: Gate) -> FieldElement:
+    def leaf(g):
         if isinstance(g, PInput):
             return s.public_inputs[g.wire]
         if isinstance(g, SInput):
             return w.secret_inputs[g.wire]
-        if isinstance(g, Constant):
-            return g.value
-        left = walk(g.left)
-        right = walk(g.right)
-        if isinstance(g, Addition):
-            return left + right
-        return left * right
+        return g.value
 
-    return walk(s.circuit.root)
+    return _evaluate(s.circuit.root, leaf)
 
 
 def relation_holds(s: Statement, w: Witness) -> bool:
@@ -230,6 +232,8 @@ def relation_holds(s: Statement, w: Witness) -> bool:
 # Text format
 
 _KEYWORDS = {"pinput", "sinput", "const", "add", "mul", "smul"}
+_BINARY_WORDS = {"add": Addition, "mul": Multiplication, "smul": SMultiplication}
+_WORDS = {cls: word for word, cls in _BINARY_WORDS.items()}
 
 
 class _Tokenizer:
@@ -296,30 +300,42 @@ class _Parser:
     def _int(self) -> int:
         return self._next("int")[1]
 
-    def gate(self, modulus: Modulus) -> Gate:
-        kind, value, line, col = self._next()
-        if kind != "(":
-            raise CircuitParseError(f"expected '(', got {value!r}", line, col)
-        kind, word, line, col = self._next()
-        if kind != "kw":
-            raise CircuitParseError(f"expected gate keyword, got {word!r}", line, col)
-        if word == "pinput":
-            node: Gate = PInput(self._int())
-        elif word == "sinput":
-            node = SInput(self._int())
-        elif word == "const":
-            gid = self._int()
-            node = Constant(gid, modulus.element(self._int()))
-        else:
-            gid = self._int()
-            left = self.gate(modulus)
-            right = self.gate(modulus)
-            cls = {"add": Addition, "mul": Multiplication, "smul": SMultiplication}[word]
-            node = cls(gid, left, right)
+    def _close(self):
         kind, value, line, col = self._next()
         if kind != ")":
             raise CircuitParseError(f"expected ')', got {value!r}", line, col)
-        return node
+
+    def gate(self, modulus: Modulus) -> Gate:
+        """One gate expression; open binary gates wait on an explicit stack."""
+        pending: list[tuple[type, int, list[Gate]]] = []
+        while True:
+            kind, value, line, col = self._next()
+            if kind != "(":
+                raise CircuitParseError(f"expected '(', got {value!r}", line, col)
+            kind, word, line, col = self._next()
+            if kind != "kw":
+                raise CircuitParseError(f"expected gate keyword, got {word!r}", line, col)
+            if word in _BINARY_WORDS:
+                pending.append((_BINARY_WORDS[word], self._int(), []))
+                continue
+            if word == "pinput":
+                node: Gate = PInput(self._int())
+            elif word == "sinput":
+                node = SInput(self._int())
+            else:
+                gid = self._int()
+                node = Constant(gid, modulus.element(self._int()))
+            self._close()
+            while pending:
+                cls, gid, children = pending[-1]
+                children.append(node)
+                if len(children) < 2:
+                    break
+                pending.pop()
+                node = cls(gid, *children)
+                self._close()
+            else:
+                return node
 
     def finish(self):
         tok = self._peek()
@@ -365,15 +381,23 @@ def parse_circuit(text: str | bytes) -> Circuit:
     return c
 
 
-def _format_gate(g: Gate) -> str:
-    if isinstance(g, PInput):
-        return f"(pinput {g.wire})"
-    if isinstance(g, SInput):
-        return f"(sinput {g.wire})"
-    if isinstance(g, Constant):
-        return f"(const {g.gid} {g.value.value})"
-    word = {Addition: "add", Multiplication: "mul", SMultiplication: "smul"}[type(g)]
-    return f"({word} {g.gid} {_format_gate(g.left)} {_format_gate(g.right)})"
+def _format_gate(root: Gate) -> str:
+    out = []
+    stack: list = [root]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, PInput):
+            out.append(f"(pinput {g.wire})")
+        elif isinstance(g, SInput):
+            out.append(f"(sinput {g.wire})")
+        elif isinstance(g, Constant):
+            out.append(f"(const {g.gid} {g.value.value})")
+        else:
+            out.append(f"({_WORDS[type(g)]} {g.gid} ")
+            stack += (")", g.right, " ", g.left)
+    return "".join(out)
 
 
 def format_circuit(c: Circuit) -> str:

@@ -151,8 +151,7 @@ def cmd_verify(args) -> int:
         scheme = scheme_by_name(proof.scheme, s.circuit.modulus.p)
         digest_ok = proof.stmt_hash == statement_hash(s)
         print(f"statement hash match: {digest_ok}")
-        blobs = [proto.serialize_commitment_msg(t.commitment, scheme)
-                 for t in proof.transcripts]
+        blobs = proto.challenge_blobs([t.commitment for t in proof.transcripts], scheme)
         for k, t in enumerate(proof.transcripts):
             st = proto.VerifierState(s, t.commitment, t.challenge, scheme)
             ok = proto.verifier_check(st, t.response, scheme)
@@ -190,19 +189,16 @@ def cmd_selftest(args) -> int:
 def cmd_bench(args) -> int:
     rng = RandomSource(args.seed if args.seed is not None else 7)
     rows = []
-    if args.kernels:
-        rows += bench_mod.bench_kernels(rng)
+    preset = os.environ.get("MITH_FIELD_PRESET")
+    if preset:
+        m = preset_modulus(preset)
+        rows += bench_mod.bench_primitives(m, rng)
+        from mith.corpus import bench_circuit_a, bench_circuit_b
+        for circuit in (bench_circuit_a(), bench_circuit_b()):
+            for scheme_name in ("prf", "pedersen"):
+                rows.append(bench_mod.bench_mith(circuit, rng, scheme_name))
     else:
-        preset = os.environ.get("MITH_FIELD_PRESET")
-        if preset:
-            m = preset_modulus(preset)
-            rows += bench_mod.bench_primitives(m, rng)
-            from mith.corpus import bench_circuit_a, bench_circuit_b
-            for circuit in (bench_circuit_a(), bench_circuit_b()):
-                for scheme_name in ("prf", "pedersen"):
-                    rows.append(bench_mod.bench_mith(circuit, rng, scheme_name))
-        else:
-            rows += bench_mod.standard_bench(rng, quick=args.quick)
+        rows += bench_mod.standard_bench(rng, quick=args.quick)
     print(bench_mod.format_rows(rows))
     return EXIT_OK
 
@@ -254,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=cmd_selftest)
 
     b = sub.add_parser("bench", parents=[common], help="run benchmarks")
-    b.add_argument("--kernels", action="store_true",
-                   help="compare compiled and pure kernel backends")
     b.add_argument("--quick", action="store_true")
     b.set_defaults(func=cmd_bench)
     return ap

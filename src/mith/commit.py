@@ -15,6 +15,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
+from mith import mpc
+from mith.circuit import Circuit
 from mith.errors import MithError
 from mith.field import RandomSource, is_probable_prime
 
@@ -137,7 +139,7 @@ def group_for_modulus(p: int) -> PedersenParams:
 # ---------------------------------------------------------------------------
 # View-level scheme objects used by the proof protocol.  The PRF scheme
 # commits to the view's canonical byte encoding; Pedersen commits to its
-# field-element sequence.
+# field-element sequence.  Each builds only the form it commits to.
 
 
 class PrfScheme:
@@ -147,12 +149,11 @@ class PrfScheme:
     def keygen(self, rng: RandomSource, n_elements: int) -> bytes:
         return rng.bytes(PRF_KEY_LEN)
 
-    def commit_view(self, key, view_bytes: bytes, elements: Sequence[int]):
-        return prf_commit(key, view_bytes)
+    def commit_view(self, key, c: Circuit, view: mpc.View):
+        return prf_commit(key, mpc.encode_view(c, view))
 
-    def verify_view(self, view_bytes: bytes, elements: Sequence[int],
-                    commitment, opening) -> bool:
-        return prf_verify(view_bytes, commitment, opening)
+    def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
+        return prf_verify(mpc.encode_view(c, view), commitment, opening)
 
     def dummy_commitment(self, key, encoded_len: int, n_elements: int):
         return prf_commit(key, bytes(encoded_len))[0]
@@ -182,14 +183,13 @@ class PedersenScheme:
         self.params = params
 
     def keygen(self, rng: RandomSource, n_elements: int) -> tuple[int, ...]:
-        return tuple(rng.randbelow(self.params.order) for _ in range(n_elements))
+        return tuple(rng.randbelows(self.params.order, n_elements))
 
-    def commit_view(self, key, view_bytes: bytes, elements: Sequence[int]):
-        return pedersen_commit(self.params, key, elements)
+    def commit_view(self, key, c: Circuit, view: mpc.View):
+        return pedersen_commit(self.params, key, mpc.view_elements(c, view))
 
-    def verify_view(self, view_bytes: bytes, elements: Sequence[int],
-                    commitment, opening) -> bool:
-        return pedersen_verify(self.params, elements, commitment, opening)
+    def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
+        return pedersen_verify(self.params, mpc.view_elements(c, view), commitment, opening)
 
     def dummy_commitment(self, key, encoded_len: int, n_elements: int):
         return pedersen_commit(self.params, key, (0,) * n_elements)[0]
@@ -220,14 +220,19 @@ class PedersenScheme:
         return b"".join(out)
 
     def parse_opening(self, data: bytes):
+        """Blinders below the group order only, so an opening has exactly
+        one encoding."""
         w = (self.params.order.bit_length() + 7) // 8
         if len(data) < 4:
             raise MithError("truncated Pedersen opening")
         n = int.from_bytes(data[:4], "big")
         if len(data) != 4 + n * w:
             raise MithError("Pedersen opening length mismatch")
-        return tuple(
+        vals = tuple(
             int.from_bytes(data[4 + k * w:4 + (k + 1) * w], "big") for k in range(n))
+        if any(v >= self.params.order for v in vals):
+            raise MithError("Pedersen blinder not below the group order")
+        return vals
 
 
 def scheme_by_name(name: str, modulus_p: int | None = None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import secrets
 
-from mith import _core
 from mith.errors import FieldError
 
 # Small primes for quick trial division before Miller-Rabin.
@@ -60,7 +59,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
 class Modulus:
     """A prime modulus p >= 11, primality-checked at construction."""
 
-    __slots__ = ("p", "byte_length", "ops", "recon_weights")
+    __slots__ = ("p", "byte_length", "recon_weights")
 
     def __init__(self, p: int):
         if p < 11:
@@ -69,9 +68,8 @@ class Modulus:
             raise FieldError(f"modulus {p} is not an odd prime")
         self.p = p
         self.byte_length = (p.bit_length() + 7) // 8
-        self.ops = _core.ops_for(p)
         # Degree-4 recombination weights at 0 for evaluation points 1..5.
-        self.recon_weights = self.ops.lagrange_weights((1, 2, 3, 4, 5), p)
+        self.recon_weights = lagrange_weights((1, 2, 3, 4, 5), p)
 
     def element(self, value: int) -> FieldElement:
         return FieldElement(value % self.p, self)
@@ -123,17 +121,17 @@ class FieldElement:
     def __add__(self, other: FieldElement) -> FieldElement:
         self._check(other)
         m = self.modulus
-        return FieldElement(m.ops.addmod(self.value, other.value, m.p), m)
+        return FieldElement((self.value + other.value) % m.p, m)
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         self._check(other)
         m = self.modulus
-        return FieldElement(m.ops.submod(self.value, other.value, m.p), m)
+        return FieldElement((self.value - other.value) % m.p, m)
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         self._check(other)
         m = self.modulus
-        return FieldElement(m.ops.mulmod(self.value, other.value, m.p), m)
+        return FieldElement(self.value * other.value % m.p, m)
 
     def __neg__(self) -> FieldElement:
         return FieldElement((-self.value) % self.modulus.p, self.modulus)
@@ -142,7 +140,7 @@ class FieldElement:
         if self.value == 0:
             raise FieldError("zero has no inverse")
         m = self.modulus
-        return FieldElement(m.ops.invmod(self.value, m.p), m)
+        return FieldElement(pow(self.value, -1, m.p), m)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
@@ -157,6 +155,19 @@ class FieldElement:
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.modulus.byte_length, "big")
+
+
+def lagrange_weights(xs, p: int) -> tuple[int, ...]:
+    """Lagrange coefficients at 0 for pairwise-distinct nonzero points."""
+    ws = []
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = num * xj % p
+                den = den * (xj - xi) % p
+        ws.append(num * pow(den, -1, p) % p)
+    return tuple(ws)
 
 
 def lagrange_at_zero(points: list[tuple[FieldElement, FieldElement]]) -> FieldElement:
@@ -178,16 +189,22 @@ def lagrange_at_zero(points: list[tuple[FieldElement, FieldElement]]) -> FieldEl
         ys.append(y.value)
     if len(set(xs)) != len(xs):
         raise FieldError("duplicate interpolation x-coordinate")
-    return FieldElement(m.ops.lagrange_at_zero(tuple(xs), tuple(ys), m.p), m)
+    ws = lagrange_weights(xs, m.p)
+    return FieldElement(sum(w * y for w, y in zip(ws, ys)) % m.p, m)
 
 
 class RandomSource:
     """Uniform byte source.
 
     Unseeded: OS entropy.  Seeded: a deterministic SHA-256 counter
-    stream, so distinct seeds give independent replayable streams.
-    Instances are single-owner; use one per execution strand.
+    stream, so distinct seeds give independent replayable streams.  Both
+    refill one buffer in blocks of at least REFILL bytes, so a draw is a
+    slice; the seeded stream does not depend on the block size.
+    Instances are single-owner; use one per execution strand.  They are
+    not fork-safe: a forked child would replay its parent's buffer.
     """
+
+    REFILL = 4096
 
     def __init__(self, seed: int | bytes | None = None):
         if seed is None:
@@ -197,29 +214,49 @@ class RandomSource:
                 seed = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big", signed=False)
             self._key = hashlib.sha256(b"mith-rng" + seed).digest()
             self._counter = 0
-            self._buf = b""
+        self._buf = b""
+        self._pos = 0
 
-    def bytes(self, n: int) -> bytes:
+    def _fresh(self, n: int) -> bytes:
+        """At least n new bytes of the stream."""
         if self._key is None:
             return secrets.token_bytes(n)
-        while len(self._buf) < n:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "big")).digest()
+        blocks = []
+        for _ in range(-(-n // 32)):
+            blocks.append(hashlib.sha256(
+                self._key + self._counter.to_bytes(8, "big")).digest())
             self._counter += 1
-            self._buf += block
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+        return b"".join(blocks)
+
+    def bytes(self, n: int) -> bytes:
+        pos = self._pos
+        if pos + n > len(self._buf):
+            self._buf = self._buf[pos:] + self._fresh(max(n, self.REFILL))
+            pos = 0
+        self._pos = pos + n
+        return self._buf[pos:pos + n]
 
     def randbelow(self, bound: int) -> int:
         """Uniform in [0, bound) by rejection on fixed-width draws."""
+        return self.randbelows(bound, 1)[0]
+
+    def randbelows(self, bound: int, count: int) -> list[int]:
+        """count uniform draws in [0, bound); the same stream, byte for
+        byte, as count calls of randbelow."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         nbytes = (bound.bit_length() + 7) // 8
         mask = (1 << bound.bit_length()) - 1
-        while True:
-            v = int.from_bytes(self.bytes(nbytes), "big") & mask
-            if v < bound:
-                return v
+        out: list[int] = []
+        while len(out) < count:
+            # One attempt per nbytes chunk, and never more attempts than
+            # draws still missing, so no byte past the last draw is used.
+            data = self.bytes((count - len(out)) * nbytes)
+            for k in range(0, len(data), nbytes):
+                v = int.from_bytes(data[k:k + nbytes], "big") & mask
+                if v < bound:
+                    out.append(v)
+        return out
 
     def field_element(self, modulus: Modulus) -> FieldElement:
         return FieldElement(self.randbelow(modulus.p), modulus)

@@ -9,6 +9,7 @@ trial by trial, with the challenge avoiding that pair.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ from mith.circuit import Statement, Witness
 from mith.commit import prf_commit, prf_verify, scheme_by_name
 from mith.corpus import golden_corpus, impossible_statement, square_plus_one_circuit
 from mith.errors import MithError
-from mith.field import FieldElement, Modulus, RandomSource
+from mith.field import Modulus, RandomSource
 from mith.sss import PARTY_PAIRS, ShareRandomness, share, share_sim
 from mith.stats import binomial_tolerance, chi2_homogeneity
 
@@ -135,30 +136,24 @@ class OneBadPairCheater:
         y = result.outputs[0]
         if y == s.target:
             raise MithError("statement is satisfied; nothing to cheat about")
-        lam_j0 = FieldElement(m.recon_weights[j0 - 1], m)
-        delta = (s.target - y) * lam_j0.inverse()
+        p = m.p
+        delta = (s.target.value - y.value) * pow(m.recon_weights[j0 - 1], -1, p) % p
         self.views = []
-        for q in range(5):
-            v = result.views[q]
-            bcast = list(v.open_trace.bcast)
-            bcast[j0 - 1] = bcast[j0 - 1] + delta
-            zin = list(v.open_trace.zin)
+        for q, v in enumerate(result.views):
+            bcast = list(v.bcast)
+            bcast[j0 - 1] = (bcast[j0 - 1] + delta) % p
+            zin = list(v.zin)
             if q == j0 - 1:
-                zin[i0 - 1] = zin[i0 - 1] + delta
-            self.views.append(mpc.View(
-                v.public_inputs, v.secret_shares, v.randomness, v.trace,
-                mpc.OpenTrace(tuple(zin), tuple(bcast))))
-        self._encoded = [mpc.encode_view(c, v) for v in self.views]
-        self._elements = [mpc.view_elements(c, v) for v in self.views]
+                zin[i0 - 1] = (zin[i0 - 1] + delta) % p
+            self.views.append(dataclasses.replace(v, zin=tuple(zin), bcast=tuple(bcast)))
         self._n_el = mpc.view_element_count(c)
 
     def commit(self, rng: RandomSource):
         commitments = []
         openings = []
-        for q in range(5):
+        for view in self.views:
             key = self.scheme.keygen(rng, self._n_el)
-            com, op = self.scheme.commit_view(
-                key, self._encoded[q], self._elements[q])
+            com, op = self.scheme.commit_view(key, self.statement.circuit, view)
             commitments.append(com)
             openings.append(op)
         return proto.CommitmentMsg(tuple(commitments)), tuple(openings)
@@ -367,16 +362,14 @@ def run_sss_privacy(trials: int, rng: RandomSource,
 # MPC privacy
 
 
-def _pair_projection(c, vi, vj, honest: int) -> tuple[int, ...]:
+def _pair_projection(vi, vj, honest: int) -> tuple[int, ...]:
     """Small tuple of view coordinates used for histogram comparison."""
-    cols = mpc._mul_payloads(c, vi)
-    first_col = next(iter(cols.values())) if cols else None
     return (
-        vi.secret_shares[0].value if vi.secret_shares else 0,
-        vj.secret_shares[0].value if vj.secret_shares else 0,
-        first_col[honest - 1].value if first_col else 0,
-        vi.open_trace.zin[honest - 1].value,
-        vi.open_trace.bcast[honest - 1].value,
+        vi.secret_shares[0] if vi.secret_shares else 0,
+        vj.secret_shares[0] if vj.secret_shares else 0,
+        vi.messages[0][honest - 1] if vi.messages else 0,
+        vi.zin[honest - 1],
+        vi.bcast[honest - 1],
     )
 
 
@@ -403,12 +396,11 @@ def run_mpc_privacy(trials: int, rng: RandomSource,
             for v in w.secret_inputs
         ]
         res = mpc.run_protocol(s, sharings, mpc.random_gate_randomness(rng, c))
-        pr = _pair_projection(c, res.views[corrupt[0] - 1],
-                              res.views[corrupt[1] - 1], honest)
+        pr = _pair_projection(res.views[corrupt[0] - 1], res.views[corrupt[1] - 1], honest)
         cs = [share_sim(rng, corrupt, m) for _ in range(c.topology.n_secret)]
         vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs,
                                   res.outputs[0], rng)
-        ps = _pair_projection(c, vi, vj, honest)
+        ps = _pair_projection(vi, vj, honest)
         for k in range(n_coords):
             real_counts[k][pr[k]] += 1
             sim_counts[k][ps[k]] += 1

@@ -7,10 +7,18 @@ them with the degree-4 interpolation weights; after the root gate the
 output sharing is re-randomized with five fresh sharings of zero and
 publicly opened.
 
-A party's view records its inputs, its own polynomial coefficients and
-every value it received: the incoming resharing column at each
-multiplication gate, and at the opening both the incoming zero-share
-contributions and the broadcast refreshed output shares.  Views are
+Each circuit is compiled once into a `Program`: a post-order op list over
+wire slots, the list of multiplications that exchange messages, the
+public scalar subtrees of the smul gates, and the byte template of the
+view encoding.  Evaluation, replay, simulation, encoding and decoding
+are all loops over that program.
+
+A party's view is flat: its public inputs, its input shares, its
+randomness ((a1, a2) per messaging multiplication in ascending gate-id
+order, then the refresh pair), the incoming resharing column at each
+messaging multiplication in post-order, and at the opening both the
+incoming zero-share contributions (`zin`) and the broadcast refreshed
+output shares (`bcast`).  Every entry is an int in [0, p).  Views are
 self-contained: `out_messages` recomputes everything a party sent from
 its view alone, which is what pairwise consistency checks against.
 """
@@ -18,80 +26,179 @@ its view alone, which is what pairwise consistency checks against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 from mith.errors import MithError, ProofError
-from mith.field import FieldElement, Modulus, RandomSource
+from mith.field import FieldElement, RandomSource, lagrange_weights
 from mith.circuit import (
-    Addition, Circuit, Constant, Gate, Multiplication, PInput, SInput,
-    SMultiplication, Statement, eval_public, mul_gate_ids,
+    Addition, Circuit, Constant, Multiplication, PInput, SInput,
+    SMultiplication, Statement, eval_public, iter_gates,
 )
 from mith.sss import (
-    N_PARTIES, PARTY_IDS, ShareRandomness, Sharing, public_encoding,
-    random_share_randomness, reconstruct, share,
+    N_PARTIES, PARTY_IDS, ShareRandomness, Sharing, dot5, public_encoding,
+    reconstruct, share5,
 )
 
 # Marker gate id for the refresh randomness slot in view encodings; real
 # gate ids are circuit-local and far smaller.
 REFRESH_SLOT = 0xFFFFFFFF
+VIEW_TAG = 0x56
+
+# Op codes.  An op is (code, dst, a, b, r): dst = a + b; dst = scalar[a] * b;
+# or dst = a * b through the multiplication with randomness rank r.
+ADD, SMUL, MUL = range(3)
+
+
+def _u32(n: int) -> bytes:
+    return n.to_bytes(4, "big")
+
+
+class Program:
+    """A circuit compiled for in-the-head evaluation.
+
+    Slots 0..n_public-1 hold the public inputs, the next n_secret slots
+    the secret inputs; constants and op results follow.  `ops` is in
+    post-order, so its multiplications run in view-message order; each
+    carries the rank of its gate id among the messaging multiplications,
+    which indexes the party's randomness.  Multiplications inside an
+    smul's public subtree are not ops: the subtree is evaluated in the
+    clear once per statement (`scalar_roots`).
+
+    The encoding `template` is a tuple of (static bytes, run length): the
+    static counts and gate ids before each run of packed elements, and
+    the run's length in bytes.  The broadcast run ends the encoding, so
+    nothing static follows the last run.
+    """
+
+    def __init__(self, c: Circuit):
+        m = c.modulus
+        topo = c.topology
+        self.modulus, self.p, self.lam, self.width = m, m.p, m.recon_weights, m.byte_length
+        self.n_public, self.n_secret = topo.n_public, topo.n_secret
+        self.n_in = topo.n_public + topo.n_secret
+        init = [0] * self.n_in
+        ops = []
+        self.scalar_roots = []
+        mul_gids = []  # messaging multiplications, post-order
+        gaps = []      # message-free nodes before each of them
+        run = 0
+        slots: list[int] = []  # operand slots of finished subtrees
+        stack: list[tuple] = [(c.root, None)]
+        while stack:
+            g, done = stack.pop()
+            if done is None and isinstance(g, (Addition, Multiplication, SMultiplication)):
+                if isinstance(g, SMultiplication):
+                    # The scalar subtree precedes the right one in post-order.
+                    run += sum(1 for _ in iter_gates(g.left))
+                    self.scalar_roots.append(g.left)
+                    stack += ((g, len(self.scalar_roots) - 1), (g.right, None))
+                else:
+                    stack += ((g, 0), (g.right, None), (g.left, None))
+                continue
+            if isinstance(g, PInput):
+                slots.append(g.wire)
+            elif isinstance(g, SInput):
+                slots.append(self.n_public + g.wire)
+            elif isinstance(g, Constant):
+                init.append(g.value.value)
+                slots.append(len(init) - 1)
+            else:
+                init.append(0)
+                dst = len(init) - 1
+                if isinstance(g, SMultiplication):
+                    ops.append((SMUL, dst, done, slots.pop(), 0))
+                else:
+                    b, a = slots.pop(), slots.pop()
+                    if isinstance(g, Addition):
+                        ops.append((ADD, dst, a, b, 0))
+                    else:
+                        ops.append((MUL, dst, a, b, len(mul_gids)))
+                        mul_gids.append(g.gid)
+                        gaps.append(run)
+                        run = -1
+                slots.append(dst)
+            run += 1
+        rank = {gid: r for r, gid in enumerate(sorted(mul_gids))}
+        self.ops = tuple(
+            (code, dst, a, b, rank[mul_gids[r]]) if code == MUL else (code, dst, a, b, r)
+            for code, dst, a, b, r in ops)
+        self.root = slots[0]
+        self.init = init
+        self.init5 = [(v,) * 5 for v in init]
+        self.n_mul = len(mul_gids)
+        self.mul_gids = tuple(sorted(mul_gids))
+        self.n_rand = 2 * (self.n_mul + 1)
+        self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
+        self._scalar_cache: tuple = (None, ())
+
+        # Static bytes before each element run, in encoding order.
+        zero = _u32(0)
+        layout = [(bytes([VIEW_TAG]) + _u32(self.n_public), self.n_public),
+                  (_u32(self.n_secret), self.n_secret)]
+        gid_slots = self.mul_gids + (REFRESH_SLOT,)
+        layout.append((_u32(len(gid_slots)) + _u32(gid_slots[0]), 2))
+        layout += [(_u32(gid), 2) for gid in gid_slots[1:]]
+        layout += [(zero * gap + _u32(5), 5) for gap in gaps]
+        layout += [(zero * run + _u32(5), 5), (_u32(5), 5)]
+        w = self.width
+        template = []
+        static = b""
+        for chunk, n in layout:
+            static += chunk
+            if n:
+                template.append((static, n * w))
+                static = b""
+        self.template = tuple(template)
+        self.view_length = sum(len(static) + n for static, n in self.template)
+
+    def scalars(self, public_inputs: Sequence[int]) -> tuple[int, ...]:
+        """Values of the smul scalar subtrees, cached for the last statement."""
+        key = tuple(public_inputs)
+        cached_key, values = self._scalar_cache
+        if cached_key != key:
+            m = self.modulus
+            xs = [FieldElement(v, m) for v in key]
+            values = tuple(eval_public(g, xs, m).value for g in self.scalar_roots)
+            self._scalar_cache = (key, values)
+        return values
+
+
+def program(c: Circuit) -> Program:
+    """c's program, compiled on first use and kept on the circuit object."""
+    prog = c.__dict__.get("_program")
+    if prog is None:
+        prog = c.__dict__["_program"] = Program(c)
+    return prog
 
 
 @dataclass(frozen=True)
 class GateRandomness:
-    """Full randomness bundle for one execution: five resharing
-    polynomials per messaging multiplication gate plus five zero-sharing
-    polynomials for the output refresh."""
+    """Full randomness bundle for one execution: each party's flat
+    randomness vector, in party order, laid out as its view records it."""
 
-    mul: dict[int, tuple[ShareRandomness, ...]]
-    refresh: tuple[ShareRandomness, ...]
-
-
-@dataclass(frozen=True)
-class ViewRandomness:
-    """One party's slice: its own polynomial per multiplication gate and
-    its own zero-sharing polynomial for the refresh."""
-
-    mul: dict[int, ShareRandomness]
-    refresh: ShareRandomness
-
-
-@dataclass(frozen=True)
-class TraceNode:
-    """Incoming messages at one circuit node, children in (left, right)
-    order.  Multiplication nodes carry the 5-value incoming column;
-    every other node is message-free."""
-
-    payload: tuple[FieldElement, ...]
-    children: tuple["TraceNode", ...]
-
-
-@dataclass(frozen=True)
-class OpenTrace:
-    """Incoming data at the refresh-and-open stage: the five zero-share
-    contributions received and the five broadcast refreshed shares."""
-
-    zin: tuple[FieldElement, ...]
-    bcast: tuple[FieldElement, ...]
+    parties: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class View:
-    public_inputs: tuple[FieldElement, ...]
-    secret_shares: tuple[FieldElement, ...]
-    randomness: ViewRandomness
-    trace: TraceNode
-    open_trace: OpenTrace
+    public_inputs: tuple[int, ...]
+    secret_shares: tuple[int, ...]
+    randomness: tuple[int, ...]
+    messages: tuple[tuple[int, ...], ...]
+    zin: tuple[int, ...]
+    bcast: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class OutMessages:
     """Everything one party sent, recomputed from its view: the outgoing
-    resharing row per multiplication gate, the outgoing zero-share row,
-    and the broadcast refreshed share."""
+    resharing row per messaging multiplication (post-order), the outgoing
+    zero-share row and the broadcast refreshed share."""
 
-    mul: dict[int, tuple[FieldElement, ...]]
-    open_z: tuple[FieldElement, ...]
-    open_bcast: FieldElement
+    mul: tuple[tuple[int, ...], ...]
+    open_z: tuple[int, ...]
+    open_bcast: int
 
 
 @dataclass(frozen=True)
@@ -101,25 +208,20 @@ class ExecutionResult:
 
 
 def random_gate_randomness(rng: RandomSource, c: Circuit) -> GateRandomness:
-    mul = {
-        gid: tuple(random_share_randomness(rng, c.modulus) for _ in PARTY_IDS)
-        for gid in mul_gate_ids(c)
-    }
-    refresh = tuple(random_share_randomness(rng, c.modulus) for _ in PARTY_IDS)
-    return GateRandomness(mul, refresh)
+    """Draws (a1, a2) for parties 1..5 at each messaging multiplication
+    in ascending gate-id order, then for the five refresh sharings."""
+    prog = program(c)
+    draws = rng.randbelows(prog.p, 5 * prog.n_rand)
+    return GateRandomness(tuple(
+        tuple(chain.from_iterable(zip(draws[2 * q::10], draws[2 * q + 1::10])))
+        for q in range(5)))
 
 
-def randomness_slice(pid: int, rand: GateRandomness) -> ViewRandomness:
-    return ViewRandomness(
-        {gid: rs[pid - 1] for gid, rs in rand.mul.items()},
-        rand.refresh[pid - 1],
-    )
-
-
-def _empty_trace(g: Gate) -> TraceNode:
-    if isinstance(g, (Addition, Multiplication, SMultiplication)):
-        return TraceNode((), (_empty_trace(g.left), _empty_trace(g.right)))
-    return TraceNode((), ())
+def _reshare(xs, ys, pairs, p: int) -> list[tuple[int, ...]]:
+    """BGW resharing rows: rows[k][q] is what party k+1 sends party q+1,
+    its product share xs[k]*ys[k] on the polynomial with coefficients
+    pairs[k]."""
+    return [share5(x * y % p, a1, a2, p) for x, y, (a1, a2) in zip(xs, ys, pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,70 +232,43 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sharing],
                  rand: GateRandomness) -> ExecutionResult:
     """Execute the full protocol; returns all five views and outputs."""
     c = s.circuit
-    m = c.modulus
-    p, ops, lam = m.p, m.ops, m.recon_weights
-    topo = c.topology
-    if len(input_sharings) != topo.n_secret:
+    prog = program(c)
+    p, lam = prog.p, prog.lam
+    if len(input_sharings) != prog.n_secret:
         raise MithError(
-            f"need {topo.n_secret} input sharings, got {len(input_sharings)}")
-    needed = mul_gate_ids(c)
-    missing = [g for g in needed if g not in rand.mul]
-    if missing:
-        raise MithError(f"missing randomness for gate ids {missing}")
-
-    def fe(v: int) -> FieldElement:
-        return FieldElement(v, m)
-
-    def walk(g: Gate):
-        """Returns (share tuple, per-party trace nodes)."""
-        if isinstance(g, PInput):
-            v = s.public_inputs[g.wire].value
-            return (v,) * 5, [TraceNode((), ())] * 5
-        if isinstance(g, SInput):
-            return input_sharings[g.wire].values(), [TraceNode((), ())] * 5
-        if isinstance(g, Constant):
-            return (g.value.value,) * 5, [TraceNode((), ())] * 5
-        if isinstance(g, SMultiplication):
-            scalar = eval_public(g.left, s.public_inputs, m).value
-            ltr = _empty_trace(g.left)
-            rsh, rtr = walk(g.right)
-            sh = tuple(ops.mulmod(scalar, v, p) for v in rsh)
-            return sh, [TraceNode((), (ltr, rtr[q])) for q in range(5)]
-        lsh, ltr = walk(g.left)
-        rsh, rtr = walk(g.right)
-        if isinstance(g, Addition):
-            sh = tuple(ops.addmod(a, b, p) for a, b in zip(lsh, rsh))
-            return sh, [TraceNode((), (ltr[q], rtr[q])) for q in range(5)]
-        # Multiplication: reshare-and-recombine degree reduction.
-        rs = rand.mul[g.gid]
-        b1 = tuple(r.a1.value for r in rs)
-        b2 = tuple(r.a2.value for r in rs)
-        rows, out = ops.mul_gate5(lsh, rsh, b1, b2, lam, p)
-        nodes = [
-            TraceNode(tuple(fe(rows[k][q]) for k in range(5)),
-                      (ltr[q], rtr[q]))
-            for q in range(5)
-        ]
-        return out, nodes
-
-    root_sh, trees = walk(c.root)
-
-    c1 = tuple(r.a1.value for r in rand.refresh)
-    c2 = tuple(r.a2.value for r in rand.refresh)
-    zrows, refreshed = ops.refresh5(root_sh, c1, c2, p)
-    y = fe(ops.dot5(lam, refreshed, p))
-    bcast = tuple(fe(v) for v in refreshed)
-    views = []
-    for q in range(5):
-        open_tr = OpenTrace(tuple(fe(zrows[k][q]) for k in range(5)), bcast)
-        views.append(View(
-            public_inputs=tuple(s.public_inputs),
-            secret_shares=tuple(sh[PARTY_IDS[q]] for sh in input_sharings),
-            randomness=randomness_slice(PARTY_IDS[q], rand),
-            trace=trees[q],
-            open_trace=open_tr,
-        ))
-    return ExecutionResult(tuple(views), (y,) * 5)
+            f"need {prog.n_secret} input sharings, got {len(input_sharings)}")
+    rv = rand.parties
+    if len(rv) != 5 or any(len(r) != prog.n_rand for r in rv):
+        raise MithError(
+            f"missing randomness: each party needs {prog.n_rand} values")
+    pubs = tuple(x.value for x in s.public_inputs)
+    secs = [sh.values() for sh in input_sharings]
+    scal = prog.scalars(pubs)
+    vals = prog.init5[:]
+    vals[:prog.n_in] = [(v,) * 5 for v in pubs] + secs
+    msgs: list[list] = [[], [], [], [], []]
+    for code, dst, a, b, r in prog.ops:
+        y = vals[b]
+        if code == ADD:
+            x = vals[a]
+            vals[dst] = ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % p,
+                         (x[3] + y[3]) % p, (x[4] + y[4]) % p)
+        elif code == MUL:
+            cols = tuple(zip(*_reshare(vals[a], y, [rq[2 * r:2 * r + 2] for rq in rv], p)))
+            for q in range(5):
+                msgs[q].append(cols[q])
+            vals[dst] = tuple(dot5(lam, col, p) for col in cols)
+        else:
+            k = scal[a]
+            vals[dst] = (k * y[0] % p, k * y[1] % p, k * y[2] % p, k * y[3] % p, k * y[4] % p)
+    root = vals[prog.root]
+    zin = tuple(zip(*(share5(0, rq[-2], rq[-1], p) for rq in rv)))
+    bcast = tuple((root[q] + sum(zin[q])) % p for q in range(5))
+    y = FieldElement(dot5(lam, bcast, p), c.modulus)
+    views = tuple(
+        View(pubs, tuple(sv[q] for sv in secs), tuple(rv[q]), tuple(msgs[q]), zin[q], bcast)
+        for q in range(5))
+    return ExecutionResult(views, (y,) * 5)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +296,19 @@ def gate_mul(l: Sharing, r: Sharing,
     """BGW multiplication; returns the output sharing and the 5x5 message
     matrix (rows[k][q] = what party k+1 sent to party q+1)."""
     m = l.modulus
-    b1 = tuple(x.a1.value for x in rs)
-    b2 = tuple(x.a2.value for x in rs)
-    rows, out = m.ops.mul_gate5(l.values(), r.values(), b1, b2,
-                                m.recon_weights, m.p)
-    fe_rows = tuple(tuple(FieldElement(v, m) for v in row) for row in rows)
-    return Sharing(tuple(FieldElement(v, m) for v in out)), fe_rows
+    rows = _reshare(l.values(), r.values(), [(x.a1.value, x.a2.value) for x in rs], m.p)
+    out = (FieldElement(dot5(m.recon_weights, col, m.p), m) for col in zip(*rows))
+    return (Sharing(tuple(out)),
+            tuple(tuple(FieldElement(v, m) for v in row) for row in rows))
 
 
 def refresh_and_open(sh: Sharing, rs: tuple[ShareRandomness, ...]):
     """Re-randomize then publicly open; returns (refreshed sharing,
     broadcast shares, output)."""
     m = sh.modulus
-    c1 = tuple(x.a1.value for x in rs)
-    c2 = tuple(x.a2.value for x in rs)
-    _, refreshed = m.ops.refresh5(sh.values(), c1, c2, m.p)
-    out = Sharing(tuple(FieldElement(v, m) for v in refreshed))
+    zin = zip(*(share5(0, x.a1.value, x.a2.value, m.p) for x in rs))
+    out = Sharing(tuple(FieldElement((v + sum(col)) % m.p, m)
+                        for v, col in zip(sh.values(), zin)))
     return out, out.shares, reconstruct(out)
 
 
@@ -245,177 +317,105 @@ def refresh_and_open(sh: Sharing, rs: tuple[ShareRandomness, ...]):
 # alone and must never trust any other data.
 
 
-def _valid_randomness(c: Circuit, r: ViewRandomness) -> bool:
-    m = c.modulus
-    if set(r.mul) != set(mul_gate_ids(c)):
-        return False
-    for sr in list(r.mul.values()) + [r.refresh]:
-        if sr.a1.modulus != m or sr.a2.modulus != m:
-            return False
-    return True
-
-
-def _valid_trace(c: Circuit, v: View) -> bool:
-    m = c.modulus
-
-    def ok(g: Gate, t: TraceNode, public: bool) -> bool:
-        if isinstance(g, Multiplication) and not public:
-            if len(t.payload) != 5:
-                return False
-        elif t.payload != ():
-            return False
-        if any(x.modulus != m for x in t.payload):
-            return False
-        if isinstance(g, (Addition, Multiplication, SMultiplication)):
-            if len(t.children) != 2:
-                return False
-            lpub = public or isinstance(g, SMultiplication)
-            return ok(g.left, t.children[0], lpub) and ok(g.right, t.children[1], public)
-        return t.children == ()
-
-    if not ok(c.root, v.trace, False):
-        return False
-    ot = v.open_trace
-    if len(ot.zin) != 5 or len(ot.bcast) != 5:
-        return False
-    return all(x.modulus == m for x in ot.zin + ot.bcast)
+def _elements(v: View) -> tuple[int, ...]:
+    return (*v.public_inputs, *v.secret_shares, *v.randomness,
+            *chain.from_iterable(v.messages), *v.zin, *v.bcast)
 
 
 def valid_view(c: Circuit, v: View) -> bool:
-    """Shape and field-membership check; no consistency semantics."""
-    return (len(v.public_inputs) == c.topology.n_public
-            and len(v.secret_shares) == c.topology.n_secret
-            and all(x.modulus == c.modulus
-                    for x in v.public_inputs + v.secret_shares)
-            and _valid_randomness(c, v.randomness)
-            and _valid_trace(c, v))
+    """Shape and range check: every entry an int in [0, p); no
+    consistency semantics."""
+    prog = program(c)
+    if not isinstance(v, View):
+        return False
+    try:
+        if (len(v.public_inputs) != prog.n_public or len(v.secret_shares) != prog.n_secret
+                or len(v.randomness) != prog.n_rand or len(v.messages) != prog.n_mul
+                or len(v.zin) != 5 or len(v.bcast) != 5
+                or any(len(col) != 5 for col in v.messages)):
+            return False
+        vals = _elements(v)
+    except TypeError:
+        return False
+    return {type(x) for x in vals} == {int} and min(vals) >= 0 and max(vals) < prog.p
 
 
-def _replay(c: Circuit, pid: int, v: View):
-    """Recompute pid's wire shares and outgoing rows from its view.
-    Returns (root_share, mul_rows, out_z, out_bcast) as ints."""
-    m = c.modulus
-    p, ops = m.p, m.ops
-    lam = m.recon_weights
-    idx = pid - 1
-    mul_rows: dict[int, tuple[int, ...]] = {}
-
-    def walk(g: Gate, t: TraceNode) -> int:
-        if isinstance(g, PInput):
-            return v.public_inputs[g.wire].value
-        if isinstance(g, SInput):
-            return v.secret_shares[g.wire].value
-        if isinstance(g, Constant):
-            return g.value.value
-        if isinstance(g, SMultiplication):
-            scalar = eval_public(g.left, v.public_inputs, m).value
-            return ops.mulmod(scalar, walk(g.right, t.children[1]), p)
-        l = walk(g.left, t.children[0])
-        r = walk(g.right, t.children[1])
-        if isinstance(g, Addition):
-            return ops.addmod(l, r, p)
-        rnd = v.randomness.mul[g.gid]
-        d = ops.mulmod(l, r, p)
-        mul_rows[g.gid] = ops.share5(d, rnd.a1.value, rnd.a2.value, p)
-        col = tuple(x.value for x in t.payload)
-        return ops.dot5(lam, col, p)
-
-    root = walk(c.root, v.trace)
-    rr = v.randomness.refresh
-    out_z = ops.share5(0, rr.a1.value, rr.a2.value, p)
-    zsum = 0
-    for x in v.open_trace.zin:
-        zsum = ops.addmod(zsum, x.value, p)
-    out_bcast = ops.addmod(root, zsum, p)
-    return root, mul_rows, out_z, out_bcast
+def _replay(prog: Program, v: View) -> tuple[int, list[tuple[int, ...]]]:
+    """A valid view's root share and outgoing resharing rows."""
+    p, lam = prog.p, prog.lam
+    rnd, cols = v.randomness, v.messages
+    scal = prog.scalars(v.public_inputs)
+    vals = prog.init[:]
+    vals[:prog.n_public] = v.public_inputs
+    vals[prog.n_public:prog.n_in] = v.secret_shares
+    rows = []
+    for code, dst, a, b, r in prog.ops:
+        if code == ADD:
+            vals[dst] = (vals[a] + vals[b]) % p
+        elif code == MUL:
+            rows.append(share5(vals[a] * vals[b] % p, rnd[2 * r], rnd[2 * r + 1], p))
+            vals[dst] = dot5(lam, cols[len(rows) - 1], p)
+        else:
+            vals[dst] = scal[a] * vals[b] % p
+    return vals[prog.root], rows
 
 
 def out_messages(c: Circuit, pid: int, v: View) -> OutMessages | None:
     """All messages pid sent, recomputed from v; None if v is malformed."""
     if not valid_view(c, v):
         return None
-    m = c.modulus
-    _, mul_rows, out_z, out_bcast = _replay(c, pid, v)
-    return OutMessages(
-        {gid: tuple(FieldElement(x, m) for x in row)
-         for gid, row in mul_rows.items()},
-        tuple(FieldElement(x, m) for x in out_z),
-        FieldElement(out_bcast, m),
-    )
+    prog = program(c)
+    p = prog.p
+    root, rows = _replay(prog, v)
+    return OutMessages(tuple(rows), share5(0, v.randomness[-2], v.randomness[-1], p),
+                       (root + sum(v.zin)) % p)
 
 
-def local_output(c: Circuit, pid: int, v: View) -> FieldElement | None:
+def local_output(c: Circuit, pid: int, v: View,
+                 om: OutMessages | None = None) -> FieldElement | None:
     """pid's protocol output recomputed from its view; None if malformed.
 
     Reconstructs from the recorded broadcast with pid's own slot replaced
-    by its recomputed refreshed share."""
-    if not valid_view(c, v):
+    by its recomputed refreshed share.  A caller that already holds v's
+    replay `out_messages(c, pid, v)` passes it as om."""
+    om = om or out_messages(c, pid, v)
+    if om is None:
         return None
-    m = c.modulus
-    _, _, _, own = _replay(c, pid, v)
-    vals = list(x.value for x in v.open_trace.bcast)
-    vals[pid - 1] = own
-    return FieldElement(m.ops.dot5(m.recon_weights, tuple(vals), m.p), m)
+    bcast = list(v.bcast)
+    bcast[pid - 1] = om.open_bcast
+    return FieldElement(dot5(c.modulus.recon_weights, bcast, c.modulus.p), c.modulus)
 
 
-def _mul_payloads(c: Circuit, v: View) -> dict[int, tuple[FieldElement, ...]]:
-    """Incoming column per messaging multiplication gate id."""
-    out: dict[int, tuple[FieldElement, ...]] = {}
-
-    def walk(g: Gate, t: TraceNode, public: bool):
-        if isinstance(g, Multiplication) and not public:
-            out[g.gid] = t.payload
-        if isinstance(g, (Addition, Multiplication, SMultiplication)):
-            walk(g.left, t.children[0], public or isinstance(g, SMultiplication))
-            walk(g.right, t.children[1], public)
-
-    walk(c.root, v.trace, False)
-    return out
-
-
-def _sent_to(om: OutMessages, q: int):
-    """Project outgoing rows onto receiver q: (per-gid value, z, bcast)."""
-    return ({gid: row[q - 1] for gid, row in om.mul.items()},
-            om.open_z[q - 1], om.open_bcast)
+def _received(v: View, b: int, om_b: OutMessages, a: int) -> bool:
+    """Whether view v (of party a) recorded exactly what b's replay says
+    b sent to a."""
+    k, q = b - 1, a - 1
+    return ([col[k] for col in v.messages] == [row[q] for row in om_b.mul]
+            and v.zin[k] == om_b.open_z[q] and v.bcast[k] == om_b.open_bcast)
 
 
 def consistent_views(c: Circuit, x: Sequence[FieldElement],
-                     vi: View, vj: View, i: int, j: int) -> bool:
+                     vi: View, vj: View, i: int, j: int,
+                     om_i: OutMessages | None = None,
+                     om_j: OutMessages | None = None) -> bool:
     """Pairwise view consistency for distinct parties i and j.
 
     Checks shapes, that both views carry the public input x, that each
     view's own recorded slots match its own recomputation, and that the
     messages implicit in each view equal the ones recorded by the other.
+    A caller that already holds the views' replays by `out_messages`
+    passes them as om_i and om_j.
     """
     if i == j:
         raise MithError("consistency is defined for distinct parties")
-    if not (valid_view(c, vi) and valid_view(c, vj)):
+    om_i = om_i or out_messages(c, i, vi)
+    om_j = om_j or out_messages(c, j, vj)
+    if om_i is None or om_j is None:
         return False
-    if vi.public_inputs != tuple(x) or vj.public_inputs != tuple(x):
-        return False
-    om_i = out_messages(c, i, vi)
-    om_j = out_messages(c, j, vj)
-
-    for pid, v, om in ((i, vi, om_i), (j, vj, om_j)):
-        # Own slots must match own recomputation (view-internal coherence).
-        payloads = _mul_payloads(c, v)
-        sent, z, bc = _sent_to(om, pid)
-        for gid, col in payloads.items():
-            if col[pid - 1] != sent[gid]:
-                return False
-        if v.open_trace.zin[pid - 1] != z or v.open_trace.bcast[pid - 1] != bc:
-            return False
-
-    for (a, va, om_b, b) in ((i, vi, om_j, j), (j, vj, om_i, i)):
-        # What a recorded from b must equal what b's view says it sent.
-        payloads = _mul_payloads(c, va)
-        sent, z, bc = _sent_to(om_b, a)
-        for gid, col in payloads.items():
-            if col[b - 1] != sent[gid]:
-                return False
-        if va.open_trace.zin[b - 1] != z or va.open_trace.bcast[b - 1] != bc:
-            return False
-    return True
+    xs = tuple(e.value for e in x)
+    return (tuple(vi.public_inputs) == xs and tuple(vj.public_inputs) == xs
+            and _received(vi, i, om_i, i) and _received(vj, j, om_j, j)
+            and _received(vi, j, om_j, i) and _received(vj, i, om_i, j))
 
 
 def rerun_from_views(c: Circuit, x: Sequence[FieldElement],
@@ -429,33 +429,21 @@ def rerun_from_views(c: Circuit, x: Sequence[FieldElement],
         return None
     m = c.modulus
     sharings = [
-        Sharing(tuple(views[q].secret_shares[w] for q in range(5)))
+        Sharing(tuple(FieldElement(v.secret_shares[w], m) for v in views))
         for w in range(c.topology.n_secret)
     ]
-    rand = GateRandomness(
-        {gid: tuple(views[q].randomness.mul[gid] for q in range(5))
-         for gid in mul_gate_ids(c)},
-        tuple(views[q].randomness.refresh for q in range(5)),
-    )
-    stmt = Statement(c, tuple(x), m.zero())
-    return run_protocol(stmt, sharings, rand)
+    rand = GateRandomness(tuple(tuple(v.randomness) for v in views))
+    return run_protocol(Statement(c, tuple(x), m.zero()), sharings, rand)
 
 
 # ---------------------------------------------------------------------------
 # 2-privacy simulator
 
 
-def _interp_eval(pts: Sequence[tuple[int, int]], at: int, p: int, ops) -> int:
-    """Evaluate the unique polynomial through pts at x=at (generic nodes)."""
-    acc = 0
-    for k, (xk, yk) in enumerate(pts):
-        num, den = 1, 1
-        for l, (xl, _) in enumerate(pts):
-            if l != k:
-                num = ops.mulmod(num, ops.submod(at, xl, p), p)
-                den = ops.mulmod(den, ops.submod(xk, xl, p), p)
-        acc = ops.addmod(acc, ops.mulmod(yk, ops.mulmod(num, ops.invmod(den, p), p), p), p)
-    return acc
+def _interp_eval(pts: Sequence[tuple[int, int]], at: int, p: int) -> int:
+    """Evaluate the unique polynomial through pts at x=at (at not a node)."""
+    ws = lagrange_weights([x - at for x, _ in pts], p)
+    return sum(w * y for w, (_, y) in zip(ws, pts)) % p
 
 
 def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
@@ -467,184 +455,105 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     Incoming messages from honest parties are sampled uniformly; the
     honest broadcast shares are fixed so the opened sharing interpolates
     to y.  The returned views are mutually consistent and both report
-    local output y.
+    local output y.  Draws, per messaging multiplication in post-order:
+    each corrupt party's (a1, a2), then the honest parties' values sent to
+    i and to j; then the same for the refresh.
     """
     i, j = corrupt
     if i == j:
         raise MithError("corrupt parties must be distinct")
-    m = c.modulus
-    p, ops, lam = m.p, m.ops, m.recon_weights
+    prog = program(c)
+    p, lam = prog.p, prog.lam
+    honest = [k for k in PARTY_IDS if k not in corrupt]
+    pubs = tuple(e.value for e in x)
+    scal = prog.scalars(pubs)
+    sides = []
+    for side in (0, 1):
+        vals = prog.init[:]
+        vals[:prog.n_in] = pubs + tuple(cs[side].value for cs in corrupt_shares)
+        sides.append((vals, [0] * prog.n_rand, []))
+    (vals_i, rand_i, msgs_i), (vals_j, rand_j, msgs_j) = sides
 
-    def fe(v: int) -> FieldElement:
-        return FieldElement(v, m)
+    def exchange(r: int, ds: tuple[int, int]):
+        """Columns i and j receive when the corrupt parties reshare ds
+        with fresh randomness stored at rank r; honest entries uniform."""
+        ci, cj = [0] * 5, [0] * 5
+        for q, rand, d in ((i, rand_i, ds[0]), (j, rand_j, ds[1])):
+            a1, a2 = rng.randbelow(p), rng.randbelow(p)
+            rand[2 * r:2 * r + 2] = a1, a2
+            row = share5(d, a1, a2, p)
+            ci[q - 1], cj[q - 1] = row[i - 1], row[j - 1]
+        for k in honest:
+            ci[k - 1], cj[k - 1] = rng.randbelow(p), rng.randbelow(p)
+        return tuple(ci), tuple(cj)
 
-    own_mul: dict[int, dict[int, ShareRandomness]] = {i: {}, j: {}}
+    for code, dst, a, b, r in prog.ops:
+        for vals in (vals_i, vals_j):
+            if code == ADD:
+                vals[dst] = (vals[a] + vals[b]) % p
+            elif code == SMUL:
+                vals[dst] = scal[a] * vals[b] % p
+        if code == MUL:
+            ci, cj = exchange(r, (vals_i[a] * vals_i[b] % p, vals_j[a] * vals_j[b] % p))
+            msgs_i.append(ci)
+            msgs_j.append(cj)
+            vals_i[dst], vals_j[dst] = dot5(lam, ci, p), dot5(lam, cj, p)
 
-    def walk(g: Gate):
-        """Returns ({i: share, j: share}, {i: node, j: node})."""
-        if isinstance(g, PInput):
-            v = x[g.wire].value
-            return {i: v, j: v}, {i: TraceNode((), ()), j: TraceNode((), ())}
-        if isinstance(g, SInput):
-            si, sj = corrupt_shares[g.wire]
-            return {i: si.value, j: sj.value}, {i: TraceNode((), ()), j: TraceNode((), ())}
-        if isinstance(g, Constant):
-            v = g.value.value
-            return {i: v, j: v}, {i: TraceNode((), ()), j: TraceNode((), ())}
-        if isinstance(g, SMultiplication):
-            scalar = eval_public(g.left, tuple(x), m).value
-            ltr = _empty_trace(g.left)
-            rsh, rtr = walk(g.right)
-            sh = {q: ops.mulmod(scalar, rsh[q], p) for q in (i, j)}
-            return sh, {q: TraceNode((), (ltr, rtr[q])) for q in (i, j)}
-        lsh, ltr = walk(g.left)
-        rsh, rtr = walk(g.right)
-        if isinstance(g, Addition):
-            sh = {q: ops.addmod(lsh[q], rsh[q], p) for q in (i, j)}
-            return sh, {q: TraceNode((), (ltr[q], rtr[q])) for q in (i, j)}
-        # Multiplication: corrupt parties' rows are computed honestly from
-        # their product shares; honest incoming values are uniform.
-        cols = {i: [0] * 5, j: [0] * 5}
-        for q in (i, j):
-            rnd = random_share_randomness(rng, m)
-            own_mul[q][g.gid] = rnd
-            d = ops.mulmod(lsh[q], rsh[q], p)
-            row = ops.share5(d, rnd.a1.value, rnd.a2.value, p)
-            cols[i][q - 1] = row[i - 1]
-            cols[j][q - 1] = row[j - 1]
-        for k in PARTY_IDS:
-            if k not in (i, j):
-                cols[i][k - 1] = rng.randbelow(p)
-                cols[j][k - 1] = rng.randbelow(p)
-        sh = {q: ops.dot5(lam, tuple(cols[q]), p) for q in (i, j)}
-        nodes = {
-            q: TraceNode(tuple(fe(v) for v in cols[q]), (ltr[q], rtr[q]))
-            for q in (i, j)
-        }
-        return sh, nodes
-
-    root, trees = walk(c.root)
-
-    own_refresh = {q: random_share_randomness(rng, m) for q in (i, j)}
-    zin = {i: [0] * 5, j: [0] * 5}
-    for q in (i, j):
-        rnd = own_refresh[q]
-        row = ops.share5(0, rnd.a1.value, rnd.a2.value, p)
-        zin[i][q - 1] = row[i - 1]
-        zin[j][q - 1] = row[j - 1]
-    for k in PARTY_IDS:
-        if k not in (i, j):
-            zin[i][k - 1] = rng.randbelow(p)
-            zin[j][k - 1] = rng.randbelow(p)
-
-    u = {q: root[q] for q in (i, j)}
-    for q in (i, j):
-        for v in zin[q]:
-            u[q] = ops.addmod(u[q], v, p)
+    zin_i, zin_j = exchange(prog.n_mul, (0, 0))
+    u_i = (vals_i[prog.root] + sum(zin_i)) % p
+    u_j = (vals_j[prog.root] + sum(zin_j)) % p
     # Fix honest broadcasts so the degree-2 opened sharing hits y.
-    pts = ((0, y.value), (i, u[i]), (j, u[j]))
+    pts = ((0, y.value), (i, u_i), (j, u_j))
     bvals = [0] * 5
-    bvals[i - 1], bvals[j - 1] = u[i], u[j]
-    for k in PARTY_IDS:
-        if k not in (i, j):
-            bvals[k - 1] = _interp_eval(pts, k, p, ops)
-    bcast = tuple(fe(v) for v in bvals)
-
-    views = {}
-    for q in (i, j):
-        views[q] = View(
-            public_inputs=tuple(x),
-            secret_shares=tuple(cs[0 if q == i else 1] for cs in corrupt_shares),
-            randomness=ViewRandomness(own_mul[q], own_refresh[q]),
-            trace=trees[q],
-            open_trace=OpenTrace(tuple(fe(v) for v in zin[q]), bcast),
-        )
-    return views[i], views[j]
+    bvals[i - 1], bvals[j - 1] = u_i, u_j
+    for k in honest:
+        bvals[k - 1] = _interp_eval(pts, k, p)
+    bcast = tuple(bvals)
+    return tuple(
+        View(pubs, tuple(cs[side].value for cs in corrupt_shares), tuple(rand),
+             tuple(msgs), zin, bcast)
+        for side, (rand, msgs, zin) in enumerate(((rand_i, msgs_i, zin_i),
+                                                  (rand_j, msgs_j, zin_j))))
 
 
 # ---------------------------------------------------------------------------
 # Canonical view encoding (commitments are computed over these bytes, so
 # the layout is bit-exact: tag 0x56, public inputs, secret shares,
 # randomness entries in ascending gate-id order with the refresh slot
-# last, trace payloads in circuit post-order, then the open-stage data;
-# field elements are fixed-width big-endian, list counts 4-byte
-# big-endian).
-
-VIEW_TAG = 0x56
-
-
-def _post_order_payloads(c: Circuit, v: View) -> list[tuple[FieldElement, ...]]:
-    out = []
-
-    def walk(g: Gate, t: TraceNode):
-        if isinstance(g, (Addition, Multiplication, SMultiplication)):
-            walk(g.left, t.children[0])
-            walk(g.right, t.children[1])
-        out.append(t.payload)
-
-    walk(c.root, v.trace)
-    return out
+# last, one count per circuit node in post-order followed by the node's
+# incoming column (5 values at a messaging multiplication, none
+# elsewhere), then the open-stage data; field elements are fixed-width
+# big-endian, list counts 4-byte big-endian).  The program's template
+# holds every count and gate id, so encoding interleaves it with the
+# packed elements and decoding compares it byte for byte.
 
 
 def encode_view(c: Circuit, v: View) -> bytes:
-    def u32(n: int) -> bytes:
-        return n.to_bytes(4, "big")
-
-    parts = [bytes([VIEW_TAG])]
-    parts.append(u32(len(v.public_inputs)))
-    parts += [e.to_bytes() for e in v.public_inputs]
-    parts.append(u32(len(v.secret_shares)))
-    parts += [e.to_bytes() for e in v.secret_shares]
-    entries = sorted(v.randomness.mul.items()) + [(REFRESH_SLOT, v.randomness.refresh)]
-    parts.append(u32(len(entries)))
-    for gid, sr in entries:
-        parts.append(u32(gid))
-        parts.append(sr.a1.to_bytes())
-        parts.append(sr.a2.to_bytes())
-    for payload in _post_order_payloads(c, v):
-        parts.append(u32(len(payload)))
-        parts += [e.to_bytes() for e in payload]
-    parts.append(u32(len(v.open_trace.zin)))
-    parts += [e.to_bytes() for e in v.open_trace.zin]
-    parts.append(u32(len(v.open_trace.bcast)))
-    parts += [e.to_bytes() for e in v.open_trace.bcast]
+    prog = program(c)
+    vals = _elements(v)
+    if len(vals) != prog.n_elements:
+        raise MithError("view does not match the circuit's layout")
+    w = prog.width
+    blob = b"".join([x.to_bytes(w, "big") for x in vals])
+    parts = []
+    k = 0
+    for static, n in prog.template:
+        parts += (static, blob[k:k + n])
+        k += n
     return b"".join(parts)
 
 
 def view_elements(c: Circuit, v: View) -> list[int]:
     """The view's field elements in encoding order (the Pedersen message)."""
-    out = [e.value for e in v.public_inputs]
-    out += [e.value for e in v.secret_shares]
-    for _, sr in sorted(v.randomness.mul.items()) + [(REFRESH_SLOT, v.randomness.refresh)]:
-        out += [sr.a1.value, sr.a2.value]
-    for payload in _post_order_payloads(c, v):
-        out += [e.value for e in payload]
-    out += [e.value for e in v.open_trace.zin]
-    out += [e.value for e in v.open_trace.bcast]
-    return out
+    return list(_elements(v))
 
 
 def view_element_count(c: Circuit) -> int:
-    n_mul = len(mul_gate_ids(c))
-    topo = c.topology
-    return topo.n_public + topo.n_secret + 2 * (n_mul + 1) + 5 * n_mul + 10
+    return program(c).n_elements
 
 
 def encoded_view_length(c: Circuit) -> int:
-    n_mul = len(mul_gate_ids(c))
-    n_nodes = sum(1 for _ in _iter_all_nodes(c.root))
-    w = c.modulus.byte_length
-    return (1 + 4 + 4 + 4            # tag + pub/sec counts + rand count
-            + 4 * (n_mul + 1)        # rand entry gids
-            + 4 * n_nodes + 4 + 4    # per-node and open counts
-            + w * view_element_count(c))
-
-
-def _iter_all_nodes(g: Gate):
-    if isinstance(g, (Addition, Multiplication, SMultiplication)):
-        yield from _iter_all_nodes(g.left)
-        yield from _iter_all_nodes(g.right)
-    yield g
+    return program(c).view_length
 
 
 class _Reader:
@@ -662,64 +571,35 @@ class _Reader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
-    def fe(self, m: Modulus) -> FieldElement:
-        v = int.from_bytes(self.take(m.byte_length), "big")
-        if v >= m.p:
-            raise ProofError("view field element exceeds modulus")
-        return FieldElement(v, m)
-
     def done(self) -> bool:
         return self.pos == len(self.data)
 
 
 def decode_view(c: Circuit, data: bytes) -> View:
     """Strict inverse of encode_view; raises ProofError on any deviation."""
-    m = c.modulus
-    rd = _Reader(data)
-    if rd.take(1)[0] != VIEW_TAG:
-        raise ProofError("bad view tag")
-    if rd.u32() != c.topology.n_public:
-        raise ProofError("public input count mismatch")
-    pubs = tuple(rd.fe(m) for _ in range(c.topology.n_public))
-    if rd.u32() != c.topology.n_secret:
-        raise ProofError("secret share count mismatch")
-    secs = tuple(rd.fe(m) for _ in range(c.topology.n_secret))
-    gids = mul_gate_ids(c)
-    if rd.u32() != len(gids) + 1:
-        raise ProofError("randomness entry count mismatch")
-    mul_r: dict[int, ShareRandomness] = {}
-    for gid in gids:
-        if rd.u32() != gid:
-            raise ProofError("randomness gate id mismatch")
-        mul_r[gid] = ShareRandomness(rd.fe(m), rd.fe(m))
-    if rd.u32() != REFRESH_SLOT:
-        raise ProofError("missing refresh randomness slot")
-    refresh_r = ShareRandomness(rd.fe(m), rd.fe(m))
-
-    # Post-order read mirroring _post_order_payloads.
-    def read_tree(g: Gate, public: bool) -> TraceNode:
-        if isinstance(g, (Addition, Multiplication, SMultiplication)):
-            lpub = public or isinstance(g, SMultiplication)
-            left = read_tree(g.left, lpub)
-            right = read_tree(g.right, public)
-            n = rd.u32()
-            want = 5 if isinstance(g, Multiplication) and not public else 0
-            if n != want:
-                raise ProofError("trace payload arity mismatch")
-            payload = tuple(rd.fe(m) for _ in range(n))
-            return TraceNode(payload, (left, right))
-        if rd.u32() != 0:
-            raise ProofError("leaf trace payload must be empty")
-        return TraceNode((), ())
-
-    trace = read_tree(c.root, False)
-    if rd.u32() != 5:
-        raise ProofError("open-stage zero-share count mismatch")
-    zin = tuple(rd.fe(m) for _ in range(5))
-    if rd.u32() != 5:
-        raise ProofError("broadcast count mismatch")
-    bcast = tuple(rd.fe(m) for _ in range(5))
-    if not rd.done():
+    prog = program(c)
+    if len(data) < prog.view_length:
+        raise ProofError("truncated view encoding")
+    if len(data) > prog.view_length:
         raise ProofError("trailing bytes after view")
-    return View(pubs, secs, ViewRandomness(mul_r, refresh_r), trace,
-                OpenTrace(zin, bcast))
+    runs = []
+    pos = 0
+    for static, n in prog.template:
+        end = pos + len(static)
+        if data[pos:end] != static:
+            raise ProofError(f"view layout mismatch at byte {pos}")
+        runs.append(data[end:end + n])
+        pos = end + n
+    w = prog.width
+    blob = b"".join(runs)
+    vals = list(map(int.from_bytes, [blob[k:k + w] for k in range(0, len(blob), w)],
+                    repeat("big")))
+    if max(vals) >= prog.p:
+        raise ProofError("view field element exceeds modulus")
+    o1 = prog.n_public
+    o2 = prog.n_in
+    o3 = o2 + prog.n_rand
+    o4 = o3 + 5 * prog.n_mul
+    return View(tuple(vals[:o1]), tuple(vals[o1:o2]), tuple(vals[o2:o3]),
+                tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)),
+                tuple(vals[o4:o4 + 5]), tuple(vals[o4 + 5:]))

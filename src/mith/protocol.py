@@ -115,13 +115,8 @@ def prover_commit(rp: ProverRand, w: Witness, s: Statement,
     result = mpc.run_protocol(s, sharings, rp.mpc)
     commitments = []
     openings = []
-    for q in range(5):
-        view = result.views[q]
-        com, op = scheme.commit_view(
-            rp.commit_keys[q],
-            mpc.encode_view(c, view),
-            mpc.view_elements(c, view),
-        )
+    for key, view in zip(rp.commit_keys, result.views):
+        com, op = scheme.commit_view(key, c, view)
         commitments.append(com)
         openings.append(op)
     st = ProverState(s, result.views, tuple(openings), scheme)
@@ -145,23 +140,24 @@ def prover_respond(st: ProverState, ch: tuple[int, int]) -> Response:
 
 def verifier_check(st: VerifierState, r: Response, scheme) -> bool:
     """Openings verify, views pairwise consistent, both outputs hit the
-    target.  Malformed data yields False, never an exception."""
+    target.  Malformed data yields False, never an exception.  Each view
+    is validated and replayed once."""
     s = st.statement
     c = s.circuit
     i, j = st.challenge
     try:
         (vi, oi), (vj, oj) = r.first, r.second
+        replays = []
         for pid, view, opening in ((i, vi, oi), (j, vj, oj)):
-            if not mpc.valid_view(c, view):
+            om = mpc.out_messages(c, pid, view)
+            if om is None or not scheme.verify_view(
+                    c, view, st.commitment.commitments[pid - 1], opening):
                 return False
-            if not scheme.verify_view(
-                    mpc.encode_view(c, view), mpc.view_elements(c, view),
-                    st.commitment.commitments[pid - 1], opening):
-                return False
-        if not mpc.consistent_views(c, s.public_inputs, vi, vj, i, j):
-            return False
-        return (mpc.local_output(c, i, vi) == s.target
-                and mpc.local_output(c, j, vj) == s.target)
+            replays.append(om)
+        om_i, om_j = replays
+        return (mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
+                and mpc.local_output(c, i, vi, om_i) == s.target
+                and mpc.local_output(c, j, vj, om_j) == s.target)
     except MithError:
         return False
 
@@ -191,6 +187,13 @@ def derive_challenge(stmt_digest: bytes, index: int,
     return PARTY_PAIRS[int.from_bytes(mac.digest(), "big") % N_CHALLENGES]
 
 
+def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
+    """derive_challenge's commitment blobs for a proof: every commitment
+    message in repetition order, joined into one blob (the HMAC input is
+    the same as feeding the messages one by one)."""
+    return [b"".join([serialize_commitment_msg(cm, scheme) for cm in msgs])]
+
+
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
                    scheme=None, mode: str = "derived") -> Proof:
     """sigma independent runs.  Challenges come from the mode's source:
@@ -209,7 +212,7 @@ def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
         st, cm = prover_commit(rp, w, s, scheme)
         states.append(st)
         msgs.append(cm)
-    blobs = [serialize_commitment_msg(cm, scheme) for cm in msgs]
+    blobs = challenge_blobs(msgs, scheme)
     transcripts = []
     for k in range(reps):
         if mode == "derived":
@@ -232,7 +235,7 @@ def verify_repeated(s: Statement, proof: Proof, mode: str | None = None) -> bool
     if proof.stmt_hash != statement_hash(s):
         return False
     scheme = scheme_by_name(proof.scheme, s.circuit.modulus.p)
-    blobs = [serialize_commitment_msg(t.commitment, scheme) for t in proof.transcripts]
+    blobs = challenge_blobs([t.commitment for t in proof.transcripts], scheme)
     for k, t in enumerate(proof.transcripts):
         if mode == "derived" and t.challenge != derive_challenge(proof.stmt_hash, k, blobs):
             return False
@@ -286,9 +289,7 @@ def zk_simulate_once(s: Statement, rng: RandomSource, scheme=None) -> SimulatedR
     for pid in PARTY_IDS:
         key = scheme.keygen(rng, n_el)
         if pid in (i, j):
-            com, op = scheme.commit_view(
-                key, mpc.encode_view(c, views[pid]),
-                mpc.view_elements(c, views[pid]))
+            com, op = scheme.commit_view(key, c, views[pid])
             openings[pid] = op
         else:
             com = scheme.dummy_commitment(key, enc_len, n_el)

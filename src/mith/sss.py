@@ -66,19 +66,29 @@ class Sharing:
             m.from_bytes(data[k * w:(k + 1) * w]) for k in range(N_PARTIES)))
 
 
+def share5(s: int, a1: int, a2: int, p: int) -> tuple[int, ...]:
+    """Evaluate s + a1*x + a2*x^2 mod p at x = 1..5."""
+    return ((s + a1 + a2) % p, (s + 2 * a1 + 4 * a2) % p, (s + 3 * a1 + 9 * a2) % p,
+            (s + 4 * a1 + 16 * a2) % p, (s + 5 * a1 + 25 * a2) % p)
+
+
+def dot5(w, y, p: int) -> int:
+    return (w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3] + w[4] * y[4]) % p
+
+
 def random_share_randomness(rng: RandomSource, m: Modulus) -> ShareRandomness:
     return ShareRandomness(rng.field_element(m), rng.field_element(m))
 
 
 def share(s: FieldElement, r: ShareRandomness) -> Sharing:
     m = s.modulus
-    vals = m.ops.share5(s.value, r.a1.value, r.a2.value, m.p)
+    vals = share5(s.value, r.a1.value, r.a2.value, m.p)
     return Sharing(tuple(FieldElement(v, m) for v in vals))
 
 
 def reconstruct(sh: Sharing) -> FieldElement:
     m = sh.modulus
-    v = m.ops.dot5(m.recon_weights, sh.values(), m.p)
+    v = dot5(m.recon_weights, sh.values(), m.p)
     return FieldElement(v, m)
 
 

@@ -233,10 +233,8 @@ def test_criterion_7_zk_exactness():
                            and vj_s == res.views[pair[1] - 1])
             for view in (vi_s, vj_s):
                 key = PRF.keygen(rng, 0)
-                com, op = PRF.commit_view(
-                    key, mpc.encode_view(c, view), mpc.view_elements(c, view))
-                verify_ok = verify_ok and PRF.verify_view(
-                    mpc.encode_view(c, view), mpc.view_elements(c, view), com, op)
+                com, op = PRF.commit_view(key, c, view)
+                verify_ok = verify_ok and PRF.verify_view(c, view, com, op)
 
     total_attempts = 0
     runs = 10_000
@@ -284,18 +282,21 @@ def test_criterion_9_scheme_performance_shape():
     circuits."""
     m = preset_modulus("p256")
     rng = RandomSource(909)
-    elements = [rng.randbelow(m.p) for _ in range(24)]
-    blob = b"".join(v.to_bytes(m.byte_length, "big") for v in elements)
     prf = scheme_by_name("prf")
     ped = scheme_by_name("pedersen", m.p)
-    key = prf.keygen(rng, len(elements))
-    com, op = prf.commit_view(key, blob, elements)
-    prf_ms = (_time_ms(lambda: prf.commit_view(key, blob, elements))
-              + _time_ms(lambda: prf.verify_view(blob, elements, com, op)))
-    pkey = ped.keygen(rng, len(elements))
-    pcom, pop = ped.commit_view(pkey, blob, elements)
-    ped_ms = (_time_ms(lambda: ped.commit_view(pkey, blob, elements))
-              + _time_ms(lambda: ped.verify_view(blob, elements, pcom, pop)))
+    c = bench_circuit_a(m)
+    s, w = random_instance(random.Random(909), c)
+    st, _ = pr.prover_commit(pr.random_prover_rand(rng, c, prf), w, s, prf)
+    view = st.views[0]
+    n_el = mpc.view_element_count(c)
+    key = prf.keygen(rng, n_el)
+    com, op = prf.commit_view(key, c, view)
+    prf_ms = (_time_ms(lambda: prf.commit_view(key, c, view))
+              + _time_ms(lambda: prf.verify_view(c, view, com, op)))
+    pkey = ped.keygen(rng, n_el)
+    pcom, pop = ped.commit_view(pkey, c, view)
+    ped_ms = (_time_ms(lambda: ped.commit_view(pkey, c, view))
+              + _time_ms(lambda: ped.verify_view(c, view, pcom, pop)))
     ratio = ped_ms / prf_ms
 
     e2e_ok = True

@@ -1,16 +1,22 @@
 """Commitment schemes: RFC 4231 vectors, fuzz, Pedersen group algebra."""
 
+import dataclasses
 import random
 
 import pytest
+
+from mith import mpc
+from mith.circuit import Statement
 
 from mith.commit import (
     BENCH_GROUP_257, TEST_GROUP_64, PedersenParams, PedersenScheme, PrfScheme,
     group_for_modulus, pedersen_commit, pedersen_verify, prf_commit,
     prf_verify, scheme_by_byte, scheme_by_name,
 )
+from mith.corpus import identity_circuit
 from mith.errors import MithError
-from mith.field import RandomSource
+from mith.field import Modulus, RandomSource
+from mith.sss import random_share_randomness, share
 
 # HMAC-SHA256 test vectors from RFC 4231 (cases 1-4, 6, 7; case 5 tests
 # truncated output and does not apply).
@@ -206,21 +212,45 @@ def test_group_selection():
 # Scheme objects
 
 
+def one_view(rng):
+    """Party 1's view of an honest run of the F_101 identity circuit."""
+    m = Modulus(101)
+    c = identity_circuit(m)
+    s = Statement(c, (), m.element(4))
+    sharing = share(m.element(4), random_share_randomness(rng, m))
+    res = mpc.run_protocol(s, [sharing], mpc.random_gate_randomness(rng, c))
+    return c, res.views[0]
+
+
 def test_scheme_serialization_round_trips():
     rng = RandomSource(9)
+    c, view = one_view(rng)
+    n_el = mpc.view_element_count(c)
+    other = dataclasses.replace(view, bcast=((view.bcast[0] + 1) % 101,) + view.bcast[1:])
     prf = scheme_by_name("prf")
-    key = prf.keygen(rng, 4)
-    com, op = prf.commit_view(key, b"payload", [1, 2, 3, 4])
+    key = prf.keygen(rng, n_el)
+    com, op = prf.commit_view(key, c, view)
     assert prf.parse_commitment(prf.serialize_commitment(com)) == com
     assert prf.parse_opening(prf.serialize_opening(op)) == op
+    assert prf.verify_view(c, view, com, op)
+    assert not prf.verify_view(c, other, com, op)
 
     ped = scheme_by_name("pedersen", 101)
-    key = ped.keygen(rng, 4)
-    com, op = ped.commit_view(key, b"payload", [1, 2, 3, 4])
+    key = ped.keygen(rng, n_el)
+    com, op = ped.commit_view(key, c, view)
     assert ped.parse_commitment(ped.serialize_commitment(com)) == com
     assert ped.parse_opening(ped.serialize_opening(op)) == op
-    assert ped.verify_view(b"payload", [1, 2, 3, 4], com, op)
-    assert not ped.verify_view(b"payload", [1, 2, 3, 5], com, op)
+    assert ped.verify_view(c, view, com, op)
+    assert not ped.verify_view(c, other, com, op)
+
+
+def test_pedersen_opening_blinders_below_order():
+    """r and r + q open the same commitment, so only r is accepted."""
+    ped = scheme_by_name("pedersen", 101)
+    q = ped.params.order
+    assert ped.parse_opening(ped.serialize_opening((q - 1, 0))) == (q - 1, 0)
+    with pytest.raises(MithError, match="below the group order"):
+        ped.parse_opening(ped.serialize_opening((5 + q, 0)))
 
 
 def test_scheme_lookup():

@@ -1,0 +1,72 @@
+"""Golden bytes: the canonical view encoding and the MITH1 proof file are
+fixed formats, so seeded runs must keep producing the same bytes.
+
+Each case pins the SHA-256 of the five encoded views of one seeded
+protocol run and of a seeded two-repetition proof file.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from mith import mpc
+from mith import protocol as pr
+from mith.circuit import parse_circuit
+from mith.commit import scheme_by_name
+from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
+from mith.field import Modulus, preset_modulus, RandomSource
+
+# An smul whose public (scalar) subtree contains a mul: that mul is
+# evaluated in the clear, exchanges no messages and draws no randomness.
+SMUL_OVER_MUL = (
+    "field 101\n"
+    "topology 1 2 9\n"
+    "(add 9 (smul 4 (mul 3 (pinput 0) (add 2 (pinput 0) (const 1 7)))"
+    " (mul 5 (sinput 0) (sinput 1)))"
+    " (mul 8 (sinput 1) (add 7 (sinput 0) (const 6 3))))\n"
+)
+
+CASES = {
+    "deep9-f101-prf": (
+        lambda: random_circuit(random.Random(3), Modulus(101), 1, 2, max_depth=9), "prf"),
+    "bench-b-f97-prf": (bench_circuit_b, "prf"),
+    "bench-a-p256-pedersen": (lambda: bench_circuit_a(preset_modulus("p256")), "pedersen"),
+    "smul-over-mul-f101-prf": (lambda: parse_circuit(SMUL_OVER_MUL), "prf"),
+}
+
+# Digests computed with the tree-view implementation that preceded the
+# compiled programs.
+GOLDEN = {
+    "deep9-f101-prf": (
+        "4462f99ce2733e8dd74cd4945f50527d57a419c7ee1d34c1e377d2830850c2d9",
+        "d08efaa3e9996eddf2e21bb1a419d77e6a83253e6de2eaa89617d07b9f85ca1a"),
+    "bench-b-f97-prf": (
+        "a51dd485444dc32e3aa26e058ad94afddd3c62651bdcee1f830421c5d105e211",
+        "506a5a035b18357955b1a983c11d594a64c2688464e5af0b50bd4f00af8e18fe"),
+    "bench-a-p256-pedersen": (
+        "66cc88446683e4638420d25acae5bc7805d74c3872766dd11541ccb66a2c1ada",
+        "8c4c93b9a8242c9b04245414a58f60122f80187ac59d2d3de425c797c05ee48b"),
+    "smul-over-mul-f101-prf": (
+        "a0d3085f70487a121ad356801cddea28d1343f5bd31b449696842a78598d2557",
+        "8d763b05711693027e7c234f05e98ce0dc1cefdec15a1b4e5181a150028a9c4a"),
+}
+
+
+def golden_digests(name: str) -> tuple[str, str]:
+    make, scheme_name = CASES[name]
+    c = make()
+    s, w = random_instance(random.Random(17), c)
+    scheme = scheme_by_name(scheme_name, c.modulus.p)
+    rp = pr.random_prover_rand(RandomSource(b"golden-views"), c, scheme)
+    st, _ = pr.prover_commit(rp, w, s, scheme)
+    views = hashlib.sha256(b"".join(mpc.encode_view(c, v) for v in st.views)).hexdigest()
+    proof = pr.prove_repeated(w, s, 2, RandomSource(b"golden-proof"), scheme, "derived")
+    data = pr.serialize_proof(proof, c)
+    assert pr.verify_repeated(s, pr.parse_proof(data, c))
+    return views, hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name):
+    assert golden_digests(name) == GOLDEN[name]

@@ -3,6 +3,8 @@ view replay, encoding, and the exactness of the 2-privacy simulator."""
 
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
@@ -93,7 +95,7 @@ def test_run_protocol_missing_randomness(m11, rng):
     c = parse_circuit(ONE_MUL)
     s = Statement(c, (), m11.element(9))
     sharings = [share(m11.element(3), sr(m11, 1, 2))]
-    bad = mpc.GateRandomness({}, tuple(sr(m11, 0, 0) for _ in range(5)))
+    bad = mpc.GateRandomness(((0, 0),) * 5)  # refresh pair only, no mul pair
     with pytest.raises(MithError, match="missing randomness"):
         mpc.run_protocol(s, sharings, bad)
 
@@ -275,15 +277,14 @@ def test_out_messages_cross_check_honest(m11, rng):
         res, _, _ = honest_run(s, w, rng)
         oms = {i: mpc.out_messages(c, i, res.views[i - 1]) for i in PARTY_IDS}
         for i in PARTY_IDS:
-            payloads = mpc._mul_payloads(c, res.views[i - 1])
+            v = res.views[i - 1]
             for j in PARTY_IDS:
                 if i == j:
                     continue
-                sent, z, bc = mpc._sent_to(oms[j], i)
-                for gid, col in payloads.items():
-                    assert col[j - 1] == sent[gid]
-                assert res.views[i - 1].open_trace.zin[j - 1] == z
-                assert res.views[i - 1].open_trace.bcast[j - 1] == bc
+                om = oms[j]
+                assert [col[j - 1] for col in v.messages] == [row[i - 1] for row in om.mul]
+                assert v.zin[j - 1] == om.open_z[i - 1]
+                assert v.bcast[j - 1] == om.open_bcast
 
 
 def test_out_messages_message_free_circuit(m11, rng):
@@ -293,7 +294,7 @@ def test_out_messages_message_free_circuit(m11, rng):
     s = Statement(c, (), m11.element(0))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     om = mpc.out_messages(c, 1, res.views[0])
-    assert om.mul == {}
+    assert om.mul == ()
     assert len(om.open_z) == 5
 
 
@@ -311,11 +312,10 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     v = res.views[0]
-    bad = dataclasses.replace(v, trace=mpc.TraceNode((), ()))
+    bad = dataclasses.replace(v, messages=())
     assert mpc.out_messages(c, 1, bad) is None
     assert mpc.local_output(c, 1, bad) is None
-    bad_rand = dataclasses.replace(
-        v, randomness=mpc.ViewRandomness({}, v.randomness.refresh))
+    bad_rand = dataclasses.replace(v, randomness=v.randomness[-2:])
     assert mpc.out_messages(c, 1, bad_rand) is None
 
 
@@ -339,10 +339,9 @@ def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     v = res.views[0]
     for slot in (1, 4):
-        bc = list(v.open_trace.bcast)
-        bc[slot] = bc[slot] + m11.one()
-        bad = dataclasses.replace(
-            v, open_trace=mpc.OpenTrace(v.open_trace.zin, tuple(bc)))
+        bc = list(v.bcast)
+        bc[slot] = (bc[slot] + 1) % 11
+        bad = dataclasses.replace(v, bcast=tuple(bc))
         assert mpc.local_output(c, 1, bad) != res.outputs[0]
 
 
@@ -365,14 +364,14 @@ def test_consistent_views_public_input_mismatch(rng):
         c, other_x, res.views[0], res.views[1], 1, 2)
 
 
+def bump(v, m):
+    return (v + 1) % m.p
+
+
 def flip_mul_message(view, m, slot):
-    node = view.trace  # root of square_plus_one is add(mul, const)
-    mul_node = node.children[0]
-    payload = list(mul_node.payload)
-    payload[slot] = payload[slot] + m.one()
-    new_mul = dataclasses.replace(mul_node, payload=tuple(payload))
-    new_trace = dataclasses.replace(node, children=(new_mul, node.children[1]))
-    return dataclasses.replace(view, trace=new_trace)
+    col = list(view.messages[0])  # square_plus_one has one multiplication
+    col[slot] = bump(col[slot], m)
+    return dataclasses.replace(view, messages=(tuple(col),) + view.messages[1:])
 
 
 def test_flipped_message_breaks_touched_pairs_only(m11, rng):
@@ -430,35 +429,34 @@ def tamper_cases(res, m, rnd):
         v = flip_mul_message(views[0], m, slot)
         cases.append([v] + views[1:])
     # Randomness flip.
+    # Randomness flip: a1 of the refresh pair.
     v = views[1]
-    new_refresh = ShareRandomness(v.randomness.refresh.a1 + m.one(),
-                                  v.randomness.refresh.a2)
+    rv = list(v.randomness)
+    rv[-2] = bump(rv[-2], m)
     cases.append(views[:1]
-                 + [dataclasses.replace(
-                     v, randomness=mpc.ViewRandomness(
-                         dict(v.randomness.mul), new_refresh))]
+                 + [dataclasses.replace(v, randomness=tuple(rv))]
                  + views[2:])
     # Input share flip.
     v = views[2]
     cases.append(views[:2]
                  + [dataclasses.replace(
-                     v, secret_shares=(v.secret_shares[0] + m.one(),))]
+                     v, secret_shares=(bump(v.secret_shares[0], m),))]
                  + views[3:])
     # zin flip.
     v = views[3]
-    zin = list(v.open_trace.zin)
-    zin[rnd.randrange(5)] += m.one()
+    zin = list(v.zin)
+    k = rnd.randrange(5)
+    zin[k] = bump(zin[k], m)
     cases.append(views[:3]
-                 + [dataclasses.replace(
-                     v, open_trace=mpc.OpenTrace(tuple(zin), v.open_trace.bcast))]
+                 + [dataclasses.replace(v, zin=tuple(zin))]
                  + views[4:])
     # Broadcast flip.
     v = views[4]
-    bc = list(v.open_trace.bcast)
-    bc[rnd.randrange(5)] += m.one()
+    bc = list(v.bcast)
+    k = rnd.randrange(5)
+    bc[k] = bump(bc[k], m)
     cases.append(views[:4]
-                 + [dataclasses.replace(
-                     v, open_trace=mpc.OpenTrace(v.open_trace.zin, tuple(bc)))])
+                 + [dataclasses.replace(v, bcast=tuple(bc))])
     return cases
 
 
@@ -557,7 +555,6 @@ def real_execution_from_free_coords(c, s, w_val, free, m):
     input_r = sr(m, a1, a2)
     sharing = share(m.element(w_val), input_r)
     # Wire shares of every party at the mul gate inputs (sinput 0 squared).
-    gid = mpc.mul_gate_ids(c)[0]
     mul_rand = [None] * 5
     for q in (i, j):
         mul_rand[q - 1] = sr(m, *own_b[q])
@@ -575,7 +572,9 @@ def real_execution_from_free_coords(c, s, w_val, free, m):
             continue
         _, z1, z2 = poly2_through(m, ((0, 0), (i, zin[k][0]), (j, zin[k][1])))
         refresh[k - 1] = sr(m, z1, z2)
-    rand = mpc.GateRandomness({gid: tuple(mul_rand)}, tuple(refresh))
+    rand = mpc.GateRandomness(tuple(
+        (b.a1.value, b.a2.value, z.a1.value, z.a2.value)
+        for b, z in zip(mul_rand, refresh)))
     return mpc.run_protocol(s, [sharing], rand)
 
 
@@ -706,7 +705,7 @@ def test_view_encoding_is_bit_stable(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(7))
     sharings = [share(m11.element(7), sr(m11, 1, 2))]
-    rand = mpc.GateRandomness({}, tuple(sr(m11, k, 0) for k in range(5)))
+    rand = mpc.GateRandomness(tuple((k, 0) for k in range(5)))
     res = mpc.run_protocol(s, sharings, rand)
     blob = mpc.encode_view(c, res.views[0])
     assert blob[0] == 0x56
@@ -722,3 +721,39 @@ def test_view_encoding_is_bit_stable(m11, rng):
         "00000005" "00" "01" "02" "03" "04"  # zin column of party 1
         "00000005" "09" "04" "03" "06" "02"  # broadcast refreshed shares
     )
+
+
+def test_shared_program_across_threads():
+    """Threads evaluating one circuit with different public inputs share
+    its compiled program and scalar cache; none may see another's
+    scalars."""
+    m = Modulus(101)
+    c = parse_circuit("field 101\ntopology 1 1 4\n"
+                      "(add 4 (smul 2 (add 1 (pinput 0) (pinput 0)) (sinput 0)) (const 3 5))")
+    errors = []
+
+    def worker(x: int):
+        rng = RandomSource(x)
+        s = Statement(c, (m.element(x),), m.zero())
+        w = Witness((m.element(7),))
+        want = eval_plain(s, w)
+        try:
+            for _ in range(200):
+                res, _, _ = honest_run(s, w, rng)
+                if res.outputs[0] != want or mpc.local_output(c, 1, res.views[0]) != want:
+                    errors.append(x)
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(x,)) for x in range(1, 7)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
