@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from mith import mpc
 from mith import protocol as proto
-from mith.commit import BENCH_GROUP_257, TEST_GROUP_64, PedersenScheme, scheme_by_name
+from mith.commit import PedersenScheme, group_for_modulus, scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_instance
 from mith.field import Modulus, RandomSource, preset_modulus
 from mith.sss import share, reconstruct, random_share_randomness
@@ -75,8 +75,7 @@ def bench_primitives(m: Modulus, rng: RandomSource) -> list[BenchRow]:
         "commit": _time_ms(lambda: prf.commit_view(key, c, view)),
         "verify": _time_ms(lambda: prf.verify_view(c, view, com, op)),
     }))
-    group = TEST_GROUP_64 if m.p <= TEST_GROUP_64.order else BENCH_GROUP_257
-    ped = PedersenScheme(group)
+    ped = PedersenScheme(group_for_modulus(m.p))
     pkey = ped.keygen(rng, n_el)
     pcom, pop = ped.commit_view(pkey, c, view)
     rows.append(BenchRow(label, "Pedersen commitment", {

@@ -44,22 +44,70 @@ class Constant:
     value: FieldElement
 
 
-@dataclass(frozen=True)
-class Addition:
+class _BinaryGate:
+    """==, hash and repr of a gate tree, each one walk with an explicit
+    stack; the dataclass-generated ones recurse once per level.  A
+    Circuit's own generated methods call these once, on its root."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _BinaryGate):
+                if a.gid != b.gid:
+                    return False
+                stack += ((a.left, b.left), (a.right, b.right))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        hashes: list[int] = []
+        for g in iter_gates(self):
+            if isinstance(g, _BinaryGate):
+                right, left = hashes.pop(), hashes.pop()
+                hashes.append(hash((type(g), g.gid, left, right)))
+            else:
+                hashes.append(hash(g))
+        return hashes[0]
+
+    def __repr__(self):
+        out = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, str):
+                out.append(g)
+            elif isinstance(g, _BinaryGate):
+                out.append(f"{type(g).__name__}(gid={g.gid!r}, left=")
+                stack += (")", g.right, ", right=", g.left)
+            else:
+                out.append(repr(g))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Addition(_BinaryGate):
     gid: int
     left: "Gate"
     right: "Gate"
 
 
-@dataclass(frozen=True)
-class Multiplication:
+@dataclass(frozen=True, eq=False, repr=False)
+class Multiplication(_BinaryGate):
     gid: int
     left: "Gate"
     right: "Gate"
 
 
-@dataclass(frozen=True)
-class SMultiplication:
+@dataclass(frozen=True, eq=False, repr=False)
+class SMultiplication(_BinaryGate):
     gid: int
     left: "Gate"
     right: "Gate"

@@ -5,14 +5,20 @@ opening = the 32-byte key) and an element-wise Pedersen commitment in a
 prime-order subgroup of Z_P* (one group element per view field element,
 opening = the blinder vector).  The asymmetry is deliberate: the PRF
 scheme hashes the whole encoded view at once, Pedersen pays a pair of
-group exponentiations per element.
+fixed-base exponentiations per element.  Both bases are fixed for the
+life of a group, so they are looked up in 8-bit window tables built on
+first use (Brickell-Gordon-McCurley-Wilson): about 2n modular
+multiplications per element for an n-byte group order, in place of two
+full exponentiations.
 """
 
 from __future__ import annotations
 
+import functools
 import hmac
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from mith import mpc
@@ -78,6 +84,29 @@ class PedersenParams:
         return f"{self.group_prime}\n{self.order}\n{self.g}\n{self.h}\n"
 
 
+def _window_rows(base: int, P: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """n rows of 256 entries: row k holds base^(d * 256^k) mod P at d."""
+    rows = []
+    for _ in range(n):
+        row = tuple(accumulate(repeat(base, 255), lambda x, y: x * y % P, initial=1))
+        rows.append(row)
+        base = row[-1] * base % P
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=4)
+def _fixed_base_tables(params: PedersenParams):
+    """Window tables of g and h, one row per byte of an exponent below q.
+
+    Built on first use, not with the params, and kept for the last few
+    parameter sets.  Concurrent first uses may each build them; the
+    tables are deterministic, so every caller sees the same values.
+    """
+    n = (params.order.bit_length() + 7) // 8
+    P = params.group_prime
+    return _window_rows(params.g, P, n), _window_rows(params.h, P, n), n
+
+
 def pedersen_commit(params: PedersenParams, blinders: Sequence[int],
                     msg: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Element-wise c_i = g^m_i * h^r_i mod P; opening = blinders."""
@@ -88,11 +117,17 @@ def pedersen_commit(params: PedersenParams, blinders: Sequence[int],
     for v in msg:
         if not 0 <= v < q:
             raise MithError(f"committed value {v} not below group order")
-    cs = tuple(
-        pow(params.g, v, P) * pow(params.h, r % q, P) % P
-        for v, r in zip(msg, blinders)
-    )
-    return cs, tuple(r % q for r in blinders)
+    rs = tuple(r % q for r in blinders)
+    tg, th, n = _fixed_base_tables(params)
+    cs = []
+    for v, r in zip(msg, rs):
+        # Little-endian bytes of v and r are their base-256 digits.
+        acc = 1
+        for g_row, h_row, dv, dr in zip(tg, th, v.to_bytes(n, "little"),
+                                        r.to_bytes(n, "little")):
+            acc = acc * g_row[dv] * h_row[dr] % P
+        cs.append(acc)
+    return tuple(cs), rs
 
 
 def pedersen_verify(params: PedersenParams, msg: Sequence[int],
@@ -117,20 +152,33 @@ TEST_GROUP_64 = PedersenParams(
     h=9,
 )
 
-BENCH_GROUP_257 = PedersenParams(
-    group_prime=95644265710023177419869633617176211886801007333819105896591964390536245082832459,
-    order=115792089237316195423570985008687907853269984665640564039457584007913129640233,
-    g=31928947829963435951804009826220012569408962358774800608384794276299486007020642,
-    h=83411703274934786478899154415020041077440611362202044731496127736458924436078967,
-)
+
+# Constructing the 257-bit group runs 64 Miller-Rabin rounds on P and on
+# q, so it is built on first access (`commit.BENCH_GROUP_257`), not on
+# import.
+@functools.cache
+def _bench_group_257() -> PedersenParams:
+    return PedersenParams(
+        group_prime=95644265710023177419869633617176211886801007333819105896591964390536245082832459,
+        order=115792089237316195423570985008687907853269984665640564039457584007913129640233,
+        g=31928947829963435951804009826220012569408962358774800608384794276299486007020642,
+        h=83411703274934786478899154415020041077440611362202044731496127736458924436078967,
+    )
+
+
+def __getattr__(name: str):
+    if name == "BENCH_GROUP_257":
+        return _bench_group_257()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def group_for_modulus(p: int) -> PedersenParams:
     """Smallest shipped group whose order fits the committed field."""
     if p <= TEST_GROUP_64.order:
         return TEST_GROUP_64
-    if p <= BENCH_GROUP_257.order:
-        return BENCH_GROUP_257
+    group = _bench_group_257()
+    if p <= group.order:
+        return group
     raise MithError(
         f"no shipped Pedersen group fits modulus of {p.bit_length()} bits; "
         "load custom params")

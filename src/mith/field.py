@@ -7,6 +7,7 @@ big-endian with width ceil(bits(p)/8).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 
@@ -35,8 +36,13 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=64)
 def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with error probability below 4^-rounds."""
+    """Miller-Rabin with error probability below 4^-rounds.
+
+    Verdicts are memoized for the last 64 arguments, so a modulus that a
+    process parses again (every p256 circuit, every Pedersen group) runs
+    its rounds once."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -97,10 +97,6 @@ def public_encoding(v: FieldElement) -> Sharing:
     return Sharing((v,) * N_PARTIES)
 
 
-def pub_reconstruct(pid: int, sh: FieldElement) -> FieldElement:
-    return sh
-
-
 def share_sim(rng: RandomSource, corrupt: tuple[int, int], m: Modulus) -> tuple[FieldElement, FieldElement]:
     """Simulated pair of shares for two corrupt parties.
 

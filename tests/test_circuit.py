@@ -41,6 +41,30 @@ def test_parse_square_plus_one():
     assert eval_plain(s, Witness((c.modulus.element(3),))).value == 10
 
 
+
+def test_gate_repr_keeps_dataclass_form():
+    c = parse_circuit(SQUARE_PLUS_ONE)
+    assert repr(c.root) == (
+        "Addition(gid=3, left=Multiplication(gid=2, left=SInput(wire=0), "
+        "right=SInput(wire=0)), right=Constant(gid=1, value=FieldElement(1 mod 101)))")
+
+
+def test_deep_chain_eq_hash_repr():
+    """==, hash and repr of a 5,000-deep chain do not recurse: two parses
+    compare and hash equal, and a change at the bottom of the chain is
+    seen."""
+    n = 5000
+    text = (f"field 101\ntopology 0 2 {n}\n"
+            + "".join(f"(mul {gid} " for gid in range(n, 0, -1))
+            + "(sinput 0)" + " (sinput 0))" * n + "\n")
+    a, b = parse_circuit(text), parse_circuit(text)
+    assert a == b and a.root == b.root
+    assert hash(a) == hash(b) and hash(a.root) == hash(b.root)
+    assert repr(a) == repr(b)
+    assert repr(a.root).count("Multiplication(gid=") == n
+    other = parse_circuit(text.replace("(sinput 0) (sinput 0))", "(sinput 0) (sinput 1))", 1))
+    assert a.root != other.root and a != other
+
 def test_parse_accepts_bytes():
     c = parse_circuit(SQUARE_PLUS_ONE.encode())
     assert c.topology.n_gates == 3

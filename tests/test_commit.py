@@ -1,11 +1,16 @@
 """Commitment schemes: RFC 4231 vectors, fuzz, Pedersen group algebra."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from mith import mpc
+import mith
+from mith import commit, mpc
 from mith.circuit import Statement
 
 from mith.commit import (
@@ -15,7 +20,7 @@ from mith.commit import (
 )
 from mith.corpus import identity_circuit
 from mith.errors import MithError
-from mith.field import Modulus, RandomSource
+from mith.field import Modulus, RandomSource, is_probable_prime
 from mith.sss import random_share_randomness, share
 
 # HMAC-SHA256 test vectors from RFC 4231 (cases 1-4, 6, 7; case 5 tests
@@ -206,6 +211,126 @@ def test_group_selection():
     assert group_for_modulus(2**256 - 189) == BENCH_GROUP_257
     with pytest.raises(MithError):
         group_for_modulus(2**300)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-base window tables
+
+
+def custom_group() -> PedersenParams:
+    """A group whose 72-bit order is 9 bytes long, unlike either shipped
+    group's (4 and 33 bytes)."""
+    q = 2**71 + 1
+    while not is_probable_prime(q):
+        q += 2
+    k = 2
+    while not is_probable_prime(k * q + 1):
+        k += 2
+    P = k * q + 1
+    return PedersenParams(P, q, pow(2, k, P), pow(3, k, P))
+
+
+def edge_exponents(q: int) -> list[int]:
+    """0, 1, q-1, 255, 256 and 2^(8k)-1, 2^(8k) for every k they fit."""
+    edges = {0, 1, q - 1, 255, 256}
+    for k in range(1, (q.bit_length() + 7) // 8 + 1):
+        edges |= {2**(8 * k) - 1, 2**(8 * k)}
+    return sorted(e for e in edges if e < q)
+
+
+def pow_oracle(params, msg, blinders):
+    P, q = params.group_prime, params.order
+    return tuple(pow(params.g, v, P) * pow(params.h, r % q, P) % P
+                 for v, r in zip(msg, blinders))
+
+
+@pytest.mark.parametrize("params", [TEST_GROUP_64, BENCH_GROUP_257, custom_group()],
+                         ids=["group64", "group257", "custom72"])
+def test_fixed_base_matches_pow(params):
+    """Table lookups give exactly pow(g, v, P) * pow(h, r, P) % P: random
+    full-width exponents, every digit-boundary edge on both sides, and
+    blinders at or above q, which are reduced mod q."""
+    q = params.order
+    rnd = random.Random(q)
+    edges = edge_exponents(q)
+    msg = [rnd.randrange(q) for _ in range(100)] + edges + edges + [0] * len(edges)
+    blinders = ([rnd.randrange(q) for _ in range(100)] + edges[::-1]
+                + [rnd.randrange(q) for _ in edges] + edges)
+    c, o = pedersen_commit(params, blinders, msg)
+    assert c == pow_oracle(params, msg, blinders)
+    assert o == tuple(blinders)
+    big = [q, q + 1, 2 * q - 1, 3 * q + 256, -1]
+    c, o = pedersen_commit(params, big, [1] * len(big))
+    assert c == pow_oracle(params, [1] * len(big), big)
+    assert o == tuple(r % q for r in big)
+    with pytest.raises(MithError):
+        pedersen_commit(params, [0], [q])
+    with pytest.raises(MithError):
+        pedersen_commit(params, [0], [-1])
+
+
+def test_fixed_base_tables_built_on_first_commit():
+    """Building a scheme builds no tables; the first commit does."""
+    commit._fixed_base_tables.cache_clear()
+    scheme = scheme_by_name("pedersen", 2**256 - 189)
+    assert commit._fixed_base_tables.cache_info().currsize == 0
+    pedersen_commit(scheme.params, [5], [7])
+    assert commit._fixed_base_tables.cache_info().currsize == 1
+
+
+def test_fixed_base_cold_cache_threads():
+    """Four threads committing at once on a cold table cache, with a short
+    switch interval, all get the same, correct commitments."""
+    params = BENCH_GROUP_257
+    rnd = random.Random(41)
+    msg = [rnd.randrange(params.order) for _ in range(20)]
+    blinders = [rnd.randrange(params.order) for _ in range(20)]
+    commit._fixed_base_tables.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(k):
+        start.wait(timeout=30)
+        results[k] = pedersen_commit(params, blinders, msg)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results[0][0] == pow_oracle(params, msg, blinders)
+    assert results == [results[0]] * 4
+
+
+def test_bench_group_built_on_first_access():
+    """Importing mith.commit runs no Miller-Rabin round on a 257-bit
+    number; the first access to BENCH_GROUP_257 validates P and q."""
+    code = (
+        "import mith.field as f\n"
+        "big = []\n"
+        "real = f._miller_rabin_round\n"
+        "def counting(n, a, d, r):\n"
+        "    big.append(n.bit_length() > 200)\n"
+        "    return real(n, a, d, r)\n"
+        "f._miller_rabin_round = counting\n"
+        "import mith.commit\n"
+        "assert not any(big), 'import ran rounds on a 257-bit number'\n"
+        "from mith.commit import BENCH_GROUP_257\n"
+        "assert sum(big) == 128, sum(big)\n"
+        "assert mith.commit.BENCH_GROUP_257 is BENCH_GROUP_257\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(AttributeError):
+        commit.NO_SUCH_GROUP
 
 
 # ---------------------------------------------------------------------------

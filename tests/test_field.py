@@ -50,6 +50,22 @@ def test_is_probable_prime_known_values():
     assert not is_probable_prime(561)  # Carmichael
 
 
+
+def test_primality_verdict_memoized(monkeypatch):
+    """A second Modulus(p256) in one process reruns no Miller-Rabin round."""
+    from mith import field
+    rounds = []
+    real = field._miller_rabin_round
+    monkeypatch.setattr(field, "_miller_rabin_round",
+                        lambda *args: rounds.append(args) or real(*args))
+    field.is_probable_prime.cache_clear()
+    Modulus(2**256 - 189)
+    assert len(rounds) == 64
+    rounds.clear()
+    Modulus(2**256 - 189)
+    assert rounds == []
+    assert not is_probable_prime(2**256 - 190)
+
 def test_add_examples(m11):
     assert (m11.element(3) + m11.element(10)).value == 2
     assert (m11.element(7) * m11.element(8)).value == 1

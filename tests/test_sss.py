@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mith.errors import FieldError
 from mith.field import Modulus, RandomSource
 from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing, pub_reconstruct,
+    PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing,
     public_encoding, random_share_randomness, reconstruct, share, share_sim,
 )
 
@@ -78,7 +78,6 @@ def test_public_encoding(m11):
     enc = public_encoding(m11.element(7))
     assert enc.values() == (7,) * 5
     assert reconstruct(enc).value == 7
-    assert pub_reconstruct(3, m11.element(9)).value == 9
 
 
 def test_sharing_needs_five_entries(m11):
