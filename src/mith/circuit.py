@@ -7,9 +7,10 @@ message-trace layout of the multiparty evaluation.  Text format:
     topology 0 1 3
     (add 3 (mul 2 (sinput 0) (sinput 0)) (const 1 1))
 
-Gate ids are the first integer of const/add/mul/smul; pinput/sinput
-take a wire index.  An smul's left subtree must be public (no sinput):
-it is evaluated in the clear and scales the right subtree's sharing.
+Gate ids are the first integer of const/add/mul/smul, in
+[0, GATE_ID_BOUND); pinput/sinput take a wire index.  An smul's left
+subtree must be public (no sinput): it is evaluated in the clear and
+scales the right subtree's sharing.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from dataclasses import dataclass
 
 from mith.errors import CircuitError, CircuitParseError
 from mith.field import FieldElement, Modulus
+
+# Gate ids are 4-byte fields of the view encoding, and the largest u32
+# marks its refresh slot, so every gate id lies below it.
+GATE_ID_BOUND = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,8 @@ def validate_circuit(c: Circuit) -> None:
                     f"secret input index {g.wire} out of range [0, {topo.n_secret})")
             secret.append(True)
             continue
+        if not 0 <= g.gid < GATE_ID_BOUND:
+            raise CircuitError(f"gate id {g.gid} out of range [0, {GATE_ID_BOUND})")
         if g.gid in seen:
             raise CircuitError(f"duplicate gate id {g.gid}")
         seen.add(g.gid)
@@ -316,7 +323,12 @@ class _Tokenizer:
                 self._advance(self.text[self.pos])
             word = self.text[start:self.pos]
             if word.lstrip("-").isdigit():
-                yield "int", int(word), line, col
+                try:
+                    value = int(word)
+                except ValueError:  # "--1", "²", or too many digits
+                    raise CircuitParseError(
+                        f"malformed integer {word[:24]!r}", line, col) from None
+                yield "int", value, line, col
             elif word in _KEYWORDS:
                 yield "kw", word, line, col
             else:
@@ -348,6 +360,13 @@ class _Parser:
     def _int(self) -> int:
         return self._next("int")[1]
 
+    def _gate_id(self) -> int:
+        _, gid, line, col = self._next("int")
+        if not 0 <= gid < GATE_ID_BOUND:
+            raise CircuitParseError(
+                f"gate id {gid} out of range [0, {GATE_ID_BOUND})", line, col)
+        return gid
+
     def _close(self):
         kind, value, line, col = self._next()
         if kind != ")":
@@ -364,14 +383,14 @@ class _Parser:
             if kind != "kw":
                 raise CircuitParseError(f"expected gate keyword, got {word!r}", line, col)
             if word in _BINARY_WORDS:
-                pending.append((_BINARY_WORDS[word], self._int(), []))
+                pending.append((_BINARY_WORDS[word], self._gate_id(), []))
                 continue
             if word == "pinput":
                 node: Gate = PInput(self._int())
             elif word == "sinput":
                 node = SInput(self._int())
             else:
-                gid = self._int()
+                gid = self._gate_id()
                 node = Constant(gid, modulus.element(self._int()))
             self._close()
             while pending:
@@ -421,6 +440,11 @@ def parse_circuit(text: str | bytes) -> Circuit:
     if len(tv) != 3:
         raise CircuitParseError("'topology' line takes three integers", 2, 1)
     topo = Topology(*tv)
+    # Every declared input costs a slot per party and a view element, so
+    # the count is capped by the text's size, not only by memory.
+    if topo.n_public + topo.n_secret > len(text):
+        raise CircuitParseError(
+            "topology declares more inputs than the circuit text has bytes", 2, 1)
     parser = _Parser("\n".join(lines[2:]), 3)
     root = parser.gate(modulus)
     parser.finish()
@@ -485,19 +509,26 @@ def _statement_lines(text: str) -> dict[str, list[str]]:
     return out
 
 
+def _line_ints(fields: dict[str, list[str]], key: str) -> list[int]:
+    try:
+        return [int(v) for v in fields.get(key, [])]
+    except ValueError:
+        raise CircuitError(f"non-integer value in '{key}' line") from None
+
+
 def parse_statement(text: str, circuit: Circuit) -> Statement:
     """Statement from file text, against an already-loaded circuit."""
     fields = _statement_lines(text)
     m = circuit.modulus
-    if "field" in fields and int(fields["field"][0]) != m.p:
+    if "field" in fields and _line_ints(fields, "field") != [m.p]:
         raise CircuitError(
-            f"statement field {fields['field'][0]} does not match circuit "
-            f"modulus {m.p}")
-    if "target" not in fields or len(fields["target"]) != 1:
+            f"statement field {' '.join(fields['field'])} does not match "
+            f"circuit modulus {m.p}")
+    target = _line_ints(fields, "target")
+    if len(target) != 1:
         raise CircuitError("statement file needs a 'target <int>' line")
-    target = m.element(int(fields["target"][0]))
-    public = tuple(m.element(int(v)) for v in fields.get("public", []))
-    return Statement(circuit, public, target)
+    public = tuple(m.element(v) for v in _line_ints(fields, "public"))
+    return Statement(circuit, public, m.element(target[0]))
 
 
 def statement_circuit_path(text: str) -> str | None:
@@ -511,7 +542,7 @@ def parse_witness(text: str, circuit: Circuit) -> Witness:
     if "secret" not in fields:
         raise CircuitError("witness file needs a 'secret <int>*' line")
     m = circuit.modulus
-    secrets_ = tuple(m.element(int(v)) for v in fields["secret"])
+    secrets_ = tuple(m.element(v) for v in _line_ints(fields, "secret"))
     if len(secrets_) != circuit.topology.n_secret:
         raise CircuitError(
             f"witness has {len(secrets_)} values, topology wants "

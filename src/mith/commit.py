@@ -186,8 +186,9 @@ def group_for_modulus(p: int) -> PedersenParams:
 
 # ---------------------------------------------------------------------------
 # View-level scheme objects used by the proof protocol.  The PRF scheme
-# commits to the view's canonical byte encoding; Pedersen commits to its
-# field-element sequence.  Each builds only the form it commits to.
+# commits to the view's canonical byte encoding (`mpc.view_bytes`, so a
+# view is encoded at most once); Pedersen commits to its field-element
+# sequence.  Each builds only the form it commits to.
 
 
 class PrfScheme:
@@ -198,10 +199,11 @@ class PrfScheme:
         return rng.bytes(PRF_KEY_LEN)
 
     def commit_view(self, key, c: Circuit, view: mpc.View):
-        return prf_commit(key, mpc.encode_view(c, view))
+        return prf_commit(key, mpc.view_bytes(c, view))
 
     def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
-        return prf_verify(mpc.encode_view(c, view), commitment, opening)
+        """Checks the bytes the view was decoded from, if it was."""
+        return prf_verify(mpc.view_bytes(c, view), commitment, opening)
 
     def dummy_commitment(self, key, encoded_len: int, n_elements: int):
         return prf_commit(key, bytes(encoded_len))[0]

@@ -304,7 +304,7 @@ validity_distinguisher.label = "validity"
 def byte_histogram_distinguisher(s, verdict, tr) -> bool:
     """Parity-of-popcount over the opened views' encodings."""
     c = s.circuit
-    blob = mpc.encode_view(c, tr.response.first[0]) + mpc.encode_view(c, tr.response.second[0])
+    blob = mpc.view_bytes(c, tr.response.first[0]) + mpc.view_bytes(c, tr.response.second[0])
     bits = sum(bin(b).count("1") for b in blob)
     return bits % 2 == 0
 

@@ -25,14 +25,14 @@ its view alone, which is what pairwise consistency checks against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Sequence
 
 from mith.errors import MithError, ProofError
 from mith.field import FieldElement, RandomSource, lagrange_weights
 from mith.circuit import (
-    Addition, Circuit, Constant, Multiplication, PInput, SInput,
+    GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
     SMultiplication, Statement, eval_public, iter_gates,
 )
 from mith.sss import (
@@ -40,9 +40,9 @@ from mith.sss import (
     reconstruct, share5,
 )
 
-# Marker gate id for the refresh randomness slot in view encodings; real
-# gate ids are circuit-local and far smaller.
-REFRESH_SLOT = 0xFFFFFFFF
+# Marker gate id for the refresh randomness slot in view encodings; every
+# real gate id is below it (`validate_circuit` checks).
+REFRESH_SLOT = GATE_ID_BOUND
 VIEW_TAG = 0x56
 
 # Op codes.  An op is (code, dst, a, b, r): dst = a + b; dst = scalar[a] * b;
@@ -188,6 +188,10 @@ class View:
     messages: tuple[tuple[int, ...], ...]
     zin: tuple[int, ...]
     bcast: tuple[int, ...]
+    # (program, canonical bytes), set by decode_view or the first
+    # view_bytes call.  Not an init field, so a view made by
+    # dataclasses.replace starts without it and is encoded afresh.
+    _encoding: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -543,6 +547,19 @@ def encode_view(c: Circuit, v: View) -> bytes:
     return b"".join(parts)
 
 
+def view_bytes(c: Circuit, v: View) -> bytes:
+    """v's canonical encoding under c: the bytes decode_view read v from,
+    or encode_view's output, kept on v from the first call on.  The
+    views of run_protocol, mpc_simulate and decode_view are frozen
+    tuples of ints, so their bytes cannot go stale."""
+    prog = program(c)
+    enc = v._encoding
+    if enc is None or enc[0] is not prog:
+        enc = (prog, encode_view(c, v))
+        object.__setattr__(v, "_encoding", enc)
+    return enc[1]
+
+
 def view_elements(c: Circuit, v: View) -> list[int]:
     """The view's field elements in encoding order (the Pedersen message)."""
     return list(_elements(v))
@@ -576,7 +593,8 @@ class _Reader:
 
 
 def decode_view(c: Circuit, data: bytes) -> View:
-    """Strict inverse of encode_view; raises ProofError on any deviation."""
+    """Strict inverse of encode_view; raises ProofError on any deviation.
+    The view keeps data as its encoding (see view_bytes)."""
     prog = program(c)
     if len(data) < prog.view_length:
         raise ProofError("truncated view encoding")
@@ -600,6 +618,9 @@ def decode_view(c: Circuit, data: bytes) -> View:
     o2 = prog.n_in
     o3 = o2 + prog.n_rand
     o4 = o3 + 5 * prog.n_mul
-    return View(tuple(vals[:o1]), tuple(vals[o1:o2]), tuple(vals[o2:o3]),
-                tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)),
-                tuple(vals[o4:o4 + 5]), tuple(vals[o4 + 5:]))
+    v = View(tuple(vals[:o1]), tuple(vals[o1:o2]), tuple(vals[o2:o3]),
+             tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)),
+             tuple(vals[o4:o4 + 5]), tuple(vals[o4 + 5:]))
+    # Decoding is strict, so data is v's only encoding.
+    object.__setattr__(v, "_encoding", (prog, bytes(data)))
+    return v

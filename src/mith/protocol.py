@@ -28,7 +28,7 @@ from mith.sss import (
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
-MAGIC = b"MITH1"
+MAGIC = b"MITH2"
 MODE_BYTES = {"transcript": 0x00, "derived": 0x01}
 MODE_NAMES = {v: k for k, v in MODE_BYTES.items()}
 
@@ -177,10 +177,10 @@ def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
 
 def derive_challenge(stmt_digest: bytes, index: int,
                      commitment_blobs: Sequence[bytes]) -> tuple[int, int]:
-    """Non-interactive challenge: HMAC over statement hash, repetition
-    index and every commitment message, reduced mod 10.  This mode is a
-    hash-derived extension of the interactive protocol and is labeled as
-    such by the CLI."""
+    """Non-interactive challenge: HMAC keyed by the statement hash over
+    the repetition index and the commit-phase blobs (`challenge_blobs`),
+    reduced mod 10.  This mode is a hash-derived extension of the
+    interactive protocol and is labeled as such by the CLI."""
     mac = hmac.new(stmt_digest, index.to_bytes(4, "big"), hashlib.sha256)
     for blob in commitment_blobs:
         mac.update(blob)
@@ -188,10 +188,14 @@ def derive_challenge(stmt_digest: bytes, index: int,
 
 
 def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
-    """derive_challenge's commitment blobs for a proof: every commitment
-    message in repetition order, joined into one blob (the HMAC input is
-    the same as feeding the messages one by one)."""
-    return [b"".join([serialize_commitment_msg(cm, scheme) for cm in msgs])]
+    """derive_challenge's commitment blobs for a proof: one SHA-256 over
+    every commitment message in repetition order.  A session's CHALLENGE
+    frame echoes the same digest of the same bytes.  Each challenge then
+    MACs 36 bytes, so deriving all sigma of them is linear in sigma."""
+    h = hashlib.sha256()
+    for cm in msgs:
+        h.update(serialize_commitment_msg(cm, scheme))
+    return [h.digest()]
 
 
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
@@ -332,7 +336,9 @@ def _lp(b: bytes) -> bytes:
 
 
 def serialize_response_block(c: Circuit, view, opening, scheme) -> bytes:
-    return _lp(mpc.encode_view(c, view)) + _lp(scheme.serialize_opening(opening))
+    """One (view, opening) block; the view's bytes are the ones its PRF
+    commitment was computed over, encoded here only if none were."""
+    return _lp(mpc.view_bytes(c, view)) + _lp(scheme.serialize_opening(opening))
 
 
 def serialize_commitment_msg(msg: CommitmentMsg, scheme) -> bytes:
@@ -354,7 +360,12 @@ def serialize_proof(proof: Proof, c: Circuit) -> bytes:
 
 def parse_proof(data: bytes, c: Circuit) -> Proof:
     rd = mpc._Reader(data)
-    if rd.take(5) != MAGIC:
+    magic = rd.take(5)
+    if magic != MAGIC:
+        if magic[:4] == MAGIC[:4]:
+            raise ProofError(
+                f"unsupported proof version {magic.decode('ascii', 'replace')}; "
+                f"this build reads {MAGIC.decode()}")
         raise ProofError("bad proof magic")
     scheme = scheme_by_byte(rd.take(1)[0], c.modulus.p)
     mode_b = rd.take(1)[0]

@@ -11,7 +11,8 @@ The CHALLENGE payload carries a SHA-256 digest of the COMMIT payload the
 verifier received, ahead of the sigma challenge bytes; the prover aborts
 on mismatch.  Without that echo a bit flipped in flight inside one of
 the three unopened commitments would go unnoticed, since the verifier
-only ever opens two of the five.
+only ever opens two of the five.  It is the digest a proof file's
+derived challenges are computed from (`protocol.challenge_blobs`).
 """
 
 from __future__ import annotations

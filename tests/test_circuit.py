@@ -5,7 +5,8 @@ import random
 import pytest
 
 from mith.circuit import (
-    Addition, Circuit, Constant, PInput, SInput, Statement, Topology,
+    GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
+    Statement, Topology,
     Witness, eval_plain, format_circuit, format_statement, format_witness,
     parse_circuit, parse_statement, parse_witness, relation_holds,
     statement_circuit_path, statement_hash, validate_circuit,
@@ -106,6 +107,40 @@ def test_parse_error_cases():
         parse_circuit(SQUARE_PLUS_ONE + " (const 9 1)")
     with pytest.raises(CircuitParseError):
         parse_circuit(b"\xff\xfe field")
+
+
+def test_malformed_integer_token_carries_position():
+    for word in ("--1", "\u00b2", "9" * 5000):
+        with pytest.raises(CircuitParseError, match="malformed integer.*line 3"):
+            parse_circuit(f"field 101\ntopology 0 1 1\n(const 1 {word})")
+
+
+@pytest.mark.parametrize("gid", [-1, -(1 << 31), GATE_ID_BOUND, 1 << 32, 1 << 70])
+def test_gate_id_out_of_range(m11, gid):
+    """Gate ids are u32 fields of the view encoding and 0xFFFFFFFF marks
+    its refresh slot; anything else is rejected, with a position when
+    parsed and by validate_circuit when built in code."""
+    for text in (f"(mul {gid} (sinput 0) (sinput 0))", f"(add 1 (sinput 0) (const {gid} 1))"):
+        with pytest.raises(CircuitParseError, match=f"gate id {gid} out of range.*line 3"):
+            parse_circuit(f"field 11\ntopology 0 1 2\n{text}")
+    c = Circuit(Topology(0, 1, 1), Multiplication(gid, SInput(0), SInput(0)), m11)
+    with pytest.raises(CircuitError, match=f"gate id {gid} out of range"):
+        validate_circuit(c)
+
+
+def test_largest_gate_id_accepted():
+    c = parse_circuit(f"field 11\ntopology 0 1 1\n(mul {GATE_ID_BOUND - 1} (sinput 0) (sinput 0))")
+    assert c.root.gid == 0xFFFFFFFE
+
+
+def test_topology_inputs_capped_by_text_size():
+    """A declared input costs memory per party in every pass, so a short
+    text cannot declare a billion of them."""
+    with pytest.raises(CircuitParseError, match="more inputs than"):
+        parse_circuit("field 11\ntopology 1000000000 1 1\n(const 1 1)")
+    with pytest.raises(CircuitParseError, match="more inputs than"):
+        parse_circuit("field 11\ntopology 0 1000000000 1\n(const 1 1)")
+    assert parse_circuit("field 11\ntopology 3 2 1\n(const 1 1)").topology.n_public == 3
 
 
 def test_secret_index_out_of_range():
@@ -243,6 +278,17 @@ def test_statement_field_mismatch():
     c = parse_circuit(SQUARE_PLUS_ONE)
     with pytest.raises(CircuitError, match="does not match circuit"):
         parse_statement("field 11\ntarget 10\n", c)
+
+
+def test_non_integer_statement_and_witness_values():
+    c = parse_circuit(SQUARE_PLUS_ONE)
+    for text in ("target x\n", "field\ntarget 1\n", "field 1x1\ntarget 1\n",
+                 "target 1\npublic --2\n", "target \u00b2\n", "target " + "9" * 5000 + "\n"):
+        with pytest.raises(CircuitError):
+            parse_statement(text, c)
+    for text in ("secret x\n", "secret 1.5\n", "secret " + "9" * 5000 + "\n"):
+        with pytest.raises(CircuitError, match="non-integer"):
+            parse_witness(text, c)
 
 
 def test_statement_values_reduced_mod_p():

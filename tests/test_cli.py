@@ -132,6 +132,37 @@ def test_malformed_circuit_exit_2(workdir):
                 "--proof", workdir / "p.bin"]) == 2
 
 
+def test_mith1_proof_is_malformed(workdir, capsys):
+    proof = workdir / "p.bin"
+    assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                "--reps", 2, "--out", proof]) == 0
+    blob = proof.read_bytes()
+    assert blob[:5] == b"MITH2"
+    proof.write_bytes(b"MITH1" + blob[5:])
+    capsys.readouterr()
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
+    out = capsys.readouterr().out
+    assert "malformed proof" in out and "MITH1" in out
+
+
+@pytest.mark.parametrize("gid", ["-1", "4294967295", "4294967296"])
+def test_out_of_range_gate_id_exit_2(tmp_path, gid):
+    """Gate ids are u32 below the refresh slot; any other id is a
+    validation error on both sides, not a crash."""
+    (tmp_path / "c.arith").write_text(
+        f"field 101\ntopology 0 1 2\n(add 1\n  (mul {gid} (sinput 0) (sinput 0)) (sinput 0))\n")
+    (tmp_path / "s.st").write_text("field 101\ntarget 6\ncircuit c.arith\n")
+    (tmp_path / "w.wit").write_text("secret 2\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
+    for args in (["prove", "--statement", "s.st", "--witness", "w.wit", "--out", "p.bin"],
+                 ["verify", "--statement", "s.st", "--proof", "p.bin"]):
+        done = subprocess.run([sys.executable, "-m", "mith.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"gate id {gid}" in done.stderr and "line 4" in done.stderr
+
+
 def test_session_round_trip(workdir):
     results = {}
 

@@ -1,4 +1,4 @@
-"""Golden bytes: the canonical view encoding and the MITH1 proof file are
+"""Golden bytes: the canonical view encoding and the MITH2 proof file are
 fixed formats, so seeded runs must keep producing the same bytes.
 
 Each case pins the SHA-256 of the five encoded views of one seeded
@@ -35,21 +35,23 @@ CASES = {
     "smul-over-mul-f101-prf": (lambda: parse_circuit(SMUL_OVER_MUL), "prf"),
 }
 
-# Digests computed with the tree-view implementation that preceded the
-# compiled programs.
+# View digests computed with the tree-view implementation that preceded
+# the compiled programs.  Proof digests are for MITH2: its challenges are
+# derived from one SHA-256 of the commit phase.  The MITH1 proof digests
+# were d08efaa3..., 506a5a03..., 8c4c93b9... and 8d763b05..., in order.
 GOLDEN = {
     "deep9-f101-prf": (
         "4462f99ce2733e8dd74cd4945f50527d57a419c7ee1d34c1e377d2830850c2d9",
-        "d08efaa3e9996eddf2e21bb1a419d77e6a83253e6de2eaa89617d07b9f85ca1a"),
+        "3e12175cc6cfb35f3dc5d50a1d2602ee03e1b104a105f6f7f925d83aff95b98b"),
     "bench-b-f97-prf": (
         "a51dd485444dc32e3aa26e058ad94afddd3c62651bdcee1f830421c5d105e211",
-        "506a5a035b18357955b1a983c11d594a64c2688464e5af0b50bd4f00af8e18fe"),
+        "d4c95c6c54867134b9ce695304e7fd0f7eb66a345da904b2f87ce7191ea549c9"),
     "bench-a-p256-pedersen": (
         "66cc88446683e4638420d25acae5bc7805d74c3872766dd11541ccb66a2c1ada",
-        "8c4c93b9a8242c9b04245414a58f60122f80187ac59d2d3de425c797c05ee48b"),
+        "af5dcaab7a523d2d55d120302859b9440f8c7bb021cfdfdc52720ee2c118c558"),
     "smul-over-mul-f101-prf": (
         "a0d3085f70487a121ad356801cddea28d1343f5bd31b449696842a78598d2557",
-        "8d763b05711693027e7c234f05e98ce0dc1cefdec15a1b4e5181a150028a9c4a"),
+        "41bffc18780062da5f3e875fd228ff4160f781d0463c4c9a43dc528d9294090b"),
 }
 
 

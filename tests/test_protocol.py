@@ -2,17 +2,23 @@
 serialization, and the rejection-sampling simulator."""
 
 import dataclasses
+import hashlib
+import hmac
 import random
+import socket
+import threading
 
 import pytest
 
 from mith import commit, mpc
 from mith import protocol as pr
+from mith import session as ses
 from mith.circuit import Statement, Witness, parse_circuit
 from mith.commit import scheme_by_name
 from mith.corpus import golden_corpus
 from mith.errors import MithError, ProofError, SimulationFailure
 from mith.field import Modulus, RandomSource
+from mith.harness import OneBadPairCheater, canonical_false_statement
 from mith.sss import PARTY_PAIRS
 from mith.stats import chi2_uniform
 
@@ -289,6 +295,139 @@ def test_pedersen_blinder_plus_order_rejected():
     except MithError:
         ok = False
     assert not ok
+
+
+# ---------------------------------------------------------------------------
+# MITH2: the challenges come from one digest of the commit phase, and each
+# view is encoded once
+
+
+def raw_proof_sections(data: bytes):
+    """(statement hash, [(commitment section bytes, challenge byte)]) read
+    straight off MITH2 proof bytes: header of 43 bytes, then per
+    repetition five length-prefixed commitments, the challenge byte and
+    four length-prefixed blocks."""
+    assert data[:5] == b"MITH2"
+    reps = int.from_bytes(data[7:11], "big")
+    stmt_hash = data[11:43]
+    pos = 43
+    out = []
+    for _ in range(reps):
+        start = pos
+        for _ in range(5):
+            pos += 4 + int.from_bytes(data[pos:pos + 4], "big")
+        section, ch = data[start:pos], data[pos]
+        pos += 1
+        for _ in range(4):
+            pos += 4 + int.from_bytes(data[pos:pos + 4], "big")
+        out.append((section, ch))
+    assert pos == len(data)
+    return stmt_hash, out
+
+
+def session_echo(s, reps: int, commit_payload: bytes) -> bytes:
+    """The digest a live verifier echoes in its CHALLENGE frame for a
+    COMMIT frame carrying commit_payload."""
+    a, b = socket.socketpair()
+    ta, tb = ses.Transport(a, 5), ses.Transport(b, 5)
+    th = threading.Thread(target=ses.verifier_session, args=(tb, s, reps, RandomSource(1)))
+    th.start()
+    ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, reps, pr.statement_hash(s)))
+    ses._expect(ta, ses.MSG_HELLO, "hello")
+    ses._send(ta, ses.MSG_COMMIT, commit_payload)
+    echo = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")[:32]
+    ses._send(ta, ses.MSG_RESPONSE, b"")
+    assert ses._expect(ta, ses.MSG_RESULT, "result") == b"\x00"
+    th.join()
+    ta.close()
+    tb.close()
+    return echo
+
+
+def test_mith2_challenges_recomputed_from_raw_bytes(m11):
+    """Challenge k is HMAC-SHA256(statement hash, k || SHA-256(all
+    commitment sections)) mod 10, and that digest is the session's echo."""
+    s, w = golden_corpus(m11, 1)[0]
+    reps = 12
+    data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(30)), s.circuit)
+    stmt_hash, sections = raw_proof_sections(data)
+    commit_payload = b"".join(section for section, _ in sections)
+    digest = hashlib.sha256(commit_payload).digest()
+    for k, (_, ch) in enumerate(sections):
+        mac = hmac.new(stmt_hash, k.to_bytes(4, "big") + digest, hashlib.sha256).digest()
+        assert ch == int.from_bytes(mac, "big") % 10
+    assert session_echo(s, reps, commit_payload) == digest
+
+
+def test_mith1_header_rejected(m11):
+    s, w = golden_corpus(m11, 1)[0]
+    data = pr.serialize_proof(pr.prove_repeated(w, s, 2, RandomSource(31)), s.circuit)
+    with pytest.raises(ProofError, match="unsupported proof version MITH1"):
+        pr.parse_proof(b"MITH1" + data[5:], s.circuit)
+
+
+def test_round_trip_encodes_each_view_once(m11, monkeypatch):
+    """PRF prove, serialize, parse and verify: 5 encodings per repetition,
+    all on the prover side."""
+    calls = []
+    encode = mpc.encode_view
+    monkeypatch.setattr(mpc, "encode_view", lambda c, v: calls.append(v) or encode(c, v))
+    s, w = golden_corpus(m11, 1)[0]
+    reps = 7
+    data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(32)), s.circuit)
+    assert len(calls) == 5 * reps
+    assert pr.verify_repeated(s, pr.parse_proof(data, s.circuit))
+    assert len(calls) == 5 * reps
+
+
+@pytest.mark.parametrize("side", ["prover", "verifier"])
+def test_view_altered_after_encoding_fails_check(m11, side):
+    """A view rebuilt by dataclasses.replace carries no encoding, so the
+    check encodes it afresh instead of reusing the original's bytes."""
+    s, w = golden_corpus(m11, 1)[0]
+    c = s.circuit
+    proof = pr.prove_repeated(w, s, 1, RandomSource(33), mode="transcript")
+    if side == "verifier":
+        proof = pr.parse_proof(pr.serialize_proof(proof, c), c)
+    t = proof.transcripts[0]
+    view, opening = t.response.first
+    mpc.view_bytes(c, view)  # the bytes are on the view either way
+    p = c.modulus.p
+    st = pr.VerifierState(s, t.commitment, t.challenge, PRF)
+    for new in (dataclasses.replace(view, bcast=tuple((x + 1) % p for x in view.bcast)),
+                dataclasses.replace(view, randomness=view.randomness[::-1])):
+        assert new != view
+        assert not PRF.verify_view(c, new, t.commitment.commitments[t.challenge[0] - 1], opening)
+        assert not pr.verifier_check(st, pr.Response((new, opening), t.response.second), PRF)
+    same = dataclasses.replace(view)
+    assert pr.verifier_check(st, pr.Response((same, opening), t.response.second), PRF)
+
+
+def test_altered_view_cannot_open_the_original_commitment():
+    """Only the commitment stands between a doctored view that passes
+    every other check and acceptance.  Commit to views A (which encodes
+    them), then open B = replace(A, ...) holding OneBadPairCheater's
+    doctored values for a pair that avoids its bad pair: B must be
+    checked against its own bytes, not A's."""
+    s, w_guess = canonical_false_statement()
+    cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(34))
+    ch = (3, 4)
+    cm, openings = cheater.commit(RandomSource(35))
+    st = pr.VerifierState(s, cm, ch, PRF)
+    assert pr.verifier_check(st, cheater.respond(openings, ch), PRF)
+
+    c = s.circuit
+    p = c.modulus.p
+    committed = [dataclasses.replace(v, bcast=tuple((x + 1) % p for x in v.bcast))
+                 for v in cheater.views]
+    rng = RandomSource(36)
+    keys = [rng.bytes(32) for _ in committed]
+    cm = pr.CommitmentMsg(tuple(PRF.commit_view(k, c, v)[0] for k, v in zip(keys, committed)))
+    opened = [dataclasses.replace(v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
+    assert opened == cheater.views
+    st = pr.VerifierState(s, cm, ch, PRF)
+    resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
+    assert not pr.verifier_check(st, resp, PRF)
 
 
 def chain_circuit_text(n: int) -> str:
