@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ from mith.circuit import (
     statement_circuit_path, statement_hash,
 )
 from mith.commit import scheme_by_name
-from mith.errors import CircuitError, CircuitParseError, MithError, ProofError, SessionError
+from mith.errors import CircuitError, CircuitParseError, MithError, SessionError
 from mith.field import RandomSource, preset_modulus
 
 EXIT_OK = 0
@@ -79,11 +80,30 @@ def _rng_from(args) -> RandomSource:
 
 
 def _endpoint(spec: str) -> tuple[str, int]:
-    host, _, port = spec.rpartition(":")
+    """argparse type for host:port (port 0-65535, host 127.0.0.1 if empty)."""
+    host, colon, port = spec.rpartition(":")
+    if not (colon and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"expected host:port with a port in 0-65535, got {spec!r}")
     return host or "127.0.0.1", int(port)
 
 
+def _timeout(text: str) -> float:
+    """argparse type for a finite number of seconds above 0."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not (math.isfinite(t) and t > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds above 0, got {text!r}")
+    return t
+
+
 def cmd_prove(args) -> int:
+    if args.mode != "session" and not args.out:
+        print("error: --out is required unless --mode session", file=sys.stderr)
+        return EXIT_USAGE
     s = _load_statement(args)
     w = parse_witness(_read(args.witness), s.circuit)
     if args.reps < 1:
@@ -97,8 +117,7 @@ def cmd_prove(args) -> int:
         if not args.connect:
             print("error: session mode needs --connect host:port", file=sys.stderr)
             return EXIT_USAGE
-        host, port = _endpoint(args.connect)
-        transport = session_mod.connect(host, port, args.timeout)
+        transport = session_mod.connect(*args.connect, args.timeout)
         try:
             verdict = session_mod.prover_session(
                 transport, s, w, args.reps, scheme, rng)
@@ -110,9 +129,6 @@ def cmd_prove(args) -> int:
         return EXIT_OK if verdict else EXIT_REJECT
     proof = proto.prove_repeated(w, s, args.reps, rng, scheme, mode="derived")
     blob = proto.serialize_proof(proof, s.circuit)
-    if not args.out:
-        print("error: --out is required unless --mode session", file=sys.stderr)
-        return EXIT_USAGE
     _write_bytes(args.out, blob)
     elapsed = (time.perf_counter() - t0) * 1000
     print(f"reps={args.reps} scheme={args.scheme} mode=derived "
@@ -129,9 +145,8 @@ def cmd_verify(args) -> int:
         if not args.listen:
             print("error: session mode needs --listen host:port", file=sys.stderr)
             return EXIT_USAGE
-        host, port = _endpoint(args.listen)
         rng = _rng_from(args)
-        transport = session_mod.listen_once(host, port, args.timeout)
+        transport = session_mod.listen_once(*args.listen, args.timeout)
         try:
             verdict = session_mod.verifier_session(transport, s, args.reps, rng)
         finally:
@@ -144,26 +159,20 @@ def cmd_verify(args) -> int:
     blob = _read_bytes(args.proof)
     try:
         proof = proto.parse_proof(blob, s.circuit)
-    except (ProofError, MithError) as e:
+    except MithError as e:
         print(f"reject: malformed proof: {e}")
         return EXIT_REJECT
     if args.verbose:
-        scheme = scheme_by_name(proof.scheme, s.circuit.modulus.p)
-        digest_ok = proof.stmt_hash == statement_hash(s)
-        print(f"statement hash match: {digest_ok}")
-        blobs = proto.challenge_blobs([t.commitment for t in proof.transcripts], scheme)
-        for k, t in enumerate(proof.transcripts):
-            st = proto.VerifierState(s, t.commitment, t.challenge, scheme)
-            ok = proto.verifier_check(st, t.response, scheme)
-            ch_ok = (proof.challenge_mode != "derived"
-                     or t.challenge == proto.derive_challenge(proof.stmt_hash, k, blobs))
+        # The lines come from the checks verify_repeated reduces below.
+        print(f"statement hash match: {proof.stmt_hash == statement_hash(s)}")
+        checks = proto.check_repetitions(s, proof)
+        for k, (t, (ch_ok, ok)) in enumerate(zip(proof.transcripts, checks)):
             print(f"  repetition {k}: challenge {t.challenge} "
                   f"check={'ok' if ok else 'FAIL'} "
                   f"challenge-source={'ok' if ch_ok else 'FAIL'}")
     verdict = proto.verify_repeated(s, proof)
-    if proof.challenge_mode == "derived":
-        print("challenge mode: derived (hash-based; outside the proven "
-              "interactive bounds)")
+    print("challenge mode: derived (hash-based; outside the proven "
+          "interactive bounds)")
     print("accept" if verdict else "reject")
     return EXIT_OK if verdict else EXIT_REJECT
 
@@ -225,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repetitions (default 40, soundness <= 0.0148)")
     p.add_argument("--scheme", choices=["prf", "pedersen"], default="prf")
     p.add_argument("--mode", choices=["derived", "session"], default="derived")
-    p.add_argument("--connect", help="verifier endpoint host:port")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--connect", type=_endpoint, help="verifier endpoint host:port")
+    p.add_argument("--timeout", type=_timeout, default=30.0)
     p.set_defaults(func=cmd_prove)
 
     v = sub.add_parser("verify", parents=[common], help="check a proof")
@@ -234,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--statement", required=True)
     v.add_argument("--proof", help="proof file to verify")
     v.add_argument("--mode", choices=["offline", "session"], default="offline")
-    v.add_argument("--listen", help="bind endpoint host:port")
+    v.add_argument("--listen", type=_endpoint, help="bind endpoint host:port")
     v.add_argument("--reps", type=int, default=40,
                    help="expected repetitions (session mode)")
-    v.add_argument("--timeout", type=float, default=30.0)
+    v.add_argument("--timeout", type=_timeout, default=30.0)
     v.add_argument("--verbose", action="store_true",
                    help="print per-repetition verdicts")
     v.set_defaults(func=cmd_verify)

@@ -276,7 +276,7 @@ def run_zk(s: Statement, w: Witness, distinguisher: Callable,
             def honest_verifier(s_, cm_):
                 return PARTY_PAIRS[rng.randbelow(proto.N_CHALLENGES)]
             tr = proto.zk_simulate(s, honest_verifier, rng=rng, scheme=scheme)
-            vst = proto.VerifierState(s, tr.commitment, tr.challenge, scheme)
+            vst = proto.VerifierState(s, tr.commitment, tr.challenge)
             verdict = proto.verifier_check(vst, tr.response, scheme)
         guess_real = distinguisher(s, verdict, tr)
         correct += (guess_real == real)

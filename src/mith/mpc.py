@@ -573,25 +573,6 @@ def encoded_view_length(c: Circuit) -> int:
     return program(c).view_length
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ProofError("truncated view encoding")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
 def decode_view(c: Circuit, data: bytes) -> View:
     """Strict inverse of encode_view; raises ProofError on any deviation.
     The view keeps data as its encoding (see view_bytes)."""

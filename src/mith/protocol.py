@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
@@ -29,8 +29,9 @@ from mith.sss import (
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
 MAGIC = b"MITH2"
-MODE_BYTES = {"transcript": 0x00, "derived": 0x01}
-MODE_NAMES = {v: k for k, v in MODE_BYTES.items()}
+# A proof file's challenge-mode byte.  Files carry derived challenges
+# only: recorded ("transcript") challenges would be the writer's choice.
+DERIVED_MODE_BYTE = 0x01
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,10 @@ class Transcript:
 
 @dataclass(frozen=True)
 class Proof:
+    """sigma transcripts.  challenge_mode is "derived" (recomputed from
+    the commitments, the only mode with a file form) or "transcript"
+    (drawn by the verifier holding the proof, in memory only)."""
+
     scheme: str
     challenge_mode: str
     stmt_hash: bytes
@@ -79,10 +84,8 @@ class Proof:
 
 @dataclass
 class ProverState:
-    statement: Statement
     views: tuple
     openings: tuple
-    scheme: object
 
 
 @dataclass
@@ -90,7 +93,6 @@ class VerifierState:
     statement: Statement
     commitment: CommitmentMsg
     challenge: tuple[int, int]
-    scheme: object
 
 
 def random_prover_rand(rng: RandomSource, c: Circuit, scheme) -> ProverRand:
@@ -119,15 +121,14 @@ def prover_commit(rp: ProverRand, w: Witness, s: Statement,
         com, op = scheme.commit_view(key, c, view)
         commitments.append(com)
         openings.append(op)
-    st = ProverState(s, result.views, tuple(openings), scheme)
-    return st, CommitmentMsg(tuple(commitments))
+    return ProverState(result.views, tuple(openings)), CommitmentMsg(tuple(commitments))
 
 
 def verifier_challenge(rv: RandomSource, s: Statement,
                        c: CommitmentMsg) -> tuple[VerifierState, tuple[int, int]]:
     """Uniform choice among the 10 pairs; public-coin, ignores c's content."""
     ch = PARTY_PAIRS[rv.randbelow(N_CHALLENGES)]
-    return VerifierState(s, c, ch, None), ch
+    return VerifierState(s, c, ch), ch
 
 
 def prover_respond(st: ProverState, ch: tuple[int, int]) -> Response:
@@ -198,24 +199,26 @@ def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
     return [h.digest()]
 
 
-def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
-                   scheme=None, mode: str = "derived") -> Proof:
-    """sigma independent runs.  Challenges come from the mode's source:
-    hash-derived from all commitments, or rng-drawn (transcript mode,
-    mirroring what an interactive verifier would have sent)."""
+def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
+                       scheme) -> tuple[list[ProverState], list[CommitmentMsg]]:
+    """The commit phase of sigma independent runs, in repetition order."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
-    if mode not in MODE_BYTES:
+    runs = [prover_commit(random_prover_rand(rng, s.circuit, scheme), w, s, scheme)
+            for _ in range(reps)]
+    return [st for st, _ in runs], [cm for _, cm in runs]
+
+
+def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
+                   scheme=None, mode: str = "derived") -> Proof:
+    """sigma independent runs.  Challenges are hash-derived from all
+    commitments, or in transcript mode rng-drawn, as an interactive
+    verifier would have sent them (such a proof has no file form)."""
+    if mode not in ("derived", "transcript"):
         raise MithError(f"unknown challenge mode {mode!r}")
     scheme = scheme or scheme_by_name("prf")
     digest = statement_hash(s)
-    states = []
-    msgs = []
-    for _ in range(reps):
-        rp = random_prover_rand(rng, s.circuit, scheme)
-        st, cm = prover_commit(rp, w, s, scheme)
-        states.append(st)
-        msgs.append(cm)
+    states, msgs = commit_repetitions(w, s, reps, rng, scheme)
     blobs = challenge_blobs(msgs, scheme)
     transcripts = []
     for k in range(reps):
@@ -227,26 +230,26 @@ def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
     return Proof(scheme.name, mode, digest, tuple(transcripts))
 
 
-def verify_repeated(s: Statement, proof: Proof, mode: str | None = None) -> bool:
-    """Accept iff every transcript checks out and each challenge matches
-    the mode's source.  Transcript mode trusts recorded challenges and is
-    only meaningful for sessions the verifier itself drove."""
-    mode = mode or proof.challenge_mode
-    if mode not in MODE_BYTES:
-        raise MithError(f"unknown challenge mode {mode!r}")
-    if proof.reps < 1:
-        return False
-    if proof.stmt_hash != statement_hash(s):
-        return False
+def check_repetitions(s: Statement, proof: Proof) -> Iterator[tuple[bool, bool]]:
+    """Lazily, per repetition: (challenge source ok, verifier_check ok).
+    A transcript-mode challenge was drawn by the verifier holding the
+    proof and is taken as recorded; any other must equal the challenge
+    derived from the commitments."""
     scheme = scheme_by_name(proof.scheme, s.circuit.modulus.p)
-    blobs = challenge_blobs([t.commitment for t in proof.transcripts], scheme)
+    recorded = proof.challenge_mode == "transcript"
+    if not recorded:
+        blobs = challenge_blobs([t.commitment for t in proof.transcripts], scheme)
     for k, t in enumerate(proof.transcripts):
-        if mode == "derived" and t.challenge != derive_challenge(proof.stmt_hash, k, blobs):
-            return False
-        st = VerifierState(s, t.commitment, t.challenge, scheme)
-        if not verifier_check(st, t.response, scheme):
-            return False
-    return True
+        ch_ok = recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs)
+        yield ch_ok, verifier_check(VerifierState(s, t.commitment, t.challenge),
+                                    t.response, scheme)
+
+
+def verify_repeated(s: Statement, proof: Proof) -> bool:
+    """Accept iff the proof is for s and every repetition passes both
+    checks of `check_repetitions`."""
+    return (proof.reps >= 1 and proof.stmt_hash == statement_hash(s)
+            and all(ch_ok and ok for ch_ok, ok in check_repetitions(s, proof)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +324,50 @@ def zk_simulate(s: Statement,
 
 
 # ---------------------------------------------------------------------------
-# Proof file format: magic, scheme byte, challenge-mode byte, sigma
-# (4-byte BE), statement hash, then per repetition 5 commitments, a
+# Block codec and proof file.  A proof file is: magic, scheme byte,
+# challenge-mode byte (always DERIVED_MODE_BYTE), sigma (4-byte BE),
+# statement hash, then per repetition 5 length-prefixed commitments, a
 # challenge byte (index into the lexicographic pair order) and two
-# length-prefixed (view, opening) blocks.
-
-
-def _u32(n: int) -> bytes:
-    return n.to_bytes(4, "big")
+# length-prefixed (view, opening) blocks.  A session's COMMIT and
+# RESPONSE payloads are the same blocks without the rest.
 
 
 def _lp(b: bytes) -> bytes:
-    return _u32(len(b)) + b
+    return len(b).to_bytes(4, "big") + b
+
+
+class Reader:
+    """Length-checked reads over a proof file or frame payload (`what`)."""
+
+    def __init__(self, data: bytes, what: str):
+        self.data = data
+        self.pos = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise ProofError(f"truncated {self.what}")
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def lp(self) -> bytes:
+        return self.take(self.u32())
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise ProofError(f"trailing bytes after {self.what}")
+
+
+def serialize_commitment_msg(msg: CommitmentMsg, scheme) -> bytes:
+    return b"".join(_lp(scheme.serialize_commitment(c)) for c in msg.commitments)
+
+
+def read_commitment_msg(rd: Reader, scheme) -> CommitmentMsg:
+    return CommitmentMsg(tuple(scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS))
 
 
 def serialize_response_block(c: Circuit, view, opening, scheme) -> bytes:
@@ -341,25 +376,32 @@ def serialize_response_block(c: Circuit, view, opening, scheme) -> bytes:
     return _lp(mpc.view_bytes(c, view)) + _lp(scheme.serialize_opening(opening))
 
 
-def serialize_commitment_msg(msg: CommitmentMsg, scheme) -> bytes:
-    return b"".join(_lp(scheme.serialize_commitment(c)) for c in msg.commitments)
+def serialize_response(c: Circuit, r: Response, scheme) -> bytes:
+    return (serialize_response_block(c, *r.first, scheme)
+            + serialize_response_block(c, *r.second, scheme))
+
+
+def read_response(rd: Reader, c: Circuit, scheme) -> Response:
+    return Response(*[(mpc.decode_view(c, rd.lp()), scheme.parse_opening(rd.lp()))
+                      for _ in range(2)])
 
 
 def serialize_proof(proof: Proof, c: Circuit) -> bytes:
+    if proof.challenge_mode != "derived":
+        raise MithError(f"a {proof.challenge_mode!r}-mode proof has no file form; "
+                        "proof files carry derived challenges only")
     scheme = scheme_by_name(proof.scheme, c.modulus.p)
-    parts = [MAGIC, bytes([scheme.scheme_byte]),
-             bytes([MODE_BYTES[proof.challenge_mode]]),
-             _u32(proof.reps), proof.stmt_hash]
+    parts = [MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
+             proof.reps.to_bytes(4, "big"), proof.stmt_hash]
     for t in proof.transcripts:
-        parts.append(serialize_commitment_msg(t.commitment, scheme))
-        parts.append(bytes([PARTY_PAIRS.index(t.challenge)]))
-        for view, opening in (t.response.first, t.response.second):
-            parts.append(serialize_response_block(c, view, opening, scheme))
+        parts += (serialize_commitment_msg(t.commitment, scheme),
+                  bytes([PARTY_PAIRS.index(t.challenge)]),
+                  serialize_response(c, t.response, scheme))
     return b"".join(parts)
 
 
 def parse_proof(data: bytes, c: Circuit) -> Proof:
-    rd = mpc._Reader(data)
+    rd = Reader(data, "proof")
     magic = rd.take(5)
     if magic != MAGIC:
         if magic[:4] == MAGIC[:4]:
@@ -369,27 +411,21 @@ def parse_proof(data: bytes, c: Circuit) -> Proof:
         raise ProofError("bad proof magic")
     scheme = scheme_by_byte(rd.take(1)[0], c.modulus.p)
     mode_b = rd.take(1)[0]
-    if mode_b not in MODE_NAMES:
-        raise ProofError(f"unknown challenge-mode byte {mode_b:#x}")
+    if mode_b != DERIVED_MODE_BYTE:
+        raise ProofError(
+            f"challenge-mode byte {mode_b:#04x} rejected: proof files carry only "
+            f"derived challenges ({DERIVED_MODE_BYTE:#04x}), since recorded "
+            "ones would be chosen by the prover")
     reps = rd.u32()
     if reps < 1:
         raise ProofError("proof has no repetitions")
     digest = rd.take(32)
     transcripts = []
     for _ in range(reps):
-        commitments = tuple(
-            scheme.parse_commitment(rd.take(rd.u32())) for _ in PARTY_IDS)
+        cm = read_commitment_msg(rd, scheme)
         ch_idx = rd.take(1)[0]
         if ch_idx >= N_CHALLENGES:
             raise ProofError(f"challenge byte {ch_idx} out of range")
-        pairs = []
-        for _ in range(2):
-            view = mpc.decode_view(c, rd.take(rd.u32()))
-            opening = scheme.parse_opening(rd.take(rd.u32()))
-            pairs.append((view, opening))
-        transcripts.append(Transcript(
-            CommitmentMsg(commitments), PARTY_PAIRS[ch_idx],
-            Response(pairs[0], pairs[1])))
-    if not rd.done():
-        raise ProofError("trailing bytes after proof")
-    return Proof(scheme.name, MODE_NAMES[mode_b], digest, tuple(transcripts))
+        transcripts.append(Transcript(cm, PARTY_PAIRS[ch_idx], read_response(rd, c, scheme)))
+    rd.end()
+    return Proof(scheme.name, "derived", digest, tuple(transcripts))

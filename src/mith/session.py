@@ -1,4 +1,5 @@
-"""Interactive 3-pass execution over a reliable byte stream.
+"""Interactive 3-pass execution over a reliable byte stream: framing, and
+a driver over `protocol`'s commit phase, block codec and verifier.
 
 Framing: 4-byte big-endian payload length, 1-byte message type, payload.
 Phases advance strictly HELLO -> COMMIT -> CHALLENGE -> RESPONSE ->
@@ -21,11 +22,10 @@ import hashlib
 import socket
 from dataclasses import dataclass
 
-from mith import mpc
 from mith import protocol as proto
 from mith.circuit import Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
-from mith.errors import MithError, ProofError, SessionError
+from mith.errors import MithError, SessionError
 from mith.field import RandomSource
 from mith.sss import PARTY_PAIRS
 
@@ -165,14 +165,8 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
         _send_error(transport, ERR_HASH_MISMATCH, "hello parameter mismatch")
         raise SessionError("peer acknowledged different parameters", "hello")
 
-    states = []
-    blobs = []
-    for _ in range(reps):
-        rp = proto.random_prover_rand(rng, c, scheme)
-        st, cm = proto.prover_commit(rp, w, s, scheme)
-        states.append(st)
-        blobs.append(proto.serialize_commitment_msg(cm, scheme))
-    commit_payload = b"".join(blobs)
+    states, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
+    commit_payload = b"".join(proto.serialize_commitment_msg(cm, scheme) for cm in msgs)
     _send(transport, MSG_COMMIT, commit_payload)
 
     ch_payload = _expect(transport, MSG_CHALLENGE, "challenge")
@@ -186,12 +180,9 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     challenge_bytes = ch_payload[32:]
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
         raise SessionError("challenge byte out of range", "challenge")
-    out = []
-    for k, b in enumerate(challenge_bytes):
-        resp = proto.prover_respond(states[k], PARTY_PAIRS[b])
-        for view, opening in (resp.first, resp.second):
-            out.append(proto.serialize_response_block(c, view, opening, scheme))
-    _send(transport, MSG_RESPONSE, b"".join(out))
+    _send(transport, MSG_RESPONSE, b"".join(
+        proto.serialize_response(c, proto.prover_respond(st, PARTY_PAIRS[b]), scheme)
+        for st, b in zip(states, challenge_bytes)))
 
     result = _expect(transport, MSG_RESULT, "result")
     if len(result) != 1 or result[0] > 1:
@@ -204,9 +195,9 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
                      capture: list | None = None) -> bool:
     """Drive the verifier side; challenges are drawn only after the full
     COMMIT payload has arrived.  Malformed proof data rejects (verdict
-    False); protocol violations raise.  When capture is a list, the
-    accepted frames are also assembled into a transcript-mode Proof and
-    appended to it."""
+    False); protocol violations raise.  The verdict is verify_repeated's
+    on the transcript-mode Proof the frames spell, which is also appended
+    to capture when that is a list."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
     rng = rng or RandomSource()
@@ -231,17 +222,11 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
 
     commit_payload = _expect(transport, MSG_COMMIT, "commit")
     commit_digest = hashlib.sha256(commit_payload).digest()
-    rd = mpc._Reader(commit_payload)
-    verdict = True
-    msgs = []
+    rd = proto.Reader(commit_payload, "commit payload")
     try:
-        for _ in range(reps):
-            commitments = tuple(
-                scheme.parse_commitment(rd.take(rd.u32())) for _ in range(5))
-            msgs.append(proto.CommitmentMsg(commitments))
-        if not rd.done():
-            raise ProofError("trailing bytes in commit payload")
-    except (ProofError, MithError):
+        msgs = [proto.read_commitment_msg(rd, scheme) for _ in range(reps)]
+        rd.end()
+    except MithError:
         # Malformed proof data: finish the session with a reject verdict.
         _send(transport, MSG_CHALLENGE, commit_digest + bytes(reps))
         _expect(transport, MSG_RESPONSE, "response")
@@ -253,34 +238,19 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
     _send(transport, MSG_CHALLENGE, commit_digest + bytes(challenge_idx))
 
     resp_payload = _expect(transport, MSG_RESPONSE, "response")
-    rd = mpc._Reader(resp_payload)
-    transcripts = []
+    rd = proto.Reader(resp_payload, "response payload")
     try:
-        for k in range(reps):
-            ch = PARTY_PAIRS[challenge_idx[k]]
-            pairs = []
-            for _ in range(2):
-                view = mpc.decode_view(c, rd.take(rd.u32()))
-                opening = scheme.parse_opening(rd.take(rd.u32()))
-                pairs.append((view, opening))
-            transcripts.append(proto.Transcript(
-                msgs[k], ch, proto.Response(pairs[0], pairs[1])))
-        if not rd.done():
-            raise ProofError("trailing bytes in response payload")
-    except (ProofError, MithError):
+        transcripts = tuple(
+            proto.Transcript(cm, PARTY_PAIRS[b], proto.read_response(rd, c, scheme))
+            for cm, b in zip(msgs, challenge_idx))
+        rd.end()
+    except MithError:
         verdict = False
-        transcripts = []
-
-    if verdict:
-        for t in transcripts:
-            st = proto.VerifierState(s, t.commitment, t.challenge, scheme)
-            if not proto.verifier_check(st, t.response, scheme):
-                verdict = False
-                break
-
-    if capture is not None and transcripts:
-        capture.append(proto.Proof(scheme.name, "transcript", digest,
-                                   tuple(transcripts)))
+    else:
+        proof = proto.Proof(scheme.name, "transcript", digest, transcripts)
+        if capture is not None:
+            capture.append(proof)
+        verdict = proto.verify_repeated(s, proof)
     _send(transport, MSG_RESULT, b"\x01" if verdict else b"\x00")
     return verdict
 

@@ -9,13 +9,15 @@ import threading
 
 import pytest
 
+from mith import protocol as pr
 from mith.circuit import (
     Statement, Witness, format_circuit, format_statement, format_witness,
 )
 import mith
 from mith.cli import main
 from mith.corpus import square_plus_one_circuit
-from mith.field import Modulus
+from mith.field import Modulus, RandomSource
+from mith.harness import OneBadPairCheater, canonical_false_statement
 
 
 @pytest.fixture
@@ -33,6 +35,13 @@ def workdir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_cli(cwd, args, timeout=60):
+    """`python -m mith.cli args` in cwd, as a user would run it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
+    return subprocess.run([sys.executable, "-m", "mith.cli", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_prove_verify_round_trip(workdir, capsys):
@@ -58,12 +67,10 @@ def test_deep_chain_file_round_trip(tmp_path):
     (tmp_path / "chain.st").write_text(
         f"field 101\ntarget {pow(2, n + 1, 101)}\ncircuit chain.arith\n")
     (tmp_path / "chain.wit").write_text("secret 2\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
     for args in (["prove", "--statement", "chain.st", "--witness", "chain.wit",
                   "--reps", "2", "--out", "chain.proof"],
                  ["verify", "--statement", "chain.st", "--proof", "chain.proof"]):
-        done = subprocess.run([sys.executable, "-m", "mith.cli", *args], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=300)
+        done = run_cli(tmp_path, args, timeout=300)
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
     assert "accept" in done.stdout
@@ -78,6 +85,88 @@ def test_verify_verbose_prints_per_repetition(workdir, capsys):
                 "--verbose"]) == 0
     out = capsys.readouterr().out
     assert out.count("repetition") == 3
+
+
+def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):
+    """One repetition's opening replaced: --verbose prints FAIL for that
+    repetition alone, and the verdict is reject."""
+    c = square_plus_one_circuit(Modulus(101))
+    s = Statement(c, (), c.modulus.element(10))
+    proof = pr.prove_repeated(Witness((c.modulus.element(3),)), s, 4, RandomSource(6))
+    t = proof.transcripts[2]
+    tampered = pr.Transcript(t.commitment, t.challenge,
+                             pr.Response((t.response.first[0], b"\x00" * 32), t.response.second))
+    path = workdir / "tampered.bin"
+    path.write_bytes(pr.serialize_proof(pr.Proof(
+        proof.scheme, proof.challenge_mode, proof.stmt_hash,
+        proof.transcripts[:2] + (tampered,) + proof.transcripts[3:]), c))
+    capsys.readouterr()
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", path,
+                "--verbose"]) == 1
+    out = capsys.readouterr().out
+    lines = [ln for ln in out.splitlines() if "repetition" in ln]
+    assert len(lines) == 4
+    assert [k for k, ln in enumerate(lines) if "check=FAIL" in ln] == [2]
+    assert "challenge-source=FAIL" not in out
+    assert out.splitlines()[-1] == "reject"
+
+
+def test_transcript_mode_forgery_rejected(tmp_path):
+    """A file that records challenges its writer chose (mode byte 0x00):
+    OneBadPairCheater for the false F11 statement, 128 repetitions all
+    challenged at (3, 4), which avoids its bad pair.  Trusting those
+    challenges would accept; the mode byte is rejected instead."""
+    s, w_guess = canonical_false_statement()
+    c = s.circuit
+    (tmp_path / "c.arith").write_text(format_circuit(c))
+    (tmp_path / "s.st").write_text(format_statement(s, "c.arith"))
+    cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(40))
+    rng = RandomSource(41)
+    ch = (3, 4)
+    reps = 128
+    body = []
+    for _ in range(reps):
+        cm, openings = cheater.commit(rng)
+        resp = cheater.respond(openings, ch)
+        body += [pr.serialize_commitment_msg(cm, cheater.scheme),
+                 bytes([pr.PARTY_PAIRS.index(ch)]),
+                 *(pr.serialize_response_block(c, v, o, cheater.scheme)
+                   for v, o in (resp.first, resp.second))]
+    header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
+    tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
+    (tmp_path / "forged.bin").write_bytes(header + b"\x00" + tail)
+    done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "malformed proof" in done.stdout and "0x00" in done.stdout
+    assert "accept" not in done.stdout and "Traceback" not in done.stderr
+    # As a derived-mode file the same repetitions fail the challenge check.
+    (tmp_path / "forged.bin").write_bytes(header + b"\x01" + tail)
+    done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "reject"
+
+
+PROVE = ["prove", "--statement", "s.st", "--witness", "w.wit"]
+VERIFY = ["verify", "--statement", "s.st"]
+
+
+@pytest.mark.parametrize("args", [
+    PROVE + ["--mode", "session", "--connect", "localhost"],
+    VERIFY + ["--mode", "session", "--listen", ":abc"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:70000"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:\u00b2"],
+    PROVE + ["--mode", "session", "--connect", "127.0.0.1:9", "--timeout", "-1"],
+    PROVE + ["--mode", "session", "--connect", "127.0.0.1:9", "--timeout", "nan"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--timeout", "0"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--timeout", "inf"],
+    # --out is checked first: reading the absent witness would be exit 3.
+    ["prove", "--statement", "s.st", "--witness", "absent.wit"],
+], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
+        "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out"])
+def test_usage_errors_exit_2(workdir, args):
+    done = run_cli(workdir, args)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_pedersen_scheme_round_trip(workdir):
@@ -153,11 +242,9 @@ def test_out_of_range_gate_id_exit_2(tmp_path, gid):
         f"field 101\ntopology 0 1 2\n(add 1\n  (mul {gid} (sinput 0) (sinput 0)) (sinput 0))\n")
     (tmp_path / "s.st").write_text("field 101\ntarget 6\ncircuit c.arith\n")
     (tmp_path / "w.wit").write_text("secret 2\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
     for args in (["prove", "--statement", "s.st", "--witness", "w.wit", "--out", "p.bin"],
                  ["verify", "--statement", "s.st", "--proof", "p.bin"]):
-        done = subprocess.run([sys.executable, "-m", "mith.cli", *args], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = run_cli(tmp_path, args)
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
         assert f"gate id {gid}" in done.stderr and "line 4" in done.stderr

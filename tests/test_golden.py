@@ -1,17 +1,22 @@
-"""Golden bytes: the canonical view encoding and the MITH2 proof file are
-fixed formats, so seeded runs must keep producing the same bytes.
+"""Golden bytes: the canonical view encoding, the MITH2 proof file and the
+session frames are fixed formats, so seeded runs must keep producing the
+same bytes.
 
-Each case pins the SHA-256 of the five encoded views of one seeded
-protocol run and of a seeded two-repetition proof file.
+Each proof case pins the SHA-256 of the five encoded views of one seeded
+protocol run and of a seeded two-repetition proof file.  Each session
+case pins the SHA-256 of every frame both sides send, in send order.
 """
 
 import hashlib
 import random
+import socket
+import threading
 
 import pytest
 
 from mith import mpc
 from mith import protocol as pr
+from mith import session as ses
 from mith.circuit import parse_circuit
 from mith.commit import scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
@@ -72,3 +77,54 @@ def golden_digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name):
     assert golden_digests(name) == GOLDEN[name]
+
+
+SESSION_CASES = {
+    "bench-b-f97-prf-sigma3": (
+        bench_circuit_b, "prf", 3,
+        "b6ea6fa143548317714712e8a86667946c9adc788fda2f74c3b231ace9509ba1"),
+    "bench-a-p256-pedersen-sigma2": (
+        lambda: bench_circuit_a(preset_modulus("p256")), "pedersen", 2,
+        "6e87db4ddc96a39d6dee4c2fb48a6c0306ccd81b064ac5f1c67f952053aa5b94"),
+}
+
+
+class RecordingTransport(ses.Transport):
+    def __init__(self, sock, log):
+        super().__init__(sock, 10.0)
+        self.log = log
+
+    def send_all(self, data):
+        # Logged before it is sent: the peer answers only once it arrives,
+        # so the shared log is in send order.
+        self.log.append(data)
+        super().send_all(data)
+
+
+@pytest.mark.parametrize("name", sorted(SESSION_CASES))
+def test_golden_session_frames(name):
+    make, scheme_name, reps, digest = SESSION_CASES[name]
+    c = make()
+    s, w = random_instance(random.Random(17), c)
+    log = []
+    a, b = socket.socketpair()
+    prover_t, verifier_t = RecordingTransport(a, log), RecordingTransport(b, log)
+    out = {}
+
+    def verifier():
+        out["verifier"] = ses.verifier_session(
+            verifier_t, s, reps, RandomSource(b"golden-verifier"))
+
+    th = threading.Thread(target=verifier)
+    th.start()
+    try:
+        out["prover"] = ses.prover_session(
+            prover_t, s, w, reps, scheme_by_name(scheme_name, c.modulus.p),
+            RandomSource(b"golden-prover"))
+    finally:
+        th.join(30)
+        prover_t.close()
+        verifier_t.close()
+    assert out == {"prover": True, "verifier": True}
+    assert len(log) == 6
+    assert hashlib.sha256(b"".join(log)).hexdigest() == digest

@@ -163,7 +163,7 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     com, op = PRF.commit_view(key, c, bad_view)
     coms = list(vst.commitment.commitments)
     coms[ch[0] - 1] = com
-    vst2 = pr.VerifierState(s, pr.CommitmentMsg(tuple(coms)), ch, PRF)
+    vst2 = pr.VerifierState(s, pr.CommitmentMsg(tuple(coms)), ch)
     assert not pr.verifier_check(vst2, pr.Response((bad_view, op), resp.second), PRF)
 
 
@@ -198,11 +198,16 @@ def test_soundness_bound_domain():
 @pytest.mark.parametrize("mode", ["derived", "transcript"])
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
 def test_prove_verify_round_trip(m11, mode, scheme_name):
+    """Both modes verify in memory; only derived proofs have a file form."""
     rng = RandomSource(13)
     scheme = scheme_by_name(scheme_name, 11)
     for s, w in golden_corpus(m11, 4):
         proof = pr.prove_repeated(w, s, 3, rng, scheme, mode=mode)
         assert pr.verify_repeated(s, proof)
+        if mode == "transcript":
+            with pytest.raises(MithError, match="no file form"):
+                pr.serialize_proof(proof, s.circuit)
+            continue
         blob = pr.serialize_proof(proof, s.circuit)
         parsed = pr.parse_proof(blob, s.circuit)
         assert pr.verify_repeated(s, parsed)
@@ -228,6 +233,8 @@ def test_verify_rejects_one_failing_transcript(m11):
                    proof.transcripts[:2] + (dataclasses.replace(
                        t, response=bad_resp),) + proof.transcripts[3:])
     assert not pr.verify_repeated(s, bad)
+    assert list(pr.check_repetitions(s, bad)) == [
+        (True, True), (True, True), (True, False), (True, True)]
 
 
 def test_derived_challenges_pin_commitments(m11):
@@ -271,8 +278,19 @@ def test_proof_magic_and_shape_checks(m11):
         pr.parse_proof(b"NOPE!" + blob[5:], s.circuit)
     with pytest.raises(ProofError, match="trailing"):
         pr.parse_proof(blob + b"\x00", s.circuit)
-    with pytest.raises(ProofError):
+    with pytest.raises(ProofError, match="truncated proof"):
         pr.parse_proof(blob[:20], s.circuit)
+
+
+@pytest.mark.parametrize("mode_byte", [0x00, 0x02, 0xFF])
+def test_proof_file_mode_byte_must_be_derived(m11, mode_byte):
+    """Byte 6 of a proof file is the challenge mode; anything but derived
+    (0x01), transcript's old 0x00 included, is malformed."""
+    s, w = golden_corpus(m11, 1)[0]
+    blob = pr.serialize_proof(pr.prove_repeated(w, s, 1, RandomSource(18)), s.circuit)
+    assert blob[6] == pr.DERIVED_MODE_BYTE
+    with pytest.raises(ProofError, match=f"challenge-mode byte {mode_byte:#04x}"):
+        pr.parse_proof(blob[:6] + bytes([mode_byte]) + blob[7:], s.circuit)
 
 
 def test_pedersen_blinder_plus_order_rejected():
@@ -386,14 +404,14 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     check encodes it afresh instead of reusing the original's bytes."""
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
-    proof = pr.prove_repeated(w, s, 1, RandomSource(33), mode="transcript")
+    proof = pr.prove_repeated(w, s, 1, RandomSource(33))
     if side == "verifier":
         proof = pr.parse_proof(pr.serialize_proof(proof, c), c)
     t = proof.transcripts[0]
     view, opening = t.response.first
     mpc.view_bytes(c, view)  # the bytes are on the view either way
     p = c.modulus.p
-    st = pr.VerifierState(s, t.commitment, t.challenge, PRF)
+    st = pr.VerifierState(s, t.commitment, t.challenge)
     for new in (dataclasses.replace(view, bcast=tuple((x + 1) % p for x in view.bcast)),
                 dataclasses.replace(view, randomness=view.randomness[::-1])):
         assert new != view
@@ -413,7 +431,7 @@ def test_altered_view_cannot_open_the_original_commitment():
     cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(34))
     ch = (3, 4)
     cm, openings = cheater.commit(RandomSource(35))
-    st = pr.VerifierState(s, cm, ch, PRF)
+    st = pr.VerifierState(s, cm, ch)
     assert pr.verifier_check(st, cheater.respond(openings, ch), PRF)
 
     c = s.circuit
@@ -425,7 +443,7 @@ def test_altered_view_cannot_open_the_original_commitment():
     cm = pr.CommitmentMsg(tuple(PRF.commit_view(k, c, v)[0] for k, v in zip(keys, committed)))
     opened = [dataclasses.replace(v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
-    st = pr.VerifierState(s, cm, ch, PRF)
+    st = pr.VerifierState(s, cm, ch)
     resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
     assert not pr.verifier_check(st, resp, PRF)
 
@@ -472,7 +490,7 @@ def test_simulated_transcript_accepts_on_guess_match(m11):
         run = pr.zk_simulate_once(s, rng)
         resp = run.respond(run.guess)
         assert resp is not None
-        vst = pr.VerifierState(s, run.commitment, run.guess, PRF)
+        vst = pr.VerifierState(s, run.commitment, run.guess)
         assert pr.verifier_check(vst, resp, PRF)
         hits += 1
     assert hits == 200
@@ -506,7 +524,7 @@ def test_zk_simulate_retry_statistics():
             return PARTY_PAIRS[rng.randbelow(10)]
 
         tr = pr.zk_simulate(s, verifier, rng=rng)
-        vst = pr.VerifierState(s, tr.commitment, tr.challenge, PRF)
+        vst = pr.VerifierState(s, tr.commitment, tr.challenge)
         assert pr.verifier_check(vst, tr.response, PRF)
         total_attempts += attempts[0]
     mean = total_attempts / runs
