@@ -23,7 +23,7 @@ from mith.circuit import (
 )
 from mith.commit import scheme_by_name
 from mith.errors import CircuitError, CircuitParseError, MithError, SessionError
-from mith.field import RandomSource, preset_modulus
+from mith.field import RandomSource
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -100,15 +100,19 @@ def _timeout(text: str) -> float:
     return t
 
 
+def _reps(text: str) -> int:
+    """argparse type for a repetition count of at least 1."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def cmd_prove(args) -> int:
     if args.mode != "session" and not args.out:
         print("error: --out is required unless --mode session", file=sys.stderr)
         return EXIT_USAGE
     s = _load_statement(args)
     w = parse_witness(_read(args.witness), s.circuit)
-    if args.reps < 1:
-        print("error: --reps must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     scheme = scheme_by_name(args.scheme, s.circuit.modulus.p)
     rng = _rng_from(args)
     import time
@@ -163,14 +167,16 @@ def cmd_verify(args) -> int:
         print(f"reject: malformed proof: {e}")
         return EXIT_REJECT
     if args.verbose:
-        # The lines come from the checks verify_repeated reduces below.
+        # One pass: the printed checks are the ones the verdict reads.
         print(f"statement hash match: {proof.stmt_hash == statement_hash(s)}")
-        checks = proto.check_repetitions(s, proof)
+        checks = list(proto.check_repetitions(s, proof))
         for k, (t, (ch_ok, ok)) in enumerate(zip(proof.transcripts, checks)):
             print(f"  repetition {k}: challenge {t.challenge} "
                   f"check={'ok' if ok else 'FAIL'} "
                   f"challenge-source={'ok' if ch_ok else 'FAIL'}")
-    verdict = proto.verify_repeated(s, proof)
+        verdict = proto.accepts(s, proof, checks)
+    else:
+        verdict = proto.verify_repeated(s, proof)
     print("challenge mode: derived (hash-based; outside the proven "
           "interactive bounds)")
     print("accept" if verdict else "reject")
@@ -197,18 +203,11 @@ def cmd_selftest(args) -> int:
 
 def cmd_bench(args) -> int:
     rng = RandomSource(args.seed if args.seed is not None else 7)
-    rows = []
-    preset = os.environ.get("MITH_FIELD_PRESET")
-    if preset:
-        m = preset_modulus(preset)
-        rows += bench_mod.bench_primitives(m, rng)
-        from mith.corpus import bench_circuit_a, bench_circuit_b
-        for circuit in (bench_circuit_a(), bench_circuit_b()):
-            for scheme_name in ("prf", "pedersen"):
-                rows.append(bench_mod.bench_mith(circuit, rng, scheme_name))
-    else:
-        rows += bench_mod.standard_bench(rng, quick=args.quick)
+    rows = bench_mod.standard_bench(rng, quick=args.quick)
     print(bench_mod.format_rows(rows))
+    if not all(r.accepted for r in rows):
+        print("error: a benchmark proof was rejected", file=sys.stderr)
+        return EXIT_REJECT
     return EXIT_OK
 
 
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", required=True, help="statement file")
     p.add_argument("--witness", required=True, help="witness file")
     p.add_argument("--out", help="proof output path")
-    p.add_argument("--reps", type=int, default=40,
+    p.add_argument("--reps", type=_reps, default=40,
                    help="repetitions (default 40, soundness <= 0.0148)")
     p.add_argument("--scheme", choices=["prf", "pedersen"], default="prf")
     p.add_argument("--mode", choices=["derived", "session"], default="derived")
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--proof", help="proof file to verify")
     v.add_argument("--mode", choices=["offline", "session"], default="offline")
     v.add_argument("--listen", type=_endpoint, help="bind endpoint host:port")
-    v.add_argument("--reps", type=int, default=40,
+    v.add_argument("--reps", type=_reps, default=40,
                    help="expected repetitions (session mode)")
     v.add_argument("--timeout", type=_timeout, default=30.0)
     v.add_argument("--verbose", action="store_true",
@@ -258,14 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--json", help="also write a machine-readable report")
     st.set_defaults(func=cmd_selftest)
 
-    b = sub.add_parser("bench", parents=[common], help="run benchmarks")
-    b.add_argument("--quick", action="store_true")
+    b = sub.add_parser("bench", parents=[common], help="time whole proofs")
+    b.add_argument("--quick", action="store_true", help="bench_a and bench_b only")
     b.set_defaults(func=cmd_bench)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a bad argument returns 2, as other usage errors do
+        return e.code
     try:
         return args.func(args)
     except CircuitParseError as e:

@@ -35,10 +35,7 @@ from mith.circuit import (
     GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
     SMultiplication, Statement, eval_public, iter_gates,
 )
-from mith.sss import (
-    N_PARTIES, PARTY_IDS, ShareRandomness, Sharing, dot5, public_encoding,
-    reconstruct, share5,
-)
+from mith.sss import N_PARTIES, PARTY_IDS, Sharing, dot5, share5
 
 # Marker gate id for the refresh randomness slot in view encodings; every
 # real gate id is below it (`validate_circuit` checks).
@@ -273,47 +270,6 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sharing],
         View(pubs, tuple(sv[q] for sv in secs), tuple(rv[q]), tuple(msgs[q]), zin[q], bcast)
         for q in range(5))
     return ExecutionResult(views, (y,) * 5)
-
-
-# ---------------------------------------------------------------------------
-# Message-free gate operations on whole sharings (used directly by tests
-# and benchmarks; run_protocol inlines the same arithmetic).
-
-
-def gate_add(a: Sharing, b: Sharing) -> Sharing:
-    return Sharing(tuple(x + y for x, y in zip(a.shares, b.shares)))
-
-
-def gate_const(v: FieldElement) -> Sharing:
-    return public_encoding(v)
-
-
-def gate_smul(scalar_sharing: Sharing, sh: Sharing) -> Sharing:
-    scalar = scalar_sharing.shares[0]
-    if any(s != scalar for s in scalar_sharing.shares):
-        raise MithError("scalar sharing is not a public (constant) encoding")
-    return Sharing(tuple(scalar * v for v in sh.shares))
-
-
-def gate_mul(l: Sharing, r: Sharing,
-             rs: tuple[ShareRandomness, ...]) -> tuple[Sharing, tuple]:
-    """BGW multiplication; returns the output sharing and the 5x5 message
-    matrix (rows[k][q] = what party k+1 sent to party q+1)."""
-    m = l.modulus
-    rows = _reshare(l.values(), r.values(), [(x.a1.value, x.a2.value) for x in rs], m.p)
-    out = (FieldElement(dot5(m.recon_weights, col, m.p), m) for col in zip(*rows))
-    return (Sharing(tuple(out)),
-            tuple(tuple(FieldElement(v, m) for v in row) for row in rows))
-
-
-def refresh_and_open(sh: Sharing, rs: tuple[ShareRandomness, ...]):
-    """Re-randomize then publicly open; returns (refreshed sharing,
-    broadcast shares, output)."""
-    m = sh.modulus
-    zin = zip(*(share5(0, x.a1.value, x.a2.value, m.p) for x in rs))
-    out = Sharing(tuple(FieldElement((v + sum(col)) % m.p, m)
-                        for v, col in zip(sh.values(), zin)))
-    return out, out.shares, reconstruct(out)
 
 
 # ---------------------------------------------------------------------------

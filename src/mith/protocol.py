@@ -245,11 +245,17 @@ def check_repetitions(s: Statement, proof: Proof) -> Iterator[tuple[bool, bool]]
                                     t.response, scheme)
 
 
+def accepts(s: Statement, proof: Proof, checks) -> bool:
+    """The acceptance rule: the proof is for s, has a repetition, and every
+    pair in checks (`check_repetitions`, read up to its first failure) passes."""
+    return (proof.reps >= 1 and proof.stmt_hash == statement_hash(s)
+            and all(ch_ok and ok for ch_ok, ok in checks))
+
+
 def verify_repeated(s: Statement, proof: Proof) -> bool:
     """Accept iff the proof is for s and every repetition passes both
     checks of `check_repetitions`."""
-    return (proof.reps >= 1 and proof.stmt_hash == statement_hash(s)
-            and all(ch_ok and ok for ch_ok, ok in check_repetitions(s, proof)))
+    return accepts(s, proof, check_repetitions(s, proof))
 
 
 # ---------------------------------------------------------------------------

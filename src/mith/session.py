@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import socket
 from dataclasses import dataclass
+from typing import NoReturn
 
 from mith import protocol as proto
 from mith.circuit import Statement, Witness, statement_hash
@@ -140,12 +141,22 @@ def _hello_payload(scheme_byte: int, reps: int, digest: bytes) -> bytes:
             + reps.to_bytes(4, "big") + digest)
 
 
-def _parse_hello(payload: bytes, phase: str):
+def _abort(transport: Transport, code: int, message: str, phase: str) -> NoReturn:
+    """Tell the peer why the session ends, then end it."""
+    _send_error(transport, code, message)
+    raise SessionError(message, phase)
+
+
+def _read_hello(transport: Transport):
+    """The peer's HELLO as (scheme byte, reps, statement digest)."""
+    payload = _expect(transport, MSG_HELLO, "hello")
     if len(payload) != 38:
-        raise SessionError(f"hello payload must be 38 bytes, got {len(payload)}", phase)
-    if payload[0] != PROTOCOL_VERSION:
-        raise SessionError(f"unsupported protocol version {payload[0]}", phase)
-    return payload[1], int.from_bytes(payload[2:6], "big"), payload[6:]
+        problem = f"hello payload must be 38 bytes, got {len(payload)}"
+    elif payload[0] != PROTOCOL_VERSION:
+        problem = f"unsupported protocol version {payload[0]}"
+    else:
+        return payload[1], int.from_bytes(payload[2:6], "big"), payload[6:]
+    _abort(transport, ERR_BAD_FRAME, problem, "hello")
 
 
 def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
@@ -159,8 +170,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     c = s.circuit
 
     _send(transport, MSG_HELLO, _hello_payload(scheme.scheme_byte, reps, digest))
-    ack_scheme, ack_reps, ack_digest = _parse_hello(
-        _expect(transport, MSG_HELLO, "hello"), "hello")
+    ack_scheme, ack_reps, ack_digest = _read_hello(transport)
     if (ack_scheme, ack_reps, ack_digest) != (scheme.scheme_byte, reps, digest):
         _send_error(transport, ERR_HASH_MISMATCH, "hello parameter mismatch")
         raise SessionError("peer acknowledged different parameters", "hello")
@@ -171,7 +181,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
 
     ch_payload = _expect(transport, MSG_CHALLENGE, "challenge")
     if len(ch_payload) != 32 + reps:
-        raise SessionError("malformed challenge payload", "challenge")
+        _abort(transport, ERR_BAD_FRAME, "malformed challenge payload", "challenge")
     if ch_payload[:32] != hashlib.sha256(commit_payload).digest():
         _send_error(transport, ERR_BAD_FRAME,
                     "commit payload digest mismatch")
@@ -179,7 +189,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
             "verifier echoed a different commit payload", "challenge")
     challenge_bytes = ch_payload[32:]
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
-        raise SessionError("challenge byte out of range", "challenge")
+        _abort(transport, ERR_BAD_FRAME, "challenge byte out of range", "challenge")
     _send(transport, MSG_RESPONSE, b"".join(
         proto.serialize_response(c, proto.prover_respond(st, PARTY_PAIRS[b]), scheme)
         for st, b in zip(states, challenge_bytes)))
@@ -204,8 +214,7 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
     digest = statement_hash(s)
     c = s.circuit
 
-    scheme_byte, peer_reps, peer_digest = _parse_hello(
-        _expect(transport, MSG_HELLO, "hello"), "hello")
+    scheme_byte, peer_reps, peer_digest = _read_hello(transport)
     if peer_digest != digest:
         _send_error(transport, ERR_HASH_MISMATCH, "statement hash mismatch")
         raise SessionError("peer proves a different statement", "hello")

@@ -52,19 +52,6 @@ class Sharing:
     def values(self) -> tuple[int, ...]:
         return tuple(s.value for s in self.shares)
 
-    def to_bytes(self) -> bytes:
-        """Five fixed-width element encodings in party order."""
-        return b"".join(s.to_bytes() for s in self.shares)
-
-    @classmethod
-    def from_bytes(cls, m: Modulus, data: bytes) -> "Sharing":
-        w = m.byte_length
-        if len(data) != N_PARTIES * w:
-            raise FieldError(
-                f"sharing encoding must be {N_PARTIES * w} bytes, got {len(data)}")
-        return cls(tuple(
-            m.from_bytes(data[k * w:(k + 1) * w]) for k in range(N_PARTIES)))
-
 
 def share5(s: int, a1: int, a2: int, p: int) -> tuple[int, ...]:
     """Evaluate s + a1*x + a2*x^2 mod p at x = 1..5."""
@@ -90,11 +77,6 @@ def reconstruct(sh: Sharing) -> FieldElement:
     m = sh.modulus
     v = dot5(m.recon_weights, sh.values(), m.p)
     return FieldElement(v, m)
-
-
-def public_encoding(v: FieldElement) -> Sharing:
-    """Constant sharing of a public value."""
-    return Sharing((v,) * N_PARTIES)
 
 
 def share_sim(rng: RandomSource, corrupt: tuple[int, int], m: Modulus) -> tuple[FieldElement, FieldElement]:

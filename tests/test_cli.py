@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from mith import bench
 from mith import protocol as pr
 from mith.circuit import (
     Statement, Witness, format_circuit, format_statement, format_witness,
@@ -87,6 +88,18 @@ def test_verify_verbose_prints_per_repetition(workdir, capsys):
     assert out.count("repetition") == 3
 
 
+def test_verify_verbose_checks_each_repetition_once(workdir, capsys, monkeypatch):
+    proof = workdir / "p.bin"
+    run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+         "--reps", 4, "--out", proof])
+    calls = []
+    check = pr.verifier_check
+    monkeypatch.setattr(pr, "verifier_check", lambda *a: calls.append(a) or check(*a))
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--verbose"]) == 0
+    assert len(calls) == 4
+
+
 def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):
     """One repetition's opening replaced: --verbose prints FAIL for that
     repetition alone, and the verdict is reject."""
@@ -161,8 +174,13 @@ VERIFY = ["verify", "--statement", "s.st"]
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--timeout", "inf"],
     # --out is checked first: reading the absent witness would be exit 3.
     ["prove", "--statement", "s.st", "--witness", "absent.wit"],
+    # --reps is checked before any file is read or port bound.
+    ["prove", "--statement", "s.st", "--witness", "absent.wit", "--out", "p.bin",
+     "--reps", "0"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--reps", "0"],
 ], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
-        "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out"])
+        "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out",
+        "prove-reps-zero", "verify-reps-zero"])
 def test_usage_errors_exit_2(workdir, args):
     done = run_cli(workdir, args)
     assert done.returncode == 2, done.stdout + done.stderr
@@ -307,17 +325,22 @@ def test_selftest_reproducible(workdir, capsys):
 
 
 def test_bench_emits_table_rows(capsys):
+    """--quick: bench_a and bench_b, each with both schemes, every proof
+    verified; the full ladder adds the depth-9 circuit."""
     assert run(["bench", "--quick"]) == 0
     out = capsys.readouterr().out
-    assert "MitH (7 gates, 2 MUL)" in out
-    assert "MitH (11 gates, 3 MUL)" in out
-    assert "field 101" in out and "field 97" in out
-    assert "Pedersen commitment" in out and "HMAC-SHA256 commitment" in out
+    rows = [ln for ln in out.splitlines() if " prf " in ln or " pedersen " in ln]
+    assert len(rows) == 4
+    assert sum("bench_a F101 (7 gates, 2 mul)" in ln for ln in rows) == 2
+    assert sum("bench_b F97 (11 gates, 3 mul)" in ln for ln in rows) == 2
+    assert "REJECTED" not in out and "sigma=40" in out
+    names = [name for name, _ in bench.ladder()]
+    assert names == ["bench_a", "bench_b", "depth-9"]
+    assert bench.ladder()[2][1].topology.n_gates == 103
 
 
-def test_bench_field_preset_env(capsys, monkeypatch):
-    monkeypatch.setenv("MITH_FIELD_PRESET", "p101")
-    assert run(["bench"]) == 0
-    out = capsys.readouterr().out
-    assert "field 101" in out
-    assert "256 bits" not in out
+def test_bench_fails_on_a_rejected_proof(capsys, monkeypatch):
+    monkeypatch.setattr(pr, "verify_repeated", lambda s, proof: False)
+    assert run(["bench", "--quick"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("REJECTED") == 4 and "rejected" in captured.err

@@ -19,7 +19,7 @@ from mith.corpus import (
 from mith.errors import MithError, ProofError
 from mith.field import Modulus, RandomSource
 from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing, public_encoding,
+    PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing,
     random_share_randomness, reconstruct, share,
 )
 
@@ -38,11 +38,8 @@ def honest_run(s, w, rng):
     return mpc.run_protocol(s, sharings, rand), sharings, rand
 
 
-def sharing_degree(sh: Sharing) -> int:
+def sharing_degree(ys, p: int) -> int:
     """Degree of the interpolating polynomial through the 5 share points."""
-    m = sh.modulus
-    p = m.p
-    ys = sh.values()
     # Fit through points 1..k+1 for ascending k; first fit that predicts
     # the remaining points gives the degree.
     for deg in range(5):
@@ -109,47 +106,90 @@ def test_honest_views_all_pairs_consistent(m11, rng):
 
 
 # ---------------------------------------------------------------------------
-# Gate operations
+# Gate arithmetic, read back from run_protocol's views
+
+
+ADD = "field 11\ntopology 0 2 1\n(add 1 (sinput 0) (sinput 1))"
+ADD_CONST = "field 11\ntopology 0 1 2\n(add 2 (sinput 0) (const 1 6))"
+SMUL = "field 11\ntopology 1 1 1\n(smul 1 (pinput 0) (sinput 0))"
+MUL = "field 11\ntopology 0 2 1\n(mul 1 (sinput 0) (sinput 1))"
+
+
+def run_with(s, sharings, rng, pairs=None):
+    """run_protocol on the given input sharings; pairs, if given, is each
+    party's (a1, a2) per messaging multiplication and then the refresh."""
+    rand = (mpc.GateRandomness(tuple(sum(row, ()) for row in pairs)) if pairs
+            else mpc.random_gate_randomness(rng, s.circuit))
+    return mpc.run_protocol(s, sharings, rand)
+
+
+def root_before_refresh(res, p):
+    """The root sharing as the parties held it before the refresh: each
+    broadcast share minus the zero shares that party received."""
+    return tuple((v.bcast[q] - sum(v.zin)) % p for q, v in enumerate(res.views))
+
+
+def mul_outputs(res, m):
+    """Per messaging multiplication, the sharing the parties recombined
+    from the resharing columns their views record."""
+    return [tuple(sum(l * y for l, y in zip(m.recon_weights, v.messages[k])) % m.p
+                  for v in res.views)
+            for k in range(len(res.views[0].messages))]
+
+
+def opened(m, ys):
+    """reconstruct on a tuple of share values."""
+    return reconstruct(Sharing(tuple(map(m.element, ys))))
+
+
+def rand_sharing(m, rng, v=None):
+    return share(rng.field_element(m) if v is None else v, random_share_randomness(rng, m))
 
 
 def test_gate_add_linearity(m11, rng):
+    s = Statement(parse_circuit(ADD), (), m11.zero())
     for _ in range(100):
-        a, b = rng.field_element(m11), rng.field_element(m11)
-        sa = share(a, random_share_randomness(rng, m11))
-        sb = share(b, random_share_randomness(rng, m11))
-        assert reconstruct(mpc.gate_add(sa, sb)) == a + b
+        sa, sb = rand_sharing(m11, rng), rand_sharing(m11, rng)
+        res = run_with(s, [sa, sb], rng)
+        assert root_before_refresh(res, 11) == tuple(
+            (x + y) % 11 for x, y in zip(sa.values(), sb.values()))
+        assert res.outputs[0] == reconstruct(sa) + reconstruct(sb)
 
 
 def test_gate_add_zero_identity(m11, rng):
-    x = share(rng.field_element(m11), random_share_randomness(rng, m11))
-    zero = share(m11.zero(), sr(m11, 0, 0))
-    assert mpc.gate_add(x, zero).shares == x.shares
+    s = Statement(parse_circuit(ADD), (), m11.zero())
+    x = rand_sharing(m11, rng)
+    res = run_with(s, [x, share(m11.zero(), sr(m11, 0, 0))], rng)
+    assert root_before_refresh(res, 11) == x.values()
+
+
+def test_constant_gate_enters_as_a_public_value(m11, rng):
+    """A constant enters as the same share for every party, which
+    reconstructs to the constant."""
+    s = Statement(parse_circuit(ADD_CONST), (), m11.zero())
+    x = rand_sharing(m11, rng)
+    res = run_with(s, [x], rng)
+    const = tuple((r - v) % 11 for r, v in zip(root_before_refresh(res, 11), x.values()))
+    assert const == (6,) * 5
+    assert opened(m11, const).value == 6
 
 
 def test_gate_smul_example(m11, rng):
-    sh = share(m11.element(3), random_share_randomness(rng, m11))
-    out = mpc.gate_smul(public_encoding(m11.element(4)), sh)
-    assert reconstruct(out).value == 1  # 12 mod 11
-
-
-def test_gate_smul_rejects_non_constant(m11, rng):
-    sh = share(m11.element(3), sr(m11, 1, 2))
-    with pytest.raises(MithError):
-        mpc.gate_smul(sh, sh)
-
-
-def test_gate_const(m11):
-    assert mpc.gate_const(m11.element(6)).values() == (6,) * 5
+    s = Statement(parse_circuit(SMUL), (m11.element(4),), m11.zero())
+    sh = rand_sharing(m11, rng, m11.element(3))
+    res = run_with(s, [sh], rng)
+    assert root_before_refresh(res, 11) == tuple(4 * v % 11 for v in sh.values())
+    assert res.outputs[0].value == 1  # 12 mod 11
 
 
 def test_gate_mul_reconstructs_product(m11, rng):
+    s = Statement(parse_circuit(MUL), (), m11.zero())
     for _ in range(1000):
         a, b = rng.field_element(m11), rng.field_element(m11)
-        sa = share(a, random_share_randomness(rng, m11))
-        sb = share(b, random_share_randomness(rng, m11))
-        rs = tuple(random_share_randomness(rng, m11) for _ in range(5))
-        out, msgs = mpc.gate_mul(sa, sb, rs)
-        assert reconstruct(out) == a * b
+        res = run_with(s, [rand_sharing(m11, rng, a), rand_sharing(m11, rng, b)], rng)
+        (prod,) = mul_outputs(res, m11)
+        assert opened(m11, prod) == a * b
+        assert res.outputs[0] == a * b
 
 
 def test_recombination_weights_partition_of_unity():
@@ -159,62 +199,42 @@ def test_recombination_weights_partition_of_unity():
 
 
 def test_gate_mul_output_degree_at_most_two(m11, rng):
+    s = Statement(parse_circuit(MUL), (), m11.zero())
     for _ in range(100):
-        sa = share(rng.field_element(m11), random_share_randomness(rng, m11))
-        sb = share(rng.field_element(m11), random_share_randomness(rng, m11))
-        rs = tuple(random_share_randomness(rng, m11) for _ in range(5))
-        out, _ = mpc.gate_mul(sa, sb, rs)
-        assert sharing_degree(out) <= 2
+        res = run_with(s, [rand_sharing(m11, rng), rand_sharing(m11, rng)], rng)
+        (prod,) = mul_outputs(res, m11)
+        assert sharing_degree(prod, 11) <= 2
 
 
 def test_gate_mul_messages_are_rows(m11, rng):
-    """msgs[k][q] is h_k evaluated at q+1, with h_k(0) the product share."""
+    """Party q+1's view records, from party k+1, h_k evaluated at q+1,
+    with h_k(0) party k+1's product share."""
+    s = Statement(parse_circuit(MUL), (), m11.zero())
     sa = share(m11.element(2), sr(m11, 1, 0))
     sb = share(m11.element(3), sr(m11, 0, 1))
-    rs = tuple(sr(m11, k, k + 1) for k in range(5))
-    _, msgs = mpc.gate_mul(sa, sb, rs)
+    rs = [(k, k + 1) for k in range(5)]
+    res = run_with(s, [sa, sb], rng, [(r, (0, 0)) for r in rs])
     for k in range(5):
         d = (sa.values()[k] * sb.values()[k]) % 11
+        a1, a2 = rs[k]
         for q in range(5):
             x = q + 1
-            want = (d + rs[k].a1.value * x + rs[k].a2.value * x * x) % 11
-            assert msgs[k][q].value == want
+            assert res.views[q].messages[0][k] == (d + a1 * x + a2 * x * x) % 11
 
 
 def test_intermediate_sharings_degree_at_most_two(m11, rng):
-    """Re-evaluate random circuits gate by gate, checking the degree
-    invariant at every node (independent of run_protocol's internals)."""
-    from mith.circuit import (
-        Addition, Constant, Multiplication, PInput, SInput, SMultiplication,
-        eval_public,
-    )
+    """On random circuits every messaging multiplication's output, the
+    root before the refresh and the opened root have degree <= 2, and
+    the opened root is the plain evaluation."""
     rnd = random.Random(77)
     for _ in range(20):
         c = random_circuit(rnd, m11, n_public=1, n_secret=2, max_depth=4)
         s, w = random_instance(rnd, c)
-        sharings = [share(v, random_share_randomness(rng, m11))
-                    for v in w.secret_inputs]
-
-        def walk(g):
-            if isinstance(g, PInput):
-                return public_encoding(s.public_inputs[g.wire])
-            if isinstance(g, SInput):
-                return sharings[g.wire]
-            if isinstance(g, Constant):
-                return public_encoding(g.value)
-            if isinstance(g, SMultiplication):
-                scalar = eval_public(g.left, s.public_inputs, m11)
-                out = mpc.gate_smul(public_encoding(scalar), walk(g.right))
-            elif isinstance(g, Addition):
-                out = mpc.gate_add(walk(g.left), walk(g.right))
-            else:
-                rs = tuple(random_share_randomness(rng, m11) for _ in range(5))
-                out, _ = mpc.gate_mul(walk(g.left), walk(g.right), rs)
-            assert sharing_degree(out) <= 2
-            return out
-
-        top = walk(c.root)
-        assert reconstruct(top) == eval_plain(s, w)
+        res, _, _ = honest_run(s, w, rng)
+        bcast = res.views[0].bcast
+        for sh in mul_outputs(res, m11) + [root_before_refresh(res, 11), bcast]:
+            assert sharing_degree(sh, 11) <= 2
+        assert opened(m11, bcast) == eval_plain(s, w)
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +242,36 @@ def test_intermediate_sharings_degree_at_most_two(m11, rng):
 
 
 def test_refresh_preserves_secret(m11, rng):
+    s = Statement(identity_circuit(m11), (), m11.zero())
     for _ in range(200):
-        s = rng.field_element(m11)
-        sh = share(s, random_share_randomness(rng, m11))
-        rs = tuple(random_share_randomness(rng, m11) for _ in range(5))
-        refreshed, broadcast, y = mpc.refresh_and_open(sh, rs)
-        assert y == s
-        assert broadcast == refreshed.shares
+        secret = rng.field_element(m11)
+        res = run_with(s, [rand_sharing(m11, rng, secret)], rng)
+        assert all(v.bcast == res.views[0].bcast for v in res.views)
+        assert opened(m11, res.views[0].bcast) == secret
+        assert all(o == secret for o in res.outputs)
 
 
 def test_refresh_zero_randomness_is_identity(m11, rng):
-    sh = share(rng.field_element(m11), random_share_randomness(rng, m11))
-    rs = tuple(sr(m11, 0, 0) for _ in range(5))
-    refreshed, _, y = mpc.refresh_and_open(sh, rs)
-    assert refreshed.shares == sh.shares
+    s = Statement(identity_circuit(m11), (), m11.zero())
+    sh = rand_sharing(m11, rng)
+    res = run_with(s, [sh], rng, [((0, 0),)] * 5)
+    assert res.views[0].bcast == sh.values()
 
 
-def test_refresh_marginal_uniform_over_consistent_sharings(m11):
+def test_refresh_marginal_uniform_over_consistent_sharings(m11, rng):
     """Exhaustive on F_11: as the aggregate zero-sharing polynomial runs
     over F^2 the refreshed sharing hits every degree<=2 sharing of the
     secret exactly once, and the aggregate of five uniform coefficient
     pairs is itself uniform (shift bijection)."""
+    s = Statement(identity_circuit(m11), (), m11.zero())
     secret = m11.element(4)
     base = share(secret, sr(m11, 2, 9))
     seen = set()
     for b1 in range(11):
         for b2 in range(11):
-            rs = (sr(m11, b1, b2),) + tuple(sr(m11, 0, 0) for _ in range(4))
-            refreshed, _, y = mpc.refresh_and_open(base, rs)
-            assert y == secret
-            seen.add(refreshed.values())
+            res = run_with(s, [base], rng, [((b1, b2),)] + [((0, 0),)] * 4)
+            assert res.outputs[0] == secret
+            seen.add(res.views[0].bcast)
     all_sharings = {
         share(secret, sr(m11, a1, a2)).values()
         for a1 in range(11) for a2 in range(11)

@@ -1,5 +1,6 @@
 """Framing, the live 3-pass session, and its wire-level robustness."""
 
+import hashlib
 import random
 import socket
 import threading
@@ -148,6 +149,82 @@ def test_session_rep_count_mismatch(m11):
     assert "ve" in out and "pe" in out
 
 
+def against_peer(session, peer):
+    """session(transport) in a thread against peer(transport), a scripted
+    other side, on a socket pair; returns the session's SessionError and
+    the frame the peer read last."""
+    ta, tb = pair(timeout=2.0)
+    out = {}
+
+    def run():
+        try:
+            session(ta)
+        except SessionError as e:
+            out["error"] = e
+
+    th = threading.Thread(target=run)
+    th.start()
+    try:
+        frame = peer(tb)
+    finally:
+        th.join(10)
+        ta.close()
+        tb.close()
+    assert not th.is_alive()
+    return out.get("error"), frame
+
+
+def hello_peer(payload, reads_first):
+    """A peer whose HELLO payload is payload, sent after reading the
+    session's HELLO when reads_first (it plays the verifier)."""
+    def peer(t):
+        if reads_first:
+            ses.decode_frame(t)
+        t.send_all(ses.encode_frame(ses.Frame(ses.MSG_HELLO, payload)))
+        return ses.decode_frame(t)
+    return peer
+
+
+def challenge_peer(challenge):
+    """A verifier that acknowledges the prover's HELLO, reads its COMMIT
+    and sends challenge(SHA-256 of the commit payload) as CHALLENGE."""
+    def peer(t):
+        t.send_all(ses.encode_frame(ses.decode_frame(t)))
+        digest = hashlib.sha256(ses.decode_frame(t).payload).digest()
+        t.send_all(ses.encode_frame(ses.Frame(ses.MSG_CHALLENGE, challenge(digest))))
+        return ses.decode_frame(t)
+    return peer
+
+
+REPS = 3
+SHORT_HELLO = bytes([ses.PROTOCOL_VERSION]) + bytes(36)
+NEXT_VERSION_HELLO = bytes([ses.PROTOCOL_VERSION + 1]) + bytes(37)
+MALFORMED = {
+    "prover-hello-short": ("prover", hello_peer(SHORT_HELLO, True)),
+    "prover-hello-version": ("prover", hello_peer(NEXT_VERSION_HELLO, True)),
+    "verifier-hello-short": ("verifier", hello_peer(SHORT_HELLO, False)),
+    "verifier-hello-version": ("verifier", hello_peer(NEXT_VERSION_HELLO, False)),
+    "prover-challenge-length": ("prover", challenge_peer(lambda d: d + bytes(REPS - 1))),
+    "prover-challenge-byte": ("prover", challenge_peer(lambda d: d + bytes([0, 10, 0]))),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_frame_abort_tells_peer(m11, case):
+    """Each malformed-frame abort sends ERROR with code ERR_BAD_FRAME
+    before the session ends, so the peer learns why."""
+    side, peer = MALFORMED[case]
+    s, w = golden_corpus(m11, 1)[0]
+    if side == "prover":
+        session = lambda t: ses.prover_session(t, s, w, REPS, rng=RandomSource(1))
+    else:
+        session = lambda t: ses.verifier_session(t, s, REPS, RandomSource(1))
+    error, frame = against_peer(session, peer)
+    assert isinstance(error, SessionError)
+    assert frame.msg_type == ses.MSG_ERROR
+    assert int.from_bytes(frame.payload[:2], "big") == ses.ERR_BAD_FRAME == 2
+
+
 def test_dropped_challenge_times_out(m11):
     """A verifier that dies after HELLO leaves the prover with a timeout,
     not a verdict."""
@@ -191,7 +268,7 @@ def test_cheating_prover_session_rate(m11):
         # Cheating prover speaks the wire protocol directly.
         digest = pr.statement_hash(s)
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
-        ses._parse_hello(ses._expect(ta, ses.MSG_HELLO, "hello"), "hello")
+        ses._read_hello(ta)
         cm, openings = cheater.commit(rng)
         ses._send(ta, ses.MSG_COMMIT, pr.serialize_commitment_msg(cm, cheater.scheme))
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")

@@ -10,7 +10,7 @@ from mith.errors import FieldError
 from mith.field import Modulus, RandomSource
 from mith.sss import (
     PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing,
-    public_encoding, random_share_randomness, reconstruct, share, share_sim,
+    random_share_randomness, reconstruct, share, share_sim,
 )
 
 
@@ -74,24 +74,9 @@ def test_any_three_shares_agree_with_all_five(m11, rnd):
             assert lagrange_at_zero(pts) == s
 
 
-def test_public_encoding(m11):
-    enc = public_encoding(m11.element(7))
-    assert enc.values() == (7,) * 5
-    assert reconstruct(enc).value == 7
-
-
 def test_sharing_needs_five_entries(m11):
     with pytest.raises(FieldError):
         Sharing((m11.one(),) * 4)
-
-
-def test_sharing_serialization_round_trip(m97, rng):
-    sh = share(rng.field_element(m97), random_share_randomness(rng, m97))
-    blob = sh.to_bytes()
-    assert len(blob) == 5 * m97.byte_length
-    assert Sharing.from_bytes(m97, blob) == sh
-    with pytest.raises(FieldError):
-        Sharing.from_bytes(m97, blob[:-1])
 
 
 @settings(max_examples=100, deadline=None)
