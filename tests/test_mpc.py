@@ -163,7 +163,7 @@ def test_gate_add_zero_identity(m11, rng):
     assert root_before_refresh(res, 11) == x.values()
 
 
-def test_constant_gate_enters_as_a_public_value(m11, rng):
+def test_gate_const(m11, rng):
     """A constant enters as the same share for every party, which
     reconstructs to the constant."""
     s = Statement(parse_circuit(ADD_CONST), (), m11.zero())

@@ -74,6 +74,14 @@ def test_any_three_shares_agree_with_all_five(m11, rnd):
             assert lagrange_at_zero(pts) == s
 
 
+def test_public_encoding(m11):
+    """A public value enters the protocol as the constant sharing (v,)*5:
+    every party holds v, and it reconstructs to v."""
+    enc = Sharing((m11.element(7),) * 5)
+    assert enc == share(m11.element(7), sr(m11, 0, 0))
+    assert reconstruct(enc).value == 7
+
+
 def test_sharing_needs_five_entries(m11):
     with pytest.raises(FieldError):
         Sharing((m11.one(),) * 4)
