@@ -1,5 +1,6 @@
 """Whole-proof benchmarks: the calls `mith prove` and `mith verify` make,
-timed on a fixed ladder of circuits with both commitment schemes."""
+timed on a fixed ladder of circuits with both commitment schemes, and at
+the repetition count a 128-bit hash-derived proof needs."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random
 from mith.field import Modulus, RandomSource
 
 BENCH_REPS = 40
+# ceil(128 / log2(10/9)): the sigma of a 128-bit hash-derived proof.
+DERIVED_REPS = 843
 RUNS = 5
 SCHEMES = ("prf", "pedersen")
 
@@ -24,6 +27,7 @@ SCHEMES = ("prf", "pedersen")
 class BenchRow:
     circuit: str
     scheme: str
+    reps: int
     prove_ms: float
     verify_ms: float
     proof_bytes: int
@@ -52,9 +56,9 @@ def ladder(quick: bool = False) -> list[tuple[str, Circuit]]:
     return rungs
 
 
-def bench_proof(name: str, circuit: Circuit, scheme_name: str,
+def bench_proof(name: str, circuit: Circuit, scheme_name: str, reps: int,
                 rng: RandomSource) -> BenchRow:
-    """RUNS proofs at sigma=BENCH_REPS: prove is prove_repeated plus
+    """RUNS proofs at sigma=reps: prove is prove_repeated plus
     serialize_proof, verify is parse_proof plus verify_repeated of each
     proof in turn."""
     s, w = random_instance(random.Random(1), circuit)
@@ -62,7 +66,7 @@ def bench_proof(name: str, circuit: Circuit, scheme_name: str,
 
     def prove(_):
         return proto.serialize_proof(
-            proto.prove_repeated(w, s, BENCH_REPS, rng, scheme), circuit)
+            proto.prove_repeated(w, s, reps, rng, scheme), circuit)
 
     def verify(blob):
         return proto.verify_repeated(s, proto.parse_proof(blob, circuit))
@@ -71,21 +75,26 @@ def bench_proof(name: str, circuit: Circuit, scheme_name: str,
     verify_ms, verdicts = _time_ms(verify, blobs)
     label = (f"{name} F{circuit.modulus.p} ({circuit.topology.n_gates} gates, "
              f"{mpc.program(circuit).n_mul} mul)")
-    return BenchRow(label, scheme_name, prove_ms, verify_ms, len(blobs[0]), all(verdicts))
+    return BenchRow(label, scheme_name, reps, prove_ms, verify_ms, len(blobs[0]), all(verdicts))
 
 
 def format_rows(rows: list[BenchRow]) -> str:
     name_w = max(len(r.circuit) for r in rows) + 2
-    lines = [f"{'circuit':<{name_w}}{'scheme':<10}{'prove ms':>10}{'verify ms':>11}"
+    lines = [f"{'circuit':<{name_w}}{'scheme':<10}{'sigma':>6}{'prove ms':>10}{'verify ms':>11}"
              f"{'proof bytes':>13}"]
-    lines += [f"{r.circuit:<{name_w}}{r.scheme:<10}{r.prove_ms:>10.1f}{r.verify_ms:>11.1f}"
-              f"{r.proof_bytes:>13}" + ("" if r.accepted else "  REJECTED")
+    lines += [f"{r.circuit:<{name_w}}{r.scheme:<10}{r.reps:>6}{r.prove_ms:>10.1f}"
+              f"{r.verify_ms:>11.1f}{r.proof_bytes:>13}" + ("" if r.accepted else "  REJECTED")
               for r in rows]
-    return "\n".join(lines) + f"\n(sigma={BENCH_REPS}; wall-clock medians of {RUNS} runs)"
+    return "\n".join(lines) + f"\n(wall-clock medians of {RUNS} runs)"
 
 
 def standard_bench(rng: RandomSource | None = None,
                    quick: bool = False) -> list[BenchRow]:
+    """Each ladder circuit with both schemes at sigma=BENCH_REPS; unless
+    quick, then bench_b with PRF at sigma=DERIVED_REPS."""
     rng = rng or RandomSource(7)
-    return [bench_proof(name, c, scheme_name, rng)
+    rows = [bench_proof(name, c, scheme_name, BENCH_REPS, rng)
             for name, c in ladder(quick) for scheme_name in SCHEMES]
+    if not quick:
+        rows.append(bench_proof("bench_b", bench_circuit_b(), "prf", DERIVED_REPS, rng))
+    return rows

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import hmac
-import hashlib
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Sequence
@@ -34,14 +33,13 @@ def prf_commit(key: bytes, message: bytes) -> tuple[bytes, bytes]:
     """Commitment = HMAC-SHA256(key, message); opening = key."""
     if len(key) != PRF_KEY_LEN:
         raise MithError(f"PRF commit key must be {PRF_KEY_LEN} bytes")
-    return hmac.new(key, message, hashlib.sha256).digest(), key
+    return hmac.digest(key, message, "sha256"), key
 
 
 def prf_verify(message: bytes, commitment: bytes, opening: bytes) -> bool:
     if len(opening) != PRF_KEY_LEN or len(commitment) != DIGEST_LEN:
         return False
-    return hmac.compare_digest(
-        hmac.new(opening, message, hashlib.sha256).digest(), commitment)
+    return hmac.compare_digest(hmac.digest(opening, message, "sha256"), commitment)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,10 @@ def lagrange_at_zero(points: list[tuple[FieldElement, FieldElement]]) -> FieldEl
     return FieldElement(sum(w * y for w, y in zip(ws, ys)) % m.p, m)
 
 
+# _BYTE_MASKS[k] maps each byte to its low k bits (a bytes.translate table).
+_BYTE_MASKS = tuple(bytes(range(1 << k)) * (256 >> k) for k in range(9))
+
+
 class RandomSource:
     """Uniform byte source.
 
@@ -258,10 +262,13 @@ class RandomSource:
             # One attempt per nbytes chunk, and never more attempts than
             # draws still missing, so no byte past the last draw is used.
             data = self.bytes((count - len(out)) * nbytes)
-            for k in range(0, len(data), nbytes):
-                v = int.from_bytes(data[k:k + nbytes], "big") & mask
-                if v < bound:
-                    out.append(v)
+            if nbytes == 1:
+                out += [v for v in data.translate(_BYTE_MASKS[mask.bit_length()]) if v < bound]
+            else:
+                for k in range(0, len(data), nbytes):
+                    v = int.from_bytes(data[k:k + nbytes], "big") & mask
+                    if v < bound:
+                        out.append(v)
         return out
 
     def field_element(self, modulus: Modulus) -> FieldElement:

@@ -20,7 +20,7 @@ from mith.commit import prf_commit, prf_verify, scheme_by_name
 from mith.corpus import golden_corpus, impossible_statement, square_plus_one_circuit
 from mith.errors import MithError
 from mith.field import Modulus, RandomSource
-from mith.sss import PARTY_PAIRS, ShareRandomness, share, share_sim
+from mith.sss import PARTY_PAIRS, random_share_randomness, share, share_sim
 from mith.stats import binomial_tolerance, chi2_homogeneity
 
 ALPHA = 0.001
@@ -84,6 +84,14 @@ def _sub_rng(seed, label: str) -> RandomSource:
 # Completeness
 
 
+def honest_execution(s: Statement, w: Witness, rng: RandomSource) -> mpc.ExecutionResult:
+    """One in-the-head run for w, with the draws of one repetition of
+    `protocol.commit_repetitions` except the commit keys."""
+    p = s.circuit.modulus.p
+    sharings = proto.share_witness(w, [random_share_randomness(rng, p, len(w.secret_inputs))], p)
+    return mpc.run_protocol(s, sharings, [mpc.random_gate_randomness(rng, s.circuit)])[0]
+
+
 def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
                      trials: int, rng: RandomSource,
                      scheme=None, reps: int = 1) -> ExperimentReport:
@@ -94,8 +102,7 @@ def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
         s, w = corpus[t % len(corpus)]
         accept = True
         for _ in range(reps):
-            rp = proto.random_prover_rand(rng, s.circuit, scheme)
-            st, cm = proto.prover_commit(rp, w, s, scheme)
+            (st,), (cm,) = proto.commit_repetitions(w, s, 1, rng, scheme)
             vst, ch = proto.verifier_challenge(rng, s, cm)
             resp = proto.prover_respond(st, ch)
             if not proto.verifier_check(vst, resp, scheme):
@@ -127,12 +134,7 @@ class OneBadPairCheater:
         c = s.circuit
         m = c.modulus
         i0, j0 = bad_pair
-        sharings = [
-            share(v, ShareRandomness(rng.field_element(m), rng.field_element(m)))
-            for v in w_guess.secret_inputs
-        ]
-        rand = mpc.random_gate_randomness(rng, c)
-        result = mpc.run_protocol(s, sharings, rand)
+        result = honest_execution(s, w_guess, rng)
         y = result.outputs[0]
         if y == s.target:
             raise MithError("statement is satisfied; nothing to cheat about")
@@ -176,12 +178,7 @@ class GarbageCheater:
         # Honest execution for an arbitrary witness, so the views are
         # well-formed; the commitments below just do not match them.
         w = Witness(tuple(m.element(k + 1) for k in range(c.topology.n_secret)))
-        sharings = [
-            share(v, ShareRandomness(rng.field_element(m), rng.field_element(m)))
-            for v in w.secret_inputs
-        ]
-        self.views = mpc.run_protocol(
-            s, sharings, mpc.random_gate_randomness(rng, c)).views
+        self.views = honest_execution(s, w, rng).views
         self._n_el = mpc.view_element_count(c)
         self._enc_len = mpc.encoded_view_length(c)
 
@@ -266,8 +263,7 @@ def run_zk(s: Statement, w: Witness, distinguisher: Callable,
     for t in range(trials):
         real = t % 2 == 0
         if real:
-            rp = proto.random_prover_rand(rng, s.circuit, scheme)
-            st, cm = proto.prover_commit(rp, w, s, scheme)
+            (st,), (cm,) = proto.commit_repetitions(w, s, 1, rng, scheme)
             vst, ch = proto.verifier_challenge(rng, s, cm)
             resp = proto.prover_respond(st, ch)
             verdict = proto.verifier_check(vst, resp, scheme)
@@ -325,16 +321,14 @@ def run_sss_privacy(trials: int, rng: RandomSource,
     m = m_small or Modulus(11)
     checks = 0
     ok = 0
+    # Every (a1, a2) in F^2, one per lane.
+    a1s = [a1 for a1 in range(m.p) for _ in range(m.p)]
+    a2s = [a2 for _ in range(m.p) for a2 in range(m.p)]
     for (i, j) in PARTY_PAIRS:
         dists = []
         for secret in (3, 8):
-            seen = []
-            for a1 in range(m.p):
-                for a2 in range(m.p):
-                    sh = share(m.element(secret),
-                               ShareRandomness(m.element(a1), m.element(a2)))
-                    seen.append((sh[i].value, sh[j].value))
-            dists.append(sorted(seen))
+            cols = share(secret, a1s, a2s, m.p)
+            dists.append(sorted(zip(cols[i - 1], cols[j - 1])))
         checks += 1
         uniform = dists[0] == sorted(
             (a, b) for a in range(m.p) for b in range(m.p))
@@ -346,9 +340,9 @@ def run_sss_privacy(trials: int, rng: RandomSource,
     real = [0] * bins
     sim = [0] * bins
     for _ in range(trials):
-        sh = share(ml.element(5), ShareRandomness(
-            rng.field_element(ml), rng.field_element(ml)))
-        real[(sh[2].value * bins) // ml.p] += 1
+        a1, a2 = random_share_randomness(rng, ml.p, 1)
+        party2 = share(5, (a1,), (a2,), ml.p)[1][0]
+        real[(party2 * bins) // ml.p] += 1
         a, b = share_sim(rng, (2, 4), ml)
         sim[(a.value * bins) // ml.p] += 1
     _, pval = chi2_homogeneity(real, sim)
@@ -391,11 +385,7 @@ def run_mpc_privacy(trials: int, rng: RandomSource,
     real_counts = [[0] * m.p for _ in range(n_coords)]
     sim_counts = [[0] * m.p for _ in range(n_coords)]
     for _ in range(trials):
-        sharings = [
-            share(v, ShareRandomness(rng.field_element(m), rng.field_element(m)))
-            for v in w.secret_inputs
-        ]
-        res = mpc.run_protocol(s, sharings, mpc.random_gate_randomness(rng, c))
+        res = honest_execution(s, w, rng)
         pr = _pair_projection(res.views[corrupt[0] - 1], res.views[corrupt[1] - 1], honest)
         cs = [share_sim(rng, corrupt, m) for _ in range(c.topology.n_secret)]
         vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs,

@@ -11,7 +11,9 @@ Each circuit is compiled once into a `Program`: a post-order op list over
 wire slots, the list of multiplications that exchange messages, the
 public scalar subtrees of the smul gates, and the byte template of the
 view encoding.  Evaluation, replay, simulation, encoding and decoding
-are all loops over that program.
+are all loops over that program.  The prover evaluates all repetitions
+at once: `run_protocol` holds each wire as five party columns with one
+share per repetition (lane), and runs each op once over all lanes.
 
 A party's view is flat: its public inputs, its input shares, its
 randomness ((a1, a2) per messaging multiplication in ascending gate-id
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from mith.errors import MithError, ProofError
@@ -35,7 +38,7 @@ from mith.circuit import (
     GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
     SMultiplication, Statement, eval_public, iter_gates,
 )
-from mith.sss import N_PARTIES, PARTY_IDS, Sharing, dot5, share5
+from mith.sss import N_PARTIES, PARTY_IDS, dot5, share5, share_lanes
 
 # Marker gate id for the refresh randomness slot in view encodings; every
 # real gate id is below it (`validate_circuit` checks).
@@ -122,12 +125,16 @@ class Program:
             for code, dst, a, b, r in ops)
         self.root = slots[0]
         self.init = init
-        self.init5 = [(v,) * 5 for v in init]
         self.n_mul = len(mul_gids)
         self.mul_gids = tuple(sorted(mul_gids))
         self.n_rand = 2 * (self.n_mul + 1)
         self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
         self._scalar_cache: tuple = (None, ())
+        # Party q+1's randomness vector, picked from one repetition's draws
+        # ((a1, a2) of parties 1..5 per randomness slot).
+        self.party_randomness = tuple(
+            itemgetter(*[10 * r + 2 * q + t for r in range(self.n_mul + 1) for t in (0, 1)])
+            for q in range(5))
 
         # Static bytes before each element run, in encoding order.
         zero = _u32(0)
@@ -148,6 +155,10 @@ class Program:
                 static = b""
         self.template = tuple(template)
         self.view_length = sum(len(static) + n for static, n in self.template)
+        # A one-byte field's encoding is the static bytes with a %c per
+        # element: one bytes formatting.
+        self.byte_format = (b"".join(static.replace(b"%", b"%%") + b"%c" * n
+                                     for static, n in template) if w == 1 else None)
 
     def scalars(self, public_inputs: Sequence[int]) -> tuple[int, ...]:
         """Values of the smul scalar subtrees, cached for the last statement."""
@@ -213,63 +224,79 @@ def random_gate_randomness(rng: RandomSource, c: Circuit) -> GateRandomness:
     in ascending gate-id order, then for the five refresh sharings."""
     prog = program(c)
     draws = rng.randbelows(prog.p, 5 * prog.n_rand)
-    return GateRandomness(tuple(
-        tuple(chain.from_iterable(zip(draws[2 * q::10], draws[2 * q + 1::10])))
-        for q in range(5)))
-
-
-def _reshare(xs, ys, pairs, p: int) -> list[tuple[int, ...]]:
-    """BGW resharing rows: rows[k][q] is what party k+1 sends party q+1,
-    its product share xs[k]*ys[k] on the polynomial with coefficients
-    pairs[k]."""
-    return [share5(x * y % p, a1, a2, p) for x, y, (a1, a2) in zip(xs, ys, pairs)]
+    return GateRandomness(tuple(pick(draws) for pick in prog.party_randomness))
 
 
 # ---------------------------------------------------------------------------
-# Honest execution
+# Honest execution, in lane form: lane k is one independent execution, and
+# every wire holds five party columns with one share per lane.
 
 
-def run_protocol(s: Statement, input_sharings: Sequence[Sharing],
-                 rand: GateRandomness) -> ExecutionResult:
-    """Execute the full protocol; returns all five views and outputs."""
+def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
+                 rands: Sequence[GateRandomness]) -> tuple[ExecutionResult, ...]:
+    """Execute the full protocol once per lane, running each op once over
+    all lanes.  input_sharings holds each secret wire's five party columns
+    (`sss.share`), and rands[k] is lane k's gate randomness.  Returns each
+    lane's five views and outputs, in lane order."""
     c = s.circuit
     prog = program(c)
     p, lam = prog.p, prog.lam
+    n = len(rands)
     if len(input_sharings) != prog.n_secret:
         raise MithError(
             f"need {prog.n_secret} input sharings, got {len(input_sharings)}")
-    rv = rand.parties
-    if len(rv) != 5 or any(len(r) != prog.n_rand for r in rv):
+    if n < 1 or any(len(sh) != 5 or any(len(col) != n for col in sh)
+                    for sh in input_sharings):
+        raise MithError("each input sharing needs five party columns of one share per lane")
+    if ({len(g.parties) for g in rands} != {5}
+            or {len(r) for g in rands for r in g.parties} != {prog.n_rand}):
         raise MithError(
             f"missing randomness: each party needs {prog.n_rand} values")
     pubs = tuple(x.value for x in s.public_inputs)
-    secs = [sh.values() for sh in input_sharings]
     scal = prog.scalars(pubs)
-    vals = prog.init5[:]
-    vals[:prog.n_in] = [(v,) * 5 for v in pubs] + secs
+    # rc[q][i]: entry i of party q+1's randomness, one value per lane.
+    rc = [list(zip(*[g.parties[q] for g in rands])) for q in range(5)]
+    const = {v: ([v] * n,) * 5 for v in set(prog.init)}
+    vals = [const[v] for v in prog.init]
+    vals[:prog.n_in] = [([v] * n,) * 5 for v in pubs] + [tuple(sh) for sh in input_sharings]
+    # msgs[q]: per messaging multiplication, the five columns party q+1
+    # received, one per sender.
     msgs: list[list] = [[], [], [], [], []]
+    l0, l1, l2, l3, l4 = lam
     for code, dst, a, b, r in prog.ops:
         y = vals[b]
         if code == ADD:
-            x = vals[a]
-            vals[dst] = ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % p,
-                         (x[3] + y[3]) % p, (x[4] + y[4]) % p)
+            vals[dst] = tuple([(u + v) % p for u, v in zip(xq, yq)]
+                              for xq, yq in zip(vals[a], y))
         elif code == MUL:
-            cols = tuple(zip(*_reshare(vals[a], y, [rq[2 * r:2 * r + 2] for rq in rv], p)))
+            rows = [share_lanes([u * v % p for u, v in zip(xk, yk)], rk[2 * r], rk[2 * r + 1], p)
+                    for xk, yk, rk in zip(vals[a], y, rc)]
+            cols = [[row[q] for row in rows] for q in range(5)]
             for q in range(5):
                 msgs[q].append(cols[q])
-            vals[dst] = tuple(dot5(lam, col, p) for col in cols)
+            vals[dst] = tuple([(l0 * u0 + l1 * u1 + l2 * u2 + l3 * u3 + l4 * u4) % p
+                               for u0, u1, u2, u3, u4 in zip(*col)] for col in cols)
         else:
             k = scal[a]
-            vals[dst] = (k * y[0] % p, k * y[1] % p, k * y[2] % p, k * y[3] % p, k * y[4] % p)
+            vals[dst] = tuple([k * v % p for v in yq] for yq in y)
     root = vals[prog.root]
-    zin = tuple(zip(*(share5(0, rq[-2], rq[-1], p) for rq in rv)))
-    bcast = tuple((root[q] + sum(zin[q])) % p for q in range(5))
-    y = FieldElement(dot5(lam, bcast, p), c.modulus)
-    views = tuple(
-        View(pubs, tuple(sv[q] for sv in secs), tuple(rv[q]), tuple(msgs[q]), zin[q], bcast)
-        for q in range(5))
-    return ExecutionResult(views, (y,) * 5)
+    zrows = [share_lanes(repeat(0), rk[-2], rk[-1], p) for rk in rc]
+    # Free the wire and randomness columns before building the views, which
+    # would otherwise sit on top of them at the peak.
+    del vals, rc
+    zin = [[row[q] for row in zrows] for q in range(5)]
+    bcast = list(zip(*[[sum(t) % p for t in zip(root[q], *zin[q])] for q in range(5)]))
+    party_views = []
+    for q in range(5):
+        secs = zip(*[sh[q] for sh in input_sharings]) if prog.n_secret else repeat(())
+        rnd = [g.parties[q] for g in rands]
+        mm = zip(*[zip(*col) for col in msgs[q]]) if prog.n_mul else repeat(())
+        party_views.append([View(pubs, ss, rr, msg, z, bc)
+                            for ss, rr, msg, z, bc in zip(secs, rnd, mm, zip(*zin[q]), bcast)])
+        msgs[q] = None  # free the columns: the views hold these messages now
+    m = c.modulus
+    return tuple(ExecutionResult(views, (FieldElement(dot5(lam, bc, p), m),) * 5)
+                 for views, bc in zip(zip(*party_views), bcast))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +414,10 @@ def rerun_from_views(c: Circuit, x: Sequence[FieldElement],
     """
     if len(views) != N_PARTIES or not all(valid_view(c, v) for v in views):
         return None
-    m = c.modulus
-    sharings = [
-        Sharing(tuple(FieldElement(v.secret_shares[w], m) for v in views))
-        for w in range(c.topology.n_secret)
-    ]
+    sharings = [tuple((v.secret_shares[w],) for v in views)
+                for w in range(c.topology.n_secret)]
     rand = GateRandomness(tuple(tuple(v.randomness) for v in views))
-    return run_protocol(Statement(c, tuple(x), m.zero()), sharings, rand)
+    return run_protocol(Statement(c, tuple(x), c.modulus.zero()), sharings, [rand])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +518,8 @@ def encode_view(c: Circuit, v: View) -> bytes:
     if len(vals) != prog.n_elements:
         raise MithError("view does not match the circuit's layout")
     w = prog.width
+    if w == 1:
+        return prog.byte_format % vals
     blob = b"".join([x.to_bytes(w, "big") for x in vals])
     parts = []
     k = 0
@@ -547,8 +573,11 @@ def decode_view(c: Circuit, data: bytes) -> View:
         pos = end + n
     w = prog.width
     blob = b"".join(runs)
-    vals = list(map(int.from_bytes, [blob[k:k + w] for k in range(0, len(blob), w)],
-                    repeat("big")))
+    if w == 1:
+        vals = list(blob)
+    else:
+        vals = list(map(int.from_bytes, [blob[k:k + w] for k in range(0, len(blob), w)],
+                        repeat("big")))
     if max(vals) >= prog.p:
         raise ProofError("view field element exceeds modulus")
     o1 = prog.n_public

@@ -21,10 +21,7 @@ from mith.circuit import Circuit, Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
 from mith.errors import MithError, ProofError, SimulationFailure
 from mith.field import RandomSource
-from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, ShareRandomness, random_share_randomness,
-    share, share_sim,
-)
+from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, share_sim
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
@@ -32,16 +29,6 @@ MAGIC = b"MITH2"
 # A proof file's challenge-mode byte.  Files carry derived challenges
 # only: recorded ("transcript") challenges would be the writer's choice.
 DERIVED_MODE_BYTE = 0x01
-
-
-@dataclass(frozen=True)
-class ProverRand:
-    """Everything one protocol run consumes: per-secret-wire sharing
-    polynomials, the gate randomness, and five fresh commit keys."""
-
-    input_r: tuple[ShareRandomness, ...]
-    mpc: mpc.GateRandomness
-    commit_keys: tuple
 
 
 @dataclass(frozen=True)
@@ -93,35 +80,6 @@ class VerifierState:
     statement: Statement
     commitment: CommitmentMsg
     challenge: tuple[int, int]
-
-
-def random_prover_rand(rng: RandomSource, c: Circuit, scheme) -> ProverRand:
-    m = c.modulus
-    n_el = mpc.view_element_count(c)
-    return ProverRand(
-        input_r=tuple(random_share_randomness(rng, m)
-                      for _ in range(c.topology.n_secret)),
-        mpc=mpc.random_gate_randomness(rng, c),
-        commit_keys=tuple(scheme.keygen(rng, n_el) for _ in PARTY_IDS),
-    )
-
-
-def prover_commit(rp: ProverRand, w: Witness, s: Statement,
-                  scheme) -> tuple[ProverState, CommitmentMsg]:
-    """Share the witness, run the protocol in the head, commit to the
-    five views."""
-    c = s.circuit
-    if len(rp.input_r) != c.topology.n_secret:
-        raise MithError("prover randomness does not cover the secret wires")
-    sharings = [share(v, r) for v, r in zip(w.secret_inputs, rp.input_r)]
-    result = mpc.run_protocol(s, sharings, rp.mpc)
-    commitments = []
-    openings = []
-    for key, view in zip(rp.commit_keys, result.views):
-        com, op = scheme.commit_view(key, c, view)
-        commitments.append(com)
-        openings.append(op)
-    return ProverState(result.views, tuple(openings)), CommitmentMsg(tuple(commitments))
 
 
 def verifier_challenge(rv: RandomSource, s: Statement,
@@ -182,10 +140,9 @@ def derive_challenge(stmt_digest: bytes, index: int,
     the repetition index and the commit-phase blobs (`challenge_blobs`),
     reduced mod 10.  This mode is a hash-derived extension of the
     interactive protocol and is labeled as such by the CLI."""
-    mac = hmac.new(stmt_digest, index.to_bytes(4, "big"), hashlib.sha256)
-    for blob in commitment_blobs:
-        mac.update(blob)
-    return PARTY_PAIRS[int.from_bytes(mac.digest(), "big") % N_CHALLENGES]
+    mac = hmac.digest(stmt_digest, b"".join([index.to_bytes(4, "big"), *commitment_blobs]),
+                      "sha256")
+    return PARTY_PAIRS[int.from_bytes(mac, "big") % N_CHALLENGES]
 
 
 def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
@@ -199,14 +156,41 @@ def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
     return [h.digest()]
 
 
+def share_witness(w: Witness, coeffs: Sequence[Sequence[int]], p: int) -> list:
+    """Each secret input shared in lane form (`sss.share`); coeffs[k] is
+    lane k's (a1, a2) per secret wire (`random_share_randomness`)."""
+    cols = list(zip(*coeffs))
+    return [share(v.value, cols[2 * k], cols[2 * k + 1], p)
+            for k, v in enumerate(w.secret_inputs)]
+
+
 def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
                        scheme) -> tuple[list[ProverState], list[CommitmentMsg]]:
-    """The commit phase of sigma independent runs, in repetition order."""
+    """The commit phase of sigma independent runs, in repetition order:
+    share the witness, run the protocol in the head, commit to the five
+    views.  Each repetition draws, in turn, its sharing polynomials (a1,
+    a2 per secret wire), its gate randomness and five commit keys; then
+    one `run_protocol` evaluates every repetition as a lane."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
-    runs = [prover_commit(random_prover_rand(rng, s.circuit, scheme), w, s, scheme)
-            for _ in range(reps)]
-    return [st for st, _ in runs], [cm for _, cm in runs]
+    c = s.circuit
+    p = c.modulus.p
+    n_secret = c.topology.n_secret
+    if len(w.secret_inputs) != n_secret:
+        raise MithError("witness does not cover the secret wires")
+    n_el = mpc.view_element_count(c)
+    coeffs, rands, keys = [], [], []
+    for _ in range(reps):
+        coeffs.append(random_share_randomness(rng, p, n_secret))
+        rands.append(mpc.random_gate_randomness(rng, c))
+        keys.append([scheme.keygen(rng, n_el) for _ in PARTY_IDS])
+    states, msgs = [], []
+    for res, ks in zip(mpc.run_protocol(s, share_witness(w, coeffs, p), rands), keys):
+        coms, openings = zip(*[scheme.commit_view(key, c, view)
+                               for key, view in zip(ks, res.views)])
+        states.append(ProverState(res.views, openings))
+        msgs.append(CommitmentMsg(coms))
+    return states, msgs
 
 
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,

@@ -5,11 +5,16 @@ at x = i, for i in 1..5.  Reconstruction always interpolates all five
 points with degree-4 weights, so it is total on F^5 and also recovers
 the secret of the degree-4 product sharings that appear inside the
 multiplication subprotocol.
+
+The prover shares in lane form: one lane per repetition, and a sharing
+as five party columns with one share per lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from mith.errors import FieldError
 from mith.field import FieldElement, Modulus, RandomSource
@@ -22,14 +27,6 @@ PARTY_IDS = (1, 2, 3, 4, 5)
 PARTY_PAIRS = tuple(
     (i, j) for i in PARTY_IDS for j in PARTY_IDS if i < j
 )
-
-
-@dataclass(frozen=True)
-class ShareRandomness:
-    """Degree-1 and degree-2 coefficients of one sharing polynomial."""
-
-    a1: FieldElement
-    a2: FieldElement
 
 
 @dataclass(frozen=True)
@@ -63,14 +60,24 @@ def dot5(w, y, p: int) -> int:
     return (w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3] + w[4] * y[4]) % p
 
 
-def random_share_randomness(rng: RandomSource, m: Modulus) -> ShareRandomness:
-    return ShareRandomness(rng.field_element(m), rng.field_element(m))
+def share_lanes(secrets: Iterable[int], a1s: Iterable[int], a2s: Iterable[int],
+                p: int) -> tuple[list[int], ...]:
+    """share5 lane by lane: five party columns, whose lane k holds the
+    shares of secrets[k] on the polynomial with coefficients a1s[k], a2s[k]."""
+    lanes = list(zip(secrets, a1s, a2s))
+    return tuple([(s + x * a1 + xx * a2) % p for s, a1, a2 in lanes]
+                 for x, xx in ((1, 1), (2, 4), (3, 9), (4, 16), (5, 25)))
 
 
-def share(s: FieldElement, r: ShareRandomness) -> Sharing:
-    m = s.modulus
-    vals = share5(s.value, r.a1.value, r.a2.value, m.p)
-    return Sharing(tuple(FieldElement(v, m) for v in vals))
+def random_share_randomness(rng: RandomSource, p: int, n: int) -> list[int]:
+    """(a1, a2) of n sharing polynomials over F_p, flat, in wire order."""
+    return rng.randbelows(p, 2 * n)
+
+
+def share(s: int, a1s: Sequence[int], a2s: Sequence[int], p: int) -> tuple[list[int], ...]:
+    """Share s once per lane: five party columns, lane k on the polynomial
+    s + a1s[k]*x + a2s[k]*x^2."""
+    return share_lanes(repeat(s), a1s, a2s, p)
 
 
 def reconstruct(sh: Sharing) -> FieldElement:

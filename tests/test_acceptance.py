@@ -17,7 +17,7 @@ import pytest
 from mith import mpc
 from mith import protocol as pr
 from mith import session as ses
-from mith.bench import _time_ms, bench_proof, ladder
+from mith.bench import BENCH_REPS, _time_ms, bench_proof, ladder
 from mith.circuit import Statement, Witness, eval_plain, parse_circuit
 from mith.commit import TEST_GROUP_64, pedersen_commit, scheme_by_name
 from mith.corpus import (
@@ -26,7 +26,7 @@ from mith.corpus import (
 )
 from mith.field import Modulus, RandomSource, preset_modulus
 from mith.harness import OneBadPairCheater, canonical_false_statement, run_soundness
-from mith.sss import PARTY_PAIRS, ShareRandomness, share
+from mith.sss import PARTY_PAIRS, share
 from tests.test_commit import RFC4231
 from tests.test_mpc import (
     ScriptedRng, all_pairs_consistent, honest_run, make_free,
@@ -44,8 +44,7 @@ def report(num, text, ok, extra=""):
 
 
 def single_run_accepts(s, w, rng, scheme=PRF):
-    rp = pr.random_prover_rand(rng, s.circuit, scheme)
-    st, cm = pr.prover_commit(rp, w, s, scheme)
+    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, scheme)
     vst, ch = pr.verifier_challenge(rng, s, cm)
     return pr.verifier_check(vst, pr.prover_respond(st, ch), scheme)
 
@@ -123,13 +122,10 @@ def test_criterion_4_sharing_privacy_exact():
         for secrets in ((3, 8), (0, 10)):
             dists = []
             for secret in secrets:
-                seen = sorted(
-                    (share(m.element(secret),
-                           ShareRandomness(m.element(a1), m.element(a2)))[i].value,
-                     share(m.element(secret),
-                           ShareRandomness(m.element(a1), m.element(a2)))[j].value)
-                    for a1 in range(11) for a2 in range(11))
-                dists.append(seen)
+                # One lane per (a1, a2) in F_11^2.
+                cols = share(secret, [a1 for a1 in range(11) for _ in range(11)],
+                             [a2 for _ in range(11) for a2 in range(11)], 11)
+                dists.append(sorted(zip(cols[i - 1], cols[j - 1])))
             ok = ok and dists[0] == dists[1] == full
     report(4, "exact 2-privacy of sharing (121-case enumeration, all pairs)", ok)
 
@@ -286,7 +282,7 @@ def test_criterion_9_scheme_performance_shape():
     ped = scheme_by_name("pedersen", m.p)
     c = bench_circuit_a(m)
     s, w = random_instance(random.Random(909), c)
-    st, _ = pr.prover_commit(pr.random_prover_rand(rng, c, prf), w, s, prf)
+    (st,), _ = pr.commit_repetitions(w, s, 1, rng, prf)
     view = st.views[0]
     n_el = mpc.view_element_count(c)
     runs = range(21)
@@ -303,8 +299,8 @@ def test_criterion_9_scheme_performance_shape():
     e2e_ok = True
     rows = []
     for name, circuit in ladder(quick=True):
-        r_prf = bench_proof(name, circuit, "prf", rng)
-        r_ped = bench_proof(name, circuit, "pedersen", rng)
+        r_prf = bench_proof(name, circuit, "prf", BENCH_REPS, rng)
+        r_ped = bench_proof(name, circuit, "pedersen", BENCH_REPS, rng)
         prf_total = r_prf.prove_ms + r_prf.verify_ms
         ped_total = r_ped.prove_ms + r_ped.verify_ms
         rows.append((r_prf.circuit, prf_total, ped_total))

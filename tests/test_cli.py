@@ -324,19 +324,33 @@ def test_selftest_reproducible(workdir, capsys):
     assert first == second
 
 
-def test_bench_emits_table_rows(capsys):
-    """--quick: bench_a and bench_b, each with both schemes, every proof
-    verified; the full ladder adds the depth-9 circuit."""
+def test_bench_emits_table_rows(capsys, monkeypatch):
+    """--quick: bench_a and bench_b, each with both schemes at sigma=40,
+    every proof verified; the full ladder adds the depth-9 circuit with
+    both schemes and bench_b with PRF at sigma=843: 7 rows."""
     assert run(["bench", "--quick"]) == 0
     out = capsys.readouterr().out
     rows = [ln for ln in out.splitlines() if " prf " in ln or " pedersen " in ln]
     assert len(rows) == 4
     assert sum("bench_a F101 (7 gates, 2 mul)" in ln for ln in rows) == 2
     assert sum("bench_b F97 (11 gates, 3 mul)" in ln for ln in rows) == 2
-    assert "REJECTED" not in out and "sigma=40" in out
+    assert all(ln.split()[-4] == "40" for ln in rows)
+    assert "REJECTED" not in out
     names = [name for name, _ in bench.ladder()]
     assert names == ["bench_a", "bench_b", "depth-9"]
     assert bench.ladder()[2][1].topology.n_gates == 103
+
+    # The full ladder's rows, each timed by a stand-in.
+    monkeypatch.setattr(bench, "bench_proof", lambda name, c, scheme, reps, rng: bench.BenchRow(
+        f"{name} F{c.modulus.p}", scheme, reps, 1.0, 1.0, 1, True))
+    assert run(["bench"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+            if " prf " in ln or " pedersen " in ln]
+    assert [(r[0], r[2], r[3]) for r in rows] == [
+        ("bench_a", "prf", "40"), ("bench_a", "pedersen", "40"),
+        ("bench_b", "prf", "40"), ("bench_b", "pedersen", "40"),
+        ("depth-9", "prf", "40"), ("depth-9", "pedersen", "40"),
+        ("bench_b", "prf", "843")]
 
 
 def test_bench_fails_on_a_rejected_proof(capsys, monkeypatch):

@@ -342,8 +342,9 @@ def one_view(rng):
     m = Modulus(101)
     c = identity_circuit(m)
     s = Statement(c, (), m.element(4))
-    sharing = share(m.element(4), random_share_randomness(rng, m))
-    res = mpc.run_protocol(s, [sharing], mpc.random_gate_randomness(rng, c))
+    a1, a2 = random_share_randomness(rng, m.p, 1)
+    sharing = share(4, (a1,), (a2,), m.p)
+    (res,) = mpc.run_protocol(s, [sharing], [mpc.random_gate_randomness(rng, c)])
     return c, res.views[0]
 
 

@@ -218,3 +218,29 @@ def test_unseeded_rng_draws():
     rng = RandomSource()
     assert len(rng.bytes(16)) == 16
     assert 0 <= rng.randbelow(1000) < 1000
+
+
+def reference_randbelow(rng, bound: int) -> int:
+    """One draw by rejection, as randbelow's docstring states it: take
+    ceil(bits/8) bytes of the stream, keep the low bits(bound) bits of
+    their big-endian value, and retry until it is below bound."""
+    nbytes = (bound.bit_length() + 7) // 8
+    while True:
+        v = int.from_bytes(rng.bytes(nbytes), "big") % (1 << bound.bit_length())
+        if v < bound:
+            return v
+
+
+@pytest.mark.parametrize("bound", [1, 2, 11, 97, 101, 127, 128, 129, 255, 256, 257,
+                                   65_537, 2**256 - 189])
+def test_randbelows_is_the_randbelow_stream(bound):
+    """randbelows(b, n) gives the n draws of the rejection sampler, and
+    consumes exactly their bytes: the streams agree afterwards.  The
+    counts cross the source's refill blocks and include 0."""
+    seed = b"randbelows-%d" % bound
+    got, want = RandomSource(seed), RandomSource(seed)
+    for count in (1, 0, 40, 5000, 3):
+        assert got.randbelows(bound, count) == [
+            reference_randbelow(want, bound) for _ in range(count)]
+        assert got.randbelow(bound) == reference_randbelow(want, bound)
+    assert got.bytes(16) == want.bytes(16)

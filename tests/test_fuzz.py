@@ -18,7 +18,7 @@ from mith.field import Modulus, RandomSource
 PRF = scheme_by_name("prf")
 C = random_circuit(random.Random(3), Modulus(101), 1, 2, max_depth=5)
 S, W = random_instance(random.Random(4), C)
-STATE, _ = pr.prover_commit(pr.random_prover_rand(RandomSource(1), C, PRF), W, S, PRF)
+(STATE,), _ = pr.commit_repetitions(W, S, 1, RandomSource(1), PRF)
 VIEW = mpc.encode_view(C, STATE.views[2])
 PROG = mpc.program(C)
 PRF_PROOF = pr.serialize_proof(pr.prove_repeated(W, S, 2, RandomSource(2)), C)

@@ -65,8 +65,7 @@ def golden_digests(name: str) -> tuple[str, str]:
     c = make()
     s, w = random_instance(random.Random(17), c)
     scheme = scheme_by_name(scheme_name, c.modulus.p)
-    rp = pr.random_prover_rand(RandomSource(b"golden-views"), c, scheme)
-    st, _ = pr.prover_commit(rp, w, s, scheme)
+    (st,), _ = pr.commit_repetitions(w, s, 1, RandomSource(b"golden-views"), scheme)
     views = hashlib.sha256(b"".join(mpc.encode_view(c, v) for v in st.views)).hexdigest()
     proof = pr.prove_repeated(w, s, 2, RandomSource(b"golden-proof"), scheme, "derived")
     data = pr.serialize_proof(proof, c)

@@ -17,25 +17,31 @@ from mith.corpus import (
     square_plus_one_circuit,
 )
 from mith.errors import MithError, ProofError
-from mith.field import Modulus, RandomSource
+from mith.field import FieldElement, Modulus, RandomSource
 from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing,
-    random_share_randomness, reconstruct, share,
+    PARTY_IDS, PARTY_PAIRS, Sharing, random_share_randomness, reconstruct, share,
 )
 
 ONE_MUL = "field 11\ntopology 0 1 1\n(mul 1 (sinput 0) (sinput 0))"
 
 
-def sr(m, a1, a2):
-    return ShareRandomness(m.element(a1), m.element(a2))
+def share1(m, v, a1, a2):
+    """The Sharing of v on v + a1*x + a2*x^2: one lane of sss.share."""
+    v = v.value if isinstance(v, FieldElement) else v
+    return Sharing(tuple(m.element(col[0]) for col in share(v, (a1,), (a2,), m.p)))
+
+
+def run1(s, sharings, rand):
+    """run_protocol on one lane: the given Sharings and GateRandomness."""
+    (res,) = mpc.run_protocol(s, [tuple((x,) for x in sh.values()) for sh in sharings], [rand])
+    return res
 
 
 def honest_run(s, w, rng):
     m = s.circuit.modulus
-    sharings = [share(v, random_share_randomness(rng, m))
-                for v in w.secret_inputs]
+    sharings = [rand_sharing(m, rng, v) for v in w.secret_inputs]
     rand = mpc.random_gate_randomness(rng, s.circuit)
-    return mpc.run_protocol(s, sharings, rand), sharings, rand
+    return run1(s, sharings, rand), sharings, rand
 
 
 def sharing_degree(ys, p: int) -> int:
@@ -91,10 +97,22 @@ def test_run_protocol_matches_eval_plain(p, rng):
 def test_run_protocol_missing_randomness(m11, rng):
     c = parse_circuit(ONE_MUL)
     s = Statement(c, (), m11.element(9))
-    sharings = [share(m11.element(3), sr(m11, 1, 2))]
+    sharings = [share1(m11, 3, 1, 2)]
     bad = mpc.GateRandomness(((0, 0),) * 5)  # refresh pair only, no mul pair
     with pytest.raises(MithError, match="missing randomness"):
-        mpc.run_protocol(s, sharings, bad)
+        run1(s, sharings, bad)
+
+
+def test_run_protocol_lane_count_mismatch(m11, rng):
+    """Every input column needs one share per lane (per GateRandomness)."""
+    c = parse_circuit(ONE_MUL)
+    s = Statement(c, (), m11.element(9))
+    one_lane = [tuple((x,) for x in share1(m11, 3, 1, 2).values())]
+    rands = [mpc.random_gate_randomness(rng, c) for _ in range(2)]
+    with pytest.raises(MithError, match="one share per lane"):
+        mpc.run_protocol(s, one_lane, rands)
+    with pytest.raises(MithError, match="one share per lane"):
+        mpc.run_protocol(s, [share(3, (), (), 11)], [])
 
 
 def test_honest_views_all_pairs_consistent(m11, rng):
@@ -120,7 +138,7 @@ def run_with(s, sharings, rng, pairs=None):
     party's (a1, a2) per messaging multiplication and then the refresh."""
     rand = (mpc.GateRandomness(tuple(sum(row, ()) for row in pairs)) if pairs
             else mpc.random_gate_randomness(rng, s.circuit))
-    return mpc.run_protocol(s, sharings, rand)
+    return run1(s, sharings, rand)
 
 
 def root_before_refresh(res, p):
@@ -143,7 +161,8 @@ def opened(m, ys):
 
 
 def rand_sharing(m, rng, v=None):
-    return share(rng.field_element(m) if v is None else v, random_share_randomness(rng, m))
+    v = rng.field_element(m) if v is None else v
+    return share1(m, v, *random_share_randomness(rng, m.p, 1))
 
 
 def test_gate_add_linearity(m11, rng):
@@ -159,7 +178,7 @@ def test_gate_add_linearity(m11, rng):
 def test_gate_add_zero_identity(m11, rng):
     s = Statement(parse_circuit(ADD), (), m11.zero())
     x = rand_sharing(m11, rng)
-    res = run_with(s, [x, share(m11.zero(), sr(m11, 0, 0))], rng)
+    res = run_with(s, [x, share1(m11, 0, 0, 0)], rng)
     assert root_before_refresh(res, 11) == x.values()
 
 
@@ -210,8 +229,8 @@ def test_gate_mul_messages_are_rows(m11, rng):
     """Party q+1's view records, from party k+1, h_k evaluated at q+1,
     with h_k(0) party k+1's product share."""
     s = Statement(parse_circuit(MUL), (), m11.zero())
-    sa = share(m11.element(2), sr(m11, 1, 0))
-    sb = share(m11.element(3), sr(m11, 0, 1))
+    sa = share1(m11, 2, 1, 0)
+    sb = share1(m11, 3, 0, 1)
     rs = [(k, k + 1) for k in range(5)]
     res = run_with(s, [sa, sb], rng, [(r, (0, 0)) for r in rs])
     for k in range(5):
@@ -265,7 +284,7 @@ def test_refresh_marginal_uniform_over_consistent_sharings(m11, rng):
     pairs is itself uniform (shift bijection)."""
     s = Statement(identity_circuit(m11), (), m11.zero())
     secret = m11.element(4)
-    base = share(secret, sr(m11, 2, 9))
+    base = share1(m11, secret, 2, 9)
     seen = set()
     for b1 in range(11):
         for b2 in range(11):
@@ -273,7 +292,7 @@ def test_refresh_marginal_uniform_over_consistent_sharings(m11, rng):
             assert res.outputs[0] == secret
             seen.add(res.views[0].bcast)
     all_sharings = {
-        share(secret, sr(m11, a1, a2)).values()
+        share1(m11, secret, a1, a2).values()
         for a1 in range(11) for a2 in range(11)
     }
     assert seen == all_sharings
@@ -572,30 +591,27 @@ def real_execution_from_free_coords(c, s, w_val, free, m):
     # Input sharing through (0, w), (i, wi), (j, wj).
     c0, a1, a2 = poly2_through(m, ((0, w_val), (i, wi), (j, wj)))
     assert c0 == w_val
-    input_r = sr(m, a1, a2)
-    sharing = share(m.element(w_val), input_r)
+    sharing = share1(m, w_val, a1, a2)
     # Wire shares of every party at the mul gate inputs (sinput 0 squared).
     mul_rand = [None] * 5
     for q in (i, j):
-        mul_rand[q - 1] = sr(m, *own_b[q])
+        mul_rand[q - 1] = tuple(own_b[q])
     for k in PARTY_IDS:
         if k in (i, j):
             continue
         d_k = sharing[k].value * sharing[k].value % p
         _, b1, b2 = poly2_through(m, ((0, d_k), (i, hin[k][0]), (j, hin[k][1])))
-        mul_rand[k - 1] = sr(m, b1, b2)
+        mul_rand[k - 1] = (b1, b2)
     refresh = [None] * 5
     for q in (i, j):
-        refresh[q - 1] = sr(m, *own_c[q])
+        refresh[q - 1] = tuple(own_c[q])
     for k in PARTY_IDS:
         if k in (i, j):
             continue
         _, z1, z2 = poly2_through(m, ((0, 0), (i, zin[k][0]), (j, zin[k][1])))
-        refresh[k - 1] = sr(m, z1, z2)
-    rand = mpc.GateRandomness(tuple(
-        (b.a1.value, b.a2.value, z.a1.value, z.a2.value)
-        for b, z in zip(mul_rand, refresh)))
-    return mpc.run_protocol(s, [sharing], rand)
+        refresh[k - 1] = (z1, z2)
+    rand = mpc.GateRandomness(tuple(b + z for b, z in zip(mul_rand, refresh)))
+    return run1(s, [sharing], rand)
 
 
 def simulator_draws(free):
@@ -724,9 +740,9 @@ def test_view_encoding_is_bit_stable(m11, rng):
     """Commitments depend on these bytes, so pin the exact layout."""
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(7))
-    sharings = [share(m11.element(7), sr(m11, 1, 2))]
+    sharings = [share1(m11, 7, 1, 2)]
     rand = mpc.GateRandomness(tuple((k, 0) for k in range(5)))
-    res = mpc.run_protocol(s, sharings, rand)
+    res = run1(s, sharings, rand)
     blob = mpc.encode_view(c, res.views[0])
     assert blob[0] == 0x56
     # Derived by hand: share poly 7+x+2x^2 gives party 1 the share 10;

@@ -26,8 +26,7 @@ PRF = scheme_by_name("prf")
 
 
 def single_run(s, w, rng, scheme=PRF):
-    rp = pr.random_prover_rand(rng, s.circuit, scheme)
-    st, cm = pr.prover_commit(rp, w, s, scheme)
+    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, scheme)
     vst, ch = pr.verifier_challenge(rng, s, cm)
     resp = pr.prover_respond(st, ch)
     return vst, resp, st, cm, ch
@@ -41,19 +40,17 @@ def test_honest_single_run_accepts(m11, rng):
 
 def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
-    rp = pr.random_prover_rand(rng, s.circuit, PRF)
-    st, cm = pr.prover_commit(rp, w, s, PRF)
+    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
     assert len(cm.commitments) == 5
     c = s.circuit
     for q in range(5):
         assert PRF.verify_view(c, st.views[q], cm.commitments[q], st.openings[q])
 
 
-def test_prover_commit_deterministic_under_fixed_rand(m11):
+def test_commit_phase_deterministic_under_fixed_rand(m11):
     s, w = golden_corpus(m11, 1)[0]
-    rp = pr.random_prover_rand(RandomSource(5), s.circuit, PRF)
-    _, cm1 = pr.prover_commit(rp, w, s, PRF)
-    _, cm2 = pr.prover_commit(rp, w, s, PRF)
+    _, cm1 = pr.commit_repetitions(w, s, 3, RandomSource(5), PRF)
+    _, cm2 = pr.commit_repetitions(w, s, 3, RandomSource(5), PRF)
     assert cm1 == cm2
 
 
@@ -62,8 +59,7 @@ def test_commitments_fresh_across_rand_draws(m11):
     rng = RandomSource(6)
     seen = set()
     for _ in range(1000):
-        rp = pr.random_prover_rand(rng, s.circuit, PRF)
-        _, cm = pr.prover_commit(rp, w, s, PRF)
+        _, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
         seen.add(cm.commitments[0])
     assert len(seen) == 1000
 
@@ -91,8 +87,7 @@ def test_challenge_ignores_commitment_content(m11):
 
 def test_response_is_pure_selection(m11, rng):
     s, w = golden_corpus(m11, 2)[1]
-    rp = pr.random_prover_rand(rng, s.circuit, PRF)
-    st, _ = pr.prover_commit(rp, w, s, PRF)
+    (st,), _ = pr.commit_repetitions(w, s, 1, rng, PRF)
     for ch in PARTY_PAIRS:
         resp = pr.prover_respond(st, ch)
         assert resp.first[0] is st.views[ch[0] - 1]
@@ -126,8 +121,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
     collision: zero acceptances over 10^5 key-search attempts."""
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
-    rp = pr.random_prover_rand(rng, c, PRF)
-    st, cm = pr.prover_commit(rp, w, s, PRF)
+    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
     committed = cm.commitments[0]
     blob = bytearray(mpc.encode_view(c, st.views[0]))
     rnd = random.Random(99)

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mith.errors import FieldError
 from mith.field import Modulus, RandomSource
 from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, ShareRandomness, Sharing,
-    random_share_randomness, reconstruct, share, share_sim,
+    PARTY_IDS, PARTY_PAIRS, Sharing, random_share_randomness, reconstruct, share, share_sim,
 )
 
 
@@ -18,20 +17,32 @@ def poly_oracle(coeffs, x, p):
     return sum(c * x**k for k, c in enumerate(coeffs)) % p
 
 
-def sr(m, a1, a2):
-    return ShareRandomness(m.element(a1), m.element(a2))
+def share1(m, s, a1, a2):
+    """The Sharing of s on s + a1*x + a2*x^2: one lane of share."""
+    s = s.value if not isinstance(s, int) else s
+    return Sharing(tuple(m.element(col[0]) for col in share(s, (a1,), (a2,), m.p)))
 
 
 def test_share_spec_example(m11):
-    sharing = share(m11.element(5), sr(m11, 2, 3))
+    sharing = share1(m11, 5, 2, 3)
     assert sharing.values() == (10, 10, 5, 6, 2)
     assert {pid: sharing[pid].value for pid in PARTY_IDS} == {
         1: 10, 2: 10, 3: 5, 4: 6, 5: 2}
 
 
+def test_share_lanes_are_independent_sharings(m11):
+    """Lane k of share's party columns is the sharing on lane k's
+    coefficients, whatever the other lanes hold."""
+    cols = share(5, (2, 0, 10), (3, 0, 10), 11)
+    assert cols == ([10, 5, 3], [10, 5, 10], [5, 5, 4], [6, 5, 7], [2, 5, 8])
+    for k in range(3):
+        assert tuple(col[k] for col in cols) == share1(
+            m11, 5, (2, 0, 10)[k], (3, 0, 10)[k]).values()
+
+
 def test_share_zero_randomness_is_constant(m11):
     for s in range(11):
-        sharing = share(m11.element(s), sr(m11, 0, 0))
+        sharing = share1(m11, s, 0, 0)
         assert sharing.values() == (s,) * 5
 
 
@@ -43,7 +54,7 @@ def test_reconstruct_spec_example(m11):
 def test_share_reconstruct_round_trip(m97, rng):
     for _ in range(1000):
         s = rng.field_element(m97)
-        sharing = share(s, random_share_randomness(rng, m97))
+        sharing = share1(m97, s, *random_share_randomness(rng, 97, 1))
         assert reconstruct(sharing) == s
 
 
@@ -68,7 +79,7 @@ def test_any_three_shares_agree_with_all_five(m11, rnd):
     from mith.field import lagrange_at_zero
     for _ in range(100):
         s = m11.element(rnd.randrange(11))
-        sharing = share(s, sr(m11, rnd.randrange(11), rnd.randrange(11)))
+        sharing = share1(m11, s, rnd.randrange(11), rnd.randrange(11))
         for combo in itertools.combinations(PARTY_IDS, 3):
             pts = [(m11.element(i), sharing[i]) for i in combo]
             assert lagrange_at_zero(pts) == s
@@ -78,7 +89,7 @@ def test_public_encoding(m11):
     """A public value enters the protocol as the constant sharing (v,)*5:
     every party holds v, and it reconstructs to v."""
     enc = Sharing((m11.element(7),) * 5)
-    assert enc == share(m11.element(7), sr(m11, 0, 0))
+    assert enc == share1(m11, 7, 0, 0)
     assert reconstruct(enc).value == 7
 
 
@@ -91,7 +102,7 @@ def test_sharing_needs_five_entries(m11):
 @given(s=st.integers(0, 96), a1=st.integers(0, 96), a2=st.integers(0, 96))
 def test_share_reconstruct_property(s, a1, a2):
     m = Modulus(97)
-    assert reconstruct(share(m.element(s), sr(m, a1, a2))).value == s
+    assert reconstruct(share1(m, s, a1, a2)).value == s
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,7 @@ def exhaustive_pair_distribution(m, secret, pair):
     out = []
     for a1 in range(m.p):
         for a2 in range(m.p):
-            sh = share(m.element(secret), sr(m, a1, a2))
+            sh = share1(m, secret, a1, a2)
             out.append((sh[i].value, sh[j].value))
     return sorted(out)
 
