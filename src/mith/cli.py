@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
     if args.verbose:
         # One pass: the printed checks are the ones the verdict reads.
         print(f"statement hash match: {proof.stmt_hash == statement_hash(s)}")
-        checks = list(proto.check_repetitions(s, proof))
+        checks = proto.check_repetitions(s, proof)
         for k, (t, (ch_ok, ok)) in enumerate(zip(proof.transcripts, checks)):
             print(f"  repetition {k}: challenge {t.challenge} "
                   f"check={'ok' if ok else 'FAIL'} "

@@ -150,7 +150,7 @@ class OneBadPairCheater:
             self.views.append(dataclasses.replace(v, zin=tuple(zin), bcast=tuple(bcast)))
         self._n_el = mpc.view_element_count(c)
 
-    def commit(self, rng: RandomSource):
+    def commit(self, rng: RandomSource) -> tuple[proto.CommitmentMsg, proto.ProverState]:
         commitments = []
         openings = []
         for view in self.views:
@@ -158,12 +158,11 @@ class OneBadPairCheater:
             com, op = self.scheme.commit_view(key, self.statement.circuit, view)
             commitments.append(com)
             openings.append(op)
-        return proto.CommitmentMsg(tuple(commitments)), tuple(openings)
+        return (proto.CommitmentMsg(tuple(commitments)),
+                proto.ProverState(tuple(self.views), tuple(openings)))
 
-    def respond(self, openings, ch: tuple[int, int]) -> proto.Response:
-        i, j = ch
-        return proto.Response((self.views[i - 1], openings[i - 1]),
-                              (self.views[j - 1], openings[j - 1]))
+    def respond(self, state: proto.ProverState, ch: tuple[int, int]) -> proto.Response:
+        return proto.prover_respond(state, ch)
 
 
 class GarbageCheater:
@@ -182,18 +181,16 @@ class GarbageCheater:
         self._n_el = mpc.view_element_count(c)
         self._enc_len = mpc.encoded_view_length(c)
 
-    def commit(self, rng: RandomSource):
+    def commit(self, rng: RandomSource) -> tuple[proto.CommitmentMsg, proto.ProverState]:
         commitments = tuple(
             self.scheme.dummy_commitment(
                 self.scheme.keygen(rng, self._n_el), self._enc_len, self._n_el)
             for _ in range(5))
         openings = tuple(self.scheme.keygen(rng, self._n_el) for _ in range(5))
-        return proto.CommitmentMsg(commitments), openings
+        return proto.CommitmentMsg(commitments), proto.ProverState(self.views, openings)
 
-    def respond(self, openings, ch):
-        i, j = ch
-        return proto.Response((self.views[i - 1], openings[i - 1]),
-                              (self.views[j - 1], openings[j - 1]))
+    def respond(self, state: proto.ProverState, ch: tuple[int, int]) -> proto.Response:
+        return proto.prover_respond(state, ch)
 
 
 def run_soundness(cheater, trials: int, rng: RandomSource,
@@ -216,9 +213,9 @@ def run_soundness(cheater, trials: int, rng: RandomSource,
         accept = True
         avoided = True
         for _ in range(reps):
-            cm, openings = cheater.commit(rng)
+            cm, state = cheater.commit(rng)
             vst, ch = proto.verifier_challenge(rng, s, cm)
-            resp = cheater.respond(openings, ch)
+            resp = cheater.respond(state, ch)
             if not proto.verifier_check(vst, resp, scheme):
                 accept = False
             if cheater.bad_pair is not None and ch == cheater.bad_pair:

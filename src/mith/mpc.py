@@ -10,10 +10,15 @@ publicly opened.
 Each circuit is compiled once into a `Program`: a post-order op list over
 wire slots, the list of multiplications that exchange messages, the
 public scalar subtrees of the smul gates, and the byte template of the
-view encoding.  Evaluation, replay, simulation, encoding and decoding
-are all loops over that program.  The prover evaluates all repetitions
-at once: `run_protocol` holds each wire as five party columns with one
-share per repetition (lane), and runs each op once over all lanes.
+view encoding.  One interpreter runs the ops: every wire is a flat
+column with one value per lane, and at each messaging multiplication and
+at the refresh an exchange supplies the columns the lanes received.
+The prover (`run_protocol`) runs a lane per party and repetition and
+reshares with the drawn randomness; the verifier's replay
+(`out_messages`) runs a lane per opened view, reshares with the view's
+randomness and receives what the view recorded; the simulator
+(`mpc_simulate`) runs the two corrupt parties and draws the honest
+parties' messages.
 
 A party's view is flat: its public inputs, its input shares, its
 randomness ((a1, a2) per messaging multiplication in ascending gate-id
@@ -38,7 +43,7 @@ from mith.circuit import (
     GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
     SMultiplication, Statement, eval_public, iter_gates,
 )
-from mith.sss import N_PARTIES, PARTY_IDS, dot5, share5, share_lanes
+from mith.sss import N_PARTIES, PARTY_IDS, dot5, share_lanes
 
 # Marker gate id for the refresh randomness slot in view encodings; every
 # real gate id is below it (`validate_circuit` checks).
@@ -196,7 +201,8 @@ class View:
     messages: tuple[tuple[int, ...], ...]
     zin: tuple[int, ...]
     bcast: tuple[int, ...]
-    # (program, canonical bytes), set by decode_view or the first
+    # (program, canonical bytes, decoded), set by decode_view (decoded
+    # True: the view passed its shape and range checks) or the first
     # view_bytes call.  Not an init field, so a view made by
     # dataclasses.replace starts without it and is encoded afresh.
     _encoding: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -228,19 +234,46 @@ def random_gate_randomness(rng: RandomSource, c: Circuit) -> GateRandomness:
 
 
 # ---------------------------------------------------------------------------
-# Honest execution, in lane form: lane k is one independent execution, and
-# every wire holds five party columns with one share per lane.
+# The interpreter, and honest execution through it.
+
+
+def _interpret(prog: Program, inputs: Sequence[Sequence[int]],
+               scalars: Sequence[Sequence[int]], n: int, exchange) -> list[int]:
+    """Run prog's ops over n lanes, given the n_in input columns and each
+    smul scalar's column.  At each messaging multiplication exchange(d, r)
+    gets the lanes' products d and the randomness rank r, and returns the
+    five columns the lanes received, one per sender, to recombine.  The
+    refresh exchanges zeros at rank n_mul.  Returns each lane's refreshed
+    share: its root share plus the zero shares it received."""
+    p = prog.p
+    l0, l1, l2, l3, l4 = prog.lam
+    const = {v: [v] * n for v in set(prog.init[prog.n_in:])}
+    vals = [*inputs, *[const[v] for v in prog.init[prog.n_in:]]]
+    for code, dst, a, b, r in prog.ops:
+        y = vals[b]
+        if code == ADD:
+            vals[dst] = [(u + v) % p for u, v in zip(vals[a], y)]
+        elif code == MUL:
+            cols = exchange([u * v % p for u, v in zip(vals[a], y)], r)
+            vals[dst] = [(l0 * u0 + l1 * u1 + l2 * u2 + l3 * u3 + l4 * u4) % p
+                         for u0, u1, u2, u3, u4 in zip(*cols)]
+        else:
+            vals[dst] = [k * v % p for k, v in zip(scalars[a], y)]
+    root = vals[prog.root]
+    del vals  # free the wire columns before the caller builds its views
+    return [sum(t) % p for t in zip(root, *exchange([0] * n, prog.n_mul))]
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
                  rands: Sequence[GateRandomness]) -> tuple[ExecutionResult, ...]:
-    """Execute the full protocol once per lane, running each op once over
-    all lanes.  input_sharings holds each secret wire's five party columns
-    (`sss.share`), and rands[k] is lane k's gate randomness.  Returns each
-    lane's five views and outputs, in lane order."""
+    """Execute the full protocol once per repetition, as 5n party lanes of
+    one pass: lane q*n + k is party q+1 in repetition k.  input_sharings
+    holds each secret wire's five party columns (`sss.share`), and
+    rands[k] is repetition k's gate randomness.  Returns each
+    repetition's five views and outputs, in repetition order."""
     c = s.circuit
     prog = program(c)
-    p, lam = prog.p, prog.lam
+    p = prog.p
     n = len(rands)
     if len(input_sharings) != prog.n_secret:
         raise MithError(
@@ -253,50 +286,35 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
         raise MithError(
             f"missing randomness: each party needs {prog.n_rand} values")
     pubs = tuple(x.value for x in s.public_inputs)
-    scal = prog.scalars(pubs)
-    # rc[q][i]: entry i of party q+1's randomness, one value per lane.
-    rc = [list(zip(*[g.parties[q] for g in rands])) for q in range(5)]
-    const = {v: ([v] * n,) * 5 for v in set(prog.init)}
-    vals = [const[v] for v in prog.init]
-    vals[:prog.n_in] = [([v] * n,) * 5 for v in pubs] + [tuple(sh) for sh in input_sharings]
-    # msgs[q]: per messaging multiplication, the five columns party q+1
-    # received, one per sender.
-    msgs: list[list] = [[], [], [], [], []]
-    l0, l1, l2, l3, l4 = lam
-    for code, dst, a, b, r in prog.ops:
-        y = vals[b]
-        if code == ADD:
-            vals[dst] = tuple([(u + v) % p for u, v in zip(xq, yq)]
-                              for xq, yq in zip(vals[a], y))
-        elif code == MUL:
-            rows = [share_lanes([u * v % p for u, v in zip(xk, yk)], rk[2 * r], rk[2 * r + 1], p)
-                    for xk, yk, rk in zip(vals[a], y, rc)]
-            cols = [[row[q] for row in rows] for q in range(5)]
-            for q in range(5):
-                msgs[q].append(cols[q])
-            vals[dst] = tuple([(l0 * u0 + l1 * u1 + l2 * u2 + l3 * u3 + l4 * u4) % p
-                               for u0, u1, u2, u3, u4 in zip(*col)] for col in cols)
-        else:
-            k = scal[a]
-            vals[dst] = tuple([k * v % p for v in yq] for yq in y)
-    root = vals[prog.root]
-    zrows = [share_lanes(repeat(0), rk[-2], rk[-1], p) for rk in rc]
-    # Free the wire and randomness columns before building the views, which
-    # would otherwise sit on top of them at the peak.
-    del vals, rc
-    zin = [[row[q] for row in zrows] for q in range(5)]
-    bcast = list(zip(*[[sum(t) % p for t in zip(root[q], *zin[q])] for q in range(5)]))
-    party_views = []
-    for q in range(5):
-        secs = zip(*[sh[q] for sh in input_sharings]) if prog.n_secret else repeat(())
-        rnd = [g.parties[q] for g in rands]
-        mm = zip(*[zip(*col) for col in msgs[q]]) if prog.n_mul else repeat(())
-        party_views.append([View(pubs, ss, rr, msg, z, bc)
-                            for ss, rr, msg, z, bc in zip(secs, rnd, mm, zip(*zin[q]), bcast)])
-        msgs[q] = None  # free the columns: the views hold these messages now
+    lanes = 5 * n
+    inputs = [*[[v] * lanes for v in pubs],
+              *[list(chain.from_iterable(sh)) for sh in input_sharings]]
+    rand = [g.parties[q] for q in range(5) for g in rands]
+    # rc[q][i]: entry i of party q+1's randomness, one value per repetition.
+    rc = [list(zip(*rand[k:k + n])) for k in range(0, lanes, n)]
+    msgs = []
+
+    def exchange(d, r):
+        """Party q+1 reshares its products with its rank-r randomness, and
+        party q'+1 receives column q' of that: the sharing's five columns
+        in a row are the lanes' column from q+1.  Views keep each lane's
+        five received values."""
+        cols = [list(chain.from_iterable(share_lanes(d[k:k + n], rq[2 * r], rq[2 * r + 1], p)))
+                for k, rq in zip(range(0, lanes, n), rc)]
+        msgs.append(list(zip(*cols)))
+        return cols
+
+    own = _interpret(prog, inputs, [[k] * lanes for k in prog.scalars(pubs)], lanes, exchange)
+    del rc
+    zin = msgs.pop()
+    bcast = list(zip(*[own[k:k + n] for k in range(0, lanes, n)]))
+    secs = zip(*inputs[prog.n_public:]) if prog.n_secret else repeat(())
+    mm = zip(*msgs) if prog.n_mul else repeat(())
+    views = [View(pubs, ss, rr, msg, z, bc)
+             for ss, rr, msg, z, bc in zip(secs, rand, mm, zin, bcast * 5)]
     m = c.modulus
-    return tuple(ExecutionResult(views, (FieldElement(dot5(lam, bc, p), m),) * 5)
-                 for views, bc in zip(zip(*party_views), bcast))
+    return tuple(ExecutionResult(tuple(views[k::n]), (FieldElement(dot5(prog.lam, bc, p), m),) * 5)
+                 for k, bc in enumerate(bcast))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +327,17 @@ def _elements(v: View) -> tuple[int, ...]:
             *chain.from_iterable(v.messages), *v.zin, *v.bcast)
 
 
-def valid_view(c: Circuit, v: View) -> bool:
-    """Shape and range check: every entry an int in [0, p); no
-    consistency semantics."""
+def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
+    """Shape and range check of each view: every entry an int in [0, p);
+    no consistency semantics.  A view that decode_view read under c has
+    passed the check there and is not checked again."""
     prog = program(c)
-    if not isinstance(v, View):
-        return False
+    return [isinstance(v, View) and (v._encoding is not None and v._encoding[0] is prog
+                                     and v._encoding[2] or _well_formed(prog, v))
+            for v in views]
+
+
+def _well_formed(prog: Program, v: View) -> bool:
     try:
         if (len(v.public_inputs) != prog.n_public or len(v.secret_shares) != prog.n_secret
                 or len(v.randomness) != prog.n_rand or len(v.messages) != prog.n_mul
@@ -327,45 +350,41 @@ def valid_view(c: Circuit, v: View) -> bool:
     return {type(x) for x in vals} == {int} and min(vals) >= 0 and max(vals) < prog.p
 
 
-def _replay(prog: Program, v: View) -> tuple[int, list[tuple[int, ...]]]:
-    """A valid view's root share and outgoing resharing rows."""
-    p, lam = prog.p, prog.lam
-    rnd, cols = v.randomness, v.messages
-    scal = prog.scalars(v.public_inputs)
-    vals = prog.init[:]
-    vals[:prog.n_public] = v.public_inputs
-    vals[prog.n_public:prog.n_in] = v.secret_shares
-    rows = []
-    for code, dst, a, b, r in prog.ops:
-        if code == ADD:
-            vals[dst] = (vals[a] + vals[b]) % p
-        elif code == MUL:
-            rows.append(share5(vals[a] * vals[b] % p, rnd[2 * r], rnd[2 * r + 1], p))
-            vals[dst] = dot5(lam, cols[len(rows) - 1], p)
-        else:
-            vals[dst] = scal[a] * vals[b] % p
-    return vals[prog.root], rows
-
-
-def out_messages(c: Circuit, pid: int, v: View) -> OutMessages | None:
-    """All messages pid sent, recomputed from v; None if v is malformed."""
-    if not valid_view(c, v):
-        return None
+def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
+    """Everything each view's party sent, recomputed from that view alone;
+    None for a malformed view.  The well-formed views run as the lanes of
+    one pass: each reshares with its own randomness and receives the
+    columns it recorded."""
     prog = program(c)
+    ok = valid_view(c, views)
+    lanes = [v for v, good in zip(views, ok) if good]
+    if not lanes:
+        return [None] * len(views)
     p = prog.p
-    root, rows = _replay(prog, v)
-    return OutMessages(tuple(rows), share5(0, v.randomness[-2], v.randomness[-1], p),
-                       (root + sum(v.zin)) % p)
+    rc = list(zip(*[v.randomness for v in lanes]))
+    recorded = (tuple(zip(*col)) for col in zip(*[v.messages for v in lanes]))
+    zin = tuple(zip(*[v.zin for v in lanes]))
+    rows = []
+
+    def exchange(d, r):
+        rows.append(share_lanes(d, rc[2 * r], rc[2 * r + 1], p))
+        return next(recorded) if r < prog.n_mul else zin
+
+    inputs = list(zip(*[(*v.public_inputs, *v.secret_shares) for v in lanes]))
+    scalars = list(zip(*[prog.scalars(v.public_inputs) for v in lanes]))
+    own = _interpret(prog, inputs, scalars, len(lanes), exchange)
+    zrow = rows.pop()
+    mul = zip(*[zip(*row) for row in rows]) if rows else repeat(())
+    replays = map(OutMessages, mul, zip(*zrow), own)
+    return [next(replays) if good else None for good in ok]
 
 
-def local_output(c: Circuit, pid: int, v: View,
-                 om: OutMessages | None = None) -> FieldElement | None:
-    """pid's protocol output recomputed from its view; None if malformed.
+def local_output(c: Circuit, pid: int, v: View, om: OutMessages | None) -> FieldElement | None:
+    """pid's protocol output recomputed from its view v and v's replay om
+    (its `out_messages` entry); None if v is malformed.
 
     Reconstructs from the recorded broadcast with pid's own slot replaced
-    by its recomputed refreshed share.  A caller that already holds v's
-    replay `out_messages(c, pid, v)` passes it as om."""
-    om = om or out_messages(c, pid, v)
+    by its recomputed refreshed share."""
     if om is None:
         return None
     bcast = list(v.bcast)
@@ -383,20 +402,16 @@ def _received(v: View, b: int, om_b: OutMessages, a: int) -> bool:
 
 def consistent_views(c: Circuit, x: Sequence[FieldElement],
                      vi: View, vj: View, i: int, j: int,
-                     om_i: OutMessages | None = None,
-                     om_j: OutMessages | None = None) -> bool:
-    """Pairwise view consistency for distinct parties i and j.
+                     om_i: OutMessages | None, om_j: OutMessages | None) -> bool:
+    """Pairwise view consistency for distinct parties i and j, given the
+    views' replays om_i and om_j by `out_messages`.
 
     Checks shapes, that both views carry the public input x, that each
     view's own recorded slots match its own recomputation, and that the
     messages implicit in each view equal the ones recorded by the other.
-    A caller that already holds the views' replays by `out_messages`
-    passes them as om_i and om_j.
     """
     if i == j:
         raise MithError("consistency is defined for distinct parties")
-    om_i = om_i or out_messages(c, i, vi)
-    om_j = om_j or out_messages(c, j, vj)
     if om_i is None or om_j is None:
         return False
     xs = tuple(e.value for e in x)
@@ -412,7 +427,7 @@ def rerun_from_views(c: Circuit, x: Sequence[FieldElement],
     The honest execution they claim to come from, if any; compare its
     views against the originals to settle global consistency.
     """
-    if len(views) != N_PARTIES or not all(valid_view(c, v) for v in views):
+    if len(views) != N_PARTIES or not all(valid_view(c, views)):
         return None
     sharings = [tuple((v.secret_shares[w],) for v in views)
                 for w in range(c.topology.n_secret)]
@@ -436,56 +451,42 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
                  y: FieldElement, rng: RandomSource) -> tuple[View, View]:
     """Simulate the joint view of two corrupt parties without the witness.
 
-    Incoming messages from honest parties are sampled uniformly; the
-    honest broadcast shares are fixed so the opened sharing interpolates
-    to y.  The returned views are mutually consistent and both report
-    local output y.  Draws, per messaging multiplication in post-order:
-    each corrupt party's (a1, a2), then the honest parties' values sent to
-    i and to j; then the same for the refresh.
+    The two corrupt parties are the lanes of one pass.  Incoming messages
+    from honest parties are sampled uniformly; the honest broadcast shares
+    are fixed so the opened sharing interpolates to y.  The returned views
+    are mutually consistent and both report local output y.  Draws, per
+    messaging multiplication in post-order: each corrupt party's (a1, a2),
+    then the honest parties' values sent to i and to j; then the same for
+    the refresh.
     """
     i, j = corrupt
     if i == j:
         raise MithError("corrupt parties must be distinct")
     prog = program(c)
-    p, lam = prog.p, prog.lam
+    p = prog.p
     honest = [k for k in PARTY_IDS if k not in corrupt]
     pubs = tuple(e.value for e in x)
-    scal = prog.scalars(pubs)
-    sides = []
-    for side in (0, 1):
-        vals = prog.init[:]
-        vals[:prog.n_in] = pubs + tuple(cs[side].value for cs in corrupt_shares)
-        sides.append((vals, [0] * prog.n_rand, []))
-    (vals_i, rand_i, msgs_i), (vals_j, rand_j, msgs_j) = sides
+    shares = [tuple(cs[lane].value for cs in corrupt_shares) for lane in (0, 1)]
+    rand = ([0] * prog.n_rand, [0] * prog.n_rand)
+    msgs = []
 
-    def exchange(r: int, ds: tuple[int, int]):
-        """Columns i and j receive when the corrupt parties reshare ds
-        with fresh randomness stored at rank r; honest entries uniform."""
-        ci, cj = [0] * 5, [0] * 5
-        for q, rand, d in ((i, rand_i, ds[0]), (j, rand_j, ds[1])):
+    def exchange(d, r):
+        """Each corrupt lane reshares its product with fresh randomness,
+        stored at rank r; the honest parties' entries are uniform."""
+        cols = [None] * 5
+        for lane, q in enumerate(corrupt):
             a1, a2 = rng.randbelow(p), rng.randbelow(p)
-            rand[2 * r:2 * r + 2] = a1, a2
-            row = share5(d, a1, a2, p)
-            ci[q - 1], cj[q - 1] = row[i - 1], row[j - 1]
+            rand[lane][2 * r:2 * r + 2] = a1, a2
+            row = share_lanes((d[lane],), (a1,), (a2,), p)
+            cols[q - 1] = row[i - 1] + row[j - 1]
         for k in honest:
-            ci[k - 1], cj[k - 1] = rng.randbelow(p), rng.randbelow(p)
-        return tuple(ci), tuple(cj)
+            cols[k - 1] = [rng.randbelow(p), rng.randbelow(p)]
+        msgs.append(list(zip(*cols)))
+        return cols
 
-    for code, dst, a, b, r in prog.ops:
-        for vals in (vals_i, vals_j):
-            if code == ADD:
-                vals[dst] = (vals[a] + vals[b]) % p
-            elif code == SMUL:
-                vals[dst] = scal[a] * vals[b] % p
-        if code == MUL:
-            ci, cj = exchange(r, (vals_i[a] * vals_i[b] % p, vals_j[a] * vals_j[b] % p))
-            msgs_i.append(ci)
-            msgs_j.append(cj)
-            vals_i[dst], vals_j[dst] = dot5(lam, ci, p), dot5(lam, cj, p)
-
-    zin_i, zin_j = exchange(prog.n_mul, (0, 0))
-    u_i = (vals_i[prog.root] + sum(zin_i)) % p
-    u_j = (vals_j[prog.root] + sum(zin_j)) % p
+    inputs = [[v, v] for v in pubs] + [[a.value, b.value] for a, b in corrupt_shares]
+    u_i, u_j = _interpret(prog, inputs, [[k, k] for k in prog.scalars(pubs)], 2, exchange)
+    zin = msgs.pop()
     # Fix honest broadcasts so the degree-2 opened sharing hits y.
     pts = ((0, y.value), (i, u_i), (j, u_j))
     bvals = [0] * 5
@@ -493,11 +494,8 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     for k in honest:
         bvals[k - 1] = _interp_eval(pts, k, p)
     bcast = tuple(bvals)
-    return tuple(
-        View(pubs, tuple(cs[side].value for cs in corrupt_shares), tuple(rand),
-             tuple(msgs), zin, bcast)
-        for side, (rand, msgs, zin) in enumerate(((rand_i, msgs_i, zin_i),
-                                                  (rand_j, msgs_j, zin_j))))
+    return tuple(View(pubs, shares[lane], tuple(rand[lane]), tuple(m[lane] for m in msgs),
+                      zin[lane], bcast) for lane in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +535,7 @@ def view_bytes(c: Circuit, v: View) -> bytes:
     prog = program(c)
     enc = v._encoding
     if enc is None or enc[0] is not prog:
-        enc = (prog, encode_view(c, v))
+        enc = (prog, encode_view(c, v), False)
         object.__setattr__(v, "_encoding", enc)
     return enc[1]
 
@@ -588,5 +586,5 @@ def decode_view(c: Circuit, data: bytes) -> View:
              tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)),
              tuple(vals[o4:o4 + 5]), tuple(vals[o4 + 5:]))
     # Decoding is strict, so data is v's only encoding.
-    object.__setattr__(v, "_encoding", (prog, bytes(data)))
+    object.__setattr__(v, "_encoding", (prog, bytes(data), True))
     return v

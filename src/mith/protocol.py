@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
@@ -99,26 +99,33 @@ def prover_respond(st: ProverState, ch: tuple[int, int]) -> Response:
 
 def verifier_check(st: VerifierState, r: Response, scheme) -> bool:
     """Openings verify, views pairwise consistent, both outputs hit the
-    target.  Malformed data yields False, never an exception.  Each view
-    is validated and replayed once."""
-    s = st.statement
+    target.  Malformed data yields False, never an exception.  The
+    one-repetition case of `check_repetitions`."""
+    return _check_transcripts(st.statement, [Transcript(st.commitment, st.challenge, r)],
+                              scheme)[0]
+
+
+def _check_transcripts(s: Statement, transcripts: Sequence[Transcript], scheme) -> list[bool]:
+    """verifier_check of each transcript: every opened view of every
+    transcript is validated and replayed in one `out_messages` call."""
     c = s.circuit
-    i, j = st.challenge
-    try:
-        (vi, oi), (vj, oj) = r.first, r.second
-        replays = []
-        for pid, view, opening in ((i, vi, oi), (j, vj, oj)):
-            om = mpc.out_messages(c, pid, view)
-            if om is None or not scheme.verify_view(
-                    c, view, st.commitment.commitments[pid - 1], opening):
-                return False
-            replays.append(om)
-        om_i, om_j = replays
-        return (mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
-                and mpc.local_output(c, i, vi, om_i) == s.target
-                and mpc.local_output(c, j, vj, om_j) == s.target)
-    except MithError:
-        return False
+    replays = mpc.out_messages(c, [v for t in transcripts
+                                   for v, _ in (t.response.first, t.response.second)])
+    oks = []
+    for t, om_i, om_j in zip(transcripts, replays[::2], replays[1::2]):
+        i, j = t.challenge
+        (vi, oi), (vj, oj) = t.response.first, t.response.second
+        try:
+            ok = (om_i is not None and om_j is not None
+                  and scheme.verify_view(c, vi, t.commitment.commitments[i - 1], oi)
+                  and scheme.verify_view(c, vj, t.commitment.commitments[j - 1], oj)
+                  and mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
+                  and mpc.local_output(c, i, vi, om_i) == s.target
+                  and mpc.local_output(c, j, vj, om_j) == s.target)
+        except MithError:
+            ok = False
+        oks.append(ok)
+    return oks
 
 
 def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
@@ -214,24 +221,24 @@ def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
     return Proof(scheme.name, mode, digest, tuple(transcripts))
 
 
-def check_repetitions(s: Statement, proof: Proof) -> Iterator[tuple[bool, bool]]:
-    """Lazily, per repetition: (challenge source ok, verifier_check ok).
-    A transcript-mode challenge was drawn by the verifier holding the
-    proof and is taken as recorded; any other must equal the challenge
-    derived from the commitments."""
+def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
+    """Per repetition: (challenge source ok, verifier_check ok), with the
+    opened views of all repetitions replayed in one pass.  A
+    transcript-mode challenge was drawn by the verifier holding the proof
+    and is taken as recorded; any other must equal the challenge derived
+    from the commitments."""
     scheme = scheme_by_name(proof.scheme, s.circuit.modulus.p)
     recorded = proof.challenge_mode == "transcript"
     if not recorded:
         blobs = challenge_blobs([t.commitment for t in proof.transcripts], scheme)
-    for k, t in enumerate(proof.transcripts):
-        ch_ok = recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs)
-        yield ch_ok, verifier_check(VerifierState(s, t.commitment, t.challenge),
-                                    t.response, scheme)
+    sources = [recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs)
+               for k, t in enumerate(proof.transcripts)]
+    return list(zip(sources, _check_transcripts(s, proof.transcripts, scheme)))
 
 
 def accepts(s: Statement, proof: Proof, checks) -> bool:
     """The acceptance rule: the proof is for s, has a repetition, and every
-    pair in checks (`check_repetitions`, read up to its first failure) passes."""
+    pair in checks (`check_repetitions`) passes."""
     return (proof.reps >= 1 and proof.stmt_hash == statement_hash(s)
             and all(ch_ok and ok for ch_ok, ok in checks))
 
@@ -248,22 +255,19 @@ def verify_repeated(s: Statement, proof: Proof) -> bool:
 
 class SimulatedRun:
     """Commit-phase output of one simulator attempt: real simulated views
-    for the guessed pair, dummy commitments elsewhere."""
+    for the guessed pair, dummy commitments elsewhere (the state holds
+    None for those parties)."""
 
-    def __init__(self, guess: tuple[int, int], commitment: CommitmentMsg,
-                 views: dict, openings: dict):
+    def __init__(self, guess: tuple[int, int], commitment: CommitmentMsg, state: ProverState):
         self.guess = guess
         self.commitment = commitment
-        self._views = views
-        self._openings = openings
+        self.state = state
 
     def respond(self, ch: tuple[int, int]) -> Response | None:
         """The opened pair if the guess was right, else abort."""
         if ch != self.guess:
             return None
-        i, j = ch
-        return Response((self._views[i], self._openings[i]),
-                        (self._views[j], self._openings[j]))
+        return prover_respond(self.state, ch)
 
 
 def zk_simulate_once(s: Statement, rng: RandomSource, scheme=None) -> SimulatedRun:
@@ -275,23 +279,23 @@ def zk_simulate_once(s: Statement, rng: RandomSource, scheme=None) -> SimulatedR
     corrupt_shares = [
         share_sim(rng, guess, m) for _ in range(c.topology.n_secret)
     ]
-    vi, vj = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
-                              s.target, rng)
+    i, j = guess
+    views = [None] * 5
+    views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
+                                                  s.target, rng)
     n_el = mpc.view_element_count(c)
     enc_len = mpc.encoded_view_length(c)
-    i, j = guess
     commitments = []
-    openings = {}
-    views = {i: vi, j: vj}
-    for pid in PARTY_IDS:
+    openings = [None] * 5
+    for view, pid in zip(views, PARTY_IDS):
         key = scheme.keygen(rng, n_el)
-        if pid in (i, j):
-            com, op = scheme.commit_view(key, c, views[pid])
-            openings[pid] = op
+        if view is not None:
+            com, openings[pid - 1] = scheme.commit_view(key, c, view)
         else:
             com = scheme.dummy_commitment(key, enc_len, n_el)
         commitments.append(com)
-    return SimulatedRun(guess, CommitmentMsg(tuple(commitments)), views, openings)
+    return SimulatedRun(guess, CommitmentMsg(tuple(commitments)),
+                        ProverState(tuple(views), tuple(openings)))
 
 
 def zk_simulate(s: Statement,

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from mith import bench
+from mith import bench, mpc
 from mith import protocol as pr
 from mith.circuit import (
     Statement, Witness, format_circuit, format_statement, format_witness,
@@ -92,12 +92,15 @@ def test_verify_verbose_checks_each_repetition_once(workdir, capsys, monkeypatch
     proof = workdir / "p.bin"
     run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
          "--reps", 4, "--out", proof])
-    calls = []
-    check = pr.verifier_check
-    monkeypatch.setattr(pr, "verifier_check", lambda *a: calls.append(a) or check(*a))
+    # Each repetition is checked once: one replay whose lanes are the
+    # 2*sigma opened views.
+    lanes = []
+    replay = mpc.out_messages
+    monkeypatch.setattr(mpc, "out_messages", lambda c, views: lanes.append(len(views))
+                        or replay(c, views))
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
                 "--verbose"]) == 0
-    assert len(calls) == 4
+    assert lanes == [8]
 
 
 def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):

@@ -118,9 +118,7 @@ def test_run_protocol_lane_count_mismatch(m11, rng):
 def test_honest_views_all_pairs_consistent(m11, rng):
     for s, w in golden_corpus(m11, 6):
         res, _, _ = honest_run(s, w, rng)
-        for (i, j) in PARTY_PAIRS:
-            assert mpc.consistent_views(
-                s.circuit, s.public_inputs, res.views[i - 1], res.views[j - 1], i, j)
+        assert all_pairs_consistent(s.circuit, s.public_inputs, res.views)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +312,7 @@ def test_out_messages_cross_check_honest(m11, rng):
     for s, w in golden_corpus(m11, 5):
         c = s.circuit
         res, _, _ = honest_run(s, w, rng)
-        oms = {i: mpc.out_messages(c, i, res.views[i - 1]) for i in PARTY_IDS}
+        oms = dict(zip(PARTY_IDS, mpc.out_messages(c, res.views)))
         for i in PARTY_IDS:
             v = res.views[i - 1]
             for j in PARTY_IDS:
@@ -332,7 +330,7 @@ def test_out_messages_message_free_circuit(m11, rng):
                       "(add 2 (sinput 0) (const 1 5))")
     s = Statement(c, (), m11.element(0))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    om = mpc.out_messages(c, 1, res.views[0])
+    (om,) = mpc.out_messages(c, res.views[:1])
     assert om.mul == ()
     assert len(om.open_z) == 5
 
@@ -341,8 +339,8 @@ def test_out_messages_deterministic(m11, rng):
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    a = mpc.out_messages(c, 2, res.views[1])
-    b = mpc.out_messages(c, 2, res.views[1])
+    a = mpc.out_messages(c, [res.views[1]])
+    b = mpc.out_messages(c, [res.views[1]])
     assert a == b
 
 
@@ -352,24 +350,32 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     v = res.views[0]
     bad = dataclasses.replace(v, messages=())
-    assert mpc.out_messages(c, 1, bad) is None
-    assert mpc.local_output(c, 1, bad) is None
     bad_rand = dataclasses.replace(v, randomness=v.randomness[-2:])
-    assert mpc.out_messages(c, 1, bad_rand) is None
+    # Right shape, an entry out of range or of the wrong type.
+    bad_range = dataclasses.replace(v, zin=(11,) + v.zin[1:])
+    bad_type = dataclasses.replace(v, bcast=(float(v.bcast[0]),) + v.bcast[1:])
+    malformed = [bad, bad_rand, bad_range, bad_type, v.messages]
+    (om,) = mpc.out_messages(c, [v])
+    # Malformed views in a batch leave the replay of the others unchanged.
+    assert mpc.out_messages(c, malformed + [v]) == [None] * len(malformed) + [om]
+    assert mpc.local_output(c, 1, bad, mpc.out_messages(c, [bad])[0]) is None
 
 
 def test_local_output_matches_protocol_outputs(m11, rng):
     for s, w in golden_corpus(m11, 6):
         res, _, _ = honest_run(s, w, rng)
+        oms = mpc.out_messages(s.circuit, res.views)
         for i in PARTY_IDS:
-            assert mpc.local_output(s.circuit, i, res.views[i - 1]) == res.outputs[i - 1]
+            out = mpc.local_output(s.circuit, i, res.views[i - 1], oms[i - 1])
+            assert out == res.outputs[i - 1]
 
 
 def test_local_output_identity_circuit(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(7))
     res, _, _ = honest_run(s, Witness((m11.element(7),)), rng)
-    assert mpc.local_output(c, 3, res.views[2]).value == 7
+    (om,) = mpc.out_messages(c, res.views[2:3])
+    assert mpc.local_output(c, 3, res.views[2], om).value == 7
 
 
 def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
@@ -381,15 +387,17 @@ def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
         bc = list(v.bcast)
         bc[slot] = (bc[slot] + 1) % 11
         bad = dataclasses.replace(v, bcast=tuple(bc))
-        assert mpc.local_output(c, 1, bad) != res.outputs[0]
+        (om,) = mpc.out_messages(c, [bad])
+        assert mpc.local_output(c, 1, bad, om) != res.outputs[0]
 
 
 def test_consistent_views_rejects_same_party(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(1))
     res, _, _ = honest_run(s, Witness((m11.element(1),)), rng)
+    (om,) = mpc.out_messages(c, res.views[:1])
     with pytest.raises(MithError):
-        mpc.consistent_views(c, s.public_inputs, res.views[0], res.views[0], 1, 1)
+        mpc.consistent_views(c, s.public_inputs, res.views[0], res.views[0], 1, 1, om, om)
 
 
 def test_consistent_views_public_input_mismatch(rng):
@@ -399,8 +407,9 @@ def test_consistent_views_public_input_mismatch(rng):
     s = Statement(c, (m.element(5),), m.element(8))
     res, _, _ = honest_run(s, Witness((m.element(3),)), rng)
     other_x = (m.element(6),)
+    om_1, om_2 = mpc.out_messages(c, res.views[:2])
     assert not mpc.consistent_views(
-        c, other_x, res.views[0], res.views[1], 1, 2)
+        c, other_x, res.views[0], res.views[1], 1, 2, om_1, om_2)
 
 
 def bump(v, m):
@@ -422,8 +431,10 @@ def test_flipped_message_breaks_touched_pairs_only(m11, rng):
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     bad = flip_mul_message(res.views[0], m11, slot=3)
     views = [bad] + list(res.views[1:])
+    oms = mpc.out_messages(c, views)
     for (i, j) in PARTY_PAIRS:
-        ok = mpc.consistent_views(c, s.public_inputs, views[i - 1], views[j - 1], i, j)
+        ok = mpc.consistent_views(c, s.public_inputs, views[i - 1], views[j - 1], i, j,
+                                  oms[i - 1], oms[j - 1])
         assert ok == (1 not in (i, j))
 
 
@@ -434,11 +445,12 @@ def test_own_slot_tampering_detected(m11, rng):
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     bad = flip_mul_message(res.views[2], m11, slot=2)  # view 3, own slot
+    om_bad, *oms = mpc.out_messages(c, [bad, *res.views])
     for j in PARTY_IDS:
         if j == 3:
             continue
         assert not mpc.consistent_views(
-            c, s.public_inputs, bad, res.views[j - 1], 3, j)
+            c, s.public_inputs, bad, res.views[j - 1], 3, j, om_bad, oms[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +458,9 @@ def test_own_slot_tampering_detected(m11, rng):
 
 
 def all_pairs_consistent(c, x, views):
+    oms = mpc.out_messages(c, views)
     return all(
-        mpc.consistent_views(c, x, views[i - 1], views[j - 1], i, j)
+        mpc.consistent_views(c, x, views[i - 1], views[j - 1], i, j, oms[i - 1], oms[j - 1])
         for (i, j) in PARTY_PAIRS)
 
 
@@ -532,10 +545,11 @@ def test_simulator_output_checks(m11, rng):
             cs = [share_sim(rng, corrupt, m11)
                   for _ in range(c.topology.n_secret)]
             vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs, target, rng)
+            om_i, om_j = mpc.out_messages(c, [vi, vj])
             assert mpc.consistent_views(
-                c, s.public_inputs, vi, vj, corrupt[0], corrupt[1])
-            assert mpc.local_output(c, corrupt[0], vi) == target
-            assert mpc.local_output(c, corrupt[1], vj) == target
+                c, s.public_inputs, vi, vj, corrupt[0], corrupt[1], om_i, om_j)
+            assert mpc.local_output(c, corrupt[0], vi, om_i) == target
+            assert mpc.local_output(c, corrupt[1], vj, om_j) == target
 
 
 def test_simulator_rejects_equal_corrupt_parties(m11, rng):
@@ -776,7 +790,8 @@ def test_shared_program_across_threads():
         try:
             for _ in range(200):
                 res, _, _ = honest_run(s, w, rng)
-                if res.outputs[0] != want or mpc.local_output(c, 1, res.views[0]) != want:
+                (om,) = mpc.out_messages(c, res.views[:1])
+                if res.outputs[0] != want or mpc.local_output(c, 1, res.views[0], om) != want:
                     errors.append(x)
         except Exception as e:  # reported by the assertion below
             errors.append(e)
