@@ -1,7 +1,10 @@
 """Arithmetic circuits: data model, text format, validation, evaluation.
 
-Circuits are trees (shared subterms are duplicated), mirroring the
-message-trace layout of the multiparty evaluation.  Text format:
+A circuit is a tree (shared subterms are duplicated), stored as one tuple
+of gate records in post-order with the root last: the order in which the
+multiparty evaluation visits the nodes and lays out each view's message
+trace.  Every pass over a circuit is one loop over that tuple.  Text
+format:
 
     field 101
     topology 0 1 3
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from mith.errors import CircuitError, CircuitParseError
 from mith.field import FieldElement, Modulus
@@ -24,6 +28,10 @@ from mith.field import FieldElement, Modulus
 # Gate ids are 4-byte fields of the view encoding, and the largest u32
 # marks its refresh slot, so every gate id lies below it.
 GATE_ID_BOUND = 0xFFFFFFFF
+
+_INPUTS = ("pinput", "sinput")
+_BINARY = ("add", "mul", "smul")
+_KEYWORDS = {*_INPUTS, "const", *_BINARY}
 
 
 @dataclass(frozen=True)
@@ -33,99 +41,22 @@ class Topology:
     n_gates: int
 
 
-@dataclass(frozen=True)
-class PInput:
-    wire: int
+class Gate(NamedTuple):
+    """One node of a circuit; op is its text keyword.  pinput and sinput
+    carry their wire index in a and no gate id; const carries its value,
+    an int in [0, p), in a; add, mul and smul carry the list indices of
+    their operands in a and b."""
 
-
-@dataclass(frozen=True)
-class SInput:
-    wire: int
-
-
-@dataclass(frozen=True)
-class Constant:
-    gid: int
-    value: FieldElement
-
-
-class _BinaryGate:
-    """==, hash and repr of a gate tree, each one walk with an explicit
-    stack; the dataclass-generated ones recurse once per level.  A
-    Circuit's own generated methods call these once, on its root."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, _BinaryGate):
-                if a.gid != b.gid:
-                    return False
-                stack += ((a.left, b.left), (a.right, b.right))
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        hashes: list[int] = []
-        for g in iter_gates(self):
-            if isinstance(g, _BinaryGate):
-                right, left = hashes.pop(), hashes.pop()
-                hashes.append(hash((type(g), g.gid, left, right)))
-            else:
-                hashes.append(hash(g))
-        return hashes[0]
-
-    def __repr__(self):
-        out = []
-        stack: list = [self]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, str):
-                out.append(g)
-            elif isinstance(g, _BinaryGate):
-                out.append(f"{type(g).__name__}(gid={g.gid!r}, left=")
-                stack += (")", g.right, ", right=", g.left)
-            else:
-                out.append(repr(g))
-        return "".join(out)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Addition(_BinaryGate):
-    gid: int
-    left: "Gate"
-    right: "Gate"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Multiplication(_BinaryGate):
-    gid: int
-    left: "Gate"
-    right: "Gate"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class SMultiplication(_BinaryGate):
-    gid: int
-    left: "Gate"
-    right: "Gate"
-
-
-Gate = PInput | SInput | Constant | Addition | Multiplication | SMultiplication
-_BINARY = (Addition, Multiplication, SMultiplication)
+    op: str
+    gid: int | None
+    a: int
+    b: int | None = None
 
 
 @dataclass(frozen=True)
 class Circuit:
     topology: Topology
-    root: Gate
+    gates: tuple[Gate, ...]
     modulus: Modulus
 
 
@@ -150,40 +81,30 @@ class Witness:
 
 
 # ---------------------------------------------------------------------------
-# Tree walks.  Every pass is iterative, so circuit depth is not bounded by
-# the interpreter's recursion limit.
+# Passes over the gate list
 
 
-def iter_gates(gate: Gate):
-    """Post-order walk over every node of the tree."""
-    stack = [(gate, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if expanded or not isinstance(g, _BINARY):
-            yield g
-        else:
-            stack += ((g, True), (g.right, False), (g.left, False))
+def scalar_marks(c: Circuit) -> list[bool]:
+    """Per gate: whether it lies inside some smul's scalar (left) subtree,
+    where it is evaluated in the clear.  One reverse pass: every gate
+    follows its operands, so its own mark is set before it passes it on."""
+    marks = [False] * len(c.gates)
+    for i in range(len(c.gates) - 1, -1, -1):
+        op, _, a, b = c.gates[i]
+        if op in _BINARY:
+            marks[a] = marks[i] or op == "smul"
+            marks[b] = marks[i]
+    return marks
 
 
-def gate_ids(gate: Gate) -> list[int]:
-    return [g.gid for g in iter_gates(gate) if not isinstance(g, (PInput, SInput))]
-
-
-def mul_gate_ids(circuit: Circuit) -> list[int]:
+def mul_gate_ids(c: Circuit) -> list[int]:
     """Ids of multiplication gates that exchange messages, ascending.
 
     Multiplications inside an smul's public left subtree are evaluated in
     the clear and consume no randomness.
     """
-    out = []
-    stack = [(circuit.root, False)]
-    while stack:
-        g, public = stack.pop()
-        if isinstance(g, _BINARY):
-            if isinstance(g, Multiplication) and not public:
-                out.append(g.gid)
-            stack += ((g.left, public or isinstance(g, SMultiplication)), (g.right, public))
-    return sorted(out)
+    return sorted(g.gid for g, public in zip(c.gates, scalar_marks(c))
+                  if g.op == "mul" and not public)
 
 
 def validate_circuit(c: Circuit) -> None:
@@ -195,39 +116,51 @@ def validate_circuit(c: Circuit) -> None:
         raise CircuitError(f"topology: secret input count {topo.n_secret} must be at least 1")
     if topo.n_gates < 1:
         raise CircuitError(f"topology: gate count {topo.n_gates} must be at least 1")
+    p = c.modulus.p
     seen: set[int] = set()
-    secret: list[bool] = []  # per finished subtree: does it read an sinput
-    for g in iter_gates(c.root):
-        if isinstance(g, PInput):
-            if not 0 <= g.wire < topo.n_public:
+    used = [False] * len(c.gates)
+    secret: list[bool] = []  # per gate: does its subtree read an sinput
+    for i, (op, gid, a, b) in enumerate(c.gates):
+        if op in _INPUTS:
+            public = op == "pinput"
+            n = topo.n_public if public else topo.n_secret
+            if not 0 <= a < n:
                 raise CircuitError(
-                    f"public input index {g.wire} out of range [0, {topo.n_public})")
+                    f"{'public' if public else 'secret'} input index {a} "
+                    f"out of range [0, {n})")
+            secret.append(not public)
+            continue
+        if op not in _KEYWORDS:
+            raise CircuitError(f"unknown gate op {op!r} at index {i}")
+        if not 0 <= gid < GATE_ID_BOUND:
+            raise CircuitError(f"gate id {gid} out of range [0, {GATE_ID_BOUND})")
+        if gid in seen:
+            raise CircuitError(f"duplicate gate id {gid}")
+        seen.add(gid)
+        if op == "const":
+            if not 0 <= a < p:
+                raise CircuitError(f"constant at gate {gid} is {a}, outside [0, {p})")
             secret.append(False)
             continue
-        if isinstance(g, SInput):
-            if not 0 <= g.wire < topo.n_secret:
+        for k in (a, b):
+            if not 0 <= k < i:
                 raise CircuitError(
-                    f"secret input index {g.wire} out of range [0, {topo.n_secret})")
-            secret.append(True)
-            continue
-        if not 0 <= g.gid < GATE_ID_BOUND:
-            raise CircuitError(f"gate id {g.gid} out of range [0, {GATE_ID_BOUND})")
-        if g.gid in seen:
-            raise CircuitError(f"duplicate gate id {g.gid}")
-        seen.add(g.gid)
-        if isinstance(g, Constant):
-            if g.value.modulus != c.modulus:
+                    f"gate {gid} at index {i} reads operand {k}, "
+                    f"not an earlier gate")
+            if used[k]:
                 raise CircuitError(
-                    f"constant at gate {g.gid} uses modulus "
-                    f"{g.value.modulus.p}, circuit uses {c.modulus.p}")
-            secret.append(False)
-            continue
-        right, left = secret.pop(), secret.pop()
-        if isinstance(g, SMultiplication) and left:
+                    f"gate {gid} reads operand {k} that another gate reads: "
+                    f"subterms must not be shared")
+            used[k] = True
+        if op == "smul" and secret[a]:
             raise CircuitError(
-                f"smul gate {g.gid} has a secret input in its scalar "
+                f"smul gate {gid} has a secret input in its scalar "
                 f"(left) subtree")
-        secret.append(left or right)
+        secret.append(secret[a] or secret[b])
+    if False in used[:-1]:
+        raise CircuitError(
+            f"gate at index {used.index(False)} feeds no later gate: "
+            f"a circuit has one root, its last gate")
     if len(seen) != topo.n_gates:
         raise CircuitError(
             f"gate count mismatch: topology declares {topo.n_gates}, tree has {len(seen)}")
@@ -237,46 +170,32 @@ def validate_circuit(c: Circuit) -> None:
 # Evaluation
 
 
-def _evaluate(root: Gate, leaf) -> FieldElement:
-    """Cleartext post-order evaluation; leaf(g) gives each leaf's value."""
-    vals: list[FieldElement] = []
-    for g in iter_gates(root):
-        if isinstance(g, _BINARY):
-            right, left = vals.pop(), vals.pop()
-            vals.append(left + right if isinstance(g, Addition) else left * right)
+def gate_values(c: Circuit, public: Sequence[int], secret: Sequence[int]) -> list[int]:
+    """Cleartext value of every gate, in list order, as ints in [0, p)."""
+    p = c.modulus.p
+    vals: list[int] = []
+    for op, _, a, b in c.gates:
+        if op == "add":
+            vals.append((vals[a] + vals[b]) % p)
+        elif op in ("mul", "smul"):
+            vals.append(vals[a] * vals[b] % p)
+        elif op == "const":
+            vals.append(a)
         else:
-            vals.append(leaf(g))
-    return vals[0]
-
-
-def eval_public(gate: Gate, public_inputs, modulus: Modulus) -> FieldElement:
-    """Cleartext evaluation of a public (sinput-free) subtree."""
-    def leaf(g):
-        if isinstance(g, PInput):
-            return public_inputs[g.wire]
-        if isinstance(g, SInput):
-            raise CircuitError("secret input inside a public subtree")
-        return g.value
-
-    return _evaluate(gate, leaf)
+            vals.append(public[a] if op == "pinput" else secret[a])
+    return vals
 
 
 def eval_plain(s: Statement, w: Witness) -> FieldElement:
     """Deterministic cleartext evaluation of the whole circuit."""
-    topo = s.circuit.topology
-    if len(w.secret_inputs) != topo.n_secret:
+    c = s.circuit
+    if len(w.secret_inputs) != c.topology.n_secret:
         raise CircuitError(
             f"witness has {len(w.secret_inputs)} secret inputs, "
-            f"topology wants {topo.n_secret}")
-
-    def leaf(g):
-        if isinstance(g, PInput):
-            return s.public_inputs[g.wire]
-        if isinstance(g, SInput):
-            return w.secret_inputs[g.wire]
-        return g.value
-
-    return _evaluate(s.circuit.root, leaf)
+            f"topology wants {c.topology.n_secret}")
+    vals = gate_values(c, [x.value for x in s.public_inputs],
+                       [x.value for x in w.secret_inputs])
+    return FieldElement(vals[-1], c.modulus)
 
 
 def relation_holds(s: Statement, w: Witness) -> bool:
@@ -285,10 +204,6 @@ def relation_holds(s: Statement, w: Witness) -> bool:
 
 # ---------------------------------------------------------------------------
 # Text format
-
-_KEYWORDS = {"pinput", "sinput", "const", "add", "mul", "smul"}
-_BINARY_WORDS = {"add": Addition, "mul": Multiplication, "smul": SMultiplication}
-_WORDS = {cls: word for word, cls in _BINARY_WORDS.items()}
 
 
 class _Tokenizer:
@@ -372,9 +287,12 @@ class _Parser:
         if kind != ")":
             raise CircuitParseError(f"expected ')', got {value!r}", line, col)
 
-    def gate(self, modulus: Modulus) -> Gate:
-        """One gate expression; open binary gates wait on an explicit stack."""
-        pending: list[tuple[type, int, list[Gate]]] = []
+    def gates(self, p: int) -> list[Gate]:
+        """One gate expression as records in post-order: a record is
+        appended as its gate closes, and open binary gates wait on an
+        explicit stack for their operands' indices."""
+        gates: list[Gate] = []
+        pending: list[tuple[str, int, list[int]]] = []
         while True:
             kind, value, line, col = self._next()
             if kind != "(":
@@ -382,27 +300,25 @@ class _Parser:
             kind, word, line, col = self._next()
             if kind != "kw":
                 raise CircuitParseError(f"expected gate keyword, got {word!r}", line, col)
-            if word in _BINARY_WORDS:
-                pending.append((_BINARY_WORDS[word], self._gate_id(), []))
+            if word in _BINARY:
+                pending.append((word, self._gate_id(), []))
                 continue
-            if word == "pinput":
-                node: Gate = PInput(self._int())
-            elif word == "sinput":
-                node = SInput(self._int())
-            else:
+            if word == "const":
                 gid = self._gate_id()
-                node = Constant(gid, modulus.element(self._int()))
+                gates.append(Gate(word, gid, self._int() % p))
+            else:
+                gates.append(Gate(word, None, self._int()))
             self._close()
             while pending:
-                cls, gid, children = pending[-1]
-                children.append(node)
-                if len(children) < 2:
+                word, gid, operands = pending[-1]
+                operands.append(len(gates) - 1)
+                if len(operands) < 2:
                     break
                 pending.pop()
-                node = cls(gid, *children)
+                gates.append(Gate(word, gid, *operands))
                 self._close()
             else:
-                return node
+                return gates
 
     def finish(self):
         tok = self._peek()
@@ -446,37 +362,33 @@ def parse_circuit(text: str | bytes) -> Circuit:
         raise CircuitParseError(
             "topology declares more inputs than the circuit text has bytes", 2, 1)
     parser = _Parser("\n".join(lines[2:]), 3)
-    root = parser.gate(modulus)
+    gates = parser.gates(modulus.p)
     parser.finish()
-    c = Circuit(topo, root, modulus)
+    c = Circuit(topo, tuple(gates), modulus)
     validate_circuit(c)
     return c
 
 
-def _format_gate(root: Gate) -> str:
-    out = []
-    stack: list = [root]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, str):
-            out.append(g)
-        elif isinstance(g, PInput):
-            out.append(f"(pinput {g.wire})")
-        elif isinstance(g, SInput):
-            out.append(f"(sinput {g.wire})")
-        elif isinstance(g, Constant):
-            out.append(f"(const {g.gid} {g.value.value})")
-        else:
-            out.append(f"({_WORDS[type(g)]} {g.gid} ")
-            stack += (")", g.right, " ", g.left)
-    return "".join(out)
-
-
 def format_circuit(c: Circuit) -> str:
+    """Circuit text: the gates in pre-order, from the root (the last record)."""
     topo = c.topology
-    return (f"field {c.modulus.p}\n"
-            f"topology {topo.n_public} {topo.n_secret} {topo.n_gates}\n"
-            f"{_format_gate(c.root)}\n")
+    out = [f"field {c.modulus.p}\ntopology {topo.n_public} {topo.n_secret} {topo.n_gates}\n"]
+    stack: list = [len(c.gates) - 1]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        op, gid, a, b = c.gates[x]
+        if op in _INPUTS:
+            out.append(f"({op} {a})")
+        elif op == "const":
+            out.append(f"(const {gid} {a})")
+        else:
+            out.append(f"({op} {gid} ")
+            stack += (")", b, " ", a)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

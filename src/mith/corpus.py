@@ -6,117 +6,102 @@ import itertools
 import random
 
 from mith.circuit import (
-    Addition, Circuit, Constant, Gate, Multiplication, PInput, SInput,
-    SMultiplication, Statement, Topology, Witness, eval_plain, gate_ids,
-    iter_gates, validate_circuit,
+    Circuit, Gate, Statement, Topology, Witness, eval_plain, parse_circuit,
+    validate_circuit,
 )
 from mith.field import FieldElement, Modulus
-
-
-def _count_gates(root: Gate) -> int:
-    return len(gate_ids(root))
-
-
-def _circuit(root: Gate, m: Modulus, n_public: int, n_secret: int) -> Circuit:
-    c = Circuit(Topology(n_public, n_secret, _count_gates(root)), root, m)
-    validate_circuit(c)
-    return c
 
 
 def identity_circuit(m: Modulus) -> Circuit:
     """Passes the single secret wire through a unit scalar gate (the
     topology requires at least one gate, so a bare wire is not a circuit)."""
-    root = SMultiplication(2, Constant(1, m.one()), SInput(0))
-    return _circuit(root, m, 0, 1)
+    return parse_circuit(f"field {m.p}\ntopology 0 1 2\n(smul 2 (const 1 1) (sinput 0))\n")
 
 
 def square_plus_one_circuit(m: Modulus) -> Circuit:
     """w0^2 + 1; over F_11 its image misses several field values, which
     makes it the canonical source of false statements."""
-    root = Addition(3, Multiplication(2, SInput(0), SInput(0)),
-                    Constant(1, m.one()))
-    return _circuit(root, m, 0, 1)
+    return parse_circuit(f"field {m.p}\ntopology 0 1 3\n"
+                         "(add 3 (mul 2 (sinput 0) (sinput 0)) (const 1 1))\n")
 
 
 def bench_circuit_a(m: Modulus | None = None) -> Circuit:
     """w0^2 + w1^2 + c1 + c2 over F_101: 7 gates of which 2 are
     multiplications (gates = const/add/mul/smul nodes; inputs excluded)."""
     m = m or Modulus(101)
-    root = Addition(7,
-                    Addition(6,
-                             Addition(5,
-                                      Multiplication(3, SInput(0), SInput(0)),
-                                      Multiplication(4, SInput(1), SInput(1))),
-                             Constant(1, m.element(5))),
-                    Constant(2, m.element(7)))
-    return _circuit(root, m, 0, 2)
+    return parse_circuit(
+        f"field {m.p}\ntopology 0 2 7\n"
+        "(add 7 (add 6 (add 5 (mul 3 (sinput 0) (sinput 0)) (mul 4 (sinput 1) (sinput 1)))"
+        " (const 1 5)) (const 2 7))\n")
 
 
 def bench_circuit_b(m: Modulus | None = None) -> Circuit:
     """w0^3 + w1^2 + 2*w0 + c1 + c2 over F_97: 11 gates of which 3 are
     multiplications, same counting rule as bench_circuit_a."""
     m = m or Modulus(97)
-    cube = Multiplication(2, Multiplication(1, SInput(0), SInput(0)), SInput(0))
-    square = Multiplication(3, SInput(1), SInput(1))
-    scaled = SMultiplication(5, Constant(4, m.element(2)), SInput(0))
-    root = Addition(11,
-                    Addition(10,
-                             Addition(9, Addition(8, cube, square), scaled),
-                             Constant(6, m.element(3))),
-                    Constant(7, m.element(9)))
-    return _circuit(root, m, 0, 2)
+    cube = "(mul 2 (mul 1 (sinput 0) (sinput 0)) (sinput 0))"
+    square = "(mul 3 (sinput 1) (sinput 1))"
+    scaled = "(smul 5 (const 4 2) (sinput 0))"
+    return parse_circuit(
+        f"field {m.p}\ntopology 0 2 11\n"
+        f"(add 11 (add 10 (add 9 (add 8 {cube} {square}) {scaled}) (const 6 3)) (const 7 9))\n")
 
 
 # ---------------------------------------------------------------------------
-# Random circuits
+# Random circuits.  Each builder appends its tree's records to `gates` in
+# post-order and returns the index of the tree's root.
 
 
 def _random_public_tree(rnd: random.Random, m: Modulus, n_public: int,
-                        depth: int, gid: itertools.count) -> Gate:
+                        depth: int, gid: itertools.count, gates: list[Gate]) -> int:
     if depth <= 0 or rnd.random() < 0.4:
         if n_public and rnd.random() < 0.5:
-            return PInput(rnd.randrange(n_public))
-        return Constant(next(gid), m.element(rnd.randrange(m.p)))
-    kind = rnd.choice(("add", "smul"))
-    left = _random_public_tree(rnd, m, n_public, depth - 1, gid)
-    right = _random_public_tree(rnd, m, n_public, depth - 1, gid)
-    if kind == "add":
-        return Addition(next(gid), left, right)
-    return SMultiplication(next(gid), left, right)
+            gates.append(Gate("pinput", None, rnd.randrange(n_public)))
+        else:
+            gates.append(Gate("const", next(gid), rnd.randrange(m.p)))
+        return len(gates) - 1
+    op = rnd.choice(("add", "smul"))
+    a = _random_public_tree(rnd, m, n_public, depth - 1, gid, gates)
+    b = _random_public_tree(rnd, m, n_public, depth - 1, gid, gates)
+    gates.append(Gate(op, next(gid), a, b))
+    return len(gates) - 1
 
 
 def _random_tree(rnd: random.Random, m: Modulus, n_public: int, n_secret: int,
-                 depth: int, gid: itertools.count) -> Gate:
+                 depth: int, gid: itertools.count, gates: list[Gate]) -> int:
     if depth <= 0 or rnd.random() < 0.25:
         roll = rnd.random()
         if roll < 0.5:
-            return SInput(rnd.randrange(n_secret))
-        if roll < 0.75 and n_public:
-            return PInput(rnd.randrange(n_public))
-        return Constant(next(gid), m.element(rnd.randrange(m.p)))
-    kind = rnd.choice(("add", "add", "mul", "mul", "smul"))
-    if kind == "smul":
-        left = _random_public_tree(rnd, m, n_public, depth - 1, gid)
-        right = _random_tree(rnd, m, n_public, n_secret, depth - 1, gid)
-        return SMultiplication(next(gid), left, right)
-    left = _random_tree(rnd, m, n_public, n_secret, depth - 1, gid)
-    right = _random_tree(rnd, m, n_public, n_secret, depth - 1, gid)
-    if kind == "add":
-        return Addition(next(gid), left, right)
-    return Multiplication(next(gid), left, right)
+            gates.append(Gate("sinput", None, rnd.randrange(n_secret)))
+        elif roll < 0.75 and n_public:
+            gates.append(Gate("pinput", None, rnd.randrange(n_public)))
+        else:
+            gates.append(Gate("const", next(gid), rnd.randrange(m.p)))
+        return len(gates) - 1
+    op = rnd.choice(("add", "add", "mul", "mul", "smul"))
+    if op == "smul":
+        a = _random_public_tree(rnd, m, n_public, depth - 1, gid, gates)
+    else:
+        a = _random_tree(rnd, m, n_public, n_secret, depth - 1, gid, gates)
+    b = _random_tree(rnd, m, n_public, n_secret, depth - 1, gid, gates)
+    gates.append(Gate(op, next(gid), a, b))
+    return len(gates) - 1
 
 
 def random_circuit(rnd: random.Random, m: Modulus, n_public: int = 1,
                    n_secret: int = 1, max_depth: int = 4) -> Circuit:
     """Random valid circuit that reads at least one secret wire."""
     while True:
-        gid = itertools.count(1)
-        root = _random_tree(rnd, m, n_public, n_secret, max_depth, gid)
-        if not any(isinstance(g, SInput) for g in iter_gates(root)):
+        gates: list[Gate] = []
+        _random_tree(rnd, m, n_public, n_secret, max_depth, itertools.count(1), gates)
+        if not any(g.op == "sinput" for g in gates):
             continue
-        if _count_gates(root) < 1:
+        n_gates = sum(g.gid is not None for g in gates)
+        if n_gates < 1:
             continue
-        return _circuit(root, m, n_public, n_secret)
+        c = Circuit(Topology(n_public, n_secret, n_gates), tuple(gates), m)
+        validate_circuit(c)
+        return c
 
 
 def random_instance(rnd: random.Random, c: Circuit) -> tuple[Statement, Witness]:

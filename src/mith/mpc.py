@@ -40,8 +40,7 @@ from typing import Sequence
 from mith.errors import MithError, ProofError
 from mith.field import FieldElement, RandomSource, lagrange_weights
 from mith.circuit import (
-    GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
-    SMultiplication, Statement, eval_public, iter_gates,
+    GATE_ID_BOUND, Circuit, Statement, gate_values, mul_gate_ids, scalar_marks,
 )
 from mith.sss import N_PARTIES, PARTY_IDS, dot5, share_lanes
 
@@ -66,9 +65,10 @@ class Program:
     the secret inputs; constants and op results follow.  `ops` is in
     post-order, so its multiplications run in view-message order; each
     carries the rank of its gate id among the messaging multiplications,
-    which indexes the party's randomness.  Multiplications inside an
-    smul's public subtree are not ops: the subtree is evaluated in the
-    clear once per statement (`scalar_roots`).
+    which indexes the party's randomness.  Gates inside an smul's scalar
+    subtree (`circuit.scalar_marks`) are not ops: `scalars` evaluates the
+    circuit in the clear once per statement and reads each scalar root
+    (`scalar_roots`, gate indices).
 
     The encoding `template` is a tuple of (static bytes, run length): the
     static counts and gate ids before each run of packed elements, and
@@ -84,54 +84,37 @@ class Program:
         self.n_in = topo.n_public + topo.n_secret
         init = [0] * self.n_in
         ops = []
-        self.scalar_roots = []
-        mul_gids = []  # messaging multiplications, post-order
-        gaps = []      # message-free nodes before each of them
-        run = 0
-        slots: list[int] = []  # operand slots of finished subtrees
-        stack: list[tuple] = [(c.root, None)]
-        while stack:
-            g, done = stack.pop()
-            if done is None and isinstance(g, (Addition, Multiplication, SMultiplication)):
-                if isinstance(g, SMultiplication):
-                    # The scalar subtree precedes the right one in post-order.
-                    run += sum(1 for _ in iter_gates(g.left))
-                    self.scalar_roots.append(g.left)
-                    stack += ((g, len(self.scalar_roots) - 1), (g.right, None))
-                else:
-                    stack += ((g, 0), (g.right, None), (g.left, None))
-                continue
-            if isinstance(g, PInput):
-                slots.append(g.wire)
-            elif isinstance(g, SInput):
-                slots.append(self.n_public + g.wire)
-            elif isinstance(g, Constant):
-                init.append(g.value.value)
-                slots.append(len(init) - 1)
+        self.scalar_roots = []  # gate index of each op smul's scalar
+        self.mul_gids = tuple(mul_gate_ids(c))
+        rank = {gid: r for r, gid in enumerate(self.mul_gids)}
+        at = []    # gate index of each messaging multiplication
+        slot = []  # per gate: its wire slot; None inside a scalar subtree
+        for i, ((op, gid, a, b), public) in enumerate(zip(c.gates, scalar_marks(c))):
+            if public:
+                slot.append(None)
+            elif op == "pinput":
+                slot.append(a)
+            elif op == "sinput":
+                slot.append(self.n_public + a)
             else:
-                init.append(0)
-                dst = len(init) - 1
-                if isinstance(g, SMultiplication):
-                    ops.append((SMUL, dst, done, slots.pop(), 0))
-                else:
-                    b, a = slots.pop(), slots.pop()
-                    if isinstance(g, Addition):
-                        ops.append((ADD, dst, a, b, 0))
-                    else:
-                        ops.append((MUL, dst, a, b, len(mul_gids)))
-                        mul_gids.append(g.gid)
-                        gaps.append(run)
-                        run = -1
-                slots.append(dst)
-            run += 1
-        rank = {gid: r for r, gid in enumerate(sorted(mul_gids))}
-        self.ops = tuple(
-            (code, dst, a, b, rank[mul_gids[r]]) if code == MUL else (code, dst, a, b, r)
-            for code, dst, a, b, r in ops)
-        self.root = slots[0]
+                slot.append(len(init))
+                init.append(a if op == "const" else 0)
+                if op == "smul":
+                    ops.append((SMUL, slot[i], len(self.scalar_roots), slot[b], 0))
+                    self.scalar_roots.append(a)
+                elif op == "add":
+                    ops.append((ADD, slot[i], slot[a], slot[b], 0))
+                elif op == "mul":
+                    ops.append((MUL, slot[i], slot[a], slot[b], rank[gid]))
+                    at.append(i)
+        self.ops = tuple(ops)
+        self.root = slot[-1]
         self.init = init
-        self.n_mul = len(mul_gids)
-        self.mul_gids = tuple(sorted(mul_gids))
+        self.n_mul = len(self.mul_gids)
+        # Message-free nodes before each messaging multiplication, and
+        # after the last one (before zin): differences of gate indices.
+        gaps = [j - i - 1 for i, j in zip([-1, *at], [*at, len(c.gates)])]
+        self._circuit = c
         self.n_rand = 2 * (self.n_mul + 1)
         self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
         self._scalar_cache: tuple = (None, ())
@@ -149,7 +132,7 @@ class Program:
         layout.append((_u32(len(gid_slots)) + _u32(gid_slots[0]), 2))
         layout += [(_u32(gid), 2) for gid in gid_slots[1:]]
         layout += [(zero * gap + _u32(5), 5) for gap in gaps]
-        layout += [(zero * run + _u32(5), 5), (_u32(5), 5)]
+        layout.append((_u32(5), 5))
         w = self.width
         template = []
         static = b""
@@ -170,9 +153,10 @@ class Program:
         key = tuple(public_inputs)
         cached_key, values = self._scalar_cache
         if cached_key != key:
-            m = self.modulus
-            xs = [FieldElement(v, m) for v in key]
-            values = tuple(eval_public(g, xs, m).value for g in self.scalar_roots)
+            # validate_circuit keeps sinputs out of scalar subtrees, so the
+            # secret inputs' values do not reach them.
+            vals = gate_values(self._circuit, key, (0,) * self.n_secret)
+            values = tuple(vals[i] for i in self.scalar_roots)
             self._scalar_cache = (key, values)
         return values
 

@@ -3,51 +3,92 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from mith import mpc
 from mith.circuit import (
-    GATE_ID_BOUND, Addition, Circuit, Constant, Multiplication, PInput, SInput,
-    Statement, Topology,
+    GATE_ID_BOUND, Circuit, Gate, Statement, Topology,
     Witness, eval_plain, format_circuit, format_statement, format_witness,
-    parse_circuit, parse_statement, parse_witness, relation_holds,
+    mul_gate_ids, parse_circuit, parse_statement, parse_witness, relation_holds,
     statement_circuit_path, statement_hash, validate_circuit,
 )
 from mith.corpus import golden_corpus, random_circuit
-from mith.errors import CircuitError, CircuitParseError
+from mith.errors import CircuitError, CircuitParseError, MithError
 from mith.field import Modulus
 
+from test_fuzz import TREES, render
+
 SQUARE_PLUS_ONE = "field 101\ntopology 0 1 3\n(add 3 (mul 2 (sinput 0) (sinput 0)) (const 1 1))"
+S0 = Gate("sinput", None, 0)
 
 
-def eval_oracle(expr, pubs, secs, p):
-    """Independent integer evaluator over the parsed tree."""
-    if isinstance(expr, PInput):
-        return pubs[expr.wire] % p
-    if isinstance(expr, SInput):
-        return secs[expr.wire] % p
-    if isinstance(expr, Constant):
-        return expr.value.value % p
-    l = eval_oracle(expr.left, pubs, secs, p)
-    r = eval_oracle(expr.right, pubs, secs, p)
-    if isinstance(expr, Addition):
-        return (l + r) % p
-    return (l * r) % p
+def read_tree(text: str):
+    """The gate expression of circuit text as nested lists of words, read
+    recursively; independent of mith's parser and gate records."""
+    words = text.split("\n", 2)[2].replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def expr():
+        nonlocal pos
+        node, pos = [], pos + 1  # past "("
+        while words[pos] != ")":
+            if words[pos] == "(":
+                node.append(expr())
+            else:
+                node.append(words[pos])
+                pos += 1
+        pos += 1
+        return node
+
+    return expr()
+
+
+def show_tree(t) -> str:
+    return "(" + " ".join(x if type(x) is str else show_tree(x) for x in t) + ")"
+
+
+def eval_oracle(text: str, pubs, secs) -> int:
+    """Independent integer evaluator over circuit text."""
+    p = int(text.split()[1])
+
+    def ev(t):
+        if t[0] == "pinput":
+            return pubs[int(t[1])] % p
+        if t[0] == "sinput":
+            return secs[int(t[1])] % p
+        if t[0] == "const":
+            return int(t[2]) % p
+        left, right = ev(t[2]), ev(t[3])
+        return (left + right) % p if t[0] == "add" else left * right % p
+
+    return ev(read_tree(text))
+
+
+def relabel(text: str, offset: int) -> str:
+    """Circuit text with every gate id moved by offset."""
+    def go(t):
+        if t[0] in ("pinput", "sinput"):
+            return t
+        return [t[0], str(int(t[1]) + offset), *[x if type(x) is str else go(x) for x in t[2:]]]
+
+    head = text.split("\n", 2)
+    return f"{head[0]}\n{head[1]}\n{show_tree(go(read_tree(text)))}\n"
 
 
 def test_parse_square_plus_one():
     c = parse_circuit(SQUARE_PLUS_ONE)
     assert c.modulus.p == 101
     assert c.topology == Topology(0, 1, 3)
-    assert isinstance(c.root, Addition)
+    assert c.gates == (Gate("sinput", None, 0), Gate("sinput", None, 0), Gate("mul", 2, 0, 1),
+                       Gate("const", 1, 1), Gate("add", 3, 2, 3))
     s = Statement(c, (), c.modulus.element(10))
     assert eval_plain(s, Witness((c.modulus.element(3),))).value == 10
 
 
-
-def test_gate_repr_keeps_dataclass_form():
-    c = parse_circuit(SQUARE_PLUS_ONE)
-    assert repr(c.root) == (
-        "Addition(gid=3, left=Multiplication(gid=2, left=SInput(wire=0), "
-        "right=SInput(wire=0)), right=Constant(gid=1, value=FieldElement(1 mod 101)))")
+def test_constants_reduced_mod_p():
+    c = parse_circuit("field 11\ntopology 0 1 2\n(add 2 (sinput 0) (const 1 -13))")
+    assert c.gates[1] == Gate("const", 1, 9)
+    assert format_circuit(c).endswith("(add 2 (sinput 0) (const 1 9))\n")
 
 
 def test_deep_chain_eq_hash_repr():
@@ -59,12 +100,14 @@ def test_deep_chain_eq_hash_repr():
             + "".join(f"(mul {gid} " for gid in range(n, 0, -1))
             + "(sinput 0)" + " (sinput 0))" * n + "\n")
     a, b = parse_circuit(text), parse_circuit(text)
-    assert a == b and a.root == b.root
-    assert hash(a) == hash(b) and hash(a.root) == hash(b.root)
+    assert a == b and a.gates == b.gates
+    assert hash(a) == hash(b) and hash(a.gates) == hash(b.gates)
     assert repr(a) == repr(b)
-    assert repr(a.root).count("Multiplication(gid=") == n
+    assert repr(a.gates).count("Gate(op='mul', gid=") == n
     other = parse_circuit(text.replace("(sinput 0) (sinput 0))", "(sinput 0) (sinput 1))", 1))
-    assert a.root != other.root and a != other
+    assert a.gates != other.gates and a != other
+    assert format_circuit(a) == text
+
 
 def test_parse_accepts_bytes():
     c = parse_circuit(SQUARE_PLUS_ONE.encode())
@@ -123,14 +166,14 @@ def test_gate_id_out_of_range(m11, gid):
     for text in (f"(mul {gid} (sinput 0) (sinput 0))", f"(add 1 (sinput 0) (const {gid} 1))"):
         with pytest.raises(CircuitParseError, match=f"gate id {gid} out of range.*line 3"):
             parse_circuit(f"field 11\ntopology 0 1 2\n{text}")
-    c = Circuit(Topology(0, 1, 1), Multiplication(gid, SInput(0), SInput(0)), m11)
+    c = Circuit(Topology(0, 1, 1), (S0, S0, Gate("mul", gid, 0, 1)), m11)
     with pytest.raises(CircuitError, match=f"gate id {gid} out of range"):
         validate_circuit(c)
 
 
 def test_largest_gate_id_accepted():
     c = parse_circuit(f"field 11\ntopology 0 1 1\n(mul {GATE_ID_BOUND - 1} (sinput 0) (sinput 0))")
-    assert c.root.gid == 0xFFFFFFFE
+    assert c.gates[-1].gid == 0xFFFFFFFE
 
 
 def test_topology_inputs_capped_by_text_size():
@@ -168,19 +211,61 @@ def test_smul_secret_scalar_rejected():
 
 
 def test_validate_topology_bounds(m11):
-    c = Circuit(Topology(0, 0, 1), Constant(1, m11.one()), m11)
+    c = Circuit(Topology(0, 0, 1), (Gate("const", 1, 1),), m11)
     with pytest.raises(CircuitError, match="secret input count"):
         validate_circuit(c)
-    c = Circuit(Topology(-1, 1, 1), Constant(1, m11.one()), m11)
+    c = Circuit(Topology(-1, 1, 1), (Gate("const", 1, 1),), m11)
     with pytest.raises(CircuitError, match="negative"):
         validate_circuit(c)
 
 
-def test_validate_constant_modulus_mismatch(m11, m97):
-    c = Circuit(Topology(0, 1, 2),
-                Addition(2, SInput(0), Constant(1, m97.one())), m11)
-    with pytest.raises(CircuitError, match="constant at gate 1"):
+@pytest.mark.parametrize("gates, n_gates, message", [
+    ((S0, S0, Gate("mul", 1, 0, 2)), 1, "reads operand 2, not an earlier gate"),
+    ((S0, S0, Gate("mul", 1, 0, 5)), 1, "reads operand 5, not an earlier gate"),
+    ((S0, S0, Gate("mul", 1, -1, 1)), 1, "reads operand -1, not an earlier gate"),
+    ((S0, Gate("add", 1, 0, 0)), 1, "another gate reads"),
+    ((S0, S0, Gate("mul", 1, 0, 1), Gate("add", 2, 2, 1)), 2, "another gate reads"),
+    ((S0, Gate("const", 1, 3), Gate("const", 2, 4), Gate("add", 3, 0, 2)), 3,
+     "index 1 feeds no later gate"),
+    ((S0, S0, Gate("sub", 1, 0, 1)), 1, "unknown gate op 'sub'"),
+    ((S0, S0, Gate("input", 1, 0, 1)), 1, "unknown gate op 'input'"),
+])
+def test_validate_gate_list_structure(m11, gates, n_gates, message):
+    """A directly built gate list must be a tree in post-order, root last:
+    each operand an earlier gate read by no other gate, every gate but
+    the root read once, and every op a text keyword."""
+    with pytest.raises(CircuitError, match=message):
+        validate_circuit(Circuit(Topology(0, 1, n_gates), gates, m11))
+
+
+@pytest.mark.parametrize("value", [-1, 11, 12, 1 << 70])
+def test_validate_constant_out_of_range(m11, value):
+    c = Circuit(Topology(0, 1, 2), (S0, Gate("const", 1, value), Gate("add", 2, 0, 1)), m11)
+    with pytest.raises(CircuitError, match=f"constant at gate 1 is {value}, outside \\[0, 11\\)"):
         validate_circuit(c)
+    validate_circuit(Circuit(Topology(0, 1, 2), (S0, Gate("const", 1, 10), Gate("add", 2, 0, 1)), m11))
+
+
+# Scalar (left) subtrees of smul gates 10 and 11 hold multiplications as a
+# left child, as a right child, under a nested smul and as the subtree's
+# root; only muls 8 and 12 lie outside them and exchange messages.
+SCALARS = ("(add 5 (mul 2 (pinput 0) (const 1 3)) (smul 4 (const 3 2) (mul 7 (pinput 0) (pinput 0))))",
+           "(mul 6 (const 9 4) (pinput 0))")
+NESTED_SCALARS = (
+    "field 101\ntopology 1 1 13\n"
+    f"(add 20 (smul 10 {SCALARS[0]} (mul 8 (sinput 0) (sinput 0)))"
+    f" (mul 12 (smul 11 {SCALARS[1]} (sinput 0)) (sinput 0)))\n")
+
+
+def test_scalar_subtree_multiplications_exchange_nothing():
+    c = parse_circuit(NESTED_SCALARS)
+    assert mul_gate_ids(c) == [8, 12]
+    prog = mpc.program(c)
+    assert prog.mul_gids == (8, 12)
+    assert [op[0] for op in prog.ops].count(mpc.MUL) == 2
+    for x in (0, 1, 5, 100):
+        assert prog.scalars((x,)) == tuple(
+            eval_oracle(f"field 101\ntopology 1 1 1\n{t}\n", [x], []) for t in SCALARS)
 
 
 def test_eval_plain_matches_oracle(rnd):
@@ -191,11 +276,38 @@ def test_eval_plain_matches_oracle(rnd):
         secs = [rnd.randrange(101) for _ in range(2)]
         s = Statement(c, tuple(m.element(v) for v in pubs), m.element(0))
         w = Witness(tuple(m.element(v) for v in secs))
-        assert eval_plain(s, w).value == eval_oracle(c.root, pubs, secs, 101)
+        assert eval_plain(s, w).value == eval_oracle(format_circuit(c), pubs, secs)
+
+
+def test_eval_plain_matches_oracle_on_golden_corpus(m11):
+    for s, w in golden_corpus(m11, 20):
+        pubs = [x.value for x in s.public_inputs]
+        secs = [x.value for x in w.secret_inputs]
+        text = format_circuit(s.circuit)
+        assert eval_plain(s, w).value == eval_oracle(text, pubs, secs) == s.target.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES, st.sampled_from([11, 97, 101]),
+       st.lists(st.integers(0, 10 ** 6), min_size=10, max_size=10))
+def test_eval_plain_matches_oracle_on_generated_trees(tree, p, values):
+    """test_fuzz's generated trees: each parsed one evaluates as the
+    recursive oracle says, over its own text."""
+    body, n_gates = render(tree)
+    text = f"field {p}\ntopology 5 5 {n_gates}\n{body}\n"
+    try:
+        c = parse_circuit(text)
+    except MithError:
+        assume(False)
+    m = c.modulus
+    pubs, secs = values[:5], values[5:]
+    s = Statement(c, tuple(m.element(v) for v in pubs), m.zero())
+    w = Witness(tuple(m.element(v) for v in secs))
+    assert eval_plain(s, w).value == eval_oracle(text, pubs, secs)
 
 
 def test_eval_plain_constant_root(m11):
-    c = Circuit(Topology(0, 1, 1), Constant(1, m11.element(6)), m11)
+    c = Circuit(Topology(0, 1, 1), (Gate("const", 1, 6),), m11)
     s = Statement(c, (), m11.element(6))
     for v in range(11):
         assert eval_plain(s, Witness((m11.element(v),))).value == 6
@@ -208,23 +320,13 @@ def test_eval_plain_length_mismatch():
         eval_plain(s, Witness((c.modulus.element(1), c.modulus.element(2))))
 
 
-def _relabel(gate, offset):
-    if isinstance(gate, (PInput, SInput)):
-        return gate
-    if isinstance(gate, Constant):
-        return Constant(gate.gid + offset, gate.value)
-    return type(gate)(gate.gid + offset,
-                      _relabel(gate.left, offset),
-                      _relabel(gate.right, offset))
-
-
 def test_eval_independent_of_gate_ids(rnd):
     """Relabeling gate ids never changes the evaluation."""
     m = Modulus(11)
     for _ in range(20):
         c = random_circuit(rnd, m, n_public=0, n_secret=1, max_depth=4)
-        c2 = Circuit(c.topology, _relabel(c.root, 1000), m)
-        validate_circuit(c2)
+        c2 = parse_circuit(relabel(format_circuit(c), 1000))
+        assert c2.gates != c.gates
         w = Witness((m.element(rnd.randrange(11)),))
         s1 = Statement(c, (), m.element(0))
         s2 = Statement(c2, (), m.element(0))

@@ -1,6 +1,6 @@
 """Golden bytes: the canonical view encoding, the MITH2 proof file and the
 session frames are fixed formats, so seeded runs must keep producing the
-same bytes.
+same bytes.  The corpus circuits are pinned too, by their circuit text.
 
 Each proof case pins the SHA-256 of the five encoded views of one seeded
 protocol run and of a seeded two-repetition proof file.  Each session
@@ -17,9 +17,12 @@ import pytest
 from mith import mpc
 from mith import protocol as pr
 from mith import session as ses
-from mith.circuit import parse_circuit
+from mith.circuit import format_circuit, parse_circuit
 from mith.commit import scheme_by_name
-from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
+from mith.corpus import (
+    bench_circuit_a, bench_circuit_b, golden_corpus, identity_circuit, random_circuit,
+    random_instance, square_plus_one_circuit,
+)
 from mith.field import Modulus, preset_modulus, RandomSource
 
 # An smul whose public (scalar) subtree contains a mul: that mul is
@@ -76,6 +79,62 @@ def golden_digests(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name):
     assert golden_digests(name) == GOLDEN[name]
+
+
+# SHA-256 of format_circuit for the hand-built and generated corpus
+# circuits, pinned while they were still built as linked gate objects.
+CIRCUIT_TEXT_GOLDEN = {
+    "identity-f101": "8ec7291fde8efd040ba9c145215cc08496e66a3df8de5cb8204bcbcd4c0a8fd8",
+    "square-plus-one-f101": "1f905eb87fe4386d8d60787e5144dab6b090f0980ad700dabfd167392897ec1f",
+    "bench-a-f101": "676b4c6be2d52495b1275176fe78fe3c3fc454f6fffeb49474c0d71e6b001c88",
+    "bench-a-p256": "bc5ae9d68e8c8eec9417af49f32a435b9e8aeb7ee227b583e18d4c874c1a1d26",
+    "bench-b-f97": "21f29f06961b1743afa02c0fd486f223e506e1033ad4ea57a5d7f185df068973",
+    "deep9-f101": "19ad5223a0b066a1f132bf7896ffd7e7f4398334aed3989d23630f59d249b9d2",
+}
+GOLDEN_CORPUS_F11_TEXT = [
+    "0a62c4ce27c2f6f0ca22d4df02dc8a248d05cdd67cda34eff3c5e7d10b69f8d0",
+    "79243ae7fa80e71a99b0462db1a8bb6081fc2a10c724323d39f47e96f5dfd346",
+    "386347c07d1cb3558f6605dd8375f6cd13233bc774e2db98a354cd10d53ff35a",
+    "fc72caeddf5f341ee9afe15c2ec46001016f87088cfa5ed3eeed13fa0e1be6ee",
+    "09b68cfa48922f7f58edf35caa3141457b59dcb85b871313818214e830cc0537",
+    "157c1fd94b05d5d2b09678ba840b3a2eebba7e55b7db313deb1674f53148391d",
+    "27a0b2670677159b940efd1440702cdea6018188cd76e40680ca0cf3b1a028fa",
+    "73d2e6a41fc659bec4a12d923452c8d870876ed31bc09ce338039e077d16c880",
+    "7199c3b3c070692f5083b1ec60ace1bf6543d1393eec1c59db7a6c6df348cfc5",
+    "d3bc687e8050c2873e8f65c3626639f7c300a7df33ba2622bdbcafea53eb82a7",
+    "1b7f4395b5049b27e03edf141075b3807ab0f327d8e6ae370675725b5df35f41",
+    "7df638c23cc8612c3f65f2c1b0965cd93c53c80075e0b5970b56752e81cecd2d",
+    "c88b2d0b90b30fa98a70f40f6482f006d48257cfd0a3e44d18d216cccf09e1e6",
+    "61f585f06a8d7a4f0addcdf44c6f068514659e311501e10673f6bab2efe05e71",
+    "20d9ff0d607fc4004a7f783a5e6521533abe110598573f78c9909ee4723749fb",
+    "cc204b37cbfc579891185806e6df1ef3cbe8034c1c4cefd46e524bd2533fc439",
+    "cc450b2730a87960086174a317b1a97ecf050486cbd367ba6f88a4de3a7a1f59",
+    "665b5eec3f799ed79fd60df21fb4e3b4bd4fa8cbfcfacf3704be96933fd711eb",
+    "94b5a6d700db59aa9fddbbbc574f2a2005d84161eba6f40433849389307edf44",
+    "b8f1bf3c070e5e07960b99e203c6deec3a0cafaa989327fe93455c2697c50500",
+]
+CIRCUITS = {
+    "identity-f101": lambda: identity_circuit(Modulus(101)),
+    "square-plus-one-f101": lambda: square_plus_one_circuit(Modulus(101)),
+    "bench-a-f101": bench_circuit_a,
+    "bench-a-p256": lambda: bench_circuit_a(preset_modulus("p256")),
+    "bench-b-f97": bench_circuit_b,
+    "deep9-f101": lambda: random_circuit(random.Random(3), Modulus(101), 1, 2, max_depth=9),
+}
+
+
+def text_digest(c) -> str:
+    return hashlib.sha256(format_circuit(c).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_golden_circuit_text(name):
+    assert text_digest(CIRCUITS[name]()) == CIRCUIT_TEXT_GOLDEN[name]
+
+
+def test_golden_corpus_circuit_text():
+    assert [text_digest(s.circuit) for s, _ in golden_corpus(Modulus(11), 20)] \
+        == GOLDEN_CORPUS_F11_TEXT
 
 
 SESSION_CASES = {

@@ -19,9 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mith import mpc
 from mith import protocol as pr
-from mith.circuit import (
-    Multiplication, SMultiplication, iter_gates, parse_circuit, statement_hash,
-)
+from mith.circuit import parse_circuit, statement_hash
 from mith.commit import PedersenScheme, pedersen_commit, scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
 from mith.errors import MithError
@@ -85,10 +83,14 @@ def reference_elements(v):
 
 def messaging_flags(c) -> list[bool]:
     """Per circuit node in post-order: whether it is a multiplication that
-    exchanges messages (one outside every smul's scalar subtree)."""
-    scalar = {id(g) for smul in iter_gates(c.root) if isinstance(smul, SMultiplication)
-              for g in iter_gates(smul.left)}
-    return [isinstance(g, Multiplication) and id(g) not in scalar for g in iter_gates(c.root)]
+    exchanges messages (one outside every smul's scalar subtree).  A
+    subtree is the run of the post-order list from its leftmost leaf to
+    its root."""
+    first = []  # per node: index of its subtree's leftmost leaf
+    for i, g in enumerate(c.gates):
+        first.append(first[g.a] if g.op in ("add", "mul", "smul") else i)
+    scalar = {k for g in c.gates if g.op == "smul" for k in range(first[g.a], g.a + 1)}
+    return [g.op == "mul" and i not in scalar for i, g in enumerate(c.gates)]
 
 
 def reference_encoding(c, v) -> bytes:
@@ -101,7 +103,7 @@ def reference_encoding(c, v) -> bytes:
     u32 = lambda n: n.to_bytes(4, "big")  # noqa: E731
     el = lambda xs: b"".join(x.to_bytes(w, "big") for x in xs)  # noqa: E731
     flags = messaging_flags(c)
-    gids = sorted(g.gid for g, msg in zip(iter_gates(c.root), flags) if msg)
+    gids = sorted(g.gid for g, msg in zip(c.gates, flags) if msg)
     gids.append(mpc.REFRESH_SLOT)
     out = [bytes([0x56]), u32(len(v.public_inputs)), el(v.public_inputs),
            u32(len(v.secret_shares)), el(v.secret_shares), u32(len(gids))]
