@@ -107,6 +107,10 @@ def mul_gate_ids(c: Circuit) -> list[int]:
                   if g.op == "mul" and not public)
 
 
+def _int_in(x, lo: int, hi: int) -> bool:
+    return isinstance(x, int) and lo <= x < hi
+
+
 def validate_circuit(c: Circuit) -> None:
     """Check every structural invariant; distinct diagnostic per violation."""
     topo = c.topology
@@ -124,28 +128,28 @@ def validate_circuit(c: Circuit) -> None:
         if op in _INPUTS:
             public = op == "pinput"
             n = topo.n_public if public else topo.n_secret
-            if not 0 <= a < n:
+            if not _int_in(a, 0, n):
                 raise CircuitError(
-                    f"{'public' if public else 'secret'} input index {a} "
+                    f"{'public' if public else 'secret'} input index {a!r} "
                     f"out of range [0, {n})")
             secret.append(not public)
             continue
         if op not in _KEYWORDS:
             raise CircuitError(f"unknown gate op {op!r} at index {i}")
-        if not 0 <= gid < GATE_ID_BOUND:
-            raise CircuitError(f"gate id {gid} out of range [0, {GATE_ID_BOUND})")
+        if not _int_in(gid, 0, GATE_ID_BOUND):
+            raise CircuitError(f"gate id {gid!r} out of range [0, {GATE_ID_BOUND})")
         if gid in seen:
             raise CircuitError(f"duplicate gate id {gid}")
         seen.add(gid)
         if op == "const":
-            if not 0 <= a < p:
-                raise CircuitError(f"constant at gate {gid} is {a}, outside [0, {p})")
+            if not _int_in(a, 0, p):
+                raise CircuitError(f"constant at gate {gid} is {a!r}, outside [0, {p})")
             secret.append(False)
             continue
         for k in (a, b):
-            if not 0 <= k < i:
+            if not _int_in(k, 0, i):
                 raise CircuitError(
-                    f"gate {gid} at index {i} reads operand {k}, "
+                    f"gate {gid} at index {i} reads operand {k!r}, "
                     f"not an earlier gate")
             if used[k]:
                 raise CircuitError(

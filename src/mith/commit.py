@@ -229,6 +229,7 @@ class PedersenScheme:
 
     def __init__(self, params: PedersenParams):
         self.params = params
+        self._blinder_bytes = (params.order.bit_length() + 7) // 8
 
     def keygen(self, rng: RandomSource, n_elements: int) -> tuple[int, ...]:
         return tuple(rng.randbelows(self.params.order, n_elements))
@@ -243,44 +244,37 @@ class PedersenScheme:
         return pedersen_commit(self.params, key, (0,) * n_elements)[0]
 
     def serialize_commitment(self, c) -> bytes:
-        w = self.params.element_bytes
-        out = [len(c).to_bytes(4, "big")]
-        out += [v.to_bytes(w, "big") for v in c]
-        return b"".join(out)
+        return _pack_ints(c, self.params.element_bytes)
 
     def parse_commitment(self, data: bytes):
-        w = self.params.element_bytes
-        if len(data) < 4:
-            raise MithError("truncated Pedersen commitment")
-        n = int.from_bytes(data[:4], "big")
-        if len(data) != 4 + n * w:
-            raise MithError("Pedersen commitment length mismatch")
-        vals = tuple(
-            int.from_bytes(data[4 + k * w:4 + (k + 1) * w], "big") for k in range(n))
+        vals = _unpack_ints(data, self.params.element_bytes, "commitment")
         if any(not 0 < v < self.params.group_prime for v in vals):
             raise MithError("Pedersen commitment element out of range")
         return vals
 
     def serialize_opening(self, o) -> bytes:
-        w = (self.params.order.bit_length() + 7) // 8
-        out = [len(o).to_bytes(4, "big")]
-        out += [v.to_bytes(w, "big") for v in o]
-        return b"".join(out)
+        return _pack_ints(o, self._blinder_bytes)
 
     def parse_opening(self, data: bytes):
         """Blinders below the group order only, so an opening has exactly
         one encoding."""
-        w = (self.params.order.bit_length() + 7) // 8
-        if len(data) < 4:
-            raise MithError("truncated Pedersen opening")
-        n = int.from_bytes(data[:4], "big")
-        if len(data) != 4 + n * w:
-            raise MithError("Pedersen opening length mismatch")
-        vals = tuple(
-            int.from_bytes(data[4 + k * w:4 + (k + 1) * w], "big") for k in range(n))
+        vals = _unpack_ints(data, self._blinder_bytes, "opening")
         if any(v >= self.params.order for v in vals):
             raise MithError("Pedersen blinder not below the group order")
         return vals
+
+
+def _pack_ints(vals, width: int) -> bytes:
+    """The Pedersen codec: a 4-byte count, then width-byte big-endian ints."""
+    return len(vals).to_bytes(4, "big") + b"".join(v.to_bytes(width, "big") for v in vals)
+
+
+def _unpack_ints(data: bytes, width: int, what: str) -> tuple[int, ...]:
+    if len(data) < 4:
+        raise MithError(f"truncated Pedersen {what}")
+    if len(data) != 4 + int.from_bytes(data[:4], "big") * width:
+        raise MithError(f"Pedersen {what} length mismatch")
+    return tuple(int.from_bytes(data[k:k + width], "big") for k in range(4, len(data), width))
 
 
 def scheme_by_name(name: str, modulus_p: int | None = None):

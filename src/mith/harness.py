@@ -1,10 +1,12 @@
 """Executable security games with statistical or exhaustive verdicts.
 
 Each experiment runs a concrete adversary against the real protocol and
-compares an empirical rate to a reference bound.  Soundness uses the
-canonical one-bad-pair cheater: an execution doctored so exactly one
-pair of views is inconsistent, whose acceptance therefore coincides,
-trial by trial, with the challenge avoiding that pair.
+compares an empirical rate to a reference bound.  Every game plays the
+real prover, simulator or cheater through `protocol.check_repetitions`:
+each trial is one transcript-mode proof.  Soundness uses the canonical
+one-bad-pair cheater: an execution doctored so exactly one pair of views
+is inconsistent, whose acceptance therefore coincides, repetition by
+repetition, with the challenge avoiding that pair.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 from mith import mpc
 from mith import protocol as proto
-from mith.circuit import Statement, Witness
+from mith.circuit import Statement, Witness, statement_hash
 from mith.commit import prf_commit, prf_verify, scheme_by_name
 from mith.corpus import golden_corpus, impossible_statement, square_plus_one_circuit
 from mith.errors import MithError
@@ -100,21 +102,17 @@ def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
     ok = 0
     for t in range(trials):
         s, w = corpus[t % len(corpus)]
-        accept = True
-        for _ in range(reps):
-            (st,), (cm,) = proto.commit_repetitions(w, s, 1, rng, scheme)
-            vst, ch = proto.verifier_challenge(rng, s, cm)
-            resp = proto.prover_respond(st, ch)
-            if not proto.verifier_check(vst, resp, scheme):
-                accept = False
-                break
-        ok += accept
+        ok += proto.verify_repeated(s, proto.prove_repeated(w, s, reps, rng, scheme, "transcript"))
     return ExperimentReport("completeness", trials, ok, 1.0, 0.0,
                             detail=f"reps={reps}")
 
 
 # ---------------------------------------------------------------------------
-# Soundness: canonical cheating provers
+# Soundness: canonical cheating provers.  A cheater commits reps
+# repetitions at once, `commit(rng, reps) -> (states, msgs)`, and states
+# for each challenge whether it expects that repetition to pass
+# (`passes`); `claim` is the detail a report carries when every
+# repetition did as stated.
 
 
 class OneBadPairCheater:
@@ -125,6 +123,8 @@ class OneBadPairCheater:
     view is internally coherent, all other pairs stay consistent, and the
     verifier accepts exactly when the challenge avoids bad_pair.
     """
+
+    claim = ", accept==challenge-avoids-bad-pair"
 
     def __init__(self, s: Statement, w_guess: Witness,
                  bad_pair: tuple[int, int], rng: RandomSource, scheme=None):
@@ -150,28 +150,30 @@ class OneBadPairCheater:
             self.views.append(dataclasses.replace(v, zin=tuple(zin), bcast=tuple(bcast)))
         self._n_el = mpc.view_element_count(c)
 
-    def commit(self, rng: RandomSource) -> tuple[proto.CommitmentMsg, proto.ProverState]:
-        commitments = []
-        openings = []
-        for view in self.views:
-            key = self.scheme.keygen(rng, self._n_el)
-            com, op = self.scheme.commit_view(key, self.statement.circuit, view)
-            commitments.append(com)
-            openings.append(op)
-        return (proto.CommitmentMsg(tuple(commitments)),
-                proto.ProverState(tuple(self.views), tuple(openings)))
+    def commit(self, rng: RandomSource,
+               reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
+        c = self.statement.circuit
+        states, msgs = [], []
+        for _ in range(reps):
+            coms, openings = zip(*[
+                self.scheme.commit_view(self.scheme.keygen(rng, self._n_el), c, view)
+                for view in self.views])
+            states.append(proto.ProverState(tuple(self.views), openings))
+            msgs.append(proto.CommitmentMsg(coms))
+        return states, msgs
 
-    def respond(self, state: proto.ProverState, ch: tuple[int, int]) -> proto.Response:
-        return proto.prover_respond(state, ch)
+    def passes(self, ch: tuple[int, int]) -> bool:
+        return ch != self.bad_pair
 
 
 class GarbageCheater:
     """Commits honest-looking digests it cannot open; never accepted."""
 
+    claim = ""
+
     def __init__(self, s: Statement, rng: RandomSource, scheme=None):
         self.scheme = scheme or scheme_by_name("prf")
         self.statement = s
-        self.bad_pair = None
         c = s.circuit
         m = c.modulus
         # Honest execution for an arbitrary witness, so the views are
@@ -181,56 +183,47 @@ class GarbageCheater:
         self._n_el = mpc.view_element_count(c)
         self._enc_len = mpc.encoded_view_length(c)
 
-    def commit(self, rng: RandomSource) -> tuple[proto.CommitmentMsg, proto.ProverState]:
-        commitments = tuple(
-            self.scheme.dummy_commitment(
-                self.scheme.keygen(rng, self._n_el), self._enc_len, self._n_el)
-            for _ in range(5))
-        openings = tuple(self.scheme.keygen(rng, self._n_el) for _ in range(5))
-        return proto.CommitmentMsg(commitments), proto.ProverState(self.views, openings)
+    def commit(self, rng: RandomSource,
+               reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
+        states, msgs = [], []
+        for _ in range(reps):
+            msgs.append(proto.CommitmentMsg(tuple(
+                self.scheme.dummy_commitment(
+                    self.scheme.keygen(rng, self._n_el), self._enc_len, self._n_el)
+                for _ in range(5))))
+            openings = tuple(self.scheme.keygen(rng, self._n_el) for _ in range(5))
+            states.append(proto.ProverState(self.views, openings))
+        return states, msgs
 
-    def respond(self, state: proto.ProverState, ch: tuple[int, int]) -> proto.Response:
-        return proto.prover_respond(state, ch)
+    def passes(self, ch: tuple[int, int]) -> bool:
+        return False
 
 
 def run_soundness(cheater, trials: int, rng: RandomSource,
                   reps: int = 1, tolerance: float | None = None) -> ExperimentReport:
     """3-pass game against a cheating prover on a false statement.
 
-    With the canonical cheater the per-trial accept event must equal
-    "every challenge avoided the bad pair"; any divergence fails the
-    experiment outright.
+    The bound is the cheater's stated pass rate to the power reps.  Each
+    repetition's verdict must equal the cheater's expectation for its
+    challenge; any divergence fails the experiment outright.
     """
     s = cheater.statement
-    scheme = cheater.scheme
-    per_run = 1 - 1 / proto.N_CHALLENGES
-    bound = per_run ** reps
+    bound = (sum(map(cheater.passes, PARTY_PAIRS)) / proto.N_CHALLENGES) ** reps
     if tolerance is None:
         tolerance = binomial_tolerance(bound, trials)
     wins = 0
     exact = True
     for _ in range(trials):
-        accept = True
-        avoided = True
-        for _ in range(reps):
-            cm, state = cheater.commit(rng)
-            vst, ch = proto.verifier_challenge(rng, s, cm)
-            resp = cheater.respond(state, ch)
-            if not proto.verifier_check(vst, resp, scheme):
-                accept = False
-            if cheater.bad_pair is not None and ch == cheater.bad_pair:
-                avoided = False
-        wins += accept
-        if cheater.bad_pair is not None and accept != avoided:
-            exact = False
-    detail = f"reps={reps}"
-    if cheater.bad_pair is not None:
-        detail += ", accept==challenge-avoids-bad-pair" if exact else ", PER-TRIAL MISMATCH"
-    rep = ExperimentReport(f"soundness(reps={reps})", trials, wins,
-                           bound if cheater.bad_pair else 0.0,
-                           tolerance, kind="two_sided" if cheater.bad_pair else "upper",
+        states, msgs = cheater.commit(rng, reps)
+        proof = proto.respond_repetitions(s, states, msgs, rng, cheater.scheme, "transcript")
+        checks = proto.check_repetitions(s, proof)
+        exact = exact and all(ok == cheater.passes(t.challenge)
+                              for t, (_, ok) in zip(proof.transcripts, checks))
+        wins += proto.accepts(s, proof, checks)
+    detail = f"reps={reps}" + (cheater.claim if exact else ", PER-TRIAL MISMATCH")
+    rep = ExperimentReport(f"soundness(reps={reps})", trials, wins, bound, tolerance,
                            detail=detail)
-    if cheater.bad_pair is not None and not exact:
+    if not exact:
         rep.verdict = "fail"
     return rep
 
@@ -256,22 +249,21 @@ def run_zk(s: Statement, w: Witness, distinguisher: Callable,
     scheme = scheme or scheme_by_name("prf")
     if tolerance is None:
         tolerance = binomial_tolerance(0.5, trials)
+    digest = statement_hash(s)
+
+    def honest_verifier(s_, cm_):
+        return PARTY_PAIRS[rng.randbelow(proto.N_CHALLENGES)]
+
     correct = 0
     for t in range(trials):
         real = t % 2 == 0
         if real:
-            (st,), (cm,) = proto.commit_repetitions(w, s, 1, rng, scheme)
-            vst, ch = proto.verifier_challenge(rng, s, cm)
-            resp = proto.prover_respond(st, ch)
-            verdict = proto.verifier_check(vst, resp, scheme)
-            tr = proto.Transcript(cm, ch, resp)
+            proof = proto.prove_repeated(w, s, 1, rng, scheme, "transcript")
         else:
-            def honest_verifier(s_, cm_):
-                return PARTY_PAIRS[rng.randbelow(proto.N_CHALLENGES)]
             tr = proto.zk_simulate(s, honest_verifier, rng=rng, scheme=scheme)
-            vst = proto.VerifierState(s, tr.commitment, tr.challenge)
-            verdict = proto.verifier_check(vst, tr.response, scheme)
-        guess_real = distinguisher(s, verdict, tr)
+            proof = proto.Proof(scheme.name, "transcript", digest, (tr,))
+        verdict = proto.verify_repeated(s, proof)
+        guess_real = distinguisher(s, verdict, proof.transcripts[0])
         correct += (guess_real == real)
     return ExperimentReport(f"zk({getattr(distinguisher, 'label', 'D')})",
                             trials, correct, 0.5, tolerance)

@@ -1,12 +1,17 @@
 """The commit-challenge-response proof protocol and its repetition.
 
-One run: the prover shares the witness, emulates the 5-party evaluation,
-commits to all five views; the verifier picks one of the 10 party pairs;
-the prover opens those two views; the verifier checks the openings, the
-pairwise consistency of the views, and that both locally output the
-statement's target.  A single run convinces with soundness error 9/10
-(plus the commitment binding advantage); sigma parallel repetitions take
-that to (9/10)^sigma.
+One repetition: the prover shares the witness, emulates the 5-party
+evaluation, commits to all five views; the verifier picks one of the 10
+party pairs; the prover opens those two views; the verifier checks the
+openings, the pairwise consistency of the views, and that both locally
+output the statement's target.  A single repetition convinces with
+soundness error 9/10 (plus the commitment binding advantage); sigma
+parallel repetitions take that to (9/10)^sigma.
+
+Every prover, cheater and simulator here commits sigma repetitions as one
+(states, msgs) pair (`commit_repetitions`); `respond_repetitions` turns
+such a pair into a `Proof`, and `check_repetitions` is the one verifier,
+for proof files, sessions and the security games alike.
 """
 
 from __future__ import annotations
@@ -75,57 +80,12 @@ class ProverState:
     openings: tuple
 
 
-@dataclass
-class VerifierState:
-    statement: Statement
-    commitment: CommitmentMsg
-    challenge: tuple[int, int]
-
-
-def verifier_challenge(rv: RandomSource, s: Statement,
-                       c: CommitmentMsg) -> tuple[VerifierState, tuple[int, int]]:
-    """Uniform choice among the 10 pairs; public-coin, ignores c's content."""
-    ch = PARTY_PAIRS[rv.randbelow(N_CHALLENGES)]
-    return VerifierState(s, c, ch), ch
-
-
 def prover_respond(st: ProverState, ch: tuple[int, int]) -> Response:
     i, j = ch
     return Response(
         (st.views[i - 1], st.openings[i - 1]),
         (st.views[j - 1], st.openings[j - 1]),
     )
-
-
-def verifier_check(st: VerifierState, r: Response, scheme) -> bool:
-    """Openings verify, views pairwise consistent, both outputs hit the
-    target.  Malformed data yields False, never an exception.  The
-    one-repetition case of `check_repetitions`."""
-    return _check_transcripts(st.statement, [Transcript(st.commitment, st.challenge, r)],
-                              scheme)[0]
-
-
-def _check_transcripts(s: Statement, transcripts: Sequence[Transcript], scheme) -> list[bool]:
-    """verifier_check of each transcript: every opened view of every
-    transcript is validated and replayed in one `out_messages` call."""
-    c = s.circuit
-    replays = mpc.out_messages(c, [v for t in transcripts
-                                   for v, _ in (t.response.first, t.response.second)])
-    oks = []
-    for t, om_i, om_j in zip(transcripts, replays[::2], replays[1::2]):
-        i, j = t.challenge
-        (vi, oi), (vj, oj) = t.response.first, t.response.second
-        try:
-            ok = (om_i is not None and om_j is not None
-                  and scheme.verify_view(c, vi, t.commitment.commitments[i - 1], oi)
-                  and scheme.verify_view(c, vj, t.commitment.commitments[j - 1], oj)
-                  and mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
-                  and mpc.local_output(c, i, vi, om_i) == s.target
-                  and mpc.local_output(c, j, vj, om_j) == s.target)
-        except MithError:
-            ok = False
-        oks.append(ok)
-    return oks
 
 
 def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
@@ -200,40 +160,64 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     return states, msgs
 
 
+def respond_repetitions(s: Statement, states: Sequence[ProverState],
+                        msgs: Sequence[CommitmentMsg], rng: RandomSource, scheme,
+                        mode: str) -> Proof:
+    """The challenge and response phases for a commit phase (states,
+    msgs).  Challenges are hash-derived from all commitments, or in
+    transcript mode rng-drawn in repetition order, as an interactive
+    verifier would have sent them (such a proof has no file form)."""
+    digest = statement_hash(s)
+    if mode == "derived":
+        blobs = challenge_blobs(msgs, scheme)
+        chs = [derive_challenge(digest, k, blobs) for k in range(len(msgs))]
+    elif mode == "transcript":
+        chs = [PARTY_PAIRS[rng.randbelow(N_CHALLENGES)] for _ in msgs]
+    else:
+        raise MithError(f"unknown challenge mode {mode!r}")
+    return Proof(scheme.name, mode, digest, tuple(
+        Transcript(cm, ch, prover_respond(st, ch)) for st, cm, ch in zip(states, msgs, chs)))
+
+
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
                    scheme=None, mode: str = "derived") -> Proof:
-    """sigma independent runs.  Challenges are hash-derived from all
-    commitments, or in transcript mode rng-drawn, as an interactive
-    verifier would have sent them (such a proof has no file form)."""
-    if mode not in ("derived", "transcript"):
-        raise MithError(f"unknown challenge mode {mode!r}")
+    """sigma independent runs of the honest prover (`commit_repetitions`,
+    then `respond_repetitions`)."""
     scheme = scheme or scheme_by_name("prf")
-    digest = statement_hash(s)
     states, msgs = commit_repetitions(w, s, reps, rng, scheme)
-    blobs = challenge_blobs(msgs, scheme)
-    transcripts = []
-    for k in range(reps):
-        if mode == "derived":
-            ch = derive_challenge(digest, k, blobs)
-        else:
-            ch = PARTY_PAIRS[rng.randbelow(N_CHALLENGES)]
-        transcripts.append(Transcript(msgs[k], ch, prover_respond(states[k], ch)))
-    return Proof(scheme.name, mode, digest, tuple(transcripts))
+    return respond_repetitions(s, states, msgs, rng, scheme, mode)
 
 
 def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
-    """Per repetition: (challenge source ok, verifier_check ok), with the
-    opened views of all repetitions replayed in one pass.  A
+    """The verifier.  Per repetition: (challenge source ok, check ok).  A
     transcript-mode challenge was drawn by the verifier holding the proof
     and is taken as recorded; any other must equal the challenge derived
-    from the commitments."""
-    scheme = scheme_by_name(proof.scheme, s.circuit.modulus.p)
+    from the commitments.  The check: openings verify, views pairwise
+    consistent, both outputs hit the target, with every opened view of
+    every repetition validated and replayed in one `out_messages` call.
+    Malformed data yields False, never an exception."""
+    c = s.circuit
+    scheme = scheme_by_name(proof.scheme, c.modulus.p)
     recorded = proof.challenge_mode == "transcript"
     if not recorded:
         blobs = challenge_blobs([t.commitment for t in proof.transcripts], scheme)
-    sources = [recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs)
-               for k, t in enumerate(proof.transcripts)]
-    return list(zip(sources, _check_transcripts(s, proof.transcripts, scheme)))
+    replays = mpc.out_messages(c, [v for t in proof.transcripts
+                                   for v, _ in (t.response.first, t.response.second)])
+    checks = []
+    for k, (t, om_i, om_j) in enumerate(zip(proof.transcripts, replays[::2], replays[1::2])):
+        i, j = t.challenge
+        (vi, oi), (vj, oj) = t.response.first, t.response.second
+        try:
+            ok = (om_i is not None and om_j is not None
+                  and scheme.verify_view(c, vi, t.commitment.commitments[i - 1], oi)
+                  and scheme.verify_view(c, vj, t.commitment.commitments[j - 1], oj)
+                  and mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
+                  and mpc.local_output(c, i, vi, om_i) == s.target
+                  and mpc.local_output(c, j, vj, om_j) == s.target)
+        except MithError:
+            ok = False
+        checks.append((recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs), ok))
+    return checks
 
 
 def accepts(s: Statement, proof: Proof, checks) -> bool:
@@ -253,25 +237,12 @@ def verify_repeated(s: Statement, proof: Proof) -> bool:
 # Zero-knowledge simulator
 
 
-class SimulatedRun:
-    """Commit-phase output of one simulator attempt: real simulated views
-    for the guessed pair, dummy commitments elsewhere (the state holds
-    None for those parties)."""
-
-    def __init__(self, guess: tuple[int, int], commitment: CommitmentMsg, state: ProverState):
-        self.guess = guess
-        self.commitment = commitment
-        self.state = state
-
-    def respond(self, ch: tuple[int, int]) -> Response | None:
-        """The opened pair if the guess was right, else abort."""
-        if ch != self.guess:
-            return None
-        return prover_respond(self.state, ch)
-
-
-def zk_simulate_once(s: Statement, rng: RandomSource, scheme=None) -> SimulatedRun:
-    """One witness-free simulator attempt with a uniform challenge guess."""
+def zk_simulate_once(s: Statement, rng: RandomSource,
+                     scheme=None) -> tuple[tuple[int, int], CommitmentMsg, ProverState]:
+    """One witness-free simulator attempt with a uniform challenge guess:
+    (guess, commitments, state).  The commitments hold real simulated
+    views for the guessed pair and dummy ones elsewhere; the state holds
+    None for the parties it cannot open."""
     scheme = scheme or scheme_by_name("prf")
     c = s.circuit
     m = c.modulus
@@ -294,8 +265,7 @@ def zk_simulate_once(s: Statement, rng: RandomSource, scheme=None) -> SimulatedR
         else:
             com = scheme.dummy_commitment(key, enc_len, n_el)
         commitments.append(com)
-    return SimulatedRun(guess, CommitmentMsg(tuple(commitments)),
-                        ProverState(tuple(views), tuple(openings)))
+    return guess, CommitmentMsg(tuple(commitments)), ProverState(tuple(views), tuple(openings))
 
 
 def zk_simulate(s: Statement,
@@ -308,11 +278,10 @@ def zk_simulate(s: Statement,
         raise MithError("max_retries must be at least 1")
     rng = rng or RandomSource()
     for _ in range(max_retries):
-        run = zk_simulate_once(s, rng, scheme)
-        ch = verifier(s, run.commitment)
-        resp = run.respond(ch)
-        if resp is not None:
-            return Transcript(run.commitment, ch, resp)
+        guess, cm, st = zk_simulate_once(s, rng, scheme)
+        ch = verifier(s, cm)
+        if ch == guess:
+            return Transcript(cm, ch, prover_respond(st, ch))
     raise SimulationFailure(
         f"challenge guess missed {max_retries} times in a row")
 

@@ -96,5 +96,6 @@ def chi2_homogeneity(counts_a: Sequence[int], counts_b: Sequence[int]) -> tuple[
 
 
 def binomial_tolerance(p: float, n: int, sigmas: float = 3.0) -> float:
-    """Half-width of the +/- sigmas band for a rate estimated from n trials."""
-    return sigmas * math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+    """Half-width of the +/- sigmas band for a rate estimated from n trials;
+    0 for a rate of 0 or 1, which admits no miss."""
+    return sigmas * math.sqrt(p * (1.0 - p) / n)

@@ -44,9 +44,7 @@ def report(num, text, ok, extra=""):
 
 
 def single_run_accepts(s, w, rng, scheme=PRF):
-    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, scheme)
-    vst, ch = pr.verifier_challenge(rng, s, cm)
-    return pr.verifier_check(vst, pr.prover_respond(st, ch), scheme)
+    return pr.verify_repeated(s, pr.prove_repeated(w, s, 1, rng, scheme, "transcript"))
 
 
 def test_criterion_1_completeness():
@@ -361,19 +359,14 @@ def test_criterion_10_session_equivalence():
             digest = pr.statement_hash(s)
             ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, digest))
             ses._read_hello(ta)
-            cms = []
-            opens = []
-            for _ in range(2):
-                cm, op = cheater.commit(rng)
-                cms.append(cm)
-                opens.append(op)
+            states, cms = cheater.commit(rng, 2)
             ses._send(ta, ses.MSG_COMMIT, b"".join(
                 pr.serialize_commitment_msg(cm, cheater.scheme) for cm in cms))
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
             blocks = []
             for r in range(2):
                 ch = PARTY_PAIRS[ch_payload[32 + r]]
-                resp = cheater.respond(opens[r], ch)
+                resp = pr.prover_respond(states[r], ch)
                 for view, op in (resp.first, resp.second):
                     blocks.append(pr.serialize_response_block(
                         s.circuit, view, op, cheater.scheme))

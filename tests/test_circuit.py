@@ -229,6 +229,9 @@ def test_validate_topology_bounds(m11):
      "index 1 feeds no later gate"),
     ((S0, S0, Gate("sub", 1, 0, 1)), 1, "unknown gate op 'sub'"),
     ((S0, S0, Gate("input", 1, 0, 1)), 1, "unknown gate op 'input'"),
+    ((S0, S0, Gate("add", None, 0, 1)), 1, "gate id None out of range"),
+    ((S0, S0, Gate("add", 1, 0, "1")), 1, "reads operand '1', not an earlier gate"),
+    ((Gate("sinput", None, 0.0), S0, Gate("add", 1, 0, 1)), 1, "secret input index 0.0"),
 ])
 def test_validate_gate_list_structure(m11, gates, n_gates, message):
     """A directly built gate list must be a tree in post-order, root last:

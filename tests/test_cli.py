@@ -141,9 +141,8 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     ch = (3, 4)
     reps = 128
     body = []
-    for _ in range(reps):
-        cm, openings = cheater.commit(rng)
-        resp = cheater.respond(openings, ch)
+    for st, cm in zip(*cheater.commit(rng, reps)):
+        resp = pr.prover_respond(st, ch)
         body += [pr.serialize_commitment_msg(cm, cheater.scheme),
                  bytes([pr.PARTY_PAIRS.index(ch)]),
                  *(pr.serialize_response_block(c, v, o, cheater.scheme)

@@ -379,6 +379,17 @@ def test_pedersen_opening_blinders_below_order():
         ped.parse_opening(ped.serialize_opening((5 + q, 0)))
 
 
+def test_pedersen_commitment_elements_in_group():
+    """A commitment element must lie in (0, P): 0 and P are no group
+    elements."""
+    ped = scheme_by_name("pedersen", 101)
+    P = ped.params.group_prime
+    assert ped.parse_commitment(ped.serialize_commitment((1, P - 1))) == (1, P - 1)
+    for element in (0, P):
+        with pytest.raises(MithError, match="commitment element out of range"):
+            ped.parse_commitment(ped.serialize_commitment((element, 1)))
+
+
 def test_scheme_lookup():
     assert isinstance(scheme_by_name("prf"), PrfScheme)
     assert isinstance(scheme_by_byte(0x02, 101), PedersenScheme)

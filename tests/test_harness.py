@@ -85,6 +85,23 @@ def test_garbage_cheater_never_wins(m11):
     cheater = harness.GarbageCheater(s, rng)
     rep = harness.run_soundness(cheater, 100, rng)
     assert rep.successes == 0 and rep.verdict == "pass"
+    # Garbage is never accepted, so one acceptance fails the report.
+    assert rep.tolerance == 0
+    assert harness.ExperimentReport(rep.name, rep.trials, 1, rep.bound,
+                                    rep.tolerance, rep.kind).verdict == "fail"
+
+
+@pytest.mark.parametrize("reps", [1, 10])
+def test_mislabelled_bad_pair_fails_soundness(m11, reps):
+    """Each repetition's verdict is compared with the challenges the
+    cheater says it passes: views doctored at (1, 2) but labelled (1, 3)
+    fail the game."""
+    s, w_guess = harness.canonical_false_statement(m11)
+    rng = RandomSource(13)
+    cheater = harness.OneBadPairCheater(s, w_guess, (1, 2), rng)
+    cheater.bad_pair = (1, 3)
+    rep = harness.run_soundness(cheater, 200, rng, reps=reps)
+    assert rep.verdict == "fail" and "PER-TRIAL MISMATCH" in rep.detail
 
 
 def test_zk_distinguishers(m11):

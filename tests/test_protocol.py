@@ -26,16 +26,24 @@ PRF = scheme_by_name("prf")
 
 
 def single_run(s, w, rng, scheme=PRF):
-    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, scheme)
-    vst, ch = pr.verifier_challenge(rng, s, cm)
-    resp = pr.prover_respond(st, ch)
-    return vst, resp, st, cm, ch
+    return pr.prove_repeated(w, s, 1, rng, scheme, "transcript")
+
+
+def recorded(s, cm, ch, resp):
+    """A one-repetition transcript-mode PRF proof answering challenge ch."""
+    return pr.Proof(PRF.name, "transcript", pr.statement_hash(s), (pr.Transcript(cm, ch, resp),))
+
+
+def drawn_challenges(s, msgs, rng):
+    """The challenges a transcript-mode proof draws for a commit phase."""
+    unopened = pr.ProverState((None,) * 5, (None,) * 5)
+    proof = pr.respond_repetitions(s, [unopened] * len(msgs), msgs, rng, PRF, "transcript")
+    return [t.challenge for t in proof.transcripts]
 
 
 def test_honest_single_run_accepts(m11, rng):
     for s, w in golden_corpus(m11, 10):
-        vst, resp, _, _, _ = single_run(s, w, rng)
-        assert pr.verifier_check(vst, resp, PRF)
+        assert pr.verify_repeated(s, single_run(s, w, rng))
 
 
 def test_commitment_msg_has_five_verifiable_entries(m11, rng):
@@ -69,8 +77,7 @@ def test_challenge_uniform_chi_square(m11):
     s, w = golden_corpus(m11, 1)[0]
     cm = pr.CommitmentMsg((b"\x00" * 32,) * 5)
     counts = [0] * 10
-    for _ in range(100_000):
-        _, ch = pr.verifier_challenge(rng, s, cm)
+    for ch in drawn_challenges(s, [cm] * 100_000, rng):
         counts[PARTY_PAIRS.index(ch)] += 1
     _, pval = chi2_uniform(counts)
     assert pval >= 0.001
@@ -80,8 +87,8 @@ def test_challenge_ignores_commitment_content(m11):
     s, _ = golden_corpus(m11, 1)[0]
     c1 = pr.CommitmentMsg((b"\x00" * 32,) * 5)
     c2 = pr.CommitmentMsg((b"\xff" * 32,) * 5)
-    _, ch1 = pr.verifier_challenge(RandomSource(8), s, c1)
-    _, ch2 = pr.verifier_challenge(RandomSource(8), s, c2)
+    ch1 = drawn_challenges(s, [c1], RandomSource(8))
+    ch2 = drawn_challenges(s, [c2], RandomSource(8))
     assert ch1 == ch2
 
 
@@ -96,24 +103,25 @@ def test_response_is_pure_selection(m11, rng):
 
 def test_tampered_state_breaks_check(m11, rng):
     s, w = golden_corpus(m11, 3)[2]
-    vst, resp, st, cm, ch = single_run(s, w, rng)
-    i = ch[0]
+    (t,) = single_run(s, w, rng).transcripts
+    resp = t.response
     view = resp.first[0]
     p = s.circuit.modulus.p
     bad_view = dataclasses.replace(
         view, secret_shares=tuple((x + 1) % p for x in view.secret_shares))
     bad = pr.Response((bad_view, resp.first[1]), resp.second)
-    assert not pr.verifier_check(vst, bad, PRF)
+    assert not pr.verify_repeated(s, recorded(s, t.commitment, t.challenge, bad))
 
 
 def test_flipped_opening_rejected(m11, rng):
     rnd = random.Random(11)
     for s, w in golden_corpus(m11, 5):
-        vst, resp, _, _, _ = single_run(s, w, rng)
+        (t,) = single_run(s, w, rng).transcripts
+        resp = t.response
         opening = bytearray(resp.first[1])
         opening[rnd.randrange(32)] ^= 1 << rnd.randrange(8)
         bad = pr.Response((resp.first[0], bytes(opening)), resp.second)
-        assert not pr.verifier_check(vst, bad, PRF)
+        assert not pr.verify_repeated(s, recorded(s, t.commitment, t.challenge, bad))
 
 
 def test_forged_view_never_opens_committed_digest(m11, rng):
@@ -149,16 +157,17 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     c = parse_circuit("field 11\ntopology 1 1 3\n"
                       "(add 2 (pinput 0) (smul 1 (const 3 1) (sinput 0)))")
     s = Statement(c, (m.element(5),), m.element(8))
-    vst, resp, st, cm, ch = single_run(s, Witness((m.element(3),)), rng)
+    (t,) = single_run(s, Witness((m.element(3),)), rng).transcripts
+    ch, resp = t.challenge, t.response
     v = resp.first[0]
     bad_view = dataclasses.replace(v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
     key = PRF.keygen(rng, 0)
     com, op = PRF.commit_view(key, c, bad_view)
-    coms = list(vst.commitment.commitments)
+    coms = list(t.commitment.commitments)
     coms[ch[0] - 1] = com
-    vst2 = pr.VerifierState(s, pr.CommitmentMsg(tuple(coms)), ch)
-    assert not pr.verifier_check(vst2, pr.Response((bad_view, op), resp.second), PRF)
+    assert not pr.verify_repeated(s, recorded(s, pr.CommitmentMsg(tuple(coms)), ch,
+                                              pr.Response((bad_view, op), resp.second)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +414,16 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     view, opening = t.response.first
     mpc.view_bytes(c, view)  # the bytes are on the view either way
     p = c.modulus.p
-    st = pr.VerifierState(s, t.commitment, t.challenge)
+
+    def opened_as(v):
+        return recorded(s, t.commitment, t.challenge, pr.Response((v, opening), t.response.second))
+
     for new in (dataclasses.replace(view, bcast=tuple((x + 1) % p for x in view.bcast)),
                 dataclasses.replace(view, randomness=view.randomness[::-1])):
         assert new != view
         assert not PRF.verify_view(c, new, t.commitment.commitments[t.challenge[0] - 1], opening)
-        assert not pr.verifier_check(st, pr.Response((new, opening), t.response.second), PRF)
-    same = dataclasses.replace(view)
-    assert pr.verifier_check(st, pr.Response((same, opening), t.response.second), PRF)
+        assert not pr.verify_repeated(s, opened_as(new))
+    assert pr.verify_repeated(s, opened_as(dataclasses.replace(view)))
 
 
 def test_altered_view_cannot_open_the_original_commitment():
@@ -424,9 +435,8 @@ def test_altered_view_cannot_open_the_original_commitment():
     s, w_guess = canonical_false_statement()
     cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(34))
     ch = (3, 4)
-    cm, openings = cheater.commit(RandomSource(35))
-    st = pr.VerifierState(s, cm, ch)
-    assert pr.verifier_check(st, cheater.respond(openings, ch), PRF)
+    (st,), (cm,) = cheater.commit(RandomSource(35), 1)
+    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, ch)))
 
     c = s.circuit
     p = c.modulus.p
@@ -437,9 +447,8 @@ def test_altered_view_cannot_open_the_original_commitment():
     cm = pr.CommitmentMsg(tuple(PRF.commit_view(k, c, v)[0] for k, v in zip(keys, committed)))
     opened = [dataclasses.replace(v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
-    st = pr.VerifierState(s, cm, ch)
     resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
-    assert not pr.verifier_check(st, resp, PRF)
+    assert not pr.verify_repeated(s, recorded(s, cm, ch, resp))
 
 
 def chain_circuit_text(n: int) -> str:
@@ -481,11 +490,8 @@ def test_simulated_transcript_accepts_on_guess_match(m11):
     s, _ = one_mul_statement()
     hits = 0
     for _ in range(200):
-        run = pr.zk_simulate_once(s, rng)
-        resp = run.respond(run.guess)
-        assert resp is not None
-        vst = pr.VerifierState(s, run.commitment, run.guess)
-        assert pr.verifier_check(vst, resp, PRF)
+        guess, cm, st = pr.zk_simulate_once(s, rng)
+        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, guess)))
         hits += 1
     assert hits == 200
 
@@ -497,9 +503,9 @@ def test_simulator_abort_rate_matches_guess_probability():
     aborts = 0
     trials = 10_000
     for _ in range(trials):
-        run = pr.zk_simulate_once(s, rng)
+        guess, _, _ = pr.zk_simulate_once(s, rng)
         ch = PARTY_PAIRS[rng.randbelow(10)]
-        if run.respond(ch) is None:
+        if ch != guess:
             aborts += 1
     assert abs(aborts / trials - 0.9) <= 0.01
 
@@ -518,8 +524,7 @@ def test_zk_simulate_retry_statistics():
             return PARTY_PAIRS[rng.randbelow(10)]
 
         tr = pr.zk_simulate(s, verifier, rng=rng)
-        vst = pr.VerifierState(s, tr.commitment, tr.challenge)
-        assert pr.verifier_check(vst, tr.response, PRF)
+        assert pr.verify_repeated(s, recorded(s, tr.commitment, tr.challenge, tr.response))
         total_attempts += attempts[0]
     mean = total_attempts / runs
     assert 9.0 <= mean <= 11.0
@@ -550,17 +555,15 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
     """Unopened slots commit to the all-zeros encoding of the right length."""
     s, _ = one_mul_statement()
     rng = RandomSource(24)
-    run = pr.zk_simulate_once(s, rng)
-    i, j = run.guess
+    (i, j), cm, _ = pr.zk_simulate_once(s, rng)
     c = s.circuit
     zeros = bytes(mpc.encoded_view_length(c))
     for pid in range(1, 6):
-        com = run.commitment.commitments[pid - 1]
+        com = cm.commitments[pid - 1]
         if pid in (i, j):
             continue
         # A dummy commitment is a valid PRF commitment to the zero string
         # under some key; the simulator never opens it.
         assert len(com) == 32
-        assert com not in (run.commitment.commitments[i - 1],
-                           run.commitment.commitments[j - 1])
+        assert com not in (cm.commitments[i - 1], cm.commitments[j - 1])
     assert len(zeros) == mpc.encoded_view_length(c)

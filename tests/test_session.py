@@ -269,11 +269,11 @@ def test_cheating_prover_session_rate(m11):
         digest = pr.statement_hash(s)
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
         ses._read_hello(ta)
-        cm, openings = cheater.commit(rng)
+        (st,), (cm,) = cheater.commit(rng, 1)
         ses._send(ta, ses.MSG_COMMIT, pr.serialize_commitment_msg(cm, cheater.scheme))
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
-        resp = cheater.respond(openings, ch)
+        resp = pr.prover_respond(st, ch)
         blocks = b"".join(
             pr.serialize_response_block(s.circuit, v, o, cheater.scheme)
             for v, o in (resp.first, resp.second))
