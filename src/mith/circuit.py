@@ -202,10 +202,6 @@ def eval_plain(s: Statement, w: Witness) -> FieldElement:
     return FieldElement(vals[-1], c.modulus)
 
 
-def relation_holds(s: Statement, w: Witness) -> bool:
-    return eval_plain(s, w) == s.target
-
-
 # ---------------------------------------------------------------------------
 # Text format
 

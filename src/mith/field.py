@@ -1,8 +1,13 @@
-"""Prime-field arithmetic, interpolation and randomness sources.
+"""Prime-field arithmetic, lane columns and randomness sources.
 
 Field elements are immutable and fully reduced; mixing elements of
 different moduli raises FieldError.  Serialization is fixed-width
 big-endian with width ceil(bits(p)/8).
+
+A lane column holds one field value per lane, and `columns(p)` does the
+lane-wise arithmetic of the in-the-head evaluation: over a field below
+256 a column is a `bytes` of one value per lane (`ByteColumns`), over a
+wider one a list of ints (`IntColumns`).
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import secrets
+from itertools import chain, repeat
+from operator import mul
 
 from mith.errors import FieldError
 
@@ -176,31 +183,204 @@ def lagrange_weights(xs, p: int) -> tuple[int, ...]:
     return tuple(ws)
 
 
-def lagrange_at_zero(points: list[tuple[FieldElement, FieldElement]]) -> FieldElement:
-    """P(0) for the unique degree-(n-1) polynomial through n <= 5 points.
-
-    X-coordinates must be pairwise distinct and nonzero.
-    """
-    if not 1 <= len(points) <= 5:
-        raise FieldError(f"need 1..5 points, got {len(points)}")
-    m = points[0][0].modulus
-    xs = []
-    ys = []
-    for x, y in points:
-        if x.modulus.p != m.p or y.modulus.p != m.p:
-            raise FieldError("interpolation points mix moduli")
-        if x.value == 0:
-            raise FieldError("interpolation point at zero")
-        xs.append(x.value)
-        ys.append(y.value)
-    if len(set(xs)) != len(xs):
-        raise FieldError("duplicate interpolation x-coordinate")
-    ws = lagrange_weights(xs, m.p)
-    return FieldElement(sum(w * y for w, y in zip(ws, ys)) % m.p, m)
+def _generator(p: int) -> int:
+    """The least generator of F_p^*."""
+    n = p - 1
+    factors = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+    return next(g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q in factors))
 
 
-# _BYTE_MASKS[k] maps each byte to its low k bits (a bytes.translate table).
-_BYTE_MASKS = tuple(bytes(range(1 << k)) * (256 >> k) for k in range(9))
+def _little(b) -> int:
+    return int.from_bytes(b, "little")
+
+
+class ByteColumns:
+    """Lane columns over a field below 256: one byte per lane value.
+
+    A sum is a big-int addition of whole columns, in 8-bit lanes while
+    two values fit a byte (p < 128) and in 16-bit lanes otherwise,
+    reduced by `bytes.translate`; scalar multiplication is one
+    `translate`; a product adds discrete logs (log/exp tables) and masks
+    the lanes where a factor is zero.  `columns` builds the tables once
+    per modulus."""
+
+    width = 1
+
+    def __init__(self, p: int):
+        self.p = p
+        self.narrow = p < 128
+        self._red = bytes(v % p for v in range(256))     # v mod p
+        self._high = bytes(256 * v % p for v in range(256))  # 256 v mod p
+        self._nonzero = bytes([0] + [255] * 255)
+        self.too_big = bytes(255 if v >= p else 0 for v in range(256))
+        self._times: dict[int, bytes] = {}
+        g = _generator(p)
+        powers = [pow(g, e, p) for e in range(p - 1)]
+        log = [0] * 256
+        for e, v in enumerate(powers):
+            log[v] = e
+        self._log = bytes(log)
+        self._exp = bytes(powers[e % (p - 1)] for e in range(256))
+        self._exp_high = bytes(powers[(e + 256) % (p - 1)] for e in range(256))
+
+    def _scale(self, k: int) -> bytes:
+        """The translate table of v -> k v mod p."""
+        table = self._times.get(k)
+        if table is None:
+            table = self._times[k] = bytes(k * v % self.p for v in range(256))
+        return table
+
+    @staticmethod
+    def _spread(col) -> int:
+        """col as a big int of 16-bit lanes."""
+        b = bytearray(2 * len(col))
+        b[::2] = col
+        return _little(b)
+
+    def _reduce(self, acc: int, n: int) -> bytes:
+        """The column of acc's n 16-bit lanes, each reduced mod p."""
+        b = acc.to_bytes(2 * n, "little")
+        lo, hi = b[::2].translate(self._red), b[1::2].translate(self._high)
+        if not self.narrow:
+            # lo + hi < 2p may overflow a byte; once more in 16-bit
+            # lanes, after which lo + hi < p.
+            b = (self._spread(lo) + self._spread(hi)).to_bytes(2 * n, "little")
+            lo, hi = b[::2].translate(self._red), b[1::2].translate(self._high)
+        return (_little(lo) + _little(hi)).to_bytes(n, "little").translate(self._red)
+
+    def const(self, v: int, n: int) -> bytes:
+        return bytes((v,)) * n
+
+    from_ints = encode = staticmethod(bytes)
+
+    @staticmethod
+    def decode(data) -> bytes:
+        return data
+
+    @staticmethod
+    def join(cols) -> bytes:
+        return b"".join(cols)
+
+    @staticmethod
+    def place(buf: bytearray, off: int, stride: int, col) -> None:
+        """Write col's values at buf[off], buf[off + stride], ..."""
+        buf[off::stride] = col
+
+    @staticmethod
+    def column(data, off: int, stride: int) -> bytes:
+        return data[off::stride]
+
+    def add(self, x: bytes, y: bytes) -> bytes:
+        if self.narrow:
+            return (_little(x) + _little(y)).to_bytes(len(x), "little").translate(self._red)
+        return self._reduce(self._spread(x) + self._spread(y), len(x))
+
+    def smul(self, k: int, y: bytes) -> bytes:
+        return y.translate(self._scale(k))
+
+    def mul(self, x: bytes, y: bytes) -> bytes:
+        n = len(x)
+        nz = self._nonzero
+        mask = _little(x.translate(nz)) & _little(y.translate(nz))
+        lx, ly = x.translate(self._log), y.translate(self._log)
+        if self.narrow:  # a sum of two logs fits a byte
+            e = _little((_little(lx) + _little(ly)).to_bytes(n, "little").translate(self._exp))
+        else:  # the log sum's high byte is 0 or 1: pick exp of lo or of lo + 256
+            b = (self._spread(lx) + self._spread(ly)).to_bytes(2 * n, "little")
+            lo = b[::2]
+            e = _little(lo.translate(self._exp))
+            e ^= (e ^ _little(lo.translate(self._exp_high))) & _little(b[1::2].translate(nz))
+        return (e & mask).to_bytes(n, "little")
+
+    def lincomb(self, weights, cols) -> bytes:
+        """sum_k weights[k] cols[k], lane by lane (up to 256 terms)."""
+        acc = 0
+        for k, col in zip(weights, cols):
+            acc += self._spread(col if k == 1 else col.translate(self._scale(k)))
+        return self._reduce(acc, len(cols[0]))
+
+    def share(self, d: bytes, a1: bytes, a2: bytes) -> tuple[bytes, ...]:
+        """Five party columns: lane k's shares of d[k] on the polynomial
+        d[k] + a1[k] x + a2[k] x^2, at x = 1..5."""
+        return tuple(self.add(d, self.add(self.smul(x, a1), self.smul(x * x, a2)))
+                     for x in range(1, 6))
+
+
+class IntColumns:
+    """Lane columns over a wide field: lists of ints."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.width = (p.bit_length() + 7) // 8
+
+    def const(self, v: int, n: int) -> list[int]:
+        return [v] * n
+
+    from_ints = staticmethod(list)
+
+    def encode(self, vals) -> bytes:
+        w = self.width
+        return b"".join([v.to_bytes(w, "big") for v in vals])
+
+    def decode(self, data) -> list[int]:
+        w = self.width
+        return list(map(int.from_bytes, [data[k:k + w] for k in range(0, len(data), w)],
+                        repeat("big")))
+
+    @staticmethod
+    def join(cols) -> list[int]:
+        return list(chain.from_iterable(cols))
+
+    def place(self, buf: bytearray, off: int, stride: int, col) -> None:
+        """Write col's values, width bytes each, at buf[off], buf[off +
+        stride], ..."""
+        data, w = self.encode(col), self.width
+        for t in range(w):
+            buf[off + t::stride] = data[t::w]
+
+    def column(self, data, off: int, stride: int) -> list[int]:
+        w = self.width
+        b = bytearray(len(data) // stride * w)
+        for t in range(w):
+            b[t::w] = data[off + t::stride]
+        return self.decode(b)
+
+    def add(self, x, y) -> list[int]:
+        p = self.p
+        return [(u + v) % p for u, v in zip(x, y)]
+
+    def smul(self, k: int, y) -> list[int]:
+        p = self.p
+        return [k * v % p for v in y]
+
+    def mul(self, x, y) -> list[int]:
+        p = self.p
+        return [u * v % p for u, v in zip(x, y)]
+
+    def lincomb(self, weights, cols) -> list[int]:
+        p = self.p
+        return [sum(map(mul, weights, t)) % p for t in zip(*cols)]
+
+    def share(self, d, a1, a2) -> tuple[list[int], ...]:
+        p = self.p
+        return tuple([(s + x * u + x * x * v) % p for s, u, v in zip(d, a1, a2)]
+                     for x in range(1, 6))
+
+
+@functools.lru_cache(maxsize=16)
+def columns(p: int):
+    """The lane-column arithmetic of F_p, built on first use per modulus."""
+    return ByteColumns(p) if p < 256 else IntColumns(p)
+
+
+@functools.lru_cache(maxsize=64)
+def _byte_sampler(bound: int) -> tuple[bytes, bytes]:
+    """randbelows' translate arguments for a bound below 256: the table
+    keeping each byte's low bits(bound) bits, and the bytes it maps to
+    bound or above (the rejected draws)."""
+    mask = (1 << bound.bit_length()) - 1
+    return (bytes(v & mask for v in range(256)),
+            bytes(v for v in range(256) if v & mask >= bound))
 
 
 class RandomSource:
@@ -250,26 +430,31 @@ class RandomSource:
         """Uniform in [0, bound) by rejection on fixed-width draws."""
         return self.randbelows(bound, 1)[0]
 
-    def randbelows(self, bound: int, count: int) -> list[int]:
-        """count uniform draws in [0, bound); the same stream, byte for
-        byte, as count calls of randbelow."""
+    def randbelows(self, bound: int, count: int) -> bytes | list[int]:
+        """count uniform draws in [0, bound): bytes for a bound below 256,
+        else a list.  The same stream, byte for byte, as count calls of
+        randbelow.  Each attempt takes one chunk of the stream, and no
+        more attempts are made than draws are missing, so no byte past
+        the last draw is used."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound < 256:
+            # One translate masks every attempt and drops the rejected ones.
+            table, rejected = _byte_sampler(bound)
+            out = b""
+            while len(out) < count:
+                out += self.bytes(count - len(out)).translate(table, rejected)
+            return out
         nbytes = (bound.bit_length() + 7) // 8
         mask = (1 << bound.bit_length()) - 1
-        out: list[int] = []
-        while len(out) < count:
-            # One attempt per nbytes chunk, and never more attempts than
-            # draws still missing, so no byte past the last draw is used.
-            data = self.bytes((count - len(out)) * nbytes)
-            if nbytes == 1:
-                out += [v for v in data.translate(_BYTE_MASKS[mask.bit_length()]) if v < bound]
-            else:
-                for k in range(0, len(data), nbytes):
-                    v = int.from_bytes(data[k:k + nbytes], "big") & mask
-                    if v < bound:
-                        out.append(v)
-        return out
+        vals: list[int] = []
+        while len(vals) < count:
+            data = self.bytes((count - len(vals)) * nbytes)
+            for k in range(0, len(data), nbytes):
+                v = int.from_bytes(data[k:k + nbytes], "big") & mask
+                if v < bound:
+                    vals.append(v)
+        return vals
 
     def field_element(self, modulus: Modulus) -> FieldElement:
         return FieldElement(self.randbelow(modulus.p), modulus)

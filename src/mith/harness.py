@@ -30,19 +30,14 @@ ALPHA = 0.001
 
 @dataclass
 class ExperimentReport:
-    """Outcome of one experiment; the verdict re-derives from the numbers.
-
-    kind: two_sided  |rate - bound| <= tolerance
-          upper      rate <= bound + tolerance
-          lower      rate >= bound - tolerance
-    """
+    """Outcome of one experiment; the verdict re-derives from the numbers:
+    pass iff |rate - bound| <= tolerance."""
 
     name: str
     trials: int
     successes: int
     bound: float
     tolerance: float
-    kind: str = "two_sided"
     detail: str = ""
     rate: float = dfield(init=False)
     verdict: str = dfield(init=False)
@@ -51,15 +46,7 @@ class ExperimentReport:
         if not 0 <= self.successes <= self.trials:
             raise MithError("successes must lie in [0, trials]")
         self.rate = self.successes / self.trials if self.trials else 0.0
-        if self.kind == "two_sided":
-            ok = abs(self.rate - self.bound) <= self.tolerance
-        elif self.kind == "upper":
-            ok = self.rate <= self.bound + self.tolerance
-        elif self.kind == "lower":
-            ok = self.rate >= self.bound - self.tolerance
-        else:
-            raise MithError(f"unknown experiment kind {self.kind!r}")
-        self.verdict = "pass" if ok else "fail"
+        self.verdict = "pass" if abs(self.rate - self.bound) <= self.tolerance else "fail"
 
     def line(self) -> str:
         extra = f"  [{self.detail}]" if self.detail else ""
@@ -72,7 +59,7 @@ class ExperimentReport:
             "name": self.name, "trials": self.trials,
             "successes": self.successes, "rate": self.rate,
             "bound": self.bound, "tolerance": self.tolerance,
-            "kind": self.kind, "verdict": self.verdict, "detail": self.detail,
+            "verdict": self.verdict, "detail": self.detail,
         }
 
 
@@ -409,7 +396,7 @@ def run_binding(trials: int, rng: RandomSource) -> ExperimentReport:
         c1, _ = prf_commit(k1, m1)
         if prf_verify(m2, c1, k2):
             wins += 1
-    return ExperimentReport("binding", trials, wins, 0.0, 0.0, kind="upper")
+    return ExperimentReport("binding", trials, wins, 0.0, 0.0)
 
 
 def run_hiding(trials: int, rng: RandomSource,

@@ -9,11 +9,12 @@ publicly opened.
 
 Each circuit is compiled once into a `Program`: a post-order op list over
 wire slots, the list of multiplications that exchange messages, the
-public scalar subtrees of the smul gates, and the byte template of the
-view encoding.  One interpreter runs the ops: every wire is a flat
-column with one value per lane, and at each messaging multiplication and
-at the refresh an exchange supplies the columns the lanes received.
-The prover (`run_protocol`) runs a lane per party and repetition and
+public scalar subtrees of the smul gates, and the byte layout of the
+view encoding.  One interpreter runs the ops: every wire is a lane
+column (`field.columns`: one byte per lane over a field below 256, else
+a list of ints), and at each messaging multiplication and at the
+refresh an exchange supplies the columns the lanes received.  The
+prover (`run_protocol`) runs a lane per party and repetition and
 reshares with the drawn randomness; the verifier's replay
 (`out_messages`) runs a lane per opened view, reshares with the view's
 randomness and receives what the view recorded; the simulator
@@ -28,21 +29,29 @@ incoming zero-share contributions (`zin`) and the broadcast refreshed
 output shares (`bcast`).  Every entry is an int in [0, p).  Views are
 self-contained: `out_messages` recomputes everything a party sent from
 its view alone, which is what pairwise consistency checks against.
+
+The views of one `run_protocol` call are the rows of one buffer: the
+first encoding fills it with one strided slice assignment per element
+column, and each view's canonical encoding is its row.  A decoded view
+is the row it was read from.  The verifier joins the opened rows,
+slices them back into element columns, and compares what views
+recorded with what replays sent as byte strings.  A row view decodes
+its tuple fields only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import count
 from operator import itemgetter
 from typing import Sequence
 
 from mith.errors import MithError, ProofError
-from mith.field import FieldElement, RandomSource, lagrange_weights
+from mith.field import FieldElement, RandomSource, columns, lagrange_weights
 from mith.circuit import (
     GATE_ID_BOUND, Circuit, Statement, gate_values, mul_gate_ids, scalar_marks,
 )
-from mith.sss import N_PARTIES, PARTY_IDS, dot5, share_lanes
+from mith.sss import PARTY_IDS, dot5
 
 # Marker gate id for the refresh randomness slot in view encodings; every
 # real gate id is below it (`validate_circuit` checks).
@@ -73,13 +82,16 @@ class Program:
     The encoding `template` is a tuple of (static bytes, run length): the
     static counts and gate ids before each run of packed elements, and
     the run's length in bytes.  The broadcast run ends the encoding, so
-    nothing static follows the last run.
+    nothing static follows the last run.  `image` is the encoding with
+    every element zero, `offsets` each element's byte offset in it, and
+    `cols` the lane-column arithmetic of the field (`field.columns`).
     """
 
     def __init__(self, c: Circuit):
         m = c.modulus
         topo = c.topology
         self.modulus, self.p, self.lam, self.width = m, m.p, m.recon_weights, m.byte_length
+        self.cols = columns(m.p)
         self.n_public, self.n_secret = topo.n_public, topo.n_secret
         self.n_in = topo.n_public + topo.n_secret
         init = [0] * self.n_in
@@ -118,11 +130,6 @@ class Program:
         self.n_rand = 2 * (self.n_mul + 1)
         self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
         self._scalar_cache: tuple = (None, ())
-        # Party q+1's randomness vector, picked from one repetition's draws
-        # ((a1, a2) of parties 1..5 per randomness slot).
-        self.party_randomness = tuple(
-            itemgetter(*[10 * r + 2 * q + t for r in range(self.n_mul + 1) for t in (0, 1)])
-            for q in range(5))
 
         # Static bytes before each element run, in encoding order.
         zero = _u32(0)
@@ -135,18 +142,44 @@ class Program:
         layout.append((_u32(5), 5))
         w = self.width
         template = []
+        image = bytearray()
+        offsets = []
+        runs = []
         static = b""
         for chunk, n in layout:
             static += chunk
             if n:
                 template.append((static, n * w))
+                image += static
+                runs.append(slice(len(image), len(image) + n * w))
+                offsets += range(len(image), len(image) + n * w, w)
+                image += bytes(n * w)
                 static = b""
         self.template = tuple(template)
-        self.view_length = sum(len(static) + n for static, n in self.template)
-        # A one-byte field's encoding is the static bytes with a %c per
-        # element: one bytes formatting.
-        self.byte_format = (b"".join(static.replace(b"%", b"%%") + b"%c" * n
-                                     for static, n in template) if w == 1 else None)
+        self.image = bytes(image)
+        self.offsets = tuple(offsets)
+        self.view_length = L = len(image)
+        self._runs = itemgetter(*runs)  # at least the zin and bcast runs
+        # decode_view's checks: the statics equal the image's, and (one-
+        # byte fields) no element byte maps to 255 under cols.too_big.
+        elements = bytearray(L)
+        for off in offsets:
+            elements[off:off + w] = b"\xff" * w
+        self.element_mask = int.from_bytes(elements, "big")
+        self.static_mask = self.element_mask ^ ((1 << 8 * L) - 1)
+        self.static_bits = int.from_bytes(self.image, "big")
+        # Byte ranges of the public inputs (after the tag and count) and
+        # of the broadcast (the encoding's end), and per sender b+1 the
+        # byte positions of what a view recorded from it: its column
+        # entry at each messaging multiplication, its zin and its bcast.
+        self.pubs = slice(5, 5 + self.n_public * w)
+        self.bcast = slice(L - 5 * w, L)
+        o3 = self.n_in + self.n_rand
+        self.received = tuple(
+            itemgetter(*[offsets[j] + t for j in [*range(o3 + b, o3 + 5 * self.n_mul + 5, 5),
+                                                  o3 + 5 * self.n_mul + 5 + b]
+                         for t in range(w)])
+            for b in range(5))
 
     def scalars(self, public_inputs: Sequence[int]) -> tuple[int, ...]:
         """Values of the smul scalar subtrees, cached for the last statement."""
@@ -160,6 +193,10 @@ class Program:
             self._scalar_cache = (key, values)
         return values
 
+    def elements(self, row) -> bytes:
+        """The element bytes of an encoded view, in encoding order."""
+        return b"".join(self._runs(row))
+
 
 def program(c: Circuit) -> Program:
     """c's program, compiled on first use and kept on the circuit object."""
@@ -169,12 +206,22 @@ def program(c: Circuit) -> Program:
     return prog
 
 
-@dataclass(frozen=True)
-class GateRandomness:
-    """Full randomness bundle for one execution: each party's flat
-    randomness vector, in party order, laid out as its view records it."""
+class _Rows:
+    """The encoded views of one run_protocol call: row k is
+    buf[k*length:(k+1)*length].  buf is filled from pending (row count,
+    [(element index, column)]) by the first `encode_view`."""
 
-    parties: tuple[tuple[int, ...], ...]
+    __slots__ = ("buf", "length", "pending")
+
+    def __init__(self, length: int, pending):
+        self.buf, self.length, self.pending = None, length, pending
+
+    def row(self, k: int) -> bytes:
+        n = self.length
+        return bytes(self.buf[k * n:(k + 1) * n])
+
+
+_VIEW_FIELDS = ("public_inputs", "secret_shares", "randomness", "messages", "zin", "bcast")
 
 
 @dataclass(frozen=True)
@@ -185,11 +232,57 @@ class View:
     messages: tuple[tuple[int, ...], ...]
     zin: tuple[int, ...]
     bcast: tuple[int, ...]
-    # (program, canonical bytes, decoded), set by decode_view (decoded
-    # True: the view passed its shape and range checks) or the first
-    # view_bytes call.  Not an init field, so a view made by
-    # dataclasses.replace starts without it and is encoded afresh.
+    # The view's encoding under a program: (program, rows, k) for row k
+    # of a run_protocol batch; (program, data, True) for the bytes
+    # decode_view read it from; (program, data, False) for the bytes
+    # view_bytes encoded a view built from fields into.  A view without
+    # fields is decoded from its encoding on first read.  Not an init
+    # field, so a view made by dataclasses.replace starts without it and
+    # is encoded afresh.
     _encoding: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        # Reached only for a field a row view has not decoded yet.
+        enc = self._encoding
+        if enc is None or name not in _VIEW_FIELDS:
+            raise AttributeError(name)
+        prog = enc[0]
+        vals = prog.cols.decode(prog.elements(view_bytes(prog._circuit, self)))
+        o1, o2 = prog.n_public, prog.n_in
+        o3 = o2 + prog.n_rand
+        o4 = o3 + 5 * prog.n_mul
+        for f, val in (("public_inputs", vals[:o1]), ("secret_shares", vals[o1:o2]),
+                       ("randomness", vals[o2:o3]), ("zin", vals[o4:o4 + 5]),
+                       ("bcast", vals[o4 + 5:])):
+            object.__setattr__(self, f, tuple(val))
+        object.__setattr__(self, "messages", tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)))
+        return getattr(self, name)
+
+
+def _row_view(enc: tuple) -> View:
+    v = object.__new__(View)
+    v.__dict__["_encoding"] = enc
+    return v
+
+
+class _Replay:
+    """One out_messages pass: per exchange the five columns the lanes
+    sent (to parties 1..5), the lanes' refreshed shares, and per party a
+    what each lane sent to a, encoded in the order a view records it
+    (`Program.received`): lane k's record is to[a-1][k*size:(k+1)*size]."""
+
+    __slots__ = ("sent", "own", "size", "to")
+
+    def __init__(self, prog: Program, sent, own):
+        w = prog.width
+        self.sent, self.own, self.size = sent, own, (prog.n_mul + 2) * w
+        self.to = []
+        for a in range(5):
+            buf = bytearray(self.size * len(own))
+            for m, row in enumerate(sent):
+                prog.cols.place(buf, m * w, self.size, row[a])
+            prog.cols.place(buf, self.size - w, self.size, own)
+            self.to.append(bytes(buf))
 
 
 @dataclass(frozen=True)
@@ -201,6 +294,21 @@ class OutMessages:
     mul: tuple[tuple[int, ...], ...]
     open_z: tuple[int, ...]
     open_bcast: int
+    # (replay, lane) for the replays of out_messages: mul and open_z are
+    # read from the pass's columns on first access.
+    _lane: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        src = self._lane
+        if src is None or name not in ("mul", "open_z"):
+            raise AttributeError(name)
+        replay, k = src
+        if name == "open_z":
+            val = tuple(col[k] for col in replay.sent[-1])
+        else:
+            val = tuple(tuple(col[k] for col in row) for row in replay.sent[:-1])
+        object.__setattr__(self, name, val)
+        return val
 
 
 @dataclass(frozen=True)
@@ -209,55 +317,57 @@ class ExecutionResult:
     outputs: tuple[FieldElement, ...]
 
 
-def random_gate_randomness(rng: RandomSource, c: Circuit) -> GateRandomness:
-    """Draws (a1, a2) for parties 1..5 at each messaging multiplication
-    in ascending gate-id order, then for the five refresh sharings."""
+def random_gate_randomness(rng: RandomSource, c: Circuit):
+    """One repetition's gate randomness in drawn order: (a1, a2) for
+    parties 1..5 at each messaging multiplication in ascending gate-id
+    order, then for the five refresh sharings (`RandomSource.randbelows`:
+    bytes over a field below 256)."""
     prog = program(c)
-    draws = rng.randbelows(prog.p, 5 * prog.n_rand)
-    return GateRandomness(tuple(pick(draws) for pick in prog.party_randomness))
+    return rng.randbelows(prog.p, 5 * prog.n_rand)
 
 
 # ---------------------------------------------------------------------------
 # The interpreter, and honest execution through it.
 
 
-def _interpret(prog: Program, inputs: Sequence[Sequence[int]],
-               scalars: Sequence[Sequence[int]], n: int, exchange) -> list[int]:
+def _interpret(prog: Program, inputs: Sequence, scalars: Sequence, n: int, exchange):
     """Run prog's ops over n lanes, given the n_in input columns and each
-    smul scalar's column.  At each messaging multiplication exchange(d, r)
-    gets the lanes' products d and the randomness rank r, and returns the
-    five columns the lanes received, one per sender, to recombine.  The
-    refresh exchanges zeros at rank n_mul.  Returns each lane's refreshed
-    share: its root share plus the zero shares it received."""
-    p = prog.p
-    l0, l1, l2, l3, l4 = prog.lam
-    const = {v: [v] * n for v in set(prog.init[prog.n_in:])}
+    smul scalar (an int for every lane, or a column).  At each messaging
+    multiplication exchange(d, r) gets the lanes' products d and the
+    randomness rank r, and returns the five columns the lanes received,
+    one per sender, to recombine.  The refresh exchanges zeros at rank
+    n_mul.  Returns each lane's refreshed share: its root share plus the
+    zero shares it received."""
+    F = prog.cols
+    lam = prog.lam
+    const = {v: F.const(v, n) for v in set(prog.init[prog.n_in:])}
     vals = [*inputs, *[const[v] for v in prog.init[prog.n_in:]]]
     for code, dst, a, b, r in prog.ops:
         y = vals[b]
         if code == ADD:
-            vals[dst] = [(u + v) % p for u, v in zip(vals[a], y)]
+            vals[dst] = F.add(vals[a], y)
         elif code == MUL:
-            cols = exchange([u * v % p for u, v in zip(vals[a], y)], r)
-            vals[dst] = [(l0 * u0 + l1 * u1 + l2 * u2 + l3 * u3 + l4 * u4) % p
-                         for u0, u1, u2, u3, u4 in zip(*cols)]
+            vals[dst] = F.lincomb(lam, exchange(F.mul(vals[a], y), r))
         else:
-            vals[dst] = [k * v % p for k, v in zip(scalars[a], y)]
+            k = scalars[a]
+            vals[dst] = F.smul(k, y) if type(k) is int else F.mul(k, y)
     root = vals[prog.root]
-    del vals  # free the wire columns before the caller builds its views
-    return [sum(t) % p for t in zip(root, *exchange([0] * n, prog.n_mul))]
+    del vals  # free the wire columns
+    return F.lincomb((1,) * 6, [root, *exchange(F.const(0, n), prog.n_mul)])
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
-                 rands: Sequence[GateRandomness]) -> tuple[ExecutionResult, ...]:
+                 rands: Sequence[Sequence[int]]) -> tuple[ExecutionResult, ...]:
     """Execute the full protocol once per repetition, as 5n party lanes of
     one pass: lane q*n + k is party q+1 in repetition k.  input_sharings
     holds each secret wire's five party columns (`sss.share`), and
-    rands[k] is repetition k's gate randomness.  Returns each
-    repetition's five views and outputs, in repetition order."""
+    rands[k] is repetition k's gate randomness in drawn order
+    (`random_gate_randomness`).  Returns each repetition's five views and
+    outputs, in repetition order; the views are the rows of one buffer,
+    filled by the first `encode_view`."""
     c = s.circuit
     prog = program(c)
-    p = prog.p
+    F = prog.cols
     n = len(rands)
     if len(input_sharings) != prog.n_secret:
         raise MithError(
@@ -265,40 +375,43 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
     if n < 1 or any(len(sh) != 5 or any(len(col) != n for col in sh)
                     for sh in input_sharings):
         raise MithError("each input sharing needs five party columns of one share per lane")
-    if ({len(g.parties) for g in rands} != {5}
-            or {len(r) for g in rands for r in g.parties} != {prog.n_rand}):
-        raise MithError(
-            f"missing randomness: each party needs {prog.n_rand} values")
+    R = 5 * prog.n_rand
+    if any(len(r) != R for r in rands):
+        raise MithError(f"missing randomness: each repetition needs {R} draws")
     pubs = tuple(x.value for x in s.public_inputs)
     lanes = 5 * n
-    inputs = [*[[v] * lanes for v in pubs],
-              *[list(chain.from_iterable(sh)) for sh in input_sharings]]
-    rand = [g.parties[q] for q in range(5) for g in rands]
-    # rc[q][i]: entry i of party q+1's randomness, one value per repetition.
-    rc = [list(zip(*rand[k:k + n])) for k in range(0, lanes, n)]
-    msgs = []
+    inputs = [*[F.const(v, lanes) for v in pubs],
+              *[F.join([F.from_ints(col) for col in sh]) for sh in input_sharings]]
+    draws = F.join([F.from_ints(r) for r in rands])
+    # rc[i]: entry i of each lane's randomness; party q+1's entry 2t+e is
+    # draw 10t + 2q + e of its repetition.
+    rc = [F.join([draws[10 * (i // 2) + 2 * q + i % 2::R] for q in range(5)])
+          for i in range(prog.n_rand)]
+    del draws
+    o3 = prog.n_in + prog.n_rand
+    placed = [*enumerate(inputs), *enumerate(rc, prog.n_in)]
+    slots = count(o3, 5)
 
     def exchange(d, r):
-        """Party q+1 reshares its products with its rank-r randomness, and
-        party q'+1 receives column q' of that: the sharing's five columns
-        in a row are the lanes' column from q+1.  Views keep each lane's
-        five received values."""
-        cols = [list(chain.from_iterable(share_lanes(d[k:k + n], rq[2 * r], rq[2 * r + 1], p)))
-                for k, rq in zip(range(0, lanes, n), rc)]
-        msgs.append(list(zip(*cols)))
+        """Every lane reshares its products with its rank-r randomness;
+        sh[x] holds what each lane sent to party x+1.  cols[q], what
+        every lane received from party q+1, is party q+1's lanes of
+        sh[0], ..., sh[4] in turn.  Views record the five received
+        columns at the next message slot."""
+        sh = F.share(d, rc[2 * r], rc[2 * r + 1])
+        cols = [F.join([col[k:k + n] for col in sh]) for k in range(0, lanes, n)]
+        placed.extend(enumerate(cols, next(slots)))
         return cols
 
-    own = _interpret(prog, inputs, [[k] * lanes for k in prog.scalars(pubs)], lanes, exchange)
-    del rc
-    zin = msgs.pop()
-    bcast = list(zip(*[own[k:k + n] for k in range(0, lanes, n)]))
-    secs = zip(*inputs[prog.n_public:]) if prog.n_secret else repeat(())
-    mm = zip(*msgs) if prog.n_mul else repeat(())
-    views = [View(pubs, ss, rr, msg, z, bc)
-             for ss, rr, msg, z, bc in zip(secs, rand, mm, zin, bcast * 5)]
+    own = _interpret(prog, inputs, prog.scalars(pubs), lanes, exchange)
+    bcast = [own[k:k + n] for k in range(0, lanes, n)]
+    placed.extend(enumerate([col * 5 for col in bcast], next(slots)))
+    rows = _Rows(prog.view_length, (lanes, placed))
+    views = [_row_view((prog, rows, lane)) for lane in range(lanes)]
+    outs = F.lincomb(prog.lam, bcast)
     m = c.modulus
-    return tuple(ExecutionResult(tuple(views[k::n]), (FieldElement(dot5(prog.lam, bc, p), m),) * 5)
-                 for k, bc in enumerate(bcast))
+    return tuple(ExecutionResult(tuple(views[k::n]), (FieldElement(outs[k], m),) * 5)
+                 for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +421,7 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
 
 def _elements(v: View) -> tuple[int, ...]:
     return (*v.public_inputs, *v.secret_shares, *v.randomness,
-            *chain.from_iterable(v.messages), *v.zin, *v.bcast)
+            *(x for col in v.messages for x in col), *v.zin, *v.bcast)
 
 
 def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
@@ -317,7 +430,7 @@ def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
     passed the check there and is not checked again."""
     prog = program(c)
     return [isinstance(v, View) and (v._encoding is not None and v._encoding[0] is prog
-                                     and v._encoding[2] or _well_formed(prog, v))
+                                     and v._encoding[2] is True or _well_formed(prog, v))
             for v in views]
 
 
@@ -337,30 +450,48 @@ def _well_formed(prog: Program, v: View) -> bool:
 def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
     """Everything each view's party sent, recomputed from that view alone;
     None for a malformed view.  The well-formed views run as the lanes of
-    one pass: each reshares with its own randomness and receives the
-    columns it recorded."""
+    one pass: their rows are joined and sliced into element columns, and
+    each lane reshares with its own randomness and receives the columns
+    it recorded."""
     prog = program(c)
     ok = valid_view(c, views)
-    lanes = [v for v, good in zip(views, ok) if good]
-    if not lanes:
+    rows = [view_bytes(c, v) for v, good in zip(views, ok) if good]
+    if not rows:
         return [None] * len(views)
-    p = prog.p
-    rc = list(zip(*[v.randomness for v in lanes]))
-    recorded = (tuple(zip(*col)) for col in zip(*[v.messages for v in lanes]))
-    zin = tuple(zip(*[v.zin for v in lanes]))
-    rows = []
+    F = prog.cols
+    n = len(rows)
+    data = b"".join(rows)
+    del rows
+    cols = [F.column(data, off, prog.view_length) for off in prog.offsets]
+    inputs = cols[:prog.n_in]
+    rc = cols[prog.n_in:prog.n_in + prog.n_rand]
+    o3 = prog.n_in + prog.n_rand
+    # The recorded columns at each messaging multiplication, then zin.
+    recorded = [cols[k:k + 5] for k in range(o3, o3 + 5 * prog.n_mul + 5, 5)]
+    del cols, data
+    pubs = inputs[:prog.n_public]
+    if all(col.count(col[0]) == n for col in pubs):
+        scalars = prog.scalars(tuple(col[0] for col in pubs))
+    else:
+        scalars = [F.from_ints(col) for col in zip(*map(prog.scalars, zip(*pubs)))]
+    sent = []
 
     def exchange(d, r):
-        rows.append(share_lanes(d, rc[2 * r], rc[2 * r + 1], p))
-        return next(recorded) if r < prog.n_mul else zin
+        sent.append(F.share(d, rc[2 * r], rc[2 * r + 1]))
+        return recorded[len(sent) - 1]
 
-    inputs = list(zip(*[(*v.public_inputs, *v.secret_shares) for v in lanes]))
-    scalars = list(zip(*[prog.scalars(v.public_inputs) for v in lanes]))
-    own = _interpret(prog, inputs, scalars, len(lanes), exchange)
-    zrow = rows.pop()
-    mul = zip(*[zip(*row) for row in rows]) if rows else repeat(())
-    replays = map(OutMessages, mul, zip(*zrow), own)
-    return [next(replays) if good else None for good in ok]
+    own = _interpret(prog, inputs, scalars, n, exchange)
+    replay = _Replay(prog, sent, own)
+    lanes = iter(range(n))
+    out = []
+    for good in ok:
+        om = None
+        if good:
+            k = next(lanes)
+            om = object.__new__(OutMessages)
+            om.__dict__.update(_lane=(replay, k), open_bcast=own[k])
+        out.append(om)
+    return out
 
 
 def local_output(c: Circuit, pid: int, v: View, om: OutMessages | None) -> FieldElement | None:
@@ -371,17 +502,19 @@ def local_output(c: Circuit, pid: int, v: View, om: OutMessages | None) -> Field
     by its recomputed refreshed share."""
     if om is None:
         return None
-    bcast = list(v.bcast)
-    bcast[pid - 1] = om.open_bcast
-    return FieldElement(dot5(c.modulus.recon_weights, bcast, c.modulus.p), c.modulus)
+    prog = program(c)
+    lam, p, q = prog.lam, prog.p, pid - 1
+    bcast = prog.cols.decode(view_bytes(c, v)[prog.bcast])
+    return FieldElement((dot5(lam, bcast, p) + lam[q] * (om.open_bcast - bcast[q])) % p,
+                        c.modulus)
 
 
-def _received(v: View, b: int, om_b: OutMessages, a: int) -> bool:
-    """Whether view v (of party a) recorded exactly what b's replay says
-    b sent to a."""
-    k, q = b - 1, a - 1
-    return ([col[k] for col in v.messages] == [row[q] for row in om_b.mul]
-            and v.zin[k] == om_b.open_z[q] and v.bcast[k] == om_b.open_bcast)
+def _sent(prog: Program, om: OutMessages, a: int) -> bytes:
+    """What om's party sent to party a, encoded as a view records it."""
+    if om._lane is not None:
+        replay, k = om._lane
+        return replay.to[a - 1][k * replay.size:(k + 1) * replay.size]
+    return prog.cols.encode([*(row[a - 1] for row in om.mul), om.open_z[a - 1], om.open_bcast])
 
 
 def consistent_views(c: Circuit, x: Sequence[FieldElement],
@@ -392,31 +525,22 @@ def consistent_views(c: Circuit, x: Sequence[FieldElement],
 
     Checks shapes, that both views carry the public input x, that each
     view's own recorded slots match its own recomputation, and that the
-    messages implicit in each view equal the ones recorded by the other.
+    messages implicit in each view equal the ones recorded by the other,
+    as byte strings of the views' encodings.
     """
     if i == j:
         raise MithError("consistency is defined for distinct parties")
     if om_i is None or om_j is None:
         return False
-    xs = tuple(e.value for e in x)
-    return (tuple(vi.public_inputs) == xs and tuple(vj.public_inputs) == xs
-            and _received(vi, i, om_i, i) and _received(vj, j, om_j, j)
-            and _received(vi, j, om_j, i) and _received(vj, i, om_i, j))
-
-
-def rerun_from_views(c: Circuit, x: Sequence[FieldElement],
-                     views: Sequence[View]) -> ExecutionResult | None:
-    """Re-execute from the inputs and randomness recorded in five views.
-
-    The honest execution they claim to come from, if any; compare its
-    views against the originals to settle global consistency.
-    """
-    if len(views) != N_PARTIES or not all(valid_view(c, views)):
-        return None
-    sharings = [tuple((v.secret_shares[w],) for v in views)
-                for w in range(c.topology.n_secret)]
-    rand = GateRandomness(tuple(tuple(v.randomness) for v in views))
-    return run_protocol(Statement(c, tuple(x), c.modulus.zero()), sharings, [rand])[0]
+    prog = program(c)
+    ri, rj = view_bytes(c, vi), view_bytes(c, vj)
+    xs = prog.cols.encode([e.value for e in x])
+    got_i, got_j = prog.received[i - 1], prog.received[j - 1]
+    return (ri[prog.pubs] == xs == rj[prog.pubs]
+            and bytes(got_i(ri)) == _sent(prog, om_i, i)
+            and bytes(got_j(rj)) == _sent(prog, om_j, j)
+            and bytes(got_j(ri)) == _sent(prog, om_j, i)
+            and bytes(got_i(rj)) == _sent(prog, om_i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +571,7 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     if i == j:
         raise MithError("corrupt parties must be distinct")
     prog = program(c)
+    F = prog.cols
     p = prog.p
     honest = [k for k in PARTY_IDS if k not in corrupt]
     pubs = tuple(e.value for e in x)
@@ -457,19 +582,20 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     def exchange(d, r):
         """Each corrupt lane reshares its product with fresh randomness,
         stored at rank r; the honest parties' entries are uniform."""
+        draws = [rng.randbelow(p) for _ in range(4)]
+        rand[0][2 * r:2 * r + 2], rand[1][2 * r:2 * r + 2] = draws[:2], draws[2:]
+        sh = F.share(d, F.from_ints(draws[0::2]), F.from_ints(draws[1::2]))
         cols = [None] * 5
         for lane, q in enumerate(corrupt):
-            a1, a2 = rng.randbelow(p), rng.randbelow(p)
-            rand[lane][2 * r:2 * r + 2] = a1, a2
-            row = share_lanes((d[lane],), (a1,), (a2,), p)
-            cols[q - 1] = row[i - 1] + row[j - 1]
+            cols[q - 1] = F.from_ints((sh[i - 1][lane], sh[j - 1][lane]))
         for k in honest:
-            cols[k - 1] = [rng.randbelow(p), rng.randbelow(p)]
+            cols[k - 1] = F.from_ints((rng.randbelow(p), rng.randbelow(p)))
         msgs.append(list(zip(*cols)))
         return cols
 
-    inputs = [[v, v] for v in pubs] + [[a.value, b.value] for a, b in corrupt_shares]
-    u_i, u_j = _interpret(prog, inputs, [[k, k] for k in prog.scalars(pubs)], 2, exchange)
+    inputs = ([F.const(v, 2) for v in pubs]
+              + [F.from_ints((a.value, b.value)) for a, b in corrupt_shares])
+    u_i, u_j = _interpret(prog, inputs, prog.scalars(pubs), 2, exchange)
     zin = msgs.pop()
     # Fix honest broadcasts so the degree-2 opened sharing hits y.
     pts = ((0, y.value), (i, u_i), (j, u_j))
@@ -495,14 +621,27 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
 
 
 def encode_view(c: Circuit, v: View) -> bytes:
+    """v's canonical encoding.  A view of run_protocol is a row of its
+    batch's buffer: the first call for any of them fills every row, the
+    template's statics and then one strided slice assignment per element
+    column.  A view built from its fields is encoded on its own."""
     prog = program(c)
+    enc = v._encoding
+    if enc is not None and enc[0] is prog:
+        if type(enc[2]) is bool:
+            return enc[1]
+        rows = enc[1]
+        if rows.buf is None:
+            n, placed = rows.pending
+            buf = bytearray(prog.image) * n
+            for j, col in placed:
+                prog.cols.place(buf, prog.offsets[j], prog.view_length, col)
+            rows.buf, rows.pending = memoryview(buf), None
+        return rows.row(enc[2])
     vals = _elements(v)
     if len(vals) != prog.n_elements:
         raise MithError("view does not match the circuit's layout")
-    w = prog.width
-    if w == 1:
-        return prog.byte_format % vals
-    blob = b"".join([x.to_bytes(w, "big") for x in vals])
+    blob = prog.cols.encode(vals)
     parts = []
     k = 0
     for static, n in prog.template:
@@ -512,21 +651,29 @@ def encode_view(c: Circuit, v: View) -> bytes:
 
 
 def view_bytes(c: Circuit, v: View) -> bytes:
-    """v's canonical encoding under c: the bytes decode_view read v from,
-    or encode_view's output, kept on v from the first call on.  The
-    views of run_protocol, mpc_simulate and decode_view are frozen
-    tuples of ints, so their bytes cannot go stale."""
-    prog = program(c)
+    """v's canonical encoding under c: its row, or encode_view's output,
+    kept on a view built from fields from the first call on.  Views are
+    frozen, so their bytes cannot go stale."""
     enc = v._encoding
+    if enc is not None and enc[0] is c.__dict__.get("_program"):
+        if type(enc[2]) is bool:
+            return enc[1]
+        if enc[1].buf is not None:
+            return enc[1].row(enc[2])
+    data = encode_view(c, v)
+    prog = program(c)
     if enc is None or enc[0] is not prog:
-        enc = (prog, encode_view(c, v), False)
-        object.__setattr__(v, "_encoding", enc)
-    return enc[1]
+        object.__setattr__(v, "_encoding", (prog, data, False))
+    return data
 
 
 def view_elements(c: Circuit, v: View) -> list[int]:
     """The view's field elements in encoding order (the Pedersen message)."""
-    return list(_elements(v))
+    prog = program(c)
+    enc = v._encoding
+    if enc is None or enc[0] is not prog:
+        return list(_elements(v))
+    return list(prog.cols.decode(prog.elements(view_bytes(c, v))))
 
 
 def view_element_count(c: Circuit) -> int:
@@ -539,36 +686,25 @@ def encoded_view_length(c: Circuit) -> int:
 
 def decode_view(c: Circuit, data: bytes) -> View:
     """Strict inverse of encode_view; raises ProofError on any deviation.
-    The view keeps data as its encoding (see view_bytes)."""
+    The view is data (see view_bytes); its fields are decoded on first
+    read."""
     prog = program(c)
     if len(data) < prog.view_length:
         raise ProofError("truncated view encoding")
     if len(data) > prog.view_length:
         raise ProofError("trailing bytes after view")
-    runs = []
-    pos = 0
-    for static, n in prog.template:
-        end = pos + len(static)
-        if data[pos:end] != static:
-            raise ProofError(f"view layout mismatch at byte {pos}")
-        runs.append(data[end:end + n])
-        pos = end + n
-    w = prog.width
-    blob = b"".join(runs)
-    if w == 1:
-        vals = list(blob)
+    data = bytes(data)
+    if int.from_bytes(data, "big") & prog.static_mask != prog.static_bits:
+        pos = 0
+        for static, n in prog.template:
+            if data[pos:pos + len(static)] != static:
+                break
+            pos += len(static) + n
+        raise ProofError(f"view layout mismatch at byte {pos}")
+    if prog.width == 1:
+        too_big = int.from_bytes(data.translate(prog.cols.too_big), "big") & prog.element_mask
     else:
-        vals = list(map(int.from_bytes, [blob[k:k + w] for k in range(0, len(blob), w)],
-                        repeat("big")))
-    if max(vals) >= prog.p:
+        too_big = max(prog.cols.decode(prog.elements(data))) >= prog.p
+    if too_big:
         raise ProofError("view field element exceeds modulus")
-    o1 = prog.n_public
-    o2 = prog.n_in
-    o3 = o2 + prog.n_rand
-    o4 = o3 + 5 * prog.n_mul
-    v = View(tuple(vals[:o1]), tuple(vals[o1:o2]), tuple(vals[o2:o3]),
-             tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)),
-             tuple(vals[o4:o4 + 5]), tuple(vals[o4 + 5:]))
-    # Decoding is strict, so data is v's only encoding.
-    object.__setattr__(v, "_encoding", (prog, bytes(data), True))
-    return v
+    return _row_view((prog, data, True))

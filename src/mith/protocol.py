@@ -25,7 +25,7 @@ from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
 from mith.errors import MithError, ProofError, SimulationFailure
-from mith.field import RandomSource
+from mith.field import RandomSource, columns
 from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, share_sim
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
@@ -126,8 +126,9 @@ def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
 def share_witness(w: Witness, coeffs: Sequence[Sequence[int]], p: int) -> list:
     """Each secret input shared in lane form (`sss.share`); coeffs[k] is
     lane k's (a1, a2) per secret wire (`random_share_randomness`)."""
-    cols = list(zip(*coeffs))
-    return [share(v.value, cols[2 * k], cols[2 * k + 1], p)
+    flat = columns(p).join(coeffs)
+    step = 2 * len(w.secret_inputs)
+    return [share(v.value, flat[2 * k::step], flat[2 * k + 1::step], p)
             for k, v in enumerate(w.secret_inputs)]
 
 
@@ -318,7 +319,13 @@ class Reader:
         return int.from_bytes(self.take(4), "big")
 
     def lp(self) -> bytes:
-        return self.take(self.u32())
+        """A 4-byte length, then that many bytes."""
+        data, start = self.data, self.pos + 4
+        end = start + int.from_bytes(data[self.pos:start], "big")
+        if end > len(data):
+            raise ProofError(f"truncated {self.what}")
+        self.pos = end
+        return data[start:end]
 
     def end(self) -> None:
         if self.pos != len(self.data):
@@ -326,11 +333,11 @@ class Reader:
 
 
 def serialize_commitment_msg(msg: CommitmentMsg, scheme) -> bytes:
-    return b"".join(_lp(scheme.serialize_commitment(c)) for c in msg.commitments)
+    return b"".join([_lp(scheme.serialize_commitment(c)) for c in msg.commitments])
 
 
 def read_commitment_msg(rd: Reader, scheme) -> CommitmentMsg:
-    return CommitmentMsg(tuple(scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS))
+    return CommitmentMsg(tuple([scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS]))
 
 
 def serialize_response_block(c: Circuit, view, opening, scheme) -> bytes:

@@ -1,5 +1,5 @@
-"""Small statistics kit for the experiment harness: chi-square
-goodness-of-fit and homogeneity tests, and binomial tolerances.
+"""Small statistics kit for the experiment harness: the chi-square
+homogeneity test and binomial tolerances.
 
 The chi-square survival function is computed from the regularized
 incomplete gamma function (series expansion below a+1, Lentz continued
@@ -62,17 +62,6 @@ def chi2_sf(stat: float, df: int) -> float:
     if x < a + 1.0:
         return 1.0 - _gamma_p_series(a, x)
     return _gamma_q_cf(a, x)
-
-
-def chi2_uniform(counts: Sequence[int]) -> tuple[float, float]:
-    """Goodness-of-fit statistic and p-value against the uniform law."""
-    n = sum(counts)
-    k = len(counts)
-    if n == 0 or k < 2:
-        raise ValueError("need at least two cells and one observation")
-    expected = n / k
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    return stat, chi2_sf(stat, k - 1)
 
 
 def chi2_homogeneity(counts_a: Sequence[int], counts_b: Sequence[int]) -> tuple[float, float]:

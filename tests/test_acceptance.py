@@ -30,7 +30,7 @@ from mith.sss import PARTY_PAIRS, share
 from tests.test_commit import RFC4231
 from tests.test_mpc import (
     ScriptedRng, all_pairs_consistent, honest_run, make_free,
-    real_execution_from_free_coords, simulator_draws, tamper_cases,
+    real_execution_from_free_coords, rerun_from_views, simulator_draws, tamper_cases,
 )
 
 PRF = scheme_by_name("prf")
@@ -165,7 +165,7 @@ def test_criterion_6_local_vs_global_consistency():
     for _ in range(10):
         res, _, _ = honest_run(s, Witness((m.element(rnd.randrange(11)),)), rng)
         honest_ok = honest_ok and all_pairs_consistent(c, s.public_inputs, res.views)
-        redo = mpc.rerun_from_views(c, s.public_inputs, res.views)
+        redo = rerun_from_views(c, s.public_inputs, res.views)
         honest_ok = honest_ok and redo is not None and redo.views == res.views
     tampered_ok = True
     checked = 0
@@ -175,7 +175,7 @@ def test_criterion_6_local_vs_global_consistency():
             if checked >= 100:
                 break
             consistent = all_pairs_consistent(c, s.public_inputs, views)
-            redo = mpc.rerun_from_views(c, s.public_inputs, views)
+            redo = rerun_from_views(c, s.public_inputs, views)
             reproduced = redo is not None and list(redo.views) == list(views)
             tampered_ok = tampered_ok and (consistent == reproduced) and not consistent
             checked += 1

@@ -7,10 +7,42 @@ from hypothesis import given, settings, strategies as st
 
 from mith.errors import FieldError
 from mith.field import (
-    FIELD_PRESETS, Modulus, RandomSource, is_probable_prime,
-    lagrange_at_zero, preset_modulus,
+    FIELD_PRESETS, FieldElement, Modulus, RandomSource, is_probable_prime,
+    lagrange_weights, preset_modulus,
 )
-from mith.stats import chi2_uniform
+from mith.stats import chi2_sf
+
+
+def chi2_uniform(counts):
+    """Goodness-of-fit statistic and p-value against the uniform law."""
+    n = sum(counts)
+    k = len(counts)
+    if n == 0 or k < 2:
+        raise ValueError("need at least two cells and one observation")
+    expected = n / k
+    stat = sum((c - expected) ** 2 / expected for c in counts)
+    return stat, chi2_sf(stat, k - 1)
+
+
+def lagrange_at_zero(points):
+    """P(0) for the unique degree-(n-1) polynomial through n <= 5 points
+    (FieldElement pairs); x-coordinates pairwise distinct and nonzero."""
+    if not 1 <= len(points) <= 5:
+        raise FieldError(f"need 1..5 points, got {len(points)}")
+    m = points[0][0].modulus
+    xs = []
+    ys = []
+    for x, y in points:
+        if x.modulus.p != m.p or y.modulus.p != m.p:
+            raise FieldError("interpolation points mix moduli")
+        if x.value == 0:
+            raise FieldError("interpolation point at zero")
+        xs.append(x.value)
+        ys.append(y.value)
+    if len(set(xs)) != len(xs):
+        raise FieldError("duplicate interpolation x-coordinate")
+    ws = lagrange_weights(xs, m.p)
+    return FieldElement(sum(w * y for w, y in zip(ws, ys)) % m.p, m)
 
 
 def egcd_inverse(a: int, p: int) -> int:
@@ -234,13 +266,15 @@ def reference_randbelow(rng, bound: int) -> int:
 @pytest.mark.parametrize("bound", [1, 2, 11, 97, 101, 127, 128, 129, 255, 256, 257,
                                    65_537, 2**256 - 189])
 def test_randbelows_is_the_randbelow_stream(bound):
-    """randbelows(b, n) gives the n draws of the rejection sampler, and
-    consumes exactly their bytes: the streams agree afterwards.  The
-    counts cross the source's refill blocks and include 0."""
+    """randbelows(b, n) gives the n draws of the rejection sampler, as
+    bytes for every one-byte bound, and consumes exactly their bytes: the
+    streams agree afterwards.  The counts cross the source's refill
+    blocks and include 0."""
     seed = b"randbelows-%d" % bound
     got, want = RandomSource(seed), RandomSource(seed)
     for count in (1, 0, 40, 5000, 3):
-        assert got.randbelows(bound, count) == [
-            reference_randbelow(want, bound) for _ in range(count)]
+        draws = got.randbelows(bound, count)
+        assert isinstance(draws, bytes) == (bound < 256)
+        assert list(draws) == [reference_randbelow(want, bound) for _ in range(count)]
         assert got.randbelow(bound) == reference_randbelow(want, bound)
     assert got.bytes(16) == want.bytes(16)

@@ -14,16 +14,11 @@ def test_report_verdict_is_pure_function_of_numbers():
     assert r.verdict == "pass" and r.rate == 0.91
     r2 = harness.ExperimentReport("x", 100, 80, 0.9, 0.02)
     assert r2.verdict == "fail"
-    up = harness.ExperimentReport("x", 100, 5, 0.0, 0.02, kind="upper")
-    assert up.verdict == "fail"
-    assert harness.ExperimentReport("x", 100, 1, 0.0, 0.02,
-                                    kind="upper").verdict == "pass"
-    lo = harness.ExperimentReport("x", 100, 99, 1.0, 0.02, kind="lower")
-    assert lo.verdict == "pass"
+    assert harness.ExperimentReport("x", 100, 5, 0.0, 0.02).verdict == "fail"
+    assert harness.ExperimentReport("x", 100, 1, 0.0, 0.02).verdict == "pass"
+    assert harness.ExperimentReport("x", 100, 99, 1.0, 0.02).verdict == "pass"
     with pytest.raises(MithError):
         harness.ExperimentReport("x", 10, 11, 1.0, 0.0)
-    with pytest.raises(MithError):
-        harness.ExperimentReport("x", 10, 5, 1.0, 0.0, kind="sideways")
 
 
 def test_report_round_trips_to_dict():
@@ -88,7 +83,7 @@ def test_garbage_cheater_never_wins(m11):
     # Garbage is never accepted, so one acceptance fails the report.
     assert rep.tolerance == 0
     assert harness.ExperimentReport(rep.name, rep.trials, 1, rep.bound,
-                                    rep.tolerance, rep.kind).verdict == "fail"
+                                    rep.tolerance).verdict == "fail"
 
 
 @pytest.mark.parametrize("reps", [1, 10])

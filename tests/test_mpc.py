@@ -18,9 +18,9 @@ from mith.corpus import (
 )
 from mith.errors import MithError, ProofError
 from mith.field import FieldElement, Modulus, RandomSource
-from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, Sharing, random_share_randomness, reconstruct, share,
-)
+from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share
+
+from test_sss import Sharing, reconstruct
 
 ONE_MUL = "field 11\ntopology 0 1 1\n(mul 1 (sinput 0) (sinput 0))"
 
@@ -31,8 +31,27 @@ def share1(m, v, a1, a2):
     return Sharing(tuple(m.element(col[0]) for col in share(v, (a1,), (a2,), m.p)))
 
 
+def drawn(parties):
+    """Five per-party randomness vectors ((a1, a2) per randomness slot) in
+    the drawn order of `random_gate_randomness`: slot by slot, parties
+    1..5 within a slot."""
+    return [parties[q][2 * r + t] for r in range(len(parties[0]) // 2)
+            for q in range(5) for t in (0, 1)]
+
+
+def rerun_from_views(c, x, views):
+    """Re-execute from the inputs and randomness recorded in five views:
+    the honest execution they claim to come from, if any.  Compare its
+    views against the originals to settle global consistency."""
+    if len(views) != 5 or not all(mpc.valid_view(c, views)):
+        return None
+    sharings = [tuple((v.secret_shares[k],) for v in views) for k in range(c.topology.n_secret)]
+    rand = drawn([v.randomness for v in views])
+    return mpc.run_protocol(Statement(c, tuple(x), c.modulus.zero()), sharings, [rand])[0]
+
+
 def run1(s, sharings, rand):
-    """run_protocol on one lane: the given Sharings and GateRandomness."""
+    """run_protocol on one lane: the given Sharings and drawn randomness."""
     (res,) = mpc.run_protocol(s, [tuple((x,) for x in sh.values()) for sh in sharings], [rand])
     return res
 
@@ -98,13 +117,13 @@ def test_run_protocol_missing_randomness(m11, rng):
     c = parse_circuit(ONE_MUL)
     s = Statement(c, (), m11.element(9))
     sharings = [share1(m11, 3, 1, 2)]
-    bad = mpc.GateRandomness(((0, 0),) * 5)  # refresh pair only, no mul pair
+    bad = drawn(((0, 0),) * 5)  # refresh pair only, no mul pair
     with pytest.raises(MithError, match="missing randomness"):
         run1(s, sharings, bad)
 
 
 def test_run_protocol_lane_count_mismatch(m11, rng):
-    """Every input column needs one share per lane (per GateRandomness)."""
+    """Every input column needs one share per lane (per repetition's draws)."""
     c = parse_circuit(ONE_MUL)
     s = Statement(c, (), m11.element(9))
     one_lane = [tuple((x,) for x in share1(m11, 3, 1, 2).values())]
@@ -134,7 +153,7 @@ MUL = "field 11\ntopology 0 2 1\n(mul 1 (sinput 0) (sinput 1))"
 def run_with(s, sharings, rng, pairs=None):
     """run_protocol on the given input sharings; pairs, if given, is each
     party's (a1, a2) per messaging multiplication and then the refresh."""
-    rand = (mpc.GateRandomness(tuple(sum(row, ()) for row in pairs)) if pairs
+    rand = (drawn([sum(row, ()) for row in pairs]) if pairs
             else mpc.random_gate_randomness(rng, s.circuit))
     return run1(s, sharings, rand)
 
@@ -412,6 +431,22 @@ def test_consistent_views_public_input_mismatch(rng):
         c, other_x, res.views[0], res.views[1], 1, 2, om_1, om_2)
 
 
+@pytest.mark.parametrize("p", [97, 131, 2**256 - 189])
+def test_out_messages_lanes_with_different_public_inputs(p, rng):
+    """Views of statements with different public inputs replay as lanes
+    of one pass, each smul scaled by its own view's scalar (a mul inside
+    the scalar subtree of pinput 0), as they do one view at a time."""
+    m = Modulus(p)
+    c = parse_circuit(f"field {p}\ntopology 1 1 4\n"
+                      "(add 4 (smul 2 (mul 1 (pinput 0) (pinput 0)) (sinput 0)) (const 3 5))")
+    views = []
+    for x in (2, 3, 4):
+        s = Statement(c, (m.element(x),), m.zero())
+        res, _, _ = honest_run(s, Witness((m.element(7),)), rng)
+        views += [mpc.decode_view(c, mpc.encode_view(c, v)) for v in res.views]
+    assert mpc.out_messages(c, views) == [mpc.out_messages(c, [v])[0] for v in views]
+
+
 def bump(v, m):
     return (v + 1) % m.p
 
@@ -467,7 +502,7 @@ def all_pairs_consistent(c, x, views):
 def test_rerun_reproduces_honest_views(m11, rng):
     for s, w in golden_corpus(m11, 6):
         res, _, _ = honest_run(s, w, rng)
-        redo = mpc.rerun_from_views(s.circuit, s.public_inputs, res.views)
+        redo = rerun_from_views(s.circuit, s.public_inputs, res.views)
         assert redo is not None
         assert redo.views == res.views
 
@@ -523,7 +558,7 @@ def test_global_consistency_equivalence_on_tampered_corpus(m11, rng):
         res, _, _ = honest_run(s, Witness((m11.element(rnd.randrange(11)),)), rng)
         for views in tamper_cases(res, m11, rnd):
             consistent = all_pairs_consistent(c, s.public_inputs, views)
-            redo = mpc.rerun_from_views(c, s.public_inputs, views)
+            redo = rerun_from_views(c, s.public_inputs, views)
             reproduced = redo is not None and list(redo.views) == list(views)
             # Lemma direction equality, checked constructively.
             assert consistent == reproduced
@@ -624,7 +659,7 @@ def real_execution_from_free_coords(c, s, w_val, free, m):
             continue
         _, z1, z2 = poly2_through(m, ((0, 0), (i, zin[k][0]), (j, zin[k][1])))
         refresh[k - 1] = (z1, z2)
-    rand = mpc.GateRandomness(tuple(b + z for b, z in zip(mul_rand, refresh)))
+    rand = drawn([b + z for b, z in zip(mul_rand, refresh)])
     return run1(s, [sharing], rand)
 
 
@@ -755,7 +790,7 @@ def test_view_encoding_is_bit_stable(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(7))
     sharings = [share1(m11, 7, 1, 2)]
-    rand = mpc.GateRandomness(tuple((k, 0) for k in range(5)))
+    rand = drawn([(k, 0) for k in range(5)])
     res = run1(s, sharings, rand)
     blob = mpc.encode_view(c, res.views[0])
     assert blob[0] == 0x56

@@ -20,7 +20,8 @@ from mith.errors import MithError, ProofError, SimulationFailure
 from mith.field import Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 from mith.sss import PARTY_PAIRS
-from mith.stats import chi2_uniform
+
+from test_field import chi2_uniform
 
 PRF = scheme_by_name("prf")
 
@@ -388,17 +389,18 @@ def test_mith1_header_rejected(m11):
 
 
 def test_round_trip_encodes_each_view_once(m11, monkeypatch):
-    """PRF prove, serialize, parse and verify: 5 encodings per repetition,
-    all on the prover side."""
+    """PRF prove, serialize, parse and verify: one encode_view call, on
+    the prover side, fills the rows of all 5 * reps views; commitments and
+    the proof file reuse those rows."""
     calls = []
     encode = mpc.encode_view
     monkeypatch.setattr(mpc, "encode_view", lambda c, v: calls.append(v) or encode(c, v))
     s, w = golden_corpus(m11, 1)[0]
     reps = 7
     data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(32)), s.circuit)
-    assert len(calls) == 5 * reps
+    assert len(calls) == 1
     assert pr.verify_repeated(s, pr.parse_proof(data, s.circuit))
-    assert len(calls) == 5 * reps
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("side", ["prover", "verifier"])

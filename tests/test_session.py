@@ -14,7 +14,8 @@ from mith.corpus import golden_corpus
 from mith.errors import SessionError
 from mith.field import RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
-from mith.stats import chi2_uniform
+
+from test_field import chi2_uniform
 
 
 def pair(timeout=5.0):

@@ -2,15 +2,45 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mith.errors import FieldError
-from mith.field import Modulus, RandomSource
+from mith.field import FieldElement, Modulus, RandomSource
 from mith.sss import (
-    PARTY_IDS, PARTY_PAIRS, Sharing, random_share_randomness, reconstruct, share, share_sim,
+    N_PARTIES, PARTY_IDS, PARTY_PAIRS, dot5, random_share_randomness, share, share_sim,
 )
+
+from test_field import chi2_uniform, lagrange_at_zero
+
+
+@dataclass(frozen=True)
+class Sharing:
+    """One share per party, in party order 1..5."""
+
+    shares: tuple
+
+    def __post_init__(self):
+        if len(self.shares) != N_PARTIES:
+            raise FieldError(f"sharing needs {N_PARTIES} shares, got {len(self.shares)}")
+
+    def __getitem__(self, pid: int) -> FieldElement:
+        return self.shares[pid - 1]
+
+    @property
+    def modulus(self) -> Modulus:
+        return self.shares[0].modulus
+
+    def values(self) -> tuple:
+        return tuple(s.value for s in self.shares)
+
+
+def reconstruct(sh: Sharing) -> FieldElement:
+    """The secret, interpolated from all five shares with degree-4 weights."""
+    m = sh.modulus
+    return FieldElement(dot5(m.recon_weights, sh.values(), m.p), m)
 
 
 def poly_oracle(coeffs, x, p):
@@ -34,7 +64,8 @@ def test_share_lanes_are_independent_sharings(m11):
     """Lane k of share's party columns is the sharing on lane k's
     coefficients, whatever the other lanes hold."""
     cols = share(5, (2, 0, 10), (3, 0, 10), 11)
-    assert cols == ([10, 5, 3], [10, 5, 10], [5, 5, 4], [6, 5, 7], [2, 5, 8])
+    assert [list(col) for col in cols] == [[10, 5, 3], [10, 5, 10], [5, 5, 4], [6, 5, 7],
+                                           [2, 5, 8]]
     for k in range(3):
         assert tuple(col[k] for col in cols) == share1(
             m11, 5, (2, 0, 10)[k], (3, 0, 10)[k]).values()
@@ -76,7 +107,6 @@ def test_reconstruct_total_on_arbitrary_tuples(m11, rnd):
 
 
 def test_any_three_shares_agree_with_all_five(m11, rnd):
-    from mith.field import lagrange_at_zero
     for _ in range(100):
         s = m11.element(rnd.randrange(11))
         sharing = share1(m11, s, rnd.randrange(11), rnd.randrange(11))
@@ -140,7 +170,6 @@ def test_share_sim_matches_real_distribution(m11):
         counts[(a.value, b.value)] = counts.get((a.value, b.value), 0) + 1
     # With n = 100 * 121 every cell should be populated.
     assert len(counts) == 121
-    from mith.stats import chi2_uniform
     _, pval = chi2_uniform([counts.get((a, b), 0)
                             for a in range(11) for b in range(11)])
     assert pval >= 0.001
