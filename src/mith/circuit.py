@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 from mith.errors import CircuitError, CircuitParseError
 from mith.field import FieldElement, Modulus
 
-# Gate ids are 4-byte fields of the view encoding, and the largest u32
-# marks its refresh slot, so every gate id lies below it.
+# Gate ids appear in no byte format (views encode elements only); the
+# bound stays as input validation, so a gate id is a u32 below 2^32 - 1.
 GATE_ID_BOUND = 0xFFFFFFFF
 
 _INPUTS = ("pinput", "sinput")

@@ -137,9 +137,7 @@ def cmd_prove(args) -> int:
     elapsed = (time.perf_counter() - t0) * 1000
     print(f"reps={args.reps} scheme={args.scheme} mode=derived "
           f"bytes={len(blob)} time={elapsed:.1f}ms "
-          f"soundness<={proto.soundness_bound(args.reps):.3g}")
-    print("note: derived (hash-based) challenges extend the interactive "
-          "protocol; the proven bounds cover the interactive modes")
+          f"security_bits={proto.derived_security_bits(args.reps):.1f}")
     return EXIT_OK
 
 

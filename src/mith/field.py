@@ -212,7 +212,6 @@ class ByteColumns:
         self._red = bytes(v % p for v in range(256))     # v mod p
         self._high = bytes(256 * v % p for v in range(256))  # 256 v mod p
         self._nonzero = bytes([0] + [255] * 255)
-        self.too_big = bytes(255 if v >= p else 0 for v in range(256))
         self._times: dict[int, bytes] = {}
         g = _generator(p)
         powers = [pow(g, e, p) for e in range(p - 1)]

@@ -9,10 +9,10 @@ publicly opened.
 
 Each circuit is compiled once into a `Program`: a post-order op list over
 wire slots, the list of multiplications that exchange messages, the
-public scalar subtrees of the smul gates, and the byte layout of the
-view encoding.  One interpreter runs the ops: every wire is a lane
-column (`field.columns`: one byte per lane over a field below 256, else
-a list of ints), and at each messaging multiplication and at the
+public scalar subtrees of the smul gates, and the element counts of a
+view.  One interpreter runs the ops: every wire is a lane column
+(`field.columns`: one byte per lane over a field below 256, else a list
+of ints), and at each messaging multiplication and at the
 refresh an exchange supplies the columns the lanes received.  The
 prover (`run_protocol`) runs a lane per party and repetition and
 reshares with the drawn randomness; the verifier's replay
@@ -26,9 +26,11 @@ randomness ((a1, a2) per messaging multiplication in ascending gate-id
 order, then the refresh pair), the incoming resharing column at each
 messaging multiplication in post-order, and at the opening both the
 incoming zero-share contributions (`zin`) and the broadcast refreshed
-output shares (`bcast`).  Every entry is an int in [0, p).  Views are
-self-contained: `out_messages` recomputes everything a party sent from
-its view alone, which is what pairwise consistency checks against.
+output shares (`bcast`).  Every entry is an int in [0, p), and a view's
+canonical encoding is exactly these entries in this order, each
+fixed-width big-endian.  Views are self-contained: `out_messages`
+recomputes everything a party sent from its view alone, which is what
+pairwise consistency checks against.
 
 The views of one `run_protocol` call are the rows of one buffer: the
 first encoding fills it with one strided slice assignment per element
@@ -49,22 +51,13 @@ from typing import Sequence
 from mith.errors import MithError, ProofError
 from mith.field import FieldElement, RandomSource, columns, lagrange_weights
 from mith.circuit import (
-    GATE_ID_BOUND, Circuit, Statement, gate_values, mul_gate_ids, scalar_marks,
+    Circuit, Statement, gate_values, mul_gate_ids, scalar_marks,
 )
 from mith.sss import PARTY_IDS, dot5
-
-# Marker gate id for the refresh randomness slot in view encodings; every
-# real gate id is below it (`validate_circuit` checks).
-REFRESH_SLOT = GATE_ID_BOUND
-VIEW_TAG = 0x56
 
 # Op codes.  An op is (code, dst, a, b, r): dst = a + b; dst = scalar[a] * b;
 # or dst = a * b through the multiplication with randomness rank r.
 ADD, SMUL, MUL = range(3)
-
-
-def _u32(n: int) -> bytes:
-    return n.to_bytes(4, "big")
 
 
 class Program:
@@ -79,12 +72,9 @@ class Program:
     circuit in the clear once per statement and reads each scalar root
     (`scalar_roots`, gate indices).
 
-    The encoding `template` is a tuple of (static bytes, run length): the
-    static counts and gate ids before each run of packed elements, and
-    the run's length in bytes.  The broadcast run ends the encoding, so
-    nothing static follows the last run.  `image` is the encoding with
-    every element zero, `offsets` each element's byte offset in it, and
-    `cols` the lane-column arithmetic of the field (`field.columns`).
+    A view's encoding is its n_elements elements, `width` bytes each:
+    `view_length` bytes, element j at `offsets[j]` = j * width.  `cols`
+    is the lane-column arithmetic of the field (`field.columns`).
     """
 
     def __init__(self, c: Circuit):
@@ -99,7 +89,6 @@ class Program:
         self.scalar_roots = []  # gate index of each op smul's scalar
         self.mul_gids = tuple(mul_gate_ids(c))
         rank = {gid: r for r, gid in enumerate(self.mul_gids)}
-        at = []    # gate index of each messaging multiplication
         slot = []  # per gate: its wire slot; None inside a scalar subtree
         for i, ((op, gid, a, b), public) in enumerate(zip(c.gates, scalar_marks(c))):
             if public:
@@ -118,66 +107,27 @@ class Program:
                     ops.append((ADD, slot[i], slot[a], slot[b], 0))
                 elif op == "mul":
                     ops.append((MUL, slot[i], slot[a], slot[b], rank[gid]))
-                    at.append(i)
         self.ops = tuple(ops)
         self.root = slot[-1]
         self.init = init
         self.n_mul = len(self.mul_gids)
-        # Message-free nodes before each messaging multiplication, and
-        # after the last one (before zin): differences of gate indices.
-        gaps = [j - i - 1 for i, j in zip([-1, *at], [*at, len(c.gates)])]
         self._circuit = c
         self.n_rand = 2 * (self.n_mul + 1)
         self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
         self._scalar_cache: tuple = (None, ())
-
-        # Static bytes before each element run, in encoding order.
-        zero = _u32(0)
-        layout = [(bytes([VIEW_TAG]) + _u32(self.n_public), self.n_public),
-                  (_u32(self.n_secret), self.n_secret)]
-        gid_slots = self.mul_gids + (REFRESH_SLOT,)
-        layout.append((_u32(len(gid_slots)) + _u32(gid_slots[0]), 2))
-        layout += [(_u32(gid), 2) for gid in gid_slots[1:]]
-        layout += [(zero * gap + _u32(5), 5) for gap in gaps]
-        layout.append((_u32(5), 5))
         w = self.width
-        template = []
-        image = bytearray()
-        offsets = []
-        runs = []
-        static = b""
-        for chunk, n in layout:
-            static += chunk
-            if n:
-                template.append((static, n * w))
-                image += static
-                runs.append(slice(len(image), len(image) + n * w))
-                offsets += range(len(image), len(image) + n * w, w)
-                image += bytes(n * w)
-                static = b""
-        self.template = tuple(template)
-        self.image = bytes(image)
-        self.offsets = tuple(offsets)
-        self.view_length = L = len(image)
-        self._runs = itemgetter(*runs)  # at least the zin and bcast runs
-        # decode_view's checks: the statics equal the image's, and (one-
-        # byte fields) no element byte maps to 255 under cols.too_big.
-        elements = bytearray(L)
-        for off in offsets:
-            elements[off:off + w] = b"\xff" * w
-        self.element_mask = int.from_bytes(elements, "big")
-        self.static_mask = self.element_mask ^ ((1 << 8 * L) - 1)
-        self.static_bits = int.from_bytes(self.image, "big")
-        # Byte ranges of the public inputs (after the tag and count) and
-        # of the broadcast (the encoding's end), and per sender b+1 the
-        # byte positions of what a view recorded from it: its column
-        # entry at each messaging multiplication, its zin and its bcast.
-        self.pubs = slice(5, 5 + self.n_public * w)
+        self.view_length = L = self.n_elements * w
+        self.offsets = range(0, L, w)
+        # Byte ranges of the public inputs and of the broadcast (the
+        # encoding's end), and per sender b+1 the byte positions of what a
+        # view recorded from it: its column entry at each messaging
+        # multiplication, its zin and its bcast.
+        self.pubs = slice(0, self.n_public * w)
         self.bcast = slice(L - 5 * w, L)
         o3 = self.n_in + self.n_rand
         self.received = tuple(
-            itemgetter(*[offsets[j] + t for j in [*range(o3 + b, o3 + 5 * self.n_mul + 5, 5),
-                                                  o3 + 5 * self.n_mul + 5 + b]
+            itemgetter(*[j * w + t for j in [*range(o3 + b, o3 + 5 * self.n_mul + 5, 5),
+                                             o3 + 5 * self.n_mul + 5 + b]
                          for t in range(w)])
             for b in range(5))
 
@@ -193,16 +143,14 @@ class Program:
             self._scalar_cache = (key, values)
         return values
 
-    def elements(self, row) -> bytes:
-        """The element bytes of an encoded view, in encoding order."""
-        return b"".join(self._runs(row))
-
 
 def program(c: Circuit) -> Program:
-    """c's program, compiled on first use and kept on the circuit object."""
+    """c's program, compiled on first use and kept on the circuit object.
+    Threads that compile c at once all get the program stored first: a
+    view's encoding names its program, and a second one would disown it."""
     prog = c.__dict__.get("_program")
     if prog is None:
-        prog = c.__dict__["_program"] = Program(c)
+        prog = c.__dict__.setdefault("_program", Program(c))
     return prog
 
 
@@ -247,7 +195,7 @@ class View:
         if enc is None or name not in _VIEW_FIELDS:
             raise AttributeError(name)
         prog = enc[0]
-        vals = prog.cols.decode(prog.elements(view_bytes(prog._circuit, self)))
+        vals = prog.cols.decode(view_bytes(prog._circuit, self))
         o1, o2 = prog.n_public, prog.n_in
         o3 = o2 + prog.n_rand
         o4 = o3 + 5 * prog.n_mul
@@ -610,21 +558,18 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
 
 # ---------------------------------------------------------------------------
 # Canonical view encoding (commitments are computed over these bytes, so
-# the layout is bit-exact: tag 0x56, public inputs, secret shares,
-# randomness entries in ascending gate-id order with the refresh slot
-# last, one count per circuit node in post-order followed by the node's
-# incoming column (5 values at a messaging multiplication, none
-# elsewhere), then the open-stage data; field elements are fixed-width
-# big-endian, list counts 4-byte big-endian).  The program's template
-# holds every count and gate id, so encoding interleaves it with the
-# packed elements and decoding compares it byte for byte.
+# the layout is bit-exact): the view's elements and nothing else, each
+# fixed-width big-endian, in the order public inputs, secret shares,
+# randomness (ascending gate-id order, the refresh pair last), the
+# incoming column at each messaging multiplication in post-order, zin
+# and bcast.  The circuit fixes every count, so no count, tag or gate id
+# is encoded, and decoding checks the length and each element's range.
 
 
 def encode_view(c: Circuit, v: View) -> bytes:
     """v's canonical encoding.  A view of run_protocol is a row of its
-    batch's buffer: the first call for any of them fills every row, the
-    template's statics and then one strided slice assignment per element
-    column.  A view built from its fields is encoded on its own."""
+    batch's buffer: the first call for any of them fills every row, one
+    strided slice assignment per element column.  A view built from its fields is encoded on its own."""
     prog = program(c)
     enc = v._encoding
     if enc is not None and enc[0] is prog:
@@ -633,7 +578,7 @@ def encode_view(c: Circuit, v: View) -> bytes:
         rows = enc[1]
         if rows.buf is None:
             n, placed = rows.pending
-            buf = bytearray(prog.image) * n
+            buf = bytearray(prog.view_length * n)
             for j, col in placed:
                 prog.cols.place(buf, prog.offsets[j], prog.view_length, col)
             rows.buf, rows.pending = memoryview(buf), None
@@ -641,13 +586,7 @@ def encode_view(c: Circuit, v: View) -> bytes:
     vals = _elements(v)
     if len(vals) != prog.n_elements:
         raise MithError("view does not match the circuit's layout")
-    blob = prog.cols.encode(vals)
-    parts = []
-    k = 0
-    for static, n in prog.template:
-        parts += (static, blob[k:k + n])
-        k += n
-    return b"".join(parts)
+    return prog.cols.encode(vals)
 
 
 def view_bytes(c: Circuit, v: View) -> bytes:
@@ -673,7 +612,7 @@ def view_elements(c: Circuit, v: View) -> list[int]:
     enc = v._encoding
     if enc is None or enc[0] is not prog:
         return list(_elements(v))
-    return list(prog.cols.decode(prog.elements(view_bytes(c, v))))
+    return list(prog.cols.decode(view_bytes(c, v)))
 
 
 def view_element_count(c: Circuit) -> int:
@@ -685,26 +624,15 @@ def encoded_view_length(c: Circuit) -> int:
 
 
 def decode_view(c: Circuit, data: bytes) -> View:
-    """Strict inverse of encode_view; raises ProofError on any deviation.
-    The view is data (see view_bytes); its fields are decoded on first
-    read."""
+    """Strict inverse of encode_view: data must be view_length bytes whose
+    every element is below p, else ProofError.  The view is data (see
+    view_bytes); its fields are decoded on first read."""
     prog = program(c)
     if len(data) < prog.view_length:
         raise ProofError("truncated view encoding")
     if len(data) > prog.view_length:
         raise ProofError("trailing bytes after view")
     data = bytes(data)
-    if int.from_bytes(data, "big") & prog.static_mask != prog.static_bits:
-        pos = 0
-        for static, n in prog.template:
-            if data[pos:pos + len(static)] != static:
-                break
-            pos += len(static) + n
-        raise ProofError(f"view layout mismatch at byte {pos}")
-    if prog.width == 1:
-        too_big = int.from_bytes(data.translate(prog.cols.too_big), "big") & prog.element_mask
-    else:
-        too_big = max(prog.cols.decode(prog.elements(data))) >= prog.p
-    if too_big:
+    if max(prog.cols.decode(data)) >= prog.p:
         raise ProofError("view field element exceeds modulus")
     return _row_view((prog, data, True))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,7 +31,7 @@ from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, sha
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
-MAGIC = b"MITH2"
+MAGIC = b"MITH3"
 # A proof file's challenge-mode byte.  Files carry derived challenges
 # only: recorded ("transcript") challenges would be the writer's choice.
 DERIVED_MODE_BYTE = 0x01
@@ -95,6 +96,13 @@ def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
     if not 0 <= eps_b < 0.1:
         raise MithError("binding advantage must lie in [0, 1/10)")
     return (1 - 1 / N_CHALLENGES + eps_b) ** reps
+
+
+def derived_security_bits(reps: int) -> float:
+    """Soundness of a proof with derived challenges, in bits: a cheater
+    that recommits until no challenge hits its one bad pair needs
+    (10/9)^reps attempts on average, so reps * log2(10/9)."""
+    return reps * math.log2(N_CHALLENGES / (N_CHALLENGES - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +300,9 @@ def zk_simulate(s: Statement,
 # challenge-mode byte (always DERIVED_MODE_BYTE), sigma (4-byte BE),
 # statement hash, then per repetition 5 length-prefixed commitments, a
 # challenge byte (index into the lexicographic pair order) and two
-# length-prefixed (view, opening) blocks.  A session's COMMIT and
-# RESPONSE payloads are the same blocks without the rest.
+# (view, opening) blocks, each a length-prefixed view (its elements only,
+# `mpc.encode_view`) and a length-prefixed opening.  A session's COMMIT
+# and RESPONSE payloads are the same blocks without the rest.
 
 
 def _lp(b: bytes) -> bytes:

@@ -41,7 +41,9 @@ _KNOWN_TYPES = {MSG_HELLO, MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE,
                 MSG_RESULT, MSG_ERROR}
 
 MAX_PAYLOAD = 1 << 24
-PROTOCOL_VERSION = 0x01
+# HELLO's version byte.  Version 2 carries RESPONSE views in their
+# element-only encoding, as MITH3 proof files do.
+PROTOCOL_VERSION = 0x02
 DEFAULT_TIMEOUT = 30.0
 
 ERR_HASH_MISMATCH = 1

@@ -241,23 +241,44 @@ def test_malformed_circuit_exit_2(workdir):
                 "--proof", workdir / "p.bin"]) == 2
 
 
-def test_mith1_proof_is_malformed(workdir, capsys):
+def check_old_version_is_malformed(workdir, capsys, magic: bytes):
+    """A MITH3 file relabelled as an older version exits 1 as an
+    unsupported version."""
     proof = workdir / "p.bin"
     assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
                 "--reps", 2, "--out", proof]) == 0
     blob = proof.read_bytes()
-    assert blob[:5] == b"MITH2"
-    proof.write_bytes(b"MITH1" + blob[5:])
+    assert blob[:5] == b"MITH3"
+    proof.write_bytes(magic + blob[5:])
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
     out = capsys.readouterr().out
-    assert "malformed proof" in out and "MITH1" in out
+    assert "malformed proof" in out and f"unsupported proof version {magic.decode()}" in out
+
+
+def test_mith1_proof_is_malformed(workdir, capsys):
+    check_old_version_is_malformed(workdir, capsys, b"MITH1")
+
+
+def test_mith2_proof_is_malformed(workdir, capsys):
+    check_old_version_is_malformed(workdir, capsys, b"MITH2")
+
+
+@pytest.mark.parametrize("reps, bits", [(8, "1.2"), (40, "6.1"), (842, "128.0"), (843, "128.1")])
+def test_prove_prints_derived_security_bits(workdir, capsys, reps, bits):
+    """A derived proof delivers reps * log2(10/9) bits, and prove prints
+    those bits, not the interactive bound (9/10)^reps."""
+    assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                "--reps", reps, "--out", workdir / "p.bin"]) == 0
+    out = capsys.readouterr().out
+    assert f"reps={reps} " in out and f"security_bits={bits}" in out.split()
+    assert "soundness<=" not in out and "note:" not in out
 
 
 @pytest.mark.parametrize("gid", ["-1", "4294967295", "4294967296"])
 def test_out_of_range_gate_id_exit_2(tmp_path, gid):
-    """Gate ids are u32 below the refresh slot; any other id is a
-    validation error on both sides, not a crash."""
+    """Gate ids are u32 below 0xFFFFFFFF; any other id is a validation
+    error on both sides, not a crash."""
     (tmp_path / "c.arith").write_text(
         f"field 101\ntopology 0 1 2\n(add 1\n  (mul {gid} (sinput 0) (sinput 0)) (sinput 0))\n")
     (tmp_path / "s.st").write_text("field 101\ntarget 6\ncircuit c.arith\n")

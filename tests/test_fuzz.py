@@ -56,18 +56,20 @@ def test_decode_view_random_bytes(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(min_size=PROG.n_elements * PROG.width,
-                 max_size=PROG.n_elements * PROG.width))
-def test_decode_view_random_elements_in_honest_layout(elements):
-    """The honest counts and gate ids around arbitrary element bytes."""
-    data = bytearray(VIEW)
-    pos = k = 0
-    for static, n in PROG.template:
-        pos += len(static)
-        data[pos:pos + n] = elements[k:k + n]
-        pos += n
-        k += n
-    check_view(bytes(data))
+@given(st.binary(min_size=PROG.view_length, max_size=PROG.view_length), st.integers(0, 255))
+def test_decode_view_oracle_on_honest_length(raw, cap):
+    """Bytes of the honest length, each capped at cap so that both
+    outcomes occur: decoding succeeds iff every element is below p, and
+    an accepted view re-encodes to its input."""
+    data = bytes(min(b, cap) for b in raw)
+    try:
+        view = mpc.decode_view(C, data)
+    except MithError:
+        assert max(data) >= PROG.p
+        return
+    assert max(data) < PROG.p
+    assert mpc.encode_view(C, view) == data
+    assert mpc.view_elements(C, view) == list(data)
 
 
 @settings(max_examples=500, deadline=None)

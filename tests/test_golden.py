@@ -1,6 +1,6 @@
-"""Golden bytes: the canonical view encoding, the MITH2 proof file and the
-session frames are fixed formats, so seeded runs must keep producing the
-same bytes.  The corpus circuits are pinned too, by their circuit text.
+"""Golden bytes: the canonical view encoding, the MITH3 proof file and the
+session frames (HELLO version 2) are fixed formats, so seeded runs must
+keep producing the same bytes.  The corpus circuits are pinned too, by their circuit text.
 
 Each proof case pins the SHA-256 of the five encoded views of one seeded
 protocol run and of a seeded two-repetition proof file.  Each session
@@ -43,23 +43,28 @@ CASES = {
     "smul-over-mul-f101-prf": (lambda: parse_circuit(SMUL_OVER_MUL), "prf"),
 }
 
-# View digests computed with the tree-view implementation that preceded
-# the compiled programs.  Proof digests are for MITH2: its challenges are
-# derived from one SHA-256 of the commit phase.  The MITH1 proof digests
-# were d08efaa3..., 506a5a03..., 8c4c93b9... and 8d763b05..., in order.
+# View digests are for MITH3's element-only encoding.  They equal the
+# SHA-256 of the element bytes of the MITH2 views of the same runs, which
+# were pinned with the tree-view implementation that preceded the compiled
+# programs; the MITH2 view digests were 4462f99c..., a51dd485...,
+# 66cc8844... and a0d3085f..., in order.  Proof digests are for MITH3
+# (challenges derived from one SHA-256 of the commit phase, as in MITH2);
+# the MITH2 proof digests were 3e12175c..., d4c95c6c..., af5dcaab... and
+# 41bffc18..., and the MITH1 ones d08efaa3..., 506a5a03..., 8c4c93b9...
+# and 8d763b05....
 GOLDEN = {
     "deep9-f101-prf": (
-        "4462f99ce2733e8dd74cd4945f50527d57a419c7ee1d34c1e377d2830850c2d9",
-        "3e12175cc6cfb35f3dc5d50a1d2602ee03e1b104a105f6f7f925d83aff95b98b"),
+        "2bb65b327b3a8c4db3534534d1110853d93ba6d815cc0a2f438b29400982c2b2",
+        "9d7c61a92a4d18a0f81978e29a742ac9ab61892ef54086a6e04a3cc387c4787f"),
     "bench-b-f97-prf": (
-        "a51dd485444dc32e3aa26e058ad94afddd3c62651bdcee1f830421c5d105e211",
-        "d4c95c6c54867134b9ce695304e7fd0f7eb66a345da904b2f87ce7191ea549c9"),
+        "1006120fee47a42dc6e373b5980f632432f00d57cd20fe5ea20b2370c1809b00",
+        "30edb648ecb4d7e1ba5fa6fc3167ad901d19ccb79879fa0074a32d434af339f1"),
     "bench-a-p256-pedersen": (
-        "66cc88446683e4638420d25acae5bc7805d74c3872766dd11541ccb66a2c1ada",
-        "af5dcaab7a523d2d55d120302859b9440f8c7bb021cfdfdc52720ee2c118c558"),
+        "7802798ada76d96e54ca8dec8ee90eadbb8c4559f79d550832669418cb4b877f",
+        "780dddb70f60df9ab039c5ebefaba7b098112a11ace64640dd2daae739673740"),
     "smul-over-mul-f101-prf": (
-        "a0d3085f70487a121ad356801cddea28d1343f5bd31b449696842a78598d2557",
-        "41bffc18780062da5f3e875fd228ff4160f781d0463c4c9a43dc528d9294090b"),
+        "fdf514caa52cb0b9bd21d4410d6de24dc4a3de2e3929bef35b5917b8bad6a221",
+        "86b990a4bf81e80aa59f4b2387d11d063114d5a0b9504dc246da36a38aa1d869"),
 }
 
 
@@ -137,13 +142,15 @@ def test_golden_corpus_circuit_text():
         == GOLDEN_CORPUS_F11_TEXT
 
 
+# Frames of HELLO version 2, whose RESPONSE views are element-only.  The
+# version-1 digests were b6ea6fa1... and 6e87db4d..., in order.
 SESSION_CASES = {
     "bench-b-f97-prf-sigma3": (
         bench_circuit_b, "prf", 3,
-        "b6ea6fa143548317714712e8a86667946c9adc788fda2f74c3b231ace9509ba1"),
+        "50a4db16c56e1de4c8bb1bc46f00f049ce061027ff4768e9985d1f4df72a70c0"),
     "bench-a-p256-pedersen-sigma2": (
         lambda: bench_circuit_a(preset_modulus("p256")), "pedersen", 2,
-        "6e87db4ddc96a39d6dee4c2fb48a6c0306ccd81b064ac5f1c67f952053aa5b94"),
+        "c0821016c2c3e995c1e784854f2fcee144b9cc4e83a16f943c5afe0e6310b339"),
 }
 
 

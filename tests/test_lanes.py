@@ -4,7 +4,7 @@
 separate scalar executions: its own rejection sampler for every field
 draw, each party's shares as single ints, the canonical view encoding
 written out element by element, HMAC-SHA256 and Pedersen commitments,
-derived challenges and the MITH2 file layout.  Seeded alike, the lane
+derived challenges and the MITH3 file layout.  Seeded alike, the lane
 path (`commit_repetitions`, `prove_repeated`, `serialize_proof`) must give
 the same views, commitments and proof bytes.
 """
@@ -94,26 +94,19 @@ def messaging_flags(c) -> list[bool]:
 
 
 def reference_encoding(c, v) -> bytes:
-    """Tag 0x56; public inputs and secret shares, each list as a 4-byte
-    count and its entries; the randomness as (gate id, a1, a2) slots in
-    ascending gate-id order with the refresh slot last; a count per circuit
-    node in post-order, followed at a messaging multiplication by the
-    column it received; then zin and bcast as counted lists."""
+    """The view's elements and nothing else, each w-byte big-endian, in
+    the order public inputs, secret shares, randomness (an (a1, a2) pair
+    per messaging multiplication and the refresh pair), the column
+    received at each messaging multiplication in post-order, zin and
+    bcast.  The circuit fixes every count, so each is checked, not
+    written."""
+    topo = c.topology
+    n_mul = sum(messaging_flags(c))
+    assert (len(v.public_inputs), len(v.secret_shares)) == (topo.n_public, topo.n_secret)
+    assert len(v.randomness) == 2 * (n_mul + 1) and len(v.messages) == n_mul
+    assert all(len(col) == 5 for col in (*v.messages, v.zin, v.bcast))
     w = c.modulus.byte_length
-    u32 = lambda n: n.to_bytes(4, "big")  # noqa: E731
-    el = lambda xs: b"".join(x.to_bytes(w, "big") for x in xs)  # noqa: E731
-    flags = messaging_flags(c)
-    gids = sorted(g.gid for g, msg in zip(c.gates, flags) if msg)
-    gids.append(mpc.REFRESH_SLOT)
-    out = [bytes([0x56]), u32(len(v.public_inputs)), el(v.public_inputs),
-           u32(len(v.secret_shares)), el(v.secret_shares), u32(len(gids))]
-    for k, gid in enumerate(gids):
-        out += (u32(gid), el(v.randomness[2 * k:2 * k + 2]))
-    cols = iter(v.messages)
-    for msg in flags:
-        out += (u32(5), el(next(cols))) if msg else (u32(0),)
-    out += (u32(5), el(v.zin), u32(5), el(v.bcast))
-    return b"".join(out)
+    return b"".join(x.to_bytes(w, "big") for x in reference_elements(v))
 
 
 def reference_proof(w, s, reps, rng, scheme):
@@ -157,7 +150,7 @@ def reference_proof(w, s, reps, rng, scheme):
                   for coms in all_coms]
     digest = hashlib.sha256(b"".join(com_blocks)).digest()
     stmt = statement_hash(s)
-    out = [b"MITH2", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
+    out = [b"MITH3", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
     for k in range(reps):
         mac = hmac.new(stmt, k.to_bytes(4, "big") + digest, hashlib.sha256).digest()
         ch = int.from_bytes(mac, "big") % 10

@@ -13,11 +13,11 @@ from mith.circuit import (
     Statement, Witness, eval_plain, parse_circuit,
 )
 from mith.corpus import (
-    golden_corpus, identity_circuit, random_circuit, random_instance,
+    bench_circuit_a, golden_corpus, identity_circuit, random_circuit, random_instance,
     square_plus_one_circuit,
 )
 from mith.errors import MithError, ProofError
-from mith.field import FieldElement, Modulus, RandomSource
+from mith.field import FieldElement, Modulus, RandomSource, preset_modulus
 from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share
 
 from test_sss import Sharing, reconstruct
@@ -776,13 +776,28 @@ def test_view_encoding_strictness(m11, rng):
         mpc.decode_view(c, blob + b"\x00")
     with pytest.raises(ProofError):
         mpc.decode_view(c, blob[:-1])
-    with pytest.raises(ProofError):
-        mpc.decode_view(c, b"\x57" + blob[1:])
-    # An element >= p is rejected even where the byte layout is intact.
+    # An element >= p is rejected, first or last.
+    with pytest.raises(ProofError, match="exceeds modulus"):
+        mpc.decode_view(c, b"\x0b" + blob[1:])
     bad = bytearray(blob)
     bad[-1] = 0xFF
-    with pytest.raises(ProofError):
+    with pytest.raises(ProofError, match="exceeds modulus"):
         mpc.decode_view(c, bytes(bad))
+
+
+def test_view_encoding_strictness_wide_field(rng):
+    """Over p256 each element is 32 bytes; one equal to p is rejected."""
+    m = preset_modulus("p256")
+    c = bench_circuit_a(m)
+    s, w = random_instance(random.Random(2), c)
+    res, _, _ = honest_run(s, w, rng)
+    blob = mpc.encode_view(c, res.views[0])
+    assert len(blob) == 32 * mpc.view_element_count(c)
+    assert mpc.decode_view(c, blob) == res.views[0]
+    for k in (0, len(blob) - 32):
+        bad = blob[:k] + m.p.to_bytes(32, "big") + blob[k + 32:]
+        with pytest.raises(ProofError, match="exceeds modulus"):
+            mpc.decode_view(c, bad)
 
 
 def test_view_encoding_is_bit_stable(m11, rng):
@@ -793,19 +808,37 @@ def test_view_encoding_is_bit_stable(m11, rng):
     rand = drawn([(k, 0) for k in range(5)])
     res = run1(s, sharings, rand)
     blob = mpc.encode_view(c, res.views[0])
-    assert blob[0] == 0x56
     # Derived by hand: share poly 7+x+2x^2 gives party 1 the share 10;
     # party k+1 contributes the zero-poly k*x, so party 1 receives
-    # (0,1,2,3,4) and the refreshed sharing is (9,4,3,6,2).
+    # (0,1,2,3,4) and the refreshed sharing is (9,4,3,6,2).  No public
+    # inputs and no messaging multiplication, so nothing else is encoded.
     assert blob.hex() == (
-        "56"                      # tag
-        "00000000"                # no public inputs
-        "00000001" "0a"           # one secret share
-        "00000001" "ffffffff" "00" "00"  # refresh slot randomness (0,0)
-        "00000000" "00000000" "00000000"  # three empty trace payloads
-        "00000005" "00" "01" "02" "03" "04"  # zin column of party 1
-        "00000005" "09" "04" "03" "06" "02"  # broadcast refreshed shares
+        "0a"                      # the one secret share
+        "00" "00"                 # refresh randomness (a1, a2) = (0, 0)
+        "00" "01" "02" "03" "04"  # zin column of party 1
+        "09" "04" "03" "06" "02"  # broadcast refreshed shares
     )
+
+
+def test_concurrent_first_compiles_share_one_program(monkeypatch):
+    """Two threads that compile one circuit at once get the same program,
+    so the views one of them made keep naming the circuit's program."""
+    c = parse_circuit("field 101\ntopology 0 1 1\n(mul 2 (sinput 0) (sinput 0))")
+    both_compiled = threading.Barrier(2)
+    compile_program = mpc.Program.__init__
+
+    def slow_init(self, circuit):
+        compile_program(self, circuit)
+        both_compiled.wait(10)
+
+    monkeypatch.setattr(mpc.Program, "__init__", slow_init)
+    progs = []
+    threads = [threading.Thread(target=lambda: progs.append(mpc.program(c))) for _ in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(20)
+    assert len(progs) == 2 and progs[0] is progs[1] is mpc.program(c)
 
 
 def test_shared_program_across_threads():

@@ -256,22 +256,79 @@ def test_derived_challenges_pin_commitments(m11):
     assert not pr.verify_repeated(s, bad)
 
 
+def unopened_commitment_bytes(proof, data: bytes) -> set[int]:
+    """Positions of the bytes of every commitment that proof's challenges
+    leave unopened, in its file bytes data (length prefixes excluded)."""
+    pos, out = 43, set()
+    for t in proof.transcripts:
+        for pid in range(1, 6):
+            n = int.from_bytes(data[pos:pos + 4], "big")
+            if pid not in t.challenge:
+                out.update(range(pos + 4, pos + 4 + n))
+            pos += 4 + n
+        pos += 1
+        for _ in range(4):
+            pos += 4 + int.from_bytes(data[pos:pos + 4], "big")
+    assert pos == len(data)
+    return out
+
+
+def rederived_challenges(data: bytes, c) -> list[tuple[int, int]]:
+    """The challenges derived from the commitments of proof file data."""
+    proof = pr.parse_proof(data, c)
+    blobs = pr.challenge_blobs([t.commitment for t in proof.transcripts], PRF)
+    return [pr.derive_challenge(proof.stmt_hash, k, blobs) for k in range(proof.reps)]
+
+
+def flip(data: bytes, pos: int, bit: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ (1 << bit)]) + data[pos + 1:]
+
+
 def test_proof_file_fuzz_never_accepts(m11):
+    """300 seeded one-bit flips of a sigma=2 file for a true statement.
+    A flip inside an unopened commitment leaves both derived challenges
+    unchanged with probability 1/100, and the verifier is then right to
+    accept; every other flip is rejected."""
     rng = RandomSource(17)
     rnd = random.Random(17)
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 2, rng)
     blob = pr.serialize_proof(proof, s.circuit)
+    unopened = unopened_commitment_bytes(proof, blob)
+    challenges = [t.challenge for t in proof.transcripts]
     for _ in range(300):
         pos = rnd.randrange(len(blob))
-        bad = blob[:pos] + bytes([blob[pos] ^ (1 << rnd.randrange(8))]) + blob[pos + 1:]
+        bad = flip(blob, pos, rnd.randrange(8))
         if bad == blob:
             continue
         try:
             ok = pr.verify_repeated(s, pr.parse_proof(bad, s.circuit))
         except (ProofError, MithError):
             ok = False
-        assert not ok
+        assert ok == (pos in unopened and rederived_challenges(bad, s.circuit) == challenges)
+
+
+def test_unopened_commitment_flip_keeping_challenges_is_accepted(m11):
+    """The accepting case of the fuzz test above, found by search: a flip
+    in an unopened commitment that re-derives the same challenges leaves
+    a valid proof, and one that changes them is rejected."""
+    s, w = golden_corpus(m11, 1)[0]
+    proof = pr.prove_repeated(w, s, 2, RandomSource(17))
+    blob = pr.serialize_proof(proof, s.circuit)
+    challenges = [t.challenge for t in proof.transcripts]
+    kept = changed = None
+    for pos in sorted(unopened_commitment_bytes(proof, blob)):
+        for bit in range(8):
+            bad = flip(blob, pos, bit)
+            if rederived_challenges(bad, s.circuit) == challenges:
+                kept = kept or bad
+            else:
+                changed = changed or bad
+        if kept and changed:
+            break
+    assert kept and changed
+    assert pr.verify_repeated(s, pr.parse_proof(kept, s.circuit))
+    assert not pr.verify_repeated(s, pr.parse_proof(changed, s.circuit))
 
 
 def test_proof_magic_and_shape_checks(m11):
@@ -320,16 +377,16 @@ def test_pedersen_blinder_plus_order_rejected():
 
 
 # ---------------------------------------------------------------------------
-# MITH2: the challenges come from one digest of the commit phase, and each
+# MITH3: the challenges come from one digest of the commit phase, and each
 # view is encoded once
 
 
 def raw_proof_sections(data: bytes):
     """(statement hash, [(commitment section bytes, challenge byte)]) read
-    straight off MITH2 proof bytes: header of 43 bytes, then per
+    straight off MITH3 proof bytes: header of 43 bytes, then per
     repetition five length-prefixed commitments, the challenge byte and
     four length-prefixed blocks."""
-    assert data[:5] == b"MITH2"
+    assert data[:5] == b"MITH3"
     reps = int.from_bytes(data[7:11], "big")
     stmt_hash = data[11:43]
     pos = 43
@@ -366,7 +423,7 @@ def session_echo(s, reps: int, commit_payload: bytes) -> bytes:
     return echo
 
 
-def test_mith2_challenges_recomputed_from_raw_bytes(m11):
+def test_mith3_challenges_recomputed_from_raw_bytes(m11):
     """Challenge k is HMAC-SHA256(statement hash, k || SHA-256(all
     commitment sections)) mod 10, and that digest is the session's echo."""
     s, w = golden_corpus(m11, 1)[0]
