@@ -184,9 +184,8 @@ def group_for_modulus(p: int) -> PedersenParams:
 
 # ---------------------------------------------------------------------------
 # View-level scheme objects used by the proof protocol.  The PRF scheme
-# commits to the view's canonical byte encoding (`mpc.view_bytes`, so a
-# view is encoded at most once); Pedersen commits to its field-element
-# sequence.  Each builds only the form it commits to.
+# commits to the view's canonical byte encoding, which is the view
+# itself (`mpc.View`); Pedersen commits to its field-element sequence.
 
 
 class PrfScheme:
@@ -197,14 +196,10 @@ class PrfScheme:
         return rng.bytes(PRF_KEY_LEN)
 
     def commit_view(self, key, c: Circuit, view: mpc.View):
-        return prf_commit(key, mpc.view_bytes(c, view))
+        return prf_commit(key, view)
 
     def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
-        """Checks the bytes the view was decoded from, if it was."""
-        return prf_verify(mpc.view_bytes(c, view), commitment, opening)
-
-    def dummy_commitment(self, key, encoded_len: int, n_elements: int):
-        return prf_commit(key, bytes(encoded_len))[0]
+        return prf_verify(view, commitment, opening)
 
     def serialize_commitment(self, c) -> bytes:
         return c
@@ -239,9 +234,6 @@ class PedersenScheme:
 
     def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
         return pedersen_verify(self.params, mpc.view_elements(c, view), commitment, opening)
-
-    def dummy_commitment(self, key, encoded_len: int, n_elements: int):
-        return pedersen_commit(self.params, key, (0,) * n_elements)[0]
 
     def serialize_commitment(self, c) -> bytes:
         return _pack_ints(c, self.params.element_bytes)

@@ -11,7 +11,6 @@ repetition, with the challenge avoiding that pair.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Sequence
 
@@ -134,7 +133,7 @@ class OneBadPairCheater:
             zin = list(v.zin)
             if q == j0 - 1:
                 zin[i0 - 1] = (zin[i0 - 1] + delta) % p
-            self.views.append(dataclasses.replace(v, zin=tuple(zin), bcast=tuple(bcast)))
+            self.views.append(mpc.make_view(c, v, zin=zin, bcast=bcast))
         self._n_el = mpc.view_element_count(c)
 
     def commit(self, rng: RandomSource,
@@ -154,7 +153,8 @@ class OneBadPairCheater:
 
 
 class GarbageCheater:
-    """Commits honest-looking digests it cannot open; never accepted."""
+    """Commits to the all-zero view and opens well-formed views it did
+    not commit to; never accepted."""
 
     claim = ""
 
@@ -168,15 +168,15 @@ class GarbageCheater:
         w = Witness(tuple(m.element(k + 1) for k in range(c.topology.n_secret)))
         self.views = honest_execution(s, w, rng).views
         self._n_el = mpc.view_element_count(c)
-        self._enc_len = mpc.encoded_view_length(c)
+        self._zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
 
     def commit(self, rng: RandomSource,
                reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
+        c = self.statement.circuit
         states, msgs = [], []
         for _ in range(reps):
             msgs.append(proto.CommitmentMsg(tuple(
-                self.scheme.dummy_commitment(
-                    self.scheme.keygen(rng, self._n_el), self._enc_len, self._n_el)
+                self.scheme.commit_view(self.scheme.keygen(rng, self._n_el), c, self._zero)[0]
                 for _ in range(5))))
             openings = tuple(self.scheme.keygen(rng, self._n_el) for _ in range(5))
             states.append(proto.ProverState(self.views, openings))
@@ -275,8 +275,7 @@ validity_distinguisher.label = "validity"
 
 def byte_histogram_distinguisher(s, verdict, tr) -> bool:
     """Parity-of-popcount over the opened views' encodings."""
-    c = s.circuit
-    blob = mpc.view_bytes(c, tr.response.first[0]) + mpc.view_bytes(c, tr.response.second[0])
+    blob = tr.response.first[0] + tr.response.second[0]
     bits = sum(bin(b).count("1") for b in blob)
     return bits % 2 == 0
 

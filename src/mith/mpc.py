@@ -32,18 +32,20 @@ fixed-width big-endian.  Views are self-contained: `out_messages`
 recomputes everything a party sent from its view alone, which is what
 pairwise consistency checks against.
 
-The views of one `run_protocol` call are the rows of one buffer: the
-first encoding fills it with one strided slice assignment per element
-column, and each view's canonical encoding is its row.  A decoded view
-is the row it was read from.  The verifier joins the opened rows,
-slices them back into element columns, and compares what views
-recorded with what replays sent as byte strings.  A row view decodes
-its tuple fields only when they are read.
+A view is its canonical encoding: `View` is a `bytes` subclass that
+also names its program, and its six fields are decoded from its bytes
+whenever they are read.  Only `run_protocol` (through `encode_view`),
+`decode_view` and `make_view` build views, each checking what it builds,
+so every view is well formed for its program.  `run_protocol` writes
+the element columns of all its views into one buffer, one strided slice
+assignment per column, and cuts each view from its row.  The verifier
+joins the opened views, slices them back into element columns, and
+compares what views recorded with what replays sent as byte strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import Sequence
@@ -58,6 +60,9 @@ from mith.sss import PARTY_IDS, dot5
 # Op codes.  An op is (code, dst, a, b, r): dst = a + b; dst = scalar[a] * b;
 # or dst = a * b through the multiplication with randomness rank r.
 ADD, SMUL, MUL = range(3)
+
+# A view's fields, in encoding order.
+VIEW_FIELDS = ("public_inputs", "secret_shares", "randomness", "messages", "zin", "bcast")
 
 
 class Program:
@@ -118,16 +123,19 @@ class Program:
         w = self.width
         self.view_length = L = self.n_elements * w
         self.offsets = range(0, L, w)
+        o3 = self.n_in + self.n_rand
+        o4 = o3 + 5 * self.n_mul
+        # Element index range of each view field, in encoding order.
+        ends = (self.n_public, self.n_in, o3, o4, o4 + 5, o4 + 10)
+        self.fields = dict(zip(VIEW_FIELDS, zip((0, *ends), ends)))
         # Byte ranges of the public inputs and of the broadcast (the
         # encoding's end), and per sender b+1 the byte positions of what a
         # view recorded from it: its column entry at each messaging
         # multiplication, its zin and its bcast.
         self.pubs = slice(0, self.n_public * w)
         self.bcast = slice(L - 5 * w, L)
-        o3 = self.n_in + self.n_rand
         self.received = tuple(
-            itemgetter(*[j * w + t for j in [*range(o3 + b, o3 + 5 * self.n_mul + 5, 5),
-                                             o3 + 5 * self.n_mul + 5 + b]
+            itemgetter(*[j * w + t for j in [*range(o3 + b, o4 + 5, 5), o4 + 5 + b]
                          for t in range(w)])
             for b in range(5))
 
@@ -154,62 +162,38 @@ def program(c: Circuit) -> Program:
     return prog
 
 
-class _Rows:
-    """The encoded views of one run_protocol call: row k is
-    buf[k*length:(k+1)*length].  buf is filled from pending (row count,
-    [(element index, column)]) by the first `encode_view`."""
+class View(bytes):
+    """A party's view: its canonical encoding, plus its program in `prog`.
+    The six fields are decoded from the bytes on each read; equal views
+    are equal bytes.  Build one with `run_protocol`, `decode_view` or
+    `make_view`, which check that it is well formed for its program."""
 
-    __slots__ = ("buf", "length", "pending")
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("views are built by run_protocol, decode_view or make_view")
 
-    def __init__(self, length: int, pending):
-        self.buf, self.length, self.pending = None, length, pending
+    def _field(self, name: str) -> tuple[int, ...]:
+        prog = self.prog
+        a, b = prog.fields[name]
+        return tuple(prog.cols.decode(self[a * prog.width:b * prog.width]))
 
-    def row(self, k: int) -> bytes:
-        n = self.length
-        return bytes(self.buf[k * n:(k + 1) * n])
+    public_inputs = property(lambda v: v._field("public_inputs"))
+    secret_shares = property(lambda v: v._field("secret_shares"))
+    randomness = property(lambda v: v._field("randomness"))
+    zin = property(lambda v: v._field("zin"))
+    bcast = property(lambda v: v._field("bcast"))
 
+    @property
+    def messages(self) -> tuple[tuple[int, ...], ...]:
+        flat = self._field("messages")
+        return tuple(flat[k:k + 5] for k in range(0, len(flat), 5))
 
-_VIEW_FIELDS = ("public_inputs", "secret_shares", "randomness", "messages", "zin", "bcast")
-
-
-@dataclass(frozen=True)
-class View:
-    public_inputs: tuple[int, ...]
-    secret_shares: tuple[int, ...]
-    randomness: tuple[int, ...]
-    messages: tuple[tuple[int, ...], ...]
-    zin: tuple[int, ...]
-    bcast: tuple[int, ...]
-    # The view's encoding under a program: (program, rows, k) for row k
-    # of a run_protocol batch; (program, data, True) for the bytes
-    # decode_view read it from; (program, data, False) for the bytes
-    # view_bytes encoded a view built from fields into.  A view without
-    # fields is decoded from its encoding on first read.  Not an init
-    # field, so a view made by dataclasses.replace starts without it and
-    # is encoded afresh.
-    _encoding: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __getattr__(self, name):
-        # Reached only for a field a row view has not decoded yet.
-        enc = self._encoding
-        if enc is None or name not in _VIEW_FIELDS:
-            raise AttributeError(name)
-        prog = enc[0]
-        vals = prog.cols.decode(view_bytes(prog._circuit, self))
-        o1, o2 = prog.n_public, prog.n_in
-        o3 = o2 + prog.n_rand
-        o4 = o3 + 5 * prog.n_mul
-        for f, val in (("public_inputs", vals[:o1]), ("secret_shares", vals[o1:o2]),
-                       ("randomness", vals[o2:o3]), ("zin", vals[o4:o4 + 5]),
-                       ("bcast", vals[o4 + 5:])):
-            object.__setattr__(self, f, tuple(val))
-        object.__setattr__(self, "messages", tuple(tuple(vals[k:k + 5]) for k in range(o3, o4, 5)))
-        return getattr(self, name)
+    def __repr__(self):
+        return "View(" + ", ".join(f"{f}={getattr(self, f)}" for f in VIEW_FIELDS) + ")"
 
 
-def _row_view(enc: tuple) -> View:
-    v = object.__new__(View)
-    v.__dict__["_encoding"] = enc
+def _view(prog: Program, data) -> View:
+    v = bytes.__new__(View, data)
+    v.prog = prog
     return v
 
 
@@ -233,30 +217,32 @@ class _Replay:
             self.to.append(bytes(buf))
 
 
-@dataclass(frozen=True)
 class OutMessages:
-    """Everything one party sent, recomputed from its view: the outgoing
-    resharing row per messaging multiplication (post-order), the outgoing
-    zero-share row and the broadcast refreshed share."""
+    """Everything one party sent, recomputed from its view as lane `lane`
+    of an out_messages pass (`replay`): the outgoing resharing row per
+    messaging multiplication (post-order), the outgoing zero-share row and
+    the broadcast refreshed share.  Equal when those are."""
 
-    mul: tuple[tuple[int, ...], ...]
-    open_z: tuple[int, ...]
-    open_bcast: int
-    # (replay, lane) for the replays of out_messages: mul and open_z are
-    # read from the pass's columns on first access.
-    _lane: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("replay", "lane")
 
-    def __getattr__(self, name):
-        src = self._lane
-        if src is None or name not in ("mul", "open_z"):
-            raise AttributeError(name)
-        replay, k = src
-        if name == "open_z":
-            val = tuple(col[k] for col in replay.sent[-1])
-        else:
-            val = tuple(tuple(col[k] for col in row) for row in replay.sent[:-1])
-        object.__setattr__(self, name, val)
-        return val
+    def __init__(self, replay: _Replay, lane: int):
+        self.replay, self.lane = replay, lane
+
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(col[self.lane] for col in row) for row in self.replay.sent[:-1])
+
+    @property
+    def open_z(self) -> tuple[int, ...]:
+        return tuple(col[self.lane] for col in self.replay.sent[-1])
+
+    @property
+    def open_bcast(self) -> int:
+        return self.replay.own[self.lane]
+
+    def __eq__(self, other):
+        return isinstance(other, OutMessages) and (
+            (self.mul, self.open_z, self.open_bcast) == (other.mul, other.open_z, other.open_bcast))
 
 
 @dataclass(frozen=True)
@@ -311,8 +297,7 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
     holds each secret wire's five party columns (`sss.share`), and
     rands[k] is repetition k's gate randomness in drawn order
     (`random_gate_randomness`).  Returns each repetition's five views and
-    outputs, in repetition order; the views are the rows of one buffer,
-    filled by the first `encode_view`."""
+    outputs, in repetition order; `encode_view` builds the views."""
     c = s.circuit
     prog = program(c)
     F = prog.cols
@@ -354,9 +339,9 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
     own = _interpret(prog, inputs, prog.scalars(pubs), lanes, exchange)
     bcast = [own[k:k + n] for k in range(0, lanes, n)]
     placed.extend(enumerate([col * 5 for col in bcast], next(slots)))
-    rows = _Rows(prog.view_length, (lanes, placed))
-    views = [_row_view((prog, rows, lane)) for lane in range(lanes)]
     outs = F.lincomb(prog.lam, bcast)
+    del inputs, rc, own, bcast  # placed holds the only references left
+    views = encode_view(c, placed, lanes)
     m = c.modulus
     return tuple(ExecutionResult(tuple(views[k::n]), (FieldElement(outs[k], m),) * 5)
                  for k in range(n))
@@ -367,32 +352,11 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
 # alone and must never trust any other data.
 
 
-def _elements(v: View) -> tuple[int, ...]:
-    return (*v.public_inputs, *v.secret_shares, *v.randomness,
-            *(x for col in v.messages for x in col), *v.zin, *v.bcast)
-
-
 def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
-    """Shape and range check of each view: every entry an int in [0, p);
-    no consistency semantics.  A view that decode_view read under c has
-    passed the check there and is not checked again."""
+    """Whether each entry is a view of c's program.  Building a view
+    checked its shape and ranges, so none is checked again."""
     prog = program(c)
-    return [isinstance(v, View) and (v._encoding is not None and v._encoding[0] is prog
-                                     and v._encoding[2] is True or _well_formed(prog, v))
-            for v in views]
-
-
-def _well_formed(prog: Program, v: View) -> bool:
-    try:
-        if (len(v.public_inputs) != prog.n_public or len(v.secret_shares) != prog.n_secret
-                or len(v.randomness) != prog.n_rand or len(v.messages) != prog.n_mul
-                or len(v.zin) != 5 or len(v.bcast) != 5
-                or any(len(col) != 5 for col in v.messages)):
-            return False
-        vals = _elements(v)
-    except TypeError:
-        return False
-    return {type(x) for x in vals} == {int} and min(vals) >= 0 and max(vals) < prog.p
+    return [isinstance(v, View) and v.prog is prog for v in views]
 
 
 def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
@@ -403,7 +367,7 @@ def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
     it recorded."""
     prog = program(c)
     ok = valid_view(c, views)
-    rows = [view_bytes(c, v) for v, good in zip(views, ok) if good]
+    rows = [v for v, good in zip(views, ok) if good]
     if not rows:
         return [None] * len(views)
     F = prog.cols
@@ -431,15 +395,7 @@ def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
     own = _interpret(prog, inputs, scalars, n, exchange)
     replay = _Replay(prog, sent, own)
     lanes = iter(range(n))
-    out = []
-    for good in ok:
-        om = None
-        if good:
-            k = next(lanes)
-            om = object.__new__(OutMessages)
-            om.__dict__.update(_lane=(replay, k), open_bcast=own[k])
-        out.append(om)
-    return out
+    return [OutMessages(replay, next(lanes)) if good else None for good in ok]
 
 
 def local_output(c: Circuit, pid: int, v: View, om: OutMessages | None) -> FieldElement | None:
@@ -452,17 +408,15 @@ def local_output(c: Circuit, pid: int, v: View, om: OutMessages | None) -> Field
         return None
     prog = program(c)
     lam, p, q = prog.lam, prog.p, pid - 1
-    bcast = prog.cols.decode(view_bytes(c, v)[prog.bcast])
+    bcast = prog.cols.decode(v[prog.bcast])
     return FieldElement((dot5(lam, bcast, p) + lam[q] * (om.open_bcast - bcast[q])) % p,
                         c.modulus)
 
 
-def _sent(prog: Program, om: OutMessages, a: int) -> bytes:
+def _sent(om: OutMessages, a: int) -> bytes:
     """What om's party sent to party a, encoded as a view records it."""
-    if om._lane is not None:
-        replay, k = om._lane
-        return replay.to[a - 1][k * replay.size:(k + 1) * replay.size]
-    return prog.cols.encode([*(row[a - 1] for row in om.mul), om.open_z[a - 1], om.open_bcast])
+    size = om.replay.size
+    return om.replay.to[a - 1][om.lane * size:(om.lane + 1) * size]
 
 
 def consistent_views(c: Circuit, x: Sequence[FieldElement],
@@ -481,14 +435,13 @@ def consistent_views(c: Circuit, x: Sequence[FieldElement],
     if om_i is None or om_j is None:
         return False
     prog = program(c)
-    ri, rj = view_bytes(c, vi), view_bytes(c, vj)
     xs = prog.cols.encode([e.value for e in x])
     got_i, got_j = prog.received[i - 1], prog.received[j - 1]
-    return (ri[prog.pubs] == xs == rj[prog.pubs]
-            and bytes(got_i(ri)) == _sent(prog, om_i, i)
-            and bytes(got_j(rj)) == _sent(prog, om_j, j)
-            and bytes(got_j(ri)) == _sent(prog, om_j, i)
-            and bytes(got_i(rj)) == _sent(prog, om_i, j))
+    return (vi[prog.pubs] == xs == vj[prog.pubs]
+            and bytes(got_i(vi)) == _sent(om_i, i)
+            and bytes(got_j(vj)) == _sent(om_j, j)
+            and bytes(got_j(vi)) == _sent(om_j, i)
+            and bytes(got_i(vj)) == _sent(om_i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +500,10 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     zin = msgs.pop()
     # Fix honest broadcasts so the degree-2 opened sharing hits y.
     pts = ((0, y.value), (i, u_i), (j, u_j))
-    bvals = [0] * 5
-    bvals[i - 1], bvals[j - 1] = u_i, u_j
-    for k in honest:
-        bvals[k - 1] = _interp_eval(pts, k, p)
-    bcast = tuple(bvals)
-    return tuple(View(pubs, shares[lane], tuple(rand[lane]), tuple(m[lane] for m in msgs),
-                      zin[lane], bcast) for lane in (0, 1))
+    bcast = [u_i if k == i else u_j if k == j else _interp_eval(pts, k, p) for k in PARTY_IDS]
+    return tuple(make_view(c, public_inputs=pubs, secret_shares=shares[lane],
+                           randomness=rand[lane], messages=[m[lane] for m in msgs],
+                           zin=zin[lane], bcast=bcast) for lane in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -566,53 +516,54 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
 # is encoded, and decoding checks the length and each element's range.
 
 
-def encode_view(c: Circuit, v: View) -> bytes:
-    """v's canonical encoding.  A view of run_protocol is a row of its
-    batch's buffer: the first call for any of them fills every row, one
-    strided slice assignment per element column.  A view built from its fields is encoded on its own."""
+def encode_view(c: Circuit, placed: list, lanes: int) -> list[View]:
+    """The views of `lanes` lanes whose element columns are placed, as
+    [(element index, column)]: one buffer of a row per lane, filled with
+    one strided slice assignment per column, each column popped from
+    placed as it is written; then a view per row."""
     prog = program(c)
-    enc = v._encoding
-    if enc is not None and enc[0] is prog:
-        if type(enc[2]) is bool:
-            return enc[1]
-        rows = enc[1]
-        if rows.buf is None:
-            n, placed = rows.pending
-            buf = bytearray(prog.view_length * n)
-            for j, col in placed:
-                prog.cols.place(buf, prog.offsets[j], prog.view_length, col)
-            rows.buf, rows.pending = memoryview(buf), None
-        return rows.row(enc[2])
-    vals = _elements(v)
-    if len(vals) != prog.n_elements:
-        raise MithError("view does not match the circuit's layout")
-    return prog.cols.encode(vals)
+    L = prog.view_length
+    buf = bytearray(L * lanes)
+    while placed:
+        j, col = placed.pop()
+        prog.cols.place(buf, prog.offsets[j], L, col)
+    rows = memoryview(buf)
+    return [_view(prog, rows[k:k + L]) for k in range(0, len(buf), L)]
 
 
-def view_bytes(c: Circuit, v: View) -> bytes:
-    """v's canonical encoding under c: its row, or encode_view's output,
-    kept on a view built from fields from the first call on.  Views are
-    frozen, so their bytes cannot go stale."""
-    enc = v._encoding
-    if enc is not None and enc[0] is c.__dict__.get("_program"):
-        if type(enc[2]) is bool:
-            return enc[1]
-        if enc[1].buf is not None:
-            return enc[1].row(enc[2])
-    data = encode_view(c, v)
+def make_view(c: Circuit, base: View | None = None, **fields) -> View:
+    """The view of c with the given fields (`VIEW_FIELDS`) and base's
+    others: public_inputs, secret_shares, randomness, zin and bcast are
+    flat int sequences, messages a sequence of five-entry columns.
+    MithError unless every field has its count under c's program and
+    every entry is an int in [0, p), or a field is missing with no view
+    of c as base."""
     prog = program(c)
-    if enc is None or enc[0] is not prog:
-        object.__setattr__(v, "_encoding", (prog, data, False))
-    return data
+    w, parts = prog.width, []
+    for name, (a, b) in prog.fields.items():
+        if name in fields:
+            val = fields.pop(name)
+            try:
+                flat = [x for col in val for x in col] if name == "messages" else list(val)
+                ok = (len(flat) == b - a and all(type(x) is int and 0 <= x < prog.p for x in flat)
+                      and (name != "messages" or all(len(col) == 5 for col in val)))
+            except TypeError:
+                ok = False
+            if not ok:
+                raise MithError(f"view field {name} needs {b - a} ints in [0, {prog.p})")
+            parts.append(prog.cols.encode(flat))
+        elif isinstance(base, View) and base.prog is prog:
+            parts.append(base[a * w:b * w])
+        else:
+            raise MithError(f"make_view needs {name}, or a view of the circuit to copy")
+    if fields:
+        raise MithError(f"unknown view fields {sorted(fields)}")
+    return _view(prog, b"".join(parts))
 
 
 def view_elements(c: Circuit, v: View) -> list[int]:
     """The view's field elements in encoding order (the Pedersen message)."""
-    prog = program(c)
-    enc = v._encoding
-    if enc is None or enc[0] is not prog:
-        return list(_elements(v))
-    return list(prog.cols.decode(view_bytes(c, v)))
+    return list(program(c).cols.decode(v))
 
 
 def view_element_count(c: Circuit) -> int:
@@ -624,15 +575,14 @@ def encoded_view_length(c: Circuit) -> int:
 
 
 def decode_view(c: Circuit, data: bytes) -> View:
-    """Strict inverse of encode_view: data must be view_length bytes whose
-    every element is below p, else ProofError.  The view is data (see
-    view_bytes); its fields are decoded on first read."""
+    """The view whose encoding is data: data must be view_length bytes
+    whose every element is below p, else ProofError."""
     prog = program(c)
     if len(data) < prog.view_length:
         raise ProofError("truncated view encoding")
     if len(data) > prog.view_length:
         raise ProofError("trailing bytes after view")
-    data = bytes(data)
-    if max(prog.cols.decode(data)) >= prog.p:
+    v = _view(prog, data)
+    if max(prog.cols.decode(v)) >= prog.p:
         raise ProofError("view field element exceeds modulus")
-    return _row_view((prog, data, True))
+    return v

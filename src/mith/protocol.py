@@ -250,8 +250,8 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
                      scheme=None) -> tuple[tuple[int, int], CommitmentMsg, ProverState]:
     """One witness-free simulator attempt with a uniform challenge guess:
     (guess, commitments, state).  The commitments hold real simulated
-    views for the guessed pair and dummy ones elsewhere; the state holds
-    None for the parties it cannot open."""
+    views for the guessed pair and the all-zero view elsewhere; the state
+    holds None for the parties it cannot open."""
     scheme = scheme or scheme_by_name("prf")
     c = s.circuit
     m = c.modulus
@@ -264,17 +264,11 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
     views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
                                                   s.target, rng)
     n_el = mpc.view_element_count(c)
-    enc_len = mpc.encoded_view_length(c)
-    commitments = []
-    openings = [None] * 5
-    for view, pid in zip(views, PARTY_IDS):
-        key = scheme.keygen(rng, n_el)
-        if view is not None:
-            com, openings[pid - 1] = scheme.commit_view(key, c, view)
-        else:
-            com = scheme.dummy_commitment(key, enc_len, n_el)
-        commitments.append(com)
-    return guess, CommitmentMsg(tuple(commitments)), ProverState(tuple(views), tuple(openings))
+    zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
+    coms, openings = zip(*[scheme.commit_view(scheme.keygen(rng, n_el), c, zero if v is None else v)
+                           for v in views])
+    openings = tuple(None if v is None else o for v, o in zip(views, openings))
+    return guess, CommitmentMsg(coms), ProverState(tuple(views), openings)
 
 
 def zk_simulate(s: Statement,
@@ -301,7 +295,7 @@ def zk_simulate(s: Statement,
 # statement hash, then per repetition 5 length-prefixed commitments, a
 # challenge byte (index into the lexicographic pair order) and two
 # (view, opening) blocks, each a length-prefixed view (its elements only,
-# `mpc.encode_view`) and a length-prefixed opening.  A session's COMMIT
+# `mpc.View`) and a length-prefixed opening.  A session's COMMIT
 # and RESPONSE payloads are the same blocks without the rest.
 
 
@@ -350,9 +344,9 @@ def read_commitment_msg(rd: Reader, scheme) -> CommitmentMsg:
 
 
 def serialize_response_block(c: Circuit, view, opening, scheme) -> bytes:
-    """One (view, opening) block; the view's bytes are the ones its PRF
-    commitment was computed over, encoded here only if none were."""
-    return _lp(mpc.view_bytes(c, view)) + _lp(scheme.serialize_opening(opening))
+    """One (view, opening) block: the view's bytes, the ones its PRF
+    commitment was computed over, and its opening."""
+    return _lp(view) + _lp(scheme.serialize_opening(opening))
 
 
 def serialize_response(c: Circuit, r: Response, scheme) -> bytes:

@@ -171,7 +171,7 @@ def test_criterion_6_local_vs_global_consistency():
     checked = 0
     while checked < 100:
         res, _, _ = honest_run(s, Witness((m.element(rnd.randrange(11)),)), rng)
-        for views in tamper_cases(res, m, rnd):
+        for views in tamper_cases(c, res, rnd):
             if checked >= 100:
                 break
             consistent = all_pairs_consistent(c, s.public_inputs, views)

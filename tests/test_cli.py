@@ -275,6 +275,25 @@ def test_prove_prints_derived_security_bits(workdir, capsys, reps, bits):
     assert "soundness<=" not in out and "note:" not in out
 
 
+@pytest.mark.parametrize("reps, bits", [(8, "1.2"), (40, "6.1")])
+def test_verify_prints_derived_security_bits(workdir, capsys, reps, bits):
+    """verify prints the repetitions and the bits of the proof it checked,
+    before its verdict, for an accepted and for a rejected proof."""
+    proof = workdir / "p.bin"
+    assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                "--reps", reps, "--out", proof]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"reps={reps} security_bits={bits}", "accept"]
+    blob = bytearray(proof.read_bytes())
+    blob[-1] ^= 1
+    proof.write_bytes(bytes(blob))
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"reps={reps} security_bits={bits}", "reject"]
+
+
 @pytest.mark.parametrize("gid", ["-1", "4294967295", "4294967296"])
 def test_out_of_range_gate_id_exit_2(tmp_path, gid):
     """Gate ids are u32 below 0xFFFFFFFF; any other id is a validation

@@ -1,6 +1,5 @@
 """Commitment schemes: RFC 4231 vectors, fuzz, Pedersen group algebra."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -352,7 +351,7 @@ def test_scheme_serialization_round_trips():
     rng = RandomSource(9)
     c, view = one_view(rng)
     n_el = mpc.view_element_count(c)
-    other = dataclasses.replace(view, bcast=((view.bcast[0] + 1) % 101,) + view.bcast[1:])
+    other = mpc.make_view(c, view, bcast=((view.bcast[0] + 1) % 101,) + view.bcast[1:])
     prf = scheme_by_name("prf")
     key = prf.keygen(rng, n_el)
     com, op = prf.commit_view(key, c, view)

@@ -13,6 +13,7 @@ import hashlib
 import hmac
 import itertools
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +48,10 @@ CIRCUITS = {
 }
 
 
+# A reference view: its fields, in encoding order.
+RefView = namedtuple("RefView", "public_inputs secret_shares randomness messages zin bcast")
+
+
 def reference_execution(prog, pubs, secs, rand):
     """One execution with scalar shares: secs[w] is wire w's five shares,
     rand[q] party q+1's randomness vector.  Returns the five views."""
@@ -72,8 +77,8 @@ def reference_execution(prog, pubs, secs, rand):
     zrows = [share5(0, rand[k][-2], rand[k][-1], p) for k in range(5)]
     zin = [tuple(row[q] for row in zrows) for q in range(5)]
     bcast = tuple((root[q] + sum(zin[q])) % p for q in range(5))
-    return tuple(mpc.View(pubs, tuple(sh[q] for sh in secs), tuple(rand[q]), tuple(msgs[q]),
-                          zin[q], bcast) for q in range(5))
+    return tuple(RefView(pubs, tuple(sh[q] for sh in secs), tuple(rand[q]), tuple(msgs[q]),
+                         zin[q], bcast) for q in range(5))
 
 
 def reference_elements(v):
@@ -167,8 +172,9 @@ def check_against_reference(c, scheme_name, reps, seed):
     label = b"lanes/%d/%d" % (seed, reps)
     views, coms, openings, data = reference_proof(w, s, reps, RandomSource(label), scheme)
     states, msgs = pr.commit_repetitions(w, s, reps, RandomSource(label), scheme)
-    assert [st.views for st in states] == views
-    assert [[mpc.view_bytes(c, v) for v in st.views] for st in states] == [
+    assert [[tuple(getattr(v, f) for f in RefView._fields) for v in st.views]
+            for st in states] == [[tuple(v) for v in vs] for vs in views]
+    assert [[bytes(v) for v in st.views] for st in states] == [
         [reference_encoding(c, v) for v in vs] for vs in views]
     assert [list(cm.commitments) for cm in msgs] == coms
     assert [list(st.openings) for st in states] == openings

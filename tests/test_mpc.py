@@ -1,7 +1,6 @@
 """5-party evaluation engine: correctness, consistency both ways,
 view replay, encoding, and the exactness of the 2-privacy simulator."""
 
-import dataclasses
 import random
 import sys
 import threading
@@ -368,16 +367,25 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     v = res.views[0]
-    bad = dataclasses.replace(v, messages=())
-    bad_rand = dataclasses.replace(v, randomness=v.randomness[-2:])
-    # Right shape, an entry out of range or of the wrong type.
-    bad_range = dataclasses.replace(v, zin=(11,) + v.zin[1:])
-    bad_type = dataclasses.replace(v, bcast=(float(v.bcast[0]),) + v.bcast[1:])
-    malformed = [bad, bad_rand, bad_range, bad_type, v.messages]
+    other = honest_run(Statement(identity_circuit(m11), (), m11.element(3)),
+                       Witness((m11.element(3),)), rng)[0].views[0]
+    assert mpc.make_view(c, **{f: getattr(v, f) for f in mpc.VIEW_FIELDS}) == v
+    # A view of the wrong shape, with an entry out of range or of the
+    # wrong type, or with a field neither given nor copied from a view of
+    # c cannot be built.
+    for base, fields in ((v, {"messages": ()}), (v, {"randomness": v.randomness[-2:]}),
+                         (v, {"messages": (v.messages[0][:4],)}), (v, {"zin": (11,) + v.zin[1:]}),
+                         (v, {"bcast": (float(v.bcast[0]),) + v.bcast[1:]}),
+                         (v, {"zin": v.zin, "zout": v.zin}), (None, {"bcast": v.bcast}),
+                         (other, {"bcast": v.bcast})):
+        with pytest.raises(MithError):
+            mpc.make_view(c, base, **fields)
+    # A view of another circuit, or anything that is not a view.
+    malformed = [other, bytes(v), v.messages]
     (om,) = mpc.out_messages(c, [v])
     # Malformed views in a batch leave the replay of the others unchanged.
     assert mpc.out_messages(c, malformed + [v]) == [None] * len(malformed) + [om]
-    assert mpc.local_output(c, 1, bad, mpc.out_messages(c, [bad])[0]) is None
+    assert mpc.local_output(c, 1, other, mpc.out_messages(c, [other])[0]) is None
 
 
 def test_local_output_matches_protocol_outputs(m11, rng):
@@ -405,7 +413,7 @@ def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
     for slot in (1, 4):
         bc = list(v.bcast)
         bc[slot] = (bc[slot] + 1) % 11
-        bad = dataclasses.replace(v, bcast=tuple(bc))
+        bad = mpc.make_view(c, v, bcast=bc)
         (om,) = mpc.out_messages(c, [bad])
         assert mpc.local_output(c, 1, bad, om) != res.outputs[0]
 
@@ -443,7 +451,7 @@ def test_out_messages_lanes_with_different_public_inputs(p, rng):
     for x in (2, 3, 4):
         s = Statement(c, (m.element(x),), m.zero())
         res, _, _ = honest_run(s, Witness((m.element(7),)), rng)
-        views += [mpc.decode_view(c, mpc.encode_view(c, v)) for v in res.views]
+        views += [mpc.decode_view(c, bytes(v)) for v in res.views]
     assert mpc.out_messages(c, views) == [mpc.out_messages(c, [v])[0] for v in views]
 
 
@@ -451,10 +459,10 @@ def bump(v, m):
     return (v + 1) % m.p
 
 
-def flip_mul_message(view, m, slot):
+def flip_mul_message(c, view, slot):
     col = list(view.messages[0])  # square_plus_one has one multiplication
-    col[slot] = bump(col[slot], m)
-    return dataclasses.replace(view, messages=(tuple(col),) + view.messages[1:])
+    col[slot] = bump(col[slot], c.modulus)
+    return mpc.make_view(c, view, messages=(tuple(col),) + view.messages[1:])
 
 
 def test_flipped_message_breaks_touched_pairs_only(m11, rng):
@@ -464,7 +472,7 @@ def test_flipped_message_breaks_touched_pairs_only(m11, rng):
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    bad = flip_mul_message(res.views[0], m11, slot=3)
+    bad = flip_mul_message(c, res.views[0], slot=3)
     views = [bad] + list(res.views[1:])
     oms = mpc.out_messages(c, views)
     for (i, j) in PARTY_PAIRS:
@@ -479,7 +487,7 @@ def test_own_slot_tampering_detected(m11, rng):
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    bad = flip_mul_message(res.views[2], m11, slot=2)  # view 3, own slot
+    bad = flip_mul_message(c, res.views[2], slot=2)  # view 3, own slot
     om_bad, *oms = mpc.out_messages(c, [bad, *res.views])
     for j in PARTY_IDS:
         if j == 3:
@@ -507,27 +515,28 @@ def test_rerun_reproduces_honest_views(m11, rng):
         assert redo.views == res.views
 
 
-def tamper_cases(res, m, rnd):
-    """A set of single-coordinate tampers over the view 5-tuple."""
+def tamper_cases(c, res, rnd):
+    """A set of single-coordinate tampers over the view 5-tuple of a run
+    of c."""
+    m = c.modulus
     views = list(res.views)
     cases = []
     # Message flip.
     for slot in range(5):
-        v = flip_mul_message(views[0], m, slot)
+        v = flip_mul_message(c, views[0], slot)
         cases.append([v] + views[1:])
-    # Randomness flip.
     # Randomness flip: a1 of the refresh pair.
     v = views[1]
     rv = list(v.randomness)
     rv[-2] = bump(rv[-2], m)
     cases.append(views[:1]
-                 + [dataclasses.replace(v, randomness=tuple(rv))]
+                 + [mpc.make_view(c, v, randomness=rv)]
                  + views[2:])
-    # Input share flip.
+    # Input share flip: the first share, the others kept.
     v = views[2]
     cases.append(views[:2]
-                 + [dataclasses.replace(
-                     v, secret_shares=(bump(v.secret_shares[0], m),))]
+                 + [mpc.make_view(
+                     c, v, secret_shares=(bump(v.secret_shares[0], m), *v.secret_shares[1:]))]
                  + views[3:])
     # zin flip.
     v = views[3]
@@ -535,7 +544,7 @@ def tamper_cases(res, m, rnd):
     k = rnd.randrange(5)
     zin[k] = bump(zin[k], m)
     cases.append(views[:3]
-                 + [dataclasses.replace(v, zin=tuple(zin))]
+                 + [mpc.make_view(c, v, zin=zin)]
                  + views[4:])
     # Broadcast flip.
     v = views[4]
@@ -543,7 +552,7 @@ def tamper_cases(res, m, rnd):
     k = rnd.randrange(5)
     bc[k] = bump(bc[k], m)
     cases.append(views[:4]
-                 + [dataclasses.replace(v, bcast=tuple(bc))])
+                 + [mpc.make_view(c, v, bcast=bc)])
     return cases
 
 
@@ -556,7 +565,7 @@ def test_global_consistency_equivalence_on_tampered_corpus(m11, rng):
     checked = 0
     while checked < 100:
         res, _, _ = honest_run(s, Witness((m11.element(rnd.randrange(11)),)), rng)
-        for views in tamper_cases(res, m11, rnd):
+        for views in tamper_cases(c, res, rnd):
             consistent = all_pairs_consistent(c, s.public_inputs, views)
             redo = rerun_from_views(c, s.public_inputs, views)
             reproduced = redo is not None and list(redo.views) == list(views)
@@ -761,7 +770,7 @@ def test_view_encoding_round_trip(m11, rng):
         c = s.circuit
         res, _, _ = honest_run(s, w, rng)
         for v in res.views:
-            blob = mpc.encode_view(c, v)
+            blob = bytes(v)
             assert len(blob) == mpc.encoded_view_length(c)
             assert mpc.decode_view(c, blob) == v
             assert len(mpc.view_elements(c, v)) == mpc.view_element_count(c)
@@ -771,7 +780,7 @@ def test_view_encoding_strictness(m11, rng):
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    blob = mpc.encode_view(c, res.views[0])
+    blob = bytes(res.views[0])
     with pytest.raises(ProofError):
         mpc.decode_view(c, blob + b"\x00")
     with pytest.raises(ProofError):
@@ -791,7 +800,7 @@ def test_view_encoding_strictness_wide_field(rng):
     c = bench_circuit_a(m)
     s, w = random_instance(random.Random(2), c)
     res, _, _ = honest_run(s, w, rng)
-    blob = mpc.encode_view(c, res.views[0])
+    blob = bytes(res.views[0])
     assert len(blob) == 32 * mpc.view_element_count(c)
     assert mpc.decode_view(c, blob) == res.views[0]
     for k in (0, len(blob) - 32):
@@ -807,7 +816,7 @@ def test_view_encoding_is_bit_stable(m11, rng):
     sharings = [share1(m11, 7, 1, 2)]
     rand = drawn([(k, 0) for k in range(5)])
     res = run1(s, sharings, rand)
-    blob = mpc.encode_view(c, res.views[0])
+    blob = bytes(res.views[0])
     # Derived by hand: share poly 7+x+2x^2 gives party 1 the share 10;
     # party k+1 contributes the zero-poly k*x, so party 1 receives
     # (0,1,2,3,4) and the refreshed sharing is (9,4,3,6,2).  No public

@@ -108,8 +108,8 @@ def test_tampered_state_breaks_check(m11, rng):
     resp = t.response
     view = resp.first[0]
     p = s.circuit.modulus.p
-    bad_view = dataclasses.replace(
-        view, secret_shares=tuple((x + 1) % p for x in view.secret_shares))
+    bad_view = mpc.make_view(
+        s.circuit, view, secret_shares=tuple((x + 1) % p for x in view.secret_shares))
     bad = pr.Response((bad_view, resp.first[1]), resp.second)
     assert not pr.verify_repeated(s, recorded(s, t.commitment, t.challenge, bad))
 
@@ -132,7 +132,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
     c = s.circuit
     (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
     committed = cm.commitments[0]
-    blob = bytearray(mpc.encode_view(c, st.views[0]))
+    blob = bytearray(st.views[0])
     rnd = random.Random(99)
     wins = decoded = 0
     for _ in range(100_000):
@@ -161,7 +161,7 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     (t,) = single_run(s, Witness((m.element(3),)), rng).transcripts
     ch, resp = t.challenge, t.response
     v = resp.first[0]
-    bad_view = dataclasses.replace(v, public_inputs=(6,))
+    bad_view = mpc.make_view(c, v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
     key = PRF.keygen(rng, 0)
     com, op = PRF.commit_view(key, c, bad_view)
@@ -447,23 +447,24 @@ def test_mith1_header_rejected(m11):
 
 def test_round_trip_encodes_each_view_once(m11, monkeypatch):
     """PRF prove, serialize, parse and verify: one encode_view call, on
-    the prover side, fills the rows of all 5 * reps views; commitments and
-    the proof file reuse those rows."""
+    the prover side, builds all 5 * reps views; commitments and the proof
+    file use those views' bytes."""
     calls = []
     encode = mpc.encode_view
-    monkeypatch.setattr(mpc, "encode_view", lambda c, v: calls.append(v) or encode(c, v))
+    monkeypatch.setattr(mpc, "encode_view",
+                        lambda c, placed, lanes: calls.append(lanes) or encode(c, placed, lanes))
     s, w = golden_corpus(m11, 1)[0]
     reps = 7
     data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(32)), s.circuit)
-    assert len(calls) == 1
+    assert calls == [5 * reps]
     assert pr.verify_repeated(s, pr.parse_proof(data, s.circuit))
-    assert len(calls) == 1
+    assert calls == [5 * reps]
 
 
 @pytest.mark.parametrize("side", ["prover", "verifier"])
 def test_view_altered_after_encoding_fails_check(m11, side):
-    """A view rebuilt by dataclasses.replace carries no encoding, so the
-    check encodes it afresh instead of reusing the original's bytes."""
+    """A view rebuilt by make_view is its own bytes, so the check reads
+    those and not the original's."""
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
     proof = pr.prove_repeated(w, s, 1, RandomSource(33))
@@ -471,24 +472,23 @@ def test_view_altered_after_encoding_fails_check(m11, side):
         proof = pr.parse_proof(pr.serialize_proof(proof, c), c)
     t = proof.transcripts[0]
     view, opening = t.response.first
-    mpc.view_bytes(c, view)  # the bytes are on the view either way
     p = c.modulus.p
 
     def opened_as(v):
         return recorded(s, t.commitment, t.challenge, pr.Response((v, opening), t.response.second))
 
-    for new in (dataclasses.replace(view, bcast=tuple((x + 1) % p for x in view.bcast)),
-                dataclasses.replace(view, randomness=view.randomness[::-1])):
+    for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in view.bcast)),
+                mpc.make_view(c, view, randomness=view.randomness[::-1])):
         assert new != view
         assert not PRF.verify_view(c, new, t.commitment.commitments[t.challenge[0] - 1], opening)
         assert not pr.verify_repeated(s, opened_as(new))
-    assert pr.verify_repeated(s, opened_as(dataclasses.replace(view)))
+    assert pr.verify_repeated(s, opened_as(mpc.make_view(c, view)))
 
 
 def test_altered_view_cannot_open_the_original_commitment():
     """Only the commitment stands between a doctored view that passes
     every other check and acceptance.  Commit to views A (which encodes
-    them), then open B = replace(A, ...) holding OneBadPairCheater's
+    them), then open B = make_view(c, A, ...) holding OneBadPairCheater's
     doctored values for a pair that avoids its bad pair: B must be
     checked against its own bytes, not A's."""
     s, w_guess = canonical_false_statement()
@@ -499,12 +499,12 @@ def test_altered_view_cannot_open_the_original_commitment():
 
     c = s.circuit
     p = c.modulus.p
-    committed = [dataclasses.replace(v, bcast=tuple((x + 1) % p for x in v.bcast))
+    committed = [mpc.make_view(c, v, bcast=tuple((x + 1) % p for x in v.bcast))
                  for v in cheater.views]
     rng = RandomSource(36)
     keys = [rng.bytes(32) for _ in committed]
     cm = pr.CommitmentMsg(tuple(PRF.commit_view(k, c, v)[0] for k, v in zip(keys, committed)))
-    opened = [dataclasses.replace(v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
+    opened = [mpc.make_view(c, v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
     resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
     assert not pr.verify_repeated(s, recorded(s, cm, ch, resp))
@@ -611,18 +611,25 @@ def test_simulator_takes_no_witness():
 
 
 def test_dummy_commitments_fixed_zero_encoding(m11):
-    """Unopened slots commit to the all-zeros encoding of the right length."""
+    """Unopened slots commit to the all-zero view of the circuit (the
+    all-zeros encoding of the right length), which the simulator never
+    opens; the guessed pair commits to its simulated views."""
     s, _ = one_mul_statement()
-    rng = RandomSource(24)
-    (i, j), cm, _ = pr.zk_simulate_once(s, rng)
     c = s.circuit
-    zeros = bytes(mpc.encoded_view_length(c))
-    for pid in range(1, 6):
-        com = cm.commitments[pid - 1]
+    committed = []
+
+    class Recording(commit.PrfScheme):
+        def commit_view(self, key, c_, view):
+            com, opening = super().commit_view(key, c_, view)
+            committed.append((view, com))
+            return com, opening
+
+    (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
+    assert [com for _, com in committed] == list(cm.commitments)
+    for pid, (view, _) in enumerate(committed, 1):
         if pid in (i, j):
-            continue
-        # A dummy commitment is a valid PRF commitment to the zero string
-        # under some key; the simulator never opens it.
-        assert len(com) == 32
-        assert com not in (cm.commitments[i - 1], cm.commitments[j - 1])
-    assert len(zeros) == mpc.encoded_view_length(c)
+            assert view is st.views[pid - 1] and st.openings[pid - 1] is not None
+        else:
+            assert view == bytes(mpc.encoded_view_length(c))
+            assert mpc.valid_view(c, [view]) == [True]
+            assert st.views[pid - 1] is None and st.openings[pid - 1] is None

@@ -123,12 +123,12 @@ def executions_of(c, reps, seed):
     s, w = random_instance(random.Random(seed), c)
     states, _ = pr.commit_repetitions(w, s, reps, RandomSource(b"replay/%d" % seed),
                                       scheme_by_name("prf", c.modulus.p))
-    honest = [[mpc.decode_view(c, mpc.view_bytes(c, v)) for v in st.views] for st in states]
+    honest = [[mpc.decode_view(c, bytes(v)) for v in st.views] for st in states]
     tampered = []
     if mpc.program(c).n_mul:
         rnd = random.Random(seed)
         for st in states:
-            tampered += tamper_cases(st, c.modulus, rnd)
+            tampered += tamper_cases(c, st, rnd)
     return s.public_inputs, honest + tampered
 
 
