@@ -3,13 +3,17 @@
 Two instantiations: an HMAC-SHA256 commitment (one digest per view,
 opening = the 32-byte key) and an element-wise Pedersen commitment in a
 prime-order subgroup of Z_P* (one group element per view field element,
-opening = the blinder vector).  The asymmetry is deliberate: the PRF
-scheme hashes the whole encoded view at once, Pedersen pays a pair of
-fixed-base exponentiations per element.  Both bases are fixed for the
-life of a group, so they are looked up in 8-bit window tables built on
-first use (Brickell-Gordon-McCurley-Wilson): about 2n modular
-multiplications per element for an n-byte group order, in place of two
-full exponentiations.
+opening = the blinder vector).  At the view level (`PrfScheme`,
+`PedersenScheme`) a commitment and an opening are their bytes: each is
+packed once, where it is made (`keygen`, `commit_view`), parsing checks
+it and returns the bytes it checked, and `verify_view` recomputes the
+commitment from the view and the opening and compares bytes.  The
+asymmetry is deliberate: the PRF scheme hashes the whole encoded view at
+once, Pedersen pays a pair of fixed-base exponentiations per element.
+Both bases are fixed for the life of a group, so they are looked up in
+8-bit window tables built on first use (Brickell-Gordon-McCurley-Wilson):
+about 2n modular multiplications per element for an n-byte group order,
+in place of two full exponentiations.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from itertools import accumulate, repeat
 from typing import Sequence
 
 from mith import mpc
-from mith.circuit import Circuit
 from mith.errors import MithError
 from mith.field import RandomSource, is_probable_prime
 
@@ -128,17 +131,6 @@ def pedersen_commit(params: PedersenParams, blinders: Sequence[int],
     return tuple(cs), rs
 
 
-def pedersen_verify(params: PedersenParams, msg: Sequence[int],
-                    commitment: Sequence[int], opening: Sequence[int]) -> bool:
-    if len(msg) != len(commitment) or len(msg) != len(opening):
-        return False
-    try:
-        recomputed, _ = pedersen_commit(params, opening, msg)
-    except MithError:
-        return False
-    return tuple(commitment) == recomputed
-
-
 # Shipped parameter sets.  The 64-bit group is deliberately tiny so tests
 # can cross-check exponentiation against a naive oracle; the 257-bit group
 # has q > 2^256 so any shipped field preset fits.  Neither is hardened for
@@ -183,9 +175,12 @@ def group_for_modulus(p: int) -> PedersenParams:
 
 
 # ---------------------------------------------------------------------------
-# View-level scheme objects used by the proof protocol.  The PRF scheme
-# commits to the view's canonical byte encoding, which is the view
-# itself (`mpc.View`); Pedersen commits to its field-element sequence.
+# View-level scheme objects used by the proof protocol.  A commitment and
+# an opening are the bytes that proof files and frames carry: PRF's are
+# the digest and the key, Pedersen's the packed group elements and the
+# packed blinders, which are its key.  The PRF scheme commits to the
+# view's canonical byte encoding, which is the view itself (`mpc.View`);
+# Pedersen commits to its field-element sequence.
 
 
 class PrfScheme:
@@ -193,26 +188,26 @@ class PrfScheme:
     scheme_byte = 0x01
 
     def keygen(self, rng: RandomSource, n_elements: int) -> bytes:
-        return rng.bytes(PRF_KEY_LEN)
+        return self.serialize_opening(rng.bytes(PRF_KEY_LEN))
 
-    def commit_view(self, key, c: Circuit, view: mpc.View):
-        return prf_commit(key, view)
+    def commit_view(self, key: bytes, view: mpc.View) -> bytes:
+        return self.serialize_commitment(prf_commit(key, view)[0])
 
-    def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
+    def verify_view(self, view: mpc.View, commitment: bytes, opening: bytes) -> bool:
         return prf_verify(view, commitment, opening)
 
-    def serialize_commitment(self, c) -> bytes:
-        return c
+    def serialize_commitment(self, digest: bytes) -> bytes:
+        return digest
 
-    def parse_commitment(self, data: bytes):
+    def parse_commitment(self, data: bytes) -> bytes:
         if len(data) != DIGEST_LEN:
             raise MithError("PRF commitment must be 32 bytes")
         return data
 
-    def serialize_opening(self, o) -> bytes:
-        return o
+    def serialize_opening(self, key: bytes) -> bytes:
+        return key
 
-    def parse_opening(self, data: bytes):
+    def parse_opening(self, data: bytes) -> bytes:
         if len(data) != PRF_KEY_LEN:
             raise MithError("PRF opening must be 32 bytes")
         return data
@@ -226,34 +221,41 @@ class PedersenScheme:
         self.params = params
         self._blinder_bytes = (params.order.bit_length() + 7) // 8
 
-    def keygen(self, rng: RandomSource, n_elements: int) -> tuple[int, ...]:
-        return tuple(rng.randbelows(self.params.order, n_elements))
+    def keygen(self, rng: RandomSource, n_elements: int) -> bytes:
+        return self.serialize_opening(rng.randbelows(self.params.order, n_elements))
 
-    def commit_view(self, key, c: Circuit, view: mpc.View):
-        return pedersen_commit(self.params, key, mpc.view_elements(c, view))
+    def commit_view(self, key: bytes, view: mpc.View) -> bytes:
+        return self.serialize_commitment(self._commit(key, view))
 
-    def verify_view(self, c: Circuit, view: mpc.View, commitment, opening) -> bool:
-        return pedersen_verify(self.params, mpc.view_elements(c, view), commitment, opening)
+    def verify_view(self, view: mpc.View, commitment: bytes, opening: bytes) -> bool:
+        try:
+            return _pack_ints(self._commit(opening, view), self.params.element_bytes) == commitment
+        except MithError:
+            return False
 
-    def serialize_commitment(self, c) -> bytes:
-        return _pack_ints(c, self.params.element_bytes)
+    def _commit(self, key: bytes, view: mpc.View) -> tuple[int, ...]:
+        blinders = _unpack_ints(key, self._blinder_bytes, "opening")
+        return pedersen_commit(self.params, blinders, mpc.view_elements(view))[0]
 
-    def parse_commitment(self, data: bytes):
+    def serialize_commitment(self, elements: Sequence[int]) -> bytes:
+        return _pack_ints(elements, self.params.element_bytes)
+
+    def parse_commitment(self, data: bytes) -> bytes:
         vals = _unpack_ints(data, self.params.element_bytes, "commitment")
         if any(not 0 < v < self.params.group_prime for v in vals):
             raise MithError("Pedersen commitment element out of range")
-        return vals
+        return data
 
-    def serialize_opening(self, o) -> bytes:
-        return _pack_ints(o, self._blinder_bytes)
+    def serialize_opening(self, blinders: Sequence[int]) -> bytes:
+        return _pack_ints(blinders, self._blinder_bytes)
 
-    def parse_opening(self, data: bytes):
+    def parse_opening(self, data: bytes) -> bytes:
         """Blinders below the group order only, so an opening has exactly
         one encoding."""
         vals = _unpack_ints(data, self._blinder_bytes, "opening")
         if any(v >= self.params.order for v in vals):
             raise MithError("Pedersen blinder not below the group order")
-        return vals
+        return data
 
 
 def _pack_ints(vals, width: int) -> bytes:

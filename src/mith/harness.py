@@ -138,14 +138,11 @@ class OneBadPairCheater:
 
     def commit(self, rng: RandomSource,
                reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
-        c = self.statement.circuit
         states, msgs = [], []
         for _ in range(reps):
-            coms, openings = zip(*[
-                self.scheme.commit_view(self.scheme.keygen(rng, self._n_el), c, view)
-                for view in self.views])
-            states.append(proto.ProverState(tuple(self.views), openings))
-            msgs.append(proto.CommitmentMsg(coms))
+            keys = tuple([self.scheme.keygen(rng, self._n_el) for _ in self.views])
+            states.append(proto.ProverState(tuple(self.views), keys))
+            msgs.append(proto.CommitmentMsg(tuple(map(self.scheme.commit_view, keys, self.views))))
         return states, msgs
 
     def passes(self, ch: tuple[int, int]) -> bool:
@@ -172,12 +169,11 @@ class GarbageCheater:
 
     def commit(self, rng: RandomSource,
                reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
-        c = self.statement.circuit
         states, msgs = [], []
         for _ in range(reps):
-            msgs.append(proto.CommitmentMsg(tuple(
-                self.scheme.commit_view(self.scheme.keygen(rng, self._n_el), c, self._zero)[0]
-                for _ in range(5))))
+            keys = [self.scheme.keygen(rng, self._n_el) for _ in range(5)]
+            msgs.append(proto.CommitmentMsg(tuple(map(self.scheme.commit_view, keys,
+                                                      [self._zero] * 5))))
             openings = tuple(self.scheme.keygen(rng, self._n_el) for _ in range(5))
             states.append(proto.ProverState(self.views, openings))
         return states, msgs
@@ -412,7 +408,7 @@ def run_hiding(trials: int, rng: RandomSource,
         c, _ = prf_commit(rng.bytes(32), m0)
         hist0[c[0]] += 1
 
-    def guess(c: bytes) -> int.__class__:
+    def guess(c: bytes) -> int:
         if attacker == "random":
             return rng.randbelow(2)
         # Histogram attacker: byte more typical of m0's training histogram.

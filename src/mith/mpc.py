@@ -561,9 +561,9 @@ def make_view(c: Circuit, base: View | None = None, **fields) -> View:
     return _view(prog, b"".join(parts))
 
 
-def view_elements(c: Circuit, v: View) -> list[int]:
+def view_elements(v: View) -> list[int]:
     """The view's field elements in encoding order (the Pedersen message)."""
-    return list(program(c).cols.decode(v))
+    return list(v.prog.cols.decode(v))
 
 
 def view_element_count(c: Circuit) -> int:

@@ -114,20 +114,21 @@ def derive_challenge(stmt_digest: bytes, index: int,
     """Non-interactive challenge: HMAC keyed by the statement hash over
     the repetition index and the commit-phase blobs (`challenge_blobs`),
     reduced mod 10.  This mode is a hash-derived extension of the
-    interactive protocol and is labeled as such by the CLI."""
+    interactive protocol; the CLI prints the bits it delivers
+    (`derived_security_bits`)."""
     mac = hmac.digest(stmt_digest, b"".join([index.to_bytes(4, "big"), *commitment_blobs]),
                       "sha256")
     return PARTY_PAIRS[int.from_bytes(mac, "big") % N_CHALLENGES]
 
 
-def challenge_blobs(msgs: Sequence[CommitmentMsg], scheme) -> list[bytes]:
+def challenge_blobs(msgs: Sequence[CommitmentMsg]) -> list[bytes]:
     """derive_challenge's commitment blobs for a proof: one SHA-256 over
     every commitment message in repetition order.  A session's CHALLENGE
     frame echoes the same digest of the same bytes.  Each challenge then
     MACs 36 bytes, so deriving all sigma of them is linear in sigma."""
     h = hashlib.sha256()
     for cm in msgs:
-        h.update(serialize_commitment_msg(cm, scheme))
+        h.update(serialize_commitment_msg(cm))
     return [h.digest()]
 
 
@@ -159,13 +160,11 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     for _ in range(reps):
         coeffs.append(random_share_randomness(rng, p, n_secret))
         rands.append(mpc.random_gate_randomness(rng, c))
-        keys.append([scheme.keygen(rng, n_el) for _ in PARTY_IDS])
+        keys.append(tuple([scheme.keygen(rng, n_el) for _ in PARTY_IDS]))
     states, msgs = [], []
     for res, ks in zip(mpc.run_protocol(s, share_witness(w, coeffs, p), rands), keys):
-        coms, openings = zip(*[scheme.commit_view(key, c, view)
-                               for key, view in zip(ks, res.views)])
-        states.append(ProverState(res.views, openings))
-        msgs.append(CommitmentMsg(coms))
+        states.append(ProverState(res.views, ks))
+        msgs.append(CommitmentMsg(tuple(map(scheme.commit_view, ks, res.views))))
     return states, msgs
 
 
@@ -178,7 +177,7 @@ def respond_repetitions(s: Statement, states: Sequence[ProverState],
     verifier would have sent them (such a proof has no file form)."""
     digest = statement_hash(s)
     if mode == "derived":
-        blobs = challenge_blobs(msgs, scheme)
+        blobs = challenge_blobs(msgs)
         chs = [derive_challenge(digest, k, blobs) for k in range(len(msgs))]
     elif mode == "transcript":
         chs = [PARTY_PAIRS[rng.randbelow(N_CHALLENGES)] for _ in msgs]
@@ -209,7 +208,7 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
     scheme = scheme_by_name(proof.scheme, c.modulus.p)
     recorded = proof.challenge_mode == "transcript"
     if not recorded:
-        blobs = challenge_blobs([t.commitment for t in proof.transcripts], scheme)
+        blobs = challenge_blobs([t.commitment for t in proof.transcripts])
     replays = mpc.out_messages(c, [v for t in proof.transcripts
                                    for v, _ in (t.response.first, t.response.second)])
     checks = []
@@ -218,8 +217,8 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
         (vi, oi), (vj, oj) = t.response.first, t.response.second
         try:
             ok = (om_i is not None and om_j is not None
-                  and scheme.verify_view(c, vi, t.commitment.commitments[i - 1], oi)
-                  and scheme.verify_view(c, vj, t.commitment.commitments[j - 1], oj)
+                  and scheme.verify_view(vi, t.commitment.commitments[i - 1], oi)
+                  and scheme.verify_view(vj, t.commitment.commitments[j - 1], oj)
                   and mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
                   and mpc.local_output(c, i, vi, om_i) == s.target
                   and mpc.local_output(c, j, vj, om_j) == s.target)
@@ -265,9 +264,9 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
                                                   s.target, rng)
     n_el = mpc.view_element_count(c)
     zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
-    coms, openings = zip(*[scheme.commit_view(scheme.keygen(rng, n_el), c, zero if v is None else v)
-                           for v in views])
-    openings = tuple(None if v is None else o for v, o in zip(views, openings))
+    keys = [scheme.keygen(rng, n_el) for _ in PARTY_IDS]
+    coms = tuple(map(scheme.commit_view, keys, [zero if v is None else v for v in views]))
+    openings = tuple(None if v is None else k for v, k in zip(views, keys))
     return guess, CommitmentMsg(coms), ProverState(tuple(views), openings)
 
 
@@ -335,23 +334,22 @@ class Reader:
             raise ProofError(f"trailing bytes after {self.what}")
 
 
-def serialize_commitment_msg(msg: CommitmentMsg, scheme) -> bytes:
-    return b"".join([_lp(scheme.serialize_commitment(c)) for c in msg.commitments])
+def serialize_commitment_msg(msg: CommitmentMsg) -> bytes:
+    return b"".join([_lp(com) for com in msg.commitments])
 
 
 def read_commitment_msg(rd: Reader, scheme) -> CommitmentMsg:
     return CommitmentMsg(tuple([scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS]))
 
 
-def serialize_response_block(c: Circuit, view, opening, scheme) -> bytes:
+def serialize_response_block(view: mpc.View, opening: bytes) -> bytes:
     """One (view, opening) block: the view's bytes, the ones its PRF
-    commitment was computed over, and its opening."""
-    return _lp(view) + _lp(scheme.serialize_opening(opening))
+    commitment was computed over, and its opening's."""
+    return _lp(view) + _lp(opening)
 
 
-def serialize_response(c: Circuit, r: Response, scheme) -> bytes:
-    return (serialize_response_block(c, *r.first, scheme)
-            + serialize_response_block(c, *r.second, scheme))
+def serialize_response(r: Response) -> bytes:
+    return serialize_response_block(*r.first) + serialize_response_block(*r.second)
 
 
 def read_response(rd: Reader, c: Circuit, scheme) -> Response:
@@ -367,9 +365,9 @@ def serialize_proof(proof: Proof, c: Circuit) -> bytes:
     parts = [MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
              proof.reps.to_bytes(4, "big"), proof.stmt_hash]
     for t in proof.transcripts:
-        parts += (serialize_commitment_msg(t.commitment, scheme),
+        parts += (serialize_commitment_msg(t.commitment),
                   bytes([PARTY_PAIRS.index(t.challenge)]),
-                  serialize_response(c, t.response, scheme))
+                  serialize_response(t.response))
     return b"".join(parts)
 
 

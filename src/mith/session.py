@@ -169,7 +169,6 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     scheme = scheme or scheme_by_name("prf")
     rng = rng or RandomSource()
     digest = statement_hash(s)
-    c = s.circuit
 
     _send(transport, MSG_HELLO, _hello_payload(scheme.scheme_byte, reps, digest))
     ack_scheme, ack_reps, ack_digest = _read_hello(transport)
@@ -178,7 +177,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
         raise SessionError("peer acknowledged different parameters", "hello")
 
     states, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
-    commit_payload = b"".join(proto.serialize_commitment_msg(cm, scheme) for cm in msgs)
+    commit_payload = b"".join(map(proto.serialize_commitment_msg, msgs))
     _send(transport, MSG_COMMIT, commit_payload)
 
     ch_payload = _expect(transport, MSG_CHALLENGE, "challenge")
@@ -193,7 +192,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
         _abort(transport, ERR_BAD_FRAME, "challenge byte out of range", "challenge")
     _send(transport, MSG_RESPONSE, b"".join(
-        proto.serialize_response(c, proto.prover_respond(st, PARTY_PAIRS[b]), scheme)
+        proto.serialize_response(proto.prover_respond(st, PARTY_PAIRS[b]))
         for st, b in zip(states, challenge_bytes)))
 
     result = _expect(transport, MSG_RESULT, "result")

@@ -227,8 +227,8 @@ def test_criterion_7_zk_exactness():
                            and vj_s == res.views[pair[1] - 1])
             for view in (vi_s, vj_s):
                 key = PRF.keygen(rng, 0)
-                com, op = PRF.commit_view(key, c, view)
-                verify_ok = verify_ok and PRF.verify_view(c, view, com, op)
+                com = PRF.commit_view(key, view)
+                verify_ok = verify_ok and PRF.verify_view(view, com, key)
 
     total_attempts = 0
     runs = 10_000
@@ -285,13 +285,13 @@ def test_criterion_9_scheme_performance_shape():
     n_el = mpc.view_element_count(c)
     runs = range(21)
     key = prf.keygen(rng, n_el)
-    com, op = prf.commit_view(key, c, view)
-    prf_ms = (_time_ms(lambda _: prf.commit_view(key, c, view), runs)[0]
-              + _time_ms(lambda _: prf.verify_view(c, view, com, op), runs)[0])
+    com = prf.commit_view(key, view)
+    prf_ms = (_time_ms(lambda _: prf.commit_view(key, view), runs)[0]
+              + _time_ms(lambda _: prf.verify_view(view, com, key), runs)[0])
     pkey = ped.keygen(rng, n_el)
-    pcom, pop = ped.commit_view(pkey, c, view)
-    ped_ms = (_time_ms(lambda _: ped.commit_view(pkey, c, view), runs)[0]
-              + _time_ms(lambda _: ped.verify_view(c, view, pcom, pop), runs)[0])
+    pcom = ped.commit_view(pkey, view)
+    ped_ms = (_time_ms(lambda _: ped.commit_view(pkey, view), runs)[0]
+              + _time_ms(lambda _: ped.verify_view(view, pcom, pkey), runs)[0])
     ratio = ped_ms / prf_ms
 
     e2e_ok = True
@@ -360,16 +360,13 @@ def test_criterion_10_session_equivalence():
             ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, digest))
             ses._read_hello(ta)
             states, cms = cheater.commit(rng, 2)
-            ses._send(ta, ses.MSG_COMMIT, b"".join(
-                pr.serialize_commitment_msg(cm, cheater.scheme) for cm in cms))
+            ses._send(ta, ses.MSG_COMMIT, b"".join(map(pr.serialize_commitment_msg, cms)))
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
             blocks = []
             for r in range(2):
                 ch = PARTY_PAIRS[ch_payload[32 + r]]
                 resp = pr.prover_respond(states[r], ch)
-                for view, op in (resp.first, resp.second):
-                    blocks.append(pr.serialize_response_block(
-                        s.circuit, view, op, cheater.scheme))
+                blocks.append(pr.serialize_response(resp))
             ses._send(ta, ses.MSG_RESPONSE, b"".join(blocks))
             ses._expect(ta, ses.MSG_RESULT, "result")
         else:

@@ -143,10 +143,8 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     body = []
     for st, cm in zip(*cheater.commit(rng, reps)):
         resp = pr.prover_respond(st, ch)
-        body += [pr.serialize_commitment_msg(cm, cheater.scheme),
-                 bytes([pr.PARTY_PAIRS.index(ch)]),
-                 *(pr.serialize_response_block(c, v, o, cheater.scheme)
-                   for v, o in (resp.first, resp.second))]
+        body += [pr.serialize_commitment_msg(cm), bytes([pr.PARTY_PAIRS.index(ch)]),
+                 pr.serialize_response(resp)]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
     (tmp_path / "forged.bin").write_bytes(header + b"\x00" + tail)

@@ -14,8 +14,8 @@ from mith.circuit import Statement
 
 from mith.commit import (
     BENCH_GROUP_257, TEST_GROUP_64, PedersenParams, PedersenScheme, PrfScheme,
-    group_for_modulus, pedersen_commit, pedersen_verify, prf_commit,
-    prf_verify, scheme_by_byte, scheme_by_name,
+    group_for_modulus, pedersen_commit, prf_commit, prf_verify, scheme_by_byte,
+    scheme_by_name,
 )
 from mith.corpus import identity_circuit
 from mith.errors import MithError
@@ -174,30 +174,54 @@ def test_pedersen_homomorphism():
         assert c1 * c2 % params.group_prime == c12
 
 
+def unpack(data: bytes, width: int) -> list[int]:
+    """The ints of a Pedersen commitment or opening (4-byte count first)."""
+    return [int.from_bytes(data[k:k + width], "big") for k in range(4, len(data), width)]
+
+
 def test_pedersen_verify_round_trip_and_fuzz():
-    params = TEST_GROUP_64
+    """Views of random elements of a 31-bit field in the 64-bit group:
+    an opening verifies its view, and changing one element of the view
+    or one blinder of the opening makes verify_view fail."""
+    m = Modulus(2**31 - 1)
+    c = identity_circuit(m)
+    ped = PedersenScheme(TEST_GROUP_64)
+    n_el = mpc.view_element_count(c)
+    q, width = ped.params.order, (ped.params.order.bit_length() + 7) // 8
     rnd = random.Random(8)
-    q = params.order
+    rng = RandomSource(8)
+
+    def view_of(msg):
+        return mpc.decode_view(c, b"".join(x.to_bytes(m.byte_length, "big") for x in msg))
+
     for _ in range(300):
-        msg = [rnd.randrange(q) for _ in range(3)]
-        blinders = [rnd.randrange(q) for _ in range(3)]
-        c, o = pedersen_commit(params, blinders, msg)
-        assert pedersen_verify(params, msg, c, o)
-        k = rnd.randrange(3)
+        msg = [rnd.randrange(m.p) for _ in range(n_el)]
+        key = ped.keygen(rng, n_el)
+        com = ped.commit_view(key, view_of(msg))
+        assert ped.verify_view(view_of(msg), com, key)
+        k = rnd.randrange(n_el)
         bad_msg = list(msg)
-        bad_msg[k] = (bad_msg[k] + 1 + rnd.randrange(q - 1)) % q
-        assert not pedersen_verify(params, bad_msg, c, o)
-        bad_o = list(o)
+        bad_msg[k] = (bad_msg[k] + 1 + rnd.randrange(m.p - 1)) % m.p
+        assert not ped.verify_view(view_of(bad_msg), com, key)
+        bad_o = unpack(key, width)
         bad_o[k] = (bad_o[k] + 1 + rnd.randrange(q - 1)) % q
-        assert not pedersen_verify(params, msg, c, bad_o)
+        assert not ped.verify_view(view_of(msg), com, ped.serialize_opening(bad_o))
 
 
 def test_pedersen_length_mismatch_is_false():
-    params = TEST_GROUP_64
-    c, o = pedersen_commit(params, [1, 2], [3, 4])
-    assert not pedersen_verify(params, [3], c, o)
+    rng = RandomSource(10)
+    c, view = one_view(rng)
+    ped = scheme_by_name("pedersen", 101)
+    n_el = mpc.view_element_count(c)
+    key, short = ped.keygen(rng, n_el), ped.keygen(rng, n_el - 1)
+    com = ped.commit_view(key, view)
+    assert ped.verify_view(view, com, key)
+    assert not ped.verify_view(view, com, short)
+    assert not ped.verify_view(view, com[:-ped.params.element_bytes], key)
     with pytest.raises(MithError):
-        pedersen_commit(params, [1], [3, 4])
+        ped.commit_view(short, view)
+    with pytest.raises(MithError):
+        pedersen_commit(ped.params, [1], [3, 4])
 
 
 def test_pedersen_message_must_fit_order():
@@ -352,28 +376,22 @@ def test_scheme_serialization_round_trips():
     c, view = one_view(rng)
     n_el = mpc.view_element_count(c)
     other = mpc.make_view(c, view, bcast=((view.bcast[0] + 1) % 101,) + view.bcast[1:])
-    prf = scheme_by_name("prf")
-    key = prf.keygen(rng, n_el)
-    com, op = prf.commit_view(key, c, view)
-    assert prf.parse_commitment(prf.serialize_commitment(com)) == com
-    assert prf.parse_opening(prf.serialize_opening(op)) == op
-    assert prf.verify_view(c, view, com, op)
-    assert not prf.verify_view(c, other, com, op)
-
-    ped = scheme_by_name("pedersen", 101)
-    key = ped.keygen(rng, n_el)
-    com, op = ped.commit_view(key, c, view)
-    assert ped.parse_commitment(ped.serialize_commitment(com)) == com
-    assert ped.parse_opening(ped.serialize_opening(op)) == op
-    assert ped.verify_view(c, view, com, op)
-    assert not ped.verify_view(c, other, com, op)
+    for scheme in (scheme_by_name("prf"), scheme_by_name("pedersen", 101)):
+        key = scheme.keygen(rng, n_el)
+        com = scheme.commit_view(key, view)
+        assert type(key) is bytes and type(com) is bytes
+        assert scheme.parse_commitment(com) == com
+        assert scheme.parse_opening(key) == key
+        assert scheme.verify_view(view, com, key)
+        assert not scheme.verify_view(other, com, key)
 
 
 def test_pedersen_opening_blinders_below_order():
     """r and r + q open the same commitment, so only r is accepted."""
     ped = scheme_by_name("pedersen", 101)
     q = ped.params.order
-    assert ped.parse_opening(ped.serialize_opening((q - 1, 0))) == (q - 1, 0)
+    data = ped.serialize_opening((q - 1, 0))
+    assert ped.parse_opening(data) == data
     with pytest.raises(MithError, match="below the group order"):
         ped.parse_opening(ped.serialize_opening((5 + q, 0)))
 
@@ -383,7 +401,8 @@ def test_pedersen_commitment_elements_in_group():
     elements."""
     ped = scheme_by_name("pedersen", 101)
     P = ped.params.group_prime
-    assert ped.parse_commitment(ped.serialize_commitment((1, P - 1))) == (1, P - 1)
+    data = ped.serialize_commitment((1, P - 1))
+    assert ped.parse_commitment(data) == data
     for element in (0, P):
         with pytest.raises(MithError, match="commitment element out of range"):
             ped.parse_commitment(ped.serialize_commitment((element, 1)))

@@ -69,7 +69,7 @@ def test_decode_view_oracle_on_honest_length(raw, cap):
         return
     assert max(data) < PROG.p
     assert bytes(view) == data
-    assert mpc.view_elements(C, view) == list(data)
+    assert mpc.view_elements(view) == list(data)
 
 
 @settings(max_examples=500, deadline=None)

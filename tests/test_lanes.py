@@ -114,6 +114,13 @@ def reference_encoding(c, v) -> bytes:
     return b"".join(x.to_bytes(w, "big") for x in reference_elements(v))
 
 
+def pack(vals, bound: int) -> bytes:
+    """A 4-byte count, then each value big-endian in bound's byte width:
+    a Pedersen commitment (bound P) or opening (bound q)."""
+    width = (bound.bit_length() + 7) // 8
+    return len(vals).to_bytes(4, "big") + b"".join(v.to_bytes(width, "big") for v in vals)
+
+
 def reference_proof(w, s, reps, rng, scheme):
     """Per repetition: a1, a2 per secret wire, the gate randomness, five
     commit keys; then that repetition's execution and commitments.
@@ -139,9 +146,10 @@ def reference_proof(w, s, reps, rng, scheme):
             keys = [rng.bytes(32) for _ in range(5)]
         views = reference_execution(prog, pubs, secs, rand)
         if isinstance(scheme, PedersenScheme):
-            coms = [pedersen_commit(scheme.params, k, reference_elements(v))[0]
-                    for k, v in zip(keys, views)]
-            openings = [tuple(k) for k in keys]
+            params = scheme.params
+            coms = [pack(pedersen_commit(params, k, reference_elements(v))[0],
+                         params.group_prime) for k, v in zip(keys, views)]
+            openings = [pack(k, params.order) for k in keys]
         else:
             coms = [hmac.new(k, reference_encoding(c, v), hashlib.sha256).digest()
                     for k, v in zip(keys, views)]
@@ -151,8 +159,7 @@ def reference_proof(w, s, reps, rng, scheme):
         all_ops.append(openings)
 
     lp = lambda b: len(b).to_bytes(4, "big") + b  # noqa: E731
-    com_blocks = [b"".join(lp(scheme.serialize_commitment(x)) for x in coms)
-                  for coms in all_coms]
+    com_blocks = [b"".join(map(lp, coms)) for coms in all_coms]
     digest = hashlib.sha256(b"".join(com_blocks)).digest()
     stmt = statement_hash(s)
     out = [b"MITH3", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
@@ -162,7 +169,7 @@ def reference_proof(w, s, reps, rng, scheme):
         out += (com_blocks[k], bytes([ch]))
         for pid in PARTY_PAIRS[ch]:
             out += (lp(reference_encoding(c, all_views[k][pid - 1])),
-                    lp(scheme.serialize_opening(all_ops[k][pid - 1])))
+                    lp(all_ops[k][pid - 1]))
     return all_views, all_coms, all_ops, b"".join(out)
 
 

@@ -773,7 +773,7 @@ def test_view_encoding_round_trip(m11, rng):
             blob = bytes(v)
             assert len(blob) == mpc.encoded_view_length(c)
             assert mpc.decode_view(c, blob) == v
-            assert len(mpc.view_elements(c, v)) == mpc.view_element_count(c)
+            assert len(mpc.view_elements(v)) == mpc.view_element_count(c)
 
 
 def test_view_encoding_strictness(m11, rng):

@@ -1,6 +1,7 @@
 """Proof protocol: completeness, soundness arithmetic, repetition,
 serialization, and the rejection-sampling simulator."""
 
+import collections
 import dataclasses
 import hashlib
 import hmac
@@ -53,7 +54,7 @@ def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     assert len(cm.commitments) == 5
     c = s.circuit
     for q in range(5):
-        assert PRF.verify_view(c, st.views[q], cm.commitments[q], st.openings[q])
+        assert PRF.verify_view(st.views[q], cm.commitments[q], st.openings[q])
 
 
 def test_commit_phase_deterministic_under_fixed_rand(m11):
@@ -147,7 +148,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
             continue
         decoded += 1
         # The scheme path must reject every forgery that is a view.
-        if PRF.verify_view(c, view, committed, opening):
+        if PRF.verify_view(view, committed, opening):
             wins += 1
     assert decoded > 0
     assert wins == 0
@@ -164,11 +165,10 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     bad_view = mpc.make_view(c, v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
     key = PRF.keygen(rng, 0)
-    com, op = PRF.commit_view(key, c, bad_view)
     coms = list(t.commitment.commitments)
-    coms[ch[0] - 1] = com
+    coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.CommitmentMsg(tuple(coms)), ch,
-                                              pr.Response((bad_view, op), resp.second)))
+                                              pr.Response((bad_view, key), resp.second)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def unopened_commitment_bytes(proof, data: bytes) -> set[int]:
 def rederived_challenges(data: bytes, c) -> list[tuple[int, int]]:
     """The challenges derived from the commitments of proof file data."""
     proof = pr.parse_proof(data, c)
-    blobs = pr.challenge_blobs([t.commitment for t in proof.transcripts], PRF)
+    blobs = pr.challenge_blobs([t.commitment for t in proof.transcripts])
     return [pr.derive_challenge(proof.stmt_hash, k, blobs) for k in range(proof.reps)]
 
 
@@ -364,7 +364,9 @@ def test_pedersen_blinder_plus_order_rejected():
     proof = pr.prove_repeated(w, s, 1, RandomSource(19), ped)
     t = proof.transcripts[0]
     view, opening = t.response.first
-    bumped = (opening[0] + ped.params.order,) + tuple(opening[1:])
+    width = (ped.params.order.bit_length() + 7) // 8
+    first = int.from_bytes(opening[4:4 + width], "big") + ped.params.order
+    bumped = opening[:4] + first.to_bytes(width, "big") + opening[4 + width:]
     forged = dataclasses.replace(proof, transcripts=(dataclasses.replace(
         t, response=pr.Response((view, bumped), t.response.second)),))
     data = pr.serialize_proof(forged, c)
@@ -461,6 +463,27 @@ def test_round_trip_encodes_each_view_once(m11, monkeypatch):
     assert calls == [5 * reps]
 
 
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_commitments_and_openings_are_packed_once(m11, monkeypatch, scheme_name):
+    """Prove plus serialize_proof packs each of the 5 * reps commitments
+    and openings once, where it is made; parse plus verify packs none,
+    since a commitment and an opening are their bytes."""
+    calls = collections.Counter()
+    for cls in (commit.PrfScheme, commit.PedersenScheme):
+        for name in ("serialize_commitment", "serialize_opening"):
+            monkeypatch.setattr(cls, name, lambda self, x, f=getattr(cls, name), n=name:
+                                calls.update([n]) or f(self, x))
+    s, w = golden_corpus(m11, 1)[0]
+    c = s.circuit
+    reps = 3
+    proof = pr.prove_repeated(w, s, reps, RandomSource(37), scheme_by_name(scheme_name, 11))
+    data = pr.serialize_proof(proof, c)
+    assert calls == {"serialize_commitment": 5 * reps, "serialize_opening": 5 * reps}
+    calls.clear()
+    assert pr.verify_repeated(s, pr.parse_proof(data, c))
+    assert not calls
+
+
 @pytest.mark.parametrize("side", ["prover", "verifier"])
 def test_view_altered_after_encoding_fails_check(m11, side):
     """A view rebuilt by make_view is its own bytes, so the check reads
@@ -480,7 +503,7 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in view.bcast)),
                 mpc.make_view(c, view, randomness=view.randomness[::-1])):
         assert new != view
-        assert not PRF.verify_view(c, new, t.commitment.commitments[t.challenge[0] - 1], opening)
+        assert not PRF.verify_view(new, t.commitment.commitments[t.challenge[0] - 1], opening)
         assert not pr.verify_repeated(s, opened_as(new))
     assert pr.verify_repeated(s, opened_as(mpc.make_view(c, view)))
 
@@ -503,7 +526,7 @@ def test_altered_view_cannot_open_the_original_commitment():
                  for v in cheater.views]
     rng = RandomSource(36)
     keys = [rng.bytes(32) for _ in committed]
-    cm = pr.CommitmentMsg(tuple(PRF.commit_view(k, c, v)[0] for k, v in zip(keys, committed)))
+    cm = pr.CommitmentMsg(tuple(map(PRF.commit_view, keys, committed)))
     opened = [mpc.make_view(c, v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
     resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
@@ -619,10 +642,10 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
     committed = []
 
     class Recording(commit.PrfScheme):
-        def commit_view(self, key, c_, view):
-            com, opening = super().commit_view(key, c_, view)
+        def commit_view(self, key, view):
+            com = super().commit_view(key, view)
             committed.append((view, com))
-            return com, opening
+            return com
 
     (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
     assert [com for _, com in committed] == list(cm.commitments)

@@ -5,7 +5,8 @@ shares: each product reshared with the view's randomness, each
 multiplication recombined from the column the view recorded.  Given the
 views of many executions, parties and tampers at once, `out_messages`
 must give every view the reference's root share, outgoing rows and
-refresh row (None exactly for the malformed views), and the consistency
+refresh row, and None exactly for the entries that are no well-formed
+view (such as a view's bytes without its `mpc.View`); the consistency
 and output verdicts read from its replays must be the reference's.
 """
 
@@ -30,8 +31,10 @@ from test_mpc import tamper_cases
 
 
 def reference_well_formed(prog, v) -> bool:
-    """Each part of the view as long as the layout says, every entry an
-    int in [0, p)."""
+    """v is a `mpc.View` of prog, each part as long as the layout says,
+    every entry an int in [0, p)."""
+    if not (isinstance(v, mpc.View) and v.prog is prog):
+        return False
     if not (len(v.public_inputs) == prog.n_public and len(v.secret_shares) == prog.n_secret
             and len(v.randomness) == prog.n_rand and len(v.messages) == prog.n_mul
             and all(len(col) == 5 for col in v.messages)
@@ -91,16 +94,20 @@ def reference_output(prog, pid, v):
     return dot5(prog.lam, bcast, prog.p)
 
 
-def check_replay(c, x, executions):
-    """Replay every view of executions (each five views in party order)
-    in one out_messages call and compare with the reference."""
+def check_replay(c, x, executions) -> int:
+    """Replay every entry of executions (each five in party order) in one
+    out_messages call and compare with the reference: None for each
+    entry the reference finds malformed, the reference's replay for each
+    other.  Returns the number of malformed entries."""
     prog = mpc.program(c)
     views = [v for ex in executions for v in ex]
     replays = mpc.out_messages(c, views)
     assert len(replays) == len(views)
+    malformed = 0
     for v, om in zip(views, replays):
         if not reference_well_formed(prog, v):
             assert om is None
+            malformed += 1
             continue
         root, rows, zrow = reference_replay(prog, v)
         assert (om.open_bcast - sum(v.zin)) % prog.p == root
@@ -114,29 +121,32 @@ def check_replay(c, x, executions):
         for pid in PARTY_IDS:
             out = mpc.local_output(c, pid, ex[pid - 1], oms[pid - 1])
             assert (None if out is None else out.value) == reference_output(prog, pid, ex[pid - 1])
+    return malformed
 
 
 def executions_of(c, reps, seed):
     """A statement's x and the five views of each of reps honest runs
     (decoded from their bytes, as a verifier holds them), followed by
-    every `tamper_cases` tuple of each run."""
+    each run with the views of parties 2 and 4 as plain bytes, which are
+    no views, and every `tamper_cases` tuple of each run."""
     s, w = random_instance(random.Random(seed), c)
     states, _ = pr.commit_repetitions(w, s, reps, RandomSource(b"replay/%d" % seed),
                                       scheme_by_name("prf", c.modulus.p))
     honest = [[mpc.decode_view(c, bytes(v)) for v in st.views] for st in states]
+    mixed = [[bytes(v) if pid % 2 == 0 else v for pid, v in enumerate(ex, 1)] for ex in honest]
     tampered = []
     if mpc.program(c).n_mul:
         rnd = random.Random(seed)
         for st in states:
             tampered += tamper_cases(c, st, rnd)
-    return s.public_inputs, honest + tampered
+    return s.public_inputs, honest + mixed + tampered
 
 
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_batched_replay_matches_per_view_reference(name):
     c = CIRCUITS[name]()
     x, executions = executions_of(c, 3, seed=11)
-    check_replay(c, x, executions)
+    assert check_replay(c, x, executions) >= 3 * 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,4 +158,4 @@ def test_batched_replay_matches_reference_on_generated_circuits(tree, p, reps):
     except MithError:  # an input leaf alone, or a secret smul scalar
         assume(False)
     x, executions = executions_of(c, reps, seed=n_gates)
-    check_replay(c, x, executions)
+    assert check_replay(c, x, executions) >= reps * 2

@@ -271,14 +271,11 @@ def test_cheating_prover_session_rate(m11):
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
         ses._read_hello(ta)
         (st,), (cm,) = cheater.commit(rng, 1)
-        ses._send(ta, ses.MSG_COMMIT, pr.serialize_commitment_msg(cm, cheater.scheme))
+        ses._send(ta, ses.MSG_COMMIT, pr.serialize_commitment_msg(cm))
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
         resp = pr.prover_respond(st, ch)
-        blocks = b"".join(
-            pr.serialize_response_block(s.circuit, v, o, cheater.scheme)
-            for v, o in (resp.first, resp.second))
-        ses._send(ta, ses.MSG_RESPONSE, blocks)
+        ses._send(ta, ses.MSG_RESPONSE, pr.serialize_response(resp))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
         th.join()
         assert bool(result[0]) == out["v"]
