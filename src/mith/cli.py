@@ -1,5 +1,6 @@
 """Command-line driver: prove, verify, interactive sessions, self-tests
-and benchmarks.
+and benchmarks.  Subcommands import the session, harness and bench
+modules they use, so an offline prove or verify loads none of them.
 
 Exit codes: 0 success/accept, 1 proof rejected, 2 usage or validation
 error, 3 I/O error, 4 session failure.
@@ -13,10 +14,7 @@ import math
 import os
 import sys
 
-from mith import bench as bench_mod
-from mith import harness
 from mith import protocol as proto
-from mith import session as session_mod
 from mith.circuit import (
     Statement, parse_circuit, parse_statement, parse_witness,
     statement_circuit_path, statement_hash,
@@ -121,6 +119,7 @@ def cmd_prove(args) -> int:
         if not args.connect:
             print("error: session mode needs --connect host:port", file=sys.stderr)
             return EXIT_USAGE
+        from mith import session as session_mod
         transport = session_mod.connect(*args.connect, args.timeout)
         try:
             verdict = session_mod.prover_session(
@@ -147,6 +146,7 @@ def cmd_verify(args) -> int:
         if not args.listen:
             print("error: session mode needs --listen host:port", file=sys.stderr)
             return EXIT_USAGE
+        from mith import session as session_mod
         rng = _rng_from(args)
         transport = session_mod.listen_once(*args.listen, args.timeout)
         try:
@@ -185,6 +185,7 @@ def cmd_selftest(args) -> int:
     if rng_seed is not None and not args.insecure_seed:
         raise MithError("--seed requires --insecure-seed (test use only)")
     scale = 0.05 if args.quick else 1.0
+    from mith import harness
     reports = harness.run_all(seed=rng_seed, scale=scale)
     for r in reports:
         print(r.line())
@@ -199,6 +200,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from mith import bench as bench_mod
     rng = RandomSource(args.seed if args.seed is not None else 7)
     rows = bench_mod.standard_bench(rng, quick=args.quick)
     print(bench_mod.format_rows(rows))

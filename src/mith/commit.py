@@ -1,24 +1,25 @@
 """Commitment schemes over canonically encoded party views.
 
-Two instantiations: an HMAC-SHA256 commitment (one digest per view,
-opening = the 32-byte key) and an element-wise Pedersen commitment in a
-prime-order subgroup of Z_P* (one group element per view field element,
-opening = the blinder vector).  At the view level (`PrfScheme`,
+Two instantiations, one commitment per view: HMAC-SHA256 (opening = the
+32-byte key) and hash-then-commit Pedersen, g^H(view) * h^r mod P in a
+prime-order subgroup of Z_P* with H = SHA-256 over the view's bytes
+(opening = the blinder r).  At the view level (`PrfScheme`,
 `PedersenScheme`) a commitment and an opening are their bytes: each is
 packed once, where it is made (`keygen`, `commit_view`), parsing checks
 it and returns the bytes it checked, and `verify_view` recomputes the
-commitment from the view and the opening and compares bytes.  The
-asymmetry is deliberate: the PRF scheme hashes the whole encoded view at
-once, Pedersen pays a pair of fixed-base exponentiations per element.
-Both bases are fixed for the life of a group, so they are looked up in
-8-bit window tables built on first use (Brickell-Gordon-McCurley-Wilson):
-about 2n modular multiplications per element for an n-byte group order,
-in place of two full exponentiations.
+commitment from the view and the opening and compares bytes.  Pedersen
+binds under SHA-256 collision resistance and discrete log, provided q >
+2^256 so that H is never reduced; it hides perfectly.  Both bases are
+fixed for the life of a group, so they are looked up in 8-bit window
+tables built on first use (Brickell-Gordon-McCurley-Wilson): about 2n
+modular multiplications for an n-byte group order, in place of two full
+exponentiations.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -132,9 +133,9 @@ def pedersen_commit(params: PedersenParams, blinders: Sequence[int],
 
 
 # Shipped parameter sets.  The 64-bit group is deliberately tiny so tests
-# can cross-check exponentiation against a naive oracle; the 257-bit group
-# has q > 2^256 so any shipped field preset fits.  Neither is hardened for
-# production use.
+# can cross-check `pedersen_commit` against a naive oracle (it is too small
+# for `PedersenScheme`); every field commits in the 257-bit group, whose
+# q > 2^256.  Neither is hardened for production use.
 TEST_GROUP_64 = PedersenParams(
     group_prime=4294967387,
     order=2147483693,
@@ -162,32 +163,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def group_for_modulus(p: int) -> PedersenParams:
-    """Smallest shipped group whose order fits the committed field."""
-    if p <= TEST_GROUP_64.order:
-        return TEST_GROUP_64
-    group = _bench_group_257()
-    if p <= group.order:
-        return group
-    raise MithError(
-        f"no shipped Pedersen group fits modulus of {p.bit_length()} bits; "
-        "load custom params")
-
-
 # ---------------------------------------------------------------------------
 # View-level scheme objects used by the proof protocol.  A commitment and
 # an opening are the bytes that proof files and frames carry: PRF's are
-# the digest and the key, Pedersen's the packed group elements and the
-# packed blinders, which are its key.  The PRF scheme commits to the
-# view's canonical byte encoding, which is the view itself (`mpc.View`);
-# Pedersen commits to its field-element sequence.
+# the digest and the key, Pedersen's the group element and the blinder,
+# each big-endian in its fixed width.  Both schemes commit to the view's
+# canonical byte encoding, which is the view itself (`mpc.View`).
 
 
 class PrfScheme:
     name = "prf"
     scheme_byte = 0x01
 
-    def keygen(self, rng: RandomSource, n_elements: int) -> bytes:
+    def keygen(self, rng: RandomSource) -> bytes:
         return self.serialize_opening(rng.bytes(PRF_KEY_LEN))
 
     def commit_view(self, key: bytes, view: mpc.View) -> bytes:
@@ -218,64 +206,64 @@ class PedersenScheme:
     scheme_byte = 0x02
 
     def __init__(self, params: PedersenParams):
+        # Binding: two views whose digests agree mod q open one commitment.
+        if params.order <= 1 << (8 * DIGEST_LEN):
+            raise MithError("Pedersen group order must exceed 2^256 to commit "
+                            "to a SHA-256 digest")
         self.params = params
         self._blinder_bytes = (params.order.bit_length() + 7) // 8
 
-    def keygen(self, rng: RandomSource, n_elements: int) -> bytes:
-        return self.serialize_opening(rng.randbelows(self.params.order, n_elements))
+    def keygen(self, rng: RandomSource) -> bytes:
+        return self.serialize_opening(rng.randbelow(self.params.order))
 
     def commit_view(self, key: bytes, view: mpc.View) -> bytes:
         return self.serialize_commitment(self._commit(key, view))
 
     def verify_view(self, view: mpc.View, commitment: bytes, opening: bytes) -> bool:
         try:
-            return _pack_ints(self._commit(opening, view), self.params.element_bytes) == commitment
+            element = self._commit(opening, view)
         except MithError:
             return False
+        return element.to_bytes(self.params.element_bytes, "big") == commitment
 
-    def _commit(self, key: bytes, view: mpc.View) -> tuple[int, ...]:
-        blinders = _unpack_ints(key, self._blinder_bytes, "opening")
-        return pedersen_commit(self.params, blinders, mpc.view_elements(view))[0]
+    def _commit(self, key: bytes, view: mpc.View) -> int:
+        r = self._blinder(key)
+        h = int.from_bytes(hashlib.sha256(view).digest(), "big")
+        return pedersen_commit(self.params, (r,), (h,))[0][0]
 
-    def serialize_commitment(self, elements: Sequence[int]) -> bytes:
-        return _pack_ints(elements, self.params.element_bytes)
+    def _blinder(self, data: bytes) -> int:
+        """The blinder data packs, in one width and below q: one encoding."""
+        if len(data) != self._blinder_bytes:
+            raise MithError(f"Pedersen opening must be {self._blinder_bytes} bytes")
+        r = int.from_bytes(data, "big")
+        if r >= self.params.order:
+            raise MithError("Pedersen blinder not below the group order")
+        return r
+
+    def serialize_commitment(self, element: int) -> bytes:
+        return element.to_bytes(self.params.element_bytes, "big")
 
     def parse_commitment(self, data: bytes) -> bytes:
-        vals = _unpack_ints(data, self.params.element_bytes, "commitment")
-        if any(not 0 < v < self.params.group_prime for v in vals):
+        if len(data) != self.params.element_bytes:
+            raise MithError(f"Pedersen commitment must be {self.params.element_bytes} bytes")
+        if not 0 < int.from_bytes(data, "big") < self.params.group_prime:
             raise MithError("Pedersen commitment element out of range")
         return data
 
-    def serialize_opening(self, blinders: Sequence[int]) -> bytes:
-        return _pack_ints(blinders, self._blinder_bytes)
+    def serialize_opening(self, blinder: int) -> bytes:
+        return blinder.to_bytes(self._blinder_bytes, "big")
 
     def parse_opening(self, data: bytes) -> bytes:
-        """Blinders below the group order only, so an opening has exactly
-        one encoding."""
-        vals = _unpack_ints(data, self._blinder_bytes, "opening")
-        if any(v >= self.params.order for v in vals):
-            raise MithError("Pedersen blinder not below the group order")
+        self._blinder(data)
         return data
 
 
-def _pack_ints(vals, width: int) -> bytes:
-    """The Pedersen codec: a 4-byte count, then width-byte big-endian ints."""
-    return len(vals).to_bytes(4, "big") + b"".join(v.to_bytes(width, "big") for v in vals)
-
-
-def _unpack_ints(data: bytes, width: int, what: str) -> tuple[int, ...]:
-    if len(data) < 4:
-        raise MithError(f"truncated Pedersen {what}")
-    if len(data) != 4 + int.from_bytes(data[:4], "big") * width:
-        raise MithError(f"Pedersen {what} length mismatch")
-    return tuple(int.from_bytes(data[k:k + width], "big") for k in range(4, len(data), width))
-
-
+# Every field commits in the 257-bit group, so modulus_p goes unread.
 def scheme_by_name(name: str, modulus_p: int | None = None):
     if name == "prf":
         return PrfScheme()
     if name == "pedersen":
-        return PedersenScheme(group_for_modulus(modulus_p))
+        return PedersenScheme(_bench_group_257())
     raise MithError(f"unknown commitment scheme {name!r}")
 
 
@@ -283,5 +271,5 @@ def scheme_by_byte(b: int, modulus_p: int | None = None):
     if b == PrfScheme.scheme_byte:
         return PrfScheme()
     if b == PedersenScheme.scheme_byte:
-        return PedersenScheme(group_for_modulus(modulus_p))
+        return PedersenScheme(_bench_group_257())
     raise MithError(f"unknown commitment scheme byte {b:#x}")

@@ -134,13 +134,12 @@ class OneBadPairCheater:
             if q == j0 - 1:
                 zin[i0 - 1] = (zin[i0 - 1] + delta) % p
             self.views.append(mpc.make_view(c, v, zin=zin, bcast=bcast))
-        self._n_el = mpc.view_element_count(c)
 
     def commit(self, rng: RandomSource,
                reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
         states, msgs = [], []
         for _ in range(reps):
-            keys = tuple([self.scheme.keygen(rng, self._n_el) for _ in self.views])
+            keys = tuple([self.scheme.keygen(rng) for _ in self.views])
             states.append(proto.ProverState(tuple(self.views), keys))
             msgs.append(proto.CommitmentMsg(tuple(map(self.scheme.commit_view, keys, self.views))))
         return states, msgs
@@ -164,17 +163,16 @@ class GarbageCheater:
         # well-formed; the commitments below just do not match them.
         w = Witness(tuple(m.element(k + 1) for k in range(c.topology.n_secret)))
         self.views = honest_execution(s, w, rng).views
-        self._n_el = mpc.view_element_count(c)
         self._zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
 
     def commit(self, rng: RandomSource,
                reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
         states, msgs = [], []
         for _ in range(reps):
-            keys = [self.scheme.keygen(rng, self._n_el) for _ in range(5)]
+            keys = [self.scheme.keygen(rng) for _ in range(5)]
             msgs.append(proto.CommitmentMsg(tuple(map(self.scheme.commit_view, keys,
                                                       [self._zero] * 5))))
-            openings = tuple(self.scheme.keygen(rng, self._n_el) for _ in range(5))
+            openings = tuple(self.scheme.keygen(rng) for _ in range(5))
             states.append(proto.ProverState(self.views, openings))
         return states, msgs
 

@@ -562,7 +562,7 @@ def make_view(c: Circuit, base: View | None = None, **fields) -> View:
 
 
 def view_elements(v: View) -> list[int]:
-    """The view's field elements in encoding order (the Pedersen message)."""
+    """The view's field elements in encoding order."""
     return list(v.prog.cols.decode(v))
 
 

@@ -31,7 +31,7 @@ from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, sha
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
-MAGIC = b"MITH3"
+MAGIC = b"MITH4"
 # A proof file's challenge-mode byte.  Files carry derived challenges
 # only: recorded ("transcript") challenges would be the writer's choice.
 DERIVED_MODE_BYTE = 0x01
@@ -39,11 +39,17 @@ DERIVED_MODE_BYTE = 0x01
 
 @dataclass(frozen=True)
 class CommitmentMsg:
+    """Five commitments in party order and data, their wire bytes: joined
+    once (`serialize_commitment_msg`), or the slice a parse consumed."""
+
     commitments: tuple
+    data: bytes | None = None
 
     def __post_init__(self):
         if len(self.commitments) != 5:
             raise MithError("commitment message needs 5 entries")
+        if self.data is None:
+            object.__setattr__(self, "data", serialize_commitment_msg(self.commitments))
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,7 @@ def challenge_blobs(msgs: Sequence[CommitmentMsg]) -> list[bytes]:
     MACs 36 bytes, so deriving all sigma of them is linear in sigma."""
     h = hashlib.sha256()
     for cm in msgs:
-        h.update(serialize_commitment_msg(cm))
+        h.update(cm.data)
     return [h.digest()]
 
 
@@ -155,12 +161,11 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     n_secret = c.topology.n_secret
     if len(w.secret_inputs) != n_secret:
         raise MithError("witness does not cover the secret wires")
-    n_el = mpc.view_element_count(c)
     coeffs, rands, keys = [], [], []
     for _ in range(reps):
         coeffs.append(random_share_randomness(rng, p, n_secret))
         rands.append(mpc.random_gate_randomness(rng, c))
-        keys.append(tuple([scheme.keygen(rng, n_el) for _ in PARTY_IDS]))
+        keys.append(tuple([scheme.keygen(rng) for _ in PARTY_IDS]))
     states, msgs = [], []
     for res, ks in zip(mpc.run_protocol(s, share_witness(w, coeffs, p), rands), keys):
         states.append(ProverState(res.views, ks))
@@ -262,9 +267,8 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
     views = [None] * 5
     views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
                                                   s.target, rng)
-    n_el = mpc.view_element_count(c)
     zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
-    keys = [scheme.keygen(rng, n_el) for _ in PARTY_IDS]
+    keys = [scheme.keygen(rng) for _ in PARTY_IDS]
     coms = tuple(map(scheme.commit_view, keys, [zero if v is None else v for v in views]))
     openings = tuple(None if v is None else k for v, k in zip(views, keys))
     return guess, CommitmentMsg(coms), ProverState(tuple(views), openings)
@@ -334,12 +338,15 @@ class Reader:
             raise ProofError(f"trailing bytes after {self.what}")
 
 
-def serialize_commitment_msg(msg: CommitmentMsg) -> bytes:
-    return b"".join([_lp(com) for com in msg.commitments])
+def serialize_commitment_msg(commitments: Sequence[bytes]) -> bytes:
+    """A commitment message's wire bytes; `CommitmentMsg` keeps them."""
+    return b"".join([_lp(com) for com in commitments])
 
 
 def read_commitment_msg(rd: Reader, scheme) -> CommitmentMsg:
-    return CommitmentMsg(tuple([scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS]))
+    start = rd.pos
+    coms = tuple([scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS])
+    return CommitmentMsg(coms, rd.data[start:rd.pos])
 
 
 def serialize_response_block(view: mpc.View, opening: bytes) -> bytes:
@@ -365,7 +372,7 @@ def serialize_proof(proof: Proof, c: Circuit) -> bytes:
     parts = [MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
              proof.reps.to_bytes(4, "big"), proof.stmt_hash]
     for t in proof.transcripts:
-        parts += (serialize_commitment_msg(t.commitment),
+        parts += (t.commitment.data,
                   bytes([PARTY_PAIRS.index(t.challenge)]),
                   serialize_response(t.response))
     return b"".join(parts)

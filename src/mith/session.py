@@ -41,9 +41,9 @@ _KNOWN_TYPES = {MSG_HELLO, MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE,
                 MSG_RESULT, MSG_ERROR}
 
 MAX_PAYLOAD = 1 << 24
-# HELLO's version byte.  Version 2 carries RESPONSE views in their
-# element-only encoding, as MITH3 proof files do.
-PROTOCOL_VERSION = 0x02
+# HELLO's version byte.  Version 3 carries one Pedersen commitment and
+# one blinder per view, as MITH4 proof files do.
+PROTOCOL_VERSION = 0x03
 DEFAULT_TIMEOUT = 30.0
 
 ERR_HASH_MISMATCH = 1
@@ -177,7 +177,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
         raise SessionError("peer acknowledged different parameters", "hello")
 
     states, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
-    commit_payload = b"".join(map(proto.serialize_commitment_msg, msgs))
+    commit_payload = b"".join([cm.data for cm in msgs])
     _send(transport, MSG_COMMIT, commit_payload)
 
     ch_payload = _expect(transport, MSG_CHALLENGE, "challenge")

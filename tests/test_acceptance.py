@@ -226,7 +226,7 @@ def test_criterion_7_zk_exactness():
                            and vi_s == res.views[pair[0] - 1]
                            and vj_s == res.views[pair[1] - 1])
             for view in (vi_s, vj_s):
-                key = PRF.keygen(rng, 0)
+                key = PRF.keygen(rng)
                 com = PRF.commit_view(key, view)
                 verify_ok = verify_ok and PRF.verify_view(view, com, key)
 
@@ -282,13 +282,12 @@ def test_criterion_9_scheme_performance_shape():
     s, w = random_instance(random.Random(909), c)
     (st,), _ = pr.commit_repetitions(w, s, 1, rng, prf)
     view = st.views[0]
-    n_el = mpc.view_element_count(c)
     runs = range(21)
-    key = prf.keygen(rng, n_el)
+    key = prf.keygen(rng)
     com = prf.commit_view(key, view)
     prf_ms = (_time_ms(lambda _: prf.commit_view(key, view), runs)[0]
               + _time_ms(lambda _: prf.verify_view(view, com, key), runs)[0])
-    pkey = ped.keygen(rng, n_el)
+    pkey = ped.keygen(rng)
     pcom = ped.commit_view(pkey, view)
     ped_ms = (_time_ms(lambda _: ped.commit_view(pkey, view), runs)[0]
               + _time_ms(lambda _: ped.verify_view(view, pcom, pkey), runs)[0])
@@ -360,7 +359,7 @@ def test_criterion_10_session_equivalence():
             ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, digest))
             ses._read_hello(ta)
             states, cms = cheater.commit(rng, 2)
-            ses._send(ta, ses.MSG_COMMIT, b"".join(map(pr.serialize_commitment_msg, cms)))
+            ses._send(ta, ses.MSG_COMMIT, b"".join([cm.data for cm in cms]))
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
             blocks = []
             for r in range(2):

@@ -143,7 +143,7 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     body = []
     for st, cm in zip(*cheater.commit(rng, reps)):
         resp = pr.prover_respond(st, ch)
-        body += [pr.serialize_commitment_msg(cm), bytes([pr.PARTY_PAIRS.index(ch)]),
+        body += [cm.data, bytes([pr.PARTY_PAIRS.index(ch)]),
                  pr.serialize_response(resp)]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
@@ -240,13 +240,13 @@ def test_malformed_circuit_exit_2(workdir):
 
 
 def check_old_version_is_malformed(workdir, capsys, magic: bytes):
-    """A MITH3 file relabelled as an older version exits 1 as an
+    """A MITH4 file relabelled as an older version exits 1 as an
     unsupported version."""
     proof = workdir / "p.bin"
     assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
                 "--reps", 2, "--out", proof]) == 0
     blob = proof.read_bytes()
-    assert blob[:5] == b"MITH3"
+    assert blob[:5] == b"MITH4"
     proof.write_bytes(magic + blob[5:])
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
@@ -260,6 +260,10 @@ def test_mith1_proof_is_malformed(workdir, capsys):
 
 def test_mith2_proof_is_malformed(workdir, capsys):
     check_old_version_is_malformed(workdir, capsys, b"MITH2")
+
+
+def test_mith3_proof_is_malformed(workdir, capsys):
+    check_old_version_is_malformed(workdir, capsys, b"MITH3")
 
 
 @pytest.mark.parametrize("reps, bits", [(8, "1.2"), (40, "6.1"), (842, "128.0"), (843, "128.1")])

@@ -1,5 +1,6 @@
 """Commitment schemes: RFC 4231 vectors, fuzz, Pedersen group algebra."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -14,8 +15,7 @@ from mith.circuit import Statement
 
 from mith.commit import (
     BENCH_GROUP_257, TEST_GROUP_64, PedersenParams, PedersenScheme, PrfScheme,
-    group_for_modulus, pedersen_commit, prf_commit, prf_verify, scheme_by_byte,
-    scheme_by_name,
+    pedersen_commit, prf_commit, prf_verify, scheme_by_byte, scheme_by_name,
 )
 from mith.corpus import identity_circuit
 from mith.errors import MithError
@@ -174,20 +174,15 @@ def test_pedersen_homomorphism():
         assert c1 * c2 % params.group_prime == c12
 
 
-def unpack(data: bytes, width: int) -> list[int]:
-    """The ints of a Pedersen commitment or opening (4-byte count first)."""
-    return [int.from_bytes(data[k:k + width], "big") for k in range(4, len(data), width)]
-
-
 def test_pedersen_verify_round_trip_and_fuzz():
-    """Views of random elements of a 31-bit field in the 64-bit group:
-    an opening verifies its view, and changing one element of the view
-    or one blinder of the opening makes verify_view fail."""
+    """Views of random elements of a 31-bit field: an opening verifies its
+    view, and changing one element of the view or the blinder of the
+    opening makes verify_view fail."""
     m = Modulus(2**31 - 1)
     c = identity_circuit(m)
-    ped = PedersenScheme(TEST_GROUP_64)
+    ped = PedersenScheme(BENCH_GROUP_257)
     n_el = mpc.view_element_count(c)
-    q, width = ped.params.order, (ped.params.order.bit_length() + 7) // 8
+    q = ped.params.order
     rnd = random.Random(8)
     rng = RandomSource(8)
 
@@ -196,30 +191,30 @@ def test_pedersen_verify_round_trip_and_fuzz():
 
     for _ in range(300):
         msg = [rnd.randrange(m.p) for _ in range(n_el)]
-        key = ped.keygen(rng, n_el)
+        key = ped.keygen(rng)
         com = ped.commit_view(key, view_of(msg))
         assert ped.verify_view(view_of(msg), com, key)
         k = rnd.randrange(n_el)
         bad_msg = list(msg)
         bad_msg[k] = (bad_msg[k] + 1 + rnd.randrange(m.p - 1)) % m.p
         assert not ped.verify_view(view_of(bad_msg), com, key)
-        bad_o = unpack(key, width)
-        bad_o[k] = (bad_o[k] + 1 + rnd.randrange(q - 1)) % q
-        assert not ped.verify_view(view_of(msg), com, ped.serialize_opening(bad_o))
+        bad_r = (int.from_bytes(key, "big") + 1 + rnd.randrange(q - 1)) % q
+        assert not ped.verify_view(view_of(msg), com, ped.serialize_opening(bad_r))
 
 
 def test_pedersen_length_mismatch_is_false():
     rng = RandomSource(10)
     c, view = one_view(rng)
     ped = scheme_by_name("pedersen", 101)
-    n_el = mpc.view_element_count(c)
-    key, short = ped.keygen(rng, n_el), ped.keygen(rng, n_el - 1)
+    key = ped.keygen(rng)
     com = ped.commit_view(key, view)
     assert ped.verify_view(view, com, key)
-    assert not ped.verify_view(view, com, short)
-    assert not ped.verify_view(view, com[:-ped.params.element_bytes], key)
-    with pytest.raises(MithError):
-        ped.commit_view(short, view)
+    for short in (key[:-1], key[1:], key + b"\x00", b"\x00" + key):
+        assert not ped.verify_view(view, com, short)
+        with pytest.raises(MithError):
+            ped.commit_view(short, view)
+    assert not ped.verify_view(view, com[:-1], key)
+    assert not ped.verify_view(view, b"\x00" + com, key)
     with pytest.raises(MithError):
         pedersen_commit(ped.params, [1], [3, 4])
 
@@ -230,10 +225,21 @@ def test_pedersen_message_must_fit_order():
 
 
 def test_group_selection():
-    assert group_for_modulus(101) == TEST_GROUP_64
-    assert group_for_modulus(2**256 - 189) == BENCH_GROUP_257
-    with pytest.raises(MithError):
-        group_for_modulus(2**300)
+    """Every field commits in the 257-bit group: a SHA-256 exponent does
+    not depend on the field's width."""
+    for p in (11, 101, 2**31 - 1, 2**256 - 189, 2**300):
+        assert scheme_by_name("pedersen", p).params == BENCH_GROUP_257
+        assert scheme_by_byte(0x02, p).params == BENCH_GROUP_257
+    assert scheme_by_name("pedersen").params == BENCH_GROUP_257
+
+
+def test_pedersen_scheme_needs_order_above_2_256():
+    """A group of order at most 2^256 would reduce the SHA-256 exponent,
+    so two views whose digests agree mod q would open one commitment."""
+    for params in (TEST_GROUP_64, custom_group()):
+        with pytest.raises(MithError, match="exceed 2\\^256"):
+            PedersenScheme(params)
+    assert PedersenScheme(BENCH_GROUP_257).params == BENCH_GROUP_257
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +380,9 @@ def one_view(rng):
 def test_scheme_serialization_round_trips():
     rng = RandomSource(9)
     c, view = one_view(rng)
-    n_el = mpc.view_element_count(c)
     other = mpc.make_view(c, view, bcast=((view.bcast[0] + 1) % 101,) + view.bcast[1:])
     for scheme in (scheme_by_name("prf"), scheme_by_name("pedersen", 101)):
-        key = scheme.keygen(rng, n_el)
+        key = scheme.keygen(rng)
         com = scheme.commit_view(key, view)
         assert type(key) is bytes and type(com) is bytes
         assert scheme.parse_commitment(com) == com
@@ -386,26 +391,67 @@ def test_scheme_serialization_round_trips():
         assert not scheme.verify_view(other, com, key)
 
 
+def test_pedersen_commits_to_the_view_digest():
+    """One group element g^SHA-256(view) * h^r, and a change to any one
+    byte of the view changes it."""
+    rng = RandomSource(12)
+    c, view = one_view(rng)
+    ped = scheme_by_name("pedersen", 101)
+    P = ped.params.group_prime
+    key = ped.keygen(rng)
+    com = ped.commit_view(key, view)
+    digest = int.from_bytes(hashlib.sha256(view).digest(), "big")
+    want = pow(ped.params.g, digest, P) * pow(ped.params.h, int.from_bytes(key, "big"), P) % P
+    assert com == want.to_bytes(ped.params.element_bytes, "big")
+    for k in range(len(view)):
+        # Every element of an F_101 view is one byte below 101.
+        other = mpc.decode_view(c, view[:k] + bytes([(view[k] + 1) % 101]) + view[k + 1:])
+        assert ped.commit_view(key, other) != com
+        assert not ped.verify_view(other, com, key)
+
+
 def test_pedersen_opening_blinders_below_order():
-    """r and r + q open the same commitment, so only r is accepted."""
+    """r and r + q open the same commitment, so only r is accepted: by
+    parse_opening, and by verify_view, which reads the opening itself."""
+    rng = RandomSource(11)
+    _, view = one_view(rng)
     ped = scheme_by_name("pedersen", 101)
     q = ped.params.order
-    data = ped.serialize_opening((q - 1, 0))
-    assert ped.parse_opening(data) == data
+    data = ped.serialize_opening(q - 1)
+    assert len(data) == 33 and ped.parse_opening(data) == data
+    com = ped.commit_view(data, view)
+    wrapped = ped.serialize_opening(q - 1 + q)
+    assert len(wrapped) == 33
+    for r in (q, q + 5, 2 * q - 1, 2**264 - 1):
+        with pytest.raises(MithError, match="below the group order"):
+            ped.parse_opening(ped.serialize_opening(r))
     with pytest.raises(MithError, match="below the group order"):
-        ped.parse_opening(ped.serialize_opening((5 + q, 0)))
+        ped.commit_view(wrapped, view)
+    assert (pedersen_commit(ped.params, [2 * q - 1], [7])[0]
+            == pedersen_commit(ped.params, [q - 1], [7])[0])
+    assert not ped.verify_view(view, com, wrapped)
+    for bad in (data[:-1], data + b"\x00"):
+        with pytest.raises(MithError, match="must be 33 bytes"):
+            ped.parse_opening(bad)
 
 
 def test_pedersen_commitment_elements_in_group():
-    """A commitment element must lie in (0, P): 0 and P are no group
-    elements."""
+    """A commitment is one element of (0, P) in element_bytes big-endian
+    bytes: 0, P and above are no group elements, and any other length is
+    rejected."""
     ped = scheme_by_name("pedersen", 101)
-    P = ped.params.group_prime
-    data = ped.serialize_commitment((1, P - 1))
-    assert ped.parse_commitment(data) == data
-    for element in (0, P):
+    P, width = ped.params.group_prime, ped.params.element_bytes
+    assert width == 34
+    for element in (1, P - 1):
+        data = ped.serialize_commitment(element)
+        assert len(data) == width and ped.parse_commitment(data) == data
+    for element in (0, P, P + 1, 2**(8 * width) - 1):
         with pytest.raises(MithError, match="commitment element out of range"):
-            ped.parse_commitment(ped.serialize_commitment((element, 1)))
+            ped.parse_commitment(element.to_bytes(width, "big"))
+    good = ped.serialize_commitment(P - 1)
+    for data in (good[1:], good + b"\x00", b"", bytes(4) + good):
+        with pytest.raises(MithError, match=f"must be {width} bytes"):
+            ped.parse_commitment(data)
 
 
 def test_scheme_lookup():

@@ -1,5 +1,5 @@
-"""Golden bytes: the canonical view encoding, the MITH3 proof file and the
-session frames (HELLO version 2) are fixed formats, so seeded runs must
+"""Golden bytes: the canonical view encoding, the MITH4 proof file and the
+session frames (HELLO version 3) are fixed formats, so seeded runs must
 keep producing the same bytes.  The corpus circuits are pinned too, by their circuit text.
 
 Each proof case pins the SHA-256 of the five encoded views of one seeded
@@ -43,28 +43,31 @@ CASES = {
     "smul-over-mul-f101-prf": (lambda: parse_circuit(SMUL_OVER_MUL), "prf"),
 }
 
-# View digests are for MITH3's element-only encoding.  They equal the
-# SHA-256 of the element bytes of the MITH2 views of the same runs, which
-# were pinned with the tree-view implementation that preceded the compiled
-# programs; the MITH2 view digests were 4462f99c..., a51dd485...,
-# 66cc8844... and a0d3085f..., in order.  Proof digests are for MITH3
-# (challenges derived from one SHA-256 of the commit phase, as in MITH2);
-# the MITH2 proof digests were 3e12175c..., d4c95c6c..., af5dcaab... and
-# 41bffc18..., and the MITH1 ones d08efaa3..., 506a5a03..., 8c4c93b9...
-# and 8d763b05....
+# View digests are for the element-only encoding of MITH3 and MITH4.
+# They equal the SHA-256 of the element bytes of the MITH2 views of the
+# same runs, which were pinned with the tree-view implementation that
+# preceded the compiled programs; the MITH2 view digests were
+# 4462f99c..., a51dd485..., 66cc8844... and a0d3085f..., in order.  Proof
+# digests are for MITH4 (one Pedersen commitment and one blinder per view;
+# challenges derived from one SHA-256 of the commit phase, as in MITH2 and
+# MITH3).  The PRF proofs differ from MITH3's in the magic only.  The
+# MITH3 proof digests were 9d7c61a9..., 30edb648..., 780dddb7... and
+# 86b990a4..., in the order below; the MITH2 ones 3e12175c...,
+# d4c95c6c..., af5dcaab... and 41bffc18..., and the MITH1 ones
+# d08efaa3..., 506a5a03..., 8c4c93b9... and 8d763b05....
 GOLDEN = {
     "deep9-f101-prf": (
         "2bb65b327b3a8c4db3534534d1110853d93ba6d815cc0a2f438b29400982c2b2",
-        "9d7c61a92a4d18a0f81978e29a742ac9ab61892ef54086a6e04a3cc387c4787f"),
+        "7e60b9b435ca3e780dcea89d80a9f6e1689e050594d25ec1fbae9d93fae15a59"),
     "bench-b-f97-prf": (
         "1006120fee47a42dc6e373b5980f632432f00d57cd20fe5ea20b2370c1809b00",
-        "30edb648ecb4d7e1ba5fa6fc3167ad901d19ccb79879fa0074a32d434af339f1"),
+        "67d46b80d2690fb1b89eab94c850eacb8d76dae1b22b9d3ff437c3afcec147b8"),
     "bench-a-p256-pedersen": (
         "7802798ada76d96e54ca8dec8ee90eadbb8c4559f79d550832669418cb4b877f",
-        "780dddb70f60df9ab039c5ebefaba7b098112a11ace64640dd2daae739673740"),
+        "663bbfbc3a561693a7cc402214be0c0d59a1dddf5f9e24feb67ab553130f6bdb"),
     "smul-over-mul-f101-prf": (
         "fdf514caa52cb0b9bd21d4410d6de24dc4a3de2e3929bef35b5917b8bad6a221",
-        "86b990a4bf81e80aa59f4b2387d11d063114d5a0b9504dc246da36a38aa1d869"),
+        "559e36d96b3ea38d13deee038dbf15a2d1804a13356b89f7c432e363b5d8d94a"),
 }
 
 
@@ -142,15 +145,16 @@ def test_golden_corpus_circuit_text():
         == GOLDEN_CORPUS_F11_TEXT
 
 
-# Frames of HELLO version 2, whose RESPONSE views are element-only.  The
-# version-1 digests were b6ea6fa1... and 6e87db4d..., in order.
+# Frames of HELLO version 3: one Pedersen commitment and one blinder per
+# view, element-only views.  The version-2 digests were 50a4db16... and
+# c0821016..., the version-1 ones b6ea6fa1... and 6e87db4d..., in order.
 SESSION_CASES = {
     "bench-b-f97-prf-sigma3": (
         bench_circuit_b, "prf", 3,
-        "50a4db16c56e1de4c8bb1bc46f00f049ce061027ff4768e9985d1f4df72a70c0"),
+        "e7f974b17dfa7e6a2378c7f0d99598e61371b34fd0b2da94e1e18b0fadc358b8"),
     "bench-a-p256-pedersen-sigma2": (
         lambda: bench_circuit_a(preset_modulus("p256")), "pedersen", 2,
-        "c0821016c2c3e995c1e784854f2fcee144b9cc4e83a16f943c5afe0e6310b339"),
+        "bd41c7cccc60b10f88816747c589981e5268fbd305e9697459febc22df97d339"),
 }
 
 

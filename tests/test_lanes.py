@@ -3,8 +3,9 @@
 `reference_proof` runs the commit phase one repetition at a time, as
 separate scalar executions: its own rejection sampler for every field
 draw, each party's shares as single ints, the canonical view encoding
-written out element by element, HMAC-SHA256 and Pedersen commitments,
-derived challenges and the MITH3 file layout.  Seeded alike, the lane
+written out element by element, HMAC-SHA256 and Pedersen commitments
+(the latter as pow(g, SHA-256(view), P) * pow(h, r, P) % P, not through
+the window tables), derived challenges and the MITH4 file layout.  Seeded alike, the lane
 path (`commit_repetitions`, `prove_repeated`, `serialize_proof`) must give
 the same views, commitments and proof bytes.
 """
@@ -21,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mith import mpc
 from mith import protocol as pr
 from mith.circuit import parse_circuit, statement_hash
-from mith.commit import PedersenScheme, pedersen_commit, scheme_by_name
+from mith.commit import PedersenScheme, scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
 from mith.errors import MithError
 from mith.field import Modulus, RandomSource
@@ -114,11 +115,10 @@ def reference_encoding(c, v) -> bytes:
     return b"".join(x.to_bytes(w, "big") for x in reference_elements(v))
 
 
-def pack(vals, bound: int) -> bytes:
-    """A 4-byte count, then each value big-endian in bound's byte width:
-    a Pedersen commitment (bound P) or opening (bound q)."""
-    width = (bound.bit_length() + 7) // 8
-    return len(vals).to_bytes(4, "big") + b"".join(v.to_bytes(width, "big") for v in vals)
+def pack(v: int, bound: int) -> bytes:
+    """v big-endian in bound's byte width: a Pedersen commitment (bound P)
+    or opening (bound q)."""
+    return v.to_bytes((bound.bit_length() + 7) // 8, "big")
 
 
 def reference_proof(w, s, reps, rng, scheme):
@@ -129,7 +129,6 @@ def reference_proof(w, s, reps, rng, scheme):
     prog = mpc.program(c)
     p = prog.p
     pubs = tuple(x.value for x in s.public_inputs)
-    n_el = prog.n_elements
     all_views, all_coms, all_ops = [], [], []
     for _ in range(reps):
         secs = []
@@ -140,16 +139,18 @@ def reference_proof(w, s, reps, rng, scheme):
         rand = [sum(((draws[10 * r + 2 * q], draws[10 * r + 2 * q + 1])
                      for r in range(prog.n_mul + 1)), ()) for q in range(5)]
         if isinstance(scheme, PedersenScheme):
-            keys = [tuple(reference_randbelow(rng, scheme.params.order) for _ in range(n_el))
-                    for _ in range(5)]
+            keys = [reference_randbelow(rng, scheme.params.order) for _ in range(5)]
         else:
             keys = [rng.bytes(32) for _ in range(5)]
         views = reference_execution(prog, pubs, secs, rand)
         if isinstance(scheme, PedersenScheme):
-            params = scheme.params
-            coms = [pack(pedersen_commit(params, k, reference_elements(v))[0],
-                         params.group_prime) for k, v in zip(keys, views)]
-            openings = [pack(k, params.order) for k in keys]
+            prm = scheme.params
+            P = prm.group_prime
+            digests = [int.from_bytes(hashlib.sha256(reference_encoding(c, v)).digest(), "big")
+                       for v in views]
+            coms = [pack(pow(prm.g, d, P) * pow(prm.h, r, P) % P, P)
+                    for r, d in zip(keys, digests)]
+            openings = [pack(r, prm.order) for r in keys]
         else:
             coms = [hmac.new(k, reference_encoding(c, v), hashlib.sha256).digest()
                     for k, v in zip(keys, views)]
@@ -162,7 +163,7 @@ def reference_proof(w, s, reps, rng, scheme):
     com_blocks = [b"".join(map(lp, coms)) for coms in all_coms]
     digest = hashlib.sha256(b"".join(com_blocks)).digest()
     stmt = statement_hash(s)
-    out = [b"MITH3", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
+    out = [b"MITH4", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
     for k in range(reps):
         mac = hmac.new(stmt, k.to_bytes(4, "big") + digest, hashlib.sha256).digest()
         ch = int.from_bytes(mac, "big") % 10

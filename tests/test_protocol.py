@@ -164,7 +164,7 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     v = resp.first[0]
     bad_view = mpc.make_view(c, v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
-    key = PRF.keygen(rng, 0)
+    key = PRF.keygen(rng)
     coms = list(t.commitment.commitments)
     coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.CommitmentMsg(tuple(coms)), ch,
@@ -364,31 +364,27 @@ def test_pedersen_blinder_plus_order_rejected():
     proof = pr.prove_repeated(w, s, 1, RandomSource(19), ped)
     t = proof.transcripts[0]
     view, opening = t.response.first
-    width = (ped.params.order.bit_length() + 7) // 8
-    first = int.from_bytes(opening[4:4 + width], "big") + ped.params.order
-    bumped = opening[:4] + first.to_bytes(width, "big") + opening[4 + width:]
+    bumped = (int.from_bytes(opening, "big") + ped.params.order).to_bytes(len(opening), "big")
     forged = dataclasses.replace(proof, transcripts=(dataclasses.replace(
         t, response=pr.Response((view, bumped), t.response.second)),))
     data = pr.serialize_proof(forged, c)
-    assert data != pr.serialize_proof(proof, c)
-    try:
-        ok = pr.verify_repeated(s, pr.parse_proof(data, c))
-    except MithError:
-        ok = False
-    assert not ok
+    assert len(data) == len(pr.serialize_proof(proof, c)) and data != pr.serialize_proof(proof, c)
+    with pytest.raises(MithError, match="below the group order"):
+        pr.parse_proof(data, c)
+    assert not pr.verify_repeated(s, forged)
 
 
 # ---------------------------------------------------------------------------
-# MITH3: the challenges come from one digest of the commit phase, and each
-# view is encoded once
+# The challenges come from one digest of the commit phase (since MITH3),
+# and each view is encoded once
 
 
 def raw_proof_sections(data: bytes):
     """(statement hash, [(commitment section bytes, challenge byte)]) read
-    straight off MITH3 proof bytes: header of 43 bytes, then per
+    straight off MITH4 proof bytes: header of 43 bytes, then per
     repetition five length-prefixed commitments, the challenge byte and
     four length-prefixed blocks."""
-    assert data[:5] == b"MITH3"
+    assert data[:5] == b"MITH4"
     reps = int.from_bytes(data[7:11], "big")
     stmt_hash = data[11:43]
     pos = 43
@@ -425,7 +421,7 @@ def session_echo(s, reps: int, commit_payload: bytes) -> bytes:
     return echo
 
 
-def test_mith3_challenges_recomputed_from_raw_bytes(m11):
+def test_challenges_recomputed_from_raw_bytes(m11):
     """Challenge k is HMAC-SHA256(statement hash, k || SHA-256(all
     commitment sections)) mod 10, and that digest is the session's echo."""
     s, w = golden_corpus(m11, 1)[0]
@@ -466,19 +462,25 @@ def test_round_trip_encodes_each_view_once(m11, monkeypatch):
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
 def test_commitments_and_openings_are_packed_once(m11, monkeypatch, scheme_name):
     """Prove plus serialize_proof packs each of the 5 * reps commitments
-    and openings once, where it is made; parse plus verify packs none,
-    since a commitment and an opening are their bytes."""
+    and openings once, where it is made, and joins each repetition's
+    commitment message once; parse plus verify packs and joins none,
+    since a commitment, an opening and a commitment message are their
+    bytes."""
     calls = collections.Counter()
     for cls in (commit.PrfScheme, commit.PedersenScheme):
         for name in ("serialize_commitment", "serialize_opening"):
             monkeypatch.setattr(cls, name, lambda self, x, f=getattr(cls, name), n=name:
                                 calls.update([n]) or f(self, x))
+    join = pr.serialize_commitment_msg
+    monkeypatch.setattr(pr, "serialize_commitment_msg",
+                        lambda coms: calls.update(["serialize_commitment_msg"]) or join(coms))
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
     reps = 3
     proof = pr.prove_repeated(w, s, reps, RandomSource(37), scheme_by_name(scheme_name, 11))
     data = pr.serialize_proof(proof, c)
-    assert calls == {"serialize_commitment": 5 * reps, "serialize_opening": 5 * reps}
+    assert calls == {"serialize_commitment": 5 * reps, "serialize_opening": 5 * reps,
+                     "serialize_commitment_msg": reps}
     calls.clear()
     assert pr.verify_repeated(s, pr.parse_proof(data, c))
     assert not calls

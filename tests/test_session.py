@@ -200,11 +200,15 @@ def challenge_peer(challenge):
 REPS = 3
 SHORT_HELLO = bytes([ses.PROTOCOL_VERSION]) + bytes(36)
 NEXT_VERSION_HELLO = bytes([ses.PROTOCOL_VERSION + 1]) + bytes(37)
+# Version 2 carried per-element Pedersen commitments and blinders.
+VERSION_2_HELLO = bytes([2]) + bytes(37)
 MALFORMED = {
     "prover-hello-short": ("prover", hello_peer(SHORT_HELLO, True)),
     "prover-hello-version": ("prover", hello_peer(NEXT_VERSION_HELLO, True)),
+    "prover-hello-version-2": ("prover", hello_peer(VERSION_2_HELLO, True)),
     "verifier-hello-short": ("verifier", hello_peer(SHORT_HELLO, False)),
     "verifier-hello-version": ("verifier", hello_peer(NEXT_VERSION_HELLO, False)),
+    "verifier-hello-version-2": ("verifier", hello_peer(VERSION_2_HELLO, False)),
     "prover-challenge-length": ("prover", challenge_peer(lambda d: d + bytes(REPS - 1))),
     "prover-challenge-byte": ("prover", challenge_peer(lambda d: d + bytes([0, 10, 0]))),
 }
@@ -224,6 +228,8 @@ def test_malformed_frame_abort_tells_peer(m11, case):
     assert isinstance(error, SessionError)
     assert frame.msg_type == ses.MSG_ERROR
     assert int.from_bytes(frame.payload[:2], "big") == ses.ERR_BAD_FRAME == 2
+    if "version" in case:
+        assert "unsupported protocol version" in str(error)
 
 
 def test_dropped_challenge_times_out(m11):
@@ -271,7 +277,7 @@ def test_cheating_prover_session_rate(m11):
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
         ses._read_hello(ta)
         (st,), (cm,) = cheater.commit(rng, 1)
-        ses._send(ta, ses.MSG_COMMIT, pr.serialize_commitment_msg(cm))
+        ses._send(ta, ses.MSG_COMMIT, cm.data)
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
         resp = pr.prover_respond(st, ch)
