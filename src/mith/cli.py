@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -36,6 +35,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise _IOFailure(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise CircuitError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _read_bytes(path: str) -> bytes:
@@ -87,22 +88,25 @@ def _endpoint(spec: str) -> tuple[str, int]:
 
 
 def _timeout(text: str) -> float:
-    """argparse type for a finite number of seconds above 0."""
+    """argparse type for a number of seconds above 0 and at most 1e9
+    (a socket takes at most about 9.2e9)."""
     try:
         t = float(text)
     except ValueError:
-        t = math.nan
-    if not (math.isfinite(t) and t > 0):
+        t = 0.0
+    if not 0 < t <= 1e9:
         raise argparse.ArgumentTypeError(
-            f"expected a finite number of seconds above 0, got {text!r}")
+            f"expected a number of seconds above 0 and at most 1e9, got {text!r}")
     return t
 
 
-def _reps(text: str) -> int:
-    """argparse type for a repetition count of at least 1."""
-    if not (text.isascii() and text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """argparse type for an integer of at least low."""
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def cmd_prove(args) -> int:
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_at_least(0), default=None,
                         help="deterministic randomness (test use only)")
     common.add_argument("--insecure-seed", action="store_true",
                         help="acknowledge that a fixed seed voids security")
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", required=True, help="statement file")
     p.add_argument("--witness", required=True, help="witness file")
     p.add_argument("--out", help="proof output path")
-    p.add_argument("--reps", type=_reps, default=40,
+    p.add_argument("--reps", type=_at_least(1), default=40,
                    help="repetitions (default 40, "
                         f"{proto.derived_security_bits(40):.1f} security bits when derived)")
     p.add_argument("--scheme", choices=["prf", "pedersen"], default="prf")
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--proof", help="proof file to verify")
     v.add_argument("--mode", choices=["offline", "session"], default="offline")
     v.add_argument("--listen", type=_endpoint, help="bind endpoint host:port")
-    v.add_argument("--reps", type=_reps, default=40,
+    v.add_argument("--reps", type=_at_least(1), default=40,
                    help="expected repetitions (session mode)")
     v.add_argument("--timeout", type=_timeout, default=30.0)
     v.add_argument("--verbose", action="store_true",

@@ -16,10 +16,10 @@ of ints), and at each messaging multiplication and at the
 refresh an exchange supplies the columns the lanes received.  The
 prover (`run_protocol`) runs a lane per party and repetition and
 reshares with the drawn randomness; the verifier's replay
-(`out_messages`) runs a lane per opened view, reshares with the view's
-randomness and receives what the view recorded; the simulator
-(`mpc_simulate`) runs the two corrupt parties and draws the honest
-parties' messages.
+(`out_messages`) runs a lane per opened view against the statement's
+public inputs, reshares with the view's randomness and receives what the
+view recorded; the simulator (`mpc_simulate`) runs the two corrupt
+parties and draws the honest parties' messages.
 
 A party's view is flat: its public inputs, its input shares, its
 randomness ((a1, a2) per messaging multiplication in ascending gate-id
@@ -28,9 +28,10 @@ messaging multiplication in post-order, and at the opening both the
 incoming zero-share contributions (`zin`) and the broadcast refreshed
 output shares (`bcast`).  Every entry is an int in [0, p), and a view's
 canonical encoding is exactly these entries in this order, each
-fixed-width big-endian.  Views are self-contained: `out_messages`
-recomputes everything a party sent from its view alone, which is what
-pairwise consistency checks against.
+fixed-width big-endian.  `out_messages` recomputes what a party sent
+to each party from its view and the statement's public inputs, as the
+bytes the recipient's view records; pairwise consistency compares those
+bytes with what the other view recorded.
 
 A view is its canonical encoding: `View` is a `bytes` subclass that
 also names its program, and its six fields are decoded from its bytes
@@ -197,54 +198,6 @@ def _view(prog: Program, data) -> View:
     return v
 
 
-class _Replay:
-    """One out_messages pass: per exchange the five columns the lanes
-    sent (to parties 1..5), the lanes' refreshed shares, and per party a
-    what each lane sent to a, encoded in the order a view records it
-    (`Program.received`): lane k's record is to[a-1][k*size:(k+1)*size]."""
-
-    __slots__ = ("sent", "own", "size", "to")
-
-    def __init__(self, prog: Program, sent, own):
-        w = prog.width
-        self.sent, self.own, self.size = sent, own, (prog.n_mul + 2) * w
-        self.to = []
-        for a in range(5):
-            buf = bytearray(self.size * len(own))
-            for m, row in enumerate(sent):
-                prog.cols.place(buf, m * w, self.size, row[a])
-            prog.cols.place(buf, self.size - w, self.size, own)
-            self.to.append(bytes(buf))
-
-
-class OutMessages:
-    """Everything one party sent, recomputed from its view as lane `lane`
-    of an out_messages pass (`replay`): the outgoing resharing row per
-    messaging multiplication (post-order), the outgoing zero-share row and
-    the broadcast refreshed share.  Equal when those are."""
-
-    __slots__ = ("replay", "lane")
-
-    def __init__(self, replay: _Replay, lane: int):
-        self.replay, self.lane = replay, lane
-
-    @property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(col[self.lane] for col in row) for row in self.replay.sent[:-1])
-
-    @property
-    def open_z(self) -> tuple[int, ...]:
-        return tuple(col[self.lane] for col in self.replay.sent[-1])
-
-    @property
-    def open_bcast(self) -> int:
-        return self.replay.own[self.lane]
-
-    def __eq__(self, other):
-        return isinstance(other, OutMessages) and (
-            (self.mul, self.open_z, self.open_bcast) == (other.mul, other.open_z, other.open_bcast))
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     views: tuple[View, ...]
@@ -264,14 +217,13 @@ def random_gate_randomness(rng: RandomSource, c: Circuit):
 # The interpreter, and honest execution through it.
 
 
-def _interpret(prog: Program, inputs: Sequence, scalars: Sequence, n: int, exchange):
+def _interpret(prog: Program, inputs: Sequence, scalars: Sequence[int], n: int, exchange):
     """Run prog's ops over n lanes, given the n_in input columns and each
-    smul scalar (an int for every lane, or a column).  At each messaging
-    multiplication exchange(d, r) gets the lanes' products d and the
-    randomness rank r, and returns the five columns the lanes received,
-    one per sender, to recombine.  The refresh exchanges zeros at rank
-    n_mul.  Returns each lane's refreshed share: its root share plus the
-    zero shares it received."""
+    smul scalar.  At each messaging multiplication exchange(d, r) gets
+    the lanes' products d and the randomness rank r, and returns the five
+    columns the lanes received, one per sender, to recombine.  The
+    refresh exchanges zeros at rank n_mul.  Returns each lane's refreshed
+    share: its root share plus the zero shares it received."""
     F = prog.cols
     lam = prog.lam
     const = {v: F.const(v, n) for v in set(prog.init[prog.n_in:])}
@@ -283,8 +235,7 @@ def _interpret(prog: Program, inputs: Sequence, scalars: Sequence, n: int, excha
         elif code == MUL:
             vals[dst] = F.lincomb(lam, exchange(F.mul(vals[a], y), r))
         else:
-            k = scalars[a]
-            vals[dst] = F.smul(k, y) if type(k) is int else F.mul(k, y)
+            vals[dst] = F.smul(scalars[a], y)
     root = vals[prog.root]
     del vals  # free the wire columns
     return F.lincomb((1,) * 6, [root, *exchange(F.const(0, n), prog.n_mul)])
@@ -349,7 +300,7 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
 
 # ---------------------------------------------------------------------------
 # View replay: everything below recomputes a party's run from its view
-# alone and must never trust any other data.
+# and the statement's public inputs, and must never trust any other data.
 
 
 def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
@@ -359,18 +310,24 @@ def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
     return [isinstance(v, View) and v.prog is prog for v in views]
 
 
-def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
-    """Everything each view's party sent, recomputed from that view alone;
-    None for a malformed view.  The well-formed views run as the lanes of
-    one pass: their rows are joined and sliced into element columns, and
-    each lane reshares with its own randomness and receives the columns
-    it recorded."""
+def out_messages(c: Circuit, x: Sequence[FieldElement],
+                 views: Sequence[View]) -> list[tuple[bytes, ...] | None]:
+    """What each view's party sent to parties 1..5, recomputed from that
+    view and the public inputs x, each encoded as its recipient's view
+    records it (`Program.received`): the column entry at each messaging
+    multiplication, the zero share, the broadcast share.  None for a view
+    that is malformed or carries other public inputs than x.  The other
+    views run as the lanes of one pass: their rows are joined and sliced
+    into element columns, and each lane reshares with its own randomness
+    and receives the columns it recorded."""
     prog = program(c)
-    ok = valid_view(c, views)
+    pubs = tuple(e.value for e in x)
+    xs = prog.cols.encode(pubs)
+    ok = [good and v[prog.pubs] == xs for v, good in zip(views, valid_view(c, views))]
     rows = [v for v, good in zip(views, ok) if good]
     if not rows:
         return [None] * len(views)
-    F = prog.cols
+    F, w = prog.cols, prog.width
     n = len(rows)
     data = b"".join(rows)
     del rows
@@ -381,69 +338,51 @@ def out_messages(c: Circuit, views: Sequence[View]) -> list[OutMessages | None]:
     # The recorded columns at each messaging multiplication, then zin.
     recorded = [cols[k:k + 5] for k in range(o3, o3 + 5 * prog.n_mul + 5, 5)]
     del cols, data
-    pubs = inputs[:prog.n_public]
-    if all(col.count(col[0]) == n for col in pubs):
-        scalars = prog.scalars(tuple(col[0] for col in pubs))
-    else:
-        scalars = [F.from_ints(col) for col in zip(*map(prog.scalars, zip(*pubs)))]
     sent = []
 
     def exchange(d, r):
         sent.append(F.share(d, rc[2 * r], rc[2 * r + 1]))
         return recorded[len(sent) - 1]
 
-    own = _interpret(prog, inputs, scalars, n, exchange)
-    replay = _Replay(prog, sent, own)
-    lanes = iter(range(n))
-    return [OutMessages(replay, next(lanes)) if good else None for good in ok]
+    own = _interpret(prog, inputs, prog.scalars(pubs), n, exchange)
+    # to[a]: lane k's record for party a+1 is to[a][k*size:(k+1)*size].
+    size = (prog.n_mul + 2) * w
+    to = []
+    for a in range(5):
+        buf = bytearray(size * n)
+        for m, row in enumerate(sent):
+            F.place(buf, m * w, size, row[a])
+        F.place(buf, size - w, size, own)
+        to.append(bytes(buf))
+    replays = iter([tuple(t[k:k + size] for t in to) for k in range(0, size * n, size)])
+    return [next(replays) if good else None for good in ok]
 
 
-def local_output(c: Circuit, pid: int, v: View, om: OutMessages | None) -> FieldElement | None:
-    """pid's protocol output recomputed from its view v and v's replay om
-    (its `out_messages` entry); None if v is malformed.
-
-    Reconstructs from the recorded broadcast with pid's own slot replaced
-    by its recomputed refreshed share."""
-    if om is None:
-        return None
+def local_output(c: Circuit, v: View) -> FieldElement:
+    """The protocol output that view v recorded: its broadcast,
+    recombined.  Only meaningful once `consistent_views` has accepted v,
+    which requires v's own broadcast slot to be its replayed share."""
     prog = program(c)
-    lam, p, q = prog.lam, prog.p, pid - 1
     bcast = prog.cols.decode(v[prog.bcast])
-    return FieldElement((dot5(lam, bcast, p) + lam[q] * (om.open_bcast - bcast[q])) % p,
-                        c.modulus)
+    return FieldElement(dot5(prog.lam, bcast, prog.p), c.modulus)
 
 
-def _sent(om: OutMessages, a: int) -> bytes:
-    """What om's party sent to party a, encoded as a view records it."""
-    size = om.replay.size
-    return om.replay.to[a - 1][om.lane * size:(om.lane + 1) * size]
-
-
-def consistent_views(c: Circuit, x: Sequence[FieldElement],
-                     vi: View, vj: View, i: int, j: int,
-                     om_i: OutMessages | None, om_j: OutMessages | None) -> bool:
-    """Pairwise view consistency for distinct parties i and j, given the
-    views' replays om_i and om_j by `out_messages`.
-
-    Checks shapes, that both views carry the public input x, that each
-    view's own recorded slots match its own recomputation, and that the
-    messages implicit in each view equal the ones recorded by the other,
-    as byte strings of the views' encodings.
+def consistent_views(c: Circuit, vi: View, vj: View, i: int, j: int,
+                     sent_i: tuple[bytes, ...] | None, sent_j: tuple[bytes, ...] | None) -> bool:
+    """Pairwise view consistency for distinct parties i and j, given what
+    each sent by `out_messages`: each view recorded what its own party
+    and the other party sent it, as byte strings of the views' encodings.
     """
     if i == j:
         raise MithError("consistency is defined for distinct parties")
-    if om_i is None or om_j is None:
+    if sent_i is None or sent_j is None:
         return False
     prog = program(c)
-    xs = prog.cols.encode([e.value for e in x])
     got_i, got_j = prog.received[i - 1], prog.received[j - 1]
-    return (vi[prog.pubs] == xs == vj[prog.pubs]
-            and bytes(got_i(vi)) == _sent(om_i, i)
-            and bytes(got_j(vj)) == _sent(om_j, j)
-            and bytes(got_j(vi)) == _sent(om_j, i)
-            and bytes(got_i(vj)) == _sent(om_i, j))
-
-
+    return (bytes(got_i(vi)) == sent_i[i - 1]
+            and bytes(got_j(vj)) == sent_j[j - 1]
+            and bytes(got_j(vi)) == sent_j[i - 1]
+            and bytes(got_i(vj)) == sent_i[j - 1])
 # ---------------------------------------------------------------------------
 # 2-privacy simulator
 

@@ -207,26 +207,27 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
     and is taken as recorded; any other must equal the challenge derived
     from the commitments.  The check: openings verify, views pairwise
     consistent, both outputs hit the target, with every opened view of
-    every repetition validated and replayed in one `out_messages` call.
+    every repetition validated and replayed against the statement's
+    public inputs in one `out_messages` call.
     Malformed data yields False, never an exception."""
     c = s.circuit
     scheme = scheme_by_name(proof.scheme, c.modulus.p)
     recorded = proof.challenge_mode == "transcript"
     if not recorded:
         blobs = challenge_blobs([t.commitment for t in proof.transcripts])
-    replays = mpc.out_messages(c, [v for t in proof.transcripts
-                                   for v, _ in (t.response.first, t.response.second)])
+    replays = mpc.out_messages(c, s.public_inputs, [
+        v for t in proof.transcripts for v, _ in (t.response.first, t.response.second)])
     checks = []
-    for k, (t, om_i, om_j) in enumerate(zip(proof.transcripts, replays[::2], replays[1::2])):
+    for k, (t, sent_i, sent_j) in enumerate(zip(proof.transcripts, replays[::2], replays[1::2])):
         i, j = t.challenge
         (vi, oi), (vj, oj) = t.response.first, t.response.second
         try:
-            ok = (om_i is not None and om_j is not None
+            ok = (sent_i is not None and sent_j is not None
                   and scheme.verify_view(vi, t.commitment.commitments[i - 1], oi)
                   and scheme.verify_view(vj, t.commitment.commitments[j - 1], oj)
-                  and mpc.consistent_views(c, s.public_inputs, vi, vj, i, j, om_i, om_j)
-                  and mpc.local_output(c, i, vi, om_i) == s.target
-                  and mpc.local_output(c, j, vj, om_j) == s.target)
+                  and mpc.consistent_views(c, vi, vj, i, j, sent_i, sent_j)
+                  and mpc.local_output(c, vi) == s.target
+                  and mpc.local_output(c, vj) == s.target)
         except MithError:
             ok = False
         checks.append((recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs), ok))

@@ -115,7 +115,15 @@ def decode_frame(transport: Transport) -> Frame:
 
 
 def _send(transport: Transport, msg_type: int, payload: bytes) -> None:
-    transport.send_all(encode_frame(Frame(msg_type, payload)))
+    """Send one frame.  A frame that cannot be encoded is reported to the
+    peer with an ERROR frame first, unless it is that ERROR frame."""
+    try:
+        data = encode_frame(Frame(msg_type, payload))
+    except SessionError as e:
+        if msg_type != MSG_ERROR:
+            _send_error(transport, ERR_INTERNAL, str(e))
+        raise
+    transport.send_all(data)
 
 
 def _send_error(transport: Transport, code: int, message: str) -> None:

@@ -96,8 +96,8 @@ def test_verify_verbose_checks_each_repetition_once(workdir, capsys, monkeypatch
     # 2*sigma opened views.
     lanes = []
     replay = mpc.out_messages
-    monkeypatch.setattr(mpc, "out_messages", lambda c, views: lanes.append(len(views))
-                        or replay(c, views))
+    monkeypatch.setattr(mpc, "out_messages", lambda c, x, views: lanes.append(len(views))
+                        or replay(c, x, views))
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
                 "--verbose"]) == 0
     assert lanes == [8]
@@ -178,13 +178,33 @@ VERIFY = ["verify", "--statement", "s.st"]
     ["prove", "--statement", "s.st", "--witness", "absent.wit", "--out", "p.bin",
      "--reps", "0"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--reps", "0"],
+    # A socket takes no timeout above about 9.2e9 seconds.
+    PROVE + ["--mode", "session", "--connect", "127.0.0.1:9", "--timeout", "1e300"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--timeout", "1e10"],
+    # --seed is checked before any file is read or port bound.
+    ["prove", "--statement", "s.st", "--witness", "absent.wit", "--out", "p.bin",
+     "--seed", "-1", "--insecure-seed"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--seed", "-1", "--insecure-seed"],
+    ["bench", "--quick", "--seed", "-1"],
 ], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
         "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out",
-        "prove-reps-zero", "verify-reps-zero"])
+        "prove-reps-zero", "verify-reps-zero", "timeout-1e300", "timeout-1e10",
+        "prove-seed-negative", "verify-seed-negative", "bench-seed-negative"])
 def test_usage_errors_exit_2(workdir, args):
     done = run_cli(workdir, args)
     assert done.returncode == 2, done.stdout + done.stderr
     assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", ["s.st", "w.wit", "c.arith"])
+def test_non_utf8_file_exit_2(workdir, name):
+    """A statement, witness or circuit file that is not UTF-8 text is a
+    validation error, not a crash."""
+    path = workdir / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    done = run_cli(workdir, PROVE + ["--out", "p.bin"])
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert f"{name} is not UTF-8 text" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_pedersen_scheme_round_trip(workdir):

@@ -57,14 +57,13 @@ def test_cheater_views_differ_only_in_doctored_slots(m11):
     cheater = harness.OneBadPairCheater(s, w_guess, (2, 4), rng)
     from mith import mpc
     c = s.circuit
-    oms = mpc.out_messages(c, cheater.views)
+    sent = mpc.out_messages(c, s.public_inputs, cheater.views)
     for (i, j) in pr.PARTY_PAIRS:
-        ok = mpc.consistent_views(
-            c, s.public_inputs, cheater.views[i - 1], cheater.views[j - 1], i, j,
-            oms[i - 1], oms[j - 1])
+        ok = mpc.consistent_views(c, cheater.views[i - 1], cheater.views[j - 1], i, j,
+                                  sent[i - 1], sent[j - 1])
         assert ok == ((i, j) != (2, 4))
     for i in range(1, 6):
-        assert mpc.local_output(c, i, cheater.views[i - 1], oms[i - 1]) == s.target
+        assert mpc.local_output(c, cheater.views[i - 1]) == s.target
 
 
 def test_cheater_rejects_satisfiable_statement(m11):

@@ -330,16 +330,14 @@ def test_out_messages_cross_check_honest(m11, rng):
     for s, w in golden_corpus(m11, 5):
         c = s.circuit
         res, _, _ = honest_run(s, w, rng)
-        oms = dict(zip(PARTY_IDS, mpc.out_messages(c, res.views)))
+        sent = dict(zip(PARTY_IDS, mpc.out_messages(c, s.public_inputs, res.views)))
         for i in PARTY_IDS:
             v = res.views[i - 1]
             for j in PARTY_IDS:
                 if i == j:
                     continue
-                om = oms[j]
-                assert [col[j - 1] for col in v.messages] == [row[i - 1] for row in om.mul]
-                assert v.zin[j - 1] == om.open_z[i - 1]
-                assert v.bcast[j - 1] == om.open_bcast
+                assert (list(mpc.program(c).cols.decode(sent[j][i - 1]))
+                        == [col[j - 1] for col in v.messages] + [v.zin[j - 1], v.bcast[j - 1]])
 
 
 def test_out_messages_message_free_circuit(m11, rng):
@@ -348,17 +346,17 @@ def test_out_messages_message_free_circuit(m11, rng):
                       "(add 2 (sinput 0) (const 1 5))")
     s = Statement(c, (), m11.element(0))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    (om,) = mpc.out_messages(c, res.views[:1])
-    assert om.mul == ()
-    assert len(om.open_z) == 5
+    (sent,) = mpc.out_messages(c, (), res.views[:1])
+    # Each party gets the zero share and the broadcast share only.
+    assert [len(b) for b in sent] == [2] * 5
 
 
 def test_out_messages_deterministic(m11, rng):
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    a = mpc.out_messages(c, [res.views[1]])
-    b = mpc.out_messages(c, [res.views[1]])
+    a = mpc.out_messages(c, (), [res.views[1]])
+    b = mpc.out_messages(c, (), [res.views[1]])
     assert a == b
 
 
@@ -382,27 +380,23 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
             mpc.make_view(c, base, **fields)
     # A view of another circuit, or anything that is not a view.
     malformed = [other, bytes(v), v.messages]
-    (om,) = mpc.out_messages(c, [v])
+    (sent,) = mpc.out_messages(c, (), [v])
     # Malformed views in a batch leave the replay of the others unchanged.
-    assert mpc.out_messages(c, malformed + [v]) == [None] * len(malformed) + [om]
-    assert mpc.local_output(c, 1, other, mpc.out_messages(c, [other])[0]) is None
+    assert mpc.out_messages(c, (), malformed + [v]) == [None] * len(malformed) + [sent]
 
 
 def test_local_output_matches_protocol_outputs(m11, rng):
     for s, w in golden_corpus(m11, 6):
         res, _, _ = honest_run(s, w, rng)
-        oms = mpc.out_messages(s.circuit, res.views)
         for i in PARTY_IDS:
-            out = mpc.local_output(s.circuit, i, res.views[i - 1], oms[i - 1])
-            assert out == res.outputs[i - 1]
+            assert mpc.local_output(s.circuit, res.views[i - 1]) == res.outputs[i - 1]
 
 
 def test_local_output_identity_circuit(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(7))
     res, _, _ = honest_run(s, Witness((m11.element(7),)), rng)
-    (om,) = mpc.out_messages(c, res.views[2:3])
-    assert mpc.local_output(c, 3, res.views[2], om).value == 7
+    assert mpc.local_output(c, res.views[2]).value == 7
 
 
 def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
@@ -414,17 +408,16 @@ def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
         bc = list(v.bcast)
         bc[slot] = (bc[slot] + 1) % 11
         bad = mpc.make_view(c, v, bcast=bc)
-        (om,) = mpc.out_messages(c, [bad])
-        assert mpc.local_output(c, 1, bad, om) != res.outputs[0]
+        assert mpc.local_output(c, bad) != res.outputs[0]
 
 
 def test_consistent_views_rejects_same_party(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(1))
     res, _, _ = honest_run(s, Witness((m11.element(1),)), rng)
-    (om,) = mpc.out_messages(c, res.views[:1])
+    (sent,) = mpc.out_messages(c, s.public_inputs, res.views[:1])
     with pytest.raises(MithError):
-        mpc.consistent_views(c, s.public_inputs, res.views[0], res.views[0], 1, 1, om, om)
+        mpc.consistent_views(c, res.views[0], res.views[0], 1, 1, sent, sent)
 
 
 def test_consistent_views_public_input_mismatch(rng):
@@ -434,25 +427,30 @@ def test_consistent_views_public_input_mismatch(rng):
     s = Statement(c, (m.element(5),), m.element(8))
     res, _, _ = honest_run(s, Witness((m.element(3),)), rng)
     other_x = (m.element(6),)
-    om_1, om_2 = mpc.out_messages(c, res.views[:2])
-    assert not mpc.consistent_views(
-        c, other_x, res.views[0], res.views[1], 1, 2, om_1, om_2)
+    sent = mpc.out_messages(c, other_x, res.views[:2])
+    assert sent == [None, None]
+    assert not mpc.consistent_views(c, res.views[0], res.views[1], 1, 2, *sent)
 
 
 @pytest.mark.parametrize("p", [97, 131, 2**256 - 189])
-def test_out_messages_lanes_with_different_public_inputs(p, rng):
-    """Views of statements with different public inputs replay as lanes
-    of one pass, each smul scaled by its own view's scalar (a mul inside
-    the scalar subtree of pinput 0), as they do one view at a time."""
+def test_out_messages_view_with_other_public_inputs(p, rng):
+    """A view that carries other public inputs than the statement's
+    replays to None, and the other views of its batch replay to the bytes
+    they replay to without it (the smul scalar is a mul inside the scalar
+    subtree of pinput 0)."""
     m = Modulus(p)
     c = parse_circuit(f"field {p}\ntopology 1 1 4\n"
                       "(add 4 (smul 2 (mul 1 (pinput 0) (pinput 0)) (sinput 0)) (const 3 5))")
-    views = []
-    for x in (2, 3, 4):
+    views = {}
+    for x in (2, 3):
         s = Statement(c, (m.element(x),), m.zero())
         res, _, _ = honest_run(s, Witness((m.element(7),)), rng)
-        views += [mpc.decode_view(c, bytes(v)) for v in res.views]
-    assert mpc.out_messages(c, views) == [mpc.out_messages(c, [v])[0] for v in views]
+        views[x] = [mpc.decode_view(c, bytes(v)) for v in res.views]
+    x = (m.element(3),)
+    alone = mpc.out_messages(c, x, views[3])
+    assert None not in alone and all_pairs_consistent(c, x, views[3])
+    batch = views[3][:2] + [views[2][2]] + views[3][2:]
+    assert mpc.out_messages(c, x, batch) == alone[:2] + [None] + alone[2:]
 
 
 def bump(v, m):
@@ -474,10 +472,9 @@ def test_flipped_message_breaks_touched_pairs_only(m11, rng):
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     bad = flip_mul_message(c, res.views[0], slot=3)
     views = [bad] + list(res.views[1:])
-    oms = mpc.out_messages(c, views)
+    sent = mpc.out_messages(c, s.public_inputs, views)
     for (i, j) in PARTY_PAIRS:
-        ok = mpc.consistent_views(c, s.public_inputs, views[i - 1], views[j - 1], i, j,
-                                  oms[i - 1], oms[j - 1])
+        ok = mpc.consistent_views(c, views[i - 1], views[j - 1], i, j, sent[i - 1], sent[j - 1])
         assert ok == (1 not in (i, j))
 
 
@@ -488,12 +485,11 @@ def test_own_slot_tampering_detected(m11, rng):
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     bad = flip_mul_message(c, res.views[2], slot=2)  # view 3, own slot
-    om_bad, *oms = mpc.out_messages(c, [bad, *res.views])
+    sent_bad, *sent = mpc.out_messages(c, s.public_inputs, [bad, *res.views])
     for j in PARTY_IDS:
         if j == 3:
             continue
-        assert not mpc.consistent_views(
-            c, s.public_inputs, bad, res.views[j - 1], 3, j, om_bad, oms[j - 1])
+        assert not mpc.consistent_views(c, bad, res.views[j - 1], 3, j, sent_bad, sent[j - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +497,9 @@ def test_own_slot_tampering_detected(m11, rng):
 
 
 def all_pairs_consistent(c, x, views):
-    oms = mpc.out_messages(c, views)
+    sent = mpc.out_messages(c, x, views)
     return all(
-        mpc.consistent_views(c, x, views[i - 1], views[j - 1], i, j, oms[i - 1], oms[j - 1])
+        mpc.consistent_views(c, views[i - 1], views[j - 1], i, j, sent[i - 1], sent[j - 1])
         for (i, j) in PARTY_PAIRS)
 
 
@@ -589,11 +585,10 @@ def test_simulator_output_checks(m11, rng):
             cs = [share_sim(rng, corrupt, m11)
                   for _ in range(c.topology.n_secret)]
             vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs, target, rng)
-            om_i, om_j = mpc.out_messages(c, [vi, vj])
-            assert mpc.consistent_views(
-                c, s.public_inputs, vi, vj, corrupt[0], corrupt[1], om_i, om_j)
-            assert mpc.local_output(c, corrupt[0], vi, om_i) == target
-            assert mpc.local_output(c, corrupt[1], vj, om_j) == target
+            sent_i, sent_j = mpc.out_messages(c, s.public_inputs, [vi, vj])
+            assert mpc.consistent_views(c, vi, vj, corrupt[0], corrupt[1], sent_i, sent_j)
+            assert mpc.local_output(c, vi) == target
+            assert mpc.local_output(c, vj) == target
 
 
 def test_simulator_rejects_equal_corrupt_parties(m11, rng):
@@ -857,6 +852,7 @@ def test_shared_program_across_threads():
     m = Modulus(101)
     c = parse_circuit("field 101\ntopology 1 1 4\n"
                       "(add 4 (smul 2 (add 1 (pinput 0) (pinput 0)) (sinput 0)) (const 3 5))")
+    prog = mpc.program(c)
     errors = []
 
     def worker(x: int):
@@ -867,8 +863,10 @@ def test_shared_program_across_threads():
         try:
             for _ in range(200):
                 res, _, _ = honest_run(s, w, rng)
-                (om,) = mpc.out_messages(c, res.views[:1])
-                if res.outputs[0] != want or mpc.local_output(c, 1, res.views[0], om) != want:
+                # Party 1's replay sends it what its view recorded from itself.
+                (sent,) = mpc.out_messages(c, s.public_inputs, res.views[:1])
+                if (res.outputs[0] != want or mpc.local_output(c, res.views[0]) != want
+                        or sent[0] != bytes(prog.received[0](res.views[0]))):
                     errors.append(x)
         except Exception as e:  # reported by the assertion below
             errors.append(e)

@@ -16,13 +16,14 @@ from mith import protocol as pr
 from mith import session as ses
 from mith.circuit import Statement, Witness, parse_circuit
 from mith.commit import scheme_by_name
-from mith.corpus import golden_corpus
+from mith.corpus import golden_corpus, random_instance
 from mith.errors import MithError, ProofError, SimulationFailure
 from mith.field import Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 from mith.sss import PARTY_PAIRS
 
 from test_field import chi2_uniform
+from test_golden import SMUL_OVER_MUL
 
 PRF = scheme_by_name("prf")
 
@@ -169,6 +170,20 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.CommitmentMsg(tuple(coms)), ch,
                                               pr.Response((bad_view, key), resp.second)))
+
+
+@pytest.mark.parametrize("p, scheme_name", [(101, "prf"), (2**256 - 189, "pedersen")])
+def test_proof_checked_against_other_public_input_fails_every_check(p, scheme_name):
+    """An honest proof of SMUL_OVER_MUL, whose smul scalar is a mul of
+    pinput 0, checked against the same circuit and target with another
+    public input: every repetition's views replay to None, so every check
+    fails, while the derived challenges still match the commitments."""
+    c = parse_circuit(SMUL_OVER_MUL.replace("field 101", f"field {p}"))
+    s, w = random_instance(random.Random(5), c)
+    proof = pr.prove_repeated(w, s, 6, RandomSource(16), scheme_by_name(scheme_name, p))
+    assert pr.verify_repeated(s, proof)
+    other = Statement(c, (s.public_inputs[0] + c.modulus.one(),), s.target)
+    assert pr.check_repetitions(other, proof) == [(True, False)] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from mith import protocol as pr
 from mith import session as ses
 from mith.circuit import Statement
-from mith.corpus import golden_corpus
+from mith.corpus import bench_circuit_a, golden_corpus, random_instance
 from mith.errors import SessionError
 from mith.field import RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
@@ -230,6 +230,23 @@ def test_malformed_frame_abort_tells_peer(m11, case):
     assert int.from_bytes(frame.payload[:2], "big") == ses.ERR_BAD_FRAME == 2
     if "version" in case:
         assert "unsupported protocol version" in str(error)
+
+
+def test_unencodable_frame_is_reported_to_peer(monkeypatch):
+    """A side that cannot encode its own frame (a sigma=10 bench_a COMMIT
+    over a 1000-byte cap) sends ERROR with ERR_INTERNAL before raising;
+    an ERROR frame over the cap is dropped, not reported in turn."""
+    monkeypatch.setattr(ses, "MAX_PAYLOAD", 1000)
+    s, w = random_instance(random.Random(1), bench_circuit_a())
+    out = run_session(s, w, 10)
+    assert "exceeds the 1000-byte cap" in str(out["prover_error"])
+    assert "peer error 4" in str(out["verifier_error"])
+    ta, tb = pair()
+    ses._send_error(ta, ses.ERR_INTERNAL, "x" * 1000)
+    ta.close()
+    with pytest.raises(SessionError, match="closed mid-frame"):
+        ses.decode_frame(tb)
+    tb.close()
 
 
 def test_dropped_challenge_times_out(m11):
