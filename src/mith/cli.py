@@ -72,10 +72,11 @@ def _load_statement(args) -> Statement:
     return parse_statement(stmt_text, circuit)
 
 
-def _rng_from(args) -> RandomSource:
+def _seed(args) -> int | None:
+    """--seed, once --insecure-seed acknowledges it."""
     if args.seed is not None and not args.insecure_seed:
         raise MithError("--seed requires --insecure-seed (test use only)")
-    return RandomSource(args.seed)
+    return args.seed
 
 
 def _endpoint(spec: str) -> tuple[str, int]:
@@ -116,7 +117,7 @@ def cmd_prove(args) -> int:
     s = _load_statement(args)
     w = parse_witness(_read(args.witness), s.circuit)
     scheme = scheme_by_name(args.scheme, s.circuit.modulus.p)
-    rng = _rng_from(args)
+    rng = RandomSource(_seed(args))
     import time
     t0 = time.perf_counter()
     if args.mode == "session":
@@ -151,7 +152,7 @@ def cmd_verify(args) -> int:
             print("error: session mode needs --listen host:port", file=sys.stderr)
             return EXIT_USAGE
         from mith import session as session_mod
-        rng = _rng_from(args)
+        rng = RandomSource(_seed(args))
         transport = session_mod.listen_once(*args.listen, args.timeout)
         try:
             verdict = session_mod.verifier_session(transport, s, args.reps, rng)
@@ -168,29 +169,24 @@ def cmd_verify(args) -> int:
     except MithError as e:
         print(f"reject: malformed proof: {e}")
         return EXIT_REJECT
+    # One pass: the printed checks are the ones the verdict reads.
+    checks = proto.check_repetitions(s, proof)
     if args.verbose:
-        # One pass: the printed checks are the ones the verdict reads.
         print(f"statement hash match: {proof.stmt_hash == statement_hash(s)}")
-        checks = proto.check_repetitions(s, proof)
         for k, (t, (ch_ok, ok)) in enumerate(zip(proof.transcripts, checks)):
             print(f"  repetition {k}: challenge {t.challenge} "
                   f"check={'ok' if ok else 'FAIL'} "
                   f"challenge-source={'ok' if ch_ok else 'FAIL'}")
-        verdict = proto.accepts(s, proof, checks)
-    else:
-        verdict = proto.verify_repeated(s, proof)
     print(f"reps={proof.reps} security_bits={proto.derived_security_bits(proof.reps):.1f}")
+    verdict = proto.accepts(s, proof, checks)
     print("accept" if verdict else "reject")
     return EXIT_OK if verdict else EXIT_REJECT
 
 
 def cmd_selftest(args) -> int:
-    rng_seed = args.seed
-    if rng_seed is not None and not args.insecure_seed:
-        raise MithError("--seed requires --insecure-seed (test use only)")
     scale = 0.05 if args.quick else 1.0
     from mith import harness
-    reports = harness.run_all(seed=rng_seed, scale=scale)
+    reports = harness.run_all(seed=_seed(args), scale=scale)
     for r in reports:
         print(r.line())
     if args.json:

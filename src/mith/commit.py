@@ -167,13 +167,16 @@ def __getattr__(name: str):
 # View-level scheme objects used by the proof protocol.  A commitment and
 # an opening are the bytes that proof files and frames carry: PRF's are
 # the digest and the key, Pedersen's the group element and the blinder,
-# each big-endian in its fixed width.  Both schemes commit to the view's
+# each big-endian in the width the scheme fixes (`commitment_length`,
+# `opening_length`).  Both schemes commit to the view's
 # canonical byte encoding, which is the view itself (`mpc.View`).
 
 
 class PrfScheme:
     name = "prf"
     scheme_byte = 0x01
+    commitment_length = DIGEST_LEN
+    opening_length = PRF_KEY_LEN
 
     def keygen(self, rng: RandomSource) -> bytes:
         return self.serialize_opening(rng.bytes(PRF_KEY_LEN))
@@ -188,16 +191,16 @@ class PrfScheme:
         return digest
 
     def parse_commitment(self, data: bytes) -> bytes:
-        if len(data) != DIGEST_LEN:
-            raise MithError("PRF commitment must be 32 bytes")
+        if len(data) != self.commitment_length:
+            raise MithError(f"PRF commitment must be {self.commitment_length} bytes")
         return data
 
     def serialize_opening(self, key: bytes) -> bytes:
         return key
 
     def parse_opening(self, data: bytes) -> bytes:
-        if len(data) != PRF_KEY_LEN:
-            raise MithError("PRF opening must be 32 bytes")
+        if len(data) != self.opening_length:
+            raise MithError(f"PRF opening must be {self.opening_length} bytes")
         return data
 
 
@@ -211,7 +214,8 @@ class PedersenScheme:
             raise MithError("Pedersen group order must exceed 2^256 to commit "
                             "to a SHA-256 digest")
         self.params = params
-        self._blinder_bytes = (params.order.bit_length() + 7) // 8
+        self.commitment_length = params.element_bytes
+        self.opening_length = (params.order.bit_length() + 7) // 8
 
     def keygen(self, rng: RandomSource) -> bytes:
         return self.serialize_opening(rng.randbelow(self.params.order))
@@ -224,7 +228,7 @@ class PedersenScheme:
             element = self._commit(opening, view)
         except MithError:
             return False
-        return element.to_bytes(self.params.element_bytes, "big") == commitment
+        return element.to_bytes(self.commitment_length, "big") == commitment
 
     def _commit(self, key: bytes, view: mpc.View) -> int:
         r = self._blinder(key)
@@ -233,25 +237,25 @@ class PedersenScheme:
 
     def _blinder(self, data: bytes) -> int:
         """The blinder data packs, in one width and below q: one encoding."""
-        if len(data) != self._blinder_bytes:
-            raise MithError(f"Pedersen opening must be {self._blinder_bytes} bytes")
+        if len(data) != self.opening_length:
+            raise MithError(f"Pedersen opening must be {self.opening_length} bytes")
         r = int.from_bytes(data, "big")
         if r >= self.params.order:
             raise MithError("Pedersen blinder not below the group order")
         return r
 
     def serialize_commitment(self, element: int) -> bytes:
-        return element.to_bytes(self.params.element_bytes, "big")
+        return element.to_bytes(self.commitment_length, "big")
 
     def parse_commitment(self, data: bytes) -> bytes:
-        if len(data) != self.params.element_bytes:
-            raise MithError(f"Pedersen commitment must be {self.params.element_bytes} bytes")
+        if len(data) != self.commitment_length:
+            raise MithError(f"Pedersen commitment must be {self.commitment_length} bytes")
         if not 0 < int.from_bytes(data, "big") < self.params.group_prime:
             raise MithError("Pedersen commitment element out of range")
         return data
 
     def serialize_opening(self, blinder: int) -> bytes:
-        return blinder.to_bytes(self._blinder_bytes, "big")
+        return blinder.to_bytes(self.opening_length, "big")
 
     def parse_opening(self, data: bytes) -> bytes:
         self._blinder(data)

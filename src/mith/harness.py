@@ -136,12 +136,13 @@ class OneBadPairCheater:
             self.views.append(mpc.make_view(c, v, zin=zin, bcast=bcast))
 
     def commit(self, rng: RandomSource,
-               reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
+               reps: int) -> tuple[list[proto.ProverState], list[bytes]]:
         states, msgs = [], []
         for _ in range(reps):
             keys = tuple([self.scheme.keygen(rng) for _ in self.views])
             states.append(proto.ProverState(tuple(self.views), keys))
-            msgs.append(proto.CommitmentMsg(tuple(map(self.scheme.commit_view, keys, self.views))))
+            msgs.append(proto.serialize_commitment_msg(
+                list(map(self.scheme.commit_view, keys, self.views))))
         return states, msgs
 
     def passes(self, ch: tuple[int, int]) -> bool:
@@ -166,12 +167,12 @@ class GarbageCheater:
         self._zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
 
     def commit(self, rng: RandomSource,
-               reps: int) -> tuple[list[proto.ProverState], list[proto.CommitmentMsg]]:
+               reps: int) -> tuple[list[proto.ProverState], list[bytes]]:
         states, msgs = [], []
         for _ in range(reps):
             keys = [self.scheme.keygen(rng) for _ in range(5)]
-            msgs.append(proto.CommitmentMsg(tuple(map(self.scheme.commit_view, keys,
-                                                      [self._zero] * 5))))
+            msgs.append(proto.serialize_commitment_msg(
+                list(map(self.scheme.commit_view, keys, [self._zero] * 5))))
             openings = tuple(self.scheme.keygen(rng) for _ in range(5))
             states.append(proto.ProverState(self.views, openings))
         return states, msgs

@@ -38,21 +38,6 @@ DERIVED_MODE_BYTE = 0x01
 
 
 @dataclass(frozen=True)
-class CommitmentMsg:
-    """Five commitments in party order and data, their wire bytes: joined
-    once (`serialize_commitment_msg`), or the slice a parse consumed."""
-
-    commitments: tuple
-    data: bytes | None = None
-
-    def __post_init__(self):
-        if len(self.commitments) != 5:
-            raise MithError("commitment message needs 5 entries")
-        if self.data is None:
-            object.__setattr__(self, "data", serialize_commitment_msg(self.commitments))
-
-
-@dataclass(frozen=True)
 class Response:
     first: tuple   # (View, opening) for the lower party id
     second: tuple  # (View, opening) for the higher party id
@@ -60,7 +45,7 @@ class Response:
 
 @dataclass(frozen=True)
 class Transcript:
-    commitment: CommitmentMsg
+    commitment: bytes  # the commitment message (`serialize_commitment_msg`)
     challenge: tuple[int, int]
     response: Response
 
@@ -127,15 +112,12 @@ def derive_challenge(stmt_digest: bytes, index: int,
     return PARTY_PAIRS[int.from_bytes(mac, "big") % N_CHALLENGES]
 
 
-def challenge_blobs(msgs: Sequence[CommitmentMsg]) -> list[bytes]:
+def challenge_blobs(msgs: Sequence[bytes]) -> list[bytes]:
     """derive_challenge's commitment blobs for a proof: one SHA-256 over
     every commitment message in repetition order.  A session's CHALLENGE
     frame echoes the same digest of the same bytes.  Each challenge then
     MACs 36 bytes, so deriving all sigma of them is linear in sigma."""
-    h = hashlib.sha256()
-    for cm in msgs:
-        h.update(cm.data)
-    return [h.digest()]
+    return [hashlib.sha256(b"".join(msgs)).digest()]
 
 
 def share_witness(w: Witness, coeffs: Sequence[Sequence[int]], p: int) -> list:
@@ -148,7 +130,7 @@ def share_witness(w: Witness, coeffs: Sequence[Sequence[int]], p: int) -> list:
 
 
 def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
-                       scheme) -> tuple[list[ProverState], list[CommitmentMsg]]:
+                       scheme) -> tuple[list[ProverState], list[bytes]]:
     """The commit phase of sigma independent runs, in repetition order:
     share the witness, run the protocol in the head, commit to the five
     views.  Each repetition draws, in turn, its sharing polynomials (a1,
@@ -169,12 +151,12 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     states, msgs = [], []
     for res, ks in zip(mpc.run_protocol(s, share_witness(w, coeffs, p), rands), keys):
         states.append(ProverState(res.views, ks))
-        msgs.append(CommitmentMsg(tuple(map(scheme.commit_view, ks, res.views))))
+        msgs.append(serialize_commitment_msg(list(map(scheme.commit_view, ks, res.views))))
     return states, msgs
 
 
 def respond_repetitions(s: Statement, states: Sequence[ProverState],
-                        msgs: Sequence[CommitmentMsg], rng: RandomSource, scheme,
+                        msgs: Sequence[bytes], rng: RandomSource, scheme,
                         mode: str) -> Proof:
     """The challenge and response phases for a commit phase (states,
     msgs).  Challenges are hash-derived from all commitments, or in
@@ -223,8 +205,8 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
         (vi, oi), (vj, oj) = t.response.first, t.response.second
         try:
             ok = (sent_i is not None and sent_j is not None
-                  and scheme.verify_view(vi, t.commitment.commitments[i - 1], oi)
-                  and scheme.verify_view(vj, t.commitment.commitments[j - 1], oj)
+                  and scheme.verify_view(vi, commitment_of(t.commitment, i), oi)
+                  and scheme.verify_view(vj, commitment_of(t.commitment, j), oj)
                   and mpc.consistent_views(c, vi, vj, i, j, sent_i, sent_j)
                   and mpc.local_output(c, vi) == s.target
                   and mpc.local_output(c, vj) == s.target)
@@ -252,7 +234,7 @@ def verify_repeated(s: Statement, proof: Proof) -> bool:
 
 
 def zk_simulate_once(s: Statement, rng: RandomSource,
-                     scheme=None) -> tuple[tuple[int, int], CommitmentMsg, ProverState]:
+                     scheme=None) -> tuple[tuple[int, int], bytes, ProverState]:
     """One witness-free simulator attempt with a uniform challenge guess:
     (guess, commitments, state).  The commitments hold real simulated
     views for the guessed pair and the all-zero view elsewhere; the state
@@ -270,13 +252,13 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
                                                   s.target, rng)
     zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
     keys = [scheme.keygen(rng) for _ in PARTY_IDS]
-    coms = tuple(map(scheme.commit_view, keys, [zero if v is None else v for v in views]))
+    coms = list(map(scheme.commit_view, keys, [zero if v is None else v for v in views]))
     openings = tuple(None if v is None else k for v, k in zip(views, keys))
-    return guess, CommitmentMsg(coms), ProverState(tuple(views), openings)
+    return guess, serialize_commitment_msg(coms), ProverState(tuple(views), openings)
 
 
 def zk_simulate(s: Statement,
-                verifier: Callable[[Statement, CommitmentMsg], tuple[int, int]],
+                verifier: Callable[[Statement, bytes], tuple[int, int]],
                 max_retries: int = 1000, rng: RandomSource | None = None,
                 scheme=None) -> Transcript:
     """Rejection sampling: retry with fresh randomness until the verifier's
@@ -296,58 +278,64 @@ def zk_simulate(s: Statement,
 # ---------------------------------------------------------------------------
 # Block codec and proof file.  A proof file is: magic, scheme byte,
 # challenge-mode byte (always DERIVED_MODE_BYTE), sigma (4-byte BE),
-# statement hash, then per repetition 5 length-prefixed commitments, a
-# challenge byte (index into the lexicographic pair order) and two
-# (view, opening) blocks, each a length-prefixed view (its elements only,
-# `mpc.View`) and a length-prefixed opening.  A session's COMMIT
-# and RESPONSE payloads are the same blocks without the rest.
+# statement hash, then one block per repetition: 5 length-prefixed
+# commitments, a challenge byte (index into the lexicographic pair order)
+# and two (view, opening) blocks, each a length-prefixed view (its
+# elements only, `mpc.View`) and a length-prefixed opening.  The circuit
+# and the scheme fix every length (`block_lengths`), so blocks are cut at
+# fixed offsets and a prefix must state the length it stands before.  A
+# session's COMMIT and RESPONSE payloads are the same blocks without the
+# rest.
+
+HEADER_LENGTH = 43
 
 
 def _lp(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
 
-class Reader:
-    """Length-checked reads over a proof file or frame payload (`what`)."""
+def _field(block: bytes, pos: int, n: int) -> bytes:
+    """The n bytes after the length prefix at pos, which must state n."""
+    if block[pos:pos + 4] != n.to_bytes(4, "big"):
+        raise ProofError(f"length prefix at block byte {pos} does not state {n}")
+    return block[pos + 4:pos + 4 + n]
 
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.pos = 0
-        self.what = what
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ProofError(f"truncated {self.what}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+def block_lengths(c: Circuit, scheme) -> tuple[int, int]:
+    """Bytes of one commitment message and of one response."""
+    return (5 * (4 + scheme.commitment_length),
+            2 * (8 + mpc.encoded_view_length(c) + scheme.opening_length))
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
 
-    def lp(self) -> bytes:
-        """A 4-byte length, then that many bytes."""
-        data, start = self.data, self.pos + 4
-        end = start + int.from_bytes(data[self.pos:start], "big")
-        if end > len(data):
-            raise ProofError(f"truncated {self.what}")
-        self.pos = end
-        return data[start:end]
-
-    def end(self) -> None:
-        if self.pos != len(self.data):
-            raise ProofError(f"trailing bytes after {self.what}")
+def split_blocks(data: bytes, size: int, n: int, what: str) -> list[bytes]:
+    """data as n blocks of size bytes; data of any other length is malformed."""
+    if len(data) < size * n:
+        raise ProofError(f"truncated {what}")
+    if len(data) > size * n:
+        raise ProofError(f"trailing bytes after {what}")
+    return [data[k:k + size] for k in range(0, len(data), size)]
 
 
 def serialize_commitment_msg(commitments: Sequence[bytes]) -> bytes:
-    """A commitment message's wire bytes; `CommitmentMsg` keeps them."""
+    """A commitment message: five commitments in party order, each
+    length-prefixed."""
+    if len(commitments) != 5:
+        raise MithError("commitment message needs 5 entries")
     return b"".join([_lp(com) for com in commitments])
 
 
-def read_commitment_msg(rd: Reader, scheme) -> CommitmentMsg:
-    start = rd.pos
-    coms = tuple([scheme.parse_commitment(rd.lp()) for _ in PARTY_IDS])
-    return CommitmentMsg(coms, rd.data[start:rd.pos])
+def read_commitment_msg(block: bytes, scheme) -> bytes:
+    """The commitment message a block holds, once each commitment parses."""
+    n = scheme.commitment_length
+    for pos in range(0, 5 * (4 + n), 4 + n):
+        scheme.parse_commitment(_field(block, pos, n))
+    return block
+
+
+def commitment_of(msg: bytes, party: int) -> bytes:
+    """party's commitment, sliced out of a commitment message."""
+    n = len(msg) // 5
+    return msg[(party - 1) * n + 4:party * n]
 
 
 def serialize_response_block(view: mpc.View, opening: bytes) -> bytes:
@@ -360,9 +348,11 @@ def serialize_response(r: Response) -> bytes:
     return serialize_response_block(*r.first) + serialize_response_block(*r.second)
 
 
-def read_response(rd: Reader, c: Circuit, scheme) -> Response:
-    return Response(*[(mpc.decode_view(c, rd.lp()), scheme.parse_opening(rd.lp()))
-                      for _ in range(2)])
+def read_response(block: bytes, c: Circuit, scheme) -> Response:
+    v, o = mpc.encoded_view_length(c), scheme.opening_length
+    return Response(*[(mpc.decode_view(c, _field(block, pos, v)),
+                       scheme.parse_opening(_field(block, pos + 4 + v, o)))
+                      for pos in (0, 8 + v + o)])
 
 
 def serialize_proof(proof: Proof, c: Circuit) -> bytes:
@@ -373,38 +363,35 @@ def serialize_proof(proof: Proof, c: Circuit) -> bytes:
     parts = [MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
              proof.reps.to_bytes(4, "big"), proof.stmt_hash]
     for t in proof.transcripts:
-        parts += (t.commitment.data,
-                  bytes([PARTY_PAIRS.index(t.challenge)]),
+        parts += (t.commitment, bytes([PARTY_PAIRS.index(t.challenge)]),
                   serialize_response(t.response))
     return b"".join(parts)
 
 
 def parse_proof(data: bytes, c: Circuit) -> Proof:
-    rd = Reader(data, "proof")
-    magic = rd.take(5)
-    if magic != MAGIC:
-        if magic[:4] == MAGIC[:4]:
+    if len(data) < HEADER_LENGTH:
+        raise ProofError("truncated proof")
+    if data[:5] != MAGIC:
+        if data[:4] == MAGIC[:4]:
             raise ProofError(
-                f"unsupported proof version {magic.decode('ascii', 'replace')}; "
+                f"unsupported proof version {data[:5].decode('ascii', 'replace')}; "
                 f"this build reads {MAGIC.decode()}")
         raise ProofError("bad proof magic")
-    scheme = scheme_by_byte(rd.take(1)[0], c.modulus.p)
-    mode_b = rd.take(1)[0]
-    if mode_b != DERIVED_MODE_BYTE:
+    scheme = scheme_by_byte(data[5], c.modulus.p)
+    if data[6] != DERIVED_MODE_BYTE:
         raise ProofError(
-            f"challenge-mode byte {mode_b:#04x} rejected: proof files carry only "
+            f"challenge-mode byte {data[6]:#04x} rejected: proof files carry only "
             f"derived challenges ({DERIVED_MODE_BYTE:#04x}), since recorded "
             "ones would be chosen by the prover")
-    reps = rd.u32()
+    reps = int.from_bytes(data[7:11], "big")
     if reps < 1:
         raise ProofError("proof has no repetitions")
-    digest = rd.take(32)
+    cm_len, resp_len = block_lengths(c, scheme)
     transcripts = []
-    for _ in range(reps):
-        cm = read_commitment_msg(rd, scheme)
-        ch_idx = rd.take(1)[0]
-        if ch_idx >= N_CHALLENGES:
-            raise ProofError(f"challenge byte {ch_idx} out of range")
-        transcripts.append(Transcript(cm, PARTY_PAIRS[ch_idx], read_response(rd, c, scheme)))
-    rd.end()
-    return Proof(scheme.name, "derived", digest, tuple(transcripts))
+    for block in split_blocks(data[HEADER_LENGTH:], cm_len + 1 + resp_len, reps, "proof"):
+        cm = read_commitment_msg(block[:cm_len], scheme)
+        if block[cm_len] >= N_CHALLENGES:
+            raise ProofError(f"challenge byte {block[cm_len]} out of range")
+        transcripts.append(Transcript(cm, PARTY_PAIRS[block[cm_len]],
+                                      read_response(block[cm_len + 1:], c, scheme)))
+    return Proof(scheme.name, "derived", data[11:HEADER_LENGTH], tuple(transcripts))

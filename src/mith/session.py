@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import socket
+import time
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -69,23 +70,28 @@ def encode_frame(f: Frame) -> bytes:
 
 
 class Transport:
-    """Ordered reliable byte stream with a deadline; binds to a socket."""
+    """Ordered reliable byte stream over a socket.  Each send_all and each
+    recv_exactly must finish within timeout seconds of its call."""
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         self._sock = sock
-        self._sock.settimeout(timeout)
+        self._timeout = timeout
 
     def send_all(self, data: bytes) -> None:
         try:
+            self._sock.settimeout(self._timeout)
             self._sock.sendall(data)
         except OSError as e:
             raise SessionError(f"send failed: {e}", "transport") from None
 
     def recv_exactly(self, n: int) -> bytes:
+        deadline = time.monotonic() + self._timeout
         chunks = []
         got = 0
         while got < n:
             try:
+                # A peer that sends a byte at a time cannot stretch the read.
+                self._sock.settimeout(max(deadline - time.monotonic(), 1e-6))
                 chunk = self._sock.recv(n - got)
             except socket.timeout:
                 raise SessionError("timed out waiting for peer", "transport") from None
@@ -185,7 +191,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
         raise SessionError("peer acknowledged different parameters", "hello")
 
     states, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
-    commit_payload = b"".join([cm.data for cm in msgs])
+    commit_payload = b"".join(msgs)
     _send(transport, MSG_COMMIT, commit_payload)
 
     ch_payload = _expect(transport, MSG_CHALLENGE, "challenge")
@@ -240,10 +246,10 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
 
     commit_payload = _expect(transport, MSG_COMMIT, "commit")
     commit_digest = hashlib.sha256(commit_payload).digest()
-    rd = proto.Reader(commit_payload, "commit payload")
+    cm_len, resp_len = proto.block_lengths(c, scheme)
     try:
-        msgs = [proto.read_commitment_msg(rd, scheme) for _ in range(reps)]
-        rd.end()
+        msgs = [proto.read_commitment_msg(block, scheme) for block in
+                proto.split_blocks(commit_payload, cm_len, reps, "commit payload")]
     except MithError:
         # Malformed proof data: finish the session with a reject verdict.
         _send(transport, MSG_CHALLENGE, commit_digest + bytes(reps))
@@ -256,12 +262,11 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
     _send(transport, MSG_CHALLENGE, commit_digest + bytes(challenge_idx))
 
     resp_payload = _expect(transport, MSG_RESPONSE, "response")
-    rd = proto.Reader(resp_payload, "response payload")
     try:
+        blocks = proto.split_blocks(resp_payload, resp_len, reps, "response payload")
         transcripts = tuple(
-            proto.Transcript(cm, PARTY_PAIRS[b], proto.read_response(rd, c, scheme))
-            for cm, b in zip(msgs, challenge_idx))
-        rd.end()
+            proto.Transcript(cm, PARTY_PAIRS[b], proto.read_response(block, c, scheme))
+            for cm, b, block in zip(msgs, challenge_idx, blocks))
     except MithError:
         verdict = False
     else:

@@ -359,7 +359,7 @@ def test_criterion_10_session_equivalence():
             ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, digest))
             ses._read_hello(ta)
             states, cms = cheater.commit(rng, 2)
-            ses._send(ta, ses.MSG_COMMIT, b"".join([cm.data for cm in cms]))
+            ses._send(ta, ses.MSG_COMMIT, b"".join(cms))
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
             blocks = []
             for r in range(2):

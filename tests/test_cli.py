@@ -143,7 +143,7 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     body = []
     for st, cm in zip(*cheater.commit(rng, reps)):
         resp = pr.prover_respond(st, ch)
-        body += [cm.data, bytes([pr.PARTY_PAIRS.index(ch)]),
+        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]),
                  pr.serialize_response(resp)]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)

@@ -184,7 +184,7 @@ def check_against_reference(c, scheme_name, reps, seed):
             for st in states] == [[tuple(v) for v in vs] for vs in views]
     assert [[bytes(v) for v in st.views] for st in states] == [
         [reference_encoding(c, v) for v in vs] for vs in views]
-    assert [list(cm.commitments) for cm in msgs] == coms
+    assert msgs == [pr.serialize_commitment_msg(cs) for cs in coms]
     assert [list(st.openings) for st in states] == openings
     proof = pr.prove_repeated(w, s, reps, RandomSource(label), scheme)
     assert pr.serialize_proof(proof, c) == data

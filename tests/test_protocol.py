@@ -20,7 +20,7 @@ from mith.corpus import golden_corpus, random_instance
 from mith.errors import MithError, ProofError, SimulationFailure
 from mith.field import Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
-from mith.sss import PARTY_PAIRS
+from mith.sss import PARTY_IDS, PARTY_PAIRS
 
 from test_field import chi2_uniform
 from test_golden import SMUL_OVER_MUL
@@ -52,10 +52,16 @@ def test_honest_single_run_accepts(m11, rng):
 def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
     (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
-    assert len(cm.commitments) == 5
-    c = s.circuit
-    for q in range(5):
-        assert PRF.verify_view(st.views[q], cm.commitments[q], st.openings[q])
+    assert len(cm) == 5 * (4 + PRF.commitment_length)
+    assert cm == pr.serialize_commitment_msg([pr.commitment_of(cm, q) for q in PARTY_IDS])
+    for q in PARTY_IDS:
+        assert PRF.verify_view(st.views[q - 1], pr.commitment_of(cm, q), st.openings[q - 1])
+
+
+def test_commitment_msg_needs_five_entries():
+    for n in (4, 6):
+        with pytest.raises(MithError, match="needs 5 entries"):
+            pr.serialize_commitment_msg([b"\x00" * 32] * n)
 
 
 def test_commit_phase_deterministic_under_fixed_rand(m11):
@@ -71,14 +77,14 @@ def test_commitments_fresh_across_rand_draws(m11):
     seen = set()
     for _ in range(1000):
         _, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
-        seen.add(cm.commitments[0])
+        seen.add(pr.commitment_of(cm, 1))
     assert len(seen) == 1000
 
 
 def test_challenge_uniform_chi_square(m11):
     rng = RandomSource(7)
     s, w = golden_corpus(m11, 1)[0]
-    cm = pr.CommitmentMsg((b"\x00" * 32,) * 5)
+    cm = pr.serialize_commitment_msg([b"\x00" * 32] * 5)
     counts = [0] * 10
     for ch in drawn_challenges(s, [cm] * 100_000, rng):
         counts[PARTY_PAIRS.index(ch)] += 1
@@ -88,8 +94,8 @@ def test_challenge_uniform_chi_square(m11):
 
 def test_challenge_ignores_commitment_content(m11):
     s, _ = golden_corpus(m11, 1)[0]
-    c1 = pr.CommitmentMsg((b"\x00" * 32,) * 5)
-    c2 = pr.CommitmentMsg((b"\xff" * 32,) * 5)
+    c1 = pr.serialize_commitment_msg([b"\x00" * 32] * 5)
+    c2 = pr.serialize_commitment_msg([b"\xff" * 32] * 5)
     ch1 = drawn_challenges(s, [c1], RandomSource(8))
     ch2 = drawn_challenges(s, [c2], RandomSource(8))
     assert ch1 == ch2
@@ -133,7 +139,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
     (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
-    committed = cm.commitments[0]
+    committed = pr.commitment_of(cm, 1)
     blob = bytearray(st.views[0])
     rnd = random.Random(99)
     wins = decoded = 0
@@ -166,9 +172,9 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     bad_view = mpc.make_view(c, v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
     key = PRF.keygen(rng)
-    coms = list(t.commitment.commitments)
+    coms = [pr.commitment_of(t.commitment, q) for q in PARTY_IDS]
     coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
-    assert not pr.verify_repeated(s, recorded(s, pr.CommitmentMsg(tuple(coms)), ch,
+    assert not pr.verify_repeated(s, recorded(s, pr.serialize_commitment_msg(coms), ch,
                                               pr.Response((bad_view, key), resp.second)))
 
 
@@ -458,6 +464,73 @@ def test_mith1_header_rejected(m11):
         pr.parse_proof(b"MITH1" + data[5:], s.circuit)
 
 
+def test_short_header_is_truncated_before_magic(m11):
+    """Anything shorter than the 43-byte header is a truncated proof,
+    whatever its first bytes say."""
+    s, w = golden_corpus(m11, 1)[0]
+    data = pr.serialize_proof(pr.prove_repeated(w, s, 1, RandomSource(31)), s.circuit)
+    for short in (b"", b"MITH", b"MITH1", b"NOPE!", data[:42]):
+        with pytest.raises(ProofError, match="^truncated proof$"):
+            pr.parse_proof(short, s.circuit)
+
+
+# ---------------------------------------------------------------------------
+# Length-shift mutants: one byte moved across a field boundary, both
+# length prefixes rewritten, so that the total length stays the same
+
+
+def lp(b: bytes) -> bytes:
+    return len(b).to_bytes(4, "big") + b
+
+
+def field_shifts(data: bytes, start: int, lengths):
+    """Each copy of data in which one byte crosses the boundary between
+    two neighbouring fields of the length-prefixed run at start (field
+    lengths in order): the first byte of the later field joins the
+    earlier one, or the last byte of the earlier joins the later."""
+    pos = start
+    for n_a, n_b in zip(lengths, lengths[1:]):
+        assert data[pos:pos + 4] == n_a.to_bytes(4, "big")
+        a = data[pos + 4:pos + 4 + n_a]
+        end = pos + 8 + n_a + n_b
+        b = data[end - n_b:end]
+        for a2, b2 in ((a + b[:1], b[1:]), (a[:-1], a[-1:] + b)):
+            yield data[:pos] + lp(a2) + lp(b2) + data[end:]
+        pos += 4 + n_a
+
+
+def block_shifts(data: bytes, c, scheme, start: int, commitments: bool, responses: bool):
+    """field_shifts over the commitment message and the response that
+    begin a block at start; a proof repetition has a challenge byte
+    between them."""
+    vl, ol = mpc.encoded_view_length(c), scheme.opening_length
+    if commitments:
+        yield from field_shifts(data, start, [scheme.commitment_length] * 5)
+        start += 5 * (4 + scheme.commitment_length) + responses
+    if responses:
+        yield from field_shifts(data, start, [vl, ol, vl, ol])
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_length_shift_mutants_are_malformed(m11, scheme_name):
+    s, w = golden_corpus(m11, 1)[0]
+    c = s.circuit
+    scheme = scheme_by_name(scheme_name, m11.p)
+    reps = 3
+    data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(38), scheme), c)
+    size = (len(data) - pr.HEADER_LENGTH) // reps
+    assert size == sum(pr.block_lengths(c, scheme)) + 1
+    mutants = [m for r in (0, reps - 1)
+               for m in block_shifts(data, c, scheme, pr.HEADER_LENGTH + r * size, True, True)]
+    assert len(mutants) == 2 * 2 * (4 + 3)
+    mutants += [data[:7] + (reps + d).to_bytes(4, "big") + data[11:] for d in (-1, 1)]
+    for mutant in mutants:
+        assert len(mutant) == len(data) and mutant != data
+        with pytest.raises(ProofError):
+            pr.parse_proof(mutant, c)
+    assert pr.verify_repeated(s, pr.parse_proof(data, c))
+
+
 def test_round_trip_encodes_each_view_once(m11, monkeypatch):
     """PRF prove, serialize, parse and verify: one encode_view call, on
     the prover side, builds all 5 * reps views; commitments and the proof
@@ -520,7 +593,7 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in view.bcast)),
                 mpc.make_view(c, view, randomness=view.randomness[::-1])):
         assert new != view
-        assert not PRF.verify_view(new, t.commitment.commitments[t.challenge[0] - 1], opening)
+        assert not PRF.verify_view(new, pr.commitment_of(t.commitment, t.challenge[0]), opening)
         assert not pr.verify_repeated(s, opened_as(new))
     assert pr.verify_repeated(s, opened_as(mpc.make_view(c, view)))
 
@@ -543,7 +616,7 @@ def test_altered_view_cannot_open_the_original_commitment():
                  for v in cheater.views]
     rng = RandomSource(36)
     keys = [rng.bytes(32) for _ in committed]
-    cm = pr.CommitmentMsg(tuple(map(PRF.commit_view, keys, committed)))
+    cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, committed)))
     opened = [mpc.make_view(c, v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
     resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
@@ -665,7 +738,7 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
             return com
 
     (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
-    assert [com for _, com in committed] == list(cm.commitments)
+    assert [com for _, com in committed] == [pr.commitment_of(cm, q) for q in PARTY_IDS]
     for pid, (view, _) in enumerate(committed, 1):
         if pid in (i, j):
             assert view is st.views[pid - 1] and st.openings[pid - 1] is not None

@@ -4,18 +4,21 @@ import hashlib
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from mith import protocol as pr
 from mith import session as ses
 from mith.circuit import Statement
+from mith.commit import scheme_by_name
 from mith.corpus import bench_circuit_a, golden_corpus, random_instance
 from mith.errors import SessionError
 from mith.field import RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 
 from test_field import chi2_uniform
+from test_protocol import block_shifts
 
 
 def pair(timeout=5.0):
@@ -273,6 +276,124 @@ def test_dropped_challenge_times_out(m11):
     tb.close()
 
 
+def test_dripping_peer_cannot_stretch_a_read():
+    """The timeout bounds a whole recv_exactly, not each recv: 8 bytes
+    sent 0.3 s apart against a 0.5-s timeout time out within 1.5 s."""
+    a, b = socket.socketpair()
+    tb = ses.Transport(b, 0.5)
+    stop = threading.Event()
+
+    def drip():
+        for _ in range(8):
+            if stop.wait(0.3):
+                return
+            a.send(b"\x00")
+
+    th = threading.Thread(target=drip)
+    th.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(SessionError, match="timed out waiting for peer"):
+            tb.recv_exactly(8)
+        assert time.monotonic() - t0 < 1.5
+    finally:
+        stop.set()
+        th.join()
+        a.close()
+        tb.close()
+
+
+def test_dripped_commit_frame_times_out(m11):
+    """A prover that starts its COMMIT frame a byte every 0.2 s, each byte
+    within the verifier's 0.5-s timeout, ends the session with a
+    transport SessionError within 1.5 s."""
+    s, w = golden_corpus(m11, 1)[0]
+    _, msgs = pr.commit_repetitions(w, s, 2, RandomSource(2), scheme_by_name("prf"))
+    a, b = socket.socketpair()
+    ta, tb = ses.Transport(a, 5), ses.Transport(b, 0.5)
+    out = {}
+
+    def verifier():
+        try:
+            out["verdict"] = ses.verifier_session(tb, s, 2, RandomSource(1))
+        except SessionError as e:
+            out["error"], out["at"] = e, time.monotonic()
+
+    th = threading.Thread(target=verifier)
+    th.start()
+    try:
+        ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, pr.statement_hash(s)))
+        ses._read_hello(ta)
+        t0 = time.monotonic()
+        for byte in ses.encode_frame(ses.Frame(ses.MSG_COMMIT, b"".join(msgs)))[:10]:
+            if not th.is_alive():
+                break
+            a.send(bytes([byte]))
+            time.sleep(0.2)
+    finally:
+        th.join(5)
+        ta.close()
+        tb.close()
+    assert not th.is_alive() and "verdict" not in out
+    assert out["error"].phase == "transport" and "timed out" in str(out["error"])
+    assert out["at"] - t0 < 1.5
+
+
+def shifted_session(s, scheme, states, msgs, target, k):
+    """A session whose prover speaks the wire protocol directly and sends
+    length-shift mutant k (`block_shifts`) of its COMMIT or RESPONSE
+    payload, as target says; returns the verifier's verdict and the
+    RESULT payload the prover reads."""
+    c = s.circuit
+    reps = len(msgs)
+    sizes = dict(zip((ses.MSG_COMMIT, ses.MSG_RESPONSE), pr.block_lengths(c, scheme)))
+
+    def mutate(msg_type, payload):
+        if msg_type != target:
+            return payload
+        mutants = [m for r in range(reps) for m in block_shifts(
+            payload, c, scheme, r * sizes[target], target == ses.MSG_COMMIT,
+            target == ses.MSG_RESPONSE)]
+        return mutants[k]
+
+    ta, tb = pair()
+    out = {}
+    th = threading.Thread(target=lambda: out.update(
+        verdict=ses.verifier_session(tb, s, reps, RandomSource(k))))
+    th.start()
+    try:
+        ses._send(ta, ses.MSG_HELLO, ses._hello_payload(
+            scheme.scheme_byte, reps, pr.statement_hash(s)))
+        ses._read_hello(ta)
+        ses._send(ta, ses.MSG_COMMIT, mutate(ses.MSG_COMMIT, b"".join(msgs)))
+        chs = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")[32:]
+        ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, b"".join(
+            pr.serialize_response(pr.prover_respond(st, pr.PARTY_PAIRS[b]))
+            for st, b in zip(states, chs))))
+        result = ses._expect(ta, ses.MSG_RESULT, "result")
+    finally:
+        th.join(10)
+        ta.close()
+        tb.close()
+    return out.get("verdict"), result
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_length_shift_mutants_in_session_reject(m11, scheme_name):
+    """The proof file's length-shift mutants, in a live COMMIT or
+    RESPONSE payload, end in the verifier's verdict False."""
+    s, w = golden_corpus(m11, 1)[0]
+    scheme = scheme_by_name(scheme_name, m11.p)
+    reps = 2
+    states, msgs = pr.commit_repetitions(w, s, reps, RandomSource(39), scheme)
+    assert shifted_session(s, scheme, states, msgs, None, 0) == (True, b"\x01")
+    # Per repetition: 4 commitment boundaries, or 3 response boundaries,
+    # each crossed in both directions.
+    for target, count in ((ses.MSG_COMMIT, reps * 4 * 2), (ses.MSG_RESPONSE, reps * 3 * 2)):
+        for k in range(count):
+            assert shifted_session(s, scheme, states, msgs, target, k) == (False, b"\x00")
+
+
 def test_cheating_prover_session_rate(m11):
     """The canonical cheater drives live sessions at the 9/10 rate."""
     s, w_guess = canonical_false_statement(m11)
@@ -294,7 +415,7 @@ def test_cheating_prover_session_rate(m11):
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
         ses._read_hello(ta)
         (st,), (cm,) = cheater.commit(rng, 1)
-        ses._send(ta, ses.MSG_COMMIT, cm.data)
+        ses._send(ta, ses.MSG_COMMIT, cm)
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
         resp = pr.prover_respond(st, ch)
