@@ -173,8 +173,8 @@ def cmd_verify(args) -> int:
     checks = proto.check_repetitions(s, proof)
     if args.verbose:
         print(f"statement hash match: {proof.stmt_hash == statement_hash(s)}")
-        for k, (t, (ch_ok, ok)) in enumerate(zip(proof.transcripts, checks)):
-            print(f"  repetition {k}: challenge {t.challenge} "
+        for k, (ch, (ch_ok, ok)) in enumerate(zip(proof.challenges, checks)):
+            print(f"  repetition {k}: challenge {proto.PARTY_PAIRS[ch]} "
                   f"check={'ok' if ok else 'FAIL'} "
                   f"challenge-source={'ok' if ch_ok else 'FAIL'}")
     print(f"reps={proof.reps} security_bits={proto.derived_security_bits(proof.reps):.1f}")
@@ -201,7 +201,8 @@ def cmd_selftest(args) -> int:
 
 def cmd_bench(args) -> int:
     from mith import bench as bench_mod
-    rng = RandomSource(args.seed if args.seed is not None else 7)
+    seed = _seed(args)
+    rng = RandomSource(7 if seed is None else seed)
     rows = bench_mod.standard_bench(rng, quick=args.quick)
     print(bench_mod.format_rows(rows))
     if not all(r.accepted for r in rows):

@@ -26,7 +26,7 @@ from itertools import accumulate, repeat
 from typing import Sequence
 
 from mith import mpc
-from mith.errors import MithError
+from mith.errors import MithError, ProofError
 from mith.field import RandomSource, is_probable_prime
 
 PRF_KEY_LEN = 32
@@ -192,7 +192,7 @@ class PrfScheme:
 
     def parse_commitment(self, data: bytes) -> bytes:
         if len(data) != self.commitment_length:
-            raise MithError(f"PRF commitment must be {self.commitment_length} bytes")
+            raise ProofError(f"PRF commitment must be {self.commitment_length} bytes")
         return data
 
     def serialize_opening(self, key: bytes) -> bytes:
@@ -200,8 +200,12 @@ class PrfScheme:
 
     def parse_opening(self, data: bytes) -> bytes:
         if len(data) != self.opening_length:
-            raise MithError(f"PRF opening must be {self.opening_length} bytes")
+            raise ProofError(f"PRF opening must be {self.opening_length} bytes")
         return data
+
+    def parse_fields(self, commitments, openings) -> None:
+        """Nothing to check: every byte string of the widths a proof's
+        blocks are cut at is a digest or a key."""
 
 
 class PedersenScheme:
@@ -238,10 +242,10 @@ class PedersenScheme:
     def _blinder(self, data: bytes) -> int:
         """The blinder data packs, in one width and below q: one encoding."""
         if len(data) != self.opening_length:
-            raise MithError(f"Pedersen opening must be {self.opening_length} bytes")
+            raise ProofError(f"Pedersen opening must be {self.opening_length} bytes")
         r = int.from_bytes(data, "big")
         if r >= self.params.order:
-            raise MithError("Pedersen blinder not below the group order")
+            raise ProofError("Pedersen blinder not below the group order")
         return r
 
     def serialize_commitment(self, element: int) -> bytes:
@@ -249,9 +253,9 @@ class PedersenScheme:
 
     def parse_commitment(self, data: bytes) -> bytes:
         if len(data) != self.commitment_length:
-            raise MithError(f"Pedersen commitment must be {self.commitment_length} bytes")
+            raise ProofError(f"Pedersen commitment must be {self.commitment_length} bytes")
         if not 0 < int.from_bytes(data, "big") < self.params.group_prime:
-            raise MithError("Pedersen commitment element out of range")
+            raise ProofError("Pedersen commitment element out of range")
         return data
 
     def serialize_opening(self, blinder: int) -> bytes:
@@ -260,6 +264,14 @@ class PedersenScheme:
     def parse_opening(self, data: bytes) -> bytes:
         self._blinder(data)
         return data
+
+    def parse_fields(self, commitments, openings) -> None:
+        """ProofError unless every commitment is an element in (0, P) and
+        every opening a blinder below q."""
+        for com in commitments:
+            self.parse_commitment(com)
+        for opening in openings:
+            self.parse_opening(opening)
 
 
 # Every field commits in the 257-bit group, so modulus_p goes unread.
@@ -276,4 +288,4 @@ def scheme_by_byte(b: int, modulus_p: int | None = None):
         return PrfScheme()
     if b == PedersenScheme.scheme_byte:
         return PedersenScheme(_bench_group_257())
-    raise MithError(f"unknown commitment scheme byte {b:#x}")
+    raise ProofError(f"unknown commitment scheme byte {b:#x}")

@@ -212,6 +212,7 @@ class ByteColumns:
         self._red = bytes(v % p for v in range(256))     # v mod p
         self._high = bytes(256 * v % p for v in range(256))  # 256 v mod p
         self._nonzero = bytes([0] + [255] * 255)
+        self._residues = bytes(range(p))
         self._times: dict[int, bytes] = {}
         g = _generator(p)
         powers = [pow(g, e, p) for e in range(p - 1)]
@@ -269,6 +270,12 @@ class ByteColumns:
     def column(data, off: int, stride: int) -> bytes:
         return data[off::stride]
 
+    encoded_column = column
+
+    def below_p(self, data) -> bool:
+        """Whether every value encoded in data is below p: one pass."""
+        return not data.translate(None, self._residues)
+
     def add(self, x: bytes, y: bytes) -> bytes:
         if self.narrow:
             return (_little(x) + _little(y)).to_bytes(len(x), "little").translate(self._red)
@@ -311,6 +318,7 @@ class IntColumns:
     def __init__(self, p: int):
         self.p = p
         self.width = (p.bit_length() + 7) // 8
+        self._p_bytes = p.to_bytes(self.width, "big")
 
     def const(self, v: int, n: int) -> list[int]:
         return [v] * n
@@ -337,12 +345,22 @@ class IntColumns:
         for t in range(w):
             buf[off + t::stride] = data[t::w]
 
-    def column(self, data, off: int, stride: int) -> list[int]:
+    def encoded_column(self, data, off: int, stride: int) -> bytearray:
+        """The values at data[off], data[off + stride], ..., still
+        encoded: width bytes each."""
         w = self.width
         b = bytearray(len(data) // stride * w)
         for t in range(w):
             b[t::w] = data[off + t::stride]
-        return self.decode(b)
+        return b
+
+    def column(self, data, off: int, stride: int) -> list[int]:
+        return self.decode(self.encoded_column(data, off, stride))
+
+    def below_p(self, data) -> bool:
+        """Big-endian encodings of one width compare as their values."""
+        w = self.width
+        return max([data[k:k + w] for k in range(0, len(data), w)], default=b"") < self._p_bytes
 
     def add(self, x, y) -> list[int]:
         p = self.p

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from mith import mpc
 from mith import protocol as proto
-from mith.circuit import Statement, Witness, statement_hash
+from mith.circuit import Statement, Witness
 from mith.commit import prf_commit, prf_verify, scheme_by_name
 from mith.corpus import golden_corpus, impossible_statement, square_plus_one_circuit
 from mith.errors import MithError
@@ -199,8 +199,8 @@ def run_soundness(cheater, trials: int, rng: RandomSource,
         states, msgs = cheater.commit(rng, reps)
         proof = proto.respond_repetitions(s, states, msgs, rng, cheater.scheme, "transcript")
         checks = proto.check_repetitions(s, proof)
-        exact = exact and all(ok == cheater.passes(t.challenge)
-                              for t, (_, ok) in zip(proof.transcripts, checks))
+        exact = exact and all(ok == cheater.passes(PARTY_PAIRS[ch])
+                              for ch, (_, ok) in zip(proof.challenges, checks))
         wins += proto.accepts(s, proof, checks)
     detail = f"reps={reps}" + (cheater.claim if exact else ", PER-TRIAL MISMATCH")
     rep = ExperimentReport(f"soundness(reps={reps})", trials, wins, bound, tolerance,
@@ -226,12 +226,12 @@ def canonical_false_statement(m: Modulus | None = None) -> tuple[Statement, Witn
 def run_zk(s: Statement, w: Witness, distinguisher: Callable,
            trials: int, rng: RandomSource, scheme=None,
            tolerance: float | None = None) -> ExperimentReport:
-    """Feed the distinguisher real or simulated transcripts on a balanced
-    coin schedule; its advantage |rate - 1/2| must stay within tolerance."""
+    """Feed the distinguisher real or simulated one-repetition proofs on a
+    balanced coin schedule; its advantage |rate - 1/2| must stay within
+    tolerance."""
     scheme = scheme or scheme_by_name("prf")
     if tolerance is None:
         tolerance = binomial_tolerance(0.5, trials)
-    digest = statement_hash(s)
 
     def honest_verifier(s_, cm_):
         return PARTY_PAIRS[rng.randbelow(proto.N_CHALLENGES)]
@@ -242,25 +242,24 @@ def run_zk(s: Statement, w: Witness, distinguisher: Callable,
         if real:
             proof = proto.prove_repeated(w, s, 1, rng, scheme, "transcript")
         else:
-            tr = proto.zk_simulate(s, honest_verifier, rng=rng, scheme=scheme)
-            proof = proto.Proof(scheme.name, "transcript", digest, (tr,))
+            proof = proto.zk_simulate(s, honest_verifier, rng=rng, scheme=scheme)
         verdict = proto.verify_repeated(s, proof)
-        guess_real = distinguisher(s, verdict, proof.transcripts[0])
+        guess_real = distinguisher(s, verdict, proof)
         correct += (guess_real == real)
     return ExperimentReport(f"zk({getattr(distinguisher, 'label', 'D')})",
                             trials, correct, 0.5, tolerance)
 
 
-def challenge_only_distinguisher(s, verdict, tr) -> bool:
+def challenge_only_distinguisher(s, verdict, proof) -> bool:
     """Sees only the challenge; its marginals are identical in both worlds."""
-    return PARTY_PAIRS.index(tr.challenge) % 2 == 0
+    return proof.challenges[0] % 2 == 0
 
 
 challenge_only_distinguisher.label = "challenge-only"
 
 
-def validity_distinguisher(s, verdict, tr) -> bool:
-    """Claims "real" exactly when the transcript passes verification, the
+def validity_distinguisher(s, verdict, proof) -> bool:
+    """Claims "real" exactly when the proof passes verification, the
     one observable a simulator failure would break."""
     return verdict
 
@@ -268,9 +267,9 @@ def validity_distinguisher(s, verdict, tr) -> bool:
 validity_distinguisher.label = "validity"
 
 
-def byte_histogram_distinguisher(s, verdict, tr) -> bool:
+def byte_histogram_distinguisher(s, verdict, proof) -> bool:
     """Parity-of-popcount over the opened views' encodings."""
-    blob = tr.response.first[0] + tr.response.second[0]
+    blob = proto.opened_views(s.circuit, proof)
     bits = sum(bin(b).count("1") for b in blob)
     return bits % 2 == 0
 

@@ -12,14 +12,11 @@ wire slots, the list of multiplications that exchange messages, the
 public scalar subtrees of the smul gates, and the element counts of a
 view.  One interpreter runs the ops: every wire is a lane column
 (`field.columns`: one byte per lane over a field below 256, else a list
-of ints), and at each messaging multiplication and at the
-refresh an exchange supplies the columns the lanes received.  The
-prover (`run_protocol`) runs a lane per party and repetition and
-reshares with the drawn randomness; the verifier's replay
-(`out_messages`) runs a lane per opened view against the statement's
-public inputs, reshares with the view's randomness and receives what the
-view recorded; the simulator (`mpc_simulate`) runs the two corrupt
-parties and draws the honest parties' messages.
+of ints), and at each messaging multiplication and at the refresh an
+exchange supplies the columns the lanes received.  The prover
+(`run_protocol`) runs a lane per party and repetition and reshares with
+the drawn randomness; the simulator (`mpc_simulate`) runs the two
+corrupt parties and draws the honest parties' messages.
 
 A party's view is flat: its public inputs, its input shares, its
 randomness ((a1, a2) per messaging multiplication in ascending gate-id
@@ -28,27 +25,27 @@ messaging multiplication in post-order, and at the opening both the
 incoming zero-share contributions (`zin`) and the broadcast refreshed
 output shares (`bcast`).  Every entry is an int in [0, p), and a view's
 canonical encoding is exactly these entries in this order, each
-fixed-width big-endian.  `out_messages` recomputes what a party sent
-to each party from its view and the statement's public inputs, as the
-bytes the recipient's view records; pairwise consistency compares those
-bytes with what the other view recorded.
+fixed-width big-endian.  A view is its encoding: `View` is a `bytes`
+subclass that also names its program and decodes its six fields from
+its bytes whenever they are read.  Only `run_protocol` (through
+`encode_view`, one strided slice assignment per element column of one
+buffer), `decode_view` and `make_view` build views, each checking what
+it builds.
 
-A view is its canonical encoding: `View` is a `bytes` subclass that
-also names its program, and its six fields are decoded from its bytes
-whenever they are read.  Only `run_protocol` (through `encode_view`),
-`decode_view` and `make_view` build views, each checking what it builds,
-so every view is well formed for its program.  `run_protocol` writes
-the element columns of all its views into one buffer, one strided slice
-assignment per column, and cuts each view from its row.  The verifier
-joins the opened views, slices them back into element columns, and
-compares what views recorded with what replays sent as byte strings.
+The verifier never builds a view: it joins the opened views' bytes, one
+row each, and checks them in passes over element columns, every view
+at once.  `out_messages` replays a lane per row against the statement's
+public inputs, resharing with the row's randomness and receiving what
+it recorded, and returns what the lanes sent each party as one buffer
+per recipient; `consistent_views` compares those buffers with what the
+rows recorded, with lane masks; `local_output` recombines every row's
+broadcast in one linear combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter
 from typing import Sequence
 
 from mith.errors import MithError, ProofError
@@ -56,7 +53,7 @@ from mith.field import FieldElement, RandomSource, columns, lagrange_weights
 from mith.circuit import (
     Circuit, Statement, gate_values, mul_gate_ids, scalar_marks,
 )
-from mith.sss import PARTY_IDS, dot5
+from mith.sss import PARTY_IDS, PARTY_PAIRS
 
 # Op codes.  An op is (code, dst, a, b, r): dst = a + b; dst = scalar[a] * b;
 # or dst = a * b through the multiplication with randomness rank r.
@@ -129,16 +126,9 @@ class Program:
         # Element index range of each view field, in encoding order.
         ends = (self.n_public, self.n_in, o3, o4, o4 + 5, o4 + 10)
         self.fields = dict(zip(VIEW_FIELDS, zip((0, *ends), ends)))
-        # Byte ranges of the public inputs and of the broadcast (the
-        # encoding's end), and per sender b+1 the byte positions of what a
-        # view recorded from it: its column entry at each messaging
-        # multiplication, its zin and its bcast.
-        self.pubs = slice(0, self.n_public * w)
-        self.bcast = slice(L - 5 * w, L)
-        self.received = tuple(
-            itemgetter(*[j * w + t for j in [*range(o3 + b, o4 + 5, 5), o4 + 5 + b]
-                         for t in range(w)])
-            for b in range(5))
+        # Per sender b+1, the element index of each slot a view records
+        # from it: its entry at each messaging multiplication, zin, bcast.
+        self.received = tuple((*range(o3 + b, o4 + 5, 5), o4 + 5 + b) for b in range(5))
 
     def scalars(self, public_inputs: Sequence[int]) -> tuple[int, ...]:
         """Values of the smul scalar subtrees, cached for the last statement."""
@@ -304,40 +294,36 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
 
 
 def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
-    """Whether each entry is a view of c's program.  Building a view
-    checked its shape and ranges, so none is checked again."""
+    """Whether each entry is a view of c's program (checked when built)."""
     prog = program(c)
     return [isinstance(v, View) and v.prog is prog for v in views]
 
 
 def out_messages(c: Circuit, x: Sequence[FieldElement],
-                 views: Sequence[View]) -> list[tuple[bytes, ...] | None]:
-    """What each view's party sent to parties 1..5, recomputed from that
-    view and the public inputs x, each encoded as its recipient's view
-    records it (`Program.received`): the column entry at each messaging
-    multiplication, the zero share, the broadcast share.  None for a view
-    that is malformed or carries other public inputs than x.  The other
-    views run as the lanes of one pass: their rows are joined and sliced
-    into element columns, and each lane reshares with its own randomness
-    and receives the columns it recorded."""
+                 rows: bytes) -> tuple[list[bool], list[bytes]]:
+    """(ok, to) for the views rows joins, one row and lane each: to[a] is
+    what every lane's party sent party a+1, recomputed from its view and
+    the public inputs x, as one encoded column per slot of the
+    recipient's record (`Program.received`).  ok[k] is False for a row
+    with an element out of range or other public inputs than x, which
+    replays as the all-zero view."""
     prog = program(c)
+    F, L = prog.cols, prog.view_length
+    if not rows or len(rows) % L:
+        raise MithError(f"views are rows of {L} bytes")
     pubs = tuple(e.value for e in x)
-    xs = prog.cols.encode(pubs)
-    ok = [good and v[prog.pubs] == xs for v, good in zip(views, valid_view(c, views))]
-    rows = [v for v, good in zip(views, ok) if good]
-    if not rows:
-        return [None] * len(views)
-    F, w = prog.cols, prog.width
-    n = len(rows)
-    data = b"".join(rows)
-    del rows
-    cols = [F.column(data, off, prog.view_length) for off in prog.offsets]
+    n, xs = len(rows) // L, F.encode(pubs)
+    ok = [True] * n
+    if not (F.below_p(rows) and all(rows[t::L] == xs[t:t + 1] * n for t in range(len(xs)))):
+        cut = [rows[k:k + L] for k in range(0, len(rows), L)]
+        ok = [v.startswith(xs) and F.below_p(v) for v in cut]
+        rows = b"".join([v if good else bytes(L) for v, good in zip(cut, ok)])
+    cols = [F.column(rows, off, L) for off in prog.offsets]
     inputs = cols[:prog.n_in]
     rc = cols[prog.n_in:prog.n_in + prog.n_rand]
-    o3 = prog.n_in + prog.n_rand
     # The recorded columns at each messaging multiplication, then zin.
-    recorded = [cols[k:k + 5] for k in range(o3, o3 + 5 * prog.n_mul + 5, 5)]
-    del cols, data
+    recorded = [cols[k:k + 5] for k in range(prog.n_in + prog.n_rand, prog.n_elements - 5, 5)]
+    del cols
     sent = []
 
     def exchange(d, r):
@@ -345,44 +331,66 @@ def out_messages(c: Circuit, x: Sequence[FieldElement],
         return recorded[len(sent) - 1]
 
     own = _interpret(prog, inputs, prog.scalars(pubs), n, exchange)
-    # to[a]: lane k's record for party a+1 is to[a][k*size:(k+1)*size].
-    size = (prog.n_mul + 2) * w
-    to = []
-    for a in range(5):
-        buf = bytearray(size * n)
-        for m, row in enumerate(sent):
-            F.place(buf, m * w, size, row[a])
-        F.place(buf, size - w, size, own)
-        to.append(bytes(buf))
-    replays = iter([tuple(t[k:k + size] for t in to) for k in range(0, size * n, size)])
-    return [next(replays) if good else None for good in ok]
+    return ok, [b"".join([*[F.encode(row[a]) for row in sent], F.encode(own)]) for a in range(5)]
 
 
-def local_output(c: Circuit, v: View) -> FieldElement:
-    """The protocol output that view v recorded: its broadcast,
-    recombined.  Only meaningful once `consistent_views` has accepted v,
-    which requires v's own broadcast slot to be its replayed share."""
+def local_output(c: Circuit, rows: bytes, target: FieldElement) -> list[bool]:
+    """Whether each view of rows recorded target as output, its broadcast
+    recombined.  Only meaningful once `consistent_views` has accepted the
+    view, which requires its own broadcast slot to be its replayed share."""
     prog = program(c)
-    bcast = prog.cols.decode(v[prog.bcast])
-    return FieldElement(dot5(prog.lam, bcast, prog.p), c.modulus)
+    F = prog.cols
+    y = F.lincomb(prog.lam, [F.column(rows, off, prog.view_length) for off in prog.offsets[-5:]])
+    return [v == target.value for v in y]
 
 
-def consistent_views(c: Circuit, vi: View, vj: View, i: int, j: int,
-                     sent_i: tuple[bytes, ...] | None, sent_j: tuple[bytes, ...] | None) -> bool:
-    """Pairwise view consistency for distinct parties i and j, given what
-    each sent by `out_messages`: each view recorded what its own party
-    and the other party sent it, as byte strings of the views' encodings.
-    """
-    if i == j:
-        raise MithError("consistency is defined for distinct parties")
-    if sent_i is None or sent_j is None:
-        return False
+# Lane e of the pair of views opened for challenge byte b has key 2b + e
+# (`_KEY[e]` maps b to it); _PARTY[q] maps a key to 0xFF where the
+# lane's view is party q+1's.
+_KEY = [bytes((2 * b + e) & 255 for b in range(256)) for e in (0, 1)]
+_PARTY = [bytes(255 * (pair[e] == q) for pair in PARTY_PAIRS for e in (0, 1)).ljust(256, b"\0")
+          for q in PARTY_IDS]
+
+
+def consistent_views(c: Circuit, rows: bytes, challenges: bytes, to: Sequence[bytes]) -> list[bool]:
+    """Per pair k of the views rows joins (lanes 2k and 2k+1, the lower
+    and the higher party of pair challenges[k]), whether each view
+    recorded, from its own party and from its partner, what that party's
+    replay sent it (to, from `out_messages`).  Each sender's records form
+    one buffer in the layout of to; as big integers, each lane's entries
+    are picked out of the five buffers with lane masks."""
     prog = program(c)
-    got_i, got_j = prog.received[i - 1], prog.received[j - 1]
-    return (bytes(got_i(vi)) == sent_i[i - 1]
-            and bytes(got_j(vj)) == sent_j[j - 1]
-            and bytes(got_j(vi)) == sent_j[i - 1]
-            and bytes(got_i(vj)) == sent_i[j - 1])
+    F, w, L = prog.cols, prog.width, prog.view_length
+    n = 2 * len(challenges)
+    if n * L != len(rows) or max(challenges, default=0) >= len(PARTY_PAIRS):
+        raise MithError("consistency needs two views per challenge byte below 10")
+    keys, lanes = bytearray(n * w), [challenges.translate(k) for k in _KEY]
+    for t in range(w):
+        keys[t::2 * w], keys[w + t::2 * w] = lanes
+    keys = bytes(keys) * len(prog.received[0])
+    even = int.from_bytes((b"\xff" * w + bytes(w)) * (len(keys) // (2 * w)), "little")
+
+    def swap(x: int) -> int:  # each lane's entry moved to its partner lane
+        return (x & even) << 8 * w | (x >> 8 * w) & even
+
+    def pick(bufs, masks) -> int:  # the masks are disjoint: their sum is their union
+        return sum(b & m for b, m in zip(bufs, masks))
+
+    own = [int.from_bytes(keys.translate(m), "little") for m in _PARTY]
+    partner = list(map(swap, own))
+    rec = [int.from_bytes(b"".join([F.encoded_column(rows, j * w, L) for j in js]), "little")
+           for js in prog.received]
+    to = [int.from_bytes(buf, "little") for buf in to]
+    diff = (pick(rec, own) ^ pick(to, own)) | (pick(rec, partner) ^ swap(pick(to, partner)))
+    diff, fails = diff.to_bytes(len(keys), "little"), 0
+    for t in range(2 * w):  # each byte of a pair's two lanes, in every slot
+        fails |= int.from_bytes(diff[t::2 * w], "little")
+    fails, out = fails.to_bytes(len(keys) // (2 * w), "little"), 0
+    for m in range(0, len(fails), n // 2):  # each slot
+        out |= int.from_bytes(fails[m:m + n // 2], "little")
+    return [b == 0 for b in out.to_bytes(n // 2, "little")]
+
+
 # ---------------------------------------------------------------------------
 # 2-privacy simulator
 
@@ -522,6 +530,6 @@ def decode_view(c: Circuit, data: bytes) -> View:
     if len(data) > prog.view_length:
         raise ProofError("trailing bytes after view")
     v = _view(prog, data)
-    if max(prog.cols.decode(v)) >= prog.p:
+    if not prog.cols.below_p(v):
         raise ProofError("view field element exceeds modulus")
     return v

@@ -11,7 +11,12 @@ parallel repetitions take that to (9/10)^sigma.
 Every prover, cheater and simulator here commits sigma repetitions as one
 (states, msgs) pair (`commit_repetitions`); `respond_repetitions` turns
 such a pair into a `Proof`, and `check_repetitions` is the one verifier,
-for proof files, sessions and the security games alike.
+for proof files, sessions and the security games alike.  A `Proof` is
+its bytes: a proof file's sigma fixed-size blocks in one buffer, checked
+in strided passes (`well_formed`) by `parse_proof` and a session.
+`check_repetitions` verifies all sigma repetitions at once: past the
+openings' hashes and the challenges' MACs, one replay, one consistency
+and one output pass over the joined opened views.
 """
 
 from __future__ import annotations
@@ -38,32 +43,24 @@ DERIVED_MODE_BYTE = 0x01
 
 
 @dataclass(frozen=True)
-class Response:
-    first: tuple   # (View, opening) for the lower party id
-    second: tuple  # (View, opening) for the higher party id
-
-
-@dataclass(frozen=True)
-class Transcript:
-    commitment: bytes  # the commitment message (`serialize_commitment_msg`)
-    challenge: tuple[int, int]
-    response: Response
-
-
-@dataclass(frozen=True)
 class Proof:
-    """sigma transcripts.  challenge_mode is "derived" (recomputed from
-    the commitments, the only mode with a file form) or "transcript"
+    """sigma repetitions as a proof file's blocks in one buffer, each a
+    commitment message, a challenge byte (an index into PARTY_PAIRS) and
+    a response (`block_fields`).  challenge_mode is "derived" (recomputed
+    from the commitments, the only mode with a file form) or "transcript"
     (drawn by the verifier holding the proof, in memory only)."""
 
     scheme: str
     challenge_mode: str
     stmt_hash: bytes
-    transcripts: tuple[Transcript, ...]
+    reps: int
+    body: bytes
 
     @property
-    def reps(self) -> int:
-        return len(self.transcripts)
+    def challenges(self) -> bytes:
+        """Each repetition's challenge byte: a strided column of body."""
+        cm_len = 5 * (4 + scheme_by_name(self.scheme).commitment_length)
+        return self.body[cm_len::len(self.body) // self.reps]
 
 
 @dataclass
@@ -72,12 +69,9 @@ class ProverState:
     openings: tuple
 
 
-def prover_respond(st: ProverState, ch: tuple[int, int]) -> Response:
-    i, j = ch
-    return Response(
-        (st.views[i - 1], st.openings[i - 1]),
-        (st.views[j - 1], st.openings[j - 1]),
-    )
+def prover_respond(st: ProverState, ch: tuple[int, int]) -> bytes:
+    """The response to challenge ch: pair ch's (view, opening) blocks."""
+    return b"".join([serialize_response_block(st.views[q - 1], st.openings[q - 1]) for q in ch])
 
 
 def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
@@ -170,8 +164,9 @@ def respond_repetitions(s: Statement, states: Sequence[ProverState],
         chs = [PARTY_PAIRS[rng.randbelow(N_CHALLENGES)] for _ in msgs]
     else:
         raise MithError(f"unknown challenge mode {mode!r}")
-    return Proof(scheme.name, mode, digest, tuple(
-        Transcript(cm, ch, prover_respond(st, ch)) for st, cm, ch in zip(states, msgs, chs)))
+    return Proof(scheme.name, mode, digest, len(msgs), b"".join([
+        part for st, cm, ch in zip(states, msgs, chs)
+        for part in (cm, bytes([PARTY_PAIRS.index(ch)]), prover_respond(st, ch))]))
 
 
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
@@ -188,31 +183,33 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
     transcript-mode challenge was drawn by the verifier holding the proof
     and is taken as recorded; any other must equal the challenge derived
     from the commitments.  The check: openings verify, views pairwise
-    consistent, both outputs hit the target, with every opened view of
-    every repetition validated and replayed against the statement's
-    public inputs in one `out_messages` call.
+    consistent, both outputs hit the target; past the openings, each is
+    one call over the opened views of every repetition (`opened_views`).
     Malformed data yields False, never an exception."""
-    c = s.circuit
-    scheme = scheme_by_name(proof.scheme, c.modulus.p)
-    recorded = proof.challenge_mode == "transcript"
-    if not recorded:
-        blobs = challenge_blobs([t.commitment for t in proof.transcripts])
-    replays = mpc.out_messages(c, s.public_inputs, [
-        v for t in proof.transcripts for v, _ in (t.response.first, t.response.second)])
+    if proof.reps < 1:
+        return []
+    c, scheme = s.circuit, scheme_by_name(proof.scheme, s.circuit.modulus.p)
+    body, chs, fields = proof.body, proof.challenges, block_fields(c, scheme)
+    (cm_len, _), size = block_lengths(c, scheme), len(body) // proof.reps
+    if proof.challenge_mode == "transcript":
+        derived = [PARTY_PAIRS[ch] for ch in chs]
+    else:
+        blobs = challenge_blobs([body[k:k + cm_len] for k in range(0, len(body), size)])
+        derived = [derive_challenge(proof.stmt_hash, r, blobs) for r in range(proof.reps)]
+    rows = opened_views(c, proof)
+    ok, to = mpc.out_messages(c, s.public_inputs, rows)
+    lanes = [a and b for a, b in zip(ok, mpc.local_output(c, rows, s.target))]
+    consistent = mpc.consistent_views(c, rows, chs, to)
+    n, ((vi, vl), (oi, ol), (vj, _), (oj, _)) = scheme.commitment_length, fields[5:]
+    coms = [(fields[i - 1][0], fields[j - 1][0]) for i, j in PARTY_PAIRS]
     checks = []
-    for k, (t, sent_i, sent_j) in enumerate(zip(proof.transcripts, replays[::2], replays[1::2])):
-        i, j = t.challenge
-        (vi, oi), (vj, oj) = t.response.first, t.response.second
-        try:
-            ok = (sent_i is not None and sent_j is not None
-                  and scheme.verify_view(vi, commitment_of(t.commitment, i), oi)
-                  and scheme.verify_view(vj, commitment_of(t.commitment, j), oj)
-                  and mpc.consistent_views(c, vi, vj, i, j, sent_i, sent_j)
-                  and mpc.local_output(c, vi) == s.target
-                  and mpc.local_output(c, vj) == s.target)
-        except MithError:
-            ok = False
-        checks.append((recorded or t.challenge == derive_challenge(proof.stmt_hash, k, blobs), ok))
+    for r, (k, ch) in enumerate(zip(range(0, len(body), size), chs)):
+        (ci, cj), good = coms[ch], lanes[2 * r] and lanes[2 * r + 1] and consistent[r]
+        checks.append((derived[r] == PARTY_PAIRS[ch], good
+                       and scheme.verify_view(body[k + vi:k + vi + vl], body[k + ci:k + ci + n],
+                                              body[k + oi:k + oi + ol])
+                       and scheme.verify_view(body[k + vj:k + vj + vl], body[k + cj:k + cj + n],
+                                              body[k + oj:k + oj + ol])))
     return checks
 
 
@@ -241,11 +238,8 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
     holds None for the parties it cannot open."""
     scheme = scheme or scheme_by_name("prf")
     c = s.circuit
-    m = c.modulus
     guess = PARTY_PAIRS[rng.randbelow(N_CHALLENGES)]
-    corrupt_shares = [
-        share_sim(rng, guess, m) for _ in range(c.topology.n_secret)
-    ]
+    corrupt_shares = [share_sim(rng, guess, c.modulus) for _ in range(c.topology.n_secret)]
     i, j = guess
     views = [None] * 5
     views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
@@ -260,17 +254,20 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
 def zk_simulate(s: Statement,
                 verifier: Callable[[Statement, bytes], tuple[int, int]],
                 max_retries: int = 1000, rng: RandomSource | None = None,
-                scheme=None) -> Transcript:
+                scheme=None) -> Proof:
     """Rejection sampling: retry with fresh randomness until the verifier's
-    challenge matches the guess."""
+    challenge matches the guess; the one-repetition transcript-mode proof
+    that answers it."""
     if max_retries < 1:
         raise MithError("max_retries must be at least 1")
     rng = rng or RandomSource()
+    scheme = scheme or scheme_by_name("prf")
     for _ in range(max_retries):
         guess, cm, st = zk_simulate_once(s, rng, scheme)
         ch = verifier(s, cm)
         if ch == guess:
-            return Transcript(cm, ch, prover_respond(st, ch))
+            return Proof(scheme.name, "transcript", statement_hash(s), 1,
+                         cm + bytes([PARTY_PAIRS.index(ch)]) + prover_respond(st, ch))
     raise SimulationFailure(
         f"challenge guess missed {max_retries} times in a row")
 
@@ -278,14 +275,13 @@ def zk_simulate(s: Statement,
 # ---------------------------------------------------------------------------
 # Block codec and proof file.  A proof file is: magic, scheme byte,
 # challenge-mode byte (always DERIVED_MODE_BYTE), sigma (4-byte BE),
-# statement hash, then one block per repetition: 5 length-prefixed
-# commitments, a challenge byte (index into the lexicographic pair order)
-# and two (view, opening) blocks, each a length-prefixed view (its
-# elements only, `mpc.View`) and a length-prefixed opening.  The circuit
-# and the scheme fix every length (`block_lengths`), so blocks are cut at
-# fixed offsets and a prefix must state the length it stands before.  A
-# session's COMMIT and RESPONSE payloads are the same blocks without the
-# rest.
+# statement hash, then the body: per repetition 5 length-prefixed
+# commitments, a challenge byte (index into the lexicographic pair
+# order) and two (view, opening) blocks, each a length-prefixed view
+# (its elements only, `mpc.View`) and a length-prefixed opening.  The
+# circuit and the scheme fix every length (`block_fields`), so the body
+# is checked in strided columns.  A session's COMMIT and RESPONSE
+# payloads are its commitment messages and responses.
 
 HEADER_LENGTH = 43
 
@@ -294,26 +290,58 @@ def _lp(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
 
-def _field(block: bytes, pos: int, n: int) -> bytes:
-    """The n bytes after the length prefix at pos, which must state n."""
-    if block[pos:pos + 4] != n.to_bytes(4, "big"):
-        raise ProofError(f"length prefix at block byte {pos} does not state {n}")
-    return block[pos + 4:pos + 4 + n]
-
-
 def block_lengths(c: Circuit, scheme) -> tuple[int, int]:
     """Bytes of one commitment message and of one response."""
     return (5 * (4 + scheme.commitment_length),
             2 * (8 + mpc.encoded_view_length(c) + scheme.opening_length))
 
 
-def split_blocks(data: bytes, size: int, n: int, what: str) -> list[bytes]:
-    """data as n blocks of size bytes; data of any other length is malformed."""
-    if len(data) < size * n:
-        raise ProofError(f"truncated {what}")
-    if len(data) > size * n:
-        raise ProofError(f"trailing bytes after {what}")
-    return [data[k:k + size] for k in range(0, len(data), size)]
+def block_fields(c: Circuit, scheme) -> list[tuple[int, int]]:
+    """(offset, length) in a proof block of each field after its length
+    prefix: the five commitments in party order, then (after the
+    challenge byte) the first view and opening, the second view and opening."""
+    out, pos = [], 0
+    v, o = mpc.encoded_view_length(c), scheme.opening_length
+    for k, n in enumerate((scheme.commitment_length,) * 5 + (v, o, v, o)):
+        pos += 4 + (k == 5)
+        out.append((pos, n))
+        pos += n
+    return out
+
+
+def opened_views(c: Circuit, proof: Proof) -> bytes:
+    """The views proof opens, joined: row 2k is repetition k's view of
+    the pair's lower party, row 2k+1 its higher's."""
+    (a, n), _, (b, _), _ = block_fields(c, scheme_by_name(proof.scheme))[5:]
+    body = proof.body
+    return b"".join([body[k + x:k + x + n] for k in range(0, len(body), len(body) // proof.reps)
+                     for x in (a, b)])
+
+
+def well_formed(proof: Proof, c: Circuit) -> Proof:
+    """proof, once its body is proof.reps blocks whose every field
+    parses, else ProofError: its length, each length prefix (one strided
+    comparison per byte), the challenge bytes, the opened views' elements
+    and the scheme's commitments and openings (`parse_fields`)."""
+    scheme = scheme_by_name(proof.scheme, c.modulus.p)
+    fields = block_fields(c, scheme)
+    body, reps, size = proof.body, proof.reps, sum(fields[-1])
+    if len(body) < size * reps:
+        raise ProofError("truncated proof")
+    if len(body) > size * reps:
+        raise ProofError("trailing bytes after proof")
+    for pos, n in fields:
+        prefix = n.to_bytes(4, "big")
+        if any(body[pos - 4 + t::size] != prefix[t:t + 1] * reps for t in range(4)):
+            raise ProofError(f"length prefix at block byte {pos - 4} does not state {n}")
+    if max(proof.challenges) >= N_CHALLENGES:
+        raise ProofError(f"challenge byte {max(proof.challenges)} out of range")
+    if not mpc.program(c).cols.below_p(opened_views(c, proof)):
+        raise ProofError("view field element exceeds modulus")
+    starts = range(0, len(body), size)
+    scheme.parse_fields((body[k + a:k + a + n] for k in starts for a, n in fields[:5]),
+                        (body[k + a:k + a + n] for k in starts for a, n in fields[6::2]))
+    return proof
 
 
 def serialize_commitment_msg(commitments: Sequence[bytes]) -> bytes:
@@ -324,35 +352,10 @@ def serialize_commitment_msg(commitments: Sequence[bytes]) -> bytes:
     return b"".join([_lp(com) for com in commitments])
 
 
-def read_commitment_msg(block: bytes, scheme) -> bytes:
-    """The commitment message a block holds, once each commitment parses."""
-    n = scheme.commitment_length
-    for pos in range(0, 5 * (4 + n), 4 + n):
-        scheme.parse_commitment(_field(block, pos, n))
-    return block
-
-
-def commitment_of(msg: bytes, party: int) -> bytes:
-    """party's commitment, sliced out of a commitment message."""
-    n = len(msg) // 5
-    return msg[(party - 1) * n + 4:party * n]
-
-
 def serialize_response_block(view: mpc.View, opening: bytes) -> bytes:
     """One (view, opening) block: the view's bytes, the ones its PRF
     commitment was computed over, and its opening's."""
     return _lp(view) + _lp(opening)
-
-
-def serialize_response(r: Response) -> bytes:
-    return serialize_response_block(*r.first) + serialize_response_block(*r.second)
-
-
-def read_response(block: bytes, c: Circuit, scheme) -> Response:
-    v, o = mpc.encoded_view_length(c), scheme.opening_length
-    return Response(*[(mpc.decode_view(c, _field(block, pos, v)),
-                       scheme.parse_opening(_field(block, pos + 4 + v, o)))
-                      for pos in (0, 8 + v + o)])
 
 
 def serialize_proof(proof: Proof, c: Circuit) -> bytes:
@@ -360,12 +363,8 @@ def serialize_proof(proof: Proof, c: Circuit) -> bytes:
         raise MithError(f"a {proof.challenge_mode!r}-mode proof has no file form; "
                         "proof files carry derived challenges only")
     scheme = scheme_by_name(proof.scheme, c.modulus.p)
-    parts = [MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
-             proof.reps.to_bytes(4, "big"), proof.stmt_hash]
-    for t in proof.transcripts:
-        parts += (t.commitment, bytes([PARTY_PAIRS.index(t.challenge)]),
-                  serialize_response(t.response))
-    return b"".join(parts)
+    return b"".join([MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
+                     proof.reps.to_bytes(4, "big"), proof.stmt_hash, proof.body])
 
 
 def parse_proof(data: bytes, c: Circuit) -> Proof:
@@ -386,12 +385,5 @@ def parse_proof(data: bytes, c: Circuit) -> Proof:
     reps = int.from_bytes(data[7:11], "big")
     if reps < 1:
         raise ProofError("proof has no repetitions")
-    cm_len, resp_len = block_lengths(c, scheme)
-    transcripts = []
-    for block in split_blocks(data[HEADER_LENGTH:], cm_len + 1 + resp_len, reps, "proof"):
-        cm = read_commitment_msg(block[:cm_len], scheme)
-        if block[cm_len] >= N_CHALLENGES:
-            raise ProofError(f"challenge byte {block[cm_len]} out of range")
-        transcripts.append(Transcript(cm, PARTY_PAIRS[block[cm_len]],
-                                      read_response(block[cm_len + 1:], c, scheme)))
-    return Proof(scheme.name, "derived", data[11:HEADER_LENGTH], tuple(transcripts))
+    return well_formed(Proof(scheme.name, "derived", data[11:HEADER_LENGTH], reps,
+                             data[HEADER_LENGTH:]), c)

@@ -27,7 +27,7 @@ from typing import NoReturn
 from mith import protocol as proto
 from mith.circuit import Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
-from mith.errors import MithError, SessionError
+from mith.errors import MithError, ProofError, SessionError
 from mith.field import RandomSource
 from mith.sss import PARTY_PAIRS
 
@@ -206,7 +206,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
         _abort(transport, ERR_BAD_FRAME, "challenge byte out of range", "challenge")
     _send(transport, MSG_RESPONSE, b"".join(
-        proto.serialize_response(proto.prover_respond(st, PARTY_PAIRS[b]))
+        proto.prover_respond(st, PARTY_PAIRS[b])
         for st, b in zip(states, challenge_bytes)))
 
     result = _expect(transport, MSG_RESULT, "result")
@@ -245,32 +245,26 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
     _send(transport, MSG_HELLO, _hello_payload(scheme_byte, reps, digest))
 
     commit_payload = _expect(transport, MSG_COMMIT, "commit")
-    commit_digest = hashlib.sha256(commit_payload).digest()
-    cm_len, resp_len = proto.block_lengths(c, scheme)
-    try:
-        msgs = [proto.read_commitment_msg(block, scheme) for block in
-                proto.split_blocks(commit_payload, cm_len, reps, "commit payload")]
-    except MithError:
-        # Malformed proof data: finish the session with a reject verdict.
-        _send(transport, MSG_CHALLENGE, commit_digest + bytes(reps))
-        _expect(transport, MSG_RESPONSE, "response")
-        _send(transport, MSG_RESULT, b"\x00")
-        return False
-
     # Commit phase fully received: only now draw the challenges.
-    challenge_idx = [rng.randbelow(proto.N_CHALLENGES) for _ in range(reps)]
-    _send(transport, MSG_CHALLENGE, commit_digest + bytes(challenge_idx))
+    challenges = bytes([rng.randbelow(proto.N_CHALLENGES) for _ in range(reps)])
+    _send(transport, MSG_CHALLENGE, hashlib.sha256(commit_payload).digest() + challenges)
 
     resp_payload = _expect(transport, MSG_RESPONSE, "response")
+    # Yield the interpreter lock once: a prover thread in this process then
+    # returns from sending RESPONSE at once, not after the checks below.
+    time.sleep(0)
+    cm_len, resp_len = proto.block_lengths(c, scheme)
     try:
-        blocks = proto.split_blocks(resp_payload, resp_len, reps, "response payload")
-        transcripts = tuple(
-            proto.Transcript(cm, PARTY_PAIRS[b], proto.read_response(block, c, scheme))
-            for cm, b, block in zip(msgs, challenge_idx, blocks))
+        if (len(commit_payload), len(resp_payload)) != (cm_len * reps, resp_len * reps):
+            raise ProofError("COMMIT or RESPONSE payload of the wrong length")
+        proof = proto.well_formed(proto.Proof(scheme.name, "transcript", digest, reps, b"".join([
+            part for k in range(reps) for part in (
+                commit_payload[k * cm_len:(k + 1) * cm_len], challenges[k:k + 1],
+                resp_payload[k * resp_len:(k + 1) * resp_len])])), c)
     except MithError:
+        # Malformed proof data: finish the session with a reject verdict.
         verdict = False
     else:
-        proof = proto.Proof(scheme.name, "transcript", digest, transcripts)
         if capture is not None:
             capture.append(proof)
         verdict = proto.verify_repeated(s, proof)

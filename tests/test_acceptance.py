@@ -364,8 +364,7 @@ def test_criterion_10_session_equivalence():
             blocks = []
             for r in range(2):
                 ch = PARTY_PAIRS[ch_payload[32 + r]]
-                resp = pr.prover_respond(states[r], ch)
-                blocks.append(pr.serialize_response(resp))
+                blocks.append(pr.prover_respond(states[r], ch))
             ses._send(ta, ses.MSG_RESPONSE, b"".join(blocks))
             ses._expect(ta, ses.MSG_RESULT, "result")
         else:

@@ -1,5 +1,6 @@
 """CLI exit-code contract and end-to-end file round-trips."""
 
+import dataclasses
 import json
 import os
 import socket
@@ -16,6 +17,7 @@ from mith.circuit import (
 )
 import mith
 from mith.cli import main
+from mith.commit import scheme_by_name
 from mith.corpus import square_plus_one_circuit
 from mith.field import Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
@@ -96,8 +98,8 @@ def test_verify_verbose_checks_each_repetition_once(workdir, capsys, monkeypatch
     # 2*sigma opened views.
     lanes = []
     replay = mpc.out_messages
-    monkeypatch.setattr(mpc, "out_messages", lambda c, x, views: lanes.append(len(views))
-                        or replay(c, x, views))
+    monkeypatch.setattr(mpc, "out_messages", lambda c, x, rows: lanes.append(
+        len(rows) // mpc.encoded_view_length(c)) or replay(c, x, rows))
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
                 "--verbose"]) == 0
     assert lanes == [8]
@@ -109,13 +111,12 @@ def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):
     c = square_plus_one_circuit(Modulus(101))
     s = Statement(c, (), c.modulus.element(10))
     proof = pr.prove_repeated(Witness((c.modulus.element(3),)), s, 4, RandomSource(6))
-    t = proof.transcripts[2]
-    tampered = pr.Transcript(t.commitment, t.challenge,
-                             pr.Response((t.response.first[0], b"\x00" * 32), t.response.second))
+    size = len(proof.body) // proof.reps
+    pos, n = pr.block_fields(c, scheme_by_name(proof.scheme))[6]  # the first opening
+    pos += 2 * size
     path = workdir / "tampered.bin"
-    path.write_bytes(pr.serialize_proof(pr.Proof(
-        proof.scheme, proof.challenge_mode, proof.stmt_hash,
-        proof.transcripts[:2] + (tampered,) + proof.transcripts[3:]), c))
+    path.write_bytes(pr.serialize_proof(dataclasses.replace(
+        proof, body=proof.body[:pos] + bytes(n) + proof.body[pos + n:]), c))
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", path,
                 "--verbose"]) == 1
@@ -142,9 +143,7 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     reps = 128
     body = []
     for st, cm in zip(*cheater.commit(rng, reps)):
-        resp = pr.prover_respond(st, ch)
-        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]),
-                 pr.serialize_response(resp)]
+        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]), pr.prover_respond(st, ch)]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
     (tmp_path / "forged.bin").write_bytes(header + b"\x00" + tail)
@@ -186,10 +185,13 @@ VERIFY = ["verify", "--statement", "s.st"]
      "--seed", "-1", "--insecure-seed"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--seed", "-1", "--insecure-seed"],
     ["bench", "--quick", "--seed", "-1"],
+    # As for prove, verify and selftest, --seed needs --insecure-seed.
+    ["bench", "--quick", "--seed", "3"],
 ], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
         "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out",
         "prove-reps-zero", "verify-reps-zero", "timeout-1e300", "timeout-1e10",
-        "prove-seed-negative", "verify-seed-negative", "bench-seed-negative"])
+        "prove-seed-negative", "verify-seed-negative", "bench-seed-negative",
+        "bench-seed-without-insecure-seed"])
 def test_usage_errors_exit_2(workdir, args):
     done = run_cli(workdir, args)
     assert done.returncode == 2, done.stdout + done.stderr

@@ -8,6 +8,8 @@ from mith.corpus import golden_corpus
 from mith.errors import MithError
 from mith.field import RandomSource
 
+from test_mpc import pairs_consistent, rows_of
+
 
 def test_report_verdict_is_pure_function_of_numbers():
     r = harness.ExperimentReport("x", 100, 91, 0.9, 0.02)
@@ -57,13 +59,11 @@ def test_cheater_views_differ_only_in_doctored_slots(m11):
     cheater = harness.OneBadPairCheater(s, w_guess, (2, 4), rng)
     from mith import mpc
     c = s.circuit
-    sent = mpc.out_messages(c, s.public_inputs, cheater.views)
-    for (i, j) in pr.PARTY_PAIRS:
-        ok = mpc.consistent_views(c, cheater.views[i - 1], cheater.views[j - 1], i, j,
-                                  sent[i - 1], sent[j - 1])
-        assert ok == ((i, j) != (2, 4))
-    for i in range(1, 6):
-        assert mpc.local_output(c, cheater.views[i - 1]) == s.target
+    views = cheater.views
+    assert pairs_consistent(c, s.public_inputs, [(views[i - 1], views[j - 1], i, j)
+                                                 for i, j in pr.PARTY_PAIRS]) == [
+        pair != (2, 4) for pair in pr.PARTY_PAIRS]
+    assert mpc.local_output(c, rows_of(views), s.target) == [True] * 5
 
 
 def test_cheater_rejects_satisfiable_statement(m11):

@@ -324,13 +324,42 @@ def test_refresh_marginal_uniform_over_consistent_sharings(m11, rng):
 # out_messages / local_output / consistency
 
 
+def rows_of(views) -> bytes:
+    """The views' encodings joined, one row each, as the verifier joins
+    the views a proof opens."""
+    return b"".join(map(bytes, views))
+
+
+def sent_by(c, x, views):
+    """out_messages over views, cut per view: (ok, and per view the five
+    byte strings of what its party sent parties 1..5, each slot by slot
+    in the recipient's record order)."""
+    ok, to = mpc.out_messages(c, x, rows_of(views))
+    n, w = len(views), mpc.program(c).width
+    return ok, [tuple(b"".join(t[m + k * w:m + (k + 1) * w] for m in range(0, len(t), n * w))
+                      for t in to) for k in range(n)]
+
+
+def pairs_consistent(c, x, pairs):
+    """The verifier's consistency verdict for each (vi, vj, i, j) in
+    pairs, all replayed in one out_messages call: both views carry x and
+    in-range elements, and consistent_views accepts the pair."""
+    pairs = [(vi, vj, i, j) if i < j else (vj, vi, j, i) for vi, vj, i, j in pairs]
+    rows = rows_of([v for vi, vj, _, _ in pairs for v in (vi, vj)])
+    ok, to = mpc.out_messages(c, x, rows)
+    chs = bytes([PARTY_PAIRS.index((i, j)) for _, _, i, j in pairs])
+    return [a and b and d for a, b, d in zip(ok[::2], ok[1::2], mpc.consistent_views(c, rows, chs, to))]
+
+
 def test_out_messages_cross_check_honest(m11, rng):
     """The row a party's view implies equals what every other view
     recorded from it, for all ordered pairs."""
     for s, w in golden_corpus(m11, 5):
         c = s.circuit
         res, _, _ = honest_run(s, w, rng)
-        sent = dict(zip(PARTY_IDS, mpc.out_messages(c, s.public_inputs, res.views)))
+        ok, replays = sent_by(c, s.public_inputs, res.views)
+        assert ok == [True] * 5
+        sent = dict(zip(PARTY_IDS, replays))
         for i in PARTY_IDS:
             v = res.views[i - 1]
             for j in PARTY_IDS:
@@ -346,21 +375,24 @@ def test_out_messages_message_free_circuit(m11, rng):
                       "(add 2 (sinput 0) (const 1 5))")
     s = Statement(c, (), m11.element(0))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    (sent,) = mpc.out_messages(c, (), res.views[:1])
+    _, to = mpc.out_messages(c, (), rows_of(res.views[:1]))
     # Each party gets the zero share and the broadcast share only.
-    assert [len(b) for b in sent] == [2] * 5
+    assert [len(b) for b in to] == [2] * 5
 
 
 def test_out_messages_deterministic(m11, rng):
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
-    a = mpc.out_messages(c, (), [res.views[1]])
-    b = mpc.out_messages(c, (), [res.views[1]])
+    a = mpc.out_messages(c, (), rows_of([res.views[1]]))
+    b = mpc.out_messages(c, (), rows_of([res.views[1]]))
     assert a == b
 
 
 def test_out_messages_invalid_shape_returns_none(m11, rng):
+    """Views of the wrong shape cannot be built; rows that are not whole
+    views are refused; a row with an element out of range is marked and
+    leaves the replay of the others unchanged."""
     c = square_plus_one_circuit(m11)
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
@@ -378,25 +410,30 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
                          (other, {"bcast": v.bcast})):
         with pytest.raises(MithError):
             mpc.make_view(c, base, **fields)
-    # A view of another circuit, or anything that is not a view.
-    malformed = [other, bytes(v), v.messages]
-    (sent,) = mpc.out_messages(c, (), [v])
-    # Malformed views in a batch leave the replay of the others unchanged.
-    assert mpc.out_messages(c, (), malformed + [v]) == [None] * len(malformed) + [sent]
+    assert len(other) % len(v)
+    for rows in (b"", bytes(v)[:-1], rows_of([other, v]), rows_of([v]) + b"\x00"):
+        with pytest.raises(MithError):
+            mpc.out_messages(c, (), rows)
+    ok, (sent,) = sent_by(c, (), [v])
+    assert ok == [True]
+    malformed = [bytes([11]) + bytes(v)[1:], bytes(v)[:-1] + bytes([255])]
+    ok, replays = sent_by(c, (), malformed + [v])
+    assert ok == [False, False, True] and replays[2] == sent
 
 
 def test_local_output_matches_protocol_outputs(m11, rng):
     for s, w in golden_corpus(m11, 6):
         res, _, _ = honest_run(s, w, rng)
-        for i in PARTY_IDS:
-            assert mpc.local_output(s.circuit, res.views[i - 1]) == res.outputs[i - 1]
+        rows = rows_of(res.views)
+        assert mpc.local_output(s.circuit, rows, res.outputs[0]) == [True] * 5
+        assert mpc.local_output(s.circuit, rows, res.outputs[0] + m11.one()) == [False] * 5
 
 
 def test_local_output_identity_circuit(m11, rng):
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(7))
     res, _, _ = honest_run(s, Witness((m11.element(7),)), rng)
-    assert mpc.local_output(c, res.views[2]).value == 7
+    assert mpc.local_output(c, rows_of(res.views[2:3]), m11.element(7)) == [True]
 
 
 def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
@@ -408,16 +445,22 @@ def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
         bc = list(v.bcast)
         bc[slot] = (bc[slot] + 1) % 11
         bad = mpc.make_view(c, v, bcast=bc)
-        assert mpc.local_output(c, bad) != res.outputs[0]
+        assert mpc.local_output(c, rows_of([v, bad]), res.outputs[0]) == [True, False]
 
 
 def test_consistent_views_rejects_same_party(m11, rng):
+    """A challenge byte names a pair of distinct parties; one that names
+    none is refused."""
     c = identity_circuit(m11)
     s = Statement(c, (), m11.element(1))
     res, _, _ = honest_run(s, Witness((m11.element(1),)), rng)
-    (sent,) = mpc.out_messages(c, s.public_inputs, res.views[:1])
-    with pytest.raises(MithError):
-        mpc.consistent_views(c, res.views[0], res.views[0], 1, 1, sent, sent)
+    assert (1, 1) not in PARTY_PAIRS
+    rows = rows_of(res.views[:2])
+    _, to = mpc.out_messages(c, s.public_inputs, rows)
+    assert mpc.consistent_views(c, rows, bytes([0]), to) == [True]
+    for bad in (bytes([10]), bytes([0, 0])):
+        with pytest.raises(MithError):
+            mpc.consistent_views(c, rows, bad, to)
 
 
 def test_consistent_views_public_input_mismatch(rng):
@@ -427,16 +470,17 @@ def test_consistent_views_public_input_mismatch(rng):
     s = Statement(c, (m.element(5),), m.element(8))
     res, _, _ = honest_run(s, Witness((m.element(3),)), rng)
     other_x = (m.element(6),)
-    sent = mpc.out_messages(c, other_x, res.views[:2])
-    assert sent == [None, None]
-    assert not mpc.consistent_views(c, res.views[0], res.views[1], 1, 2, *sent)
+    ok, _ = mpc.out_messages(c, other_x, rows_of(res.views[:2]))
+    assert ok == [False, False]
+    assert pairs_consistent(c, other_x, [(*res.views[:2], 1, 2)]) == [False]
+    assert pairs_consistent(c, s.public_inputs, [(*res.views[:2], 1, 2)]) == [True]
 
 
 @pytest.mark.parametrize("p", [97, 131, 2**256 - 189])
 def test_out_messages_view_with_other_public_inputs(p, rng):
-    """A view that carries other public inputs than the statement's
-    replays to None, and the other views of its batch replay to the bytes
-    they replay to without it (the smul scalar is a mul inside the scalar
+    """A view that carries other public inputs than the statement's is
+    marked, and the other views of its batch replay to the bytes they
+    replay to without it (the smul scalar is a mul inside the scalar
     subtree of pinput 0)."""
     m = Modulus(p)
     c = parse_circuit(f"field {p}\ntopology 1 1 4\n"
@@ -447,10 +491,12 @@ def test_out_messages_view_with_other_public_inputs(p, rng):
         res, _, _ = honest_run(s, Witness((m.element(7),)), rng)
         views[x] = [mpc.decode_view(c, bytes(v)) for v in res.views]
     x = (m.element(3),)
-    alone = mpc.out_messages(c, x, views[3])
-    assert None not in alone and all_pairs_consistent(c, x, views[3])
+    ok, alone = sent_by(c, x, views[3])
+    assert ok == [True] * 5 and all_pairs_consistent(c, x, views[3])
     batch = views[3][:2] + [views[2][2]] + views[3][2:]
-    assert mpc.out_messages(c, x, batch) == alone[:2] + [None] + alone[2:]
+    ok, sent = sent_by(c, x, batch)
+    assert ok == [True, True, False, True, True, True]
+    assert sent[:2] + sent[3:] == alone
 
 
 def bump(v, m):
@@ -472,10 +518,9 @@ def test_flipped_message_breaks_touched_pairs_only(m11, rng):
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     bad = flip_mul_message(c, res.views[0], slot=3)
     views = [bad] + list(res.views[1:])
-    sent = mpc.out_messages(c, s.public_inputs, views)
-    for (i, j) in PARTY_PAIRS:
-        ok = mpc.consistent_views(c, views[i - 1], views[j - 1], i, j, sent[i - 1], sent[j - 1])
-        assert ok == (1 not in (i, j))
+    assert pairs_consistent(c, s.public_inputs, [(views[i - 1], views[j - 1], i, j)
+                                                 for i, j in PARTY_PAIRS]) == [
+        1 not in pair for pair in PARTY_PAIRS]
 
 
 def test_own_slot_tampering_detected(m11, rng):
@@ -485,11 +530,8 @@ def test_own_slot_tampering_detected(m11, rng):
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     bad = flip_mul_message(c, res.views[2], slot=2)  # view 3, own slot
-    sent_bad, *sent = mpc.out_messages(c, s.public_inputs, [bad, *res.views])
-    for j in PARTY_IDS:
-        if j == 3:
-            continue
-        assert not mpc.consistent_views(c, bad, res.views[j - 1], 3, j, sent_bad, sent[j - 1])
+    assert not any(pairs_consistent(c, s.public_inputs, [(bad, res.views[j - 1], 3, j)
+                                                         for j in PARTY_IDS if j != 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +539,7 @@ def test_own_slot_tampering_detected(m11, rng):
 
 
 def all_pairs_consistent(c, x, views):
-    sent = mpc.out_messages(c, x, views)
-    return all(
-        mpc.consistent_views(c, views[i - 1], views[j - 1], i, j, sent[i - 1], sent[j - 1])
-        for (i, j) in PARTY_PAIRS)
+    return all(pairs_consistent(c, x, [(views[i - 1], views[j - 1], i, j) for i, j in PARTY_PAIRS]))
 
 
 def test_rerun_reproduces_honest_views(m11, rng):
@@ -585,10 +624,8 @@ def test_simulator_output_checks(m11, rng):
             cs = [share_sim(rng, corrupt, m11)
                   for _ in range(c.topology.n_secret)]
             vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs, target, rng)
-            sent_i, sent_j = mpc.out_messages(c, s.public_inputs, [vi, vj])
-            assert mpc.consistent_views(c, vi, vj, corrupt[0], corrupt[1], sent_i, sent_j)
-            assert mpc.local_output(c, vi) == target
-            assert mpc.local_output(c, vj) == target
+            assert pairs_consistent(c, s.public_inputs, [(vi, vj, *corrupt)]) == [True]
+            assert mpc.local_output(c, rows_of([vi, vj]), target) == [True, True]
 
 
 def test_simulator_rejects_equal_corrupt_parties(m11, rng):
@@ -864,9 +901,12 @@ def test_shared_program_across_threads():
             for _ in range(200):
                 res, _, _ = honest_run(s, w, rng)
                 # Party 1's replay sends it what its view recorded from itself.
-                (sent,) = mpc.out_messages(c, s.public_inputs, res.views[:1])
-                if (res.outputs[0] != want or mpc.local_output(c, res.views[0]) != want
-                        or sent[0] != bytes(prog.received[0](res.views[0]))):
+                _, ((sent, *_),) = sent_by(c, s.public_inputs, res.views[:1])
+                recorded = b"".join(res.views[0][j * prog.width:(j + 1) * prog.width]
+                                    for j in prog.received[0])
+                if (res.outputs[0] != want
+                        or mpc.local_output(c, rows_of(res.views[:1]), want) != [True]
+                        or sent != recorded):
                     errors.append(x)
         except Exception as e:  # reported by the assertion below
             errors.append(e)

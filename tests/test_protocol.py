@@ -32,16 +32,54 @@ def single_run(s, w, rng, scheme=PRF):
     return pr.prove_repeated(w, s, 1, rng, scheme, "transcript")
 
 
-def recorded(s, cm, ch, resp):
+# One repetition of a proof with its opened views decoded: the commitment
+# message, the challenge pair and a (view, opening) pair per opened party.
+Rep = collections.namedtuple("Rep", "commitment challenge first second")
+
+
+def response(*opened) -> bytes:
+    """The response opening each (view, opening) pair given, in order."""
+    return b"".join([pr.serialize_response_block(v, o) for v, o in opened])
+
+
+def block(cm, ch, resp: bytes) -> bytes:
+    return cm + bytes([PARTY_PAIRS.index(ch)]) + resp
+
+
+def recorded(s, cm, ch, resp: bytes):
     """A one-repetition transcript-mode PRF proof answering challenge ch."""
-    return pr.Proof(PRF.name, "transcript", pr.statement_hash(s), (pr.Transcript(cm, ch, resp),))
+    return pr.Proof(PRF.name, "transcript", pr.statement_hash(s), 1, block(cm, ch, resp))
+
+
+def challenges(proof):
+    return [PARTY_PAIRS[b] for b in proof.challenges]
+
+
+def repetitions(proof, c) -> list[Rep]:
+    (vi, n), (oi, o), (vj, _), (oj, _) = pr.block_fields(c, scheme_by_name(proof.scheme))[5:]
+    size = len(proof.body) // proof.reps
+    blocks = [proof.body[k:k + size] for k in range(0, len(proof.body), size)]
+    return [Rep(b[:vi - 5], PARTY_PAIRS[b[vi - 5]], (mpc.decode_view(c, b[vi:vi + n]), b[oi:oi + o]),
+                (mpc.decode_view(c, b[vj:vj + n]), b[oj:oj + o])) for b in blocks]
+
+
+def with_repetitions(proof, reps):
+    """proof with its repetitions replaced by reps."""
+    return dataclasses.replace(proof, reps=len(reps), body=b"".join(
+        block(r.commitment, r.challenge, response(r.first, r.second)) for r in reps))
+
+
+def commitment_of(msg: bytes, party: int) -> bytes:
+    """party's commitment, sliced out of a commitment message."""
+    n = len(msg) // 5
+    return msg[(party - 1) * n + 4:party * n]
 
 
 def drawn_challenges(s, msgs, rng):
     """The challenges a transcript-mode proof draws for a commit phase."""
-    unopened = pr.ProverState((None,) * 5, (None,) * 5)
-    proof = pr.respond_repetitions(s, [unopened] * len(msgs), msgs, rng, PRF, "transcript")
-    return [t.challenge for t in proof.transcripts]
+    unopened = pr.ProverState((b"",) * 5, (b"",) * 5)
+    return challenges(pr.respond_repetitions(s, [unopened] * len(msgs), msgs, rng, PRF,
+                                             "transcript"))
 
 
 def test_honest_single_run_accepts(m11, rng):
@@ -53,9 +91,9 @@ def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
     (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
     assert len(cm) == 5 * (4 + PRF.commitment_length)
-    assert cm == pr.serialize_commitment_msg([pr.commitment_of(cm, q) for q in PARTY_IDS])
+    assert cm == pr.serialize_commitment_msg([commitment_of(cm, q) for q in PARTY_IDS])
     for q in PARTY_IDS:
-        assert PRF.verify_view(st.views[q - 1], pr.commitment_of(cm, q), st.openings[q - 1])
+        assert PRF.verify_view(st.views[q - 1], commitment_of(cm, q), st.openings[q - 1])
 
 
 def test_commitment_msg_needs_five_entries():
@@ -77,7 +115,7 @@ def test_commitments_fresh_across_rand_draws(m11):
     seen = set()
     for _ in range(1000):
         _, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
-        seen.add(pr.commitment_of(cm, 1))
+        seen.add(commitment_of(cm, 1))
     assert len(seen) == 1000
 
 
@@ -105,31 +143,28 @@ def test_response_is_pure_selection(m11, rng):
     s, w = golden_corpus(m11, 2)[1]
     (st,), _ = pr.commit_repetitions(w, s, 1, rng, PRF)
     for ch in PARTY_PAIRS:
-        resp = pr.prover_respond(st, ch)
-        assert resp.first[0] is st.views[ch[0] - 1]
-        assert resp.second[0] is st.views[ch[1] - 1]
+        assert pr.prover_respond(st, ch) == response(
+            *[(st.views[q - 1], st.openings[q - 1]) for q in ch])
 
 
 def test_tampered_state_breaks_check(m11, rng):
     s, w = golden_corpus(m11, 3)[2]
-    (t,) = single_run(s, w, rng).transcripts
-    resp = t.response
-    view = resp.first[0]
+    (t,) = repetitions(single_run(s, w, rng), s.circuit)
+    view = t.first[0]
     p = s.circuit.modulus.p
     bad_view = mpc.make_view(
         s.circuit, view, secret_shares=tuple((x + 1) % p for x in view.secret_shares))
-    bad = pr.Response((bad_view, resp.first[1]), resp.second)
+    bad = response((bad_view, t.first[1]), t.second)
     assert not pr.verify_repeated(s, recorded(s, t.commitment, t.challenge, bad))
 
 
 def test_flipped_opening_rejected(m11, rng):
     rnd = random.Random(11)
     for s, w in golden_corpus(m11, 5):
-        (t,) = single_run(s, w, rng).transcripts
-        resp = t.response
-        opening = bytearray(resp.first[1])
+        (t,) = repetitions(single_run(s, w, rng), s.circuit)
+        opening = bytearray(t.first[1])
         opening[rnd.randrange(32)] ^= 1 << rnd.randrange(8)
-        bad = pr.Response((resp.first[0], bytes(opening)), resp.second)
+        bad = response((t.first[0], bytes(opening)), t.second)
         assert not pr.verify_repeated(s, recorded(s, t.commitment, t.challenge, bad))
 
 
@@ -139,7 +174,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
     (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
-    committed = pr.commitment_of(cm, 1)
+    committed = commitment_of(cm, 1)
     blob = bytearray(st.views[0])
     rnd = random.Random(99)
     wins = decoded = 0
@@ -166,16 +201,16 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     c = parse_circuit("field 11\ntopology 1 1 3\n"
                       "(add 2 (pinput 0) (smul 1 (const 3 1) (sinput 0)))")
     s = Statement(c, (m.element(5),), m.element(8))
-    (t,) = single_run(s, Witness((m.element(3),)), rng).transcripts
-    ch, resp = t.challenge, t.response
-    v = resp.first[0]
+    (t,) = repetitions(single_run(s, Witness((m.element(3),)), rng), c)
+    ch = t.challenge
+    v = t.first[0]
     bad_view = mpc.make_view(c, v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
     key = PRF.keygen(rng)
-    coms = [pr.commitment_of(t.commitment, q) for q in PARTY_IDS]
+    coms = [commitment_of(t.commitment, q) for q in PARTY_IDS]
     coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.serialize_commitment_msg(coms), ch,
-                                              pr.Response((bad_view, key), resp.second)))
+                                              response((bad_view, key), t.second)))
 
 
 @pytest.mark.parametrize("p, scheme_name", [(101, "prf"), (2**256 - 189, "pedersen")])
@@ -251,12 +286,9 @@ def test_verify_rejects_one_failing_transcript(m11):
     rng = RandomSource(15)
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 4, rng, mode="transcript")
-    t = proof.transcripts[2]
-    bad_resp = pr.Response(
-        (t.response.first[0], b"\x00" * 32), t.response.second)
-    bad = pr.Proof(proof.scheme, proof.challenge_mode, proof.stmt_hash,
-                   proof.transcripts[:2] + (dataclasses.replace(
-                       t, response=bad_resp),) + proof.transcripts[3:])
+    ts = repetitions(proof, s.circuit)
+    t = ts[2]
+    bad = with_repetitions(proof, ts[:2] + [t._replace(first=(t.first[0], b"\x00" * 32))] + ts[3:])
     assert not pr.verify_repeated(s, bad)
     assert list(pr.check_repetitions(s, bad)) == [
         (True, True), (True, True), (True, False), (True, True)]
@@ -268,12 +300,11 @@ def test_derived_challenges_pin_commitments(m11):
     rng = RandomSource(16)
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 2, rng, mode="derived")
-    t0 = proof.transcripts[0]
+    t0, *rest = repetitions(proof, s.circuit)
     wrong = PARTY_PAIRS[(PARTY_PAIRS.index(t0.challenge) + 1) % 10]
     # Re-respond honestly for the wrong challenge is impossible without
     # state; simply relabel the challenge and keep the response.
-    bad = pr.Proof(proof.scheme, "derived", proof.stmt_hash,
-                   (dataclasses.replace(t0, challenge=wrong),) + proof.transcripts[1:])
+    bad = with_repetitions(proof, [t0._replace(challenge=wrong), *rest])
     assert not pr.verify_repeated(s, bad)
 
 
@@ -281,10 +312,10 @@ def unopened_commitment_bytes(proof, data: bytes) -> set[int]:
     """Positions of the bytes of every commitment that proof's challenges
     leave unopened, in its file bytes data (length prefixes excluded)."""
     pos, out = 43, set()
-    for t in proof.transcripts:
+    for pair in challenges(proof):
         for pid in range(1, 6):
             n = int.from_bytes(data[pos:pos + 4], "big")
-            if pid not in t.challenge:
+            if pid not in pair:
                 out.update(range(pos + 4, pos + 4 + n))
             pos += 4 + n
         pos += 1
@@ -297,7 +328,7 @@ def unopened_commitment_bytes(proof, data: bytes) -> set[int]:
 def rederived_challenges(data: bytes, c) -> list[tuple[int, int]]:
     """The challenges derived from the commitments of proof file data."""
     proof = pr.parse_proof(data, c)
-    blobs = pr.challenge_blobs([t.commitment for t in proof.transcripts])
+    blobs = pr.challenge_blobs([t.commitment for t in repetitions(proof, c)])
     return [pr.derive_challenge(proof.stmt_hash, k, blobs) for k in range(proof.reps)]
 
 
@@ -316,7 +347,7 @@ def test_proof_file_fuzz_never_accepts(m11):
     proof = pr.prove_repeated(w, s, 2, rng)
     blob = pr.serialize_proof(proof, s.circuit)
     unopened = unopened_commitment_bytes(proof, blob)
-    challenges = [t.challenge for t in proof.transcripts]
+    chs = challenges(proof)
     for _ in range(300):
         pos = rnd.randrange(len(blob))
         bad = flip(blob, pos, rnd.randrange(8))
@@ -326,7 +357,7 @@ def test_proof_file_fuzz_never_accepts(m11):
             ok = pr.verify_repeated(s, pr.parse_proof(bad, s.circuit))
         except (ProofError, MithError):
             ok = False
-        assert ok == (pos in unopened and rederived_challenges(bad, s.circuit) == challenges)
+        assert ok == (pos in unopened and rederived_challenges(bad, s.circuit) == chs)
 
 
 def test_unopened_commitment_flip_keeping_challenges_is_accepted(m11):
@@ -336,12 +367,12 @@ def test_unopened_commitment_flip_keeping_challenges_is_accepted(m11):
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 2, RandomSource(17))
     blob = pr.serialize_proof(proof, s.circuit)
-    challenges = [t.challenge for t in proof.transcripts]
+    chs = challenges(proof)
     kept = changed = None
     for pos in sorted(unopened_commitment_bytes(proof, blob)):
         for bit in range(8):
             bad = flip(blob, pos, bit)
-            if rederived_challenges(bad, s.circuit) == challenges:
+            if rederived_challenges(bad, s.circuit) == chs:
                 kept = kept or bad
             else:
                 changed = changed or bad
@@ -383,16 +414,42 @@ def test_pedersen_blinder_plus_order_rejected():
     c = s.circuit
     ped = scheme_by_name("pedersen", m.p)
     proof = pr.prove_repeated(w, s, 1, RandomSource(19), ped)
-    t = proof.transcripts[0]
-    view, opening = t.response.first
+    (t,) = repetitions(proof, c)
+    view, opening = t.first
     bumped = (int.from_bytes(opening, "big") + ped.params.order).to_bytes(len(opening), "big")
-    forged = dataclasses.replace(proof, transcripts=(dataclasses.replace(
-        t, response=pr.Response((view, bumped), t.response.second)),))
+    forged = with_repetitions(proof, [t._replace(first=(view, bumped))])
     data = pr.serialize_proof(forged, c)
     assert len(data) == len(pr.serialize_proof(proof, c)) and data != pr.serialize_proof(proof, c)
-    with pytest.raises(MithError, match="below the group order"):
+    with pytest.raises(ProofError, match="below the group order"):
         pr.parse_proof(data, c)
     assert not pr.verify_repeated(s, forged)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("scheme-byte", "unknown commitment scheme byte"),
+    ("element-zero", "element out of range"),
+    ("element-P", "element out of range"),
+    ("blinder-q", "below the group order"),
+])
+def test_malformed_fields_raise_proof_error(m11, case, match):
+    """An unknown scheme byte, a Pedersen commitment outside (0, P) and a
+    blinder of at least q, here in the second repetition, are malformed
+    proof data: parse_proof raises ProofError."""
+    s, w = golden_corpus(m11, 1)[0]
+    c = s.circuit
+    ped = scheme_by_name("pedersen", m11.p)
+    data = bytearray(pr.serialize_proof(pr.prove_repeated(w, s, 2, RandomSource(40), ped), c))
+    fields = pr.block_fields(c, ped)
+    start = pr.HEADER_LENGTH + (len(data) - pr.HEADER_LENGTH) // 2
+    pos, n = fields[8] if case == "blinder-q" else fields[3]  # second opening; party 4's commitment
+    value = {"element-zero": 0, "element-P": ped.params.group_prime,
+             "blinder-q": ped.params.order}.get(case)
+    if value is None:
+        data[5] = 0x03
+    else:
+        data[start + pos:start + pos + n] = value.to_bytes(n, "big")
+    with pytest.raises(ProofError, match=match):
+        pr.parse_proof(bytes(data), c)
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +640,89 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     proof = pr.prove_repeated(w, s, 1, RandomSource(33))
     if side == "verifier":
         proof = pr.parse_proof(pr.serialize_proof(proof, c), c)
-    t = proof.transcripts[0]
-    view, opening = t.response.first
+    (t,) = repetitions(proof, c)
+    view, opening = t.first
     p = c.modulus.p
 
     def opened_as(v):
-        return recorded(s, t.commitment, t.challenge, pr.Response((v, opening), t.response.second))
+        return recorded(s, t.commitment, t.challenge, response((v, opening), t.second))
 
     for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in view.bcast)),
                 mpc.make_view(c, view, randomness=view.randomness[::-1])):
         assert new != view
-        assert not PRF.verify_view(new, pr.commitment_of(t.commitment, t.challenge[0]), opening)
+        assert not PRF.verify_view(new, commitment_of(t.commitment, t.challenge[0]), opening)
         assert not pr.verify_repeated(s, opened_as(new))
     assert pr.verify_repeated(s, opened_as(mpc.make_view(c, view)))
+
+
+def doctored_pair(m, side: int, what: str):
+    """A one-repetition proof, challenged at (2, 4) and committed honestly,
+    whose opened views pass every check but one, made in view ch[side]
+    (T; the other opened view is O): "output", T recorded another
+    broadcast share from unopened party 1, so T's output misses the
+    target; "partner", T recorded another zero share from O, with T's own
+    broadcast, O's record of it and both views' record of party 1's
+    broadcast shifted to match, so only T's record of O fails."""
+    s, w = golden_corpus(m, 2)[1]  # square_plus_one: one multiplication
+    c = s.circuit
+    (st,), _ = pr.commit_repetitions(w, s, 1, RandomSource(42), PRF)
+    ch = (2, 4)
+    t, o = ch[side], ch[1 - side]
+    lam, p = m.recon_weights, m.p
+    views = list(st.views)
+    shift = {t: {}, o: {}}  # party: {bcast slot: delta}
+    if what == "output":
+        shift[t][1] = 1
+    else:
+        zin = list(views[t - 1].zin)
+        zin[o - 1] = (zin[o - 1] + 1) % p
+        views[t - 1] = mpc.make_view(c, views[t - 1], zin=zin)
+        fix = -lam[t - 1] * pow(lam[0], -1, p) % p  # keeps the output
+        shift = {q: {t: 1, 1: fix} for q in ch}
+    for q, deltas in shift.items():
+        bc = list(views[q - 1].bcast)
+        for slot, d in deltas.items():
+            bc[slot - 1] = (bc[slot - 1] + d) % p
+        views[q - 1] = mpc.make_view(c, views[q - 1], bcast=bc)
+    cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, st.openings, views)))
+    return s, recorded(s, cm, ch, pr.prover_respond(pr.ProverState(tuple(views), st.openings), ch))
+
+
+@pytest.mark.parametrize("what", ["output", "partner"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_each_opened_view_is_checked_both_ways(m11, side, what):
+    """Each opened view's output and its record of its partner are
+    checked, for the lower and the higher party of the pair alike."""
+    s, proof = doctored_pair(m11, side, what)
+    assert pr.check_repetitions(s, proof) == [(True, False)]
+    rows = pr.opened_views(s.circuit, proof)
+    ok, to = mpc.out_messages(s.circuit, s.public_inputs, rows)
+    consistent = mpc.consistent_views(s.circuit, rows, proof.challenges, to)
+    outputs = mpc.local_output(s.circuit, rows, s.target)
+    assert ok == [True, True]
+    if what == "output":
+        assert consistent == [True] and outputs == [side == 1, side == 0]
+    else:
+        assert consistent == [False] and outputs == [True, True]
+
+
+def test_other_public_input_fails_a_view_consistent_without_it():
+    """The all-zero view is consistent with itself for public input 0 and
+    output 0, and so is the replay of a view that carries public input 1
+    but is zero elsewhere, which replays as the all-zero view: only the
+    public-input check rejects that one."""
+    m = Modulus(11)
+    c = parse_circuit("field 11\ntopology 1 1 3\n"
+                      "(add 2 (pinput 0) (smul 1 (const 3 1) (sinput 0)))")
+    s = Statement(c, (m.zero(),), m.zero())
+    zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
+    rng = RandomSource(43)
+    for pubs, verdict in (((0,), True), ((1,), False)):
+        views = (mpc.make_view(c, zero, public_inputs=pubs),) + (zero,) * 4
+        keys = tuple(PRF.keygen(rng) for _ in views)
+        cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, views)))
+        resp = pr.prover_respond(pr.ProverState(views, keys), (1, 2))
+        assert pr.check_repetitions(s, recorded(s, cm, (1, 2), resp)) == [(True, verdict)]
 
 
 def test_altered_view_cannot_open_the_original_commitment():
@@ -619,7 +746,7 @@ def test_altered_view_cannot_open_the_original_commitment():
     cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, committed)))
     opened = [mpc.make_view(c, v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
-    resp = pr.Response((opened[2], keys[2]), (opened[3], keys[3]))
+    resp = response((opened[2], keys[2]), (opened[3], keys[3]))
     assert not pr.verify_repeated(s, recorded(s, cm, ch, resp))
 
 
@@ -639,6 +766,14 @@ def test_deep_chain_proves_and_verifies():
     proof = pr.prove_repeated(Witness((m.element(3),)), s, 1, RandomSource(20))
     data = pr.serialize_proof(proof, c)
     assert pr.verify_repeated(s, pr.parse_proof(data, c))
+
+
+def test_proof_without_repetitions_is_rejected(m11):
+    """A proof of no repetitions checks to no pairs and is not accepted."""
+    s, _ = golden_corpus(m11, 1)[0]
+    proof = pr.respond_repetitions(s, [], [], RandomSource(1), PRF, "transcript")
+    assert proof.reps == 0 and pr.check_repetitions(s, proof) == []
+    assert not pr.verify_repeated(s, proof)
 
 
 def test_prove_repeated_validates_reps(m11):
@@ -695,8 +830,8 @@ def test_zk_simulate_retry_statistics():
             attempts[0] += 1
             return PARTY_PAIRS[rng.randbelow(10)]
 
-        tr = pr.zk_simulate(s, verifier, rng=rng)
-        assert pr.verify_repeated(s, recorded(s, tr.commitment, tr.challenge, tr.response))
+        proof = pr.zk_simulate(s, verifier, rng=rng)
+        assert proof.reps == 1 and pr.verify_repeated(s, proof)
         total_attempts += attempts[0]
     mean = total_attempts / runs
     assert 9.0 <= mean <= 11.0
@@ -738,7 +873,7 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
             return com
 
     (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
-    assert [com for _, com in committed] == [pr.commitment_of(cm, q) for q in PARTY_IDS]
+    assert [com for _, com in committed] == [commitment_of(cm, q) for q in PARTY_IDS]
     for pid, (view, _) in enumerate(committed, 1):
         if pid in (i, j):
             assert view is st.views[pid - 1] and st.openings[pid - 1] is not None

@@ -5,10 +5,10 @@ shares: each product reshared with the view's randomness, each
 multiplication recombined from the column the view recorded.  Given the
 views of many executions, parties and tampers at once, `out_messages`
 must give every view the bytes the reference says its party sent to
-each party, and None exactly for the entries that are no well-formed
-view (such as a view's bytes without its `mpc.View`) or that carry
-other public inputs than the statement's; the consistency and output
-verdicts read from its replays must be the reference's.
+each party, and mark exactly the rows that are no well-formed view (an
+element out of range) or that carry other public inputs than the
+statement's; the consistency and output verdicts read from one replay
+of every pair must be the reference's.
 """
 
 import itertools
@@ -23,46 +23,52 @@ from mith.circuit import parse_circuit
 from mith.commit import scheme_by_name
 from mith.corpus import random_instance
 from mith.errors import MithError
-from mith.field import RandomSource
+from mith.field import FieldElement, RandomSource
 from mith.sss import PARTY_PAIRS, dot5, share5
 
 from test_fuzz import TREES, render
 from test_lanes import CIRCUITS, well_formed
-from test_mpc import tamper_cases
+from test_mpc import rows_of, sent_by, tamper_cases
+
+
+def fields(prog, v) -> dict:
+    """v's elements per view field (`mpc.VIEW_FIELDS`), read from its
+    bytes; messages as five-entry columns."""
+    w = prog.width
+    e = [int.from_bytes(v[k:k + w], "big") for k in range(0, len(v), w)]
+    out = {name: e[a:b] for name, (a, b) in prog.fields.items()}
+    out["messages"] = [out["messages"][k:k + 5] for k in range(0, len(out["messages"]), 5)]
+    return out
 
 
 def reference_well_formed(prog, x, v) -> bool:
-    """v is a `mpc.View` of prog, each part as long as the layout says,
-    every entry an int in [0, p), and its public inputs are x."""
-    if not (isinstance(v, mpc.View) and v.prog is prog):
+    """v is a view's length, every entry in [0, p), and its public
+    inputs are x."""
+    if len(v) != prog.view_length:
         return False
-    if not (len(v.public_inputs) == prog.n_public and len(v.secret_shares) == prog.n_secret
-            and len(v.randomness) == prog.n_rand and len(v.messages) == prog.n_mul
-            and all(len(col) == 5 for col in v.messages)
-            and len(v.zin) == 5 and len(v.bcast) == 5):
-        return False
-    entries = [*v.public_inputs, *v.secret_shares, *v.randomness,
-               *[y for col in v.messages for y in col], *v.zin, *v.bcast]
-    return (all(type(y) is int and 0 <= y < prog.p for y in entries)
-            and tuple(v.public_inputs) == tuple(e.value for e in x))
+    f = fields(prog, v)
+    return (all(0 <= y < prog.p for name in mpc.VIEW_FIELDS if name != "messages" for y in f[name])
+            and all(0 <= y < prog.p for col in f["messages"] for y in col)
+            and tuple(f["public_inputs"]) == tuple(e.value for e in x))
 
 
 def reference_replay(prog, x, v):
     """v's root share, outgoing resharing rows (post-order) and refresh
     row, run on the public inputs x."""
     p = prog.p
-    rnd = v.randomness
+    f = fields(prog, v)
+    rnd = f["randomness"]
     xs = tuple(e.value for e in x)
     scal = prog.scalars(xs)
     vals = list(prog.init)
-    vals[:prog.n_in] = (*xs, *v.secret_shares)
+    vals[:prog.n_in] = (*xs, *f["secret_shares"])
     rows = []
     for code, dst, a, b, r in prog.ops:
         if code == mpc.ADD:
             vals[dst] = (vals[a] + vals[b]) % p
         elif code == mpc.MUL:
             rows.append(share5(vals[a] * vals[b] % p, rnd[2 * r], rnd[2 * r + 1], p))
-            vals[dst] = dot5(prog.lam, v.messages[len(rows) - 1], p)
+            vals[dst] = dot5(prog.lam, f["messages"][len(rows) - 1], p)
         else:
             vals[dst] = scal[a] * vals[b] % p
     return vals[prog.root], rows, share5(0, rnd[-2], rnd[-1], p)
@@ -71,7 +77,7 @@ def reference_replay(prog, x, v):
 def reference_sent(prog, x, v):
     """What v's party sent: rows, refresh row, refreshed broadcast share."""
     root, rows, zrow = reference_replay(prog, x, v)
-    return rows, zrow, (root + sum(v.zin)) % prog.p
+    return rows, zrow, (root + sum(fields(prog, v)["zin"])) % prog.p
 
 
 def reference_consistent(prog, x, vi, vj, i, j) -> bool:
@@ -79,10 +85,11 @@ def reference_consistent(prog, x, vi, vj, i, j) -> bool:
         return False
     sent = {i: reference_sent(prog, x, vi), j: reference_sent(prog, x, vj)}
     for v, a in ((vi, i), (vj, j)):
+        f = fields(prog, v)
         for b in (i, j):  # what v (of party a) recorded from b
             rows, zrow, u = sent[b]
-            if ([col[b - 1] for col in v.messages] != [row[a - 1] for row in rows]
-                    or v.zin[b - 1] != zrow[a - 1] or v.bcast[b - 1] != u):
+            if ([col[b - 1] for col in f["messages"]] != [row[a - 1] for row in rows]
+                    or f["zin"][b - 1] != zrow[a - 1] or f["bcast"][b - 1] != u):
                 return False
     return True
 
@@ -90,54 +97,60 @@ def reference_consistent(prog, x, vi, vj, i, j) -> bool:
 def reference_output(prog, x, pid, v):
     """The output of v's recorded broadcast with pid's own slot replaced
     by its recomputed share."""
-    bcast = list(v.bcast)
+    bcast = list(fields(prog, v)["bcast"])
     bcast[pid - 1] = reference_sent(prog, x, v)[2]
     return dot5(prog.lam, bcast, prog.p)
 
 
 def check_replay(c, x, executions) -> int:
     """Replay every entry of executions (each five in party order) in one
-    out_messages call and compare with the reference: None for each
+    out_messages call and compare with the reference: marked for each
     entry the reference finds malformed, for each other what the
     reference's party sent to each party, in the recipient's record
-    order.  Where a pair is consistent, both views' recorded outputs are
-    the reference's, which recomputes each view's own broadcast share.
-    Returns the number of malformed entries."""
+    order.  Then check every pair of every execution in one
+    consistent_views call: its verdict is the reference's, and where a
+    pair is consistent, both views' recorded outputs are the reference's,
+    which recomputes each view's own broadcast share.  Returns the number
+    of malformed entries."""
     prog = mpc.program(c)
     views = [v for ex in executions for v in ex]
-    replays = mpc.out_messages(c, x, views)
-    assert len(replays) == len(views)
+    ok, replays = sent_by(c, x, views)
+    assert len(ok) == len(replays) == len(views)
     malformed = 0
-    for v, sent in zip(views, replays):
-        if not reference_well_formed(prog, x, v):
-            assert sent is None
+    for v, good, sent in zip(views, ok, replays):
+        assert good == reference_well_formed(prog, x, v)
+        if not good:
             malformed += 1
             continue
         rows, zrow, own = reference_sent(prog, x, v)
         assert sent == tuple(prog.cols.encode([row[a] for row in rows] + [zrow[a], own])
                              for a in range(5))
-    for k, ex in enumerate(executions):
-        sent = replays[5 * k:5 * k + 5]
-        for i, j in PARTY_PAIRS:
-            ok = mpc.consistent_views(c, ex[i - 1], ex[j - 1], i, j, sent[i - 1], sent[j - 1])
-            assert ok == reference_consistent(prog, x, ex[i - 1], ex[j - 1], i, j)
-            for pid in (i, j) if ok else ():
-                out = mpc.local_output(c, ex[pid - 1]).value
-                assert out == reference_output(prog, x, pid, ex[pid - 1])
+    pairs = [(ex[i - 1], ex[j - 1], i, j) for ex in executions for i, j in PARTY_PAIRS]
+    rows = rows_of([v for vi, vj, _, _ in pairs for v in (vi, vj)])
+    ok, to = mpc.out_messages(c, x, rows)
+    verdicts = mpc.consistent_views(c, rows, bytes(range(10)) * len(executions), to)
+    for (vi, vj, i, j), a, b, consistent in zip(pairs, ok[::2], ok[1::2], verdicts):
+        consistent = a and b and consistent
+        assert consistent == reference_consistent(prog, x, vi, vj, i, j)
+        for pid, v in ((i, vi), (j, vj)) if consistent else ():
+            out = FieldElement(reference_output(prog, x, pid, v), c.modulus)
+            assert mpc.local_output(c, rows_of([v]), out) == [True]
     return malformed
 
 
 def executions_of(c, reps, seed):
     """A statement's x and the five views of each of reps honest runs
     (decoded from their bytes, as a verifier holds them), followed by
-    each run with the views of parties 2 and 4 as plain bytes, which are
-    no views, each run with view 2's first public input changed, and
-    every `tamper_cases` tuple of each run."""
+    each run with the views of parties 2 and 4 holding an element out of
+    range, each run with view 2's first public input changed, and every
+    `tamper_cases` tuple of each run."""
     s, w = random_instance(random.Random(seed), c)
     states, _ = pr.commit_repetitions(w, s, reps, RandomSource(b"replay/%d" % seed),
                                       scheme_by_name("prf", c.modulus.p))
     honest = [[mpc.decode_view(c, bytes(v)) for v in st.views] for st in states]
-    mixed = [[bytes(v) if pid % 2 == 0 else v for pid, v in enumerate(ex, 1)] for ex in honest]
+    top = b"\xff" * mpc.program(c).width  # at least p, in any field
+    mixed = [[bytes(v)[:-len(top)] + top if pid % 2 == 0 else v for pid, v in enumerate(ex, 1)]
+             for ex in honest]
     tampered = []
     if mpc.program(c).n_public:
         for ex in honest:

@@ -368,7 +368,7 @@ def shifted_session(s, scheme, states, msgs, target, k):
         ses._send(ta, ses.MSG_COMMIT, mutate(ses.MSG_COMMIT, b"".join(msgs)))
         chs = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")[32:]
         ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, b"".join(
-            pr.serialize_response(pr.prover_respond(st, pr.PARTY_PAIRS[b]))
+            pr.prover_respond(st, pr.PARTY_PAIRS[b])
             for st, b in zip(states, chs))))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
     finally:
@@ -418,8 +418,7 @@ def test_cheating_prover_session_rate(m11):
         ses._send(ta, ses.MSG_COMMIT, cm)
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
-        resp = pr.prover_respond(st, ch)
-        ses._send(ta, ses.MSG_RESPONSE, pr.serialize_response(resp))
+        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, ch))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
         th.join()
         assert bool(result[0]) == out["v"]
