@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Sequence
 
-from mith import mpc
 from mith.errors import MithError, ProofError
 from mith.field import RandomSource, is_probable_prime
 
@@ -169,7 +168,7 @@ def __getattr__(name: str):
 # the digest and the key, Pedersen's the group element and the blinder,
 # each big-endian in the width the scheme fixes (`commitment_length`,
 # `opening_length`).  Both schemes commit to the view's
-# canonical byte encoding, which is the view itself (`mpc.View`).
+# canonical byte encoding, which is the view itself (`mpc.encode_view`).
 
 
 class PrfScheme:
@@ -181,10 +180,10 @@ class PrfScheme:
     def keygen(self, rng: RandomSource) -> bytes:
         return self.serialize_opening(rng.bytes(PRF_KEY_LEN))
 
-    def commit_view(self, key: bytes, view: mpc.View) -> bytes:
+    def commit_view(self, key: bytes, view: bytes) -> bytes:
         return self.serialize_commitment(prf_commit(key, view)[0])
 
-    def verify_view(self, view: mpc.View, commitment: bytes, opening: bytes) -> bool:
+    def verify_view(self, view: bytes, commitment: bytes, opening: bytes) -> bool:
         return prf_verify(view, commitment, opening)
 
     def serialize_commitment(self, digest: bytes) -> bytes:
@@ -224,17 +223,17 @@ class PedersenScheme:
     def keygen(self, rng: RandomSource) -> bytes:
         return self.serialize_opening(rng.randbelow(self.params.order))
 
-    def commit_view(self, key: bytes, view: mpc.View) -> bytes:
+    def commit_view(self, key: bytes, view: bytes) -> bytes:
         return self.serialize_commitment(self._commit(key, view))
 
-    def verify_view(self, view: mpc.View, commitment: bytes, opening: bytes) -> bool:
+    def verify_view(self, view: bytes, commitment: bytes, opening: bytes) -> bool:
         try:
             element = self._commit(opening, view)
         except MithError:
             return False
         return element.to_bytes(self.commitment_length, "big") == commitment
 
-    def _commit(self, key: bytes, view: mpc.View) -> int:
+    def _commit(self, key: bytes, view: bytes) -> int:
         r = self._blinder(key)
         h = int.from_bytes(hashlib.sha256(view).digest(), "big")
         return pedersen_commit(self.params, (r,), (h,))[0][0]

@@ -20,7 +20,7 @@ from mith.circuit import Statement, Witness
 from mith.commit import prf_commit, prf_verify, scheme_by_name
 from mith.corpus import golden_corpus, impossible_statement, square_plus_one_circuit
 from mith.errors import MithError
-from mith.field import Modulus, RandomSource
+from mith.field import FieldElement, Modulus, RandomSource
 from mith.sss import PARTY_PAIRS, random_share_randomness, share, share_sim
 from mith.stats import binomial_tolerance, chi2_homogeneity
 
@@ -72,12 +72,16 @@ def _sub_rng(seed, label: str) -> RandomSource:
 # Completeness
 
 
-def honest_execution(s: Statement, w: Witness, rng: RandomSource) -> mpc.ExecutionResult:
+def honest_execution(s: Statement, w: Witness,
+                     rng: RandomSource) -> tuple[list[bytes], FieldElement]:
     """One in-the-head run for w, with the draws of one repetition of
-    `protocol.commit_repetitions` except the commit keys."""
+    `protocol.commit_repetitions` except the commit keys: its five views,
+    in party order, and its output."""
     p = s.circuit.modulus.p
     sharings = proto.share_witness(w, [random_share_randomness(rng, p, len(w.secret_inputs))], p)
-    return mpc.run_protocol(s, sharings, [mpc.random_gate_randomness(rng, s.circuit)])[0]
+    rows, (y,) = mpc.run_protocol(s, sharings, [mpc.random_gate_randomness(rng, s.circuit)])
+    L = len(rows) // 5
+    return [bytes(rows[r:r + L]) for r in range(0, len(rows), L)], y
 
 
 def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
@@ -95,7 +99,7 @@ def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
 
 # ---------------------------------------------------------------------------
 # Soundness: canonical cheating provers.  A cheater commits reps
-# repetitions at once, `commit(rng, reps) -> (states, msgs)`, and states
+# repetitions at once, `commit(rng, reps) -> (state, msgs)`, and states
 # for each challenge whether it expects that repetition to pass
 # (`passes`); `claim` is the detail a report carries when every
 # repetition did as stated.
@@ -120,30 +124,24 @@ class OneBadPairCheater:
         c = s.circuit
         m = c.modulus
         i0, j0 = bad_pair
-        result = honest_execution(s, w_guess, rng)
-        y = result.outputs[0]
+        views, y = honest_execution(s, w_guess, rng)
         if y == s.target:
             raise MithError("statement is satisfied; nothing to cheat about")
         p = m.p
         delta = (s.target.value - y.value) * pow(m.recon_weights[j0 - 1], -1, p) % p
         self.views = []
-        for q, v in enumerate(result.views):
-            bcast = list(v.bcast)
+        for q, v in enumerate(views):
+            fields = mpc.view_fields(c, v)
+            bcast = list(fields["bcast"])
             bcast[j0 - 1] = (bcast[j0 - 1] + delta) % p
-            zin = list(v.zin)
+            zin = list(fields["zin"])
             if q == j0 - 1:
                 zin[i0 - 1] = (zin[i0 - 1] + delta) % p
             self.views.append(mpc.make_view(c, v, zin=zin, bcast=bcast))
 
-    def commit(self, rng: RandomSource,
-               reps: int) -> tuple[list[proto.ProverState], list[bytes]]:
-        states, msgs = [], []
-        for _ in range(reps):
-            keys = tuple([self.scheme.keygen(rng) for _ in self.views])
-            states.append(proto.ProverState(tuple(self.views), keys))
-            msgs.append(proto.serialize_commitment_msg(
-                list(map(self.scheme.commit_view, keys, self.views))))
-        return states, msgs
+    def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, list[bytes]]:
+        keys = [self.scheme.keygen(rng) for _ in range(5 * reps)]
+        return proto.commit_rows(self.scheme, b"".join([v * reps for v in self.views]), keys)
 
     def passes(self, ch: tuple[int, int]) -> bool:
         return ch != self.bad_pair
@@ -163,19 +161,13 @@ class GarbageCheater:
         # Honest execution for an arbitrary witness, so the views are
         # well-formed; the commitments below just do not match them.
         w = Witness(tuple(m.element(k + 1) for k in range(c.topology.n_secret)))
-        self.views = honest_execution(s, w, rng).views
-        self._zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
+        self.views = honest_execution(s, w, rng)[0]
+        self._zero = bytes(mpc.encoded_view_length(c))
 
-    def commit(self, rng: RandomSource,
-               reps: int) -> tuple[list[proto.ProverState], list[bytes]]:
-        states, msgs = [], []
-        for _ in range(reps):
-            keys = [self.scheme.keygen(rng) for _ in range(5)]
-            msgs.append(proto.serialize_commitment_msg(
-                list(map(self.scheme.commit_view, keys, [self._zero] * 5))))
-            openings = tuple(self.scheme.keygen(rng) for _ in range(5))
-            states.append(proto.ProverState(self.views, openings))
-        return states, msgs
+    def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, list[bytes]]:
+        keys, openings = ([self.scheme.keygen(rng) for _ in range(5 * reps)] for _ in range(2))
+        _, msgs = proto.commit_rows(self.scheme, self._zero * (5 * reps), keys)
+        return proto.ProverState(b"".join([v * reps for v in self.views]), tuple(openings)), msgs
 
     def passes(self, ch: tuple[int, int]) -> bool:
         return False
@@ -196,8 +188,8 @@ def run_soundness(cheater, trials: int, rng: RandomSource,
     wins = 0
     exact = True
     for _ in range(trials):
-        states, msgs = cheater.commit(rng, reps)
-        proof = proto.respond_repetitions(s, states, msgs, rng, cheater.scheme, "transcript")
+        proof = proto.respond_repetitions(s, *cheater.commit(rng, reps), rng, cheater.scheme,
+                                          "transcript")
         checks = proto.check_repetitions(s, proof)
         exact = exact and all(ok == cheater.passes(PARTY_PAIRS[ch])
                               for ch, (_, ok) in zip(proof.challenges, checks))
@@ -325,14 +317,15 @@ def run_sss_privacy(trials: int, rng: RandomSource,
 # MPC privacy
 
 
-def _pair_projection(vi, vj, honest: int) -> tuple[int, ...]:
+def _pair_projection(c, vi, vj, honest: int) -> tuple[int, ...]:
     """Small tuple of view coordinates used for histogram comparison."""
+    fi, fj = mpc.view_fields(c, vi), mpc.view_fields(c, vj)
     return (
-        vi.secret_shares[0] if vi.secret_shares else 0,
-        vj.secret_shares[0] if vj.secret_shares else 0,
-        vi.messages[0][honest - 1] if vi.messages else 0,
-        vi.zin[honest - 1],
-        vi.bcast[honest - 1],
+        fi["secret_shares"][0] if fi["secret_shares"] else 0,
+        fj["secret_shares"][0] if fj["secret_shares"] else 0,
+        fi["messages"][0][honest - 1] if fi["messages"] else 0,
+        fi["zin"][honest - 1],
+        fi["bcast"][honest - 1],
     )
 
 
@@ -354,12 +347,11 @@ def run_mpc_privacy(trials: int, rng: RandomSource,
     real_counts = [[0] * m.p for _ in range(n_coords)]
     sim_counts = [[0] * m.p for _ in range(n_coords)]
     for _ in range(trials):
-        res = honest_execution(s, w, rng)
-        pr = _pair_projection(res.views[corrupt[0] - 1], res.views[corrupt[1] - 1], honest)
+        views, y = honest_execution(s, w, rng)
+        pr = _pair_projection(c, views[corrupt[0] - 1], views[corrupt[1] - 1], honest)
         cs = [share_sim(rng, corrupt, m) for _ in range(c.topology.n_secret)]
-        vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs,
-                                  res.outputs[0], rng)
-        ps = _pair_projection(vi, vj, honest)
+        vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs, y, rng)
+        ps = _pair_projection(c, vi, vj, honest)
         for k in range(n_coords):
             real_counts[k][pr[k]] += 1
             sim_counts[k][ps[k]] += 1

@@ -25,12 +25,13 @@ messaging multiplication in post-order, and at the opening both the
 incoming zero-share contributions (`zin`) and the broadcast refreshed
 output shares (`bcast`).  Every entry is an int in [0, p), and a view's
 canonical encoding is exactly these entries in this order, each
-fixed-width big-endian.  A view is its encoding: `View` is a `bytes`
-subclass that also names its program and decodes its six fields from
-its bytes whenever they are read.  Only `run_protocol` (through
-`encode_view`, one strided slice assignment per element column of one
-buffer), `decode_view` and `make_view` build views, each checking what
-it builds.
+fixed-width big-endian.  A view is its encoding, plain bytes or a row
+of a buffer of them; `view_fields` decodes its six fields.
+`run_protocol` returns every lane's view as a row of one buffer
+(`encode_view`, one strided slice assignment per element column), which
+the prover commits to row by row and opens two rows of per repetition.
+`decode_view`, `make_view` and `mpc_simulate` build single views, each
+checking what it builds.
 
 The verifier never builds a view: it joins the opened views' bytes, one
 row each, and checks them in passes over element columns, every view
@@ -44,7 +45,6 @@ broadcast in one linear combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
@@ -145,53 +145,11 @@ class Program:
 
 def program(c: Circuit) -> Program:
     """c's program, compiled on first use and kept on the circuit object.
-    Threads that compile c at once all get the program stored first: a
-    view's encoding names its program, and a second one would disown it."""
+    Threads that compile c at once all get the program stored first."""
     prog = c.__dict__.get("_program")
     if prog is None:
         prog = c.__dict__.setdefault("_program", Program(c))
     return prog
-
-
-class View(bytes):
-    """A party's view: its canonical encoding, plus its program in `prog`.
-    The six fields are decoded from the bytes on each read; equal views
-    are equal bytes.  Build one with `run_protocol`, `decode_view` or
-    `make_view`, which check that it is well formed for its program."""
-
-    def __new__(cls, *args, **kwargs):
-        raise TypeError("views are built by run_protocol, decode_view or make_view")
-
-    def _field(self, name: str) -> tuple[int, ...]:
-        prog = self.prog
-        a, b = prog.fields[name]
-        return tuple(prog.cols.decode(self[a * prog.width:b * prog.width]))
-
-    public_inputs = property(lambda v: v._field("public_inputs"))
-    secret_shares = property(lambda v: v._field("secret_shares"))
-    randomness = property(lambda v: v._field("randomness"))
-    zin = property(lambda v: v._field("zin"))
-    bcast = property(lambda v: v._field("bcast"))
-
-    @property
-    def messages(self) -> tuple[tuple[int, ...], ...]:
-        flat = self._field("messages")
-        return tuple(flat[k:k + 5] for k in range(0, len(flat), 5))
-
-    def __repr__(self):
-        return "View(" + ", ".join(f"{f}={getattr(self, f)}" for f in VIEW_FIELDS) + ")"
-
-
-def _view(prog: Program, data) -> View:
-    v = bytes.__new__(View, data)
-    v.prog = prog
-    return v
-
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    views: tuple[View, ...]
-    outputs: tuple[FieldElement, ...]
 
 
 def random_gate_randomness(rng: RandomSource, c: Circuit):
@@ -232,13 +190,14 @@ def _interpret(prog: Program, inputs: Sequence, scalars: Sequence[int], n: int, 
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
-                 rands: Sequence[Sequence[int]]) -> tuple[ExecutionResult, ...]:
+                 rands: Sequence[Sequence[int]]) -> tuple[bytearray, tuple[FieldElement, ...]]:
     """Execute the full protocol once per repetition, as 5n party lanes of
     one pass: lane q*n + k is party q+1 in repetition k.  input_sharings
     holds each secret wire's five party columns (`sss.share`), and
     rands[k] is repetition k's gate randomness in drawn order
-    (`random_gate_randomness`).  Returns each repetition's five views and
-    outputs, in repetition order; `encode_view` builds the views."""
+    (`random_gate_randomness`).  Returns (rows, outputs): rows is the
+    buffer `encode_view` fills, whose row q*n + k is lane q*n + k's view,
+    and outputs[k] is repetition k's opened output."""
     c = s.circuit
     prog = program(c)
     F = prog.cols
@@ -282,10 +241,7 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
     placed.extend(enumerate([col * 5 for col in bcast], next(slots)))
     outs = F.lincomb(prog.lam, bcast)
     del inputs, rc, own, bcast  # placed holds the only references left
-    views = encode_view(c, placed, lanes)
-    m = c.modulus
-    return tuple(ExecutionResult(tuple(views[k::n]), (FieldElement(outs[k], m),) * 5)
-                 for k in range(n))
+    return encode_view(c, placed, lanes), tuple(FieldElement(y, c.modulus) for y in outs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +249,12 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
 # and the statement's public inputs, and must never trust any other data.
 
 
-def valid_view(c: Circuit, views: Sequence[View]) -> list[bool]:
-    """Whether each entry is a view of c's program (checked when built)."""
+def valid_view(c: Circuit, views: Sequence) -> list[bool]:
+    """Whether each entry is a view of c: bytes of c's view length whose
+    every element is below p."""
     prog = program(c)
-    return [isinstance(v, View) and v.prog is prog for v in views]
+    return [isinstance(v, (bytes, bytearray)) and len(v) == prog.view_length
+            and prog.cols.below_p(v) for v in views]
 
 
 def out_messages(c: Circuit, x: Sequence[FieldElement],
@@ -404,7 +362,7 @@ def _interp_eval(pts: Sequence[tuple[int, int]], at: int, p: int) -> int:
 def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
                  corrupt: tuple[int, int],
                  corrupt_shares: Sequence[tuple[FieldElement, FieldElement]],
-                 y: FieldElement, rng: RandomSource) -> tuple[View, View]:
+                 y: FieldElement, rng: RandomSource) -> tuple[bytes, bytes]:
     """Simulate the joint view of two corrupt parties without the witness.
 
     The two corrupt parties are the lanes of one pass.  Incoming messages
@@ -463,29 +421,43 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
 # is encoded, and decoding checks the length and each element's range.
 
 
-def encode_view(c: Circuit, placed: list, lanes: int) -> list[View]:
+def encode_view(c: Circuit, placed: list, lanes: int) -> bytearray:
     """The views of `lanes` lanes whose element columns are placed, as
     [(element index, column)]: one buffer of a row per lane, filled with
     one strided slice assignment per column, each column popped from
-    placed as it is written; then a view per row."""
+    placed as it is written."""
     prog = program(c)
     L = prog.view_length
     buf = bytearray(L * lanes)
     while placed:
         j, col = placed.pop()
         prog.cols.place(buf, prog.offsets[j], L, col)
-    rows = memoryview(buf)
-    return [_view(prog, rows[k:k + L]) for k in range(0, len(buf), L)]
+    return buf
 
 
-def make_view(c: Circuit, base: View | None = None, **fields) -> View:
+def view_fields(c: Circuit, v: bytes) -> dict:
+    """The six fields (`VIEW_FIELDS`) of a view of c, decoded from its
+    bytes: tuples of ints, messages a tuple of five-entry columns."""
+    prog = program(c)
+    if len(v) != prog.view_length:
+        raise MithError(f"a view of the circuit is {prog.view_length} bytes")
+    els = tuple(prog.cols.decode(v))
+    out = {name: els[a:b] for name, (a, b) in prog.fields.items()}
+    out["messages"] = tuple(els[k:k + 5] for k in range(*prog.fields["messages"], 5))
+    return out
+
+
+def make_view(c: Circuit, base: bytes | None = None, **fields) -> bytes:
     """The view of c with the given fields (`VIEW_FIELDS`) and base's
     others: public_inputs, secret_shares, randomness, zin and bcast are
     flat int sequences, messages a sequence of five-entry columns.
-    MithError unless every field has its count under c's program and
-    every entry is an int in [0, p), or a field is missing with no view
-    of c as base."""
+    MithError unless base, if given, is a view of c (`valid_view`), every
+    field has its count under c's program and every entry is an int in
+    [0, p), and every field missing is copied from a base."""
     prog = program(c)
+    if base is not None and not valid_view(c, [base])[0]:
+        raise MithError(f"make_view's base must be {prog.view_length} bytes "
+                        f"of elements below {prog.p}")
     w, parts = prog.width, []
     for name, (a, b) in prog.fields.items():
         if name in fields:
@@ -499,18 +471,18 @@ def make_view(c: Circuit, base: View | None = None, **fields) -> View:
             if not ok:
                 raise MithError(f"view field {name} needs {b - a} ints in [0, {prog.p})")
             parts.append(prog.cols.encode(flat))
-        elif isinstance(base, View) and base.prog is prog:
+        elif base is not None:
             parts.append(base[a * w:b * w])
         else:
-            raise MithError(f"make_view needs {name}, or a view of the circuit to copy")
+            raise MithError(f"make_view needs {name}, or a base view to copy")
     if fields:
         raise MithError(f"unknown view fields {sorted(fields)}")
-    return _view(prog, b"".join(parts))
+    return b"".join(parts)
 
 
-def view_elements(v: View) -> list[int]:
-    """The view's field elements in encoding order."""
-    return list(v.prog.cols.decode(v))
+def view_elements(c: Circuit, v: bytes) -> list[int]:
+    """The field elements of c's view v in encoding order."""
+    return list(program(c).cols.decode(v))
 
 
 def view_element_count(c: Circuit) -> int:
@@ -521,7 +493,7 @@ def encoded_view_length(c: Circuit) -> int:
     return program(c).view_length
 
 
-def decode_view(c: Circuit, data: bytes) -> View:
+def decode_view(c: Circuit, data: bytes) -> bytes:
     """The view whose encoding is data: data must be view_length bytes
     whose every element is below p, else ProofError."""
     prog = program(c)
@@ -529,7 +501,6 @@ def decode_view(c: Circuit, data: bytes) -> View:
         raise ProofError("truncated view encoding")
     if len(data) > prog.view_length:
         raise ProofError("trailing bytes after view")
-    v = _view(prog, data)
-    if not prog.cols.below_p(v):
+    if not prog.cols.below_p(data):
         raise ProofError("view field element exceeds modulus")
-    return v
+    return bytes(data)

@@ -9,8 +9,10 @@ soundness error 9/10 (plus the commitment binding advantage); sigma
 parallel repetitions take that to (9/10)^sigma.
 
 Every prover, cheater and simulator here commits sigma repetitions as one
-(states, msgs) pair (`commit_repetitions`); `respond_repetitions` turns
-such a pair into a `Proof`, and `check_repetitions` is the one verifier,
+(state, msgs) pair (`commit_rows`): the state holds every view as a row
+of one buffer, in `mpc.run_protocol`'s lane order, and their openings.
+`respond_repetitions` turns such a pair into a `Proof`, opening two rows
+per repetition, and `check_repetitions` is the one verifier,
 for proof files, sessions and the security games alike.  A `Proof` is
 its bytes: a proof file's sigma fixed-size blocks in one buffer, checked
 in strided passes (`well_formed`) by `parse_proof` and a session.
@@ -63,15 +65,21 @@ class Proof:
         return self.body[cm_len::len(self.body) // self.reps]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProverState:
-    views: tuple
+    """A commit phase of n repetitions: rows holds its 5n views, row
+    q*n + k party q+1's in repetition k, and openings[q*n + k] opens
+    that row's commitment."""
+
+    rows: bytes
     openings: tuple
 
 
-def prover_respond(st: ProverState, ch: tuple[int, int]) -> bytes:
-    """The response to challenge ch: pair ch's (view, opening) blocks."""
-    return b"".join([serialize_response_block(st.views[q - 1], st.openings[q - 1]) for q in ch])
+def prover_respond(st: ProverState, k: int, ch: tuple[int, int]) -> bytes:
+    """Repetition k's response to ch: pair ch's (view, opening) blocks."""
+    n, L = len(st.openings) // 5, len(st.rows) // len(st.openings)
+    return b"".join([serialize_response_block(st.rows[r * L:(r + 1) * L], st.openings[r])
+                     for r in ((q - 1) * n + k for q in ch)])
 
 
 def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
@@ -123,13 +131,24 @@ def share_witness(w: Witness, coeffs: Sequence[Sequence[int]], p: int) -> list:
             for k, v in enumerate(w.secret_inputs)]
 
 
+def commit_rows(scheme, rows: bytes, keys: Sequence[bytes]) -> tuple[ProverState, list[bytes]]:
+    """The (state, msgs) of n = len(keys) / 5 repetitions whose views are
+    rows in row order (`ProverState`), keys[5k + q] drawn for party q+1 in
+    repetition k: each row committed under its key, repetition k's message
+    its five commitments in party order."""
+    n, L = len(keys) // 5, len(rows) // len(keys)
+    openings = tuple([key for q in PARTY_IDS for key in keys[q - 1::5]])
+    coms = list(map(scheme.commit_view, openings, (rows[r:r + L] for r in range(0, len(rows), L))))
+    return ProverState(rows, openings), [serialize_commitment_msg(coms[k::n]) for k in range(n)]
+
+
 def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
-                       scheme) -> tuple[list[ProverState], list[bytes]]:
-    """The commit phase of sigma independent runs, in repetition order:
-    share the witness, run the protocol in the head, commit to the five
-    views.  Each repetition draws, in turn, its sharing polynomials (a1,
-    a2 per secret wire), its gate randomness and five commit keys; then
-    one `run_protocol` evaluates every repetition as a lane."""
+                       scheme) -> tuple[ProverState, list[bytes]]:
+    """The commit phase of sigma independent runs: share the witness, run
+    the protocol in the head, commit to the five views.  Each repetition
+    draws, in turn, its sharing polynomials (a1, a2 per secret wire), its
+    gate randomness and five commit keys; then one `run_protocol`
+    evaluates every repetition as a lane, writing each view as a row."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
     c = s.circuit
@@ -141,18 +160,15 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     for _ in range(reps):
         coeffs.append(random_share_randomness(rng, p, n_secret))
         rands.append(mpc.random_gate_randomness(rng, c))
-        keys.append(tuple([scheme.keygen(rng) for _ in PARTY_IDS]))
-    states, msgs = [], []
-    for res, ks in zip(mpc.run_protocol(s, share_witness(w, coeffs, p), rands), keys):
-        states.append(ProverState(res.views, ks))
-        msgs.append(serialize_commitment_msg(list(map(scheme.commit_view, ks, res.views))))
-    return states, msgs
+        keys.extend([scheme.keygen(rng) for _ in PARTY_IDS])
+    rows, _ = mpc.run_protocol(s, share_witness(w, coeffs, p), rands)
+    return commit_rows(scheme, rows, keys)
 
 
-def respond_repetitions(s: Statement, states: Sequence[ProverState],
+def respond_repetitions(s: Statement, state: ProverState,
                         msgs: Sequence[bytes], rng: RandomSource, scheme,
                         mode: str) -> Proof:
-    """The challenge and response phases for a commit phase (states,
+    """The challenge and response phases for a commit phase (state,
     msgs).  Challenges are hash-derived from all commitments, or in
     transcript mode rng-drawn in repetition order, as an interactive
     verifier would have sent them (such a proof has no file form)."""
@@ -165,8 +181,8 @@ def respond_repetitions(s: Statement, states: Sequence[ProverState],
     else:
         raise MithError(f"unknown challenge mode {mode!r}")
     return Proof(scheme.name, mode, digest, len(msgs), b"".join([
-        part for st, cm, ch in zip(states, msgs, chs)
-        for part in (cm, bytes([PARTY_PAIRS.index(ch)]), prover_respond(st, ch))]))
+        part for k, (cm, ch) in enumerate(zip(msgs, chs))
+        for part in (cm, bytes([PARTY_PAIRS.index(ch)]), prover_respond(state, k, ch))]))
 
 
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
@@ -174,8 +190,8 @@ def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
     """sigma independent runs of the honest prover (`commit_repetitions`,
     then `respond_repetitions`)."""
     scheme = scheme or scheme_by_name("prf")
-    states, msgs = commit_repetitions(w, s, reps, rng, scheme)
-    return respond_repetitions(s, states, msgs, rng, scheme, mode)
+    state, msgs = commit_repetitions(w, s, reps, rng, scheme)
+    return respond_repetitions(s, state, msgs, rng, scheme, mode)
 
 
 def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
@@ -233,22 +249,19 @@ def verify_repeated(s: Statement, proof: Proof) -> bool:
 def zk_simulate_once(s: Statement, rng: RandomSource,
                      scheme=None) -> tuple[tuple[int, int], bytes, ProverState]:
     """One witness-free simulator attempt with a uniform challenge guess:
-    (guess, commitments, state).  The commitments hold real simulated
-    views for the guessed pair and the all-zero view elsewhere; the state
-    holds None for the parties it cannot open."""
+    (guess, commitment message, state).  The state's rows are the
+    simulated views for the guessed pair and the all-zero view elsewhere,
+    each committed under its key."""
     scheme = scheme or scheme_by_name("prf")
     c = s.circuit
     guess = PARTY_PAIRS[rng.randbelow(N_CHALLENGES)]
     corrupt_shares = [share_sim(rng, guess, c.modulus) for _ in range(c.topology.n_secret)]
     i, j = guess
-    views = [None] * 5
+    views = [bytes(mpc.encoded_view_length(c))] * 5
     views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
                                                   s.target, rng)
-    zero = mpc.decode_view(c, bytes(mpc.encoded_view_length(c)))
-    keys = [scheme.keygen(rng) for _ in PARTY_IDS]
-    coms = list(map(scheme.commit_view, keys, [zero if v is None else v for v in views]))
-    openings = tuple(None if v is None else k for v, k in zip(views, keys))
-    return guess, serialize_commitment_msg(coms), ProverState(tuple(views), openings)
+    st, (cm,) = commit_rows(scheme, b"".join(views), [scheme.keygen(rng) for _ in PARTY_IDS])
+    return guess, cm, st
 
 
 def zk_simulate(s: Statement,
@@ -267,7 +280,7 @@ def zk_simulate(s: Statement,
         ch = verifier(s, cm)
         if ch == guess:
             return Proof(scheme.name, "transcript", statement_hash(s), 1,
-                         cm + bytes([PARTY_PAIRS.index(ch)]) + prover_respond(st, ch))
+                         cm + bytes([PARTY_PAIRS.index(ch)]) + prover_respond(st, 0, ch))
     raise SimulationFailure(
         f"challenge guess missed {max_retries} times in a row")
 
@@ -278,7 +291,7 @@ def zk_simulate(s: Statement,
 # statement hash, then the body: per repetition 5 length-prefixed
 # commitments, a challenge byte (index into the lexicographic pair
 # order) and two (view, opening) blocks, each a length-prefixed view
-# (its elements only, `mpc.View`) and a length-prefixed opening.  The
+# (its elements only, `mpc.encode_view`) and a length-prefixed opening.  The
 # circuit and the scheme fix every length (`block_fields`), so the body
 # is checked in strided columns.  A session's COMMIT and RESPONSE
 # payloads are its commitment messages and responses.
@@ -352,7 +365,7 @@ def serialize_commitment_msg(commitments: Sequence[bytes]) -> bytes:
     return b"".join([_lp(com) for com in commitments])
 
 
-def serialize_response_block(view: mpc.View, opening: bytes) -> bytes:
+def serialize_response_block(view: bytes, opening: bytes) -> bytes:
     """One (view, opening) block: the view's bytes, the ones its PRF
     commitment was computed over, and its opening's."""
     return _lp(view) + _lp(opening)

@@ -190,7 +190,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
         _send_error(transport, ERR_HASH_MISMATCH, "hello parameter mismatch")
         raise SessionError("peer acknowledged different parameters", "hello")
 
-    states, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
+    state, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
     commit_payload = b"".join(msgs)
     _send(transport, MSG_COMMIT, commit_payload)
 
@@ -206,8 +206,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
         _abort(transport, ERR_BAD_FRAME, "challenge byte out of range", "challenge")
     _send(transport, MSG_RESPONSE, b"".join(
-        proto.prover_respond(st, PARTY_PAIRS[b])
-        for st, b in zip(states, challenge_bytes)))
+        proto.prover_respond(state, k, PARTY_PAIRS[b]) for k, b in enumerate(challenge_bytes)))
 
     result = _expect(transport, MSG_RESULT, "result")
     if len(result) != 1 or result[0] > 1:

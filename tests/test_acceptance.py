@@ -30,7 +30,8 @@ from mith.sss import PARTY_PAIRS, share
 from tests.test_commit import RFC4231
 from tests.test_mpc import (
     ScriptedRng, all_pairs_consistent, honest_run, make_free,
-    real_execution_from_free_coords, rerun_from_views, simulator_draws, tamper_cases,
+    real_execution_from_free_coords, repetition_views, rerun_from_views, simulator_draws,
+    tamper_cases,
 )
 
 PRF = scheme_by_name("prf")
@@ -144,7 +145,7 @@ def test_criterion_5_mpc_correctness():
             s, w = random_instance(rnd, c)
             res, _, _ = honest_run(s, w, rng)
             want = eval_plain(s, w)
-            if any(o != want for o in res.outputs):
+            if res.output != want:
                 mism += 1
     elapsed = time.time() - t0
     report(5, "MPC output equals plain evaluation on 500 random instances",
@@ -171,7 +172,7 @@ def test_criterion_6_local_vs_global_consistency():
     checked = 0
     while checked < 100:
         res, _, _ = honest_run(s, Witness((m.element(rnd.randrange(11)),)), rng)
-        for views in tamper_cases(c, res, rnd):
+        for views in tamper_cases(c, res.views, rnd):
             if checked >= 100:
                 break
             consistent = all_pairs_consistent(c, s.public_inputs, views)
@@ -280,8 +281,8 @@ def test_criterion_9_scheme_performance_shape():
     ped = scheme_by_name("pedersen", m.p)
     c = bench_circuit_a(m)
     s, w = random_instance(random.Random(909), c)
-    (st,), _ = pr.commit_repetitions(w, s, 1, rng, prf)
-    view = st.views[0]
+    st, _ = pr.commit_repetitions(w, s, 1, rng, prf)
+    view = repetition_views(st.rows, 1)[0]
     runs = range(21)
     key = prf.keygen(rng)
     com = prf.commit_view(key, view)
@@ -358,13 +359,13 @@ def test_criterion_10_session_equivalence():
             digest = pr.statement_hash(s)
             ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, digest))
             ses._read_hello(ta)
-            states, cms = cheater.commit(rng, 2)
+            state, cms = cheater.commit(rng, 2)
             ses._send(ta, ses.MSG_COMMIT, b"".join(cms))
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
             blocks = []
             for r in range(2):
                 ch = PARTY_PAIRS[ch_payload[32 + r]]
-                blocks.append(pr.prover_respond(states[r], ch))
+                blocks.append(pr.prover_respond(state, r, ch))
             ses._send(ta, ses.MSG_RESPONSE, b"".join(blocks))
             ses._expect(ta, ses.MSG_RESULT, "result")
         else:

@@ -142,8 +142,9 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     ch = (3, 4)
     reps = 128
     body = []
-    for st, cm in zip(*cheater.commit(rng, reps)):
-        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]), pr.prover_respond(st, ch)]
+    st, msgs = cheater.commit(rng, reps)
+    for k, cm in enumerate(msgs):
+        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]), pr.prover_respond(st, k, ch)]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
     (tmp_path / "forged.bin").write_bytes(header + b"\x00" + tail)

@@ -373,14 +373,15 @@ def one_view(rng):
     s = Statement(c, (), m.element(4))
     a1, a2 = random_share_randomness(rng, m.p, 1)
     sharing = share(4, (a1,), (a2,), m.p)
-    (res,) = mpc.run_protocol(s, [sharing], [mpc.random_gate_randomness(rng, c)])
-    return c, res.views[0]
+    rows, _ = mpc.run_protocol(s, [sharing], [mpc.random_gate_randomness(rng, c)])
+    return c, bytes(rows[:len(rows) // 5])
 
 
 def test_scheme_serialization_round_trips():
     rng = RandomSource(9)
     c, view = one_view(rng)
-    other = mpc.make_view(c, view, bcast=((view.bcast[0] + 1) % 101,) + view.bcast[1:])
+    bcast = mpc.view_fields(c, view)["bcast"]
+    other = mpc.make_view(c, view, bcast=((bcast[0] + 1) % 101,) + bcast[1:])
     for scheme in (scheme_by_name("prf"), scheme_by_name("pedersen", 101)):
         key = scheme.keygen(rng)
         com = scheme.commit_view(key, view)

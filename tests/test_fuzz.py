@@ -18,9 +18,9 @@ from mith.field import Modulus, RandomSource
 PRF = scheme_by_name("prf")
 C = random_circuit(random.Random(3), Modulus(101), 1, 2, max_depth=5)
 S, W = random_instance(random.Random(4), C)
-(STATE,), _ = pr.commit_repetitions(W, S, 1, RandomSource(1), PRF)
-VIEW = bytes(STATE.views[2])
 PROG = mpc.program(C)
+STATE, _ = pr.commit_repetitions(W, S, 1, RandomSource(1), PRF)
+VIEW = bytes(STATE.rows[2 * PROG.view_length:3 * PROG.view_length])
 PRF_PROOF = pr.serialize_proof(pr.prove_repeated(W, S, 2, RandomSource(2)), C)
 C_PED = bench_circuit_a(Modulus(101))
 S_PED, W_PED = random_instance(random.Random(5), C_PED)
@@ -69,7 +69,7 @@ def test_decode_view_oracle_on_honest_length(raw, cap):
         return
     assert max(data) < PROG.p
     assert bytes(view) == data
-    assert mpc.view_elements(view) == list(data)
+    assert mpc.view_elements(C, view) == list(data)
 
 
 @settings(max_examples=500, deadline=None)

@@ -76,8 +76,8 @@ def golden_digests(name: str) -> tuple[str, str]:
     c = make()
     s, w = random_instance(random.Random(17), c)
     scheme = scheme_by_name(scheme_name, c.modulus.p)
-    (st,), _ = pr.commit_repetitions(w, s, 1, RandomSource(b"golden-views"), scheme)
-    views = hashlib.sha256(b"".join(bytes(v) for v in st.views)).hexdigest()
+    st, _ = pr.commit_repetitions(w, s, 1, RandomSource(b"golden-views"), scheme)
+    views = hashlib.sha256(st.rows).hexdigest()  # one repetition: the five views in party order
     proof = pr.prove_repeated(w, s, 2, RandomSource(b"golden-proof"), scheme, "derived")
     data = pr.serialize_proof(proof, c)
     assert pr.verify_repeated(s, pr.parse_proof(data, c))

@@ -31,6 +31,7 @@ from mith.sss import PARTY_PAIRS, dot5, share5
 from test_field import reference_randbelow
 from test_fuzz import TREES, render
 from test_golden import SMUL_OVER_MUL
+from test_mpc import repetition_views
 
 
 def chain_circuit(n: int):
@@ -179,13 +180,13 @@ def check_against_reference(c, scheme_name, reps, seed):
     scheme = scheme_by_name(scheme_name, c.modulus.p)
     label = b"lanes/%d/%d" % (seed, reps)
     views, coms, openings, data = reference_proof(w, s, reps, RandomSource(label), scheme)
-    states, msgs = pr.commit_repetitions(w, s, reps, RandomSource(label), scheme)
-    assert [[tuple(getattr(v, f) for f in RefView._fields) for v in st.views]
-            for st in states] == [[tuple(v) for v in vs] for vs in views]
-    assert [[bytes(v) for v in st.views] for st in states] == [
-        [reference_encoding(c, v) for v in vs] for vs in views]
+    st, msgs = pr.commit_repetitions(w, s, reps, RandomSource(label), scheme)
+    runs = [repetition_views(st.rows, reps, k) for k in range(reps)]
+    assert [[tuple(mpc.view_fields(c, v)[f] for f in RefView._fields) for v in vs]
+            for vs in runs] == [[tuple(v) for v in vs] for vs in views]
+    assert runs == [[reference_encoding(c, v) for v in vs] for vs in views]
     assert msgs == [pr.serialize_commitment_msg(cs) for cs in coms]
-    assert [list(st.openings) for st in states] == openings
+    assert [[st.openings[q * reps + k] for q in range(5)] for k in range(reps)] == openings
     proof = pr.prove_repeated(w, s, reps, RandomSource(label), scheme)
     assert pr.serialize_proof(proof, c) == data
     assert pr.verify_repeated(s, pr.parse_proof(data, c))

@@ -4,6 +4,8 @@ view replay, encoding, and the exactness of the 2-privacy simulator."""
 import random
 import sys
 import threading
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -38,21 +40,50 @@ def drawn(parties):
             for q in range(5) for t in (0, 1)]
 
 
+def fields(c, v):
+    """The fields of c's view v (`mpc.view_fields`), as attributes."""
+    return SimpleNamespace(**mpc.view_fields(c, v))
+
+
+def repetition_views(rows, n, k=0):
+    """Repetition k's five views, in party order, among the rows of n
+    repetitions (`mpc.run_protocol`: row q*n + k is party q+1's)."""
+    L = len(rows) // (5 * n)
+    return [bytes(rows[r * L:(r + 1) * L]) for r in range(k, 5 * n, n)]
+
+
+class Run(NamedTuple):
+    """One repetition of run_protocol: its five views in party order,
+    their fields and the opened output."""
+
+    views: list
+    fields: list
+    output: FieldElement
+
+
+def one_run(s, sharings, rand) -> Run:
+    """run_protocol for one repetition: sharings holds each secret wire's
+    five party columns of one share, rand the drawn randomness."""
+    rows, (y,) = mpc.run_protocol(s, sharings, [rand])
+    views = repetition_views(rows, 1)
+    return Run(views, [fields(s.circuit, v) for v in views], y)
+
+
 def rerun_from_views(c, x, views):
     """Re-execute from the inputs and randomness recorded in five views:
     the honest execution they claim to come from, if any.  Compare its
     views against the originals to settle global consistency."""
     if len(views) != 5 or not all(mpc.valid_view(c, views)):
         return None
-    sharings = [tuple((v.secret_shares[k],) for v in views) for k in range(c.topology.n_secret)]
-    rand = drawn([v.randomness for v in views])
-    return mpc.run_protocol(Statement(c, tuple(x), c.modulus.zero()), sharings, [rand])[0]
+    fs = [fields(c, v) for v in views]
+    sharings = [tuple((f.secret_shares[k],) for f in fs) for k in range(c.topology.n_secret)]
+    return one_run(Statement(c, tuple(x), c.modulus.zero()), sharings,
+                   drawn([f.randomness for f in fs]))
 
 
 def run1(s, sharings, rand):
     """run_protocol on one lane: the given Sharings and drawn randomness."""
-    (res,) = mpc.run_protocol(s, [tuple((x,) for x in sh.values()) for sh in sharings], [rand])
-    return res
+    return one_run(s, [tuple((x,) for x in sh.values()) for sh in sharings], rand)
 
 
 def honest_run(s, w, rng):
@@ -95,7 +126,7 @@ def test_identity_circuit_outputs_witness(m11, rng):
     for v in range(11):
         s = Statement(c, (), m11.element(v))
         res, _, _ = honest_run(s, Witness((m11.element(v),)), rng)
-        assert all(o.value == v for o in res.outputs)
+        assert res.output.value == v
 
 
 @pytest.mark.parametrize("p", [11, 101])
@@ -109,7 +140,7 @@ def test_run_protocol_matches_eval_plain(p, rng):
         s, w = random_instance(rnd, c)
         res, _, _ = honest_run(s, w, rng)
         want = eval_plain(s, w)
-        assert all(o == want for o in res.outputs)
+        assert res.output == want
 
 
 def test_run_protocol_missing_randomness(m11, rng):
@@ -160,15 +191,15 @@ def run_with(s, sharings, rng, pairs=None):
 def root_before_refresh(res, p):
     """The root sharing as the parties held it before the refresh: each
     broadcast share minus the zero shares that party received."""
-    return tuple((v.bcast[q] - sum(v.zin)) % p for q, v in enumerate(res.views))
+    return tuple((f.bcast[q] - sum(f.zin)) % p for q, f in enumerate(res.fields))
 
 
 def mul_outputs(res, m):
     """Per messaging multiplication, the sharing the parties recombined
     from the resharing columns their views record."""
-    return [tuple(sum(l * y for l, y in zip(m.recon_weights, v.messages[k])) % m.p
-                  for v in res.views)
-            for k in range(len(res.views[0].messages))]
+    return [tuple(sum(l * y for l, y in zip(m.recon_weights, f.messages[k])) % m.p
+                  for f in res.fields)
+            for k in range(len(res.fields[0].messages))]
 
 
 def opened(m, ys):
@@ -188,7 +219,7 @@ def test_gate_add_linearity(m11, rng):
         res = run_with(s, [sa, sb], rng)
         assert root_before_refresh(res, 11) == tuple(
             (x + y) % 11 for x, y in zip(sa.values(), sb.values()))
-        assert res.outputs[0] == reconstruct(sa) + reconstruct(sb)
+        assert res.output == reconstruct(sa) + reconstruct(sb)
 
 
 def test_gate_add_zero_identity(m11, rng):
@@ -214,7 +245,7 @@ def test_gate_smul_example(m11, rng):
     sh = rand_sharing(m11, rng, m11.element(3))
     res = run_with(s, [sh], rng)
     assert root_before_refresh(res, 11) == tuple(4 * v % 11 for v in sh.values())
-    assert res.outputs[0].value == 1  # 12 mod 11
+    assert res.output.value == 1  # 12 mod 11
 
 
 def test_gate_mul_reconstructs_product(m11, rng):
@@ -224,7 +255,7 @@ def test_gate_mul_reconstructs_product(m11, rng):
         res = run_with(s, [rand_sharing(m11, rng, a), rand_sharing(m11, rng, b)], rng)
         (prod,) = mul_outputs(res, m11)
         assert opened(m11, prod) == a * b
-        assert res.outputs[0] == a * b
+        assert res.output == a * b
 
 
 def test_recombination_weights_partition_of_unity():
@@ -254,7 +285,7 @@ def test_gate_mul_messages_are_rows(m11, rng):
         a1, a2 = rs[k]
         for q in range(5):
             x = q + 1
-            assert res.views[q].messages[0][k] == (d + a1 * x + a2 * x * x) % 11
+            assert res.fields[q].messages[0][k] == (d + a1 * x + a2 * x * x) % 11
 
 
 def test_intermediate_sharings_degree_at_most_two(m11, rng):
@@ -266,7 +297,7 @@ def test_intermediate_sharings_degree_at_most_two(m11, rng):
         c = random_circuit(rnd, m11, n_public=1, n_secret=2, max_depth=4)
         s, w = random_instance(rnd, c)
         res, _, _ = honest_run(s, w, rng)
-        bcast = res.views[0].bcast
+        bcast = res.fields[0].bcast
         for sh in mul_outputs(res, m11) + [root_before_refresh(res, 11), bcast]:
             assert sharing_degree(sh, 11) <= 2
         assert opened(m11, bcast) == eval_plain(s, w)
@@ -281,16 +312,16 @@ def test_refresh_preserves_secret(m11, rng):
     for _ in range(200):
         secret = rng.field_element(m11)
         res = run_with(s, [rand_sharing(m11, rng, secret)], rng)
-        assert all(v.bcast == res.views[0].bcast for v in res.views)
-        assert opened(m11, res.views[0].bcast) == secret
-        assert all(o == secret for o in res.outputs)
+        assert all(f.bcast == res.fields[0].bcast for f in res.fields)
+        assert opened(m11, res.fields[0].bcast) == secret
+        assert res.output == secret
 
 
 def test_refresh_zero_randomness_is_identity(m11, rng):
     s = Statement(identity_circuit(m11), (), m11.zero())
     sh = rand_sharing(m11, rng)
     res = run_with(s, [sh], rng, [((0, 0),)] * 5)
-    assert res.views[0].bcast == sh.values()
+    assert res.fields[0].bcast == sh.values()
 
 
 def test_refresh_marginal_uniform_over_consistent_sharings(m11, rng):
@@ -305,8 +336,8 @@ def test_refresh_marginal_uniform_over_consistent_sharings(m11, rng):
     for b1 in range(11):
         for b2 in range(11):
             res = run_with(s, [base], rng, [((b1, b2),)] + [((0, 0),)] * 4)
-            assert res.outputs[0] == secret
-            seen.add(res.views[0].bcast)
+            assert res.output == secret
+            seen.add(res.fields[0].bcast)
     all_sharings = {
         share1(m11, secret, a1, a2).values()
         for a1 in range(11) for a2 in range(11)
@@ -361,7 +392,7 @@ def test_out_messages_cross_check_honest(m11, rng):
         assert ok == [True] * 5
         sent = dict(zip(PARTY_IDS, replays))
         for i in PARTY_IDS:
-            v = res.views[i - 1]
+            v = res.fields[i - 1]
             for j in PARTY_IDS:
                 if i == j:
                     continue
@@ -397,19 +428,20 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
     s = Statement(c, (), m11.element(10))
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     v = res.views[0]
+    f = res.fields[0]
     other = honest_run(Statement(identity_circuit(m11), (), m11.element(3)),
                        Witness((m11.element(3),)), rng)[0].views[0]
-    assert mpc.make_view(c, **{f: getattr(v, f) for f in mpc.VIEW_FIELDS}) == v
+    assert mpc.make_view(c, **mpc.view_fields(c, v)) == v
     # A view of the wrong shape, with an entry out of range or of the
     # wrong type, or with a field neither given nor copied from a view of
     # c cannot be built.
-    for base, fields in ((v, {"messages": ()}), (v, {"randomness": v.randomness[-2:]}),
-                         (v, {"messages": (v.messages[0][:4],)}), (v, {"zin": (11,) + v.zin[1:]}),
-                         (v, {"bcast": (float(v.bcast[0]),) + v.bcast[1:]}),
-                         (v, {"zin": v.zin, "zout": v.zin}), (None, {"bcast": v.bcast}),
-                         (other, {"bcast": v.bcast})):
+    for base, given in ((v, {"messages": ()}), (v, {"randomness": f.randomness[-2:]}),
+                        (v, {"messages": (f.messages[0][:4],)}), (v, {"zin": (11,) + f.zin[1:]}),
+                        (v, {"bcast": (float(f.bcast[0]),) + f.bcast[1:]}),
+                        (v, {"zin": f.zin, "zout": f.zin}), (None, {"bcast": f.bcast}),
+                        (other, {"bcast": f.bcast})):
         with pytest.raises(MithError):
-            mpc.make_view(c, base, **fields)
+            mpc.make_view(c, base, **given)
     assert len(other) % len(v)
     for rows in (b"", bytes(v)[:-1], rows_of([other, v]), rows_of([v]) + b"\x00"):
         with pytest.raises(MithError):
@@ -421,12 +453,37 @@ def test_out_messages_invalid_shape_returns_none(m11, rng):
     assert ok == [False, False, True] and replays[2] == sent
 
 
+@pytest.mark.parametrize("p", [11, 2**256 - 189])
+def test_make_view_and_valid_view_check_the_bytes(p, rng):
+    """A view is bytes of the circuit's view length whose every element
+    is below p.  A base or an entry of the wrong length, or with an
+    element equal to p, first or last, makes make_view raise MithError
+    and valid_view return False, which it also returns for anything that
+    is not bytes."""
+    m = Modulus(p)
+    c = square_plus_one_circuit(m)
+    v = honest_run(Statement(c, (), m.element(10)), Witness((m.element(3),)), rng)[0].views[0]
+    w = mpc.program(c).width
+    top = p.to_bytes(w, "big")
+    bad = [b"", v[:-1], v + b"\0", v[:-w], top + v[w:], v[:-w] + top, bytearray(top + v[w:])]
+    assert mpc.valid_view(c, [v, bytearray(v)]) == [True, True]
+    assert mpc.valid_view(c, bad) == [False] * len(bad)
+    assert mpc.valid_view(c, [None, 0, v.hex(), list(v), memoryview(v)]) == [False] * 5
+    bcast = mpc.view_fields(c, v)["bcast"]
+    assert mpc.make_view(c, v, bcast=bcast) == mpc.make_view(c, bytearray(v), bcast=bcast) == v
+    for base in bad:
+        with pytest.raises(MithError):
+            mpc.make_view(c, base, bcast=bcast)
+        with pytest.raises(MithError):
+            mpc.make_view(c, base, **mpc.view_fields(c, v))
+
+
 def test_local_output_matches_protocol_outputs(m11, rng):
     for s, w in golden_corpus(m11, 6):
         res, _, _ = honest_run(s, w, rng)
         rows = rows_of(res.views)
-        assert mpc.local_output(s.circuit, rows, res.outputs[0]) == [True] * 5
-        assert mpc.local_output(s.circuit, rows, res.outputs[0] + m11.one()) == [False] * 5
+        assert mpc.local_output(s.circuit, rows, res.output) == [True] * 5
+        assert mpc.local_output(s.circuit, rows, res.output + m11.one()) == [False] * 5
 
 
 def test_local_output_identity_circuit(m11, rng):
@@ -442,10 +499,10 @@ def test_local_output_sensitive_to_broadcast_tampering(m11, rng):
     res, _, _ = honest_run(s, Witness((m11.element(3),)), rng)
     v = res.views[0]
     for slot in (1, 4):
-        bc = list(v.bcast)
+        bc = list(res.fields[0].bcast)
         bc[slot] = (bc[slot] + 1) % 11
         bad = mpc.make_view(c, v, bcast=bc)
-        assert mpc.local_output(c, rows_of([v, bad]), res.outputs[0]) == [True, False]
+        assert mpc.local_output(c, rows_of([v, bad]), res.output) == [True, False]
 
 
 def test_consistent_views_rejects_same_party(m11, rng):
@@ -504,9 +561,10 @@ def bump(v, m):
 
 
 def flip_mul_message(c, view, slot):
-    col = list(view.messages[0])  # square_plus_one has one multiplication
+    messages = fields(c, view).messages
+    col = list(messages[0])  # square_plus_one has one multiplication
     col[slot] = bump(col[slot], c.modulus)
-    return mpc.make_view(c, view, messages=(tuple(col),) + view.messages[1:])
+    return mpc.make_view(c, view, messages=(tuple(col),) + messages[1:])
 
 
 def test_flipped_message_breaks_touched_pairs_only(m11, rng):
@@ -550,11 +608,11 @@ def test_rerun_reproduces_honest_views(m11, rng):
         assert redo.views == res.views
 
 
-def tamper_cases(c, res, rnd):
-    """A set of single-coordinate tampers over the view 5-tuple of a run
+def tamper_cases(c, views, rnd):
+    """A set of single-coordinate tampers over the five views of a run
     of c."""
     m = c.modulus
-    views = list(res.views)
+    views = list(views)
     cases = []
     # Message flip.
     for slot in range(5):
@@ -562,20 +620,20 @@ def tamper_cases(c, res, rnd):
         cases.append([v] + views[1:])
     # Randomness flip: a1 of the refresh pair.
     v = views[1]
-    rv = list(v.randomness)
+    rv = list(fields(c, v).randomness)
     rv[-2] = bump(rv[-2], m)
     cases.append(views[:1]
                  + [mpc.make_view(c, v, randomness=rv)]
                  + views[2:])
     # Input share flip: the first share, the others kept.
     v = views[2]
+    sh = fields(c, v).secret_shares
     cases.append(views[:2]
-                 + [mpc.make_view(
-                     c, v, secret_shares=(bump(v.secret_shares[0], m), *v.secret_shares[1:]))]
+                 + [mpc.make_view(c, v, secret_shares=(bump(sh[0], m), *sh[1:]))]
                  + views[3:])
     # zin flip.
     v = views[3]
-    zin = list(v.zin)
+    zin = list(fields(c, v).zin)
     k = rnd.randrange(5)
     zin[k] = bump(zin[k], m)
     cases.append(views[:3]
@@ -583,7 +641,7 @@ def tamper_cases(c, res, rnd):
                  + views[4:])
     # Broadcast flip.
     v = views[4]
-    bc = list(v.bcast)
+    bc = list(fields(c, v).bcast)
     k = rnd.randrange(5)
     bc[k] = bump(bc[k], m)
     cases.append(views[:4]
@@ -600,7 +658,7 @@ def test_global_consistency_equivalence_on_tampered_corpus(m11, rng):
     checked = 0
     while checked < 100:
         res, _, _ = honest_run(s, Witness((m11.element(rnd.randrange(11)),)), rng)
-        for views in tamper_cases(c, res, rnd):
+        for views in tamper_cases(c, res.views, rnd):
             consistent = all_pairs_consistent(c, s.public_inputs, views)
             redo = rerun_from_views(c, s.public_inputs, views)
             reproduced = redo is not None and list(redo.views) == list(views)
@@ -748,7 +806,7 @@ def test_simulator_exactness_coupling(m11):
         for _ in range(40):
             free = make_free(rnd, pair, 11)
             res = real_execution_from_free_coords(c, s, w_val, free, m11)
-            assert res.outputs[0] == target
+            assert res.output == target
             vi_real = res.views[pair[0] - 1]
             vj_real = res.views[pair[1] - 1]
             corrupt_shares = [(m11.element(free[1]), m11.element(free[2]))]
@@ -805,7 +863,7 @@ def test_view_encoding_round_trip(m11, rng):
             blob = bytes(v)
             assert len(blob) == mpc.encoded_view_length(c)
             assert mpc.decode_view(c, blob) == v
-            assert len(mpc.view_elements(v)) == mpc.view_element_count(c)
+            assert len(mpc.view_elements(c, v)) == mpc.view_element_count(c)
 
 
 def test_view_encoding_strictness(m11, rng):
@@ -863,7 +921,7 @@ def test_view_encoding_is_bit_stable(m11, rng):
 
 def test_concurrent_first_compiles_share_one_program(monkeypatch):
     """Two threads that compile one circuit at once get the same program,
-    so the views one of them made keep naming the circuit's program."""
+    so both read one layout and one scalar cache."""
     c = parse_circuit("field 101\ntopology 0 1 1\n(mul 2 (sinput 0) (sinput 0))")
     both_compiled = threading.Barrier(2)
     compile_program = mpc.Program.__init__
@@ -904,7 +962,7 @@ def test_shared_program_across_threads():
                 _, ((sent, *_),) = sent_by(c, s.public_inputs, res.views[:1])
                 recorded = b"".join(res.views[0][j * prog.width:(j + 1) * prog.width]
                                     for j in prog.received[0])
-                if (res.outputs[0] != want
+                if (res.output != want
                         or mpc.local_output(c, rows_of(res.views[:1]), want) != [True]
                         or sent != recorded):
                     errors.append(x)

@@ -23,7 +23,8 @@ from mith.harness import OneBadPairCheater, canonical_false_statement
 from mith.sss import PARTY_IDS, PARTY_PAIRS
 
 from test_field import chi2_uniform
-from test_golden import SMUL_OVER_MUL
+from test_golden import CASES, SMUL_OVER_MUL
+from test_mpc import fields, repetition_views
 
 PRF = scheme_by_name("prf")
 
@@ -77,9 +78,8 @@ def commitment_of(msg: bytes, party: int) -> bytes:
 
 def drawn_challenges(s, msgs, rng):
     """The challenges a transcript-mode proof draws for a commit phase."""
-    unopened = pr.ProverState((b"",) * 5, (b"",) * 5)
-    return challenges(pr.respond_repetitions(s, [unopened] * len(msgs), msgs, rng, PRF,
-                                             "transcript"))
+    unopened = pr.ProverState(b"", (b"",) * (5 * len(msgs)))
+    return challenges(pr.respond_repetitions(s, unopened, msgs, rng, PRF, "transcript"))
 
 
 def test_honest_single_run_accepts(m11, rng):
@@ -89,11 +89,11 @@ def test_honest_single_run_accepts(m11, rng):
 
 def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
-    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
+    st, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
     assert len(cm) == 5 * (4 + PRF.commitment_length)
     assert cm == pr.serialize_commitment_msg([commitment_of(cm, q) for q in PARTY_IDS])
-    for q in PARTY_IDS:
-        assert PRF.verify_view(st.views[q - 1], commitment_of(cm, q), st.openings[q - 1])
+    for q, view in zip(PARTY_IDS, repetition_views(st.rows, 1)):
+        assert PRF.verify_view(view, commitment_of(cm, q), st.openings[q - 1])
 
 
 def test_commitment_msg_needs_five_entries():
@@ -141,10 +141,40 @@ def test_challenge_ignores_commitment_content(m11):
 
 def test_response_is_pure_selection(m11, rng):
     s, w = golden_corpus(m11, 2)[1]
-    (st,), _ = pr.commit_repetitions(w, s, 1, rng, PRF)
-    for ch in PARTY_PAIRS:
-        assert pr.prover_respond(st, ch) == response(
-            *[(st.views[q - 1], st.openings[q - 1]) for q in ch])
+    reps = 3
+    st, _ = pr.commit_repetitions(w, s, reps, rng, PRF)
+    for k in range(reps):
+        views = repetition_views(st.rows, reps, k)
+        for ch in PARTY_PAIRS:
+            assert pr.prover_respond(st, k, ch) == response(
+                *[(views[q - 1], st.openings[(q - 1) * reps + k]) for q in ch])
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_prover_rows_are_what_the_proof_opens(name, scheme_name):
+    """The commit phase's state holds row q*n + k for party q+1 in
+    repetition k of n: the proof opens exactly the rows of each
+    challenged pair, and every commitment recomputes from its row and
+    its opening."""
+    c = CASES[name][0]()
+    s, w = random_instance(random.Random(17), c)
+    scheme = scheme_by_name(scheme_name, c.modulus.p)
+    reps, L = 7, mpc.encoded_view_length(c)
+    st, msgs = pr.commit_repetitions(w, s, reps, RandomSource(b"rows"), scheme)
+    assert len(st.rows) == 5 * reps * L and len(st.openings) == 5 * reps
+
+    def row(q, k):
+        return st.rows[((q - 1) * reps + k) * L:((q - 1) * reps + k + 1) * L]
+
+    for k, cm in enumerate(msgs):
+        assert cm == pr.serialize_commitment_msg(
+            [scheme.commit_view(st.openings[(q - 1) * reps + k], row(q, k)) for q in PARTY_IDS])
+    proof = pr.respond_repetitions(s, st, msgs, RandomSource(b"rows"), scheme, "derived")
+    assert len(set(proof.challenges)) > 1
+    assert pr.opened_views(c, proof) == b"".join(
+        [row(q, k) for k, ch in enumerate(proof.challenges) for q in PARTY_PAIRS[ch]])
+    assert pr.verify_repeated(s, proof)
 
 
 def test_tampered_state_breaks_check(m11, rng):
@@ -152,8 +182,8 @@ def test_tampered_state_breaks_check(m11, rng):
     (t,) = repetitions(single_run(s, w, rng), s.circuit)
     view = t.first[0]
     p = s.circuit.modulus.p
-    bad_view = mpc.make_view(
-        s.circuit, view, secret_shares=tuple((x + 1) % p for x in view.secret_shares))
+    bad_view = mpc.make_view(s.circuit, view, secret_shares=tuple(
+        (x + 1) % p for x in fields(s.circuit, view).secret_shares))
     bad = response((bad_view, t.first[1]), t.second)
     assert not pr.verify_repeated(s, recorded(s, t.commitment, t.challenge, bad))
 
@@ -173,9 +203,9 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
     collision: zero acceptances over 10^5 key-search attempts."""
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
-    (st,), (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
+    st, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
     committed = commitment_of(cm, 1)
-    blob = bytearray(st.views[0])
+    blob = bytearray(repetition_views(st.rows, 1)[0])
     rnd = random.Random(99)
     wins = decoded = 0
     for _ in range(100_000):
@@ -647,8 +677,9 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     def opened_as(v):
         return recorded(s, t.commitment, t.challenge, response((v, opening), t.second))
 
-    for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in view.bcast)),
-                mpc.make_view(c, view, randomness=view.randomness[::-1])):
+    f = fields(c, view)
+    for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in f.bcast)),
+                mpc.make_view(c, view, randomness=f.randomness[::-1])):
         assert new != view
         assert not PRF.verify_view(new, commitment_of(t.commitment, t.challenge[0]), opening)
         assert not pr.verify_repeated(s, opened_as(new))
@@ -665,27 +696,28 @@ def doctored_pair(m, side: int, what: str):
     broadcast shifted to match, so only T's record of O fails."""
     s, w = golden_corpus(m, 2)[1]  # square_plus_one: one multiplication
     c = s.circuit
-    (st,), _ = pr.commit_repetitions(w, s, 1, RandomSource(42), PRF)
+    st, _ = pr.commit_repetitions(w, s, 1, RandomSource(42), PRF)
     ch = (2, 4)
     t, o = ch[side], ch[1 - side]
     lam, p = m.recon_weights, m.p
-    views = list(st.views)
+    views = repetition_views(st.rows, 1)
     shift = {t: {}, o: {}}  # party: {bcast slot: delta}
     if what == "output":
         shift[t][1] = 1
     else:
-        zin = list(views[t - 1].zin)
+        zin = list(fields(c, views[t - 1]).zin)
         zin[o - 1] = (zin[o - 1] + 1) % p
         views[t - 1] = mpc.make_view(c, views[t - 1], zin=zin)
         fix = -lam[t - 1] * pow(lam[0], -1, p) % p  # keeps the output
         shift = {q: {t: 1, 1: fix} for q in ch}
     for q, deltas in shift.items():
-        bc = list(views[q - 1].bcast)
+        bc = list(fields(c, views[q - 1]).bcast)
         for slot, d in deltas.items():
             bc[slot - 1] = (bc[slot - 1] + d) % p
         views[q - 1] = mpc.make_view(c, views[q - 1], bcast=bc)
     cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, st.openings, views)))
-    return s, recorded(s, cm, ch, pr.prover_respond(pr.ProverState(tuple(views), st.openings), ch))
+    return s, recorded(s, cm, ch, pr.prover_respond(pr.ProverState(b"".join(views), st.openings),
+                                                    0, ch))
 
 
 @pytest.mark.parametrize("what", ["output", "partner"])
@@ -721,7 +753,7 @@ def test_other_public_input_fails_a_view_consistent_without_it():
         views = (mpc.make_view(c, zero, public_inputs=pubs),) + (zero,) * 4
         keys = tuple(PRF.keygen(rng) for _ in views)
         cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, views)))
-        resp = pr.prover_respond(pr.ProverState(views, keys), (1, 2))
+        resp = pr.prover_respond(pr.ProverState(b"".join(views), keys), 0, (1, 2))
         assert pr.check_repetitions(s, recorded(s, cm, (1, 2), resp)) == [(True, verdict)]
 
 
@@ -734,17 +766,18 @@ def test_altered_view_cannot_open_the_original_commitment():
     s, w_guess = canonical_false_statement()
     cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(34))
     ch = (3, 4)
-    (st,), (cm,) = cheater.commit(RandomSource(35), 1)
-    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, ch)))
+    st, (cm,) = cheater.commit(RandomSource(35), 1)
+    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, 0, ch)))
 
     c = s.circuit
     p = c.modulus.p
-    committed = [mpc.make_view(c, v, bcast=tuple((x + 1) % p for x in v.bcast))
+    committed = [mpc.make_view(c, v, bcast=tuple((x + 1) % p for x in fields(c, v).bcast))
                  for v in cheater.views]
     rng = RandomSource(36)
     keys = [rng.bytes(32) for _ in committed]
     cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, committed)))
-    opened = [mpc.make_view(c, v, bcast=d.bcast) for v, d in zip(committed, cheater.views)]
+    opened = [mpc.make_view(c, v, bcast=fields(c, d).bcast)
+              for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
     resp = response((opened[2], keys[2]), (opened[3], keys[3]))
     assert not pr.verify_repeated(s, recorded(s, cm, ch, resp))
@@ -771,7 +804,8 @@ def test_deep_chain_proves_and_verifies():
 def test_proof_without_repetitions_is_rejected(m11):
     """A proof of no repetitions checks to no pairs and is not accepted."""
     s, _ = golden_corpus(m11, 1)[0]
-    proof = pr.respond_repetitions(s, [], [], RandomSource(1), PRF, "transcript")
+    proof = pr.respond_repetitions(s, pr.ProverState(b"", ()), [], RandomSource(1), PRF,
+                                   "transcript")
     assert proof.reps == 0 and pr.check_repetitions(s, proof) == []
     assert not pr.verify_repeated(s, proof)
 
@@ -798,7 +832,7 @@ def test_simulated_transcript_accepts_on_guess_match(m11):
     hits = 0
     for _ in range(200):
         guess, cm, st = pr.zk_simulate_once(s, rng)
-        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, guess)))
+        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, 0, guess)))
         hits += 1
     assert hits == 200
 
@@ -861,7 +895,8 @@ def test_simulator_takes_no_witness():
 def test_dummy_commitments_fixed_zero_encoding(m11):
     """Unopened slots commit to the all-zero view of the circuit (the
     all-zeros encoding of the right length), which the simulator never
-    opens; the guessed pair commits to its simulated views."""
+    opens; the guessed pair commits to its simulated views.  The state
+    keeps every row it committed to and every key it committed with."""
     s, _ = one_mul_statement()
     c = s.circuit
     committed = []
@@ -874,10 +909,11 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
 
     (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
     assert [com for _, com in committed] == [commitment_of(cm, q) for q in PARTY_IDS]
-    for pid, (view, _) in enumerate(committed, 1):
-        if pid in (i, j):
-            assert view is st.views[pid - 1] and st.openings[pid - 1] is not None
-        else:
+    rows = repetition_views(st.rows, 1)
+    assert [view for view, _ in committed] == rows and len(st.openings) == 5
+    for pid, (view, com) in enumerate(committed, 1):
+        assert PRF.verify_view(view, com, st.openings[pid - 1])
+        assert mpc.valid_view(c, [view]) == [True]
+        if pid not in (i, j):
             assert view == bytes(mpc.encoded_view_length(c))
-            assert mpc.valid_view(c, [view]) == [True]
-            assert st.views[pid - 1] is None and st.openings[pid - 1] is None
+    assert pr.verify_repeated(s, recorded(s, cm, (i, j), pr.prover_respond(st, 0, (i, j))))

@@ -26,6 +26,7 @@ from mith.field import Modulus, RandomSource, preset_modulus
 from mith.harness import OneBadPairCheater, canonical_false_statement
 
 from test_golden import SMUL_OVER_MUL
+from test_lanes import CIRCUITS
 
 # The shipped 257-bit Pedersen group: P, q, g, h.
 P = 95644265710023177419869633617176211886801007333819105896591964390536245082832459
@@ -199,12 +200,15 @@ def agree(s, data: bytes) -> bool:
     return want
 
 
-def statement(field: str, seed: int = 5):
-    p = {"F97": 97, "F101": 101}.get(field)
-    if p is None:
+def statement(case: str, seed: int = 5):
+    """A random instance of SMUL_OVER_MUL over F97 or F101, of bench_a
+    over p256, or of a `test_lanes.py` circuit named case."""
+    if case in CIRCUITS:
+        c = CIRCUITS[case]()
+    elif case == "p256":
         c = bench_circuit_a(preset_modulus("p256"))
     else:
-        c = parse_circuit(SMUL_OVER_MUL.replace("field 101", f"field {p}"))
+        c = parse_circuit(SMUL_OVER_MUL.replace("field 101", f"field {case[1:]}"))
     return random_instance(random.Random(seed), c)
 
 
@@ -215,9 +219,11 @@ def proof_bytes(s, w, reps, scheme_name, seed=1):
 
 @pytest.mark.parametrize("reps", [1, 2, 7])
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
-@pytest.mark.parametrize("field", ["F97", "F101", "p256"])
-def test_reference_agrees_on_honest_proofs(field, scheme_name, reps):
-    s, w = statement(field)
+@pytest.mark.parametrize("case", ["F97", "F101", "p256", *sorted(CIRCUITS)])
+def test_reference_agrees_on_honest_proofs(case, scheme_name, reps):
+    """Honest proofs are accepted by both verifiers, and rejected by both
+    against the target plus one or the first public input plus one."""
+    s, w = statement(case)
     data = proof_bytes(s, w, reps, scheme_name)
     assert agree(s, data)
     m = s.circuit.modulus

@@ -28,7 +28,7 @@ from mith.sss import PARTY_PAIRS, dot5, share5
 
 from test_fuzz import TREES, render
 from test_lanes import CIRCUITS, well_formed
-from test_mpc import rows_of, sent_by, tamper_cases
+from test_mpc import repetition_views, rows_of, sent_by, tamper_cases
 
 
 def fields(prog, v) -> dict:
@@ -145,21 +145,23 @@ def executions_of(c, reps, seed):
     range, each run with view 2's first public input changed, and every
     `tamper_cases` tuple of each run."""
     s, w = random_instance(random.Random(seed), c)
-    states, _ = pr.commit_repetitions(w, s, reps, RandomSource(b"replay/%d" % seed),
-                                      scheme_by_name("prf", c.modulus.p))
-    honest = [[mpc.decode_view(c, bytes(v)) for v in st.views] for st in states]
+    st, _ = pr.commit_repetitions(w, s, reps, RandomSource(b"replay/%d" % seed),
+                                  scheme_by_name("prf", c.modulus.p))
+    runs = [repetition_views(st.rows, reps, k) for k in range(reps)]
+    honest = [[mpc.decode_view(c, v) for v in views] for views in runs]
     top = b"\xff" * mpc.program(c).width  # at least p, in any field
     mixed = [[bytes(v)[:-len(top)] + top if pid % 2 == 0 else v for pid, v in enumerate(ex, 1)]
              for ex in honest]
     tampered = []
     if mpc.program(c).n_public:
         for ex in honest:
-            pubs = ((ex[1].public_inputs[0] + 1) % c.modulus.p, *ex[1].public_inputs[1:])
+            pub = mpc.view_fields(c, ex[1])["public_inputs"]
+            pubs = ((pub[0] + 1) % c.modulus.p, *pub[1:])
             tampered.append([ex[0], mpc.make_view(c, ex[1], public_inputs=pubs), *ex[2:]])
     if mpc.program(c).n_mul:
         rnd = random.Random(seed)
-        for st in states:
-            tampered += tamper_cases(c, st, rnd)
+        for views in runs:
+            tampered += tamper_cases(c, views, rnd)
     return s.public_inputs, honest + mixed + tampered
 
 

@@ -339,7 +339,7 @@ def test_dripped_commit_frame_times_out(m11):
     assert out["at"] - t0 < 1.5
 
 
-def shifted_session(s, scheme, states, msgs, target, k):
+def shifted_session(s, scheme, state, msgs, target, k):
     """A session whose prover speaks the wire protocol directly and sends
     length-shift mutant k (`block_shifts`) of its COMMIT or RESPONSE
     payload, as target says; returns the verifier's verdict and the
@@ -368,8 +368,7 @@ def shifted_session(s, scheme, states, msgs, target, k):
         ses._send(ta, ses.MSG_COMMIT, mutate(ses.MSG_COMMIT, b"".join(msgs)))
         chs = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")[32:]
         ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, b"".join(
-            pr.prover_respond(st, pr.PARTY_PAIRS[b])
-            for st, b in zip(states, chs))))
+            pr.prover_respond(state, k, pr.PARTY_PAIRS[b]) for k, b in enumerate(chs))))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
     finally:
         th.join(10)
@@ -385,13 +384,13 @@ def test_length_shift_mutants_in_session_reject(m11, scheme_name):
     s, w = golden_corpus(m11, 1)[0]
     scheme = scheme_by_name(scheme_name, m11.p)
     reps = 2
-    states, msgs = pr.commit_repetitions(w, s, reps, RandomSource(39), scheme)
-    assert shifted_session(s, scheme, states, msgs, None, 0) == (True, b"\x01")
+    state, msgs = pr.commit_repetitions(w, s, reps, RandomSource(39), scheme)
+    assert shifted_session(s, scheme, state, msgs, None, 0) == (True, b"\x01")
     # Per repetition: 4 commitment boundaries, or 3 response boundaries,
     # each crossed in both directions.
     for target, count in ((ses.MSG_COMMIT, reps * 4 * 2), (ses.MSG_RESPONSE, reps * 3 * 2)):
         for k in range(count):
-            assert shifted_session(s, scheme, states, msgs, target, k) == (False, b"\x00")
+            assert shifted_session(s, scheme, state, msgs, target, k) == (False, b"\x00")
 
 
 def test_cheating_prover_session_rate(m11):
@@ -414,11 +413,11 @@ def test_cheating_prover_session_rate(m11):
         digest = pr.statement_hash(s)
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
         ses._read_hello(ta)
-        (st,), (cm,) = cheater.commit(rng, 1)
+        st, (cm,) = cheater.commit(rng, 1)
         ses._send(ta, ses.MSG_COMMIT, cm)
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
-        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, ch))
+        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, 0, ch))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
         th.join()
         assert bool(result[0]) == out["v"]
