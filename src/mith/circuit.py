@@ -19,6 +19,7 @@ scales the right subtree's sharing.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -206,125 +207,89 @@ def eval_plain(s: Statement, w: Witness) -> FieldElement:
 # Text format
 
 
-class _Tokenizer:
-    def __init__(self, text: str, line_offset: int):
-        self.text = text
-        self.pos = 0
-        self.line = line_offset
-        self.col = 1
+# A token is a paren or a run of other non-space characters; \s matches
+# exactly the characters str.isspace() accepts.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
-    def _advance(self, ch: str):
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
+
+def _error(message: str, text: str, pos: int) -> CircuitParseError:
+    """The error at offset pos of text; its line and column are counted
+    only here, on the error path."""
+    return CircuitParseError(message, text.count("\n", 0, pos) + 1,
+                             pos - text.rfind("\n", 0, pos))
+
+
+def _tokens(text: str, start: int) -> list[tuple[str, object, int]]:
+    """Every token from offset start on, as (kind, value, offset), then
+    an end-of-input token at the last token's offset.  The kind is what
+    a parser expecting the token calls it.  The whole text is scanned
+    before parsing, so a bad token is reported before any structural
+    error, wherever it stands."""
+    toks: list[tuple[str, object, int]] = []
+    for m in _TOKEN.finditer(text, start):
+        word, pos = m.group(), m.start()
+        if word in ("(", ")"):
+            toks.append((repr(word), word, pos))
+        elif word.lstrip("-").isdigit():
+            try:
+                toks.append(("int", int(word), pos))
+            except ValueError:  # "--1", "²", or too many digits
+                raise _error(f"malformed integer {word[:24]!r}", text, pos) from None
+        elif word in _KEYWORDS:
+            toks.append(("gate keyword", word, pos))
         else:
-            self.col += 1
-
-    def tokens(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance(ch)
-                continue
-            line, col = self.line, self.col
-            if ch in "()":
-                self._advance(ch)
-                yield ch, ch, line, col
-                continue
-            start = self.pos
-            while self.pos < len(self.text) and not self.text[self.pos].isspace() \
-                    and self.text[self.pos] not in "()":
-                self._advance(self.text[self.pos])
-            word = self.text[start:self.pos]
-            if word.lstrip("-").isdigit():
-                try:
-                    value = int(word)
-                except ValueError:  # "--1", "²", or too many digits
-                    raise CircuitParseError(
-                        f"malformed integer {word[:24]!r}", line, col) from None
-                yield "int", value, line, col
-            elif word in _KEYWORDS:
-                yield "kw", word, line, col
-            else:
-                raise CircuitParseError(f"unexpected token {word!r}", line, col)
+            raise _error(f"unexpected token {word!r}", text, pos)
+    toks.append(("end", None, toks[-1][2] if toks else start))
+    return toks
 
 
-class _Parser:
-    def __init__(self, text: str, line_offset: int):
-        self._toks = list(_Tokenizer(text, line_offset).tokens())
-        self._i = 0
+def _parse_gates(text: str, start: int, p: int) -> list[Gate]:
+    """The one gate expression from offset start on, as records in
+    post-order: a record is appended as its gate closes, and open binary
+    gates wait on an explicit stack for their operands' indices."""
+    toks = iter(_tokens(text, start))
 
-    def _peek(self):
-        if self._i >= len(self._toks):
-            return None
-        return self._toks[self._i]
+    def take(kind: str):
+        k, value, pos = next(toks)
+        if k == "end":
+            raise _error("unexpected end of input", text, pos)
+        if k != kind:
+            raise _error(f"expected {kind}, got {value!r}", text, pos)
+        return value, pos
 
-    def _next(self, expect: str | None = None):
-        tok = self._peek()
-        if tok is None:
-            last = self._toks[-1] if self._toks else ("", "", 1, 1)
-            raise CircuitParseError("unexpected end of input", last[2], last[3])
-        self._i += 1
-        kind, value, line, col = tok
-        if expect is not None and kind != expect:
-            raise CircuitParseError(
-                f"expected {expect}, got {value!r}", line, col)
-        return tok
-
-    def _int(self) -> int:
-        return self._next("int")[1]
-
-    def _gate_id(self) -> int:
-        _, gid, line, col = self._next("int")
+    def gate_id() -> int:
+        gid, pos = take("int")
         if not 0 <= gid < GATE_ID_BOUND:
-            raise CircuitParseError(
-                f"gate id {gid} out of range [0, {GATE_ID_BOUND})", line, col)
+            raise _error(f"gate id {gid} out of range [0, {GATE_ID_BOUND})", text, pos)
         return gid
 
-    def _close(self):
-        kind, value, line, col = self._next()
-        if kind != ")":
-            raise CircuitParseError(f"expected ')', got {value!r}", line, col)
-
-    def gates(self, p: int) -> list[Gate]:
-        """One gate expression as records in post-order: a record is
-        appended as its gate closes, and open binary gates wait on an
-        explicit stack for their operands' indices."""
-        gates: list[Gate] = []
-        pending: list[tuple[str, int, list[int]]] = []
-        while True:
-            kind, value, line, col = self._next()
-            if kind != "(":
-                raise CircuitParseError(f"expected '(', got {value!r}", line, col)
-            kind, word, line, col = self._next()
-            if kind != "kw":
-                raise CircuitParseError(f"expected gate keyword, got {word!r}", line, col)
-            if word in _BINARY:
-                pending.append((word, self._gate_id(), []))
-                continue
-            if word == "const":
-                gid = self._gate_id()
-                gates.append(Gate(word, gid, self._int() % p))
-            else:
-                gates.append(Gate(word, None, self._int()))
-            self._close()
-            while pending:
-                word, gid, operands = pending[-1]
-                operands.append(len(gates) - 1)
-                if len(operands) < 2:
-                    break
-                pending.pop()
-                gates.append(Gate(word, gid, *operands))
-                self._close()
-            else:
-                return gates
-
-    def finish(self):
-        tok = self._peek()
-        if tok is not None:
-            raise CircuitParseError(
-                f"trailing input after circuit: {tok[1]!r}", tok[2], tok[3])
+    gates: list[Gate] = []
+    pending: list[tuple[str, int, list[int]]] = []
+    while True:
+        take("'('")
+        word = take("gate keyword")[0]
+        if word in _BINARY:
+            pending.append((word, gate_id(), []))
+            continue
+        if word == "const":
+            gates.append(Gate(word, gate_id(), take("int")[0] % p))
+        else:
+            gates.append(Gate(word, None, take("int")[0]))
+        take("')'")
+        while pending:
+            word, gid, operands = pending[-1]
+            operands.append(len(gates) - 1)
+            if len(operands) < 2:
+                break
+            pending.pop()
+            gates.append(Gate(word, gid, *operands))
+            take("')'")
+        else:
+            break
+    k, value, pos = next(toks)
+    if k != "end":
+        raise _error(f"trailing input after circuit: {value!r}", text, pos)
+    return gates
 
 
 def _header_ints(line: str, keyword: str, lineno: int) -> list[int]:
@@ -361,10 +326,8 @@ def parse_circuit(text: str | bytes) -> Circuit:
     if topo.n_public + topo.n_secret > len(text):
         raise CircuitParseError(
             "topology declares more inputs than the circuit text has bytes", 2, 1)
-    parser = _Parser("\n".join(lines[2:]), 3)
-    gates = parser.gates(modulus.p)
-    parser.finish()
-    c = Circuit(topo, tuple(gates), modulus)
+    gate_text = len(lines[0]) + len(lines[1]) + 2
+    c = Circuit(topo, tuple(_parse_gates(text, gate_text, modulus.p)), modulus)
     validate_circuit(c)
     return c
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -101,11 +102,12 @@ def _timeout(text: str) -> float:
     return t
 
 
-def _at_least(low: int):
-    """argparse type for an integer of at least low."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type for an integer in [low, high]."""
     def parse(text: str) -> int:
-        if not (text.isascii() and text.isdigit() and int(text) >= low):
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        if not (text.isascii() and text.isdigit() and low <= int(text) <= high):
+            want = f"of at least {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {want}, got {text!r}")
         return int(text)
     return parse
 
@@ -125,6 +127,10 @@ def cmd_prove(args) -> int:
             print("error: session mode needs --connect host:port", file=sys.stderr)
             return EXIT_USAGE
         from mith import session as session_mod
+        if args.reps * max(proto.block_lengths(s.circuit, scheme)) > session_mod.MAX_PAYLOAD:
+            print(f"error: {args.reps} repetitions make a COMMIT or RESPONSE frame above "
+                  f"the {session_mod.MAX_PAYLOAD}-byte cap", file=sys.stderr)
+            return EXIT_USAGE
         transport = session_mod.connect(*args.connect, args.timeout)
         try:
             verdict = session_mod.prover_session(
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_at_least(0), default=None,
+    common.add_argument("--seed", type=_int_in(0), default=None,
                         help="deterministic randomness (test use only)")
     common.add_argument("--insecure-seed", action="store_true",
                         help="acknowledge that a fixed seed voids security")
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", required=True, help="statement file")
     p.add_argument("--witness", required=True, help="witness file")
     p.add_argument("--out", help="proof output path")
-    p.add_argument("--reps", type=_at_least(1), default=40,
+    p.add_argument("--reps", type=_int_in(1, proto.MAX_REPS), default=40,
                    help="repetitions (default 40, "
                         f"{proto.derived_security_bits(40):.1f} security bits when derived)")
     p.add_argument("--scheme", choices=["prf", "pedersen"], default="prf")
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--proof", help="proof file to verify")
     v.add_argument("--mode", choices=["offline", "session"], default="offline")
     v.add_argument("--listen", type=_endpoint, help="bind endpoint host:port")
-    v.add_argument("--reps", type=_at_least(1), default=40,
+    v.add_argument("--reps", type=_int_in(1, proto.MAX_REPS), default=40,
                    help="expected repetitions (session mode)")
     v.add_argument("--timeout", type=_timeout, default=30.0)
     v.add_argument("--verbose", action="store_true",

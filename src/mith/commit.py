@@ -74,16 +74,6 @@ class PedersenParams:
     def element_bytes(self) -> int:
         return (self.group_prime.bit_length() + 7) // 8
 
-    @classmethod
-    def from_text(cls, text: str) -> "PedersenParams":
-        vals = [int(v) for v in text.split()]
-        if len(vals) != 4:
-            raise MithError("Pedersen params file needs 4 decimals: P q g h")
-        return cls(*vals)
-
-    def to_text(self) -> str:
-        return f"{self.group_prime}\n{self.order}\n{self.g}\n{self.h}\n"
-
 
 def _window_rows(base: int, P: int, n: int) -> tuple[tuple[int, ...], ...]:
     """n rows of 256 entries: row k holds base^(d * 256^k) mod P at d."""

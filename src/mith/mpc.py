@@ -27,9 +27,10 @@ output shares (`bcast`).  Every entry is an int in [0, p), and a view's
 canonical encoding is exactly these entries in this order, each
 fixed-width big-endian.  A view is its encoding, plain bytes or a row
 of a buffer of them; `view_fields` decodes its six fields.
-`run_protocol` returns every lane's view as a row of one buffer
-(`encode_view`, one strided slice assignment per element column), which
-the prover commits to row by row and opens two rows of per repetition.
+`run_protocol` returns every lane's view as a row of one buffer, into
+which it writes each element column as it makes it (`encode_view`, one
+strided slice assignment per column); the prover commits to the buffer
+row by row and opens two rows of it per repetition.
 `decode_view`, `make_view` and `mpc_simulate` build single views, each
 checking what it builds.
 
@@ -195,9 +196,10 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
     one pass: lane q*n + k is party q+1 in repetition k.  input_sharings
     holds each secret wire's five party columns (`sss.share`), and
     rands[k] is repetition k's gate randomness in drawn order
-    (`random_gate_randomness`).  Returns (rows, outputs): rows is the
-    buffer `encode_view` fills, whose row q*n + k is lane q*n + k's view,
-    and outputs[k] is repetition k's opened output."""
+    (`random_gate_randomness`).  Returns (rows, outputs): rows is one
+    buffer whose row q*n + k is lane q*n + k's view, each element column
+    written (`encode_view`) as the run makes it, and outputs[k] is
+    repetition k's opened output."""
     c = s.circuit
     prog = program(c)
     F = prog.cols
@@ -213,6 +215,7 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
         raise MithError(f"missing randomness: each repetition needs {R} draws")
     pubs = tuple(x.value for x in s.public_inputs)
     lanes = 5 * n
+    rows = bytearray(prog.view_length * lanes)
     inputs = [*[F.const(v, lanes) for v in pubs],
               *[F.join([F.from_ints(col) for col in sh]) for sh in input_sharings]]
     draws = F.join([F.from_ints(r) for r in rands])
@@ -221,9 +224,8 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
     rc = [F.join([draws[10 * (i // 2) + 2 * q + i % 2::R] for q in range(5)])
           for i in range(prog.n_rand)]
     del draws
-    o3 = prog.n_in + prog.n_rand
-    placed = [*enumerate(inputs), *enumerate(rc, prog.n_in)]
-    slots = count(o3, 5)
+    encode_view(c, rows, enumerate([*inputs, *rc]))
+    slots = count(prog.n_in + prog.n_rand, 5)
 
     def exchange(d, r):
         """Every lane reshares its products with its rank-r randomness;
@@ -233,15 +235,13 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
         columns at the next message slot."""
         sh = F.share(d, rc[2 * r], rc[2 * r + 1])
         cols = [F.join([col[k:k + n] for col in sh]) for k in range(0, lanes, n)]
-        placed.extend(enumerate(cols, next(slots)))
+        encode_view(c, rows, enumerate(cols, next(slots)))
         return cols
 
     own = _interpret(prog, inputs, prog.scalars(pubs), lanes, exchange)
     bcast = [own[k:k + n] for k in range(0, lanes, n)]
-    placed.extend(enumerate([col * 5 for col in bcast], next(slots)))
-    outs = F.lincomb(prog.lam, bcast)
-    del inputs, rc, own, bcast  # placed holds the only references left
-    return encode_view(c, placed, lanes), tuple(FieldElement(y, c.modulus) for y in outs)
+    encode_view(c, rows, enumerate([col * 5 for col in bcast], next(slots)))
+    return rows, tuple(FieldElement(y, c.modulus) for y in F.lincomb(prog.lam, bcast))
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +421,13 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
 # is encoded, and decoding checks the length and each element's range.
 
 
-def encode_view(c: Circuit, placed: list, lanes: int) -> bytearray:
-    """The views of `lanes` lanes whose element columns are placed, as
-    [(element index, column)]: one buffer of a row per lane, filled with
-    one strided slice assignment per column, each column popped from
-    placed as it is written."""
+def encode_view(c: Circuit, rows: bytearray, placed) -> None:
+    """Write element columns of every view that rows holds, one row per
+    lane: placed pairs each element index with its column, one value per
+    lane, and each column is written with one strided slice assignment."""
     prog = program(c)
-    L = prog.view_length
-    buf = bytearray(L * lanes)
-    while placed:
-        j, col = placed.pop()
-        prog.cols.place(buf, prog.offsets[j], L, col)
-    return buf
+    for j, col in placed:
+        prog.cols.place(rows, prog.offsets[j], prog.view_length, col)
 
 
 def view_fields(c: Circuit, v: bytes) -> dict:

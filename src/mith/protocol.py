@@ -39,6 +39,9 @@ from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, sha
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
 MAGIC = b"MITH4"
+# The largest sigma: a proof header, like a session's HELLO, holds it in
+# four bytes.
+MAX_REPS = 0xFFFFFFFF
 # A proof file's challenge-mode byte.  Files carry derived challenges
 # only: recorded ("transcript") challenges would be the writer's choice.
 DERIVED_MODE_BYTE = 0x01
@@ -149,8 +152,8 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     draws, in turn, its sharing polynomials (a1, a2 per secret wire), its
     gate randomness and five commit keys; then one `run_protocol`
     evaluates every repetition as a lane, writing each view as a row."""
-    if reps < 1:
-        raise MithError("repetition count must be at least 1")
+    if not 1 <= reps <= MAX_REPS:
+        raise MithError(f"repetition count must be in [1, {MAX_REPS}]")
     c = s.circuit
     p = c.modulus.p
     n_secret = c.topology.n_secret

@@ -178,8 +178,8 @@ def _read_hello(transport: Transport):
 def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
                    scheme=None, rng: RandomSource | None = None) -> bool:
     """Drive the prover side; returns the verifier's verdict."""
-    if reps < 1:
-        raise MithError("repetition count must be at least 1")
+    if not 1 <= reps <= proto.MAX_REPS:  # HELLO holds reps in four bytes
+        raise MithError(f"repetition count must be in [1, {proto.MAX_REPS}]")
     scheme = scheme or scheme_by_name("prf")
     rng = rng or RandomSource()
     digest = statement_hash(s)

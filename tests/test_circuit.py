@@ -1,6 +1,8 @@
 """Circuit parsing, validation and plain evaluation."""
 
+import ast
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -156,6 +158,81 @@ def test_malformed_integer_token_carries_position():
     for word in ("--1", "\u00b2", "9" * 5000):
         with pytest.raises(CircuitParseError, match="malformed integer.*line 3"):
             parse_circuit(f"field 101\ntopology 0 1 1\n(const 1 {word})")
+
+
+@pytest.mark.parametrize("gate_text", ["", "\n", " \n\t\n"])
+def test_end_of_input_without_gates_points_at_gate_text(gate_text):
+    """Gate text with no token at all ends where it begins: line 3,
+    column 1."""
+    with pytest.raises(CircuitParseError, match=r"unexpected end of input \(line 3, column 1\)"):
+        parse_circuit(f"field 101\ntopology 0 1 1\n{gate_text}")
+
+
+def _word_at(text: str, pos: int) -> str:
+    """The token that starts at pos: a paren, or the run of characters
+    up to the next space or paren."""
+    end = pos + 1
+    if text[pos] not in "()":
+        while end < len(text) and not text[end].isspace() and text[end] not in "()":
+            end += 1
+    return text[pos:end]
+
+
+def _names(word: str, named) -> bool:
+    if type(named) is int:
+        return word.lstrip("-").isdigit() and int(word) == named
+    return word == named
+
+
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "truncate"]), st.integers(0, 1 << 16),
+              st.sampled_from([*"() \n\t-07²x", "add", "smul", "const", " (sinput 0)", "-1",
+                               str(GATE_ID_BOUND)])),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 1 << 32), MUTATIONS)
+def test_parse_error_positions(seed, mutations):
+    """Printed random circuits, with characters inserted, deleted and the
+    text truncated: every error raised on gate text sits at the first
+    character of the token its message names; at end of input, the last
+    token."""
+    rnd = random.Random(seed)
+    c = random_circuit(rnd, Modulus(97), n_public=rnd.randrange(2), n_secret=1,
+                       max_depth=rnd.randrange(1, 5))
+    *header, gates = format_circuit(c).split("\n", 2)
+    for op, i, s in mutations:
+        i %= len(gates) + 1
+        gates = {"insert": gates[:i] + s + gates[i:], "delete": gates[:i] + gates[i + 1:],
+                 "truncate": gates[:i]}[op]
+    text = "\n".join([*header, gates])
+    try:
+        parse_circuit(text)
+        return
+    except CircuitParseError as e:
+        err = e
+    except CircuitError:
+        return  # gate text that parses but is not a valid circuit
+    gate_text = len(text) - len(gates)
+    lines = text.split("\n")
+    pos = sum(len(line) + 1 for line in lines[:err.line - 1]) + err.col - 1
+    message = str(err).rsplit(" (line ", 1)[0]
+    if not text[gate_text:].strip():
+        assert (err.line, err.col) == (3, 1) and message == "unexpected end of input"
+        return
+    assert pos == gate_text or text[pos - 1].isspace() or text[pos - 1] in "()" \
+        or text[pos] in "()", (message, pos)
+    word = _word_at(text, pos)
+    named = re.fullmatch(r"(?:malformed integer|unexpected token|expected .*, got"
+                         r"|trailing input after circuit:|gate id) (.*?)(?: out of range .*)?",
+                         message)
+    if message == "unexpected end of input":
+        assert not text[pos + len(word):].strip()
+    elif message.startswith("malformed integer"):
+        assert word[:24] == ast.literal_eval(named[1])
+    else:
+        assert named and _names(word, ast.literal_eval(named[1])), (message, word)
 
 
 @pytest.mark.parametrize("gid", [-1, -(1 << 31), GATE_ID_BOUND, 1 << 32, 1 << 70])

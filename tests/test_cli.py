@@ -19,6 +19,7 @@ import mith
 from mith.cli import main
 from mith.commit import scheme_by_name
 from mith.corpus import square_plus_one_circuit
+from mith.errors import MithError, SessionError
 from mith.field import Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 
@@ -178,6 +179,12 @@ VERIFY = ["verify", "--statement", "s.st"]
     ["prove", "--statement", "s.st", "--witness", "absent.wit", "--out", "p.bin",
      "--reps", "0"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--reps", "0"],
+    # sigma is a 4-byte field of the proof header and of HELLO.
+    ["prove", "--statement", "s.st", "--witness", "absent.wit", "--out", "p.bin",
+     "--reps", "99999999999999999999"],
+    PROVE + ["--out", "p.bin", "--reps", "4294967296"],
+    ["verify", "--statement", "s.st", "--proof", "absent.bin", "--reps", "4294967296"],
+    VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--reps", "99999999999999999999"],
     # A socket takes no timeout above about 9.2e9 seconds.
     PROVE + ["--mode", "session", "--connect", "127.0.0.1:9", "--timeout", "1e300"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--timeout", "1e10"],
@@ -190,7 +197,8 @@ VERIFY = ["verify", "--statement", "s.st"]
     ["bench", "--quick", "--seed", "3"],
 ], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
         "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out",
-        "prove-reps-zero", "verify-reps-zero", "timeout-1e300", "timeout-1e10",
+        "prove-reps-zero", "verify-reps-zero", "prove-reps-20-digits", "prove-reps-2^32",
+        "verify-reps-2^32", "verify-session-reps-20-digits", "timeout-1e300", "timeout-1e10",
         "prove-seed-negative", "verify-seed-negative", "bench-seed-negative",
         "bench-seed-without-insecure-seed"])
 def test_usage_errors_exit_2(workdir, args):
@@ -363,6 +371,46 @@ def test_session_round_trip(workdir):
                         "--timeout", 10])
     th.join()
     assert results == {"p": 0, "v": 0}
+
+
+def test_session_reps_above_frame_cap_exit_2_before_connecting(workdir, capsys, monkeypatch):
+    """A session whose COMMIT or RESPONSE payload would exceed the frame
+    cap is a usage error, found before connecting or committing."""
+    from mith import session
+    scheme = scheme_by_name("prf")
+    c = square_plus_one_circuit(Modulus(101))
+    reps = session.MAX_PAYLOAD // max(pr.block_lengths(c, scheme)) + 1
+    connects = []
+
+    def connect(*endpoint):
+        connects.append(endpoint)
+        raise SessionError("no peer", "connect")
+
+    monkeypatch.setattr(session, "connect", connect)
+    for n, code in ((reps, 2), (reps - 1, 4)):
+        assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                    "--mode", "session", "--connect", "127.0.0.1:1", "--reps", n]) == code
+        assert len(connects) == (code == 4)
+    assert "byte cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reps", [0, pr.MAX_REPS + 1])
+def test_prover_session_rejects_reps_outside_hello_field(reps):
+    """prover_session refuses a sigma HELLO cannot carry with a MithError,
+    before it sends anything or commits."""
+    from mith import session
+    m = Modulus(101)
+    s = Statement(square_plus_one_circuit(m), (), m.element(10))
+
+    class Silent:
+        def send_all(self, data):
+            pytest.fail("sent a frame")
+
+    with pytest.raises(MithError, match="repetition count"):
+        session.prover_session(Silent(), s, Witness((m.element(3),)), reps)
+    with pytest.raises(MithError, match="repetition count"):
+        pr.commit_repetitions(Witness((m.element(3),)), s, reps, RandomSource(1),
+                              scheme_by_name("prf"))
 
 
 def test_session_connect_failure_exit_4(workdir):

@@ -138,11 +138,6 @@ def test_pedersen_params_invariants():
     assert BENCH_GROUP_257.order > 2**256
 
 
-def test_pedersen_params_text_round_trip():
-    text = TEST_GROUP_64.to_text()
-    assert PedersenParams.from_text(text) == TEST_GROUP_64
-
-
 def test_pedersen_zero_exponents_identity():
     c, _ = pedersen_commit(TEST_GROUP_64, [0], [0])
     assert c == (1,)

@@ -619,19 +619,28 @@ def test_length_shift_mutants_are_malformed(m11, scheme_name):
 
 
 def test_round_trip_encodes_each_view_once(m11, monkeypatch):
-    """PRF prove, serialize, parse and verify: one encode_view call, on
-    the prover side, builds all 5 * reps views; commitments and the proof
-    file use those views' bytes."""
-    calls = []
+    """PRF prove, serialize, parse and verify: encode_view runs only while
+    proving, and writes every element column of all 5 * reps views
+    exactly once, each column one value per lane; commitments and the
+    proof file use those views' bytes."""
+    written = []
     encode = mpc.encode_view
-    monkeypatch.setattr(mpc, "encode_view",
-                        lambda c, placed, lanes: calls.append(lanes) or encode(c, placed, lanes))
+
+    def spy(c, rows, placed):
+        placed = list(placed)
+        assert len(rows) == 5 * reps * mpc.encoded_view_length(c)
+        assert all(len(col) == 5 * reps for _, col in placed)
+        written.extend(j for j, _ in placed)
+        encode(c, rows, placed)
+
+    monkeypatch.setattr(mpc, "encode_view", spy)
     s, w = golden_corpus(m11, 1)[0]
     reps = 7
     data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(32)), s.circuit)
-    assert calls == [5 * reps]
+    assert sorted(written) == list(range(mpc.view_element_count(s.circuit)))
+    written.clear()
     assert pr.verify_repeated(s, pr.parse_proof(data, s.circuit))
-    assert calls == [5 * reps]
+    assert not written
 
 
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
