@@ -210,6 +210,15 @@ def eval_plain(s: Statement, w: Witness) -> FieldElement:
 # A token is a paren or a run of other non-space characters; \s matches
 # exactly the characters str.isspace() accepts.
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(word: str) -> int:
+    """An integer of every text format: ASCII digits, optionally after '-'
+    (int() alone also takes '+', '_' and non-ASCII digits)."""
+    if not _INT.fullmatch(word):
+        raise ValueError(word)
+    return int(word)
 
 
 def _error(message: str, text: str, pos: int) -> CircuitParseError:
@@ -232,8 +241,8 @@ def _tokens(text: str, start: int) -> list[tuple[str, object, int]]:
             toks.append((repr(word), word, pos))
         elif word.lstrip("-").isdigit():
             try:
-                toks.append(("int", int(word), pos))
-            except ValueError:  # "--1", "²", or too many digits
+                toks.append(("int", _int(word), pos))
+            except ValueError:  # "--1", "²", "١٢", or too many digits
                 raise _error(f"malformed integer {word[:24]!r}", text, pos) from None
         elif word in _KEYWORDS:
             toks.append(("gate keyword", word, pos))
@@ -297,7 +306,7 @@ def _header_ints(line: str, keyword: str, lineno: int) -> list[int]:
     if not parts or parts[0] != keyword:
         raise CircuitParseError(f"expected '{keyword} ...' line", lineno, 1)
     try:
-        return [int(x) for x in parts[1:]]
+        return [_int(x) for x in parts[1:]]
     except ValueError:
         raise CircuitParseError(
             f"non-integer argument in '{keyword}' line", lineno, 1) from None
@@ -386,7 +395,7 @@ def _statement_lines(text: str) -> dict[str, list[str]]:
 
 def _line_ints(fields: dict[str, list[str]], key: str) -> list[int]:
     try:
-        return [int(v) for v in fields.get(key, [])]
+        return [_int(v) for v in fields.get(key, [])]
     except ValueError:
         raise CircuitError(f"non-integer value in '{key}' line") from None
 

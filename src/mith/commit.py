@@ -272,7 +272,7 @@ def scheme_by_name(name: str, modulus_p: int | None = None):
     raise MithError(f"unknown commitment scheme {name!r}")
 
 
-def scheme_by_byte(b: int, modulus_p: int | None = None):
+def scheme_by_byte(b: int):
     if b == PrfScheme.scheme_byte:
         return PrfScheme()
     if b == PedersenScheme.scheme_byte:

@@ -6,7 +6,7 @@ big-endian with width ceil(bits(p)/8).
 
 A lane column holds one field value per lane, and `columns(p)` does the
 lane-wise arithmetic of the in-the-head evaluation: over a field below
-256 a column is a `bytes` of one value per lane (`ByteColumns`), over a
+128 a column is a `bytes` of one value per lane (`ByteColumns`), over a
 wider one a list of ints (`IntColumns`).
 """
 
@@ -195,20 +195,18 @@ def _little(b) -> int:
 
 
 class ByteColumns:
-    """Lane columns over a field below 256: one byte per lane value.
+    """Lane columns over a field below 128: one byte per lane value.
 
-    A sum is a big-int addition of whole columns, in 8-bit lanes while
-    two values fit a byte (p < 128) and in 16-bit lanes otherwise,
-    reduced by `bytes.translate`; scalar multiplication is one
-    `translate`; a product adds discrete logs (log/exp tables) and masks
-    the lanes where a factor is zero.  `columns` builds the tables once
-    per modulus."""
+    A sum is a big-int addition of whole columns in 8-bit lanes (two
+    values fit a byte), reduced by `bytes.translate`; scalar
+    multiplication is one `translate`; a product adds discrete logs
+    (log/exp tables) and masks the lanes where a factor is zero.
+    `columns` builds the tables once per modulus."""
 
     width = 1
 
     def __init__(self, p: int):
         self.p = p
-        self.narrow = p < 128
         self._red = bytes(v % p for v in range(256))     # v mod p
         self._high = bytes(256 * v % p for v in range(256))  # 256 v mod p
         self._nonzero = bytes([0] + [255] * 255)
@@ -221,7 +219,6 @@ class ByteColumns:
             log[v] = e
         self._log = bytes(log)
         self._exp = bytes(powers[e % (p - 1)] for e in range(256))
-        self._exp_high = bytes(powers[(e + 256) % (p - 1)] for e in range(256))
 
     def _scale(self, k: int) -> bytes:
         """The translate table of v -> k v mod p."""
@@ -229,24 +226,6 @@ class ByteColumns:
         if table is None:
             table = self._times[k] = bytes(k * v % self.p for v in range(256))
         return table
-
-    @staticmethod
-    def _spread(col) -> int:
-        """col as a big int of 16-bit lanes."""
-        b = bytearray(2 * len(col))
-        b[::2] = col
-        return _little(b)
-
-    def _reduce(self, acc: int, n: int) -> bytes:
-        """The column of acc's n 16-bit lanes, each reduced mod p."""
-        b = acc.to_bytes(2 * n, "little")
-        lo, hi = b[::2].translate(self._red), b[1::2].translate(self._high)
-        if not self.narrow:
-            # lo + hi < 2p may overflow a byte; once more in 16-bit
-            # lanes, after which lo + hi < p.
-            b = (self._spread(lo) + self._spread(hi)).to_bytes(2 * n, "little")
-            lo, hi = b[::2].translate(self._red), b[1::2].translate(self._high)
-        return (_little(lo) + _little(hi)).to_bytes(n, "little").translate(self._red)
 
     def const(self, v: int, n: int) -> bytes:
         return bytes((v,)) * n
@@ -277,9 +256,7 @@ class ByteColumns:
         return not data.translate(None, self._residues)
 
     def add(self, x: bytes, y: bytes) -> bytes:
-        if self.narrow:
-            return (_little(x) + _little(y)).to_bytes(len(x), "little").translate(self._red)
-        return self._reduce(self._spread(x) + self._spread(y), len(x))
+        return (_little(x) + _little(y)).to_bytes(len(x), "little").translate(self._red)
 
     def smul(self, k: int, y: bytes) -> bytes:
         return y.translate(self._scale(k))
@@ -288,22 +265,21 @@ class ByteColumns:
         n = len(x)
         nz = self._nonzero
         mask = _little(x.translate(nz)) & _little(y.translate(nz))
-        lx, ly = x.translate(self._log), y.translate(self._log)
-        if self.narrow:  # a sum of two logs fits a byte
-            e = _little((_little(lx) + _little(ly)).to_bytes(n, "little").translate(self._exp))
-        else:  # the log sum's high byte is 0 or 1: pick exp of lo or of lo + 256
-            b = (self._spread(lx) + self._spread(ly)).to_bytes(2 * n, "little")
-            lo = b[::2]
-            e = _little(lo.translate(self._exp))
-            e ^= (e ^ _little(lo.translate(self._exp_high))) & _little(b[1::2].translate(nz))
+        lx, ly = x.translate(self._log), y.translate(self._log)  # their sum fits a byte
+        e = _little((_little(lx) + _little(ly)).to_bytes(n, "little").translate(self._exp))
         return (e & mask).to_bytes(n, "little")
 
     def lincomb(self, weights, cols) -> bytes:
-        """sum_k weights[k] cols[k], lane by lane (up to 256 terms)."""
-        acc = 0
+        """sum_k weights[k] cols[k], lane by lane (up to 256 terms): summed
+        in 16-bit lanes, each then reduced as lo + 256 hi < 2p."""
+        acc, n = 0, len(cols[0])
+        term = bytearray(2 * n)  # 16-bit lanes whose high bytes stay 0
         for k, col in zip(weights, cols):
-            acc += self._spread(col if k == 1 else col.translate(self._scale(k)))
-        return self._reduce(acc, len(cols[0]))
+            term[::2] = col if k == 1 else col.translate(self._scale(k))
+            acc += _little(term)
+        b = acc.to_bytes(2 * n, "little")
+        lo, hi = b[::2].translate(self._red), b[1::2].translate(self._high)
+        return (_little(lo) + _little(hi)).to_bytes(n, "little").translate(self._red)
 
     def share(self, d: bytes, a1: bytes, a2: bytes) -> tuple[bytes, ...]:
         """Five party columns: lane k's shares of d[k] on the polynomial
@@ -387,7 +363,7 @@ class IntColumns:
 @functools.lru_cache(maxsize=16)
 def columns(p: int):
     """The lane-column arithmetic of F_p, built on first use per modulus."""
-    return ByteColumns(p) if p < 256 else IntColumns(p)
+    return ByteColumns(p) if p < 128 else IntColumns(p)
 
 
 @functools.lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ Each circuit is compiled once into a `Program`: a post-order op list over
 wire slots, the list of multiplications that exchange messages, the
 public scalar subtrees of the smul gates, and the element counts of a
 view.  One interpreter runs the ops: every wire is a lane column
-(`field.columns`: one byte per lane over a field below 256, else a list
+(`field.columns`: one byte per lane over a field below 128, else a list
 of ints), and at each messaging multiplication and at the refresh an
 exchange supplies the columns the lanes received.  The prover
 (`run_protocol`) runs a lane per party and repetition and reshares with

@@ -392,7 +392,7 @@ def parse_proof(data: bytes, c: Circuit) -> Proof:
                 f"unsupported proof version {data[:5].decode('ascii', 'replace')}; "
                 f"this build reads {MAGIC.decode()}")
         raise ProofError("bad proof magic")
-    scheme = scheme_by_byte(data[5], c.modulus.p)
+    scheme = scheme_by_byte(data[5])
     if data[6] != DERIVED_MODE_BYTE:
         raise ProofError(
             f"challenge-mode byte {data[6]:#04x} rejected: proof files carry only "

@@ -237,7 +237,7 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
         raise SessionError(
             f"peer wants {peer_reps} repetitions, we want {reps}", "hello")
     try:
-        scheme = scheme_by_byte(scheme_byte, c.modulus.p)
+        scheme = scheme_by_byte(scheme_byte)
     except MithError as e:
         _send_error(transport, ERR_BAD_FRAME, str(e))
         raise SessionError(str(e), "hello") from None

@@ -1,67 +1,30 @@
 """Small statistics kit for the experiment harness: the chi-square
 homogeneity test and binomial tolerances.
 
-The chi-square survival function is computed from the regularized
-incomplete gamma function (series expansion below a+1, Lentz continued
-fraction above), which keeps the package dependency-free."""
+For an integer df the chi-square survival function is a finite sum
+(the regularized upper gamma Q(df/2, stat/2) in closed form), which
+keeps the package dependency-free."""
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-_EPS = 1e-14
-_MAX_ITER = 500
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower gamma P(a, x) by series; converges for x < a+1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    """Regularized upper gamma Q(a, x) by continued fraction; x >= a+1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
 
 def chi2_sf(stat: float, df: int) -> float:
-    """P[Chi2_df >= stat]."""
+    """P[Chi2_df >= stat] for an integer df: with h = stat/2, [df odd]
+    erfc(sqrt h) + sum e^-h h^(k-1) / Gamma(k) over k = 1, 2, ..., df/2 or
+    k = 3/2, 5/2, ..., df/2, each term one exp of its log (so none
+    underflows early), capped at 1 against rounding."""
     if stat < 0 or df < 1:
         raise ValueError("need stat >= 0 and df >= 1")
     if stat == 0:
         return 1.0
-    a, x = df / 2.0, stat / 2.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
+    h, half = stat / 2.0, df % 2 / 2.0
+    log_h = math.log(h)
+    tail = math.erfc(math.sqrt(h)) if half else 0.0
+    return min(1.0, tail + sum(math.exp((j + half - 1.0) * log_h - h - math.lgamma(j + half))
+                               for j in range(1, df // 2 + 1)))
 
 
 def chi2_homogeneity(counts_a: Sequence[int], counts_b: Sequence[int]) -> tuple[float, float]:

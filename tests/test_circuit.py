@@ -155,9 +155,32 @@ def test_parse_error_cases():
 
 
 def test_malformed_integer_token_carries_position():
-    for word in ("--1", "\u00b2", "9" * 5000):
-        with pytest.raises(CircuitParseError, match="malformed integer.*line 3"):
+    """Only ASCII digits: int() would read the Arabic-Indic 12 as 12."""
+    for word in ("--1", "\u00b2", "\u0661\u0662", "9" * 5000):
+        with pytest.raises(CircuitParseError, match="malformed integer.*line 3, column 10"):
             parse_circuit(f"field 101\ntopology 0 1 1\n(const 1 {word})")
+
+
+@pytest.mark.parametrize("header,line,keyword", [
+    ("field 1_01\ntopology 0 1 3", 1, "field"),
+    ("field 101\ntopology +0 1 3", 2, "topology"),
+    ("field \u0661\u0660\u0661\ntopology 0 1 3", 1, "field"),
+], ids=["field-underscore", "topology-plus", "field-arabic-indic"])
+def test_header_integers_are_ascii_decimal(header, line, keyword):
+    """int() takes '_', '+' and non-ASCII digits; the header does not."""
+    with pytest.raises(CircuitParseError, match=f"non-integer argument in '{keyword}' line") as err:
+        parse_circuit(header + SQUARE_PLUS_ONE[SQUARE_PLUS_ONE.rindex("\n"):])
+    assert (err.value.line, err.value.col) == (line, 1)
+
+
+@pytest.mark.parametrize("parse,text,key", [
+    (parse_statement, "target 1_0\n", "target"),
+    (parse_statement, "target +3\n", "target"),
+    (parse_witness, "secret \u0663\n", "secret"),
+], ids=["target-underscore", "target-plus", "secret-arabic-indic"])
+def test_statement_and_witness_integers_are_ascii_decimal(parse, text, key):
+    with pytest.raises(CircuitError, match=f"non-integer value in '{key}' line"):
+        parse(text, parse_circuit(SQUARE_PLUS_ONE))
 
 
 @pytest.mark.parametrize("gate_text", ["", "\n", " \n\t\n"])

@@ -224,8 +224,8 @@ def test_group_selection():
     not depend on the field's width."""
     for p in (11, 101, 2**31 - 1, 2**256 - 189, 2**300):
         assert scheme_by_name("pedersen", p).params == BENCH_GROUP_257
-        assert scheme_by_byte(0x02, p).params == BENCH_GROUP_257
     assert scheme_by_name("pedersen").params == BENCH_GROUP_257
+    assert scheme_by_byte(0x02).params == BENCH_GROUP_257
 
 
 def test_pedersen_scheme_needs_order_above_2_256():
@@ -452,7 +452,7 @@ def test_pedersen_commitment_elements_in_group():
 
 def test_scheme_lookup():
     assert isinstance(scheme_by_name("prf"), PrfScheme)
-    assert isinstance(scheme_by_byte(0x02, 101), PedersenScheme)
+    assert isinstance(scheme_by_byte(0x02), PedersenScheme)
     with pytest.raises(MithError):
         scheme_by_name("nope")
     with pytest.raises(MithError):
