@@ -3,7 +3,7 @@ and benchmarks.  Subcommands import the session, harness and bench
 modules they use, so an offline prove or verify loads none of them.
 
 Exit codes: 0 success/accept, 1 proof rejected, 2 usage or validation
-error, 3 I/O error, 4 session failure.
+error, 3 I/O error (standard output closed too), 4 session failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from mith.circuit import (
     statement_circuit_path, statement_hash,
 )
 from mith.commit import scheme_by_name
-from mith.errors import CircuitError, CircuitParseError, MithError, SessionError
+from mith.errors import CircuitError, MithError, SessionError
 from mith.field import RandomSource
 
 EXIT_OK = 0
@@ -276,14 +276,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:  # a bad argument returns 2, as other usage errors do
         return e.code
     try:
-        return args.func(args)
-    except CircuitParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CircuitError, MithError) as e:
-        if isinstance(e, SessionError):
-            print(f"session error: {e}", file=sys.stderr)
-            return EXIT_SESSION
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:  # stdout closed early: devnull keeps the exit flush silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    except SessionError as e:
+        print(f"session error: {e}", file=sys.stderr)
+        return EXIT_SESSION
+    except MithError as e:  # circuit, statement, witness and usage errors among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except _IOFailure as e:

@@ -32,17 +32,19 @@ PRF_KEY_LEN = 32
 DIGEST_LEN = 32
 
 
-def prf_commit(key: bytes, message: bytes) -> tuple[bytes, bytes]:
-    """Commitment = HMAC-SHA256(key, message); opening = key."""
-    if len(key) != PRF_KEY_LEN:
-        raise MithError(f"PRF commit key must be {PRF_KEY_LEN} bytes")
-    return hmac.digest(key, message, "sha256"), key
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-def prf_verify(message: bytes, commitment: bytes, opening: bytes) -> bool:
-    if len(opening) != PRF_KEY_LEN or len(commitment) != DIGEST_LEN:
-        return False
-    return hmac.compare_digest(hmac.digest(opening, message, "sha256"), commitment)
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 (RFC 2104) in two SHA-256 calls, the key zero-padded to
+    the 64-byte block (hashed first if longer) and XORed by the tables
+    above; `hmac.digest` sets up an OpenSSL HMAC context on every call."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    inner = hashlib.sha256(key.translate(_IPAD) + message).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
 
 
 @dataclass(frozen=True)
@@ -171,10 +173,14 @@ class PrfScheme:
         return self.serialize_opening(rng.bytes(PRF_KEY_LEN))
 
     def commit_view(self, key: bytes, view: bytes) -> bytes:
-        return self.serialize_commitment(prf_commit(key, view)[0])
+        if len(key) != PRF_KEY_LEN:
+            raise MithError(f"PRF commit key must be {PRF_KEY_LEN} bytes")
+        return self.serialize_commitment(hmac_sha256(key, view))
 
     def verify_view(self, view: bytes, commitment: bytes, opening: bytes) -> bool:
-        return prf_verify(view, commitment, opening)
+        # A key zero-padded to the block MACs alike, so only PRF_KEY_LEN opens.
+        return (len(opening) == PRF_KEY_LEN
+                and hmac.compare_digest(hmac_sha256(opening, view), commitment))
 
     def serialize_commitment(self, digest: bytes) -> bytes:
         return digest

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from mith import mpc
 from mith import protocol as proto
 from mith.circuit import Statement, Witness
-from mith.commit import prf_commit, prf_verify, scheme_by_name
+from mith.commit import PrfScheme, scheme_by_name
 from mith.corpus import golden_corpus, impossible_statement, square_plus_one_circuit
 from mith.errors import MithError
 from mith.field import FieldElement, Modulus, RandomSource
@@ -74,12 +74,9 @@ def _sub_rng(seed, label: str) -> RandomSource:
 
 def honest_execution(s: Statement, w: Witness,
                      rng: RandomSource) -> tuple[list[bytes], FieldElement]:
-    """One in-the-head run for w, with the draws of one repetition of
-    `protocol.commit_repetitions` except the commit keys: its five views,
-    in party order, and its output."""
-    p = s.circuit.modulus.p
-    sharings = proto.share_witness(w, [random_share_randomness(rng, p, len(w.secret_inputs))], p)
-    rows, (y,) = mpc.run_protocol(s, sharings, [mpc.random_gate_randomness(rng, s.circuit)])
+    """One in-the-head run for w (`protocol.run_repetitions`): its five
+    views, in party order, and its output."""
+    rows, (y,) = proto.run_repetitions(w, s, 1, rng)
     L = len(rows) // 5
     return [bytes(rows[r:r + L]) for r in range(0, len(rows), L)], y
 
@@ -378,8 +375,7 @@ def run_binding(trials: int, rng: RandomSource) -> ExperimentReport:
         m2, k2 = rng.bytes(8), rng.bytes(32)
         if m1 == m2:
             continue
-        c1, _ = prf_commit(k1, m1)
-        if prf_verify(m2, c1, k2):
+        if PrfScheme().verify_view(m2, PrfScheme().commit_view(k1, m1), k2):
             wins += 1
     return ExperimentReport("binding", trials, wins, 0.0, 0.0)
 
@@ -395,7 +391,7 @@ def run_hiding(trials: int, rng: RandomSource,
     hist0 = [0] * 256
     train = 2048
     for _ in range(train):
-        c, _ = prf_commit(rng.bytes(32), m0)
+        c = PrfScheme().commit_view(rng.bytes(32), m0)
         hist0[c[0]] += 1
 
     def guess(c: bytes) -> int:
@@ -407,7 +403,7 @@ def run_hiding(trials: int, rng: RandomSource,
     correct = 0
     for t in range(trials):
         b = t % 2
-        c, _ = prf_commit(rng.bytes(32), m1 if b else m0)
+        c = PrfScheme().commit_view(rng.bytes(32), m1 if b else m0)
         correct += (guess(c) == b)
     return ExperimentReport(f"hiding({attacker})", trials, correct, 0.5,
                             tolerance)

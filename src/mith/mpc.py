@@ -153,13 +153,13 @@ def program(c: Circuit) -> Program:
     return prog
 
 
-def random_gate_randomness(rng: RandomSource, c: Circuit):
-    """One repetition's gate randomness in drawn order: (a1, a2) for
-    parties 1..5 at each messaging multiplication in ascending gate-id
-    order, then for the five refresh sharings (`RandomSource.randbelows`:
-    bytes over a field below 256)."""
+def random_gate_randomness(rng: RandomSource, c: Circuit, reps: int = 1):
+    """The gate randomness of reps repetitions, one after another, in one
+    draw (`RandomSource.randbelows`: bytes over a field below 256), each in
+    drawn order: (a1, a2) for parties 1..5 at each messaging multiplication
+    in ascending gate-id order, then for the five refresh sharings."""
     prog = program(c)
-    return rng.randbelows(prog.p, 5 * prog.n_rand)
+    return rng.randbelows(prog.p, 5 * prog.n_rand * reps)
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +191,33 @@ def _interpret(prog: Program, inputs: Sequence, scalars: Sequence[int], n: int, 
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
-                 rands: Sequence[Sequence[int]]) -> tuple[bytearray, tuple[FieldElement, ...]]:
+                 rands: Sequence[int]) -> tuple[bytearray, tuple[FieldElement, ...]]:
     """Execute the full protocol once per repetition, as 5n party lanes of
     one pass: lane q*n + k is party q+1 in repetition k.  input_sharings
-    holds each secret wire's five party columns (`sss.share`), and
-    rands[k] is repetition k's gate randomness in drawn order
-    (`random_gate_randomness`).  Returns (rows, outputs): rows is one
-    buffer whose row q*n + k is lane q*n + k's view, each element column
-    written (`encode_view`) as the run makes it, and outputs[k] is
-    repetition k's opened output."""
+    holds each secret wire's five party columns (`sss.share`), and rands
+    the n repetitions' gate randomness (`random_gate_randomness`).  Returns
+    (rows, outputs): rows is one buffer whose row q*n + k is lane q*n + k's
+    view, each element column written (`encode_view`) as the run makes it,
+    and outputs[k] is repetition k's opened output."""
     c = s.circuit
     prog = program(c)
     F = prog.cols
-    n = len(rands)
+    R = 5 * prog.n_rand
+    if len(rands) % R:
+        raise MithError(f"missing randomness: each repetition needs {R} draws")
+    n = len(rands) // R
     if len(input_sharings) != prog.n_secret:
         raise MithError(
             f"need {prog.n_secret} input sharings, got {len(input_sharings)}")
     if n < 1 or any(len(sh) != 5 or any(len(col) != n for col in sh)
                     for sh in input_sharings):
         raise MithError("each input sharing needs five party columns of one share per lane")
-    R = 5 * prog.n_rand
-    if any(len(r) != R for r in rands):
-        raise MithError(f"missing randomness: each repetition needs {R} draws")
     pubs = tuple(x.value for x in s.public_inputs)
     lanes = 5 * n
     rows = bytearray(prog.view_length * lanes)
     inputs = [*[F.const(v, lanes) for v in pubs],
               *[F.join([F.from_ints(col) for col in sh]) for sh in input_sharings]]
-    draws = F.join([F.from_ints(r) for r in rands])
+    draws = F.from_ints(rands)
     # rc[i]: entry i of each lane's randomness; party q+1's entry 2t+e is
     # draw 10t + 2q + e of its repetition.
     rc = [F.join([draws[10 * (i // 2) + 2 * q + i % 2::R] for q in range(5)])

@@ -24,16 +24,15 @@ and one output pass over the joined opened views.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
-from mith.commit import scheme_by_byte, scheme_by_name
+from mith.commit import hmac_sha256, scheme_by_byte, scheme_by_name
 from mith.errors import MithError, ProofError, SimulationFailure
-from mith.field import RandomSource, columns
+from mith.field import RandomSource
 from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, share_sim
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
@@ -112,8 +111,7 @@ def derive_challenge(stmt_digest: bytes, index: int,
     reduced mod 10.  This mode is a hash-derived extension of the
     interactive protocol; the CLI prints the bits it delivers
     (`derived_security_bits`)."""
-    mac = hmac.digest(stmt_digest, b"".join([index.to_bytes(4, "big"), *commitment_blobs]),
-                      "sha256")
+    mac = hmac_sha256(stmt_digest, b"".join([index.to_bytes(4, "big"), *commitment_blobs]))
     return PARTY_PAIRS[int.from_bytes(mac, "big") % N_CHALLENGES]
 
 
@@ -123,15 +121,6 @@ def challenge_blobs(msgs: Sequence[bytes]) -> list[bytes]:
     frame echoes the same digest of the same bytes.  Each challenge then
     MACs 36 bytes, so deriving all sigma of them is linear in sigma."""
     return [hashlib.sha256(b"".join(msgs)).digest()]
-
-
-def share_witness(w: Witness, coeffs: Sequence[Sequence[int]], p: int) -> list:
-    """Each secret input shared in lane form (`sss.share`); coeffs[k] is
-    lane k's (a1, a2) per secret wire (`random_share_randomness`)."""
-    flat = columns(p).join(coeffs)
-    step = 2 * len(w.secret_inputs)
-    return [share(v.value, flat[2 * k::step], flat[2 * k + 1::step], p)
-            for k, v in enumerate(w.secret_inputs)]
 
 
 def commit_rows(scheme, rows: bytes, keys: Sequence[bytes]) -> tuple[ProverState, list[bytes]]:
@@ -145,27 +134,31 @@ def commit_rows(scheme, rows: bytes, keys: Sequence[bytes]) -> tuple[ProverState
     return ProverState(rows, openings), [serialize_commitment_msg(coms[k::n]) for k in range(n)]
 
 
-def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
-                       scheme) -> tuple[ProverState, list[bytes]]:
-    """The commit phase of sigma independent runs: share the witness, run
-    the protocol in the head, commit to the five views.  Each repetition
-    draws, in turn, its sharing polynomials (a1, a2 per secret wire), its
-    gate randomness and five commit keys; then one `run_protocol`
-    evaluates every repetition as a lane, writing each view as a row."""
+def run_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource):
+    """sigma in-the-head runs for w, `mpc.run_protocol`'s (rows, outputs):
+    every repetition's sharing polynomials (a1, a2 per secret wire) in one
+    draw, then its gate randomness in another, each repetition's values a
+    slice of each; then one `run_protocol` evaluates every repetition as a
+    lane, writing each view as a row."""
     if not 1 <= reps <= MAX_REPS:
         raise MithError(f"repetition count must be in [1, {MAX_REPS}]")
     c = s.circuit
-    p = c.modulus.p
-    n_secret = c.topology.n_secret
-    if len(w.secret_inputs) != n_secret:
+    p, n = c.modulus.p, c.topology.n_secret
+    if len(w.secret_inputs) != n:
         raise MithError("witness does not cover the secret wires")
-    coeffs, rands, keys = [], [], []
-    for _ in range(reps):
-        coeffs.append(random_share_randomness(rng, p, n_secret))
-        rands.append(mpc.random_gate_randomness(rng, c))
-        keys.extend([scheme.keygen(rng) for _ in PARTY_IDS])
-    rows, _ = mpc.run_protocol(s, share_witness(w, coeffs, p), rands)
-    return commit_rows(scheme, rows, keys)
+    coeffs = random_share_randomness(rng, p, n * reps)
+    sharings = [share(v.value, coeffs[2 * k::2 * n], coeffs[2 * k + 1::2 * n], p)
+                for k, v in enumerate(w.secret_inputs)]
+    return mpc.run_protocol(s, sharings, mpc.random_gate_randomness(rng, c, reps))
+
+
+def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
+                       scheme) -> tuple[ProverState, list[bytes]]:
+    """The commit phase of sigma independent runs (`run_repetitions`), the
+    five views of each committed under keys of a third draw: keys[5k + q]
+    for party q+1 in repetition k (`commit_rows`)."""
+    rows, _ = run_repetitions(w, s, reps, rng)
+    return commit_rows(scheme, rows, [scheme.keygen(rng) for _ in range(5 * reps)])
 
 
 def respond_repetitions(s: Statement, state: ProverState,

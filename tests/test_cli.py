@@ -252,6 +252,27 @@ def test_missing_files_exit_3(workdir):
                 "--witness", workdir / "w.wit", "--out", workdir / "x.bin"]) == 3
 
 
+@pytest.mark.parametrize("reps", [8, 843])
+def test_closed_stdout_exits_3_without_traceback(workdir, reps):
+    """`mith verify ... | head -c 0`: stdout's read end is closed before
+    the child writes, so its first write fails, whether that is a print
+    (843 verbose lines overflow the buffer) or the flush at the end."""
+    proof = workdir / "p.bin"
+    assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                "--reps", reps, "--out", proof]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "mith.cli", "verify", "--statement",
+                               "s.st", "--proof", "p.bin", "--verbose"], cwd=workdir, env=env,
+                              stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
 def test_validation_errors_exit_2(workdir):
     assert run(["prove", "--statement", workdir / "s.st",
                 "--witness", workdir / "bad.wit", "--out", workdir / "x.bin"]) == 2

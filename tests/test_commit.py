@@ -1,6 +1,7 @@
 """Commitment schemes: RFC 4231 vectors, fuzz, Pedersen group algebra."""
 
 import hashlib
+import hmac
 import os
 import random
 import subprocess
@@ -15,12 +16,14 @@ from mith.circuit import Statement
 
 from mith.commit import (
     BENCH_GROUP_257, TEST_GROUP_64, PedersenParams, PedersenScheme, PrfScheme,
-    pedersen_commit, prf_commit, prf_verify, scheme_by_byte, scheme_by_name,
+    hmac_sha256, pedersen_commit, scheme_by_byte, scheme_by_name,
 )
 from mith.corpus import identity_circuit
 from mith.errors import MithError
 from mith.field import Modulus, RandomSource, is_probable_prime
 from mith.sss import random_share_randomness, share
+
+PRF = PrfScheme()
 
 # HMAC-SHA256 test vectors from RFC 4231 (cases 1-4, 6, 7; case 5 tests
 # truncated output and does not apply).
@@ -44,26 +47,41 @@ RFC4231 = [
 
 
 def test_hmac_rfc4231_vectors():
-    import hashlib
-    import hmac as hmac_mod
+    """mith's own HMAC, bit-exact against RFC 4231, the two 131-byte keys
+    (hashed first) included."""
     for key, data, want in RFC4231:
-        got = hmac_mod.new(key, data, hashlib.sha256).hexdigest()
-        assert got == want
+        assert hmac_sha256(key, data).hex() == want
+
+
+@pytest.mark.parametrize("key_len", [0, 1, 31, 32, 33, 63, 64, 65, 131])
+def test_hmac_matches_stdlib(key_len):
+    """Seeded differential against `hmac.digest` at the block and padding
+    boundaries of the key and of the message."""
+    rng = RandomSource(b"hmac/%d" % key_len)
+    for msg_len in (0, 1, 55, 56, 63, 64, 65, 119, 120, 1000):
+        for _ in range(3):
+            key, msg = rng.bytes(key_len), rng.bytes(msg_len)
+            assert hmac_sha256(key, msg) == hmac.digest(key, msg, "sha256")
 
 
 def test_prf_commit_uses_hmac_sha256():
-    key, data, want = RFC4231[2]
+    _, data, _ = RFC4231[2]
     # Commit keys are fixed at 32 bytes; pad the 20-byte vector key.
-    com, op = prf_commit(b"\x00" * 32, data)
-    import hashlib
-    import hmac as hmac_mod
-    assert com == hmac_mod.new(b"\x00" * 32, data, hashlib.sha256).digest()
-    assert op == b"\x00" * 32
+    key = b"\x00" * 32
+    assert PRF.commit_view(key, data) == hmac.new(key, data, hashlib.sha256).digest()
 
 
 def test_prf_commit_key_length_enforced():
     with pytest.raises(MithError):
-        prf_commit(b"short", b"m")
+        PRF.commit_view(b"short", b"m")
+
+
+def test_prf_verify_rejects_wrong_lengths():
+    key, msg = b"\x01" * 32, b"m"
+    com = PRF.commit_view(key, msg)
+    assert PRF.verify_view(msg, com, key)
+    assert not PRF.verify_view(msg, com[:-1], key)
+    assert not PRF.verify_view(msg, com, key + b"\x00")
 
 
 def test_prf_determinism_and_round_trip():
@@ -71,10 +89,9 @@ def test_prf_determinism_and_round_trip():
     for _ in range(1000):
         k = rng.bytes(32)
         msg = rng.bytes(rng.randbelow(64) + 1)
-        c1, o1 = prf_commit(k, msg)
-        c2, _ = prf_commit(k, msg)
-        assert c1 == c2
-        assert prf_verify(msg, c1, o1)
+        c1 = PRF.commit_view(k, msg)
+        assert c1 == PRF.commit_view(k, msg)
+        assert PRF.verify_view(msg, c1, k)
 
 
 def test_prf_bit_flip_rejected():
@@ -83,11 +100,11 @@ def test_prf_bit_flip_rejected():
     for _ in range(10_000):
         k = rng.bytes(32)
         msg = rng.bytes(16)
-        c, o = prf_commit(k, msg)
+        c = PRF.commit_view(k, msg)
         pos = rnd.randrange(len(msg))
         flipped = (msg[:pos] + bytes([msg[pos] ^ (1 << rnd.randrange(8))])
                    + msg[pos + 1:])
-        assert not prf_verify(flipped, c, o)
+        assert not PRF.verify_view(flipped, c, k)
 
 
 def test_prf_wrong_key_rejected():
@@ -95,8 +112,8 @@ def test_prf_wrong_key_rejected():
     for _ in range(10_000):
         k, k2 = rng.bytes(32), rng.bytes(32)
         msg = rng.bytes(16)
-        c, _ = prf_commit(k, msg)
-        assert not prf_verify(msg, c, k2)
+        c = PRF.commit_view(k, msg)
+        assert not PRF.verify_view(msg, c, k2)
 
 
 def test_prf_hiding_digest_bytes_chi_square():
@@ -106,8 +123,8 @@ def test_prf_hiding_digest_bytes_chi_square():
     rng = RandomSource(40)
     h0, h1 = [0] * 256, [0] * 256
     for _ in range(8_000):
-        c0, _ = prf_commit(rng.bytes(32), b"message zero")
-        c1, _ = prf_commit(rng.bytes(32), b"message one")
+        c0 = PRF.commit_view(rng.bytes(32), b"message zero")
+        c1 = PRF.commit_view(rng.bytes(32), b"message one")
         h0[c0[0]] += 1
         h1[c1[0]] += 1
     _, pval = chi2_homogeneity(h0, h1)
@@ -368,7 +385,7 @@ def one_view(rng):
     s = Statement(c, (), m.element(4))
     a1, a2 = random_share_randomness(rng, m.p, 1)
     sharing = share(4, (a1,), (a2,), m.p)
-    rows, _ = mpc.run_protocol(s, [sharing], [mpc.random_gate_randomness(rng, c)])
+    rows, _ = mpc.run_protocol(s, [sharing], mpc.random_gate_randomness(rng, c))
     return c, bytes(rows[:len(rows) // 5])
 
 

@@ -50,24 +50,31 @@ CASES = {
 # 4462f99c..., a51dd485..., 66cc8844... and a0d3085f..., in order.  Proof
 # digests are for MITH4 (one Pedersen commitment and one blinder per view;
 # challenges derived from one SHA-256 of the commit phase, as in MITH2 and
-# MITH3).  The PRF proofs differ from MITH3's in the magic only.  The
-# MITH3 proof digests were 9d7c61a9..., 30edb648..., 780dddb7... and
-# 86b990a4..., in the order below; the MITH2 ones 3e12175c...,
+# MITH3), with a commit phase that draws its randomness in three passes:
+# every repetition's sharing polynomials, then every repetition's gate
+# randomness, then the 5 sigma commit keys.  One repetition draws as
+# before, so the view digests stayed; the two-repetition proofs did not.
+# With the draws made repetition by repetition the MITH4 proof digests
+# were 7e60b9b4..., 67d46b80..., 663bbfbc... and 559e36d9..., in the
+# order below.  The PRF proofs of that draw order differed from MITH3's
+# in the magic only.  The MITH3 proof digests were 9d7c61a9...,
+# 30edb648..., 780dddb7... and 86b990a4..., in the order below; the
+# MITH2 ones 3e12175c...,
 # d4c95c6c..., af5dcaab... and 41bffc18..., and the MITH1 ones
 # d08efaa3..., 506a5a03..., 8c4c93b9... and 8d763b05....
 GOLDEN = {
     "deep9-f101-prf": (
         "2bb65b327b3a8c4db3534534d1110853d93ba6d815cc0a2f438b29400982c2b2",
-        "7e60b9b435ca3e780dcea89d80a9f6e1689e050594d25ec1fbae9d93fae15a59"),
+        "b740a779cce30afc131b10016161953dac32bf4d1e620f77c4d5e92f87856e3a"),
     "bench-b-f97-prf": (
         "1006120fee47a42dc6e373b5980f632432f00d57cd20fe5ea20b2370c1809b00",
-        "67d46b80d2690fb1b89eab94c850eacb8d76dae1b22b9d3ff437c3afcec147b8"),
+        "77dba9fa77662ea13881b188bd9fbc21d4b798d86c7b291fd09f767b95fd1159"),
     "bench-a-p256-pedersen": (
         "7802798ada76d96e54ca8dec8ee90eadbb8c4559f79d550832669418cb4b877f",
-        "663bbfbc3a561693a7cc402214be0c0d59a1dddf5f9e24feb67ab553130f6bdb"),
+        "678bb0678c2d9657f27ad8b60f2bdc384103922fd930a30aeb2e8bf38ae52b6a"),
     "smul-over-mul-f101-prf": (
         "fdf514caa52cb0b9bd21d4410d6de24dc4a3de2e3929bef35b5917b8bad6a221",
-        "559e36d96b3ea38d13deee038dbf15a2d1804a13356b89f7c432e363b5d8d94a"),
+        "3d028934e1a3f68772d5a78350ca2edfe8d711634331abe1a2e642f0638273a3"),
 }
 
 
@@ -146,15 +153,18 @@ def test_golden_corpus_circuit_text():
 
 
 # Frames of HELLO version 3: one Pedersen commitment and one blinder per
-# view, element-only views.  The version-2 digests were 50a4db16... and
-# c0821016..., the version-1 ones b6ea6fa1... and 6e87db4d..., in order.
+# view, element-only views, the commit phase's randomness in three passes
+# (as for the proofs above).  With the draws made repetition by repetition
+# they were e7f974b1... and bd41c7cc..., in order.  The version-2
+# digests were 50a4db16... and c0821016..., the version-1 ones
+# b6ea6fa1... and 6e87db4d..., in order.
 SESSION_CASES = {
     "bench-b-f97-prf-sigma3": (
         bench_circuit_b, "prf", 3,
-        "e7f974b17dfa7e6a2378c7f0d99598e61371b34fd0b2da94e1e18b0fadc358b8"),
+        "73a62df5331f47cd1a547cba6ebcdf53bea3101fdefc1016f106e73b27db1359"),
     "bench-a-p256-pedersen-sigma2": (
         lambda: bench_circuit_a(preset_modulus("p256")), "pedersen", 2,
-        "bd41c7cccc60b10f88816747c589981e5268fbd305e9697459febc22df97d339"),
+        "11140be20d3630a2576b45d413f06448cd946bca37e747153a46d678af29c02d"),
 }
 
 

@@ -123,26 +123,28 @@ def pack(v: int, bound: int) -> bytes:
 
 
 def reference_proof(w, s, reps, rng, scheme):
-    """Per repetition: a1, a2 per secret wire, the gate randomness, five
-    commit keys; then that repetition's execution and commitments.
-    Returns (views per repetition, commitments, openings, proof bytes)."""
+    """Three passes of draws, each repetition by repetition: a1, a2 per
+    secret wire; the gate randomness; five commit keys.  Then per
+    repetition its execution and commitments.  Returns (views per
+    repetition, commitments, openings, proof bytes)."""
     c = s.circuit
     prog = mpc.program(c)
     p = prog.p
     pubs = tuple(x.value for x in s.public_inputs)
+    coeffs = [[(reference_randbelow(rng, p), reference_randbelow(rng, p))
+               for _ in w.secret_inputs] for _ in range(reps)]
+    gate_draws = [[reference_randbelow(rng, p) for _ in range(5 * prog.n_rand)]
+                  for _ in range(reps)]
+    if isinstance(scheme, PedersenScheme):
+        rep_keys = [[reference_randbelow(rng, scheme.params.order) for _ in range(5)]
+                    for _ in range(reps)]
+    else:
+        rep_keys = [[rng.bytes(32) for _ in range(5)] for _ in range(reps)]
     all_views, all_coms, all_ops = [], [], []
-    for _ in range(reps):
-        secs = []
-        for v in w.secret_inputs:
-            a1, a2 = reference_randbelow(rng, p), reference_randbelow(rng, p)
-            secs.append(share5(v.value, a1, a2, p))
-        draws = [reference_randbelow(rng, p) for _ in range(5 * prog.n_rand)]
+    for pairs, draws, keys in zip(coeffs, gate_draws, rep_keys):
+        secs = [share5(v.value, a1, a2, p) for v, (a1, a2) in zip(w.secret_inputs, pairs)]
         rand = [sum(((draws[10 * r + 2 * q], draws[10 * r + 2 * q + 1])
                      for r in range(prog.n_mul + 1)), ()) for q in range(5)]
-        if isinstance(scheme, PedersenScheme):
-            keys = [reference_randbelow(rng, scheme.params.order) for _ in range(5)]
-        else:
-            keys = [rng.bytes(32) for _ in range(5)]
         views = reference_execution(prog, pubs, secs, rand)
         if isinstance(scheme, PedersenScheme):
             prm = scheme.params

@@ -64,7 +64,7 @@ class Run(NamedTuple):
 def one_run(s, sharings, rand) -> Run:
     """run_protocol for one repetition: sharings holds each secret wire's
     five party columns of one share, rand the drawn randomness."""
-    rows, (y,) = mpc.run_protocol(s, sharings, [rand])
+    rows, (y,) = mpc.run_protocol(s, sharings, rand)
     views = repetition_views(rows, 1)
     return Run(views, [fields(s.circuit, v) for v in views], y)
 
@@ -157,7 +157,7 @@ def test_run_protocol_lane_count_mismatch(m11, rng):
     c = parse_circuit(ONE_MUL)
     s = Statement(c, (), m11.element(9))
     one_lane = [tuple((x,) for x in share1(m11, 3, 1, 2).values())]
-    rands = [mpc.random_gate_randomness(rng, c) for _ in range(2)]
+    rands = mpc.random_gate_randomness(rng, c, 2)
     with pytest.raises(MithError, match="one share per lane"):
         mpc.run_protocol(s, one_lane, rands)
     with pytest.raises(MithError, match="one share per lane"):

@@ -109,6 +109,35 @@ def test_commit_phase_deterministic_under_fixed_rand(m11):
     assert cm1 == cm2
 
 
+def test_commit_phase_draws_in_three_passes(m11, monkeypatch):
+    """A sigma=50 commit phase draws its sharing polynomials and its gate
+    randomness once each, for every repetition at once."""
+    calls = collections.Counter()
+    share_draw, gate_draw = pr.random_share_randomness, mpc.random_gate_randomness
+    monkeypatch.setattr(pr, "random_share_randomness",
+                        lambda *a: calls.update(["share"]) or share_draw(*a))
+    monkeypatch.setattr(mpc, "random_gate_randomness",
+                        lambda *a: calls.update(["gate"]) or gate_draw(*a))
+    s, w = golden_corpus(m11, 1)[0]
+    st, msgs = pr.commit_repetitions(w, s, 50, RandomSource(50), PRF)
+    assert calls == {"share": 1, "gate": 1}
+    assert len(msgs) == 50 and len(st.openings) == 250
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_prove_and_verify_without_stdlib_hmac(m11, monkeypatch, scheme_name):
+    """Commitments, openings and challenges hash through
+    `commit.hmac_sha256`, never through `hmac.digest`."""
+    def refuse(*args):
+        raise AssertionError("hmac.digest called")
+
+    monkeypatch.setattr(hmac, "digest", refuse)
+    s, w = golden_corpus(m11, 1)[0]
+    proof = pr.prove_repeated(w, s, 5, RandomSource(8), scheme_by_name(scheme_name, 11))
+    data = pr.serialize_proof(proof, s.circuit)
+    assert pr.verify_repeated(s, pr.parse_proof(data, s.circuit))
+
+
 def test_commitments_fresh_across_rand_draws(m11):
     s, w = golden_corpus(m11, 1)[0]
     rng = RandomSource(6)
@@ -212,7 +241,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
         pos = rnd.randrange(len(blob))
         forged = bytes(blob[:pos]) + bytes([blob[pos] ^ 1]) + bytes(blob[pos + 1:])
         opening = rng.bytes(32)
-        if commit.prf_verify(forged, committed, opening):
+        if PRF.verify_view(forged, committed, opening):
             wins += 1
         try:
             view = mpc.decode_view(c, forged)
