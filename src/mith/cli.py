@@ -29,6 +29,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SESSION = 4
 
+# A proof file is made and checked at 128 bits unless told otherwise, a
+# session at sigma=40; MAX_BITS is the most a four-byte sigma delivers.
+DEFAULT_BITS = 128
+SESSION_REPS = 40
+MAX_BITS = int(proto.MAX_REPS * proto.derived_security_bits(1))
+
 
 def _read(path: str) -> str:
     try:
@@ -112,10 +118,17 @@ def _int_in(low: int, high: float = math.inf):
     return parse
 
 
+def reps_for_bits(bits: int) -> int:
+    """The least sigma whose derived proof delivers bits."""
+    return math.ceil(bits / proto.derived_security_bits(1))
+
+
 def cmd_prove(args) -> int:
     if args.mode != "session" and not args.out:
         print("error: --out is required unless --mode session", file=sys.stderr)
         return EXIT_USAGE
+    reps = args.reps or (SESSION_REPS if args.mode == "session"
+                         else reps_for_bits(args.security_bits))
     s = _load_statement(args)
     w = parse_witness(_read(args.witness), s.circuit)
     scheme = scheme_by_name(args.scheme, s.circuit.modulus.p)
@@ -127,27 +140,28 @@ def cmd_prove(args) -> int:
             print("error: session mode needs --connect host:port", file=sys.stderr)
             return EXIT_USAGE
         from mith import session as session_mod
-        if args.reps * max(proto.block_lengths(s.circuit, scheme)) > session_mod.MAX_PAYLOAD:
-            print(f"error: {args.reps} repetitions make a COMMIT or RESPONSE frame above "
+        if reps * max(proto.block_lengths(s.circuit, scheme)) > session_mod.MAX_PAYLOAD:
+            print(f"error: {reps} repetitions make a COMMIT or RESPONSE frame above "
                   f"the {session_mod.MAX_PAYLOAD}-byte cap", file=sys.stderr)
             return EXIT_USAGE
         transport = session_mod.connect(*args.connect, args.timeout)
         try:
             verdict = session_mod.prover_session(
-                transport, s, w, args.reps, scheme, rng)
+                transport, s, w, reps, scheme, rng)
         finally:
             transport.close()
         elapsed = (time.perf_counter() - t0) * 1000
-        print(f"reps={args.reps} scheme={args.scheme} mode=session "
-              f"time={elapsed:.1f}ms verdict={'accept' if verdict else 'reject'}")
+        print(f"reps={reps} scheme={args.scheme} mode=session time={elapsed:.1f}ms "
+              f"soundness<={proto.soundness_bound(reps):.4g} "
+              f"verdict={'accept' if verdict else 'reject'}")
         return EXIT_OK if verdict else EXIT_REJECT
-    proof = proto.prove_repeated(w, s, args.reps, rng, scheme, mode="derived")
+    proof = proto.prove_repeated(w, s, reps, rng, scheme, mode="derived")
     blob = proto.serialize_proof(proof, s.circuit)
     _write_bytes(args.out, blob)
     elapsed = (time.perf_counter() - t0) * 1000
-    print(f"reps={args.reps} scheme={args.scheme} mode=derived "
+    print(f"reps={reps} scheme={args.scheme} mode=derived "
           f"bytes={len(blob)} time={elapsed:.1f}ms "
-          f"security_bits={proto.derived_security_bits(args.reps):.1f}")
+          f"security_bits={proto.derived_security_bits(reps):.1f}")
     return EXIT_OK
 
 
@@ -164,6 +178,7 @@ def cmd_verify(args) -> int:
             verdict = session_mod.verifier_session(transport, s, args.reps, rng)
         finally:
             transport.close()
+        print(f"reps={args.reps} soundness<={proto.soundness_bound(args.reps):.4g}")
         print(f"session verdict: {'accept' if verdict else 'reject'}")
         return EXIT_OK if verdict else EXIT_REJECT
     if not args.proof:
@@ -175,6 +190,12 @@ def cmd_verify(args) -> int:
     except MithError as e:
         print(f"reject: malformed proof: {e}")
         return EXIT_REJECT
+    bits = proto.derived_security_bits(proof.reps)
+    print(f"reps={proof.reps} security_bits={bits:.1f}")
+    if proof.reps < reps_for_bits(args.min_bits):
+        print(f"reject: {bits:.1f} security bits, below the {args.min_bits}-bit floor "
+              "(--min-bits)")
+        return EXIT_REJECT
     # One pass: the printed checks are the ones the verdict reads.
     checks = proto.check_repetitions(s, proof)
     if args.verbose:
@@ -183,7 +204,6 @@ def cmd_verify(args) -> int:
             print(f"  repetition {k}: challenge {proto.PARTY_PAIRS[ch]} "
                   f"check={'ok' if ok else 'FAIL'} "
                   f"challenge-source={'ok' if ch_ok else 'FAIL'}")
-    print(f"reps={proof.reps} security_bits={proto.derived_security_bits(proof.reps):.1f}")
     verdict = proto.accepts(s, proof, checks)
     print("accept" if verdict else "reject")
     return EXIT_OK if verdict else EXIT_REJECT
@@ -235,9 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", required=True, help="statement file")
     p.add_argument("--witness", required=True, help="witness file")
     p.add_argument("--out", help="proof output path")
-    p.add_argument("--reps", type=_int_in(1, proto.MAX_REPS), default=40,
-                   help="repetitions (default 40, "
-                        f"{proto.derived_security_bits(40):.1f} security bits when derived)")
+    p.add_argument("--reps", type=_int_in(1, proto.MAX_REPS),
+                   help="repetitions, overriding --security-bits "
+                        f"(default {SESSION_REPS} for a session)")
+    p.add_argument("--security-bits", type=_int_in(1, MAX_BITS), default=DEFAULT_BITS,
+                   help="derived mode: the sigma that delivers these bits, ceil(bits / "
+                        f"log2(10/9)) (default {DEFAULT_BITS}: "
+                        f"sigma={reps_for_bits(DEFAULT_BITS)})")
     p.add_argument("--scheme", choices=["prf", "pedersen"], default="prf")
     p.add_argument("--mode", choices=["derived", "session"], default="derived")
     p.add_argument("--connect", type=_endpoint, help="verifier endpoint host:port")
@@ -250,8 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--proof", help="proof file to verify")
     v.add_argument("--mode", choices=["offline", "session"], default="offline")
     v.add_argument("--listen", type=_endpoint, help="bind endpoint host:port")
-    v.add_argument("--reps", type=_int_in(1, proto.MAX_REPS), default=40,
-                   help="expected repetitions (session mode)")
+    v.add_argument("--reps", type=_int_in(1, proto.MAX_REPS), default=SESSION_REPS,
+                   help=f"expected repetitions (session mode, default {SESSION_REPS})")
+    v.add_argument("--min-bits", type=_int_in(0, MAX_BITS), default=DEFAULT_BITS,
+                   help="reject a proof file delivering fewer security bits "
+                        f"(default {DEFAULT_BITS}; sessions are exempt)")
     v.add_argument("--timeout", type=_timeout, default=30.0)
     v.add_argument("--verbose", action="store_true",
                    help="print per-repetition verdicts")

@@ -1,9 +1,9 @@
 """Commitment schemes over canonically encoded party views.
 
-Two instantiations, one commitment per view: HMAC-SHA256 (opening = the
-32-byte key) and hash-then-commit Pedersen, g^H(view) * h^r mod P in a
-prime-order subgroup of Z_P* with H = SHA-256 over the view's bytes
-(opening = the blinder r).  At the view level (`PrfScheme`,
+Two instantiations, one commitment per view: SHA-256(key || view)
+(opening = the 32-byte key) and hash-then-commit Pedersen, g^H(view) *
+h^r mod P in a prime-order subgroup of Z_P* with H = SHA-256 over the
+view's bytes (opening = the blinder r).  At the view level (`PrfScheme`,
 `PedersenScheme`) a commitment and an opening are their bytes: each is
 packed once, where it is made (`keygen`, `commit_view`), parsing checks
 it and returns the bytes it checked, and `verify_view` recomputes the
@@ -30,21 +30,6 @@ from mith.field import RandomSource, is_probable_prime
 
 PRF_KEY_LEN = 32
 DIGEST_LEN = 32
-
-
-_IPAD = bytes(x ^ 0x36 for x in range(256))
-_OPAD = bytes(x ^ 0x5C for x in range(256))
-
-
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 (RFC 2104) in two SHA-256 calls, the key zero-padded to
-    the 64-byte block (hashed first if longer) and XORed by the tables
-    above; `hmac.digest` sets up an OpenSSL HMAC context on every call."""
-    if len(key) > 64:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(64, b"\0")
-    inner = hashlib.sha256(key.translate(_IPAD) + message).digest()
-    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
 
 
 @dataclass(frozen=True)
@@ -169,18 +154,20 @@ class PrfScheme:
     commitment_length = DIGEST_LEN
     opening_length = PRF_KEY_LEN
 
-    def keygen(self, rng: RandomSource) -> bytes:
-        return self.serialize_opening(rng.bytes(PRF_KEY_LEN))
+    def keygen(self, rng: RandomSource, n: int) -> list[bytes]:
+        """n keys, slices of one draw."""
+        data = rng.bytes(PRF_KEY_LEN * n)
+        return [data[k:k + PRF_KEY_LEN] for k in range(0, len(data), PRF_KEY_LEN)]
 
     def commit_view(self, key: bytes, view: bytes) -> bytes:
+        # A fixed-length key splits key || view one way only.
         if len(key) != PRF_KEY_LEN:
             raise MithError(f"PRF commit key must be {PRF_KEY_LEN} bytes")
-        return self.serialize_commitment(hmac_sha256(key, view))
+        return hashlib.sha256(key + view).digest()
 
     def verify_view(self, view: bytes, commitment: bytes, opening: bytes) -> bool:
-        # A key zero-padded to the block MACs alike, so only PRF_KEY_LEN opens.
         return (len(opening) == PRF_KEY_LEN
-                and hmac.compare_digest(hmac_sha256(opening, view), commitment))
+                and hmac.compare_digest(hashlib.sha256(opening + view).digest(), commitment))
 
     def serialize_commitment(self, digest: bytes) -> bytes:
         return digest
@@ -216,8 +203,9 @@ class PedersenScheme:
         self.commitment_length = params.element_bytes
         self.opening_length = (params.order.bit_length() + 7) // 8
 
-    def keygen(self, rng: RandomSource) -> bytes:
-        return self.serialize_opening(rng.randbelow(self.params.order))
+    def keygen(self, rng: RandomSource, n: int) -> list[bytes]:
+        """n blinders, one `randbelows` draw."""
+        return list(map(self.serialize_opening, rng.randbelows(self.params.order, n)))
 
     def commit_view(self, key: bytes, view: bytes) -> bytes:
         return self.serialize_commitment(self._commit(key, view))

@@ -137,8 +137,8 @@ class OneBadPairCheater:
             self.views.append(mpc.make_view(c, v, zin=zin, bcast=bcast))
 
     def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, list[bytes]]:
-        keys = [self.scheme.keygen(rng) for _ in range(5 * reps)]
-        return proto.commit_rows(self.scheme, b"".join([v * reps for v in self.views]), keys)
+        return proto.commit_rows(self.scheme, b"".join([v * reps for v in self.views]),
+                                 self.scheme.keygen(rng, 5 * reps))
 
     def passes(self, ch: tuple[int, int]) -> bool:
         return ch != self.bad_pair
@@ -162,7 +162,7 @@ class GarbageCheater:
         self._zero = bytes(mpc.encoded_view_length(c))
 
     def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, list[bytes]]:
-        keys, openings = ([self.scheme.keygen(rng) for _ in range(5 * reps)] for _ in range(2))
+        keys, openings = (self.scheme.keygen(rng, 5 * reps) for _ in range(2))
         _, msgs = proto.commit_rows(self.scheme, self._zero * (5 * reps), keys)
         return proto.ProverState(b"".join([v * reps for v in self.views]), tuple(openings)), msgs
 

@@ -17,8 +17,8 @@ for proof files, sessions and the security games alike.  A `Proof` is
 its bytes: a proof file's sigma fixed-size blocks in one buffer, checked
 in strided passes (`well_formed`) by `parse_proof` and a session.
 `check_repetitions` verifies all sigma repetitions at once: past the
-openings' hashes and the challenges' MACs, one replay, one consistency
-and one output pass over the joined opened views.
+openings' hashes and the one challenge stream, one replay, one
+consistency and one output pass over the joined opened views.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ from typing import Callable, Sequence
 
 from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
-from mith.commit import hmac_sha256, scheme_by_byte, scheme_by_name
+from mith.commit import scheme_by_byte, scheme_by_name
 from mith.errors import MithError, ProofError, SimulationFailure
 from mith.field import RandomSource
 from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, share_sim
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
-MAGIC = b"MITH4"
+MAGIC = b"MITH5"
 # The largest sigma: a proof header, like a session's HELLO, holds it in
 # four bytes.
 MAX_REPS = 0xFFFFFFFF
@@ -85,7 +85,8 @@ def prover_respond(st: ProverState, k: int, ch: tuple[int, int]) -> bytes:
 
 
 def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
-    """Acceptance bound for a cheating prover: (1 - 1/10 + eps_b)^reps."""
+    """Acceptance bound for a cheating prover against a live verifier,
+    which a session prints: (1 - 1/10 + eps_b)^reps."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
     if not 0 <= eps_b < 0.1:
@@ -104,22 +105,29 @@ def derived_security_bits(reps: int) -> float:
 # Repetition
 
 
-def derive_challenge(stmt_digest: bytes, index: int,
-                     commitment_blobs: Sequence[bytes]) -> tuple[int, int]:
-    """Non-interactive challenge: HMAC keyed by the statement hash over
-    the repetition index and the commit-phase blobs (`challenge_blobs`),
-    reduced mod 10.  This mode is a hash-derived extension of the
-    interactive protocol; the CLI prints the bits it delivers
-    (`derived_security_bits`)."""
-    mac = hmac_sha256(stmt_digest, b"".join([index.to_bytes(4, "big"), *commitment_blobs]))
-    return PARTY_PAIRS[int.from_bytes(mac, "big") % N_CHALLENGES]
+_CHALLENGE_TABLE = bytes(b % N_CHALLENGES for b in range(256))
+_CHALLENGE_REJECTED = bytes(range(250, 256))
+
+
+def derive_challenge(stmt_digest: bytes, reps: int,
+                     commitment_blobs: Sequence[bytes]) -> list[tuple[int, int]]:
+    """All reps non-interactive challenges from one stream, SHAKE-256 of
+    the statement hash and the commit-phase blobs (`challenge_blobs`):
+    each byte below 250, in order, gives pair b % 10, so each challenge is
+    exactly uniform.  The first read, reps + reps/8 + 16 bytes, is
+    lengthened if too few survive.  The CLI prints the bits this mode
+    delivers (`derived_security_bits`)."""
+    xof = hashlib.shake_256(b"".join([stmt_digest, *commitment_blobs]))
+    n = reps + reps // 8 + 16
+    while len(picked := xof.digest(n).translate(_CHALLENGE_TABLE, _CHALLENGE_REJECTED)) < reps:
+        n *= 2
+    return [PARTY_PAIRS[b] for b in picked[:reps]]
 
 
 def challenge_blobs(msgs: Sequence[bytes]) -> list[bytes]:
     """derive_challenge's commitment blobs for a proof: one SHA-256 over
     every commitment message in repetition order.  A session's CHALLENGE
-    frame echoes the same digest of the same bytes.  Each challenge then
-    MACs 36 bytes, so deriving all sigma of them is linear in sigma."""
+    frame echoes the same digest of the same bytes."""
     return [hashlib.sha256(b"".join(msgs)).digest()]
 
 
@@ -158,7 +166,7 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     five views of each committed under keys of a third draw: keys[5k + q]
     for party q+1 in repetition k (`commit_rows`)."""
     rows, _ = run_repetitions(w, s, reps, rng)
-    return commit_rows(scheme, rows, [scheme.keygen(rng) for _ in range(5 * reps)])
+    return commit_rows(scheme, rows, scheme.keygen(rng, 5 * reps))
 
 
 def respond_repetitions(s: Statement, state: ProverState,
@@ -170,10 +178,9 @@ def respond_repetitions(s: Statement, state: ProverState,
     verifier would have sent them (such a proof has no file form)."""
     digest = statement_hash(s)
     if mode == "derived":
-        blobs = challenge_blobs(msgs)
-        chs = [derive_challenge(digest, k, blobs) for k in range(len(msgs))]
+        chs = derive_challenge(digest, len(msgs), challenge_blobs(msgs))
     elif mode == "transcript":
-        chs = [PARTY_PAIRS[rng.randbelow(N_CHALLENGES)] for _ in msgs]
+        chs = [PARTY_PAIRS[b] for b in rng.randbelows(N_CHALLENGES, len(msgs))]
     else:
         raise MithError(f"unknown challenge mode {mode!r}")
     return Proof(scheme.name, mode, digest, len(msgs), b"".join([
@@ -206,8 +213,8 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
     if proof.challenge_mode == "transcript":
         derived = [PARTY_PAIRS[ch] for ch in chs]
     else:
-        blobs = challenge_blobs([body[k:k + cm_len] for k in range(0, len(body), size)])
-        derived = [derive_challenge(proof.stmt_hash, r, blobs) for r in range(proof.reps)]
+        derived = derive_challenge(proof.stmt_hash, proof.reps, challenge_blobs(
+            [body[k:k + cm_len] for k in range(0, len(body), size)]))
     rows = opened_views(c, proof)
     ok, to = mpc.out_messages(c, s.public_inputs, rows)
     lanes = [a and b for a, b in zip(ok, mpc.local_output(c, rows, s.target))]
@@ -256,7 +263,7 @@ def zk_simulate_once(s: Statement, rng: RandomSource,
     views = [bytes(mpc.encoded_view_length(c))] * 5
     views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
                                                   s.target, rng)
-    st, (cm,) = commit_rows(scheme, b"".join(views), [scheme.keygen(rng) for _ in PARTY_IDS])
+    st, (cm,) = commit_rows(scheme, b"".join(views), scheme.keygen(rng, 5))
     return guess, cm, st
 
 

@@ -42,9 +42,9 @@ _KNOWN_TYPES = {MSG_HELLO, MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE,
                 MSG_RESULT, MSG_ERROR}
 
 MAX_PAYLOAD = 1 << 24
-# HELLO's version byte.  Version 3 carries one Pedersen commitment and
-# one blinder per view, as MITH4 proof files do.
-PROTOCOL_VERSION = 0x03
+# HELLO's version byte.  Version 4 commits and opens views as MITH5 proof
+# files do: a PRF commitment is SHA-256(key || view).
+PROTOCOL_VERSION = 0x04
 DEFAULT_TIMEOUT = 30.0
 
 ERR_HASH_MISMATCH = 1
@@ -245,7 +245,7 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
 
     commit_payload = _expect(transport, MSG_COMMIT, "commit")
     # Commit phase fully received: only now draw the challenges.
-    challenges = bytes([rng.randbelow(proto.N_CHALLENGES) for _ in range(reps)])
+    challenges = rng.randbelows(proto.N_CHALLENGES, reps)
     _send(transport, MSG_CHALLENGE, hashlib.sha256(commit_payload).digest() + challenges)
 
     resp_payload = _expect(transport, MSG_RESPONSE, "response")

@@ -227,7 +227,7 @@ def test_criterion_7_zk_exactness():
                            and vi_s == res.views[pair[0] - 1]
                            and vj_s == res.views[pair[1] - 1])
             for view in (vi_s, vj_s):
-                key = PRF.keygen(rng)
+                (key,) = PRF.keygen(rng, 1)
                 com = PRF.commit_view(key, view)
                 verify_ok = verify_ok and PRF.verify_view(view, com, key)
 
@@ -284,11 +284,11 @@ def test_criterion_9_scheme_performance_shape():
     st, _ = pr.commit_repetitions(w, s, 1, rng, prf)
     view = repetition_views(st.rows, 1)[0]
     runs = range(21)
-    key = prf.keygen(rng)
+    (key,) = prf.keygen(rng, 1)
     com = prf.commit_view(key, view)
     prf_ms = (_time_ms(lambda _: prf.commit_view(key, view), runs)[0]
               + _time_ms(lambda _: prf.verify_view(view, com, key), runs)[0])
-    pkey = ped.keygen(rng)
+    (pkey,) = ped.keygen(rng, 1)
     pcom = ped.commit_view(pkey, view)
     ped_ms = (_time_ms(lambda _: ped.commit_view(pkey, view), runs)[0]
               + _time_ms(lambda _: ped.verify_view(view, pcom, pkey), runs)[0])

@@ -56,7 +56,7 @@ def test_prove_verify_round_trip(workdir, capsys):
     out = capsys.readouterr().out
     assert "reps=8" in out and "scheme=prf" in out
     assert run(["verify", "--statement", workdir / "s.st",
-                "--proof", proof]) == 0
+                "--proof", proof, "--min-bits", 1]) == 0
     assert "accept" in capsys.readouterr().out
 
 
@@ -73,7 +73,8 @@ def test_deep_chain_file_round_trip(tmp_path):
     (tmp_path / "chain.wit").write_text("secret 2\n")
     for args in (["prove", "--statement", "chain.st", "--witness", "chain.wit",
                   "--reps", "2", "--out", "chain.proof"],
-                 ["verify", "--statement", "chain.st", "--proof", "chain.proof"]):
+                 ["verify", "--statement", "chain.st", "--proof", "chain.proof",
+                  "--min-bits", "0"]):
         done = run_cli(tmp_path, args, timeout=300)
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
@@ -86,7 +87,7 @@ def test_verify_verbose_prints_per_repetition(workdir, capsys):
          "--reps", 3, "--out", proof])
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
-                "--verbose"]) == 0
+                "--verbose", "--min-bits", 0]) == 0
     out = capsys.readouterr().out
     assert out.count("repetition") == 3
 
@@ -102,7 +103,7 @@ def test_verify_verbose_checks_each_repetition_once(workdir, capsys, monkeypatch
     monkeypatch.setattr(mpc, "out_messages", lambda c, x, rows: lanes.append(
         len(rows) // mpc.encoded_view_length(c)) or replay(c, x, rows))
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
-                "--verbose"]) == 0
+                "--verbose", "--min-bits", 0]) == 0
     assert lanes == [8]
 
 
@@ -120,7 +121,7 @@ def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):
         proof, body=proof.body[:pos] + bytes(n) + proof.body[pos + n:]), c))
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", path,
-                "--verbose"]) == 1
+                "--verbose", "--min-bits", 0]) == 1
     out = capsys.readouterr().out
     lines = [ln for ln in out.splitlines() if "repetition" in ln]
     assert len(lines) == 4
@@ -155,9 +156,73 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     assert "accept" not in done.stdout and "Traceback" not in done.stderr
     # As a derived-mode file the same repetitions fail the challenge check.
     (tmp_path / "forged.bin").write_bytes(header + b"\x01" + tail)
-    done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin"])
+    done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin",
+                              "--min-bits", "0"])
     assert done.returncode == 1, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "reject"
+
+
+def test_default_verify_rejects_a_sigma40_grinding_forgery(tmp_path):
+    """OneBadPairCheater for the false F11 statement recommits all 40
+    repetitions until no derived challenge hits its bad pair, (10/9)^40 =
+    68 attempts on average.  The file is a real forgery, accepted under
+    `--min-bits 0`; `mith verify` with its defaults rejects it at the
+    128-bit floor and names the 6.1 bits it carries."""
+    s, w_guess = canonical_false_statement()
+    c = s.circuit
+    (tmp_path / "c.arith").write_text(format_circuit(c))
+    (tmp_path / "s.st").write_text(format_statement(s, "c.arith"))
+    cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(50))
+    rng = RandomSource(51)
+    for _ in range(5000):
+        proof = pr.respond_repetitions(s, *cheater.commit(rng, 40), rng, cheater.scheme,
+                                       "derived")
+        if all(cheater.passes(pr.PARTY_PAIRS[ch]) for ch in proof.challenges):
+            break
+    assert pr.verify_repeated(s, proof)
+    (tmp_path / "forged.bin").write_bytes(pr.serialize_proof(proof, c))
+    done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        "reps=40 security_bits=6.1",
+        "reject: 6.1 security bits, below the 128-bit floor (--min-bits)"]
+    assert "Traceback" not in done.stderr
+    done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin",
+                              "--min-bits", "0"])
+    assert done.returncode == 0 and done.stdout.splitlines()[-1] == "accept"
+
+
+def test_default_prove_passes_the_default_floor(workdir):
+    """With no --reps, prove makes a 128-bit proof, sigma=843, and verify
+    with its defaults accepts it."""
+    done = run_cli(workdir, PROVE + ["--out", "p.bin"])
+    assert done.returncode == 0, done.stderr
+    assert "reps=843 " in done.stdout and "security_bits=128.1" in done.stdout.split()
+    done = run_cli(workdir, VERIFY + ["--proof", "p.bin"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["reps=843 security_bits=128.1", "accept"]
+
+
+@pytest.mark.parametrize("bits, reps", [(80, 527), (1, 7)])
+def test_prove_takes_sigma_from_security_bits(workdir, capsys, bits, reps):
+    """sigma = ceil(bits / log2(10/9)), which verify accepts at a floor of
+    bits and rejects at one bit more; --reps overrides the bits."""
+    args = [workdir / "s.st", "--witness", workdir / "w.wit", "--out", workdir / "p.bin"]
+    assert run(PROVE[:2] + args + ["--security-bits", bits]) == 0
+    assert f"reps={reps} " in capsys.readouterr().out
+    for floor, code in ((bits, 0), (bits + 1, 1)):
+        assert run(VERIFY[:2] + [workdir / "s.st", "--proof", workdir / "p.bin",
+                                 "--min-bits", floor]) == code
+    assert run(PROVE[:2] + args + ["--security-bits", bits, "--reps", 3]) == 0
+    assert "reps=3 " in capsys.readouterr().out
+
+
+def test_security_bits_bound_is_the_sigma_bound():
+    """The largest --security-bits needs the largest sigma a proof header
+    holds, and one bit more would need a larger one."""
+    from mith import cli
+    assert cli.reps_for_bits(cli.MAX_BITS) <= pr.MAX_REPS < cli.reps_for_bits(cli.MAX_BITS + 1)
+    assert cli.reps_for_bits(128) == 843 and cli.reps_for_bits(80) == 527
 
 
 PROVE = ["prove", "--statement", "s.st", "--witness", "w.wit"]
@@ -185,6 +250,11 @@ VERIFY = ["verify", "--statement", "s.st"]
     PROVE + ["--out", "p.bin", "--reps", "4294967296"],
     ["verify", "--statement", "s.st", "--proof", "absent.bin", "--reps", "4294967296"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--reps", "99999999999999999999"],
+    # --security-bits keeps --reps' range, and --min-bits takes 0 up to it.
+    PROVE + ["--out", "p.bin", "--security-bits", "0"],
+    PROVE + ["--out", "p.bin", "--security-bits", "652848316"],
+    VERIFY + ["--proof", "absent.bin", "--min-bits", "-1"],
+    VERIFY + ["--proof", "absent.bin", "--min-bits", "652848316"],
     # A socket takes no timeout above about 9.2e9 seconds.
     PROVE + ["--mode", "session", "--connect", "127.0.0.1:9", "--timeout", "1e300"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--timeout", "1e10"],
@@ -198,7 +268,9 @@ VERIFY = ["verify", "--statement", "s.st"]
 ], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
         "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out",
         "prove-reps-zero", "verify-reps-zero", "prove-reps-20-digits", "prove-reps-2^32",
-        "verify-reps-2^32", "verify-session-reps-20-digits", "timeout-1e300", "timeout-1e10",
+        "verify-reps-2^32", "verify-session-reps-20-digits", "security-bits-zero",
+        "security-bits-above-sigma-bound", "min-bits-negative", "min-bits-above-sigma-bound",
+        "timeout-1e300", "timeout-1e10",
         "prove-seed-negative", "verify-seed-negative", "bench-seed-negative",
         "bench-seed-without-insecure-seed"])
 def test_usage_errors_exit_2(workdir, args):
@@ -223,7 +295,8 @@ def test_pedersen_scheme_round_trip(workdir):
     assert run(["prove", "--statement", workdir / "s.st",
                 "--witness", workdir / "w.wit", "--reps", 2,
                 "--scheme", "pedersen", "--out", proof]) == 0
-    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 0
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--min-bits", 0]) == 0
 
 
 def test_corrupted_proof_rejected(workdir):
@@ -233,7 +306,8 @@ def test_corrupted_proof_rejected(workdir):
     blob = bytearray(proof.read_bytes())
     blob[len(blob) // 2] ^= 0x10
     proof.write_bytes(bytes(blob))
-    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--min-bits", 0]) == 1
 
 
 def test_wrong_witness_proof_rejected(workdir):
@@ -242,7 +316,8 @@ def test_wrong_witness_proof_rejected(workdir):
     assert run(["prove", "--statement", workdir / "s.st",
                 "--witness", workdir / "wrong.wit", "--reps", 6,
                 "--out", proof]) == 0
-    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--min-bits", 0]) == 1
 
 
 def test_missing_files_exit_3(workdir):
@@ -265,7 +340,8 @@ def test_closed_stdout_exits_3_without_traceback(workdir, reps):
     os.close(r)
     try:
         done = subprocess.run([sys.executable, "-m", "mith.cli", "verify", "--statement",
-                               "s.st", "--proof", "p.bin", "--verbose"], cwd=workdir, env=env,
+                               "s.st", "--proof", "p.bin", "--verbose", "--min-bits", "0"],
+                              cwd=workdir, env=env,
                               stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(w)
@@ -292,13 +368,13 @@ def test_malformed_circuit_exit_2(workdir):
 
 
 def check_old_version_is_malformed(workdir, capsys, magic: bytes):
-    """A MITH4 file relabelled as an older version exits 1 as an
+    """A MITH5 file relabelled as an older version exits 1 as an
     unsupported version."""
     proof = workdir / "p.bin"
     assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
                 "--reps", 2, "--out", proof]) == 0
     blob = proof.read_bytes()
-    assert blob[:5] == b"MITH4"
+    assert blob[:5] == b"MITH5"
     proof.write_bytes(magic + blob[5:])
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
@@ -316,6 +392,10 @@ def test_mith2_proof_is_malformed(workdir, capsys):
 
 def test_mith3_proof_is_malformed(workdir, capsys):
     check_old_version_is_malformed(workdir, capsys, b"MITH3")
+
+
+def test_mith4_proof_is_malformed(workdir, capsys):
+    check_old_version_is_malformed(workdir, capsys, b"MITH4")
 
 
 @pytest.mark.parametrize("reps, bits", [(8, "1.2"), (40, "6.1"), (842, "128.0"), (843, "128.1")])
@@ -337,13 +417,15 @@ def test_verify_prints_derived_security_bits(workdir, capsys, reps, bits):
     assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
                 "--reps", reps, "--out", proof]) == 0
     capsys.readouterr()
-    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 0
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--min-bits", 1]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == [
         f"reps={reps} security_bits={bits}", "accept"]
     blob = bytearray(proof.read_bytes())
     blob[-1] ^= 1
     proof.write_bytes(bytes(blob))
-    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--min-bits", 1]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [
         f"reps={reps} security_bits={bits}", "reject"]
 
@@ -364,7 +446,7 @@ def test_out_of_range_gate_id_exit_2(tmp_path, gid):
         assert f"gate id {gid}" in done.stderr and "line 4" in done.stderr
 
 
-def test_session_round_trip(workdir):
+def test_session_round_trip(workdir, capsys):
     results = {}
 
     def verifier():
@@ -392,6 +474,9 @@ def test_session_round_trip(workdir):
                         "--timeout", 10])
     th.join()
     assert results == {"p": 0, "v": 0}
+    # A session is exempt from the floor; both sides print (9/10)^5.
+    out = capsys.readouterr().out
+    assert "reps=5 soundness<=0.5905" in out and "soundness<=0.5905 verdict=accept" in out
 
 
 def test_session_reps_above_frame_cap_exit_2_before_connecting(workdir, capsys, monkeypatch):

@@ -1,7 +1,6 @@
-"""Commitment schemes: RFC 4231 vectors, fuzz, Pedersen group algebra."""
+"""Commitment schemes: known answers, fuzz, Pedersen group algebra."""
 
 import hashlib
-import hmac
 import os
 import random
 import subprocess
@@ -16,7 +15,7 @@ from mith.circuit import Statement
 
 from mith.commit import (
     BENCH_GROUP_257, TEST_GROUP_64, PedersenParams, PedersenScheme, PrfScheme,
-    hmac_sha256, pedersen_commit, scheme_by_byte, scheme_by_name,
+    pedersen_commit, scheme_by_byte, scheme_by_name,
 )
 from mith.corpus import identity_circuit
 from mith.errors import MithError
@@ -26,7 +25,7 @@ from mith.sss import random_share_randomness, share
 PRF = PrfScheme()
 
 # HMAC-SHA256 test vectors from RFC 4231 (cases 1-4, 6, 7; case 5 tests
-# truncated output and does not apply).
+# truncated output and does not apply), which acceptance criterion 8 reads.
 RFC4231 = [
     (b"\x0b" * 20, b"Hi There",
      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
@@ -46,29 +45,49 @@ RFC4231 = [
 ]
 
 
-def test_hmac_rfc4231_vectors():
-    """mith's own HMAC, bit-exact against RFC 4231, the two 131-byte keys
-    (hashed first) included."""
-    for key, data, want in RFC4231:
-        assert hmac_sha256(key, data).hex() == want
+# FIPS 180-2's two-block SHA-256 vector, cut into a 32-byte key and a view,
+# and the SHA-256 of 32 zero bytes: the PRF commitment is SHA-256(key || view).
+PRF_KAT = [
+    (b"abcdbcdecdefdefgefghfghighijhijk", b"ijkljklmklmnlmnomnopnopq",
+     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+    (bytes(32), b"", "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+]
+
+
+def test_prf_commit_known_answers():
+    for key, view, want in PRF_KAT:
+        assert PRF.commit_view(key, view).hex() == want
+        assert PRF.verify_view(view, bytes.fromhex(want), key)
 
 
 @pytest.mark.parametrize("key_len", [0, 1, 31, 32, 33, 63, 64, 65, 131])
-def test_hmac_matches_stdlib(key_len):
-    """Seeded differential against `hmac.digest` at the block and padding
-    boundaries of the key and of the message."""
-    rng = RandomSource(b"hmac/%d" % key_len)
-    for msg_len in (0, 1, 55, 56, 63, 64, 65, 119, 120, 1000):
-        for _ in range(3):
-            key, msg = rng.bytes(key_len), rng.bytes(msg_len)
-            assert hmac_sha256(key, msg) == hmac.digest(key, msg, "sha256")
+def test_prf_commit_matches_hashlib(key_len):
+    """A 32-byte key commits to SHA-256(key || view), views around the
+    64-byte block included; a key of any other length neither commits nor
+    opens, even to the digest SHA-256(key || view) it would give."""
+    rng = RandomSource(b"prf-key/%d" % key_len)
+    for view_len in (0, 1, 31, 32, 33, 55, 56, 64, 65, 1000):
+        key, view = rng.bytes(key_len), rng.bytes(view_len)
+        digest = hashlib.sha256(key + view).digest()
+        if key_len == 32:
+            assert PRF.commit_view(key, view) == digest
+            assert PRF.verify_view(view, digest, key)
+        else:
+            with pytest.raises(MithError, match="must be 32 bytes"):
+                PRF.commit_view(key, view)
+            assert not PRF.verify_view(view, digest, key)
 
 
-def test_prf_commit_uses_hmac_sha256():
-    _, data, _ = RFC4231[2]
-    # Commit keys are fixed at 32 bytes; pad the 20-byte vector key.
-    key = b"\x00" * 32
-    assert PRF.commit_view(key, data) == hmac.new(key, data, hashlib.sha256).digest()
+def test_keygen_is_one_draw_of_the_one_key_stream():
+    """keygen(rng, n) returns n openings, the same bytes as n one-key
+    draws: PRF keys are 32-byte slices of one draw, Pedersen blinders
+    one `randbelows` call."""
+    for scheme in (PRF, scheme_by_name("pedersen")):
+        keys = scheme.keygen(RandomSource(b"keys"), 7)
+        one_by_one = RandomSource(b"keys")
+        assert keys == [scheme.keygen(one_by_one, 1)[0] for _ in range(7)]
+        assert len(set(keys)) == 7 and {len(k) for k in keys} == {scheme.opening_length}
+        assert scheme.keygen(RandomSource(1), 0) == []
 
 
 def test_prf_commit_key_length_enforced():
@@ -82,6 +101,10 @@ def test_prf_verify_rejects_wrong_lengths():
     assert PRF.verify_view(msg, com, key)
     assert not PRF.verify_view(msg, com[:-1], key)
     assert not PRF.verify_view(msg, com, key + b"\x00")
+    # key || view splits one way only because the key is 32 bytes: a
+    # 33-byte opening that takes the view's first byte hashes alike.
+    assert hashlib.sha256(key + msg).digest() == com
+    assert not PRF.verify_view(msg[1:], com, key + msg[:1])
 
 
 def test_prf_determinism_and_round_trip():
@@ -203,7 +226,7 @@ def test_pedersen_verify_round_trip_and_fuzz():
 
     for _ in range(300):
         msg = [rnd.randrange(m.p) for _ in range(n_el)]
-        key = ped.keygen(rng)
+        (key,) = ped.keygen(rng, 1)
         com = ped.commit_view(key, view_of(msg))
         assert ped.verify_view(view_of(msg), com, key)
         k = rnd.randrange(n_el)
@@ -218,7 +241,7 @@ def test_pedersen_length_mismatch_is_false():
     rng = RandomSource(10)
     c, view = one_view(rng)
     ped = scheme_by_name("pedersen", 101)
-    key = ped.keygen(rng)
+    (key,) = ped.keygen(rng, 1)
     com = ped.commit_view(key, view)
     assert ped.verify_view(view, com, key)
     for short in (key[:-1], key[1:], key + b"\x00", b"\x00" + key):
@@ -395,7 +418,7 @@ def test_scheme_serialization_round_trips():
     bcast = mpc.view_fields(c, view)["bcast"]
     other = mpc.make_view(c, view, bcast=((bcast[0] + 1) % 101,) + bcast[1:])
     for scheme in (scheme_by_name("prf"), scheme_by_name("pedersen", 101)):
-        key = scheme.keygen(rng)
+        (key,) = scheme.keygen(rng, 1)
         com = scheme.commit_view(key, view)
         assert type(key) is bytes and type(com) is bytes
         assert scheme.parse_commitment(com) == com
@@ -411,7 +434,7 @@ def test_pedersen_commits_to_the_view_digest():
     c, view = one_view(rng)
     ped = scheme_by_name("pedersen", 101)
     P = ped.params.group_prime
-    key = ped.keygen(rng)
+    (key,) = ped.keygen(rng, 1)
     com = ped.commit_view(key, view)
     digest = int.from_bytes(hashlib.sha256(view).digest(), "big")
     want = pow(ped.params.g, digest, P) * pow(ped.params.h, int.from_bytes(key, "big"), P) % P

@@ -1,5 +1,5 @@
-"""Golden bytes: the canonical view encoding, the MITH4 proof file and the
-session frames (HELLO version 3) are fixed formats, so seeded runs must
+"""Golden bytes: the canonical view encoding, the MITH5 proof file and the
+session frames (HELLO version 4) are fixed formats, so seeded runs must
 keep producing the same bytes.  The corpus circuits are pinned too, by their circuit text.
 
 Each proof case pins the SHA-256 of the five encoded views of one seeded
@@ -43,14 +43,19 @@ CASES = {
     "smul-over-mul-f101-prf": (lambda: parse_circuit(SMUL_OVER_MUL), "prf"),
 }
 
-# View digests are for the element-only encoding of MITH3 and MITH4.
+# View digests are for the element-only encoding of MITH3 to MITH5.
 # They equal the SHA-256 of the element bytes of the MITH2 views of the
 # same runs, which were pinned with the tree-view implementation that
 # preceded the compiled programs; the MITH2 view digests were
 # 4462f99c..., a51dd485..., 66cc8844... and a0d3085f..., in order.  Proof
-# digests are for MITH4 (one Pedersen commitment and one blinder per view;
-# challenges derived from one SHA-256 of the commit phase, as in MITH2 and
-# MITH3), with a commit phase that draws its randomness in three passes:
+# digests are for MITH5: a PRF commitment is SHA-256(key || view), and all
+# challenges come from one SHAKE-256 stream of the statement hash and one
+# SHA-256 of the commit phase.  The MITH4 proof digests, HMAC-SHA256
+# commitments and one HMAC per challenge, were b740a779..., 77dba9fa...,
+# 678bb067... and 3d028934..., in the order below.  MITH4 had one Pedersen
+# commitment and one blinder per view, as MITH5 has, and challenges
+# derived from one SHA-256 of the commit phase, as in MITH2 and MITH3.
+# Both draw the commit phase's randomness in three passes:
 # every repetition's sharing polynomials, then every repetition's gate
 # randomness, then the 5 sigma commit keys.  One repetition draws as
 # before, so the view digests stayed; the two-repetition proofs did not.
@@ -65,16 +70,16 @@ CASES = {
 GOLDEN = {
     "deep9-f101-prf": (
         "2bb65b327b3a8c4db3534534d1110853d93ba6d815cc0a2f438b29400982c2b2",
-        "b740a779cce30afc131b10016161953dac32bf4d1e620f77c4d5e92f87856e3a"),
+        "b69762295b5fe819a974936d0bc4950716067d32ccf53af25e87394fba0d9dec"),
     "bench-b-f97-prf": (
         "1006120fee47a42dc6e373b5980f632432f00d57cd20fe5ea20b2370c1809b00",
-        "77dba9fa77662ea13881b188bd9fbc21d4b798d86c7b291fd09f767b95fd1159"),
+        "cb8b8a7e96ba7473608e559b6a5e9f1f159df9069857f1ed164819de5750ae90"),
     "bench-a-p256-pedersen": (
         "7802798ada76d96e54ca8dec8ee90eadbb8c4559f79d550832669418cb4b877f",
-        "678bb0678c2d9657f27ad8b60f2bdc384103922fd930a30aeb2e8bf38ae52b6a"),
+        "0c1bc1adcd110bef540868428cadc8e69c1b77115b475b344595932d013def25"),
     "smul-over-mul-f101-prf": (
         "fdf514caa52cb0b9bd21d4410d6de24dc4a3de2e3929bef35b5917b8bad6a221",
-        "3d028934e1a3f68772d5a78350ca2edfe8d711634331abe1a2e642f0638273a3"),
+        "9e5daf7285f11ea6fe35da881bbbc01bc7cdd79319310930cc47c2417ff87c1b"),
 }
 
 
@@ -152,19 +157,21 @@ def test_golden_corpus_circuit_text():
         == GOLDEN_CORPUS_F11_TEXT
 
 
-# Frames of HELLO version 3: one Pedersen commitment and one blinder per
-# view, element-only views, the commit phase's randomness in three passes
-# (as for the proofs above).  With the draws made repetition by repetition
-# they were e7f974b1... and bd41c7cc..., in order.  The version-2
+# Frames of HELLO version 4: PRF commitments SHA-256(key || view), one
+# Pedersen commitment and one blinder per view, element-only views, the
+# commit phase's randomness in three passes (as for the proofs above).
+# The version-3 digests, HMAC-SHA256 commitments, were 73a62df5... and
+# 11140be2..., in order; with the draws made repetition by repetition
+# they were e7f974b1... and bd41c7cc....  The version-2
 # digests were 50a4db16... and c0821016..., the version-1 ones
 # b6ea6fa1... and 6e87db4d..., in order.
 SESSION_CASES = {
     "bench-b-f97-prf-sigma3": (
         bench_circuit_b, "prf", 3,
-        "73a62df5331f47cd1a547cba6ebcdf53bea3101fdefc1016f106e73b27db1359"),
+        "855872b16ed734e4c9ca5de829ca6421975450233750f683f19636a5a9e46714"),
     "bench-a-p256-pedersen-sigma2": (
         lambda: bench_circuit_a(preset_modulus("p256")), "pedersen", 2,
-        "11140be20d3630a2576b45d413f06448cd946bca37e747153a46d678af29c02d"),
+        "ef857f2eaa25de6c04b7d05f78a71866f692c567335bc917daa2e6811055ff28"),
 }
 
 

@@ -3,15 +3,15 @@
 `reference_proof` runs the commit phase one repetition at a time, as
 separate scalar executions: its own rejection sampler for every field
 draw, each party's shares as single ints, the canonical view encoding
-written out element by element, HMAC-SHA256 and Pedersen commitments
-(the latter as pow(g, SHA-256(view), P) * pow(h, r, P) % P, not through
-the window tables), derived challenges and the MITH4 file layout.  Seeded alike, the lane
+written out element by element, SHA-256(key || view) and Pedersen
+commitments (the latter as pow(g, SHA-256(view), P) * pow(h, r, P) % P,
+not through the window tables), challenges read from a SHAKE-256 stream
+and the MITH5 file layout.  Seeded alike, the lane
 path (`commit_repetitions`, `prove_repeated`, `serialize_proof`) must give
 the same views, commitments and proof bytes.
 """
 
 import hashlib
-import hmac
 import itertools
 import random
 from collections import namedtuple
@@ -155,7 +155,7 @@ def reference_proof(w, s, reps, rng, scheme):
                     for r, d in zip(keys, digests)]
             openings = [pack(r, prm.order) for r in keys]
         else:
-            coms = [hmac.new(k, reference_encoding(c, v), hashlib.sha256).digest()
+            coms = [hashlib.sha256(k + reference_encoding(c, v)).digest()
                     for k, v in zip(keys, views)]
             openings = keys
         all_views.append(views)
@@ -166,10 +166,13 @@ def reference_proof(w, s, reps, rng, scheme):
     com_blocks = [b"".join(map(lp, coms)) for coms in all_coms]
     digest = hashlib.sha256(b"".join(com_blocks)).digest()
     stmt = statement_hash(s)
-    out = [b"MITH4", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
-    for k in range(reps):
-        mac = hmac.new(stmt, k.to_bytes(4, "big") + digest, hashlib.sha256).digest()
-        ch = int.from_bytes(mac, "big") % 10
+    out = [b"MITH5", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
+    stream, chs = hashlib.shake_256(stmt + digest).digest(2 * reps + 64), []
+    for b in stream:  # a byte of 250 or more is skipped
+        if b < 250 and len(chs) < reps:
+            chs.append(b % 10)
+    assert len(chs) == reps
+    for k, ch in enumerate(chs):
         out += (com_blocks[k], bytes([ch]))
         for pid in PARTY_PAIRS[ch]:
             out += (lp(reference_encoding(c, all_views[k][pid - 1])),

@@ -25,6 +25,7 @@ from mith.sss import PARTY_IDS, PARTY_PAIRS
 from test_field import chi2_uniform
 from test_golden import CASES, SMUL_OVER_MUL
 from test_mpc import fields, repetition_views
+from test_reference import challenge_stream
 
 PRF = scheme_by_name("prf")
 
@@ -126,12 +127,13 @@ def test_commit_phase_draws_in_three_passes(m11, monkeypatch):
 
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
 def test_prove_and_verify_without_stdlib_hmac(m11, monkeypatch, scheme_name):
-    """Commitments, openings and challenges hash through
-    `commit.hmac_sha256`, never through `hmac.digest`."""
-    def refuse(*args):
-        raise AssertionError("hmac.digest called")
+    """Commitments, openings and challenges make no HMAC call: a PRF
+    commitment is one SHA-256 and the challenges one SHAKE-256 stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("hmac called")
 
     monkeypatch.setattr(hmac, "digest", refuse)
+    monkeypatch.setattr(hmac, "new", refuse)
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 5, RandomSource(8), scheme_by_name(scheme_name, 11))
     data = pr.serialize_proof(proof, s.circuit)
@@ -265,7 +267,7 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     v = t.first[0]
     bad_view = mpc.make_view(c, v, public_inputs=(6,))
     # Re-commit honestly to the altered view so only consistency can fail.
-    key = PRF.keygen(rng)
+    (key,) = PRF.keygen(rng, 1)
     coms = [commitment_of(t.commitment, q) for q in PARTY_IDS]
     coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.serialize_commitment_msg(coms), ch,
@@ -388,7 +390,7 @@ def rederived_challenges(data: bytes, c) -> list[tuple[int, int]]:
     """The challenges derived from the commitments of proof file data."""
     proof = pr.parse_proof(data, c)
     blobs = pr.challenge_blobs([t.commitment for t in repetitions(proof, c)])
-    return [pr.derive_challenge(proof.stmt_hash, k, blobs) for k in range(proof.reps)]
+    return pr.derive_challenge(proof.stmt_hash, proof.reps, blobs)
 
 
 def flip(data: bytes, pos: int, bit: int) -> bytes:
@@ -518,10 +520,10 @@ def test_malformed_fields_raise_proof_error(m11, case, match):
 
 def raw_proof_sections(data: bytes):
     """(statement hash, [(commitment section bytes, challenge byte)]) read
-    straight off MITH4 proof bytes: header of 43 bytes, then per
+    straight off MITH5 proof bytes: header of 43 bytes, then per
     repetition five length-prefixed commitments, the challenge byte and
     four length-prefixed blocks."""
-    assert data[:5] == b"MITH4"
+    assert data[:5] == b"MITH5"
     reps = int.from_bytes(data[7:11], "big")
     stmt_hash = data[11:43]
     pos = 43
@@ -559,18 +561,57 @@ def session_echo(s, reps: int, commit_payload: bytes) -> bytes:
 
 
 def test_challenges_recomputed_from_raw_bytes(m11):
-    """Challenge k is HMAC-SHA256(statement hash, k || SHA-256(all
-    commitment sections)) mod 10, and that digest is the session's echo."""
+    """The challenges are SHAKE-256(statement hash || SHA-256(all
+    commitment sections))'s bytes below 250, each mod 10, and that digest
+    is the session's echo."""
     s, w = golden_corpus(m11, 1)[0]
     reps = 12
     data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(30)), s.circuit)
     stmt_hash, sections = raw_proof_sections(data)
     commit_payload = b"".join(section for section, _ in sections)
     digest = hashlib.sha256(commit_payload).digest()
-    for k, (_, ch) in enumerate(sections):
-        mac = hmac.new(stmt_hash, k.to_bytes(4, "big") + digest, hashlib.sha256).digest()
-        assert ch == int.from_bytes(mac, "big") % 10
+    stream = challenge_stream(stmt_hash + digest)
+    assert [ch for _, ch in sections] == [next(stream) for _ in range(reps)]
     assert session_echo(s, reps, commit_payload) == digest
+
+
+def test_derived_challenges_uniform_chi_square():
+    """100,000 derived challenges, 100 from each of 1,000 statement
+    digests and commit-phase blobs, are uniform over the ten pairs at the
+    alpha of the drawn challenges' test."""
+    rng = RandomSource(b"derived-chi-square")
+    counts = collections.Counter()
+    for _ in range(1000):
+        counts.update(pr.derive_challenge(rng.bytes(32), 100, [rng.bytes(32)]))
+    _, pval = chi2_uniform([counts[pair] for pair in PARTY_PAIRS])
+    assert sum(counts.values()) == 100_000 and pval >= 0.001
+
+
+def test_derive_challenge_reads_a_longer_prefix_when_the_first_falls_short(monkeypatch):
+    """A stream whose first reps + reps/8 + 16 bytes hold too few below
+    250: the challenges go on from a longer prefix of the same stream."""
+    reps, reads = 40, []
+    stream = b"\xfa\xff" * 30 + hashlib.shake_256(b"tail").digest(4096)
+
+    class Stream:
+        def __init__(self, data):
+            assert data == b"stmt" + b"blob"
+
+        def digest(self, n):
+            reads.append(n)
+            return stream[:n]
+
+    monkeypatch.setattr(hashlib, "shake_256", Stream)
+    got = pr.derive_challenge(b"stmt", reps, [b"blob"])
+    assert reads[0] == reps + reps // 8 + 16 and len(reads) > 1 and reads == sorted(reads)
+    assert got == [PARTY_PAIRS[b % 10] for b in stream if b < 250][:reps]
+
+
+def test_derive_challenge_known_answer():
+    """The first 24 challenges for statement hash 0^32 and the one blob
+    0xff^32, as indices into PARTY_PAIRS, pinned."""
+    got = pr.derive_challenge(bytes(32), 24, [b"\xff" * 32])
+    assert "".join(str(PARTY_PAIRS.index(ch)) for ch in got) == "447818967345171807342208"
 
 
 def test_mith1_header_rejected(m11):
@@ -578,6 +619,16 @@ def test_mith1_header_rejected(m11):
     data = pr.serialize_proof(pr.prove_repeated(w, s, 2, RandomSource(31)), s.circuit)
     with pytest.raises(ProofError, match="unsupported proof version MITH1"):
         pr.parse_proof(b"MITH1" + data[5:], s.circuit)
+
+
+def test_mith4_proof_rejected_as_unsupported(m11):
+    """A MITH4 file, HMAC commitments and per-repetition HMAC challenges,
+    is an older version, whatever its body."""
+    s, w = golden_corpus(m11, 1)[0]
+    data = pr.serialize_proof(pr.prove_repeated(w, s, 2, RandomSource(31)), s.circuit)
+    assert data[:5] == b"MITH5"
+    with pytest.raises(ProofError, match="unsupported proof version MITH4; this build reads MITH5"):
+        pr.parse_proof(b"MITH4" + data[5:], s.circuit)
 
 
 def test_short_header_is_truncated_before_magic(m11):
@@ -674,11 +725,12 @@ def test_round_trip_encodes_each_view_once(m11, monkeypatch):
 
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
 def test_commitments_and_openings_are_packed_once(m11, monkeypatch, scheme_name):
-    """Prove plus serialize_proof packs each of the 5 * reps commitments
-    and openings once, where it is made, and joins each repetition's
-    commitment message once; parse plus verify packs and joins none,
-    since a commitment, an opening and a commitment message are their
-    bytes."""
+    """Prove plus serialize_proof packs each of the 5 * reps Pedersen
+    commitments and openings once, where it is made, and joins each
+    repetition's commitment message once; PRF digests and keys are
+    hashlib's bytes and slices of one draw, so nothing packs them; parse
+    plus verify packs and joins none, since a commitment, an opening and a
+    commitment message are their bytes."""
     calls = collections.Counter()
     for cls in (commit.PrfScheme, commit.PedersenScheme):
         for name in ("serialize_commitment", "serialize_opening"):
@@ -692,8 +744,10 @@ def test_commitments_and_openings_are_packed_once(m11, monkeypatch, scheme_name)
     reps = 3
     proof = pr.prove_repeated(w, s, reps, RandomSource(37), scheme_by_name(scheme_name, 11))
     data = pr.serialize_proof(proof, c)
-    assert calls == {"serialize_commitment": 5 * reps, "serialize_opening": 5 * reps,
-                     "serialize_commitment_msg": reps}
+    packed = 5 * reps if scheme_name == "pedersen" else 0
+    assert calls == collections.Counter({"serialize_commitment": packed,
+                                         "serialize_opening": packed,
+                                         "serialize_commitment_msg": reps})
     calls.clear()
     assert pr.verify_repeated(s, pr.parse_proof(data, c))
     assert not calls
@@ -789,7 +843,7 @@ def test_other_public_input_fails_a_view_consistent_without_it():
     rng = RandomSource(43)
     for pubs, verdict in (((0,), True), ((1,), False)):
         views = (mpc.make_view(c, zero, public_inputs=pubs),) + (zero,) * 4
-        keys = tuple(PRF.keygen(rng) for _ in views)
+        keys = tuple(PRF.keygen(rng, len(views)))
         cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, views)))
         resp = pr.prover_respond(pr.ProverState(b"".join(views), keys), 0, (1, 2))
         assert pr.check_repetitions(s, recorded(s, cm, (1, 2), resp)) == [(True, verdict)]

@@ -1,17 +1,17 @@
-"""A reference verifier for MITH4 proof files, written from the README's
+"""A reference verifier for MITH5 proof files, written from the README's
 layout alone, and a differential test against `parse_proof` +
 `verify_repeated`.
 
 The reference reads the file with plain slicing, derives the challenges
-with `hmac`, opens PRF commitments with `hmac` and Pedersen commitments
-with `pow`, and replays each opened view by walking the circuit's gate
+by reading a `hashlib.shake_256` stream byte by byte, opens PRF
+commitments with `hashlib.sha256` and Pedersen commitments with `pow`,
+and replays each opened view by walking the circuit's gate
 list.  Of `mith` the reference (everything above the differential
 tests) uses only `parse_circuit`; the tests use the package to make
 proofs and mutants.
 """
 
 import hashlib
-import hmac
 import math
 import random
 
@@ -109,8 +109,19 @@ def recorded_from(e, b, n_mul):
     return [msgs[5 * m + b - 1] for m in range(n_mul + 2)]
 
 
+def challenge_stream(seed: bytes):
+    """The challenges SHAKE-256(seed) gives: its bytes in order, each
+    below 250 taken mod 10, each above skipped."""
+    n = 0
+    while True:
+        n += 256
+        for b in hashlib.shake_256(seed).digest(n)[n - 256:]:
+            if b < 250:
+                yield b % 10
+
+
 def reference_verdict(circuit_text: str, public: list[int], target: int, data: bytes) -> bool:
-    """Accept iff data is a well-formed MITH4 proof of the statement
+    """Accept iff data is a well-formed MITH5 proof of the statement
     (circuit_text in canonical form, public inputs, target) whose every
     repetition passes: derived challenge, both openings, pairwise
     consistency and both outputs."""
@@ -127,7 +138,7 @@ def verify(circuit_text, public, target, data) -> bool:
     n_mul = len(rank)
     w = (p.bit_length() + 7) // 8
     n_el = topo.n_public + topo.n_secret + 2 * n_mul + 2 + 5 * n_mul + 10
-    if len(data) < 43 or data[:5] != b"MITH4" or data[5] not in (1, 2) or data[6] != 1:
+    if len(data) < 43 or data[:5] != b"MITH5" or data[5] not in (1, 2) or data[6] != 1:
         raise Reject
     pedersen = data[5] == 2
     n_com, n_open = (34, 33) if pedersen else (32, 32)
@@ -163,9 +174,9 @@ def verify(circuit_text, public, target, data) -> bool:
     ok = stmt == hashlib.sha256(text.encode()).digest()
     digest = hashlib.sha256(b"".join(b[0] for b in blocks)).digest()
     lam = lagrange0(p)
-    for k, (_, coms, ch, opened) in enumerate(blocks):
-        mac = hmac.digest(stmt, k.to_bytes(4, "big") + digest, "sha256")
-        ok &= ch == int.from_bytes(mac, "big") % 10
+    derived = challenge_stream(stmt + digest)
+    for _, coms, ch, opened in blocks:
+        ok &= ch == next(derived)
         pair = PAIRS[ch]
         for q, (view, key, e) in zip(pair, opened):
             if pedersen:
@@ -173,7 +184,7 @@ def verify(circuit_text, public, target, data) -> bool:
                 com = pow(G, h, P) * pow(H, int.from_bytes(key, "big"), P) % P
                 ok &= com == int.from_bytes(coms[q - 1], "big")
             else:
-                ok &= hmac.digest(key, view, "sha256") == coms[q - 1]
+                ok &= hashlib.sha256(key + view).digest() == coms[q - 1]
             ok &= e[:topo.n_public] == list(public)
             ok &= sum(a * b for a, b in zip(lam, e[-5:])) % p == target
         sent = {q: replay(c, public, e, marks, rank, n_mul) for q, (_, _, e) in zip(pair, opened)}
@@ -240,7 +251,7 @@ def test_reference_agrees_on_one_bad_pair_cheater(scheme_name):
     s, w_guess = canonical_false_statement(Modulus(11))
     scheme = scheme_by_name(scheme_name, 11)
     verdicts = set()
-    for seed in range(12):
+    for seed in range(40):
         cheater = OneBadPairCheater(s, w_guess, PAIRS[seed % 10], RandomSource(seed), scheme)
         rng = RandomSource(100 + seed)
         reps = 1 + seed % 2
