@@ -1,6 +1,7 @@
 """Commitment schemes: known answers, fuzz, Pedersen group algebra."""
 
 import hashlib
+import hmac
 import os
 import random
 import subprocess
@@ -76,6 +77,16 @@ def test_prf_commit_matches_hashlib(key_len):
             with pytest.raises(MithError, match="must be 32 bytes"):
                 PRF.commit_view(key, view)
             assert not PRF.verify_view(view, digest, key)
+
+
+def test_prf_commit_is_sha256_not_hmac():
+    """The `MITH5` PRF commitment is SHA-256(key || view), not the
+    HMAC-SHA256 that earlier proof formats committed with."""
+    _, data, _ = RFC4231[2]
+    key = b"\x00" * 32
+    com = PRF.commit_view(key, data)
+    assert com == hashlib.sha256(key + data).digest()
+    assert com != hmac.new(key, data, hashlib.sha256).digest()
 
 
 def test_keygen_is_one_draw_of_the_one_key_stream():
