@@ -30,7 +30,8 @@ EXIT_IO = 3
 EXIT_SESSION = 4
 
 # A proof file is made and checked at 128 bits unless told otherwise, a
-# session at sigma=40; MAX_BITS is the most a four-byte sigma delivers.
+# session at sigma=40; --min-bits goes up to MAX_BITS, the most a four-byte
+# sigma delivers.
 DEFAULT_BITS = 128
 SESSION_REPS = 40
 MAX_BITS = int(proto.MAX_REPS * proto.derived_security_bits(1))
@@ -128,7 +129,7 @@ def cmd_prove(args) -> int:
         print("error: --out is required unless --mode session", file=sys.stderr)
         return EXIT_USAGE
     reps = args.reps or (SESSION_REPS if args.mode == "session"
-                         else reps_for_bits(args.security_bits))
+                         else reps_for_bits(DEFAULT_BITS))
     s = _load_statement(args)
     w = parse_witness(_read(args.witness), s.circuit)
     scheme = scheme_by_name(args.scheme, s.circuit.modulus.p)
@@ -192,9 +193,10 @@ def cmd_verify(args) -> int:
         return EXIT_REJECT
     bits = proto.derived_security_bits(proof.reps)
     print(f"reps={proof.reps} security_bits={bits:.1f}")
-    if proof.reps < reps_for_bits(args.min_bits):
-        print(f"reject: {bits:.1f} security bits, below the {args.min_bits}-bit floor "
-              "(--min-bits)")
+    need = reps_for_bits(args.min_bits)
+    if proof.reps < need:
+        print(f"reject: sigma={proof.reps} gives {bits:.2f} security bits; the "
+              f"{args.min_bits}-bit floor (--min-bits) needs sigma>={need}")
         return EXIT_REJECT
     # One pass: the printed checks are the ones the verdict reads.
     checks = proto.check_repetitions(s, proof)
@@ -256,12 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True, help="witness file")
     p.add_argument("--out", help="proof output path")
     p.add_argument("--reps", type=_int_in(1, proto.MAX_REPS),
-                   help="repetitions, overriding --security-bits "
-                        f"(default {SESSION_REPS} for a session)")
-    p.add_argument("--security-bits", type=_int_in(1, MAX_BITS), default=DEFAULT_BITS,
-                   help="derived mode: the sigma that delivers these bits, ceil(bits / "
-                        f"log2(10/9)) (default {DEFAULT_BITS}: "
-                        f"sigma={reps_for_bits(DEFAULT_BITS)})")
+                   help=f"repetitions (default {reps_for_bits(DEFAULT_BITS)}, "
+                        f"{DEFAULT_BITS} bits, for a proof file; {SESSION_REPS} "
+                        "for a session)")
     p.add_argument("--scheme", choices=["prf", "pedersen"], default="prf")
     p.add_argument("--mode", choices=["derived", "session"], default="derived")
     p.add_argument("--connect", type=_endpoint, help="verifier endpoint host:port")

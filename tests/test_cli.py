@@ -185,7 +185,8 @@ def test_default_verify_rejects_a_sigma40_grinding_forgery(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert done.stdout.splitlines() == [
         "reps=40 security_bits=6.1",
-        "reject: 6.1 security bits, below the 128-bit floor (--min-bits)"]
+        "reject: sigma=40 gives 6.08 security bits; the 128-bit floor (--min-bits) "
+        "needs sigma>=843"]
     assert "Traceback" not in done.stderr
     done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin",
                               "--min-bits", "0"])
@@ -203,23 +204,9 @@ def test_default_prove_passes_the_default_floor(workdir):
     assert done.stdout.splitlines() == ["reps=843 security_bits=128.1", "accept"]
 
 
-@pytest.mark.parametrize("bits, reps", [(80, 527), (1, 7)])
-def test_prove_takes_sigma_from_security_bits(workdir, capsys, bits, reps):
-    """sigma = ceil(bits / log2(10/9)), which verify accepts at a floor of
-    bits and rejects at one bit more; --reps overrides the bits."""
-    args = [workdir / "s.st", "--witness", workdir / "w.wit", "--out", workdir / "p.bin"]
-    assert run(PROVE[:2] + args + ["--security-bits", bits]) == 0
-    assert f"reps={reps} " in capsys.readouterr().out
-    for floor, code in ((bits, 0), (bits + 1, 1)):
-        assert run(VERIFY[:2] + [workdir / "s.st", "--proof", workdir / "p.bin",
-                                 "--min-bits", floor]) == code
-    assert run(PROVE[:2] + args + ["--security-bits", bits, "--reps", 3]) == 0
-    assert "reps=3 " in capsys.readouterr().out
-
-
-def test_security_bits_bound_is_the_sigma_bound():
-    """The largest --security-bits needs the largest sigma a proof header
-    holds, and one bit more would need a larger one."""
+def test_min_bits_bound_is_the_sigma_bound():
+    """The largest --min-bits needs the largest sigma a proof header holds,
+    and one bit more would need a larger one."""
     from mith import cli
     assert cli.reps_for_bits(cli.MAX_BITS) <= pr.MAX_REPS < cli.reps_for_bits(cli.MAX_BITS + 1)
     assert cli.reps_for_bits(128) == 843 and cli.reps_for_bits(80) == 527
@@ -250,9 +237,7 @@ VERIFY = ["verify", "--statement", "s.st"]
     PROVE + ["--out", "p.bin", "--reps", "4294967296"],
     ["verify", "--statement", "s.st", "--proof", "absent.bin", "--reps", "4294967296"],
     VERIFY + ["--mode", "session", "--listen", "127.0.0.1:0", "--reps", "99999999999999999999"],
-    # --security-bits keeps --reps' range, and --min-bits takes 0 up to it.
-    PROVE + ["--out", "p.bin", "--security-bits", "0"],
-    PROVE + ["--out", "p.bin", "--security-bits", "652848316"],
+    # --min-bits takes 0 up to the bits of the largest sigma.
     VERIFY + ["--proof", "absent.bin", "--min-bits", "-1"],
     VERIFY + ["--proof", "absent.bin", "--min-bits", "652848316"],
     # A socket takes no timeout above about 9.2e9 seconds.
@@ -268,8 +253,8 @@ VERIFY = ["verify", "--statement", "s.st"]
 ], ids=["connect-no-port", "listen-port-abc", "listen-port-70000", "listen-port-superscript",
         "timeout-negative", "timeout-nan", "timeout-zero", "timeout-inf", "prove-no-out",
         "prove-reps-zero", "verify-reps-zero", "prove-reps-20-digits", "prove-reps-2^32",
-        "verify-reps-2^32", "verify-session-reps-20-digits", "security-bits-zero",
-        "security-bits-above-sigma-bound", "min-bits-negative", "min-bits-above-sigma-bound",
+        "verify-reps-2^32", "verify-session-reps-20-digits", "min-bits-negative",
+        "min-bits-above-sigma-bound",
         "timeout-1e300", "timeout-1e10",
         "prove-seed-negative", "verify-seed-negative", "bench-seed-negative",
         "bench-seed-without-insecure-seed"])
@@ -428,6 +413,23 @@ def test_verify_prints_derived_security_bits(workdir, capsys, reps, bits):
                 "--min-bits", 1]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [
         f"reps={reps} security_bits={bits}", "reject"]
+
+
+def test_verify_floor_names_the_sigma_it_needs(workdir, capsys):
+    """At the default floor a sigma=842 proof (127.99 bits) is rejected
+    before it is checked, and the message shows it falls short of 128 bits
+    and the sigma that would meet them."""
+    proof = workdir / "p.bin"
+    assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                "--reps", 842, "--out", proof]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "reps=842 security_bits=128.0",
+        "reject: sigma=842 gives 127.99 security bits; the 128-bit floor (--min-bits) "
+        "needs sigma>=843"]
+    assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
+                "--min-bits", 127]) == 0
 
 
 @pytest.mark.parametrize("gid", ["-1", "4294967295", "4294967296"])
