@@ -6,13 +6,14 @@ h^r mod P in a prime-order subgroup of Z_P* with H = SHA-256 over the
 view's bytes (opening = the blinder r).  At the view level (`PrfScheme`,
 `PedersenScheme`) a commitment and an opening are their bytes: each is
 packed once, where it is made (`keygen`, `commit_view`), parsing checks
-it and returns the bytes it checked, and `verify_view` recomputes the
-commitment from the view and the opening and compares bytes.  Pedersen
-binds under SHA-256 collision resistance and discrete log, provided q >
-2^256 so that H is never reduced; it hides perfectly.  Both bases are
-fixed for the life of a group, so they are looked up in 8-bit window
-tables built on first use (Brickell-Gordon-McCurley-Wilson): about 2n
-modular multiplications for an n-byte group order, in place of two full
+it and returns the bytes it checked, and `verify_view` recomputes each
+commitment from its view and opening and compares bytes; all three take
+a batch, every view of a proof in one call.  Pedersen binds under
+SHA-256 collision resistance and discrete log, provided q > 2^256 so
+that H is never reduced; it hides perfectly.  Both bases are fixed for
+the life of a group, so they are looked up in 8-bit window tables built
+on first use (Brickell-Gordon-McCurley-Wilson): about 2n modular
+multiplications for an n-byte group order, in place of two full
 exponentiations.
 """
 
@@ -23,7 +24,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mith.errors import MithError, ProofError
 from mith.field import RandomSource, is_probable_prime
@@ -159,15 +160,20 @@ class PrfScheme:
         data = rng.bytes(PRF_KEY_LEN * n)
         return [data[k:k + PRF_KEY_LEN] for k in range(0, len(data), PRF_KEY_LEN)]
 
-    def commit_view(self, key: bytes, view: bytes) -> bytes:
+    def commit_view(self, keys: Sequence[bytes], views: Iterable[bytes]) -> list[bytes]:
+        """Each view's commitment under its key, SHA-256(key || view)."""
         # A fixed-length key splits key || view one way only.
-        if len(key) != PRF_KEY_LEN:
+        if set(map(len, keys)) - {PRF_KEY_LEN}:
             raise MithError(f"PRF commit key must be {PRF_KEY_LEN} bytes")
-        return hashlib.sha256(key + view).digest()
+        sha256 = hashlib.sha256
+        return [sha256(key + view).digest() for key, view in zip(keys, views, strict=True)]
 
-    def verify_view(self, view: bytes, commitment: bytes, opening: bytes) -> bool:
-        return (len(opening) == PRF_KEY_LEN
-                and hmac.compare_digest(hashlib.sha256(opening + view).digest(), commitment))
+    def verify_view(self, views: Iterable[bytes], commitments: Iterable[bytes],
+                    openings: Iterable[bytes]) -> list[bool]:
+        """Per view, whether its opening is a key that opens its commitment."""
+        sha256, equal = hashlib.sha256, hmac.compare_digest
+        return [len(key) == PRF_KEY_LEN and equal(sha256(key + view).digest(), com)
+                for view, com, key in zip(views, commitments, openings, strict=True)]
 
     def serialize_commitment(self, digest: bytes) -> bytes:
         return digest
@@ -207,15 +213,16 @@ class PedersenScheme:
         """n blinders, one `randbelows` draw."""
         return list(map(self.serialize_opening, rng.randbelows(self.params.order, n)))
 
-    def commit_view(self, key: bytes, view: bytes) -> bytes:
-        return self.serialize_commitment(self._commit(key, view))
+    def commit_view(self, keys: Sequence[bytes], views: Iterable[bytes]) -> list[bytes]:
+        return [self.serialize_commitment(self._commit(key, view))
+                for key, view in zip(keys, views, strict=True)]
 
-    def verify_view(self, view: bytes, commitment: bytes, opening: bytes) -> bool:
-        try:
-            element = self._commit(opening, view)
-        except MithError:
-            return False
-        return element.to_bytes(self.commitment_length, "big") == commitment
+    def verify_view(self, views: Iterable[bytes], commitments: Iterable[bytes],
+                    openings: Iterable[bytes]) -> list[bool]:
+        """Per view, whether its opening is a blinder that opens its commitment."""
+        return [len(key) == self.opening_length and int.from_bytes(key, "big") < self.params.order
+                and self._commit(key, view).to_bytes(self.commitment_length, "big") == com
+                for view, com, key in zip(views, commitments, openings, strict=True)]
 
     def _commit(self, key: bytes, view: bytes) -> int:
         r = self._blinder(key)

@@ -75,10 +75,13 @@ def _sub_rng(seed, label: str) -> RandomSource:
 def honest_execution(s: Statement, w: Witness,
                      rng: RandomSource) -> tuple[list[bytes], FieldElement]:
     """One in-the-head run for w (`protocol.run_repetitions`): its five
-    views, in party order, and its output."""
-    rows, (y,) = proto.run_repetitions(w, s, 1, rng)
-    L = len(rows) // 5
-    return [bytes(rows[r:r + L]) for r in range(0, len(rows), L)], y
+    views, in party order, and its output, the broadcast shares they
+    recorded recombined."""
+    rows = proto.run_repetitions(w, s, 1, rng)
+    L, m = len(rows) // 5, s.circuit.modulus
+    views = [bytes(rows[r:r + L]) for r in range(0, len(rows), L)]
+    bcast = mpc.view_fields(s.circuit, views[0])["bcast"]
+    return views, m.element(sum(x * y for x, y in zip(m.recon_weights, bcast)) % m.p)
 
 
 def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
@@ -375,8 +378,7 @@ def run_binding(trials: int, rng: RandomSource) -> ExperimentReport:
         m2, k2 = rng.bytes(8), rng.bytes(32)
         if m1 == m2:
             continue
-        if PrfScheme().verify_view(m2, PrfScheme().commit_view(k1, m1), k2):
-            wins += 1
+        wins += PrfScheme().verify_view([m2], PrfScheme().commit_view([k1], [m1]), [k2])[0]
     return ExperimentReport("binding", trials, wins, 0.0, 0.0)
 
 
@@ -391,7 +393,7 @@ def run_hiding(trials: int, rng: RandomSource,
     hist0 = [0] * 256
     train = 2048
     for _ in range(train):
-        c = PrfScheme().commit_view(rng.bytes(32), m0)
+        (c,) = PrfScheme().commit_view([rng.bytes(32)], [m0])
         hist0[c[0]] += 1
 
     def guess(c: bytes) -> int:
@@ -403,7 +405,7 @@ def run_hiding(trials: int, rng: RandomSource,
     correct = 0
     for t in range(trials):
         b = t % 2
-        c = PrfScheme().commit_view(rng.bytes(32), m1 if b else m0)
+        (c,) = PrfScheme().commit_view([rng.bytes(32)], [m1 if b else m0])
         correct += (guess(c) == b)
     return ExperimentReport(f"hiding({attacker})", trials, correct, 0.5,
                             tolerance)

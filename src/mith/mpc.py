@@ -191,14 +191,14 @@ def _interpret(prog: Program, inputs: Sequence, scalars: Sequence[int], n: int, 
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
-                 rands: Sequence[int]) -> tuple[bytearray, tuple[FieldElement, ...]]:
+                 rands: Sequence[int]) -> bytearray:
     """Execute the full protocol once per repetition, as 5n party lanes of
     one pass: lane q*n + k is party q+1 in repetition k.  input_sharings
     holds each secret wire's five party columns (`sss.share`), and rands
     the n repetitions' gate randomness (`random_gate_randomness`).  Returns
-    (rows, outputs): rows is one buffer whose row q*n + k is lane q*n + k's
-    view, each element column written (`encode_view`) as the run makes it,
-    and outputs[k] is repetition k's opened output."""
+    one buffer whose row q*n + k is lane q*n + k's view, each element
+    column written (`encode_view`) as the run makes it.  Repetition k's
+    opened output is its views' bcast recombined with `Program.lam`."""
     c = s.circuit
     prog = program(c)
     F = prog.cols
@@ -238,9 +238,8 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
         return cols
 
     own = _interpret(prog, inputs, prog.scalars(pubs), lanes, exchange)
-    bcast = [own[k:k + n] for k in range(0, lanes, n)]
-    encode_view(c, rows, enumerate([col * 5 for col in bcast], next(slots)))
-    return rows, tuple(FieldElement(y, c.modulus) for y in F.lincomb(prog.lam, bcast))
+    encode_view(c, rows, enumerate([own[k:k + n] * 5 for k in range(0, lanes, n)], next(slots)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ per repetition, and `check_repetitions` is the one verifier,
 for proof files, sessions and the security games alike.  A `Proof` is
 its bytes: a proof file's sigma fixed-size blocks in one buffer, checked
 in strided passes (`well_formed`) by `parse_proof` and a session.
-`check_repetitions` verifies all sigma repetitions at once: past the
-openings' hashes and the one challenge stream, one replay, one
-consistency and one output pass over the joined opened views.
+`check_repetitions` verifies all sigma repetitions at once: one opening
+check, one challenge stream, one replay, one consistency and one output
+pass over the joined opened views.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
@@ -77,11 +78,13 @@ class ProverState:
     openings: tuple
 
 
-def prover_respond(st: ProverState, k: int, ch: tuple[int, int]) -> bytes:
-    """Repetition k's response to ch: pair ch's (view, opening) blocks."""
-    n, L = len(st.openings) // 5, len(st.rows) // len(st.openings)
-    return b"".join([serialize_response_block(st.rows[r * L:(r + 1) * L], st.openings[r])
-                     for r in ((q - 1) * n + k for q in ch)])
+def prover_respond(st: ProverState, chs: Sequence[tuple[int, int]]) -> bytes:
+    """Every repetition's response, joined: repetition k's is pair chs[k]'s
+    (view, opening) blocks (`serialize_response_block`)."""
+    n, L = len(st.openings) // 5, len(st.rows) // max(len(st.openings), 1)
+    rs = [(q - 1) * n + k for k, ch in enumerate(chs) for q in ch]
+    return serialize_response_block([st.rows[r * L:r * L + L] for r in rs],
+                                    [st.openings[r] for r in rs])
 
 
 def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
@@ -106,6 +109,7 @@ def derived_security_bits(reps: int) -> float:
 
 
 _CHALLENGE_TABLE = bytes(b % N_CHALLENGES for b in range(256))
+_PAIR_BYTE = {pair: bytes([b]) for b, pair in enumerate(PARTY_PAIRS)}
 _CHALLENGE_REJECTED = bytes(range(250, 256))
 
 
@@ -138,12 +142,14 @@ def commit_rows(scheme, rows: bytes, keys: Sequence[bytes]) -> tuple[ProverState
     its five commitments in party order."""
     n, L = len(keys) // 5, len(rows) // len(keys)
     openings = tuple([key for q in PARTY_IDS for key in keys[q - 1::5]])
-    coms = list(map(scheme.commit_view, openings, (rows[r:r + L] for r in range(0, len(rows), L))))
-    return ProverState(rows, openings), [serialize_commitment_msg(coms[k::n]) for k in range(n)]
+    starts = chain.from_iterable(zip(*[range(q * n * L, (q + 1) * n * L, L) for q in range(5)]))
+    joined = serialize_commitment_msg(scheme.commit_view(keys, (rows[a:a + L] for a in starts)))
+    m = len(joined) // n
+    return ProverState(rows, openings), [joined[k:k + m] for k in range(0, len(joined), m)]
 
 
-def run_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource):
-    """sigma in-the-head runs for w, `mpc.run_protocol`'s (rows, outputs):
+def run_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource) -> bytearray:
+    """sigma in-the-head runs for w, `mpc.run_protocol`'s rows:
     every repetition's sharing polynomials (a1, a2 per secret wire) in one
     draw, then its gate randomness in another, each repetition's values a
     slice of each; then one `run_protocol` evaluates every repetition as a
@@ -165,7 +171,7 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     """The commit phase of sigma independent runs (`run_repetitions`), the
     five views of each committed under keys of a third draw: keys[5k + q]
     for party q+1 in repetition k (`commit_rows`)."""
-    rows, _ = run_repetitions(w, s, reps, rng)
+    rows = run_repetitions(w, s, reps, rng)
     return commit_rows(scheme, rows, scheme.keygen(rng, 5 * reps))
 
 
@@ -183,9 +189,11 @@ def respond_repetitions(s: Statement, state: ProverState,
         chs = [PARTY_PAIRS[b] for b in rng.randbelows(N_CHALLENGES, len(msgs))]
     else:
         raise MithError(f"unknown challenge mode {mode!r}")
-    return Proof(scheme.name, mode, digest, len(msgs), b"".join([
-        part for k, (cm, ch) in enumerate(zip(msgs, chs))
-        for part in (cm, bytes([PARTY_PAIRS.index(ch)]), prover_respond(state, k, ch))]))
+    resp = prover_respond(state, chs)
+    size = len(resp) // len(msgs) if msgs else 1
+    resps = [resp[k:k + size] for k in range(0, len(resp), size)]
+    return Proof(scheme.name, mode, digest, len(msgs), b"".join(
+        chain.from_iterable(zip(msgs, map(_PAIR_BYTE.__getitem__, chs), resps))))
 
 
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
@@ -202,34 +210,31 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
     transcript-mode challenge was drawn by the verifier holding the proof
     and is taken as recorded; any other must equal the challenge derived
     from the commitments.  The check: openings verify, views pairwise
-    consistent, both outputs hit the target; past the openings, each is
+    consistent, both outputs hit the target; each, the openings too, is
     one call over the opened views of every repetition (`opened_views`).
     Malformed data yields False, never an exception."""
     if proof.reps < 1:
         return []
     c, scheme = s.circuit, scheme_by_name(proof.scheme, s.circuit.modulus.p)
     body, chs, fields = proof.body, proof.challenges, block_fields(c, scheme)
-    (cm_len, _), size = block_lengths(c, scheme), len(body) // proof.reps
+    (cm_len, _), starts = block_lengths(c, scheme), range(0, len(body), len(body) // proof.reps)
     if proof.challenge_mode == "transcript":
         derived = [PARTY_PAIRS[ch] for ch in chs]
     else:
         derived = derive_challenge(proof.stmt_hash, proof.reps, challenge_blobs(
-            [body[k:k + cm_len] for k in range(0, len(body), size)]))
+            [body[k:k + cm_len] for k in starts]))
     rows = opened_views(c, proof)
-    ok, to = mpc.out_messages(c, s.public_inputs, rows)
-    lanes = [a and b for a, b in zip(ok, mpc.local_output(c, rows, s.target))]
-    consistent = mpc.consistent_views(c, rows, chs, to)
-    n, ((vi, vl), (oi, ol), (vj, _), (oj, _)) = scheme.commitment_length, fields[5:]
+    n, ((_, L), (oi, ol), _, (oj, _)) = scheme.commitment_length, fields[5:]
     coms = [(fields[i - 1][0], fields[j - 1][0]) for i, j in PARTY_PAIRS]
-    checks = []
-    for r, (k, ch) in enumerate(zip(range(0, len(body), size), chs)):
-        (ci, cj), good = coms[ch], lanes[2 * r] and lanes[2 * r + 1] and consistent[r]
-        checks.append((derived[r] == PARTY_PAIRS[ch], good
-                       and scheme.verify_view(body[k + vi:k + vi + vl], body[k + ci:k + ci + n],
-                                              body[k + oi:k + oi + ol])
-                       and scheme.verify_view(body[k + vj:k + vj + vl], body[k + cj:k + cj + n],
-                                              body[k + oj:k + oj + ol])))
-    return checks
+    opens = scheme.verify_view(
+        (rows[r:r + L] for r in range(0, len(rows), L)),
+        [body[k + a:k + a + n] for k, ch in zip(starts, chs) for a in coms[ch]],
+        [body[k + a:k + a + ol] for k in starts for a in (oi, oj)])
+    ok, to = mpc.out_messages(c, s.public_inputs, rows)
+    good = [a and b and v for a, b, v in zip(ok, mpc.local_output(c, rows, s.target), opens)]
+    consistent = mpc.consistent_views(c, rows, chs, to)
+    return [(d == PARTY_PAIRS[ch], gi and gj and ok) for d, ch, gi, gj, ok
+            in zip(derived, chs, good[::2], good[1::2], consistent)]
 
 
 def accepts(s: Statement, proof: Proof, checks) -> bool:
@@ -283,7 +288,7 @@ def zk_simulate(s: Statement,
         ch = verifier(s, cm)
         if ch == guess:
             return Proof(scheme.name, "transcript", statement_hash(s), 1,
-                         cm + bytes([PARTY_PAIRS.index(ch)]) + prover_respond(st, 0, ch))
+                         cm + _PAIR_BYTE[ch] + prover_respond(st, [ch]))
     raise SimulationFailure(
         f"challenge guess missed {max_retries} times in a row")
 
@@ -300,10 +305,6 @@ def zk_simulate(s: Statement,
 # payloads are its commitment messages and responses.
 
 HEADER_LENGTH = 43
-
-
-def _lp(b: bytes) -> bytes:
-    return len(b).to_bytes(4, "big") + b
 
 
 def block_lengths(c: Circuit, scheme) -> tuple[int, int]:
@@ -360,18 +361,28 @@ def well_formed(proof: Proof, c: Circuit) -> Proof:
     return proof
 
 
+def _length_prefixed(parts: list[bytes]) -> bytes:
+    """parts joined, each after its length in 4 big-endian bytes; the
+    prefix of each length is made once."""
+    prefix = {n: n.to_bytes(4, "big") for n in set(map(len, parts))}
+    if len(prefix) == 1:  # one length: its prefix is the separator
+        (sep,) = prefix.values()
+        return sep.join([b"", *parts])
+    return b"".join(chain.from_iterable(zip(map(prefix.__getitem__, map(len, parts)), parts)))
+
+
 def serialize_commitment_msg(commitments: Sequence[bytes]) -> bytes:
-    """A commitment message: five commitments in party order, each
-    length-prefixed."""
-    if len(commitments) != 5:
-        raise MithError("commitment message needs 5 entries")
-    return b"".join([_lp(com) for com in commitments])
+    """The commitment messages of len(commitments) / 5 repetitions, joined:
+    each repetition's five commitments in party order, length-prefixed."""
+    if not commitments or len(commitments) % 5:
+        raise MithError("commitment message needs 5 entries per repetition")
+    return _length_prefixed(commitments)
 
 
-def serialize_response_block(view: bytes, opening: bytes) -> bytes:
-    """One (view, opening) block: the view's bytes, the ones its PRF
-    commitment was computed over, and its opening's."""
-    return _lp(view) + _lp(opening)
+def serialize_response_block(views: Iterable[bytes], openings: Iterable[bytes]) -> bytes:
+    """The (view, opening) blocks of paired views and openings, joined:
+    each a length-prefixed view and a length-prefixed opening."""
+    return _length_prefixed(list(chain.from_iterable(zip(views, openings, strict=True))))
 
 
 def serialize_proof(proof: Proof, c: Circuit) -> bytes:

@@ -205,8 +205,8 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     challenge_bytes = ch_payload[32:]
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
         _abort(transport, ERR_BAD_FRAME, "challenge byte out of range", "challenge")
-    _send(transport, MSG_RESPONSE, b"".join(
-        proto.prover_respond(state, k, PARTY_PAIRS[b]) for k, b in enumerate(challenge_bytes)))
+    _send(transport, MSG_RESPONSE,
+          proto.prover_respond(state, [PARTY_PAIRS[b] for b in challenge_bytes]))
 
     result = _expect(transport, MSG_RESULT, "result")
     if len(result) != 1 or result[0] > 1:

@@ -228,8 +228,8 @@ def test_criterion_7_zk_exactness():
                            and vj_s == res.views[pair[1] - 1])
             for view in (vi_s, vj_s):
                 (key,) = PRF.keygen(rng, 1)
-                com = PRF.commit_view(key, view)
-                verify_ok = verify_ok and PRF.verify_view(view, com, key)
+                (com,) = PRF.commit_view([key], [view])
+                verify_ok = verify_ok and PRF.verify_view([view], [com], [key])[0]
 
     total_attempts = 0
     runs = 10_000
@@ -285,13 +285,13 @@ def test_criterion_9_scheme_performance_shape():
     view = repetition_views(st.rows, 1)[0]
     runs = range(21)
     (key,) = prf.keygen(rng, 1)
-    com = prf.commit_view(key, view)
-    prf_ms = (_time_ms(lambda _: prf.commit_view(key, view), runs)[0]
-              + _time_ms(lambda _: prf.verify_view(view, com, key), runs)[0])
+    com = prf.commit_view([key], [view])
+    prf_ms = (_time_ms(lambda _: prf.commit_view([key], [view]), runs)[0]
+              + _time_ms(lambda _: prf.verify_view([view], com, [key]), runs)[0])
     (pkey,) = ped.keygen(rng, 1)
-    pcom = ped.commit_view(pkey, view)
-    ped_ms = (_time_ms(lambda _: ped.commit_view(pkey, view), runs)[0]
-              + _time_ms(lambda _: ped.verify_view(view, pcom, pkey), runs)[0])
+    pcom = ped.commit_view([pkey], [view])
+    ped_ms = (_time_ms(lambda _: ped.commit_view([pkey], [view]), runs)[0]
+              + _time_ms(lambda _: ped.verify_view([view], pcom, [pkey]), runs)[0])
     ratio = ped_ms / prf_ms
 
     e2e_ok = True
@@ -362,11 +362,8 @@ def test_criterion_10_session_equivalence():
             state, cms = cheater.commit(rng, 2)
             ses._send(ta, ses.MSG_COMMIT, b"".join(cms))
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
-            blocks = []
-            for r in range(2):
-                ch = PARTY_PAIRS[ch_payload[32 + r]]
-                blocks.append(pr.prover_respond(state, r, ch))
-            ses._send(ta, ses.MSG_RESPONSE, b"".join(blocks))
+            chs = [PARTY_PAIRS[b] for b in ch_payload[32:]]
+            ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(state, chs))
             ses._expect(ta, ses.MSG_RESULT, "result")
         else:
             ses.prover_session(ta, s, w, 2, rng=rng)

@@ -145,8 +145,10 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     reps = 128
     body = []
     st, msgs = cheater.commit(rng, reps)
+    resp = pr.prover_respond(st, [ch] * reps)
+    size = len(resp) // reps
     for k, cm in enumerate(msgs):
-        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]), pr.prover_respond(st, k, ch)]
+        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]), resp[k * size:(k + 1) * size]]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
     (tmp_path / "forged.bin").write_bytes(header + b"\x00" + tail)

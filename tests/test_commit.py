@@ -25,6 +25,18 @@ from mith.sss import random_share_randomness, share
 
 PRF = PrfScheme()
 
+
+def commit1(scheme, key: bytes, view: bytes) -> bytes:
+    """scheme's commitment to one view: `commit_view` on a batch of one."""
+    (com,) = scheme.commit_view([key], [view])
+    return com
+
+
+def opens1(scheme, view: bytes, com: bytes, opening: bytes) -> bool:
+    """Whether opening opens com to view: `verify_view` on a batch of one."""
+    (ok,) = scheme.verify_view([view], [com], [opening])
+    return ok
+
 # HMAC-SHA256 test vectors from RFC 4231 (cases 1-4, 6, 7; case 5 tests
 # truncated output and does not apply), which acceptance criterion 8 reads.
 RFC4231 = [
@@ -57,8 +69,8 @@ PRF_KAT = [
 
 def test_prf_commit_known_answers():
     for key, view, want in PRF_KAT:
-        assert PRF.commit_view(key, view).hex() == want
-        assert PRF.verify_view(view, bytes.fromhex(want), key)
+        assert commit1(PRF, key, view).hex() == want
+        assert opens1(PRF, view, bytes.fromhex(want), key)
 
 
 @pytest.mark.parametrize("key_len", [0, 1, 31, 32, 33, 63, 64, 65, 131])
@@ -71,12 +83,12 @@ def test_prf_commit_matches_hashlib(key_len):
         key, view = rng.bytes(key_len), rng.bytes(view_len)
         digest = hashlib.sha256(key + view).digest()
         if key_len == 32:
-            assert PRF.commit_view(key, view) == digest
-            assert PRF.verify_view(view, digest, key)
+            assert commit1(PRF, key, view) == digest
+            assert opens1(PRF, view, digest, key)
         else:
             with pytest.raises(MithError, match="must be 32 bytes"):
-                PRF.commit_view(key, view)
-            assert not PRF.verify_view(view, digest, key)
+                commit1(PRF, key, view)
+            assert not opens1(PRF, view, digest, key)
 
 
 def test_prf_commit_is_sha256_not_hmac():
@@ -84,7 +96,7 @@ def test_prf_commit_is_sha256_not_hmac():
     HMAC-SHA256 that earlier proof formats committed with."""
     _, data, _ = RFC4231[2]
     key = b"\x00" * 32
-    com = PRF.commit_view(key, data)
+    com = commit1(PRF, key, data)
     assert com == hashlib.sha256(key + data).digest()
     assert com != hmac.new(key, data, hashlib.sha256).digest()
 
@@ -103,19 +115,19 @@ def test_keygen_is_one_draw_of_the_one_key_stream():
 
 def test_prf_commit_key_length_enforced():
     with pytest.raises(MithError):
-        PRF.commit_view(b"short", b"m")
+        commit1(PRF, b"short", b"m")
 
 
 def test_prf_verify_rejects_wrong_lengths():
     key, msg = b"\x01" * 32, b"m"
-    com = PRF.commit_view(key, msg)
-    assert PRF.verify_view(msg, com, key)
-    assert not PRF.verify_view(msg, com[:-1], key)
-    assert not PRF.verify_view(msg, com, key + b"\x00")
+    com = commit1(PRF, key, msg)
+    assert opens1(PRF, msg, com, key)
+    assert not opens1(PRF, msg, com[:-1], key)
+    assert not opens1(PRF, msg, com, key + b"\x00")
     # key || view splits one way only because the key is 32 bytes: a
     # 33-byte opening that takes the view's first byte hashes alike.
     assert hashlib.sha256(key + msg).digest() == com
-    assert not PRF.verify_view(msg[1:], com, key + msg[:1])
+    assert not opens1(PRF, msg[1:], com, key + msg[:1])
 
 
 def test_prf_determinism_and_round_trip():
@@ -123,9 +135,9 @@ def test_prf_determinism_and_round_trip():
     for _ in range(1000):
         k = rng.bytes(32)
         msg = rng.bytes(rng.randbelow(64) + 1)
-        c1 = PRF.commit_view(k, msg)
-        assert c1 == PRF.commit_view(k, msg)
-        assert PRF.verify_view(msg, c1, k)
+        c1 = commit1(PRF, k, msg)
+        assert c1 == commit1(PRF, k, msg)
+        assert opens1(PRF, msg, c1, k)
 
 
 def test_prf_bit_flip_rejected():
@@ -134,11 +146,11 @@ def test_prf_bit_flip_rejected():
     for _ in range(10_000):
         k = rng.bytes(32)
         msg = rng.bytes(16)
-        c = PRF.commit_view(k, msg)
+        c = commit1(PRF, k, msg)
         pos = rnd.randrange(len(msg))
         flipped = (msg[:pos] + bytes([msg[pos] ^ (1 << rnd.randrange(8))])
                    + msg[pos + 1:])
-        assert not PRF.verify_view(flipped, c, k)
+        assert not opens1(PRF, flipped, c, k)
 
 
 def test_prf_wrong_key_rejected():
@@ -146,8 +158,8 @@ def test_prf_wrong_key_rejected():
     for _ in range(10_000):
         k, k2 = rng.bytes(32), rng.bytes(32)
         msg = rng.bytes(16)
-        c = PRF.commit_view(k, msg)
-        assert not PRF.verify_view(msg, c, k2)
+        c = commit1(PRF, k, msg)
+        assert not opens1(PRF, msg, c, k2)
 
 
 def test_prf_hiding_digest_bytes_chi_square():
@@ -157,8 +169,8 @@ def test_prf_hiding_digest_bytes_chi_square():
     rng = RandomSource(40)
     h0, h1 = [0] * 256, [0] * 256
     for _ in range(8_000):
-        c0 = PRF.commit_view(rng.bytes(32), b"message zero")
-        c1 = PRF.commit_view(rng.bytes(32), b"message one")
+        c0 = commit1(PRF, rng.bytes(32), b"message zero")
+        c1 = commit1(PRF, rng.bytes(32), b"message one")
         h0[c0[0]] += 1
         h1[c1[0]] += 1
     _, pval = chi2_homogeneity(h0, h1)
@@ -238,14 +250,14 @@ def test_pedersen_verify_round_trip_and_fuzz():
     for _ in range(300):
         msg = [rnd.randrange(m.p) for _ in range(n_el)]
         (key,) = ped.keygen(rng, 1)
-        com = ped.commit_view(key, view_of(msg))
-        assert ped.verify_view(view_of(msg), com, key)
+        com = commit1(ped, key, view_of(msg))
+        assert opens1(ped, view_of(msg), com, key)
         k = rnd.randrange(n_el)
         bad_msg = list(msg)
         bad_msg[k] = (bad_msg[k] + 1 + rnd.randrange(m.p - 1)) % m.p
-        assert not ped.verify_view(view_of(bad_msg), com, key)
+        assert not opens1(ped, view_of(bad_msg), com, key)
         bad_r = (int.from_bytes(key, "big") + 1 + rnd.randrange(q - 1)) % q
-        assert not ped.verify_view(view_of(msg), com, ped.serialize_opening(bad_r))
+        assert not opens1(ped, view_of(msg), com, ped.serialize_opening(bad_r))
 
 
 def test_pedersen_length_mismatch_is_false():
@@ -253,14 +265,14 @@ def test_pedersen_length_mismatch_is_false():
     c, view = one_view(rng)
     ped = scheme_by_name("pedersen", 101)
     (key,) = ped.keygen(rng, 1)
-    com = ped.commit_view(key, view)
-    assert ped.verify_view(view, com, key)
+    com = commit1(ped, key, view)
+    assert opens1(ped, view, com, key)
     for short in (key[:-1], key[1:], key + b"\x00", b"\x00" + key):
-        assert not ped.verify_view(view, com, short)
+        assert not opens1(ped, view, com, short)
         with pytest.raises(MithError):
-            ped.commit_view(short, view)
-    assert not ped.verify_view(view, com[:-1], key)
-    assert not ped.verify_view(view, b"\x00" + com, key)
+            commit1(ped, short, view)
+    assert not opens1(ped, view, com[:-1], key)
+    assert not opens1(ped, view, b"\x00" + com, key)
     with pytest.raises(MithError):
         pedersen_commit(ped.params, [1], [3, 4])
 
@@ -419,7 +431,7 @@ def one_view(rng):
     s = Statement(c, (), m.element(4))
     a1, a2 = random_share_randomness(rng, m.p, 1)
     sharing = share(4, (a1,), (a2,), m.p)
-    rows, _ = mpc.run_protocol(s, [sharing], mpc.random_gate_randomness(rng, c))
+    rows = mpc.run_protocol(s, [sharing], mpc.random_gate_randomness(rng, c))
     return c, bytes(rows[:len(rows) // 5])
 
 
@@ -430,12 +442,12 @@ def test_scheme_serialization_round_trips():
     other = mpc.make_view(c, view, bcast=((bcast[0] + 1) % 101,) + bcast[1:])
     for scheme in (scheme_by_name("prf"), scheme_by_name("pedersen", 101)):
         (key,) = scheme.keygen(rng, 1)
-        com = scheme.commit_view(key, view)
+        com = commit1(scheme, key, view)
         assert type(key) is bytes and type(com) is bytes
         assert scheme.parse_commitment(com) == com
         assert scheme.parse_opening(key) == key
-        assert scheme.verify_view(view, com, key)
-        assert not scheme.verify_view(other, com, key)
+        assert opens1(scheme, view, com, key)
+        assert not opens1(scheme, other, com, key)
 
 
 def test_pedersen_commits_to_the_view_digest():
@@ -446,15 +458,15 @@ def test_pedersen_commits_to_the_view_digest():
     ped = scheme_by_name("pedersen", 101)
     P = ped.params.group_prime
     (key,) = ped.keygen(rng, 1)
-    com = ped.commit_view(key, view)
+    com = commit1(ped, key, view)
     digest = int.from_bytes(hashlib.sha256(view).digest(), "big")
     want = pow(ped.params.g, digest, P) * pow(ped.params.h, int.from_bytes(key, "big"), P) % P
     assert com == want.to_bytes(ped.params.element_bytes, "big")
     for k in range(len(view)):
         # Every element of an F_101 view is one byte below 101.
         other = mpc.decode_view(c, view[:k] + bytes([(view[k] + 1) % 101]) + view[k + 1:])
-        assert ped.commit_view(key, other) != com
-        assert not ped.verify_view(other, com, key)
+        assert commit1(ped, key, other) != com
+        assert not opens1(ped, other, com, key)
 
 
 def test_pedersen_opening_blinders_below_order():
@@ -466,17 +478,17 @@ def test_pedersen_opening_blinders_below_order():
     q = ped.params.order
     data = ped.serialize_opening(q - 1)
     assert len(data) == 33 and ped.parse_opening(data) == data
-    com = ped.commit_view(data, view)
+    com = commit1(ped, data, view)
     wrapped = ped.serialize_opening(q - 1 + q)
     assert len(wrapped) == 33
     for r in (q, q + 5, 2 * q - 1, 2**264 - 1):
         with pytest.raises(MithError, match="below the group order"):
             ped.parse_opening(ped.serialize_opening(r))
     with pytest.raises(MithError, match="below the group order"):
-        ped.commit_view(wrapped, view)
+        commit1(ped, wrapped, view)
     assert (pedersen_commit(ped.params, [2 * q - 1], [7])[0]
             == pedersen_commit(ped.params, [q - 1], [7])[0])
-    assert not ped.verify_view(view, com, wrapped)
+    assert not opens1(ped, view, com, wrapped)
     for bad in (data[:-1], data + b"\x00"):
         with pytest.raises(MithError, match="must be 33 bytes"):
             ped.parse_opening(bad)
@@ -508,3 +520,72 @@ def test_scheme_lookup():
         scheme_by_name("nope")
     with pytest.raises(MithError):
         scheme_by_byte(0x55)
+
+
+# ---------------------------------------------------------------------------
+# The batch contract: one commit_view or verify_view call covers any
+# number of views, and equals that many batches of one.
+
+
+def batch_case(scheme, n: int = 7):
+    """n keys and n distinct views of assorted lengths, the empty one first."""
+    rng = RandomSource(b"batch/" + scheme.name.encode())
+    return scheme.keygen(rng, n), [rng.bytes(5 * k) for k in range(n)]
+
+
+def bad_openings(scheme) -> list[bytes]:
+    """Openings that open nothing: every scheme's wrong lengths, and
+    Pedersen blinders not below q."""
+    o = scheme.opening_length
+    bad = [b"", bytes(o - 1), bytes(o + 1)]
+    if isinstance(scheme, PedersenScheme):
+        q = scheme.params.order
+        bad += [q.to_bytes(o, "big"), (q + 1).to_bytes(o, "big"), b"\xff" * o]
+    return bad
+
+
+@pytest.mark.parametrize("name", ["prf", "pedersen"])
+def test_batch_equals_batches_of_one(name):
+    scheme = scheme_by_name(name)
+    keys, views = batch_case(scheme)
+    coms = scheme.commit_view(keys, iter(views))
+    assert coms == [commit1(scheme, k, v) for k, v in zip(keys, views)]
+    assert len(set(coms)) == len(coms)
+    for shift in (0, 1):  # each view against its own commitment, then its neighbour's
+        cs = coms[shift:] + coms[:shift]
+        want = [opens1(scheme, v, c, k) for v, c, k in zip(views, cs, keys)]
+        assert want == [shift == 0] * len(views)
+        assert scheme.verify_view(iter(views), iter(cs), iter(keys)) == want
+    assert scheme.commit_view([], iter([])) == [] and scheme.verify_view([], [], []) == []
+
+
+@pytest.mark.parametrize("name", ["prf", "pedersen"])
+def test_batch_counts_must_agree(name):
+    """A short batch never verifies to fewer verdicts than views."""
+    scheme = scheme_by_name(name)
+    keys, views = batch_case(scheme, 3)
+    coms = scheme.commit_view(keys, views)
+    with pytest.raises(ValueError):
+        scheme.commit_view(keys, views[:-1])
+    for short in ((views[:-1], coms, keys), (views, coms[:-1], keys), (views, coms, keys[:-1])):
+        with pytest.raises(ValueError):
+            scheme.verify_view(*short)
+
+
+@pytest.mark.parametrize("pos", [0, 3, 6])
+def test_prf_short_key_anywhere_in_a_batch_raises(pos):
+    keys, views = batch_case(PRF)
+    keys[pos] = keys[pos][:31]
+    with pytest.raises(MithError, match="must be 32 bytes"):
+        PRF.commit_view(keys, views)
+
+
+@pytest.mark.parametrize("name", ["prf", "pedersen"])
+def test_bad_opening_is_false_at_its_index_alone(name):
+    scheme = scheme_by_name(name)
+    keys, views = batch_case(scheme)
+    coms = scheme.commit_view(keys, views)
+    for pos in (0, 3, 6):
+        for bad in bad_openings(scheme):
+            openings = [bad if k == pos else key for k, key in enumerate(keys)]
+            assert scheme.verify_view(views, coms, openings) == [k != pos for k in range(7)]

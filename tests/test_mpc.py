@@ -63,10 +63,13 @@ class Run(NamedTuple):
 
 def one_run(s, sharings, rand) -> Run:
     """run_protocol for one repetition: sharings holds each secret wire's
-    five party columns of one share, rand the drawn randomness."""
-    rows, (y,) = mpc.run_protocol(s, sharings, rand)
-    views = repetition_views(rows, 1)
-    return Run(views, [fields(s.circuit, v) for v in views], y)
+    five party columns of one share, rand the drawn randomness.  The
+    output is the broadcast shares the run recorded, recombined."""
+    views = repetition_views(mpc.run_protocol(s, sharings, rand), 1)
+    fs = [fields(s.circuit, v) for v in views]
+    m = s.circuit.modulus
+    lam = mpc.program(s.circuit).lam
+    return Run(views, fs, FieldElement(sum(x * y for x, y in zip(lam, fs[0].bcast)) % m.p, m))
 
 
 def rerun_from_views(c, x, views):

@@ -22,6 +22,7 @@ from mith.field import Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 from mith.sss import PARTY_IDS, PARTY_PAIRS
 
+from test_commit import commit1, opens1
 from test_field import chi2_uniform
 from test_golden import CASES, SMUL_OVER_MUL
 from test_mpc import fields, repetition_views
@@ -41,7 +42,7 @@ Rep = collections.namedtuple("Rep", "commitment challenge first second")
 
 def response(*opened) -> bytes:
     """The response opening each (view, opening) pair given, in order."""
-    return b"".join([pr.serialize_response_block(v, o) for v, o in opened])
+    return pr.serialize_response_block(*zip(*opened))
 
 
 def block(cm, ch, resp: bytes) -> bytes:
@@ -94,13 +95,32 @@ def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     assert len(cm) == 5 * (4 + PRF.commitment_length)
     assert cm == pr.serialize_commitment_msg([commitment_of(cm, q) for q in PARTY_IDS])
     for q, view in zip(PARTY_IDS, repetition_views(st.rows, 1)):
-        assert PRF.verify_view(view, commitment_of(cm, q), st.openings[q - 1])
+        assert opens1(PRF, view, commitment_of(cm, q), st.openings[q - 1])
 
 
 def test_commitment_msg_needs_five_entries():
     for n in (4, 6):
         with pytest.raises(MithError, match="needs 5 entries"):
             pr.serialize_commitment_msg([b"\x00" * 32] * n)
+
+
+def test_serializers_join_batches_of_one():
+    """A batch serializes to its batches of one, joined, with each field
+    after its own length, whatever the lengths."""
+    rng = RandomSource(b"serializers")
+    coms = [rng.bytes(32) for _ in range(15)]
+    assert pr.serialize_commitment_msg(coms) == b"".join(
+        [pr.serialize_commitment_msg(coms[k:k + 5]) for k in range(0, 15, 5)])
+    mixed = [b"a", b"bb", b"", b"ccc", b"d"]
+    assert pr.serialize_commitment_msg(mixed) == b"".join(
+        [len(x).to_bytes(4, "big") + x for x in mixed])
+    with pytest.raises(MithError, match="needs 5 entries"):
+        pr.serialize_commitment_msg([])
+    views, openings = [rng.bytes(n) for n in (0, 3, 3, 40)], [rng.bytes(n) for n in (32, 32, 33, 0)]
+    assert pr.serialize_response_block(iter(views), iter(openings)) == b"".join(
+        [pr.serialize_response_block([v], [o]) for v, o in zip(views, openings)])
+    assert pr.serialize_response_block([b"ab"], [b"c"]) == b"\0\0\0\x02ab\0\0\0\x01c"
+    assert pr.serialize_response_block([], []) == b""
 
 
 def test_commit_phase_deterministic_under_fixed_rand(m11):
@@ -174,11 +194,12 @@ def test_response_is_pure_selection(m11, rng):
     s, w = golden_corpus(m11, 2)[1]
     reps = 3
     st, _ = pr.commit_repetitions(w, s, reps, rng, PRF)
-    for k in range(reps):
-        views = repetition_views(st.rows, reps, k)
-        for ch in PARTY_PAIRS:
-            assert pr.prover_respond(st, k, ch) == response(
-                *[(views[q - 1], st.openings[(q - 1) * reps + k]) for q in ch])
+    views = [repetition_views(st.rows, reps, k) for k in range(reps)]
+    for t in range(len(PARTY_PAIRS)):  # every pair in every repetition
+        chs = [PARTY_PAIRS[(t + 3 * k) % len(PARTY_PAIRS)] for k in range(reps)]
+        assert pr.prover_respond(st, chs) == b"".join([response(
+            *[(views[k][q - 1], st.openings[(q - 1) * reps + k]) for q in ch])
+            for k, ch in enumerate(chs)])
 
 
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
@@ -200,7 +221,7 @@ def test_prover_rows_are_what_the_proof_opens(name, scheme_name):
 
     for k, cm in enumerate(msgs):
         assert cm == pr.serialize_commitment_msg(
-            [scheme.commit_view(st.openings[(q - 1) * reps + k], row(q, k)) for q in PARTY_IDS])
+            [commit1(scheme, st.openings[(q - 1) * reps + k], row(q, k)) for q in PARTY_IDS])
     proof = pr.respond_repetitions(s, st, msgs, RandomSource(b"rows"), scheme, "derived")
     assert len(set(proof.challenges)) > 1
     assert pr.opened_views(c, proof) == b"".join(
@@ -243,7 +264,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
         pos = rnd.randrange(len(blob))
         forged = bytes(blob[:pos]) + bytes([blob[pos] ^ 1]) + bytes(blob[pos + 1:])
         opening = rng.bytes(32)
-        if PRF.verify_view(forged, committed, opening):
+        if opens1(PRF, forged, committed, opening):
             wins += 1
         try:
             view = mpc.decode_view(c, forged)
@@ -251,7 +272,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
             continue
         decoded += 1
         # The scheme path must reject every forgery that is a view.
-        if PRF.verify_view(view, committed, opening):
+        if opens1(PRF, view, committed, opening):
             wins += 1
     assert decoded > 0
     assert wins == 0
@@ -269,7 +290,7 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     # Re-commit honestly to the altered view so only consistency can fail.
     (key,) = PRF.keygen(rng, 1)
     coms = [commitment_of(t.commitment, q) for q in PARTY_IDS]
-    coms[ch[0] - 1] = PRF.commit_view(key, bad_view)
+    coms[ch[0] - 1] = commit1(PRF, key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.serialize_commitment_msg(coms), ch,
                                               response((bad_view, key), t.second)))
 
@@ -726,31 +747,43 @@ def test_round_trip_encodes_each_view_once(m11, monkeypatch):
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
 def test_commitments_and_openings_are_packed_once(m11, monkeypatch, scheme_name):
     """Prove plus serialize_proof packs each of the 5 * reps Pedersen
-    commitments and openings once, where it is made, and joins each
-    repetition's commitment message once; PRF digests and keys are
-    hashlib's bytes and slices of one draw, so nothing packs them; parse
-    plus verify packs and joins none, since a commitment, an opening and a
-    commitment message are their bytes."""
+    commitments and openings once, where it is made, and makes one
+    `commit_view`, one `serialize_commitment_msg` and one
+    `serialize_response_block` call for all repetitions; PRF digests and
+    keys are hashlib's bytes and slices of one draw, so nothing packs
+    them.  Parse plus verify packs and joins none, since a commitment,
+    an opening and a commitment message are their bytes, and checks
+    every opening in at most two `verify_view` calls.  The call counts
+    do not grow with sigma."""
     calls = collections.Counter()
+
+    def counted(owner, name, method):
+        f = getattr(owner, name)
+        if method:
+            monkeypatch.setattr(owner, name, lambda self, *a: calls.update([name]) or f(self, *a))
+        else:
+            monkeypatch.setattr(owner, name, lambda *a: calls.update([name]) or f(*a))
+
     for cls in (commit.PrfScheme, commit.PedersenScheme):
-        for name in ("serialize_commitment", "serialize_opening"):
-            monkeypatch.setattr(cls, name, lambda self, x, f=getattr(cls, name), n=name:
-                                calls.update([n]) or f(self, x))
-    join = pr.serialize_commitment_msg
-    monkeypatch.setattr(pr, "serialize_commitment_msg",
-                        lambda coms: calls.update(["serialize_commitment_msg"]) or join(coms))
+        for name in ("serialize_commitment", "serialize_opening", "commit_view", "verify_view"):
+            counted(cls, name, True)
+    for name in ("serialize_commitment_msg", "serialize_response_block"):
+        counted(pr, name, False)
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
-    reps = 3
-    proof = pr.prove_repeated(w, s, reps, RandomSource(37), scheme_by_name(scheme_name, 11))
-    data = pr.serialize_proof(proof, c)
-    packed = 5 * reps if scheme_name == "pedersen" else 0
-    assert calls == collections.Counter({"serialize_commitment": packed,
-                                         "serialize_opening": packed,
-                                         "serialize_commitment_msg": reps})
-    calls.clear()
-    assert pr.verify_repeated(s, pr.parse_proof(data, c))
-    assert not calls
+    for reps in (1, 17):
+        calls.clear()
+        proof = pr.prove_repeated(w, s, reps, RandomSource(37), scheme_by_name(scheme_name, 11))
+        data = pr.serialize_proof(proof, c)
+        packed = 5 * reps if scheme_name == "pedersen" else 0
+        assert calls == collections.Counter({"serialize_commitment": packed,
+                                             "serialize_opening": packed,
+                                             "commit_view": 1,
+                                             "serialize_commitment_msg": 1,
+                                             "serialize_response_block": 1})
+        calls.clear()
+        assert pr.verify_repeated(s, pr.parse_proof(data, c))
+        assert set(calls) == {"verify_view"} and calls["verify_view"] <= 2
 
 
 @pytest.mark.parametrize("side", ["prover", "verifier"])
@@ -773,7 +806,7 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in f.bcast)),
                 mpc.make_view(c, view, randomness=f.randomness[::-1])):
         assert new != view
-        assert not PRF.verify_view(new, commitment_of(t.commitment, t.challenge[0]), opening)
+        assert not opens1(PRF, new, commitment_of(t.commitment, t.challenge[0]), opening)
         assert not pr.verify_repeated(s, opened_as(new))
     assert pr.verify_repeated(s, opened_as(mpc.make_view(c, view)))
 
@@ -807,9 +840,9 @@ def doctored_pair(m, side: int, what: str):
         for slot, d in deltas.items():
             bc[slot - 1] = (bc[slot - 1] + d) % p
         views[q - 1] = mpc.make_view(c, views[q - 1], bcast=bc)
-    cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, st.openings, views)))
+    cm = pr.serialize_commitment_msg(PRF.commit_view(st.openings, views))
     return s, recorded(s, cm, ch, pr.prover_respond(pr.ProverState(b"".join(views), st.openings),
-                                                    0, ch))
+                                                    [ch]))
 
 
 @pytest.mark.parametrize("what", ["output", "partner"])
@@ -844,8 +877,8 @@ def test_other_public_input_fails_a_view_consistent_without_it():
     for pubs, verdict in (((0,), True), ((1,), False)):
         views = (mpc.make_view(c, zero, public_inputs=pubs),) + (zero,) * 4
         keys = tuple(PRF.keygen(rng, len(views)))
-        cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, views)))
-        resp = pr.prover_respond(pr.ProverState(b"".join(views), keys), 0, (1, 2))
+        cm = pr.serialize_commitment_msg(PRF.commit_view(keys, views))
+        resp = pr.prover_respond(pr.ProverState(b"".join(views), keys), [(1, 2)])
         assert pr.check_repetitions(s, recorded(s, cm, (1, 2), resp)) == [(True, verdict)]
 
 
@@ -859,7 +892,7 @@ def test_altered_view_cannot_open_the_original_commitment():
     cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(34))
     ch = (3, 4)
     st, (cm,) = cheater.commit(RandomSource(35), 1)
-    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, 0, ch)))
+    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, [ch])))
 
     c = s.circuit
     p = c.modulus.p
@@ -867,7 +900,7 @@ def test_altered_view_cannot_open_the_original_commitment():
                  for v in cheater.views]
     rng = RandomSource(36)
     keys = [rng.bytes(32) for _ in committed]
-    cm = pr.serialize_commitment_msg(list(map(PRF.commit_view, keys, committed)))
+    cm = pr.serialize_commitment_msg(PRF.commit_view(keys, committed))
     opened = [mpc.make_view(c, v, bcast=fields(c, d).bcast)
               for v, d in zip(committed, cheater.views)]
     assert opened == cheater.views
@@ -924,7 +957,7 @@ def test_simulated_transcript_accepts_on_guess_match(m11):
     hits = 0
     for _ in range(200):
         guess, cm, st = pr.zk_simulate_once(s, rng)
-        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, 0, guess)))
+        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, [guess])))
         hits += 1
     assert hits == 200
 
@@ -994,18 +1027,19 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
     committed = []
 
     class Recording(commit.PrfScheme):
-        def commit_view(self, key, view):
-            com = super().commit_view(key, view)
-            committed.append((view, com))
-            return com
+        def commit_view(self, keys, views):
+            views = list(views)
+            coms = super().commit_view(keys, views)
+            committed.extend(zip(views, coms))
+            return coms
 
     (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
     assert [com for _, com in committed] == [commitment_of(cm, q) for q in PARTY_IDS]
     rows = repetition_views(st.rows, 1)
     assert [view for view, _ in committed] == rows and len(st.openings) == 5
     for pid, (view, com) in enumerate(committed, 1):
-        assert PRF.verify_view(view, com, st.openings[pid - 1])
+        assert opens1(PRF, view, com, st.openings[pid - 1])
         assert mpc.valid_view(c, [view]) == [True]
         if pid not in (i, j):
             assert view == bytes(mpc.encoded_view_length(c))
-    assert pr.verify_repeated(s, recorded(s, cm, (i, j), pr.prover_respond(st, 0, (i, j))))
+    assert pr.verify_repeated(s, recorded(s, cm, (i, j), pr.prover_respond(st, [(i, j)])))

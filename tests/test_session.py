@@ -374,8 +374,8 @@ def shifted_session(s, scheme, state, msgs, target, k):
         ses._read_hello(ta)
         ses._send(ta, ses.MSG_COMMIT, mutate(ses.MSG_COMMIT, b"".join(msgs)))
         chs = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")[32:]
-        ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, b"".join(
-            pr.prover_respond(state, k, pr.PARTY_PAIRS[b]) for k, b in enumerate(chs))))
+        ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, pr.prover_respond(
+            state, [pr.PARTY_PAIRS[b] for b in chs])))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
     finally:
         th.join(10)
@@ -424,7 +424,7 @@ def test_cheating_prover_session_rate(m11):
         ses._send(ta, ses.MSG_COMMIT, cm)
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
         ch = pr.PARTY_PAIRS[ch_payload[32]]
-        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, 0, ch))
+        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, [ch]))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
         th.join()
         assert bool(result[0]) == out["v"]
