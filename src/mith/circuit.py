@@ -99,13 +99,13 @@ def scalar_marks(c: Circuit) -> list[bool]:
 
 
 def mul_gate_ids(c: Circuit) -> list[int]:
-    """Ids of multiplication gates that exchange messages, ascending.
+    """Ids of multiplication gates that exchange messages, in post-order.
 
-    Multiplications inside an smul's public left subtree are evaluated in
-    the clear and consume no randomness.
+    The t-th is a view's exchange t.  Multiplications inside an smul's
+    public left subtree are evaluated in the clear and exchange nothing.
     """
-    return sorted(g.gid for g, public in zip(c.gates, scalar_marks(c))
-                  if g.op == "mul" and not public)
+    return [g.gid for g, public in zip(c.gates, scalar_marks(c))
+            if g.op == "mul" and not public]
 
 
 def _int_in(x, lo: int, hi: int) -> bool:

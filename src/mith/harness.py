@@ -370,8 +370,8 @@ def run_mpc_privacy(trials: int, rng: RandomSource,
 
 
 def run_binding(trials: int, rng: RandomSource) -> ExperimentReport:
-    """Random-search double-opening attacker; one win is a SHA-256
-    HMAC collision."""
+    """Random-search double-opening attacker; one win is two (key, view)
+    pairs with one SHA-256(key || view), a SHA-256 collision."""
     wins = 0
     for _ in range(trials):
         m1, k1 = rng.bytes(8), rng.bytes(32)

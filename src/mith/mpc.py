@@ -8,9 +8,8 @@ output sharing is re-randomized with five fresh sharings of zero and
 publicly opened.
 
 Each circuit is compiled once into a `Program`: a post-order op list over
-wire slots, the list of multiplications that exchange messages, the
-public scalar subtrees of the smul gates, and the element counts of a
-view.  One interpreter runs the ops: every wire is a lane column
+wire slots, the public scalar subtrees of the smul gates, and the
+element counts of a view.  One interpreter runs the ops: every wire is a lane column
 (`field.columns`: one byte per lane over a field below 128, else a list
 of ints), and at each messaging multiplication and at the refresh an
 exchange supplies the columns the lanes received.  The prover
@@ -19,20 +18,20 @@ the drawn randomness; the simulator (`mpc_simulate`) runs the two
 corrupt parties and draws the honest parties' messages.
 
 A party's view is flat: its public inputs, its input shares, its
-randomness ((a1, a2) per messaging multiplication in ascending gate-id
-order, then the refresh pair), the incoming resharing column at each
-messaging multiplication in post-order, and at the opening both the
-incoming zero-share contributions (`zin`) and the broadcast refreshed
-output shares (`bcast`).  Every entry is an int in [0, p), and a view's
-canonical encoding is exactly these entries in this order, each
-fixed-width big-endian.  A view is its encoding, plain bytes or a row
-of a buffer of them; `view_fields` decodes its six fields.
-`run_protocol` returns every lane's view as a row of one buffer, into
-which it writes each element column as it makes it (`encode_view`, one
-strided slice assignment per column); the prover commits to the buffer
-row by row and opens two rows of it per repetition.
-`decode_view`, `make_view` and `mpc_simulate` build single views, each
-checking what it builds.
+randomness, the incoming resharing column at each messaging
+multiplication, and at the opening both the incoming zero-share
+contributions (`zin`) and the broadcast refreshed output shares
+(`bcast`).  Exchanges run in post-order, the refresh last, and exchange
+t takes randomness pair (a1, a2) t and fills message slot t.  Every
+entry is an int in [0, p), and a view's canonical encoding is exactly
+these entries in this order, each fixed-width big-endian.  A view is
+its encoding, plain bytes or a row of a buffer of them; `view_fields`
+decodes its six fields.  `run_protocol` returns every lane's view as a
+row of one buffer, into which it writes each element column as it makes
+it (`encode_view`, one strided slice assignment per column); the prover
+commits to the buffer row by row and opens two rows of it per
+repetition.  `decode_view`, `make_view` and `mpc_simulate` build single
+views, each checking what it builds.
 
 The verifier never builds a view: it joins the opened views' bytes, one
 row each, and checks them in passes over element columns, every view
@@ -52,12 +51,12 @@ from typing import Sequence
 from mith.errors import MithError, ProofError
 from mith.field import FieldElement, RandomSource, columns, lagrange_weights
 from mith.circuit import (
-    Circuit, Statement, gate_values, mul_gate_ids, scalar_marks,
+    Circuit, Statement, gate_values, scalar_marks,
 )
 from mith.sss import PARTY_IDS, PARTY_PAIRS
 
-# Op codes.  An op is (code, dst, a, b, r): dst = a + b; dst = scalar[a] * b;
-# or dst = a * b through the multiplication with randomness rank r.
+# Op codes.  An op is (code, dst, a, b): dst = a + b; dst = scalar[a] * b;
+# or dst = a * b through the next exchange.
 ADD, SMUL, MUL = range(3)
 
 # A view's fields, in encoding order.
@@ -69,9 +68,9 @@ class Program:
 
     Slots 0..n_public-1 hold the public inputs, the next n_secret slots
     the secret inputs; constants and op results follow.  `ops` is in
-    post-order, so its multiplications run in view-message order; each
-    carries the rank of its gate id among the messaging multiplications,
-    which indexes the party's randomness.  Gates inside an smul's scalar
+    post-order, so its multiplications run in exchange order: the t-th
+    reads the party's randomness pair t and records message slot t, and
+    the refresh is exchange n_mul.  Gates inside an smul's scalar
     subtree (`circuit.scalar_marks`) are not ops: `scalars` evaluates the
     circuit in the clear once per statement and reads each scalar root
     (`scalar_roots`, gate indices).
@@ -91,10 +90,8 @@ class Program:
         init = [0] * self.n_in
         ops = []
         self.scalar_roots = []  # gate index of each op smul's scalar
-        self.mul_gids = tuple(mul_gate_ids(c))
-        rank = {gid: r for r, gid in enumerate(self.mul_gids)}
         slot = []  # per gate: its wire slot; None inside a scalar subtree
-        for i, ((op, gid, a, b), public) in enumerate(zip(c.gates, scalar_marks(c))):
+        for i, ((op, _, a, b), public) in enumerate(zip(c.gates, scalar_marks(c))):
             if public:
                 slot.append(None)
             elif op == "pinput":
@@ -105,16 +102,16 @@ class Program:
                 slot.append(len(init))
                 init.append(a if op == "const" else 0)
                 if op == "smul":
-                    ops.append((SMUL, slot[i], len(self.scalar_roots), slot[b], 0))
+                    ops.append((SMUL, slot[i], len(self.scalar_roots), slot[b]))
                     self.scalar_roots.append(a)
                 elif op == "add":
-                    ops.append((ADD, slot[i], slot[a], slot[b], 0))
+                    ops.append((ADD, slot[i], slot[a], slot[b]))
                 elif op == "mul":
-                    ops.append((MUL, slot[i], slot[a], slot[b], rank[gid]))
+                    ops.append((MUL, slot[i], slot[a], slot[b]))
         self.ops = tuple(ops)
         self.root = slot[-1]
         self.init = init
-        self.n_mul = len(self.mul_gids)
+        self.n_mul = [op[0] for op in ops].count(MUL)
         self._circuit = c
         self.n_rand = 2 * (self.n_mul + 1)
         self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
@@ -156,8 +153,8 @@ def program(c: Circuit) -> Program:
 def random_gate_randomness(rng: RandomSource, c: Circuit, reps: int = 1):
     """The gate randomness of reps repetitions, one after another, in one
     draw (`RandomSource.randbelows`: bytes over a field below 256), each in
-    drawn order: (a1, a2) for parties 1..5 at each messaging multiplication
-    in ascending gate-id order, then for the five refresh sharings."""
+    exchange order: (a1, a2) for parties 1..5 at each messaging
+    multiplication in post-order, then for the five refresh sharings."""
     prog = program(c)
     return rng.randbelows(prog.p, 5 * prog.n_rand * reps)
 
@@ -168,26 +165,26 @@ def random_gate_randomness(rng: RandomSource, c: Circuit, reps: int = 1):
 
 def _interpret(prog: Program, inputs: Sequence, scalars: Sequence[int], n: int, exchange):
     """Run prog's ops over n lanes, given the n_in input columns and each
-    smul scalar.  At each messaging multiplication exchange(d, r) gets
-    the lanes' products d and the randomness rank r, and returns the five
-    columns the lanes received, one per sender, to recombine.  The
-    refresh exchanges zeros at rank n_mul.  Returns each lane's refreshed
-    share: its root share plus the zero shares it received."""
+    smul scalar.  exchange(d) reshares the lanes' column d and returns the
+    five columns they received, one per sender; it is called in exchange
+    order, so its caller numbers exchanges by counting calls: each
+    multiplication's products, then zeros for the refresh.  Returns each
+    lane's refreshed share: its root share plus the zero shares it received."""
     F = prog.cols
     lam = prog.lam
     const = {v: F.const(v, n) for v in set(prog.init[prog.n_in:])}
     vals = [*inputs, *[const[v] for v in prog.init[prog.n_in:]]]
-    for code, dst, a, b, r in prog.ops:
+    for code, dst, a, b in prog.ops:
         y = vals[b]
         if code == ADD:
             vals[dst] = F.add(vals[a], y)
         elif code == MUL:
-            vals[dst] = F.lincomb(lam, exchange(F.mul(vals[a], y), r))
+            vals[dst] = F.lincomb(lam, exchange(F.mul(vals[a], y)))
         else:
             vals[dst] = F.smul(scalars[a], y)
     root = vals[prog.root]
     del vals  # free the wire columns
-    return F.lincomb((1,) * 6, [root, *exchange(F.const(0, n), prog.n_mul)])
+    return F.lincomb((1,) * 6, [root, *exchange(F.const(0, n))])
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
@@ -224,21 +221,23 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
           for i in range(prog.n_rand)]
     del draws
     encode_view(c, rows, enumerate([*inputs, *rc]))
-    slots = count(prog.n_in + prog.n_rand, 5)
+    exchanges = count()
 
-    def exchange(d, r):
-        """Every lane reshares its products with its rank-r randomness;
+    def exchange(d):
+        """Exchange t: every lane reshares d with its randomness pair t;
         sh[x] holds what each lane sent to party x+1.  cols[q], what
         every lane received from party q+1, is party q+1's lanes of
         sh[0], ..., sh[4] in turn.  Views record the five received
-        columns at the next message slot."""
-        sh = F.share(d, rc[2 * r], rc[2 * r + 1])
+        columns at message slot t."""
+        t = next(exchanges)
+        sh = F.share(d, rc[2 * t], rc[2 * t + 1])
         cols = [F.join([col[k:k + n] for col in sh]) for k in range(0, lanes, n)]
-        encode_view(c, rows, enumerate(cols, next(slots)))
+        encode_view(c, rows, enumerate(cols, prog.fields["messages"][0] + 5 * t))
         return cols
 
     own = _interpret(prog, inputs, prog.scalars(pubs), lanes, exchange)
-    encode_view(c, rows, enumerate([own[k:k + n] * 5 for k in range(0, lanes, n)], next(slots)))
+    bcast = [own[k:k + n] * 5 for k in range(0, lanes, n)]
+    encode_view(c, rows, enumerate(bcast, prog.fields["bcast"][0]))
     return rows
 
 
@@ -282,8 +281,8 @@ def out_messages(c: Circuit, x: Sequence[FieldElement],
     del cols
     sent = []
 
-    def exchange(d, r):
-        sent.append(F.share(d, rc[2 * r], rc[2 * r + 1]))
+    def exchange(d):
+        sent.append(F.share(d, rc[2 * len(sent)], rc[2 * len(sent) + 1]))
         return recorded[len(sent) - 1]
 
     own = _interpret(prog, inputs, prog.scalars(pubs), n, exchange)
@@ -380,14 +379,15 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     honest = [k for k in PARTY_IDS if k not in corrupt]
     pubs = tuple(e.value for e in x)
     shares = [tuple(cs[lane].value for cs in corrupt_shares) for lane in (0, 1)]
-    rand = ([0] * prog.n_rand, [0] * prog.n_rand)
+    rand = ([], [])
     msgs = []
 
-    def exchange(d, r):
-        """Each corrupt lane reshares its product with fresh randomness,
-        stored at rank r; the honest parties' entries are uniform."""
+    def exchange(d):
+        """Each corrupt lane reshares d with a fresh randomness pair,
+        appended to its view's; the honest parties' entries are uniform."""
         draws = [rng.randbelow(p) for _ in range(4)]
-        rand[0][2 * r:2 * r + 2], rand[1][2 * r:2 * r + 2] = draws[:2], draws[2:]
+        rand[0].extend(draws[:2])
+        rand[1].extend(draws[2:])
         sh = F.share(d, F.from_ints(draws[0::2]), F.from_ints(draws[1::2]))
         cols = [None] * 5
         for lane, q in enumerate(corrupt):
@@ -413,10 +413,10 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
 # Canonical view encoding (commitments are computed over these bytes, so
 # the layout is bit-exact): the view's elements and nothing else, each
 # fixed-width big-endian, in the order public inputs, secret shares,
-# randomness (ascending gate-id order, the refresh pair last), the
-# incoming column at each messaging multiplication in post-order, zin
-# and bcast.  The circuit fixes every count, so no count, tag or gate id
-# is encoded, and decoding checks the length and each element's range.
+# randomness (a pair per exchange, in exchange order), the incoming
+# column at each messaging multiplication in post-order, zin and bcast.
+# The circuit fixes every count, so no count, tag or gate id is encoded,
+# and decoding checks the length and each element's range.
 
 
 def encode_view(c: Circuit, rows: bytearray, placed) -> None:

@@ -38,7 +38,7 @@ from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, sha
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
 
-MAGIC = b"MITH5"
+MAGIC = b"MITH6"
 # The largest sigma: a proof header, like a session's HELLO, holds it in
 # four bytes.
 MAX_REPS = 0xFFFFFFFF
@@ -328,11 +328,16 @@ def block_fields(c: Circuit, scheme) -> list[tuple[int, int]]:
 
 def opened_views(c: Circuit, proof: Proof) -> bytes:
     """The views proof opens, joined: row 2k is repetition k's view of
-    the pair's lower party, row 2k+1 its higher's."""
-    (a, n), _, (b, _), _ = block_fields(c, scheme_by_name(proof.scheme))[5:]
-    body = proof.body
-    return b"".join([body[k + x:k + x + n] for k in range(0, len(body), len(body) // proof.reps)
-                     for x in (a, b)])
+    the pair's lower party, row 2k+1 its higher's.  Joined once per
+    block layout and kept on the proof (`well_formed`, then the checks)."""
+    (a, n), _, (b, _), _ = layout = block_fields(c, scheme_by_name(proof.scheme))[5:]
+    kept = proof.__dict__.get("_opened")
+    if kept is None or kept[0] != layout:
+        body = proof.body
+        kept = proof.__dict__["_opened"] = (layout, b"".join(
+            [body[k + x:k + x + n] for k in range(0, len(body), len(body) // proof.reps)
+             for x in (a, b)]))
+    return kept[1]
 
 
 def well_formed(proof: Proof, c: Circuit) -> Proof:

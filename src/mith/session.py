@@ -42,9 +42,9 @@ _KNOWN_TYPES = {MSG_HELLO, MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE,
                 MSG_RESULT, MSG_ERROR}
 
 MAX_PAYLOAD = 1 << 24
-# HELLO's version byte.  Version 4 commits and opens views as MITH5 proof
+# HELLO's version byte.  Version 5 commits and opens views as MITH6 proof
 # files do: a PRF commitment is SHA-256(key || view).
-PROTOCOL_VERSION = 0x04
+PROTOCOL_VERSION = 0x05
 DEFAULT_TIMEOUT = 30.0
 
 ERR_HASH_MISMATCH = 1

@@ -27,16 +27,6 @@ PARTY_PAIRS = tuple(
 )
 
 
-def share5(s: int, a1: int, a2: int, p: int) -> tuple[int, ...]:
-    """Evaluate s + a1*x + a2*x^2 mod p at x = 1..5."""
-    return ((s + a1 + a2) % p, (s + 2 * a1 + 4 * a2) % p, (s + 3 * a1 + 9 * a2) % p,
-            (s + 4 * a1 + 16 * a2) % p, (s + 5 * a1 + 25 * a2) % p)
-
-
-def dot5(w, y, p: int) -> int:
-    return (w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3] + w[4] * y[4]) % p
-
-
 def random_share_randomness(rng: RandomSource, p: int, n: int):
     """(a1, a2) of n sharing polynomials over F_p, flat, in wire order
     (`RandomSource.randbelows`)."""

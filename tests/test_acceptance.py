@@ -19,7 +19,7 @@ from mith import protocol as pr
 from mith import session as ses
 from mith.bench import BENCH_REPS, _time_ms, bench_proof, ladder
 from mith.circuit import Statement, Witness, eval_plain, parse_circuit
-from mith.commit import TEST_GROUP_64, pedersen_commit, scheme_by_name
+from mith.commit import TEST_GROUP_64, PrfScheme, pedersen_commit, scheme_by_name
 from mith.corpus import (
     bench_circuit_a, golden_corpus, random_circuit,
     random_instance,
@@ -249,13 +249,19 @@ def test_criterion_7_zk_exactness():
 
 
 def test_criterion_8_commitment_bit_exactness():
-    """HMAC-SHA256 reproduces every RFC 4231 vector; the Pedersen
-    homomorphism holds on 1000 random cases in the 64-bit test group."""
+    """HMAC-SHA256 reproduces every RFC 4231 vector; the PRF commitment
+    of a fixed view under a fixed key is SHA-256(key || view), pinned;
+    the Pedersen homomorphism holds on 1000 random cases in the 64-bit
+    test group."""
     import hashlib
     import hmac as hmac_mod
     vec_ok = all(
         hmac_mod.new(key, data, hashlib.sha256).hexdigest() == want
         for key, data, want in RFC4231)
+    # key 00 01 .. 1f, view 20 21 .. 5f: SHA-256 of the 96 bytes 00 .. 5f.
+    key, view = bytes(range(32)), bytes(range(32, 96))
+    prf_ok = PrfScheme().commit_view([key], [view]) == [bytes.fromhex(
+        "08359b108fa567f5dcf319fa3434da6abbc1d595f426372666447f09cc5a87dc")]
     params = TEST_GROUP_64
     rnd = random.Random(808)
     q, P = params.order, params.group_prime
@@ -267,8 +273,8 @@ def test_criterion_8_commitment_bit_exactness():
         (c2,), _ = pedersen_commit(params, [r2], [m2])
         (c12,), _ = pedersen_commit(params, [(r1 + r2) % q], [(m1 + m2) % q])
         hom_ok = hom_ok and c1 * c2 % P == c12
-    report(8, "HMAC-SHA256 matches RFC 4231; Pedersen homomorphism on 10^3 cases",
-           vec_ok and hom_ok)
+    report(8, "HMAC-SHA256 matches RFC 4231; PRF commitment known answer; "
+           "Pedersen homomorphism on 10^3 cases", vec_ok and prf_ok and hom_ok)
 
 
 def test_criterion_9_scheme_performance_shape():

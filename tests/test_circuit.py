@@ -364,7 +364,7 @@ def test_scalar_subtree_multiplications_exchange_nothing():
     c = parse_circuit(NESTED_SCALARS)
     assert mul_gate_ids(c) == [8, 12]
     prog = mpc.program(c)
-    assert prog.mul_gids == (8, 12)
+    assert prog.n_mul == 2 and prog.n_rand == 6
     assert [op[0] for op in prog.ops].count(mpc.MUL) == 2
     for x in (0, 1, 5, 100):
         assert prog.scalars((x,)) == tuple(

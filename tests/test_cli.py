@@ -355,13 +355,13 @@ def test_malformed_circuit_exit_2(workdir):
 
 
 def check_old_version_is_malformed(workdir, capsys, magic: bytes):
-    """A MITH5 file relabelled as an older version exits 1 as an
+    """A MITH6 file relabelled as an older version exits 1 as an
     unsupported version."""
     proof = workdir / "p.bin"
     assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
                 "--reps", 2, "--out", proof]) == 0
     blob = proof.read_bytes()
-    assert blob[:5] == b"MITH5"
+    assert blob[:5] == b"MITH6"
     proof.write_bytes(magic + blob[5:])
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof]) == 1
@@ -383,6 +383,10 @@ def test_mith3_proof_is_malformed(workdir, capsys):
 
 def test_mith4_proof_is_malformed(workdir, capsys):
     check_old_version_is_malformed(workdir, capsys, b"MITH4")
+
+
+def test_mith5_proof_is_malformed(workdir, capsys):
+    check_old_version_is_malformed(workdir, capsys, b"MITH5")
 
 
 @pytest.mark.parametrize("reps, bits", [(8, "1.2"), (40, "6.1"), (842, "128.0"), (843, "128.1")])

@@ -92,7 +92,7 @@ def test_prf_commit_matches_hashlib(key_len):
 
 
 def test_prf_commit_is_sha256_not_hmac():
-    """The `MITH5` PRF commitment is SHA-256(key || view), not the
+    """Since `MITH5` the PRF commitment is SHA-256(key || view), not the
     HMAC-SHA256 that earlier proof formats committed with."""
     _, data, _ = RFC4231[2]
     key = b"\x00" * 32

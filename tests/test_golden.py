@@ -1,5 +1,5 @@
-"""Golden bytes: the canonical view encoding, the MITH5 proof file and the
-session frames (HELLO version 4) are fixed formats, so seeded runs must
+"""Golden bytes: the canonical view encoding, the MITH6 proof file and the
+session frames (HELLO version 5) are fixed formats, so seeded runs must
 keep producing the same bytes.  The corpus circuits are pinned too, by their circuit text.
 
 Each proof case pins the SHA-256 of the five encoded views of one seeded
@@ -35,25 +35,43 @@ SMUL_OVER_MUL = (
     " (mul 8 (sinput 1) (add 7 (sinput 0) (const 6 3))))\n"
 )
 
+# Gate ids in pre-order: post-order runs muls 2, 3, 1, so a view's
+# exchange order is not its ascending gate-id order.
+PRE_ORDER_IDS = (
+    "field 101\n"
+    "topology 0 1 4\n"
+    "(mul 1 (mul 2 (sinput 0) (sinput 0)) (mul 3 (sinput 0) (const 4 5)))\n"
+)
+
 CASES = {
     "deep9-f101-prf": (
         lambda: random_circuit(random.Random(3), Modulus(101), 1, 2, max_depth=9), "prf"),
     "bench-b-f97-prf": (bench_circuit_b, "prf"),
     "bench-a-p256-pedersen": (lambda: bench_circuit_a(preset_modulus("p256")), "pedersen"),
     "smul-over-mul-f101-prf": (lambda: parse_circuit(SMUL_OVER_MUL), "prf"),
+    "pre-order-f101-prf": (lambda: parse_circuit(PRE_ORDER_IDS), "prf"),
 }
 
-# View digests are for the element-only encoding of MITH3 to MITH5.
-# They equal the SHA-256 of the element bytes of the MITH2 views of the
-# same runs, which were pinned with the tree-view implementation that
-# preceded the compiled programs; the MITH2 view digests were
-# 4462f99c..., a51dd485..., 66cc8844... and a0d3085f..., in order.  Proof
-# digests are for MITH5: a PRF commitment is SHA-256(key || view), and all
-# challenges come from one SHAKE-256 stream of the statement hash and one
-# SHA-256 of the commit phase.  The MITH4 proof digests, HMAC-SHA256
-# commitments and one HMAC per challenge, were b740a779..., 77dba9fa...,
-# 678bb067... and 3d028934..., in the order below.  MITH4 had one Pedersen
-# commitment and one blinder per view, as MITH5 has, and challenges
+# View digests are for the element-only encoding of MITH3 to MITH6.
+# MITH6 orders a view's randomness as its messages: one pair per
+# exchange, the messaging multiplications in post-order, the refresh
+# last.  MITH3 to MITH5 ordered the multiplications' randomness by
+# ascending gate id.  The first four circuits number their messaging
+# multiplications in post-order, so their views did not change; the
+# pre-order case's MITH5 view digest was 44ac84fe....  The MITH6 proof
+# digests differ from MITH5's in the magic only: the MITH5 ones were
+# b6976229..., cb8b8a7e..., 0c1bc1ad... and 9e5daf72..., in the order
+# of the first four cases.  The view digests of the first four equal
+# the SHA-256 of the element bytes of the MITH2 views of the same runs,
+# which were pinned with the tree-view implementation that preceded the
+# compiled programs; the MITH2 view digests were 4462f99c...,
+# a51dd485..., 66cc8844... and a0d3085f..., in order.  Since MITH5 a PRF
+# commitment is SHA-256(key || view), and all challenges come from one
+# SHAKE-256 stream of the statement hash and one SHA-256 of the commit
+# phase.  The MITH4 proof digests, HMAC-SHA256 commitments and one HMAC
+# per challenge, were b740a779..., 77dba9fa..., 678bb067... and
+# 3d028934..., in the order below.  MITH4 had one Pedersen commitment and
+# one blinder per view, as MITH5 and MITH6 have, and challenges
 # derived from one SHA-256 of the commit phase, as in MITH2 and MITH3.
 # Both draw the commit phase's randomness in three passes:
 # every repetition's sharing polynomials, then every repetition's gate
@@ -70,16 +88,19 @@ CASES = {
 GOLDEN = {
     "deep9-f101-prf": (
         "2bb65b327b3a8c4db3534534d1110853d93ba6d815cc0a2f438b29400982c2b2",
-        "b69762295b5fe819a974936d0bc4950716067d32ccf53af25e87394fba0d9dec"),
+        "43bcc6ab7b323336c15d487534e9d4f2061b341dcd56995a2203028f121c682d"),
     "bench-b-f97-prf": (
         "1006120fee47a42dc6e373b5980f632432f00d57cd20fe5ea20b2370c1809b00",
-        "cb8b8a7e96ba7473608e559b6a5e9f1f159df9069857f1ed164819de5750ae90"),
+        "c9a16a22905f6837d0694f7cbd2efa0b86b37990bf3d113507617e23c822c258"),
     "bench-a-p256-pedersen": (
         "7802798ada76d96e54ca8dec8ee90eadbb8c4559f79d550832669418cb4b877f",
-        "0c1bc1adcd110bef540868428cadc8e69c1b77115b475b344595932d013def25"),
+        "55533f138876700848f648a99553530cdaca037392876344846acf2690d50337"),
     "smul-over-mul-f101-prf": (
         "fdf514caa52cb0b9bd21d4410d6de24dc4a3de2e3929bef35b5917b8bad6a221",
-        "9e5daf7285f11ea6fe35da881bbbc01bc7cdd79319310930cc47c2417ff87c1b"),
+        "5dd4774f1aca88bbabf614db51147b0cea080fb8cab04997794bfa2767d0a783"),
+    "pre-order-f101-prf": (
+        "5aa04e2c14a335d5e2d7cdddcca979b1447b113fb8b7064789651d5b850b8a51",
+        "df7bea7441c926384f5080585d09151bfa9a8da9c9f7649588aa6b0c2e7ccce2"),
 }
 
 
@@ -157,9 +178,11 @@ def test_golden_corpus_circuit_text():
         == GOLDEN_CORPUS_F11_TEXT
 
 
-# Frames of HELLO version 4: PRF commitments SHA-256(key || view), one
+# Frames of HELLO version 5: PRF commitments SHA-256(key || view), one
 # Pedersen commitment and one blinder per view, element-only views, the
 # commit phase's randomness in three passes (as for the proofs above).
+# They differ from version 4's in the two HELLO version bytes only: the
+# version-4 digests were 855872b1... and ef857f2e..., in order.
 # The version-3 digests, HMAC-SHA256 commitments, were 73a62df5... and
 # 11140be2..., in order; with the draws made repetition by repetition
 # they were e7f974b1... and bd41c7cc....  The version-2
@@ -168,10 +191,10 @@ def test_golden_corpus_circuit_text():
 SESSION_CASES = {
     "bench-b-f97-prf-sigma3": (
         bench_circuit_b, "prf", 3,
-        "855872b16ed734e4c9ca5de829ca6421975450233750f683f19636a5a9e46714"),
+        "02b71e963be74d2aceb00437ae7589851c5f2adef17b1d4537b22a9e51240cf3"),
     "bench-a-p256-pedersen-sigma2": (
         lambda: bench_circuit_a(preset_modulus("p256")), "pedersen", 2,
-        "ef857f2eaa25de6c04b7d05f78a71866f692c567335bc917daa2e6811055ff28"),
+        "07cb1be40506b8ca5d9227a65a9d6d12ca891c8b9b1f6f43b2364068a31b0550"),
 }
 
 

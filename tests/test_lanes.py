@@ -6,13 +6,17 @@ draw, each party's shares as single ints, the canonical view encoding
 written out element by element, SHA-256(key || view) and Pedersen
 commitments (the latter as pow(g, SHA-256(view), P) * pow(h, r, P) % P,
 not through the window tables), challenges read from a SHAKE-256 stream
-and the MITH5 file layout.  Seeded alike, the lane
+and the MITH6 file layout.  It walks the circuit's gate list in
+post-order and numbers the exchanges itself, as the README lays a view
+out: exchange t, the t-th messaging multiplication and then the refresh,
+takes randomness pair t and fills message slot t.  Seeded alike, the lane
 path (`commit_repetitions`, `prove_repeated`, `serialize_proof`) must give
 the same views, commitments and proof bytes.
 """
 
 import hashlib
 import itertools
+import math
 import random
 from collections import namedtuple
 
@@ -26,11 +30,11 @@ from mith.commit import PedersenScheme, scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
 from mith.errors import MithError
 from mith.field import Modulus, RandomSource
-from mith.sss import PARTY_PAIRS, dot5, share5
+from mith.sss import PARTY_PAIRS
 
 from test_field import reference_randbelow
 from test_fuzz import TREES, render
-from test_golden import SMUL_OVER_MUL
+from test_golden import PRE_ORDER_IDS, SMUL_OVER_MUL
 from test_mpc import repetition_views
 
 
@@ -47,6 +51,7 @@ CIRCUITS = {
     "depth-9": lambda: random_circuit(random.Random(3), Modulus(101), 1, 2, max_depth=9),
     "smul-over-mul": lambda: parse_circuit(SMUL_OVER_MUL),
     "chain-200": lambda: chain_circuit(200),
+    "pre-order-ids": lambda: parse_circuit(PRE_ORDER_IDS),
 }
 
 
@@ -54,31 +59,60 @@ CIRCUITS = {
 RefView = namedtuple("RefView", "public_inputs secret_shares randomness messages zin bcast")
 
 
-def reference_execution(prog, pubs, secs, rand):
-    """One execution with scalar shares: secs[w] is wire w's five shares,
-    rand[q] party q+1's randomness vector.  Returns the five views."""
-    p, lam = prog.p, prog.lam
-    scal = prog.scalars(pubs)
-    vals = [(v,) * 5 for v in prog.init]
-    vals[:prog.n_in] = [(v,) * 5 for v in pubs] + list(secs)
+def share5(s: int, a1: int, a2: int, p: int) -> tuple[int, ...]:
+    """Evaluate s + a1*x + a2*x^2 mod p at x = 1..5."""
+    return ((s + a1 + a2) % p, (s + 2 * a1 + 4 * a2) % p, (s + 3 * a1 + 9 * a2) % p,
+            (s + 4 * a1 + 16 * a2) % p, (s + 5 * a1 + 25 * a2) % p)
+
+
+def dot5(w, y, p: int) -> int:
+    return (w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3] + w[4] * y[4]) % p
+
+
+def lagrange0(p: int) -> list[int]:
+    """Weights recombining the values at x = 1..5 of a degree-4 polynomial into its value at 0."""
+    return [math.prod(m * pow(m - t, -1, p) for m in range(1, 6) if m != t) % p
+            for t in range(1, 6)]
+
+
+def reference_execution(c, pubs, secs, rand):
+    """One execution with scalar shares, walking c's gates in post-order:
+    secs[w] is secret wire w's five shares, rand[q] party q+1's
+    randomness vector, whose pair t each messaging multiplication t and
+    then the refresh take in turn.  A gate inside an smul's scalar
+    subtree is evaluated in the clear.  Returns the five views."""
+    p, lam = c.modulus.p, lagrange0(c.modulus.p)
+    vals, clear = [], []  # per gate: its five shares, its value in the clear
     msgs = [[] for _ in range(5)]
-    for code, dst, a, b, r in prog.ops:
-        x, y = vals[a], vals[b]
-        if code == mpc.ADD:
-            vals[dst] = tuple((x[q] + y[q]) % p for q in range(5))
-        elif code == mpc.MUL:
-            rows = [share5(x[k] * y[k] % p, rand[k][2 * r], rand[k][2 * r + 1], p)
-                    for k in range(5)]
-            cols = [tuple(row[q] for row in rows) for q in range(5)]
-            for q in range(5):
-                msgs[q].append(cols[q])
-            vals[dst] = tuple(dot5(lam, col, p) for col in cols)
+    for (op, _, a, b), messaging in zip(c.gates, messaging_flags(c)):
+        if op == "pinput":
+            v, cv = (pubs[a],) * 5, pubs[a]
+        elif op == "sinput":
+            v, cv = secs[a], 0  # never in a scalar subtree
+        elif op == "const":
+            v, cv = (a,) * 5, a
+        elif op == "add":
+            v = tuple((x + y) % p for x, y in zip(vals[a], vals[b]))
+            cv = (clear[a] + clear[b]) % p
+        elif op == "smul":
+            v, cv = tuple(clear[a] * y % p for y in vals[b]), clear[a] * clear[b] % p
         else:
-            vals[dst] = tuple(scal[a] * y[q] % p for q in range(5))
-    root = vals[prog.root]
-    zrows = [share5(0, rand[k][-2], rand[k][-1], p) for k in range(5)]
+            cv = clear[a] * clear[b] % p
+            v = (cv,) * 5
+            if messaging:
+                t = len(msgs[0])
+                rows = [share5(vals[a][k] * vals[b][k] % p, rand[k][2 * t], rand[k][2 * t + 1], p)
+                        for k in range(5)]
+                cols = [tuple(row[q] for row in rows) for q in range(5)]
+                for q in range(5):
+                    msgs[q].append(cols[q])
+                v = tuple(dot5(lam, col, p) for col in cols)
+        vals.append(v)
+        clear.append(cv)
+    t = len(msgs[0])  # the refresh: the last exchange
+    zrows = [share5(0, rand[k][2 * t], rand[k][2 * t + 1], p) for k in range(5)]
     zin = [tuple(row[q] for row in zrows) for q in range(5)]
-    bcast = tuple((root[q] + sum(zin[q])) % p for q in range(5))
+    bcast = tuple((vals[-1][q] + sum(zin[q])) % p for q in range(5))
     return tuple(RefView(pubs, tuple(sh[q] for sh in secs), tuple(rand[q]), tuple(msgs[q]),
                          zin[q], bcast) for q in range(5))
 
@@ -128,12 +162,12 @@ def reference_proof(w, s, reps, rng, scheme):
     repetition its execution and commitments.  Returns (views per
     repetition, commitments, openings, proof bytes)."""
     c = s.circuit
-    prog = mpc.program(c)
-    p = prog.p
+    p = c.modulus.p
+    n_mul = sum(messaging_flags(c))
     pubs = tuple(x.value for x in s.public_inputs)
     coeffs = [[(reference_randbelow(rng, p), reference_randbelow(rng, p))
                for _ in w.secret_inputs] for _ in range(reps)]
-    gate_draws = [[reference_randbelow(rng, p) for _ in range(5 * prog.n_rand)]
+    gate_draws = [[reference_randbelow(rng, p) for _ in range(10 * (n_mul + 1))]
                   for _ in range(reps)]
     if isinstance(scheme, PedersenScheme):
         rep_keys = [[reference_randbelow(rng, scheme.params.order) for _ in range(5)]
@@ -144,8 +178,8 @@ def reference_proof(w, s, reps, rng, scheme):
     for pairs, draws, keys in zip(coeffs, gate_draws, rep_keys):
         secs = [share5(v.value, a1, a2, p) for v, (a1, a2) in zip(w.secret_inputs, pairs)]
         rand = [sum(((draws[10 * r + 2 * q], draws[10 * r + 2 * q + 1])
-                     for r in range(prog.n_mul + 1)), ()) for q in range(5)]
-        views = reference_execution(prog, pubs, secs, rand)
+                     for r in range(n_mul + 1)), ()) for q in range(5)]
+        views = reference_execution(c, pubs, secs, rand)
         if isinstance(scheme, PedersenScheme):
             prm = scheme.params
             P = prm.group_prime
@@ -166,7 +200,7 @@ def reference_proof(w, s, reps, rng, scheme):
     com_blocks = [b"".join(map(lp, coms)) for coms in all_coms]
     digest = hashlib.sha256(b"".join(com_blocks)).digest()
     stmt = statement_hash(s)
-    out = [b"MITH5", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
+    out = [b"MITH6", bytes([scheme.scheme_byte, 0x01]), reps.to_bytes(4, "big"), stmt]
     stream, chs = hashlib.shake_256(stmt + digest).digest(2 * reps + 64), []
     for b in stream:  # a byte of 250 or more is skipped
         if b < 250 and len(chs) < reps:

@@ -229,6 +229,19 @@ def test_prover_rows_are_what_the_proof_opens(name, scheme_name):
     assert pr.verify_repeated(s, proof)
 
 
+def test_opened_views_joined_once_per_proof_file(m11, monkeypatch):
+    """parse_proof joins the opened views to range-check them, and the
+    verifier's replay reads that same buffer: one join per verify."""
+    s, w = golden_corpus(m11, 1)[0]
+    c = s.circuit
+    proof = pr.parse_proof(pr.serialize_proof(pr.prove_repeated(w, s, 5, RandomSource(3)), c), c)
+    joined, seen, replay = pr.opened_views(c, proof), [], mpc.out_messages
+    monkeypatch.setattr(mpc, "out_messages",
+                        lambda c, x, rows: seen.append(rows) or replay(c, x, rows))
+    assert pr.verify_repeated(s, proof)
+    assert len(seen) == 1 and seen[0] is joined
+
+
 def test_tampered_state_breaks_check(m11, rng):
     s, w = golden_corpus(m11, 3)[2]
     (t,) = repetitions(single_run(s, w, rng), s.circuit)
@@ -251,8 +264,8 @@ def test_flipped_opening_rejected(m11, rng):
 
 
 def test_forged_view_never_opens_committed_digest(m11, rng):
-    """Swapping the committed view for a different one requires an HMAC
-    collision: zero acceptances over 10^5 key-search attempts."""
+    """Swapping the committed view for a different one requires a
+    SHA-256(key || view) collision: zero acceptances over 10^5 key-search attempts."""
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
     st, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
@@ -541,10 +554,10 @@ def test_malformed_fields_raise_proof_error(m11, case, match):
 
 def raw_proof_sections(data: bytes):
     """(statement hash, [(commitment section bytes, challenge byte)]) read
-    straight off MITH5 proof bytes: header of 43 bytes, then per
+    straight off MITH6 proof bytes: header of 43 bytes, then per
     repetition five length-prefixed commitments, the challenge byte and
     four length-prefixed blocks."""
-    assert data[:5] == b"MITH5"
+    assert data[:5] == b"MITH6"
     reps = int.from_bytes(data[7:11], "big")
     stmt_hash = data[11:43]
     pos = 43
@@ -647,9 +660,20 @@ def test_mith4_proof_rejected_as_unsupported(m11):
     is an older version, whatever its body."""
     s, w = golden_corpus(m11, 1)[0]
     data = pr.serialize_proof(pr.prove_repeated(w, s, 2, RandomSource(31)), s.circuit)
-    assert data[:5] == b"MITH5"
-    with pytest.raises(ProofError, match="unsupported proof version MITH4; this build reads MITH5"):
+    assert data[:5] == b"MITH6"
+    with pytest.raises(ProofError,
+                       match="unsupported proof version MITH4; this build reads MITH6"):
         pr.parse_proof(b"MITH4" + data[5:], s.circuit)
+
+
+def test_mith5_proof_rejected_as_unsupported(m11):
+    """A MITH5 file, whose randomness followed ascending gate ids, is an
+    older version, whatever its body."""
+    s, w = golden_corpus(m11, 1)[0]
+    data = pr.serialize_proof(pr.prove_repeated(w, s, 2, RandomSource(31)), s.circuit)
+    with pytest.raises(ProofError,
+                       match="unsupported proof version MITH5; this build reads MITH6"):
+        pr.parse_proof(b"MITH5" + data[5:], s.circuit)
 
 
 def test_short_header_is_truncated_before_magic(m11):

@@ -1,4 +1,4 @@
-"""A reference verifier for MITH5 proof files, written from the README's
+"""A reference verifier for MITH6 proof files, written from the README's
 layout alone, and a differential test against `parse_proof` +
 `verify_repeated`.
 
@@ -6,7 +6,9 @@ The reference reads the file with plain slicing, derives the challenges
 by reading a `hashlib.shake_256` stream byte by byte, opens PRF
 commitments with `hashlib.sha256` and Pedersen commitments with `pow`,
 and replays each opened view by walking the circuit's gate
-list.  Of `mith` the reference (everything above the differential
+list in post-order, numbering the exchanges as it goes: the t-th
+messaging multiplication, and then the refresh, takes randomness pair t
+and message slot t.  Of `mith` the reference (everything above the differential
 tests) uses only `parse_circuit`; the tests use the package to make
 proofs and mutants.
 """
@@ -50,15 +52,14 @@ def take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
 
 def circuit_facts(c):
     """Per gate whether it lies in an smul's scalar subtree, and the
-    randomness rank of each messaging multiplication (ascending gate id)."""
+    number of messaging multiplications (those outside every one)."""
     marks = [False] * len(c.gates)
     for k in range(len(c.gates) - 1, -1, -1):
         op, _, a, b = c.gates[k]
         if op in ("add", "mul", "smul"):
             marks[a] = marks[k] or op == "smul"
             marks[b] = marks[k]
-    gids = sorted(g.gid for g, m in zip(c.gates, marks) if g.op == "mul" and not m)
-    return marks, {gid: r for r, gid in enumerate(gids)}
+    return marks, sum(g.op == "mul" and not m for g, m in zip(c.gates, marks))
 
 
 def lagrange0(p: int) -> list[int]:
@@ -66,7 +67,7 @@ def lagrange0(p: int) -> list[int]:
     return [math.prod(m * pow(m - t, -1, p) for m in PARTIES if m != t) % p for t in PARTIES]
 
 
-def replay(c, x, e, marks, rank, n_mul):
+def replay(c, x, e, marks, n_mul):
     """What the party of the view with elements e sent to parties 1..5,
     each in its recipient's record order: the resharing value of each
     messaging multiplication in post-order, the zero share, and the
@@ -77,7 +78,7 @@ def replay(c, x, e, marks, rank, n_mul):
     rnd = e[o:o + 2 * n_mul + 2]
     msgs = e[o + 2 * n_mul + 2:]
     vals, clear, rows = [], [], []
-    for k, (op, gid, a, b) in enumerate(c.gates):
+    for k, (op, _, a, b) in enumerate(c.gates):
         if op == "pinput":
             v = cv = x[a]
         elif op == "sinput":
@@ -90,14 +91,14 @@ def replay(c, x, e, marks, rank, n_mul):
             v, cv = clear[a] * vals[b] % p, clear[a] * clear[b] % p
         else:
             v = cv = clear[a] * clear[b] % p
-            if not marks[k]:
-                d, a1, a2 = vals[a] * vals[b], rnd[2 * rank[gid]], rnd[2 * rank[gid] + 1]
+            if not marks[k]:  # exchange t = len(rows)
+                d, a1, a2 = vals[a] * vals[b], rnd[2 * len(rows)], rnd[2 * len(rows) + 1]
                 rows.append([(d + a1 * t + a2 * t * t) % p for t in PARTIES])
                 col = msgs[5 * len(rows) - 5:5 * len(rows)]
                 v = sum(w * y for w, y in zip(lam, col)) % p
         vals.append(v)
         clear.append(cv)
-    a1, a2 = rnd[-2:]
+    a1, a2 = rnd[2 * n_mul:]  # the refresh, exchange n_mul
     zin = msgs[5 * n_mul:5 * n_mul + 5]
     own = (vals[-1] + sum(zin)) % p
     return [[row[t - 1] for row in rows] + [(a1 * t + a2 * t * t) % p, own] for t in PARTIES]
@@ -121,7 +122,7 @@ def challenge_stream(seed: bytes):
 
 
 def reference_verdict(circuit_text: str, public: list[int], target: int, data: bytes) -> bool:
-    """Accept iff data is a well-formed MITH5 proof of the statement
+    """Accept iff data is a well-formed MITH6 proof of the statement
     (circuit_text in canonical form, public inputs, target) whose every
     repetition passes: derived challenge, both openings, pairwise
     consistency and both outputs."""
@@ -134,11 +135,10 @@ def reference_verdict(circuit_text: str, public: list[int], target: int, data: b
 def verify(circuit_text, public, target, data) -> bool:
     c = parse_circuit(circuit_text)
     p, topo = c.modulus.p, c.topology
-    marks, rank = circuit_facts(c)
-    n_mul = len(rank)
+    marks, n_mul = circuit_facts(c)
     w = (p.bit_length() + 7) // 8
     n_el = topo.n_public + topo.n_secret + 2 * n_mul + 2 + 5 * n_mul + 10
-    if len(data) < 43 or data[:5] != b"MITH5" or data[5] not in (1, 2) or data[6] != 1:
+    if len(data) < 43 or data[:5] != b"MITH6" or data[5] not in (1, 2) or data[6] != 1:
         raise Reject
     pedersen = data[5] == 2
     n_com, n_open = (34, 33) if pedersen else (32, 32)
@@ -187,7 +187,7 @@ def verify(circuit_text, public, target, data) -> bool:
                 ok &= hashlib.sha256(key + view).digest() == coms[q - 1]
             ok &= e[:topo.n_public] == list(public)
             ok &= sum(a * b for a, b in zip(lam, e[-5:])) % p == target
-        sent = {q: replay(c, public, e, marks, rank, n_mul) for q, (_, _, e) in zip(pair, opened)}
+        sent = {q: replay(c, public, e, marks, n_mul) for q, (_, _, e) in zip(pair, opened)}
         for q, (_, _, e) in zip(pair, opened):
             for b in pair:
                 ok &= recorded_from(e, b, n_mul) == sent[b][q - 1]

@@ -1,8 +1,10 @@
 """The batched replay of opened views against a per-view reference.
 
 `reference_replay` recomputes one view's run on its own, with scalar
-shares: each product reshared with the view's randomness, each
-multiplication recombined from the column the view recorded.  Given the
+shares, walking the circuit's gate list in post-order: the t-th
+messaging multiplication's product reshared with the view's randomness
+pair t and recombined from the column the view recorded at message
+slot t, then the refresh with the last pair.  Given the
 views of many executions, parties and tampers at once, `out_messages`
 must give every view the bytes the reference says its party sent to
 each party, and mark exactly the rows that are no well-formed view (an
@@ -11,6 +13,7 @@ statement's; the consistency and output verdicts read from one replay
 of every pair must be the reference's.
 """
 
+import functools
 import itertools
 import random
 
@@ -24,68 +27,87 @@ from mith.commit import scheme_by_name
 from mith.corpus import random_instance
 from mith.errors import MithError
 from mith.field import FieldElement, RandomSource
-from mith.sss import PARTY_PAIRS, dot5, share5
+from mith.sss import PARTY_PAIRS
 
 from test_fuzz import TREES, render
-from test_lanes import CIRCUITS, well_formed
+from test_lanes import CIRCUITS, dot5, lagrange0, messaging_flags, share5, well_formed
 from test_mpc import repetition_views, rows_of, sent_by, tamper_cases
 
 
-def fields(prog, v) -> dict:
-    """v's elements per view field (`mpc.VIEW_FIELDS`), read from its
-    bytes; messages as five-entry columns."""
-    w = prog.width
-    e = [int.from_bytes(v[k:k + w], "big") for k in range(0, len(v), w)]
-    out = {name: e[a:b] for name, (a, b) in prog.fields.items()}
+@functools.lru_cache(maxsize=None)
+def field_counts(c) -> tuple[int, ...]:
+    """The element count of each view field (`mpc.VIEW_FIELDS`): a
+    randomness pair per exchange, five entries per message slot."""
+    n_mul = sum(messaging_flags(c))
+    return (c.topology.n_public, c.topology.n_secret, 2 * n_mul + 2, 5 * n_mul, 5, 5)
+
+
+def fields(c, v) -> dict:
+    """v's elements per view field, read from its bytes; messages as
+    five-entry columns."""
+    w = c.modulus.byte_length
+    e = iter([int.from_bytes(v[k:k + w], "big") for k in range(0, len(v), w)])
+    out = {name: list(itertools.islice(e, n)) for name, n in zip(mpc.VIEW_FIELDS, field_counts(c))}
     out["messages"] = [out["messages"][k:k + 5] for k in range(0, len(out["messages"]), 5)]
     return out
 
 
-def reference_well_formed(prog, x, v) -> bool:
+def reference_well_formed(c, x, v) -> bool:
     """v is a view's length, every entry in [0, p), and its public
     inputs are x."""
-    if len(v) != prog.view_length:
+    if len(v) != c.modulus.byte_length * sum(field_counts(c)):
         return False
-    f = fields(prog, v)
-    return (all(0 <= y < prog.p for name in mpc.VIEW_FIELDS if name != "messages" for y in f[name])
-            and all(0 <= y < prog.p for col in f["messages"] for y in col)
+    f, p = fields(c, v), c.modulus.p
+    return (all(0 <= y < p for name in mpc.VIEW_FIELDS if name != "messages" for y in f[name])
+            and all(0 <= y < p for col in f["messages"] for y in col)
             and tuple(f["public_inputs"]) == tuple(e.value for e in x))
 
 
-def reference_replay(prog, x, v):
+def reference_replay(c, x, v):
     """v's root share, outgoing resharing rows (post-order) and refresh
-    row, run on the public inputs x."""
-    p = prog.p
-    f = fields(prog, v)
+    row, run on the public inputs x over c's gate list.  A gate inside an
+    smul's scalar subtree is evaluated in the clear, and every other gate
+    on v's share."""
+    p, lam = c.modulus.p, lagrange0(c.modulus.p)
+    f = fields(c, v)
     rnd = f["randomness"]
     xs = tuple(e.value for e in x)
-    scal = prog.scalars(xs)
-    vals = list(prog.init)
-    vals[:prog.n_in] = (*xs, *f["secret_shares"])
-    rows = []
-    for code, dst, a, b, r in prog.ops:
-        if code == mpc.ADD:
-            vals[dst] = (vals[a] + vals[b]) % p
-        elif code == mpc.MUL:
-            rows.append(share5(vals[a] * vals[b] % p, rnd[2 * r], rnd[2 * r + 1], p))
-            vals[dst] = dot5(prog.lam, f["messages"][len(rows) - 1], p)
+    vals, clear, rows = [], [], []  # per gate: v's share, the value in the clear
+    for (op, _, a, b), messaging in zip(c.gates, messaging_flags(c)):
+        if op == "pinput":
+            val = cv = xs[a]
+        elif op == "sinput":
+            val, cv = f["secret_shares"][a], 0  # never in a scalar subtree
+        elif op == "const":
+            val = cv = a
+        elif op == "add":
+            val, cv = (vals[a] + vals[b]) % p, (clear[a] + clear[b]) % p
+        elif op == "smul":
+            val, cv = clear[a] * vals[b] % p, clear[a] * clear[b] % p
         else:
-            vals[dst] = scal[a] * vals[b] % p
-    return vals[prog.root], rows, share5(0, rnd[-2], rnd[-1], p)
+            val = cv = clear[a] * clear[b] % p
+            if messaging:
+                t = len(rows)  # exchange t
+                rows.append(share5(vals[a] * vals[b] % p, rnd[2 * t], rnd[2 * t + 1], p))
+                val = dot5(lam, f["messages"][t], p)
+        vals.append(val)
+        clear.append(cv)
+    t = len(rows)  # the refresh: the last exchange
+    return vals[-1], rows, share5(0, rnd[2 * t], rnd[2 * t + 1], p)
 
 
-def reference_sent(prog, x, v):
+def reference_sent(c, x, v):
     """What v's party sent: rows, refresh row, refreshed broadcast share."""
-    root, rows, zrow = reference_replay(prog, x, v)
-    return rows, zrow, (root + sum(fields(prog, v)["zin"])) % prog.p
+    root, rows, zrow = reference_replay(c, x, v)
+    return rows, zrow, (root + sum(fields(c, v)["zin"])) % c.modulus.p
 
 
-def reference_consistent(prog, x, vi, vj, i, j) -> bool:
-    if not (reference_well_formed(prog, x, vi) and reference_well_formed(prog, x, vj)):
+def reference_consistent(c, x, vi, vj, i, j) -> bool:
+    if not (reference_well_formed(c, x, vi) and reference_well_formed(c, x, vj)):
         return False
-    sent = {i: reference_sent(prog, x, vi), j: reference_sent(prog, x, vj)}
+    sent = {i: reference_sent(c, x, vi), j: reference_sent(c, x, vj)}
     for v, a in ((vi, i), (vj, j)):
-        f = fields(prog, v)
+        f = fields(c, v)
         for b in (i, j):  # what v (of party a) recorded from b
             rows, zrow, u = sent[b]
             if ([col[b - 1] for col in f["messages"]] != [row[a - 1] for row in rows]
@@ -94,12 +116,12 @@ def reference_consistent(prog, x, vi, vj, i, j) -> bool:
     return True
 
 
-def reference_output(prog, x, pid, v):
+def reference_output(c, x, pid, v):
     """The output of v's recorded broadcast with pid's own slot replaced
     by its recomputed share."""
-    bcast = list(fields(prog, v)["bcast"])
-    bcast[pid - 1] = reference_sent(prog, x, v)[2]
-    return dot5(prog.lam, bcast, prog.p)
+    bcast = list(fields(c, v)["bcast"])
+    bcast[pid - 1] = reference_sent(c, x, v)[2]
+    return dot5(lagrange0(c.modulus.p), bcast, c.modulus.p)
 
 
 def check_replay(c, x, executions) -> int:
@@ -118,11 +140,11 @@ def check_replay(c, x, executions) -> int:
     assert len(ok) == len(replays) == len(views)
     malformed = 0
     for v, good, sent in zip(views, ok, replays):
-        assert good == reference_well_formed(prog, x, v)
+        assert good == reference_well_formed(c, x, v)
         if not good:
             malformed += 1
             continue
-        rows, zrow, own = reference_sent(prog, x, v)
+        rows, zrow, own = reference_sent(c, x, v)
         assert sent == tuple(prog.cols.encode([row[a] for row in rows] + [zrow[a], own])
                              for a in range(5))
     pairs = [(ex[i - 1], ex[j - 1], i, j) for ex in executions for i, j in PARTY_PAIRS]
@@ -131,9 +153,9 @@ def check_replay(c, x, executions) -> int:
     verdicts = mpc.consistent_views(c, rows, bytes(range(10)) * len(executions), to)
     for (vi, vj, i, j), a, b, consistent in zip(pairs, ok[::2], ok[1::2], verdicts):
         consistent = a and b and consistent
-        assert consistent == reference_consistent(prog, x, vi, vj, i, j)
+        assert consistent == reference_consistent(c, x, vi, vj, i, j)
         for pid, v in ((i, vi), (j, vj)) if consistent else ():
-            out = FieldElement(reference_output(prog, x, pid, v), c.modulus)
+            out = FieldElement(reference_output(c, x, pid, v), c.modulus)
             assert mpc.local_output(c, rows_of([v]), out) == [True]
     return malformed
 

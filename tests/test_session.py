@@ -203,20 +203,24 @@ def challenge_peer(challenge):
 REPS = 3
 SHORT_HELLO = bytes([ses.PROTOCOL_VERSION]) + bytes(36)
 NEXT_VERSION_HELLO = bytes([ses.PROTOCOL_VERSION + 1]) + bytes(37)
-# Version 2 carried per-element Pedersen commitments and blinders, and
-# version 3 HMAC-SHA256 commitments: a version-3 HELLO for a PRF session
-# of REPS repetitions.
+# Version 2 carried per-element Pedersen commitments and blinders,
+# version 3 HMAC-SHA256 commitments, and version 4 randomness in
+# ascending gate-id order: version-3 and version-4 HELLOs for a PRF
+# session of REPS repetitions.
 VERSION_2_HELLO = bytes([2]) + bytes(37)
 VERSION_3_HELLO = bytes([3, 0x01]) + REPS.to_bytes(4, "big") + bytes(32)
+VERSION_4_HELLO = bytes([4, 0x01]) + REPS.to_bytes(4, "big") + bytes(32)
 MALFORMED = {
     "prover-hello-short": ("prover", hello_peer(SHORT_HELLO, True)),
     "prover-hello-version": ("prover", hello_peer(NEXT_VERSION_HELLO, True)),
     "prover-hello-version-2": ("prover", hello_peer(VERSION_2_HELLO, True)),
     "prover-hello-version-3": ("prover", hello_peer(VERSION_3_HELLO, True)),
+    "prover-hello-version-4": ("prover", hello_peer(VERSION_4_HELLO, True)),
     "verifier-hello-short": ("verifier", hello_peer(SHORT_HELLO, False)),
     "verifier-hello-version": ("verifier", hello_peer(NEXT_VERSION_HELLO, False)),
     "verifier-hello-version-2": ("verifier", hello_peer(VERSION_2_HELLO, False)),
     "verifier-hello-version-3": ("verifier", hello_peer(VERSION_3_HELLO, False)),
+    "verifier-hello-version-4": ("verifier", hello_peer(VERSION_4_HELLO, False)),
     "prover-challenge-length": ("prover", challenge_peer(lambda d: d + bytes(REPS - 1))),
     "prover-challenge-byte": ("prover", challenge_peer(lambda d: d + bytes([0, 10, 0]))),
 }
@@ -238,8 +242,9 @@ def test_malformed_frame_abort_tells_peer(m11, case):
     assert int.from_bytes(frame.payload[:2], "big") == ses.ERR_BAD_FRAME == 2
     if "version" in case:
         assert "unsupported protocol version" in str(error)
-    if case.endswith("version-3"):
-        assert ses.PROTOCOL_VERSION == 4 and str(error).endswith("unsupported protocol version 3")
+    if case[-1] in "34":
+        assert ses.PROTOCOL_VERSION == 5
+        assert str(error).endswith(f"unsupported protocol version {case[-1]}")
 
 
 def test_unencodable_frame_is_reported_to_peer(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mith.errors import FieldError
 from mith.field import FieldElement, Modulus, RandomSource
 from mith.sss import (
-    N_PARTIES, PARTY_IDS, PARTY_PAIRS, dot5, random_share_randomness, share, share_sim,
+    N_PARTIES, PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, share_sim,
 )
 
 from test_field import chi2_uniform, lagrange_at_zero
@@ -40,7 +40,7 @@ class Sharing:
 def reconstruct(sh: Sharing) -> FieldElement:
     """The secret, interpolated from all five shares with degree-4 weights."""
     m = sh.modulus
-    return FieldElement(dot5(m.recon_weights, sh.values(), m.p), m)
+    return FieldElement(sum(w * y for w, y in zip(m.recon_weights, sh.values())) % m.p, m)
 
 
 def poly_oracle(coeffs, x, p):
