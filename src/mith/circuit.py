@@ -366,14 +366,18 @@ def format_circuit(c: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # Statement / witness files
 
-def canonical_statement_bytes(s: Statement) -> bytes:
-    """Canonical byte form of a statement (circuit inlined); hashed into
-    proofs and session hellos."""
+def _statement_head(s: Statement) -> str:
+    """A statement's field, target and public lines, each ending in a newline."""
     lines = [f"field {s.circuit.modulus.p}", f"target {s.target.value}"]
     if s.public_inputs:
         lines.append("public " + " ".join(str(v.value) for v in s.public_inputs))
-    text = "\n".join(lines) + "\n" + format_circuit(s.circuit)
-    return text.encode("utf-8")
+    return "".join(line + "\n" for line in lines)
+
+
+def canonical_statement_bytes(s: Statement) -> bytes:
+    """Canonical byte form of a statement (circuit inlined); hashed into
+    proofs and session hellos."""
+    return (_statement_head(s) + format_circuit(s.circuit)).encode("utf-8")
 
 
 def statement_hash(s: Statement) -> bytes:
@@ -435,11 +439,7 @@ def parse_witness(text: str, circuit: Circuit) -> Witness:
 
 
 def format_statement(s: Statement, circuit_path: str) -> str:
-    lines = [f"field {s.circuit.modulus.p}", f"target {s.target.value}"]
-    if s.public_inputs:
-        lines.append("public " + " ".join(str(v.value) for v in s.public_inputs))
-    lines.append(f"circuit {circuit_path}")
-    return "\n".join(lines) + "\n"
+    return _statement_head(s) + f"circuit {circuit_path}\n"
 
 
 def format_witness(w: Witness) -> str:

@@ -202,10 +202,9 @@ def cmd_verify(args) -> int:
     checks = proto.check_repetitions(s, proof)
     if args.verbose:
         print(f"statement hash match: {proof.stmt_hash == statement_hash(s)}")
-        for k, (ch, (ch_ok, ok)) in enumerate(zip(proof.challenges, checks)):
+        for k, (ch, ok) in enumerate(zip(proof.challenges, checks)):
             print(f"  repetition {k}: challenge {proto.PARTY_PAIRS[ch]} "
-                  f"check={'ok' if ok else 'FAIL'} "
-                  f"challenge-source={'ok' if ch_ok else 'FAIL'}")
+                  f"check={'ok' if ok else 'FAIL'}")
     verdict = proto.accepts(s, proof, checks)
     print("accept" if verdict else "reject")
     return EXIT_OK if verdict else EXIT_REJECT

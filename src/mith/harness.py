@@ -3,10 +3,10 @@
 Each experiment runs a concrete adversary against the real protocol and
 compares an empirical rate to a reference bound.  Every game plays the
 real prover, simulator or cheater through `protocol.check_repetitions`:
-each trial is one transcript-mode proof.  Soundness uses the canonical
-one-bad-pair cheater: an execution doctored so exactly one pair of views
-is inconsistent, whose acceptance therefore coincides, repetition by
-repetition, with the challenge avoiding that pair.
+each trial is one proof whose challenges are drawn as a live verifier's.
+Soundness uses the canonical one-bad-pair cheater: an execution doctored
+so exactly one pair of views is inconsistent, whose acceptance therefore
+coincides, repetition by repetition, with the challenge avoiding that pair.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def run_completeness(corpus: Sequence[tuple[Statement, Witness]],
 
 # ---------------------------------------------------------------------------
 # Soundness: canonical cheating provers.  A cheater commits reps
-# repetitions at once, `commit(rng, reps) -> (state, msgs)`, and states
+# repetitions at once, `commit(rng, reps) -> (state, commit)`, and states
 # for each challenge whether it expects that repetition to pass
 # (`passes`); `claim` is the detail a report carries when every
 # repetition did as stated.
@@ -139,7 +139,7 @@ class OneBadPairCheater:
                 zin[i0 - 1] = (zin[i0 - 1] + delta) % p
             self.views.append(mpc.make_view(c, v, zin=zin, bcast=bcast))
 
-    def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, list[bytes]]:
+    def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, bytes]:
         return proto.commit_rows(self.scheme, b"".join([v * reps for v in self.views]),
                                  self.scheme.keygen(rng, 5 * reps))
 
@@ -164,10 +164,10 @@ class GarbageCheater:
         self.views = honest_execution(s, w, rng)[0]
         self._zero = bytes(mpc.encoded_view_length(c))
 
-    def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, list[bytes]]:
+    def commit(self, rng: RandomSource, reps: int) -> tuple[proto.ProverState, bytes]:
         keys, openings = (self.scheme.keygen(rng, 5 * reps) for _ in range(2))
-        _, msgs = proto.commit_rows(self.scheme, self._zero * (5 * reps), keys)
-        return proto.ProverState(b"".join([v * reps for v in self.views]), tuple(openings)), msgs
+        _, commit = proto.commit_rows(self.scheme, self._zero * (5 * reps), keys)
+        return proto.ProverState(b"".join([v * reps for v in self.views]), tuple(openings)), commit
 
     def passes(self, ch: tuple[int, int]) -> bool:
         return False
@@ -192,7 +192,7 @@ def run_soundness(cheater, trials: int, rng: RandomSource,
                                           "transcript")
         checks = proto.check_repetitions(s, proof)
         exact = exact and all(ok == cheater.passes(PARTY_PAIRS[ch])
-                              for ch, (_, ok) in zip(proof.challenges, checks))
+                              for ch, ok in zip(proof.challenges, checks))
         wins += proto.accepts(s, proof, checks)
     detail = f"reps={reps}" + (cheater.claim if exact else ", PER-TRIAL MISMATCH")
     rep = ExperimentReport(f"soundness(reps={reps})", trials, wins, bound, tolerance,
@@ -226,7 +226,7 @@ def run_zk(s: Statement, w: Witness, distinguisher: Callable,
         tolerance = binomial_tolerance(0.5, trials)
 
     def honest_verifier(s_, cm_):
-        return PARTY_PAIRS[rng.randbelow(proto.N_CHALLENGES)]
+        return rng.randbelow(proto.N_CHALLENGES)
 
     correct = 0
     for t in range(trials):

@@ -9,16 +9,16 @@ soundness error 9/10 (plus the commitment binding advantage); sigma
 parallel repetitions take that to (9/10)^sigma.
 
 Every prover, cheater and simulator here commits sigma repetitions as one
-(state, msgs) pair (`commit_rows`): the state holds every view as a row
-of one buffer, in `mpc.run_protocol`'s lane order, and their openings.
-`respond_repetitions` turns such a pair into a `Proof`, opening two rows
-per repetition, and `check_repetitions` is the one verifier,
-for proof files, sessions and the security games alike.  A `Proof` is
-its bytes: a proof file's sigma fixed-size blocks in one buffer, checked
-in strided passes (`well_formed`) by `parse_proof` and a session.
-`check_repetitions` verifies all sigma repetitions at once: one opening
-check, one challenge stream, one replay, one consistency and one output
-pass over the joined opened views.
+(state, commit) pair (`commit_rows`): the state holds every view as a row
+of one buffer, in `mpc.run_protocol`'s lane order, and their openings;
+commit is the COMMIT payload.  A challenge is its byte, an index into
+PARTY_PAIRS.  `build_proof` lays (commit, challenges, response) out as a
+`Proof`, its bytes: a proof file's sigma fixed-size blocks in one buffer,
+checked in strided passes (`well_formed`).  Fiat-Shamir is checked where
+a file is read (`parse_proof`), so `check_repetitions` is the one
+verifier for proof files, sessions and the security games alike: one
+opening check, one replay, one consistency and one output pass over the
+joined opened views of all sigma repetitions.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ MAGIC = b"MITH6"
 # four bytes.
 MAX_REPS = 0xFFFFFFFF
 # A proof file's challenge-mode byte.  Files carry derived challenges
-# only: recorded ("transcript") challenges would be the writer's choice.
+# only (`parse_proof`): recorded ones would be the writer's choice.
 DERIVED_MODE_BYTE = 0x01
 
 
@@ -51,12 +51,10 @@ DERIVED_MODE_BYTE = 0x01
 class Proof:
     """sigma repetitions as a proof file's blocks in one buffer, each a
     commitment message, a challenge byte (an index into PARTY_PAIRS) and
-    a response (`block_fields`).  challenge_mode is "derived" (recomputed
-    from the commitments, the only mode with a file form) or "transcript"
-    (drawn by the verifier holding the proof, in memory only)."""
+    a response (`block_fields`).  The challenges are the ones its builder
+    drew or derived; `parse_proof` admits derived ones only."""
 
     scheme: str
-    challenge_mode: str
     stmt_hash: bytes
     reps: int
     body: bytes
@@ -64,8 +62,7 @@ class Proof:
     @property
     def challenges(self) -> bytes:
         """Each repetition's challenge byte: a strided column of body."""
-        cm_len = 5 * (4 + scheme_by_name(self.scheme).commitment_length)
-        return self.body[cm_len::len(self.body) // self.reps]
+        return self.body[commit_length(scheme_by_name(self.scheme))::len(self.body) // self.reps]
 
 
 @dataclass(frozen=True)
@@ -78,23 +75,21 @@ class ProverState:
     openings: tuple
 
 
-def prover_respond(st: ProverState, chs: Sequence[tuple[int, int]]) -> bytes:
-    """Every repetition's response, joined: repetition k's is pair chs[k]'s
-    (view, opening) blocks (`serialize_response_block`)."""
+def prover_respond(st: ProverState, chs: bytes) -> bytes:
+    """Every repetition's response, joined: repetition k's is pair
+    PARTY_PAIRS[chs[k]]'s (view, opening) blocks (`serialize_response_block`)."""
     n, L = len(st.openings) // 5, len(st.rows) // max(len(st.openings), 1)
-    rs = [(q - 1) * n + k for k, ch in enumerate(chs) for q in ch]
+    rs = [(q - 1) * n + k for k, ch in enumerate(chs) for q in PARTY_PAIRS[ch]]
     return serialize_response_block([st.rows[r * L:r * L + L] for r in rs],
                                     [st.openings[r] for r in rs])
 
 
-def soundness_bound(reps: int, eps_b: float = 0.0) -> float:
+def soundness_bound(reps: int) -> float:
     """Acceptance bound for a cheating prover against a live verifier,
-    which a session prints: (1 - 1/10 + eps_b)^reps."""
+    which a session prints: (1 - 1/10)^reps."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
-    if not 0 <= eps_b < 0.1:
-        raise MithError("binding advantage must lie in [0, 1/10)")
-    return (1 - 1 / N_CHALLENGES + eps_b) ** reps
+    return (1 - 1 / N_CHALLENGES) ** reps
 
 
 def derived_security_bits(reps: int) -> float:
@@ -109,15 +104,14 @@ def derived_security_bits(reps: int) -> float:
 
 
 _CHALLENGE_TABLE = bytes(b % N_CHALLENGES for b in range(256))
-_PAIR_BYTE = {pair: bytes([b]) for b, pair in enumerate(PARTY_PAIRS)}
 _CHALLENGE_REJECTED = bytes(range(250, 256))
 
 
 def derive_challenge(stmt_digest: bytes, reps: int,
-                     commitment_blobs: Sequence[bytes]) -> list[tuple[int, int]]:
-    """All reps non-interactive challenges from one stream, SHAKE-256 of
-    the statement hash and the commit-phase blobs (`challenge_blobs`):
-    each byte below 250, in order, gives pair b % 10, so each challenge is
+                     commitment_blobs: Sequence[bytes]) -> bytes:
+    """All reps non-interactive challenge bytes from one stream, SHAKE-256
+    of the statement hash and the commit-phase blobs (`challenge_blobs`):
+    each byte b below 250, in order, gives challenge b % 10, so each is
     exactly uniform.  The first read, reps + reps/8 + 16 bytes, is
     lengthened if too few survive.  The CLI prints the bits this mode
     delivers (`derived_security_bits`)."""
@@ -125,27 +119,27 @@ def derive_challenge(stmt_digest: bytes, reps: int,
     n = reps + reps // 8 + 16
     while len(picked := xof.digest(n).translate(_CHALLENGE_TABLE, _CHALLENGE_REJECTED)) < reps:
         n *= 2
-    return [PARTY_PAIRS[b] for b in picked[:reps]]
+    return picked[:reps]
 
 
-def challenge_blobs(msgs: Sequence[bytes]) -> list[bytes]:
-    """derive_challenge's commitment blobs for a proof: one SHA-256 over
-    every commitment message in repetition order.  A session's CHALLENGE
-    frame echoes the same digest of the same bytes."""
-    return [hashlib.sha256(b"".join(msgs)).digest()]
+def challenge_blobs(commit: bytes) -> list[bytes]:
+    """derive_challenge's commitment blobs for a commit phase: one SHA-256
+    over its COMMIT payload, every commitment message in repetition order.
+    A session's CHALLENGE frame echoes the same digest of the same bytes."""
+    return [hashlib.sha256(commit).digest()]
 
 
-def commit_rows(scheme, rows: bytes, keys: Sequence[bytes]) -> tuple[ProverState, list[bytes]]:
-    """The (state, msgs) of n = len(keys) / 5 repetitions whose views are
-    rows in row order (`ProverState`), keys[5k + q] drawn for party q+1 in
-    repetition k: each row committed under its key, repetition k's message
-    its five commitments in party order."""
+def commit_rows(scheme, rows: bytes, keys: Sequence[bytes]) -> tuple[ProverState, bytes]:
+    """The (state, commit) of n = len(keys) / 5 repetitions whose views
+    are rows in row order (`ProverState`), keys[5k + q] drawn for party q+1
+    in repetition k: each row committed under its key, repetition k's
+    commitment message its five commitments in party order, and commit
+    the n messages joined."""
     n, L = len(keys) // 5, len(rows) // len(keys)
     openings = tuple([key for q in PARTY_IDS for key in keys[q - 1::5]])
     starts = chain.from_iterable(zip(*[range(q * n * L, (q + 1) * n * L, L) for q in range(5)]))
-    joined = serialize_commitment_msg(scheme.commit_view(keys, (rows[a:a + L] for a in starts)))
-    m = len(joined) // n
-    return ProverState(rows, openings), [joined[k:k + m] for k in range(0, len(joined), m)]
+    return ProverState(rows, openings), serialize_commitment_msg(
+        scheme.commit_view(keys, (rows[a:a + L] for a in starts)))
 
 
 def run_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource) -> bytearray:
@@ -167,7 +161,7 @@ def run_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource) -> b
 
 
 def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
-                       scheme) -> tuple[ProverState, list[bytes]]:
+                       scheme) -> tuple[ProverState, bytes]:
     """The commit phase of sigma independent runs (`run_repetitions`), the
     five views of each committed under keys of a third draw: keys[5k + q]
     for party q+1 in repetition k (`commit_rows`)."""
@@ -175,25 +169,21 @@ def commit_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource,
     return commit_rows(scheme, rows, scheme.keygen(rng, 5 * reps))
 
 
-def respond_repetitions(s: Statement, state: ProverState,
-                        msgs: Sequence[bytes], rng: RandomSource, scheme,
-                        mode: str) -> Proof:
+def respond_repetitions(s: Statement, state: ProverState, commit: bytes,
+                        rng: RandomSource, scheme, mode: str) -> Proof:
     """The challenge and response phases for a commit phase (state,
-    msgs).  Challenges are hash-derived from all commitments, or in
+    commit).  Challenges are hash-derived from the commitments, or in
     transcript mode rng-drawn in repetition order, as an interactive
-    verifier would have sent them (such a proof has no file form)."""
-    digest = statement_hash(s)
+    verifier would have sent them (`parse_proof` rejects a file of such a
+    proof)."""
+    digest, reps = statement_hash(s), len(state.openings) // 5
     if mode == "derived":
-        chs = derive_challenge(digest, len(msgs), challenge_blobs(msgs))
+        chs = derive_challenge(digest, reps, challenge_blobs(commit))
     elif mode == "transcript":
-        chs = [PARTY_PAIRS[b] for b in rng.randbelows(N_CHALLENGES, len(msgs))]
+        chs = rng.randbelows(N_CHALLENGES, reps)
     else:
         raise MithError(f"unknown challenge mode {mode!r}")
-    resp = prover_respond(state, chs)
-    size = len(resp) // len(msgs) if msgs else 1
-    resps = [resp[k:k + size] for k in range(0, len(resp), size)]
-    return Proof(scheme.name, mode, digest, len(msgs), b"".join(
-        chain.from_iterable(zip(msgs, map(_PAIR_BYTE.__getitem__, chs), resps))))
+    return build_proof(s.circuit, scheme, digest, commit, chs, prover_respond(state, chs))
 
 
 def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
@@ -201,28 +191,21 @@ def prove_repeated(w: Witness, s: Statement, reps: int, rng: RandomSource,
     """sigma independent runs of the honest prover (`commit_repetitions`,
     then `respond_repetitions`)."""
     scheme = scheme or scheme_by_name("prf")
-    state, msgs = commit_repetitions(w, s, reps, rng, scheme)
-    return respond_repetitions(s, state, msgs, rng, scheme, mode)
+    state, commit = commit_repetitions(w, s, reps, rng, scheme)
+    return respond_repetitions(s, state, commit, rng, scheme, mode)
 
 
-def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
-    """The verifier.  Per repetition: (challenge source ok, check ok).  A
-    transcript-mode challenge was drawn by the verifier holding the proof
-    and is taken as recorded; any other must equal the challenge derived
-    from the commitments.  The check: openings verify, views pairwise
-    consistent, both outputs hit the target; each, the openings too, is
-    one call over the opened views of every repetition (`opened_views`).
-    Malformed data yields False, never an exception."""
+def check_repetitions(s: Statement, proof: Proof) -> list[bool]:
+    """The verifier's check of each repetition, for the challenge the
+    proof records: openings verify, views pairwise consistent, both
+    outputs hit the target; each, the openings too, is one call over the
+    opened views of every repetition (`opened_views`).  Malformed data
+    yields False, never an exception."""
     if proof.reps < 1:
         return []
     c, scheme = s.circuit, scheme_by_name(proof.scheme, s.circuit.modulus.p)
     body, chs, fields = proof.body, proof.challenges, block_fields(c, scheme)
-    (cm_len, _), starts = block_lengths(c, scheme), range(0, len(body), len(body) // proof.reps)
-    if proof.challenge_mode == "transcript":
-        derived = [PARTY_PAIRS[ch] for ch in chs]
-    else:
-        derived = derive_challenge(proof.stmt_hash, proof.reps, challenge_blobs(
-            [body[k:k + cm_len] for k in starts]))
+    starts = range(0, len(body), len(body) // proof.reps)
     rows = opened_views(c, proof)
     n, ((_, L), (oi, ol), _, (oj, _)) = scheme.commitment_length, fields[5:]
     coms = [(fields[i - 1][0], fields[j - 1][0]) for i, j in PARTY_PAIRS]
@@ -233,20 +216,18 @@ def check_repetitions(s: Statement, proof: Proof) -> list[tuple[bool, bool]]:
     ok, to = mpc.out_messages(c, s.public_inputs, rows)
     good = [a and b and v for a, b, v in zip(ok, mpc.local_output(c, rows, s.target), opens)]
     consistent = mpc.consistent_views(c, rows, chs, to)
-    return [(d == PARTY_PAIRS[ch], gi and gj and ok) for d, ch, gi, gj, ok
-            in zip(derived, chs, good[::2], good[1::2], consistent)]
+    return [gi and gj and ok for gi, gj, ok in zip(good[::2], good[1::2], consistent)]
 
 
 def accepts(s: Statement, proof: Proof, checks) -> bool:
     """The acceptance rule: the proof is for s, has a repetition, and every
-    pair in checks (`check_repetitions`) passes."""
-    return (proof.reps >= 1 and proof.stmt_hash == statement_hash(s)
-            and all(ch_ok and ok for ch_ok, ok in checks))
+    repetition's check (`check_repetitions`) passes."""
+    return proof.reps >= 1 and proof.stmt_hash == statement_hash(s) and all(checks)
 
 
 def verify_repeated(s: Statement, proof: Proof) -> bool:
-    """Accept iff the proof is for s and every repetition passes both
-    checks of `check_repetitions`."""
+    """Accept iff the proof is for s and every repetition passes
+    `check_repetitions`."""
     return accepts(s, proof, check_repetitions(s, proof))
 
 
@@ -255,40 +236,39 @@ def verify_repeated(s: Statement, proof: Proof) -> bool:
 
 
 def zk_simulate_once(s: Statement, rng: RandomSource,
-                     scheme=None) -> tuple[tuple[int, int], bytes, ProverState]:
+                     scheme=None) -> tuple[int, bytes, ProverState]:
     """One witness-free simulator attempt with a uniform challenge guess:
     (guess, commitment message, state).  The state's rows are the
     simulated views for the guessed pair and the all-zero view elsewhere,
     each committed under its key."""
     scheme = scheme or scheme_by_name("prf")
     c = s.circuit
-    guess = PARTY_PAIRS[rng.randbelow(N_CHALLENGES)]
-    corrupt_shares = [share_sim(rng, guess, c.modulus) for _ in range(c.topology.n_secret)]
-    i, j = guess
+    guess = rng.randbelow(N_CHALLENGES)
+    pair = i, j = PARTY_PAIRS[guess]
+    corrupt_shares = [share_sim(rng, pair, c.modulus) for _ in range(c.topology.n_secret)]
     views = [bytes(mpc.encoded_view_length(c))] * 5
-    views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, guess, corrupt_shares,
+    views[i - 1], views[j - 1] = mpc.mpc_simulate(c, s.public_inputs, pair, corrupt_shares,
                                                   s.target, rng)
-    st, (cm,) = commit_rows(scheme, b"".join(views), scheme.keygen(rng, 5))
+    st, cm = commit_rows(scheme, b"".join(views), scheme.keygen(rng, 5))
     return guess, cm, st
 
 
-def zk_simulate(s: Statement,
-                verifier: Callable[[Statement, bytes], tuple[int, int]],
+def zk_simulate(s: Statement, verifier: Callable[[Statement, bytes], int],
                 max_retries: int = 1000, rng: RandomSource | None = None,
                 scheme=None) -> Proof:
     """Rejection sampling: retry with fresh randomness until the verifier's
-    challenge matches the guess; the one-repetition transcript-mode proof
-    that answers it."""
+    challenge byte matches the guess; the one-repetition proof that
+    answers it."""
     if max_retries < 1:
         raise MithError("max_retries must be at least 1")
     rng = rng or RandomSource()
     scheme = scheme or scheme_by_name("prf")
     for _ in range(max_retries):
         guess, cm, st = zk_simulate_once(s, rng, scheme)
-        ch = verifier(s, cm)
-        if ch == guess:
-            return Proof(scheme.name, "transcript", statement_hash(s), 1,
-                         cm + _PAIR_BYTE[ch] + prover_respond(st, [ch]))
+        if verifier(s, cm) == guess:
+            chs = bytes([guess])
+            return build_proof(s.circuit, scheme, statement_hash(s), cm, chs,
+                               prover_respond(st, chs))
     raise SimulationFailure(
         f"challenge guess missed {max_retries} times in a row")
 
@@ -307,10 +287,27 @@ def zk_simulate(s: Statement,
 HEADER_LENGTH = 43
 
 
+def commit_length(scheme) -> int:
+    """Bytes of one commitment message: five length-prefixed commitments."""
+    return 5 * (4 + scheme.commitment_length)
+
+
 def block_lengths(c: Circuit, scheme) -> tuple[int, int]:
     """Bytes of one commitment message and of one response."""
-    return (5 * (4 + scheme.commitment_length),
-            2 * (8 + mpc.encoded_view_length(c) + scheme.opening_length))
+    return commit_length(scheme), 2 * (8 + mpc.encoded_view_length(c) + scheme.opening_length)
+
+
+def build_proof(c: Circuit, scheme, stmt_hash: bytes, commit: bytes, chs: bytes,
+                resp: bytes) -> Proof:
+    """The Proof of len(chs) repetitions with COMMIT payload commit,
+    challenge bytes chs and RESPONSE payload resp, each block one of each;
+    ProofError if a payload's length does not fit."""
+    (m, r), reps = block_lengths(c, scheme), len(chs)
+    if (len(commit), len(resp)) != (m * reps, r * reps):
+        raise ProofError("COMMIT or RESPONSE payload of the wrong length")
+    return Proof(scheme.name, stmt_hash, reps, b"".join(chain.from_iterable(zip(
+        [commit[k:k + m] for k in range(0, m * reps, m)], [chs[k:k + 1] for k in range(reps)],
+        [resp[k:k + r] for k in range(0, r * reps, r)]))))
 
 
 def block_fields(c: Circuit, scheme) -> list[tuple[int, int]]:
@@ -391,15 +388,14 @@ def serialize_response_block(views: Iterable[bytes], openings: Iterable[bytes]) 
 
 
 def serialize_proof(proof: Proof, c: Circuit) -> bytes:
-    if proof.challenge_mode != "derived":
-        raise MithError(f"a {proof.challenge_mode!r}-mode proof has no file form; "
-                        "proof files carry derived challenges only")
     scheme = scheme_by_name(proof.scheme, c.modulus.p)
     return b"".join([MAGIC, bytes([scheme.scheme_byte, DERIVED_MODE_BYTE]),
                      proof.reps.to_bytes(4, "big"), proof.stmt_hash, proof.body])
 
 
 def parse_proof(data: bytes, c: Circuit) -> Proof:
+    """The Proof data spells, once `well_formed` and every challenge derived
+    from its statement hash and commitments, else ProofError."""
     if len(data) < HEADER_LENGTH:
         raise ProofError("truncated proof")
     if data[:5] != MAGIC:
@@ -417,5 +413,13 @@ def parse_proof(data: bytes, c: Circuit) -> Proof:
     reps = int.from_bytes(data[7:11], "big")
     if reps < 1:
         raise ProofError("proof has no repetitions")
-    return well_formed(Proof(scheme.name, "derived", data[11:HEADER_LENGTH], reps,
-                             data[HEADER_LENGTH:]), c)
+    body = data[HEADER_LENGTH:]
+    proof = well_formed(Proof(scheme.name, data[11:HEADER_LENGTH], reps, body), c)
+    m, chs = commit_length(scheme), proof.challenges
+    derived = derive_challenge(proof.stmt_hash, reps, challenge_blobs(b"".join(
+        [body[k:k + m] for k in range(0, len(body), len(body) // reps)])))
+    if derived != chs:
+        k = next(k for k in range(reps) if derived[k] != chs[k])
+        raise ProofError(f"challenge of repetition {k} is not the one derived from the "
+                         "commitments")
+    return proof

@@ -1,5 +1,6 @@
 """Interactive 3-pass execution over a reliable byte stream: framing, and
-a driver over `protocol`'s commit phase, block codec and verifier.
+a driver over `protocol`'s commit phase, proof builder and verifier: the
+verifier's three payloads are a `protocol.Proof` (`protocol.build_proof`).
 
 Framing: 4-byte big-endian payload length, 1-byte message type, payload.
 Phases advance strictly HELLO -> COMMIT -> CHALLENGE -> RESPONSE ->
@@ -18,7 +19,6 @@ derived challenges are computed from (`protocol.challenge_blobs`).
 
 from __future__ import annotations
 
-import hashlib
 import socket
 import time
 from dataclasses import dataclass
@@ -27,9 +27,8 @@ from typing import NoReturn
 from mith import protocol as proto
 from mith.circuit import Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
-from mith.errors import MithError, ProofError, SessionError
+from mith.errors import MithError, SessionError
 from mith.field import RandomSource
-from mith.sss import PARTY_PAIRS
 
 MSG_HELLO = 0x01
 MSG_COMMIT = 0x02
@@ -190,14 +189,13 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
         _send_error(transport, ERR_HASH_MISMATCH, "hello parameter mismatch")
         raise SessionError("peer acknowledged different parameters", "hello")
 
-    state, msgs = proto.commit_repetitions(w, s, reps, rng, scheme)
-    commit_payload = b"".join(msgs)
+    state, commit_payload = proto.commit_repetitions(w, s, reps, rng, scheme)
     _send(transport, MSG_COMMIT, commit_payload)
 
     ch_payload = _expect(transport, MSG_CHALLENGE, "challenge")
     if len(ch_payload) != 32 + reps:
         _abort(transport, ERR_BAD_FRAME, "malformed challenge payload", "challenge")
-    if ch_payload[:32] != hashlib.sha256(commit_payload).digest():
+    if [ch_payload[:32]] != proto.challenge_blobs(commit_payload):
         _send_error(transport, ERR_BAD_FRAME,
                     "commit payload digest mismatch")
         raise SessionError(
@@ -205,8 +203,7 @@ def prover_session(transport: Transport, s: Statement, w: Witness, reps: int,
     challenge_bytes = ch_payload[32:]
     if any(b >= proto.N_CHALLENGES for b in challenge_bytes):
         _abort(transport, ERR_BAD_FRAME, "challenge byte out of range", "challenge")
-    _send(transport, MSG_RESPONSE,
-          proto.prover_respond(state, [PARTY_PAIRS[b] for b in challenge_bytes]))
+    _send(transport, MSG_RESPONSE, proto.prover_respond(state, challenge_bytes))
 
     result = _expect(transport, MSG_RESULT, "result")
     if len(result) != 1 or result[0] > 1:
@@ -220,8 +217,8 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
     """Drive the verifier side; challenges are drawn only after the full
     COMMIT payload has arrived.  Malformed proof data rejects (verdict
     False); protocol violations raise.  The verdict is verify_repeated's
-    on the transcript-mode Proof the frames spell, which is also appended
-    to capture when that is a list."""
+    on the Proof the frames spell, which is also appended to capture when
+    that is a list."""
     if reps < 1:
         raise MithError("repetition count must be at least 1")
     rng = rng or RandomSource()
@@ -246,20 +243,15 @@ def verifier_session(transport: Transport, s: Statement, reps: int,
     commit_payload = _expect(transport, MSG_COMMIT, "commit")
     # Commit phase fully received: only now draw the challenges.
     challenges = rng.randbelows(proto.N_CHALLENGES, reps)
-    _send(transport, MSG_CHALLENGE, hashlib.sha256(commit_payload).digest() + challenges)
+    _send(transport, MSG_CHALLENGE, proto.challenge_blobs(commit_payload)[0] + challenges)
 
     resp_payload = _expect(transport, MSG_RESPONSE, "response")
     # Yield the interpreter lock once: a prover thread in this process then
     # returns from sending RESPONSE at once, not after the checks below.
     time.sleep(0)
-    cm_len, resp_len = proto.block_lengths(c, scheme)
     try:
-        if (len(commit_payload), len(resp_payload)) != (cm_len * reps, resp_len * reps):
-            raise ProofError("COMMIT or RESPONSE payload of the wrong length")
-        proof = proto.well_formed(proto.Proof(scheme.name, "transcript", digest, reps, b"".join([
-            part for k in range(reps) for part in (
-                commit_payload[k * cm_len:(k + 1) * cm_len], challenges[k:k + 1],
-                resp_payload[k * resp_len:(k + 1) * resp_len])])), c)
+        proof = proto.well_formed(proto.build_proof(
+            c, scheme, digest, commit_payload, challenges, resp_payload), c)
     except MithError:
         # Malformed proof data: finish the session with a reject verdict.
         verdict = False

@@ -104,7 +104,7 @@ def test_criterion_3_repetition_bound():
     rng = RandomSource(303)
     cheater = OneBadPairCheater(s, w_guess, (3, 5), rng)
     rep = run_soundness(cheater, 6_000, rng, reps=10, tolerance=0.02)
-    bound_40 = f"{pr.soundness_bound(40, 0):.4g}"
+    bound_40 = f"{pr.soundness_bound(40):.4g}"
     report(3, "repetition: rate within 0.02 of 0.9^10 and bound(40) = 0.01478",
            rep.verdict == "pass" and abs(rep.bound - 0.9**10) < 1e-12
            and bound_40 == "0.01478",
@@ -238,7 +238,7 @@ def test_criterion_7_zk_exactness():
 
         def verifier(s_, cm_):
             attempts[0] += 1
-            return PARTY_PAIRS[rng.randbelow(10)]
+            return rng.randbelow(10)
 
         pr.zk_simulate(s, verifier, rng=rng)
         total_attempts += attempts[0]
@@ -365,11 +365,10 @@ def test_criterion_10_session_equivalence():
             digest = pr.statement_hash(s)
             ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, digest))
             ses._read_hello(ta)
-            state, cms = cheater.commit(rng, 2)
-            ses._send(ta, ses.MSG_COMMIT, b"".join(cms))
+            state, commit = cheater.commit(rng, 2)
+            ses._send(ta, ses.MSG_COMMIT, commit)
             ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
-            chs = [PARTY_PAIRS[b] for b in ch_payload[32:]]
-            ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(state, chs))
+            ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(state, ch_payload[32:]))
             ses._expect(ta, ses.MSG_RESULT, "result")
         else:
             ses.prover_session(ta, s, w, 2, rng=rng)

@@ -126,7 +126,7 @@ def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):
     lines = [ln for ln in out.splitlines() if "repetition" in ln]
     assert len(lines) == 4
     assert [k for k, ln in enumerate(lines) if "check=FAIL" in ln] == [2]
-    assert "challenge-source=FAIL" not in out
+    assert "malformed" not in out  # the commitments, and so the challenges, are intact
     assert out.splitlines()[-1] == "reject"
 
 
@@ -134,21 +134,22 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     """A file that records challenges its writer chose (mode byte 0x00):
     OneBadPairCheater for the false F11 statement, 128 repetitions all
     challenged at (3, 4), which avoids its bad pair.  Trusting those
-    challenges would accept; the mode byte is rejected instead."""
+    challenges would accept; the mode byte is rejected instead, and as a
+    derived-mode file the parse names the first challenge not derived."""
     s, w_guess = canonical_false_statement()
     c = s.circuit
     (tmp_path / "c.arith").write_text(format_circuit(c))
     (tmp_path / "s.st").write_text(format_statement(s, "c.arith"))
     cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(40))
     rng = RandomSource(41)
-    ch = (3, 4)
+    ch = bytes([pr.PARTY_PAIRS.index((3, 4))])
     reps = 128
     body = []
-    st, msgs = cheater.commit(rng, reps)
-    resp = pr.prover_respond(st, [ch] * reps)
-    size = len(resp) // reps
-    for k, cm in enumerate(msgs):
-        body += [cm, bytes([pr.PARTY_PAIRS.index(ch)]), resp[k * size:(k + 1) * size]]
+    st, commit = cheater.commit(rng, reps)
+    resp = pr.prover_respond(st, ch * reps)
+    size, m = len(resp) // reps, len(commit) // reps
+    for k in range(reps):
+        body += [commit[k * m:(k + 1) * m], ch, resp[k * size:(k + 1) * size]]
     header = pr.MAGIC + bytes([cheater.scheme.scheme_byte])
     tail = reps.to_bytes(4, "big") + pr.statement_hash(s) + b"".join(body)
     (tmp_path / "forged.bin").write_bytes(header + b"\x00" + tail)
@@ -156,12 +157,16 @@ def test_transcript_mode_forgery_rejected(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "malformed proof" in done.stdout and "0x00" in done.stdout
     assert "accept" not in done.stdout and "Traceback" not in done.stderr
-    # As a derived-mode file the same repetitions fail the challenge check.
+    # As a derived-mode file the parse names the first repetition whose
+    # derived challenge is not (3, 4): repetition 0's happens to be (3, 4).
+    derived = pr.derive_challenge(pr.statement_hash(s), reps, pr.challenge_blobs(commit))
+    assert derived[0] == ch[0] != derived[1]
     (tmp_path / "forged.bin").write_bytes(header + b"\x01" + tail)
     done = run_cli(tmp_path, ["verify", "--statement", "s.st", "--proof", "forged.bin",
                               "--min-bits", "0"])
     assert done.returncode == 1, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "reject"
+    assert done.stdout.startswith("reject: malformed proof: challenge of repetition 1 ")
+    assert "accept" not in done.stdout and "Traceback" not in done.stderr
 
 
 def test_default_verify_rejects_a_sigma40_grinding_forgery(tmp_path):
@@ -295,6 +300,28 @@ def test_corrupted_proof_rejected(workdir):
     proof.write_bytes(bytes(blob))
     assert run(["verify", "--statement", workdir / "s.st", "--proof", proof,
                 "--min-bits", 0]) == 1
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_challenge_not_derived_exits_1_naming_its_repetition(workdir, scheme_name):
+    """A derived proof file with the challenge byte of repetition 0, then of
+    the last repetition, set to another value below 10: `mith verify`
+    exits 1 and names that repetition, with no traceback."""
+    proof, reps = workdir / "p.bin", 4
+    assert run(["prove", "--statement", workdir / "s.st", "--witness", workdir / "w.wit",
+                "--reps", reps, "--scheme", scheme_name, "--out", proof]) == 0
+    blob = proof.read_bytes()
+    size = (len(blob) - pr.HEADER_LENGTH) // reps
+    for k in (0, reps - 1):
+        pos = pr.HEADER_LENGTH + k * size + pr.commit_length(scheme_by_name(scheme_name))
+        (workdir / "bad.bin").write_bytes(
+            blob[:pos] + bytes([(blob[pos] + 1) % 10]) + blob[pos + 1:])
+        done = run_cli(workdir, ["verify", "--statement", "s.st", "--proof", "bad.bin",
+                                 "--min-bits", "0"])
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert done.stdout == (f"reject: malformed proof: challenge of repetition {k} "
+                               "is not the one derived from the commitments\n")
+        assert "Traceback" not in done.stderr
 
 
 def test_wrong_witness_proof_rejected(workdir):

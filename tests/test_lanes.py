@@ -219,12 +219,12 @@ def check_against_reference(c, scheme_name, reps, seed):
     scheme = scheme_by_name(scheme_name, c.modulus.p)
     label = b"lanes/%d/%d" % (seed, reps)
     views, coms, openings, data = reference_proof(w, s, reps, RandomSource(label), scheme)
-    st, msgs = pr.commit_repetitions(w, s, reps, RandomSource(label), scheme)
+    st, commit = pr.commit_repetitions(w, s, reps, RandomSource(label), scheme)
     runs = [repetition_views(st.rows, reps, k) for k in range(reps)]
     assert [[tuple(mpc.view_fields(c, v)[f] for f in RefView._fields) for v in vs]
             for vs in runs] == [[tuple(v) for v in vs] for vs in views]
     assert runs == [[reference_encoding(c, v) for v in vs] for vs in views]
-    assert msgs == [pr.serialize_commitment_msg(cs) for cs in coms]
+    assert commit == b"".join([pr.serialize_commitment_msg(cs) for cs in coms])
     assert [[st.openings[q * reps + k] for q in range(5)] for k in range(reps)] == openings
     proof = pr.prove_repeated(w, s, reps, RandomSource(label), scheme)
     assert pr.serialize_proof(proof, c) == data

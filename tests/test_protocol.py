@@ -36,7 +36,7 @@ def single_run(s, w, rng, scheme=PRF):
 
 
 # One repetition of a proof with its opened views decoded: the commitment
-# message, the challenge pair and a (view, opening) pair per opened party.
+# message, the challenge byte and a (view, opening) pair per opened party.
 Rep = collections.namedtuple("Rep", "commitment challenge first second")
 
 
@@ -45,24 +45,20 @@ def response(*opened) -> bytes:
     return pr.serialize_response_block(*zip(*opened))
 
 
-def block(cm, ch, resp: bytes) -> bytes:
-    return cm + bytes([PARTY_PAIRS.index(ch)]) + resp
+def block(cm, ch: int, resp: bytes) -> bytes:
+    return cm + bytes([ch]) + resp
 
 
-def recorded(s, cm, ch, resp: bytes):
-    """A one-repetition transcript-mode PRF proof answering challenge ch."""
-    return pr.Proof(PRF.name, "transcript", pr.statement_hash(s), 1, block(cm, ch, resp))
-
-
-def challenges(proof):
-    return [PARTY_PAIRS[b] for b in proof.challenges]
+def recorded(s, cm, ch: int, resp: bytes):
+    """A one-repetition PRF proof answering challenge byte ch."""
+    return pr.Proof(PRF.name, pr.statement_hash(s), 1, block(cm, ch, resp))
 
 
 def repetitions(proof, c) -> list[Rep]:
     (vi, n), (oi, o), (vj, _), (oj, _) = pr.block_fields(c, scheme_by_name(proof.scheme))[5:]
     size = len(proof.body) // proof.reps
     blocks = [proof.body[k:k + size] for k in range(0, len(proof.body), size)]
-    return [Rep(b[:vi - 5], PARTY_PAIRS[b[vi - 5]], (mpc.decode_view(c, b[vi:vi + n]), b[oi:oi + o]),
+    return [Rep(b[:vi - 5], b[vi - 5], (mpc.decode_view(c, b[vi:vi + n]), b[oi:oi + o]),
                 (mpc.decode_view(c, b[vj:vj + n]), b[oj:oj + o])) for b in blocks]
 
 
@@ -78,10 +74,12 @@ def commitment_of(msg: bytes, party: int) -> bytes:
     return msg[(party - 1) * n + 4:party * n]
 
 
-def drawn_challenges(s, msgs, rng):
-    """The challenges a transcript-mode proof draws for a commit phase."""
-    unopened = pr.ProverState(b"", (b"",) * (5 * len(msgs)))
-    return challenges(pr.respond_repetitions(s, unopened, msgs, rng, PRF, "transcript"))
+def drawn_challenges(s, commit, rng) -> bytes:
+    """The challenges a transcript-mode proof draws for a commit phase
+    (all-zero views and keys)."""
+    n, L = len(commit) // pr.commit_length(PRF), mpc.encoded_view_length(s.circuit)
+    unopened = pr.ProverState(bytes(5 * n * L), (bytes(PRF.opening_length),) * (5 * n))
+    return pr.respond_repetitions(s, unopened, commit, rng, PRF, "transcript").challenges
 
 
 def test_honest_single_run_accepts(m11, rng):
@@ -91,8 +89,8 @@ def test_honest_single_run_accepts(m11, rng):
 
 def test_commitment_msg_has_five_verifiable_entries(m11, rng):
     s, w = golden_corpus(m11, 1)[0]
-    st, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
-    assert len(cm) == 5 * (4 + PRF.commitment_length)
+    st, cm = pr.commit_repetitions(w, s, 1, rng, PRF)
+    assert len(cm) == 5 * (4 + PRF.commitment_length) == pr.commit_length(PRF)
     assert cm == pr.serialize_commitment_msg([commitment_of(cm, q) for q in PARTY_IDS])
     for q, view in zip(PARTY_IDS, repetition_views(st.rows, 1)):
         assert opens1(PRF, view, commitment_of(cm, q), st.openings[q - 1])
@@ -140,9 +138,9 @@ def test_commit_phase_draws_in_three_passes(m11, monkeypatch):
     monkeypatch.setattr(mpc, "random_gate_randomness",
                         lambda *a: calls.update(["gate"]) or gate_draw(*a))
     s, w = golden_corpus(m11, 1)[0]
-    st, msgs = pr.commit_repetitions(w, s, 50, RandomSource(50), PRF)
+    st, commit = pr.commit_repetitions(w, s, 50, RandomSource(50), PRF)
     assert calls == {"share": 1, "gate": 1}
-    assert len(msgs) == 50 and len(st.openings) == 250
+    assert len(commit) == 50 * pr.commit_length(PRF) and len(st.openings) == 250
 
 
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
@@ -165,7 +163,7 @@ def test_commitments_fresh_across_rand_draws(m11):
     rng = RandomSource(6)
     seen = set()
     for _ in range(1000):
-        _, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
+        _, cm = pr.commit_repetitions(w, s, 1, rng, PRF)
         seen.add(commitment_of(cm, 1))
     assert len(seen) == 1000
 
@@ -175,8 +173,8 @@ def test_challenge_uniform_chi_square(m11):
     s, w = golden_corpus(m11, 1)[0]
     cm = pr.serialize_commitment_msg([b"\x00" * 32] * 5)
     counts = [0] * 10
-    for ch in drawn_challenges(s, [cm] * 100_000, rng):
-        counts[PARTY_PAIRS.index(ch)] += 1
+    for ch in drawn_challenges(s, cm * 100_000, rng):
+        counts[ch] += 1
     _, pval = chi2_uniform(counts)
     assert pval >= 0.001
 
@@ -185,8 +183,8 @@ def test_challenge_ignores_commitment_content(m11):
     s, _ = golden_corpus(m11, 1)[0]
     c1 = pr.serialize_commitment_msg([b"\x00" * 32] * 5)
     c2 = pr.serialize_commitment_msg([b"\xff" * 32] * 5)
-    ch1 = drawn_challenges(s, [c1], RandomSource(8))
-    ch2 = drawn_challenges(s, [c2], RandomSource(8))
+    ch1 = drawn_challenges(s, c1, RandomSource(8))
+    ch2 = drawn_challenges(s, c2, RandomSource(8))
     assert ch1 == ch2
 
 
@@ -196,9 +194,9 @@ def test_response_is_pure_selection(m11, rng):
     st, _ = pr.commit_repetitions(w, s, reps, rng, PRF)
     views = [repetition_views(st.rows, reps, k) for k in range(reps)]
     for t in range(len(PARTY_PAIRS)):  # every pair in every repetition
-        chs = [PARTY_PAIRS[(t + 3 * k) % len(PARTY_PAIRS)] for k in range(reps)]
+        chs = bytes((t + 3 * k) % len(PARTY_PAIRS) for k in range(reps))
         assert pr.prover_respond(st, chs) == b"".join([response(
-            *[(views[k][q - 1], st.openings[(q - 1) * reps + k]) for q in ch])
+            *[(views[k][q - 1], st.openings[(q - 1) * reps + k]) for q in PARTY_PAIRS[ch]])
             for k, ch in enumerate(chs)])
 
 
@@ -213,16 +211,16 @@ def test_prover_rows_are_what_the_proof_opens(name, scheme_name):
     s, w = random_instance(random.Random(17), c)
     scheme = scheme_by_name(scheme_name, c.modulus.p)
     reps, L = 7, mpc.encoded_view_length(c)
-    st, msgs = pr.commit_repetitions(w, s, reps, RandomSource(b"rows"), scheme)
+    st, commit = pr.commit_repetitions(w, s, reps, RandomSource(b"rows"), scheme)
     assert len(st.rows) == 5 * reps * L and len(st.openings) == 5 * reps
 
     def row(q, k):
         return st.rows[((q - 1) * reps + k) * L:((q - 1) * reps + k + 1) * L]
 
-    for k, cm in enumerate(msgs):
-        assert cm == pr.serialize_commitment_msg(
-            [commit1(scheme, st.openings[(q - 1) * reps + k], row(q, k)) for q in PARTY_IDS])
-    proof = pr.respond_repetitions(s, st, msgs, RandomSource(b"rows"), scheme, "derived")
+    assert commit == b"".join([pr.serialize_commitment_msg(
+        [commit1(scheme, st.openings[(q - 1) * reps + k], row(q, k)) for q in PARTY_IDS])
+        for k in range(reps)])
+    proof = pr.respond_repetitions(s, st, commit, RandomSource(b"rows"), scheme, "derived")
     assert len(set(proof.challenges)) > 1
     assert pr.opened_views(c, proof) == b"".join(
         [row(q, k) for k, ch in enumerate(proof.challenges) for q in PARTY_PAIRS[ch]])
@@ -268,7 +266,7 @@ def test_forged_view_never_opens_committed_digest(m11, rng):
     SHA-256(key || view) collision: zero acceptances over 10^5 key-search attempts."""
     s, w = golden_corpus(m11, 1)[0]
     c = s.circuit
-    st, (cm,) = pr.commit_repetitions(w, s, 1, rng, PRF)
+    st, cm = pr.commit_repetitions(w, s, 1, rng, PRF)
     committed = commitment_of(cm, 1)
     blob = bytearray(repetition_views(st.rows, 1)[0])
     rnd = random.Random(99)
@@ -303,7 +301,7 @@ def test_views_disagreeing_on_public_input_rejected(rng):
     # Re-commit honestly to the altered view so only consistency can fail.
     (key,) = PRF.keygen(rng, 1)
     coms = [commitment_of(t.commitment, q) for q in PARTY_IDS]
-    coms[ch[0] - 1] = commit1(PRF, key, bad_view)
+    coms[PARTY_PAIRS[ch][0] - 1] = commit1(PRF, key, bad_view)
     assert not pr.verify_repeated(s, recorded(s, pr.serialize_commitment_msg(coms), ch,
                                               response((bad_view, key), t.second)))
 
@@ -313,13 +311,15 @@ def test_proof_checked_against_other_public_input_fails_every_check(p, scheme_na
     """An honest proof of SMUL_OVER_MUL, whose smul scalar is a mul of
     pinput 0, checked against the same circuit and target with another
     public input: every repetition's views replay to None, so every check
-    fails, while the derived challenges still match the commitments."""
+    fails, while the derived challenges still match the commitments: the
+    file parses."""
     c = parse_circuit(SMUL_OVER_MUL.replace("field 101", f"field {p}"))
     s, w = random_instance(random.Random(5), c)
     proof = pr.prove_repeated(w, s, 6, RandomSource(16), scheme_by_name(scheme_name, p))
+    proof = pr.parse_proof(pr.serialize_proof(proof, c), c)
     assert pr.verify_repeated(s, proof)
     other = Statement(c, (s.public_inputs[0] + c.modulus.one(),), s.target)
-    assert pr.check_repetitions(other, proof) == [(True, False)] * 6
+    assert pr.check_repetitions(other, proof) == [False] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +327,9 @@ def test_proof_checked_against_other_public_input_fails_every_check(p, scheme_na
 
 
 def test_soundness_bound_values():
-    assert pr.soundness_bound(1, 0) == pytest.approx(0.9)
-    assert pr.soundness_bound(10, 0) == pytest.approx(0.3486784401)
-    assert f"{pr.soundness_bound(40, 0):.4g}" == "0.01478"
+    assert pr.soundness_bound(1) == pytest.approx(0.9)
+    assert pr.soundness_bound(10) == pytest.approx(0.3486784401)
+    assert f"{pr.soundness_bound(40):.4g}" == "0.01478"
 
 
 def test_soundness_bound_monotone():
@@ -340,10 +340,6 @@ def test_soundness_bound_monotone():
 def test_soundness_bound_domain():
     with pytest.raises(MithError):
         pr.soundness_bound(0)
-    with pytest.raises(MithError):
-        pr.soundness_bound(1, 0.1)
-    with pytest.raises(MithError):
-        pr.soundness_bound(1, -0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +349,17 @@ def test_soundness_bound_domain():
 @pytest.mark.parametrize("mode", ["derived", "transcript"])
 @pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
 def test_prove_verify_round_trip(m11, mode, scheme_name):
-    """Both modes verify in memory; only derived proofs have a file form."""
+    """Both modes verify in memory; only a derived proof's file parses."""
     rng = RandomSource(13)
     scheme = scheme_by_name(scheme_name, 11)
     for s, w in golden_corpus(m11, 4):
         proof = pr.prove_repeated(w, s, 3, rng, scheme, mode=mode)
         assert pr.verify_repeated(s, proof)
-        if mode == "transcript":
-            with pytest.raises(MithError, match="no file form"):
-                pr.serialize_proof(proof, s.circuit)
-            continue
         blob = pr.serialize_proof(proof, s.circuit)
+        if mode == "transcript":
+            with pytest.raises(ProofError, match="^challenge of repetition [0-2] is not"):
+                pr.parse_proof(blob, s.circuit)
+            continue
         parsed = pr.parse_proof(blob, s.circuit)
         assert pr.verify_repeated(s, parsed)
 
@@ -385,32 +381,49 @@ def test_verify_rejects_one_failing_transcript(m11):
     t = ts[2]
     bad = with_repetitions(proof, ts[:2] + [t._replace(first=(t.first[0], b"\x00" * 32))] + ts[3:])
     assert not pr.verify_repeated(s, bad)
-    assert list(pr.check_repetitions(s, bad)) == [
-        (True, True), (True, True), (True, False), (True, True)]
+    assert pr.check_repetitions(s, bad) == [True, True, False, True]
 
 
 def test_derived_challenges_pin_commitments(m11):
-    """In derived mode a transcript with a challenge that does not match
-    the hash of the commitments is rejected."""
+    """A proof file with a challenge that does not match the hash of the
+    commitments is malformed; in memory its check fails too."""
     rng = RandomSource(16)
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 2, rng, mode="derived")
     t0, *rest = repetitions(proof, s.circuit)
-    wrong = PARTY_PAIRS[(PARTY_PAIRS.index(t0.challenge) + 1) % 10]
     # Re-respond honestly for the wrong challenge is impossible without
     # state; simply relabel the challenge and keep the response.
-    bad = with_repetitions(proof, [t0._replace(challenge=wrong), *rest])
+    bad = with_repetitions(proof, [t0._replace(challenge=(t0.challenge + 1) % 10), *rest])
+    with pytest.raises(ProofError, match="^challenge of repetition 0 is not"):
+        pr.parse_proof(pr.serialize_proof(bad, s.circuit), s.circuit)
     assert not pr.verify_repeated(s, bad)
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_parse_names_the_first_challenge_not_derived(m11, scheme_name):
+    """A derived proof file whose challenge byte of repetition 0, or of the
+    last repetition, is replaced by any other value below 10 is malformed,
+    and the error names that repetition."""
+    s, w = golden_corpus(m11, 1)[0]
+    c, reps, scheme = s.circuit, 5, scheme_by_name(scheme_name, 11)
+    data = pr.serialize_proof(pr.prove_repeated(w, s, reps, RandomSource(44), scheme), c)
+    size = (len(data) - pr.HEADER_LENGTH) // reps
+    for k in (0, reps - 1):
+        pos = pr.HEADER_LENGTH + k * size + pr.commit_length(scheme)
+        for other in set(range(10)) - {data[pos]}:
+            with pytest.raises(ProofError, match=f"^challenge of repetition {k} is not"):
+                pr.parse_proof(data[:pos] + bytes([other]) + data[pos + 1:], c)
+    assert pr.verify_repeated(s, pr.parse_proof(data, c))
 
 
 def unopened_commitment_bytes(proof, data: bytes) -> set[int]:
     """Positions of the bytes of every commitment that proof's challenges
     leave unopened, in its file bytes data (length prefixes excluded)."""
     pos, out = 43, set()
-    for pair in challenges(proof):
+    for ch in proof.challenges:
         for pid in range(1, 6):
             n = int.from_bytes(data[pos:pos + 4], "big")
-            if pid not in pair:
+            if pid not in PARTY_PAIRS[ch]:
                 out.update(range(pos + 4, pos + 4 + n))
             pos += 4 + n
         pos += 1
@@ -420,11 +433,13 @@ def unopened_commitment_bytes(proof, data: bytes) -> set[int]:
     return out
 
 
-def rederived_challenges(data: bytes, c) -> list[tuple[int, int]]:
-    """The challenges derived from the commitments of proof file data."""
-    proof = pr.parse_proof(data, c)
-    blobs = pr.challenge_blobs([t.commitment for t in repetitions(proof, c)])
-    return pr.derive_challenge(proof.stmt_hash, proof.reps, blobs)
+def rederived_challenges(data: bytes) -> bytes:
+    """The challenges derived from the commitments of proof file data,
+    whatever challenge bytes it records."""
+    reps, body = int.from_bytes(data[7:11], "big"), data[pr.HEADER_LENGTH:]
+    m, size = pr.commit_length(commit.scheme_by_byte(data[5])), len(body) // reps
+    blobs = pr.challenge_blobs(b"".join([body[k:k + m] for k in range(0, len(body), size)]))
+    return pr.derive_challenge(data[11:pr.HEADER_LENGTH], reps, blobs)
 
 
 def flip(data: bytes, pos: int, bit: int) -> bytes:
@@ -442,7 +457,7 @@ def test_proof_file_fuzz_never_accepts(m11):
     proof = pr.prove_repeated(w, s, 2, rng)
     blob = pr.serialize_proof(proof, s.circuit)
     unopened = unopened_commitment_bytes(proof, blob)
-    chs = challenges(proof)
+    chs = proof.challenges
     for _ in range(300):
         pos = rnd.randrange(len(blob))
         bad = flip(blob, pos, rnd.randrange(8))
@@ -452,22 +467,23 @@ def test_proof_file_fuzz_never_accepts(m11):
             ok = pr.verify_repeated(s, pr.parse_proof(bad, s.circuit))
         except (ProofError, MithError):
             ok = False
-        assert ok == (pos in unopened and rederived_challenges(bad, s.circuit) == chs)
+        assert ok == (pos in unopened and rederived_challenges(bad) == chs)
 
 
 def test_unopened_commitment_flip_keeping_challenges_is_accepted(m11):
     """The accepting case of the fuzz test above, found by search: a flip
     in an unopened commitment that re-derives the same challenges leaves
-    a valid proof, and one that changes them is rejected."""
+    a valid proof, and one that changes them is malformed: its first
+    challenge that differs is named."""
     s, w = golden_corpus(m11, 1)[0]
     proof = pr.prove_repeated(w, s, 2, RandomSource(17))
     blob = pr.serialize_proof(proof, s.circuit)
-    chs = challenges(proof)
+    chs = proof.challenges
     kept = changed = None
     for pos in sorted(unopened_commitment_bytes(proof, blob)):
         for bit in range(8):
             bad = flip(blob, pos, bit)
-            if rederived_challenges(bad, s.circuit) == chs:
+            if rederived_challenges(bad) == chs:
                 kept = kept or bad
             else:
                 changed = changed or bad
@@ -475,7 +491,9 @@ def test_unopened_commitment_flip_keeping_challenges_is_accepted(m11):
             break
     assert kept and changed
     assert pr.verify_repeated(s, pr.parse_proof(kept, s.circuit))
-    assert not pr.verify_repeated(s, pr.parse_proof(changed, s.circuit))
+    first = next(k for k, (a, b) in enumerate(zip(rederived_challenges(changed), chs)) if a != b)
+    with pytest.raises(ProofError, match=f"^challenge of repetition {first} is not"):
+        pr.parse_proof(changed, s.circuit)
 
 
 def test_proof_magic_and_shape_checks(m11):
@@ -617,7 +635,7 @@ def test_derived_challenges_uniform_chi_square():
     counts = collections.Counter()
     for _ in range(1000):
         counts.update(pr.derive_challenge(rng.bytes(32), 100, [rng.bytes(32)]))
-    _, pval = chi2_uniform([counts[pair] for pair in PARTY_PAIRS])
+    _, pval = chi2_uniform([counts[ch] for ch in range(10)])
     assert sum(counts.values()) == 100_000 and pval >= 0.001
 
 
@@ -638,14 +656,14 @@ def test_derive_challenge_reads_a_longer_prefix_when_the_first_falls_short(monke
     monkeypatch.setattr(hashlib, "shake_256", Stream)
     got = pr.derive_challenge(b"stmt", reps, [b"blob"])
     assert reads[0] == reps + reps // 8 + 16 and len(reads) > 1 and reads == sorted(reads)
-    assert got == [PARTY_PAIRS[b % 10] for b in stream if b < 250][:reps]
+    assert got == bytes(b % 10 for b in stream if b < 250)[:reps]
 
 
 def test_derive_challenge_known_answer():
     """The first 24 challenges for statement hash 0^32 and the one blob
-    0xff^32, as indices into PARTY_PAIRS, pinned."""
+    0xff^32, indices into PARTY_PAIRS, pinned."""
     got = pr.derive_challenge(bytes(32), 24, [b"\xff" * 32])
-    assert "".join(str(PARTY_PAIRS.index(ch)) for ch in got) == "447818967345171807342208"
+    assert "".join(map(str, got)) == "447818967345171807342208"
 
 
 def test_mith1_header_rejected(m11):
@@ -830,7 +848,8 @@ def test_view_altered_after_encoding_fails_check(m11, side):
     for new in (mpc.make_view(c, view, bcast=tuple((x + 1) % p for x in f.bcast)),
                 mpc.make_view(c, view, randomness=f.randomness[::-1])):
         assert new != view
-        assert not opens1(PRF, new, commitment_of(t.commitment, t.challenge[0]), opening)
+        assert not opens1(PRF, new, commitment_of(t.commitment, PARTY_PAIRS[t.challenge][0]),
+                          opening)
         assert not pr.verify_repeated(s, opened_as(new))
     assert pr.verify_repeated(s, opened_as(mpc.make_view(c, view)))
 
@@ -865,8 +884,9 @@ def doctored_pair(m, side: int, what: str):
             bc[slot - 1] = (bc[slot - 1] + d) % p
         views[q - 1] = mpc.make_view(c, views[q - 1], bcast=bc)
     cm = pr.serialize_commitment_msg(PRF.commit_view(st.openings, views))
-    return s, recorded(s, cm, ch, pr.prover_respond(pr.ProverState(b"".join(views), st.openings),
-                                                    [ch]))
+    b = PARTY_PAIRS.index(ch)
+    return s, recorded(s, cm, b, pr.prover_respond(pr.ProverState(b"".join(views), st.openings),
+                                                   bytes([b])))
 
 
 @pytest.mark.parametrize("what", ["output", "partner"])
@@ -875,7 +895,7 @@ def test_each_opened_view_is_checked_both_ways(m11, side, what):
     """Each opened view's output and its record of its partner are
     checked, for the lower and the higher party of the pair alike."""
     s, proof = doctored_pair(m11, side, what)
-    assert pr.check_repetitions(s, proof) == [(True, False)]
+    assert pr.check_repetitions(s, proof) == [False]
     rows = pr.opened_views(s.circuit, proof)
     ok, to = mpc.out_messages(s.circuit, s.public_inputs, rows)
     consistent = mpc.consistent_views(s.circuit, rows, proof.challenges, to)
@@ -902,8 +922,8 @@ def test_other_public_input_fails_a_view_consistent_without_it():
         views = (mpc.make_view(c, zero, public_inputs=pubs),) + (zero,) * 4
         keys = tuple(PRF.keygen(rng, len(views)))
         cm = pr.serialize_commitment_msg(PRF.commit_view(keys, views))
-        resp = pr.prover_respond(pr.ProverState(b"".join(views), keys), [(1, 2)])
-        assert pr.check_repetitions(s, recorded(s, cm, (1, 2), resp)) == [(True, verdict)]
+        resp = pr.prover_respond(pr.ProverState(b"".join(views), keys), b"\x00")  # (1, 2)
+        assert pr.check_repetitions(s, recorded(s, cm, 0, resp)) == [verdict]
 
 
 def test_altered_view_cannot_open_the_original_commitment():
@@ -914,9 +934,9 @@ def test_altered_view_cannot_open_the_original_commitment():
     checked against its own bytes, not A's."""
     s, w_guess = canonical_false_statement()
     cheater = OneBadPairCheater(s, w_guess, (1, 2), RandomSource(34))
-    ch = (3, 4)
-    st, (cm,) = cheater.commit(RandomSource(35), 1)
-    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, [ch])))
+    ch = PARTY_PAIRS.index((3, 4))
+    st, cm = cheater.commit(RandomSource(35), 1)
+    assert pr.verify_repeated(s, recorded(s, cm, ch, pr.prover_respond(st, bytes([ch]))))
 
     c = s.circuit
     p = c.modulus.p
@@ -953,7 +973,7 @@ def test_deep_chain_proves_and_verifies():
 def test_proof_without_repetitions_is_rejected(m11):
     """A proof of no repetitions checks to no pairs and is not accepted."""
     s, _ = golden_corpus(m11, 1)[0]
-    proof = pr.respond_repetitions(s, pr.ProverState(b"", ()), [], RandomSource(1), PRF,
+    proof = pr.respond_repetitions(s, pr.ProverState(b"", ()), b"", RandomSource(1), PRF,
                                    "transcript")
     assert proof.reps == 0 and pr.check_repetitions(s, proof) == []
     assert not pr.verify_repeated(s, proof)
@@ -981,7 +1001,7 @@ def test_simulated_transcript_accepts_on_guess_match(m11):
     hits = 0
     for _ in range(200):
         guess, cm, st = pr.zk_simulate_once(s, rng)
-        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, [guess])))
+        assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, bytes([guess]))))
         hits += 1
     assert hits == 200
 
@@ -994,8 +1014,7 @@ def test_simulator_abort_rate_matches_guess_probability():
     trials = 10_000
     for _ in range(trials):
         guess, _, _ = pr.zk_simulate_once(s, rng)
-        ch = PARTY_PAIRS[rng.randbelow(10)]
-        if ch != guess:
+        if rng.randbelow(10) != guess:
             aborts += 1
     assert abs(aborts / trials - 0.9) <= 0.01
 
@@ -1011,7 +1030,7 @@ def test_zk_simulate_retry_statistics():
 
         def verifier(s_, cm_):
             attempts[0] += 1
-            return PARTY_PAIRS[rng.randbelow(10)]
+            return rng.randbelow(10)
 
         proof = pr.zk_simulate(s, verifier, rng=rng)
         assert proof.reps == 1 and pr.verify_repeated(s, proof)
@@ -1023,16 +1042,16 @@ def test_zk_simulate_retry_statistics():
 def test_zk_simulate_exhausts_retries():
     s, _ = one_mul_statement()
     # Seed 23's first guess draw is index 8 = pair (3,5); a verifier stuck
-    # on (1,2) makes the single permitted attempt abort.
+    # on 0 = pair (1,2) makes the single permitted attempt abort.
     with pytest.raises(SimulationFailure):
-        pr.zk_simulate(s, lambda s_, c_: (1, 2), max_retries=1,
+        pr.zk_simulate(s, lambda s_, c_: 0, max_retries=1,
                        rng=RandomSource(23))
 
 
 def test_zk_simulate_validates_retries():
     s, _ = one_mul_statement()
     with pytest.raises(MithError):
-        pr.zk_simulate(s, lambda s_, c_: (1, 2), max_retries=0)
+        pr.zk_simulate(s, lambda s_, c_: 0, max_retries=0)
 
 
 def test_simulator_takes_no_witness():
@@ -1057,7 +1076,8 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
             committed.extend(zip(views, coms))
             return coms
 
-    (i, j), cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
+    guess, cm, st = pr.zk_simulate_once(s, RandomSource(24), Recording())
+    i, j = PARTY_PAIRS[guess]
     assert [com for _, com in committed] == [commitment_of(cm, q) for q in PARTY_IDS]
     rows = repetition_views(st.rows, 1)
     assert [view for view, _ in committed] == rows and len(st.openings) == 5
@@ -1066,4 +1086,4 @@ def test_dummy_commitments_fixed_zero_encoding(m11):
         assert mpc.valid_view(c, [view]) == [True]
         if pid not in (i, j):
             assert view == bytes(mpc.encoded_view_length(c))
-    assert pr.verify_repeated(s, recorded(s, cm, (i, j), pr.prover_respond(st, [(i, j)])))
+    assert pr.verify_repeated(s, recorded(s, cm, guess, pr.prover_respond(st, bytes([guess]))))

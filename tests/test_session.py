@@ -13,12 +13,12 @@ from mith import session as ses
 from mith.circuit import Statement
 from mith.commit import scheme_by_name
 from mith.corpus import bench_circuit_a, golden_corpus, random_instance
-from mith.errors import SessionError
+from mith.errors import ProofError, SessionError
 from mith.field import RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 
 from test_field import chi2_uniform
-from test_protocol import block_shifts
+from test_protocol import block_shifts, rederived_challenges
 
 
 def pair(timeout=5.0):
@@ -119,8 +119,14 @@ def test_session_verdict_matches_offline_replay(m11):
     assert out["verifier"] is True
     assert len(captured) == 1
     proof = captured[0]
-    assert proof.challenge_mode == "transcript"
     assert pr.verify_repeated(s, proof) is True
+    # The verifier drew its challenges: a file of the capture is not a
+    # derived proof, and reading it names the first challenge that differs.
+    data = pr.serialize_proof(proof, s.circuit)
+    first = next(k for k, (a, b) in enumerate(zip(rederived_challenges(data), proof.challenges))
+                 if a != b)
+    with pytest.raises(ProofError, match=f"^challenge of repetition {first} is not"):
+        pr.parse_proof(data, s.circuit)
 
 
 def test_session_statement_hash_mismatch(m11):
@@ -320,7 +326,7 @@ def test_dripped_commit_frame_times_out(m11):
     within the verifier's 0.5-s timeout, ends the session with a
     transport SessionError within 1.5 s."""
     s, w = golden_corpus(m11, 1)[0]
-    _, msgs = pr.commit_repetitions(w, s, 2, RandomSource(2), scheme_by_name("prf"))
+    _, commit = pr.commit_repetitions(w, s, 2, RandomSource(2), scheme_by_name("prf"))
     a, b = socket.socketpair()
     ta, tb = ses.Transport(a, 5), ses.Transport(b, 0.5)
     out = {}
@@ -337,7 +343,7 @@ def test_dripped_commit_frame_times_out(m11):
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 2, pr.statement_hash(s)))
         ses._read_hello(ta)
         t0 = time.monotonic()
-        for byte in ses.encode_frame(ses.Frame(ses.MSG_COMMIT, b"".join(msgs)))[:10]:
+        for byte in ses.encode_frame(ses.Frame(ses.MSG_COMMIT, commit))[:10]:
             if not th.is_alive():
                 break
             a.send(bytes([byte]))
@@ -351,13 +357,13 @@ def test_dripped_commit_frame_times_out(m11):
     assert out["at"] - t0 < 1.5
 
 
-def shifted_session(s, scheme, state, msgs, target, k):
+def shifted_session(s, scheme, state, commit, target, k):
     """A session whose prover speaks the wire protocol directly and sends
     length-shift mutant k (`block_shifts`) of its COMMIT or RESPONSE
     payload, as target says; returns the verifier's verdict and the
     RESULT payload the prover reads."""
     c = s.circuit
-    reps = len(msgs)
+    reps = len(state.openings) // 5
     sizes = dict(zip((ses.MSG_COMMIT, ses.MSG_RESPONSE), pr.block_lengths(c, scheme)))
 
     def mutate(msg_type, payload):
@@ -377,10 +383,9 @@ def shifted_session(s, scheme, state, msgs, target, k):
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(
             scheme.scheme_byte, reps, pr.statement_hash(s)))
         ses._read_hello(ta)
-        ses._send(ta, ses.MSG_COMMIT, mutate(ses.MSG_COMMIT, b"".join(msgs)))
+        ses._send(ta, ses.MSG_COMMIT, mutate(ses.MSG_COMMIT, commit))
         chs = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")[32:]
-        ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, pr.prover_respond(
-            state, [pr.PARTY_PAIRS[b] for b in chs])))
+        ses._send(ta, ses.MSG_RESPONSE, mutate(ses.MSG_RESPONSE, pr.prover_respond(state, chs)))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
     finally:
         th.join(10)
@@ -396,13 +401,13 @@ def test_length_shift_mutants_in_session_reject(m11, scheme_name):
     s, w = golden_corpus(m11, 1)[0]
     scheme = scheme_by_name(scheme_name, m11.p)
     reps = 2
-    state, msgs = pr.commit_repetitions(w, s, reps, RandomSource(39), scheme)
-    assert shifted_session(s, scheme, state, msgs, None, 0) == (True, b"\x01")
+    state, commit = pr.commit_repetitions(w, s, reps, RandomSource(39), scheme)
+    assert shifted_session(s, scheme, state, commit, None, 0) == (True, b"\x01")
     # Per repetition: 4 commitment boundaries, or 3 response boundaries,
     # each crossed in both directions.
     for target, count in ((ses.MSG_COMMIT, reps * 4 * 2), (ses.MSG_RESPONSE, reps * 3 * 2)):
         for k in range(count):
-            assert shifted_session(s, scheme, state, msgs, target, k) == (False, b"\x00")
+            assert shifted_session(s, scheme, state, commit, target, k) == (False, b"\x00")
 
 
 def test_cheating_prover_session_rate(m11):
@@ -425,11 +430,10 @@ def test_cheating_prover_session_rate(m11):
         digest = pr.statement_hash(s)
         ses._send(ta, ses.MSG_HELLO, ses._hello_payload(0x01, 1, digest))
         ses._read_hello(ta)
-        st, (cm,) = cheater.commit(rng, 1)
-        ses._send(ta, ses.MSG_COMMIT, cm)
+        st, commit = cheater.commit(rng, 1)
+        ses._send(ta, ses.MSG_COMMIT, commit)
         ch_payload = ses._expect(ta, ses.MSG_CHALLENGE, "challenge")
-        ch = pr.PARTY_PAIRS[ch_payload[32]]
-        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, [ch]))
+        ses._send(ta, ses.MSG_RESPONSE, pr.prover_respond(st, ch_payload[32:]))
         result = ses._expect(ta, ses.MSG_RESULT, "result")
         th.join()
         assert bool(result[0]) == out["v"]
