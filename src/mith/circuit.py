@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -380,8 +381,16 @@ def canonical_statement_bytes(s: Statement) -> bytes:
     return (_statement_head(s) + format_circuit(s.circuit)).encode("utf-8")
 
 
+_HASHING = threading.Lock()
+
+
 def statement_hash(s: Statement) -> bytes:
-    return hashlib.sha256(canonical_statement_bytes(s)).digest()
+    """SHA-256 of s's canonical bytes, computed once per Statement, also
+    when threads (a session's prover and verifier) ask at once, and kept
+    on it."""
+    with _HASHING:
+        return s.__dict__.get("_hash") or s.__dict__.setdefault(
+            "_hash", hashlib.sha256(canonical_statement_bytes(s)).digest())
 
 
 def _statement_lines(text: str) -> dict[str, list[str]]:

@@ -1,18 +1,20 @@
 """In-the-head 5-party BGW evaluation of arithmetic circuits.
 
 The prover runs all five parties itself: addition, constants and scalar
-multiplication are local; each multiplication gate reshares the parties'
-degree-4 product shares with fresh degree-2 polynomials and recombines
-them with the degree-4 interpolation weights; after the root gate the
+multiplication are local; the multiplication gates of one multiplicative
+depth reshare the parties' degree-4 product shares together, in one
+round, with fresh degree-2 polynomials, and recombine them with the
+degree-4 interpolation weights; after the root gate the
 output sharing is re-randomized with five fresh sharings of zero and
 publicly opened.
 
-Each circuit is compiled once into a `Program`: a post-order op list over
-wire slots, the public scalar subtrees of the smul gates, and the
-element counts of a view.  One interpreter runs the ops: every wire is a lane column
-(`field.columns`: one byte per lane over a field below 128, else a list
-of ints), and at each messaging multiplication and at the refresh an
-exchange supplies the columns the lanes received.  The prover
+Each circuit is compiled once into a `Program`: a layer schedule over
+wire slots, one layer per multiplicative depth, the public scalar
+subtrees of the smul gates, and the element counts of a view.  One
+interpreter runs the layers: every wire is a lane column (`field.columns`:
+one byte per lane over a field below 128, else a list of ints), and for
+each layer's multiplications and for the refresh one exchange call
+supplies the columns the lanes received.  The prover
 (`run_protocol`) runs a lane per party and repetition and reshares with
 the drawn randomness; the simulator (`mpc_simulate`) runs the two
 corrupt parties and draws the honest parties' messages.
@@ -21,8 +23,9 @@ A party's view is flat: its public inputs, its input shares, its
 randomness, the incoming resharing column at each messaging
 multiplication, and at the opening both the incoming zero-share
 contributions (`zin`) and the broadcast refreshed output shares
-(`bcast`).  Exchanges run in post-order, the refresh last, and exchange
-t takes randomness pair (a1, a2) t and fills message slot t.  Every
+(`bcast`).  Exchanges are numbered in post-order, the refresh last, and
+exchange t takes randomness pair (a1, a2) t and fills message slot t,
+whichever layer runs it.  Every
 entry is an int in [0, p), and a view's canonical encoding is exactly
 these entries in this order, each fixed-width big-endian.  A view is
 its encoding, plain bytes or a row of a buffer of them; `view_fields`
@@ -45,7 +48,6 @@ broadcast in one linear combination.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Sequence
 
 from mith.errors import MithError, ProofError
@@ -55,9 +57,8 @@ from mith.circuit import (
 )
 from mith.sss import PARTY_IDS, PARTY_PAIRS
 
-# Op codes.  An op is (code, dst, a, b): dst = a + b; dst = scalar[a] * b;
-# or dst = a * b through the next exchange.
-ADD, SMUL, MUL = range(3)
+# Op codes.  An op is (code, dst, a, b): dst = a + b or dst = scalar[a] * b.
+ADD, SMUL = range(2)
 
 # A view's fields, in encoding order.
 VIEW_FIELDS = ("public_inputs", "secret_shares", "randomness", "messages", "zin", "bcast")
@@ -67,13 +68,16 @@ class Program:
     """A circuit compiled for in-the-head evaluation.
 
     Slots 0..n_public-1 hold the public inputs, the next n_secret slots
-    the secret inputs; constants and op results follow.  `ops` is in
-    post-order, so its multiplications run in exchange order: the t-th
-    reads the party's randomness pair t and records message slot t, and
-    the refresh is exchange n_mul.  Gates inside an smul's scalar
-    subtree (`circuit.scalar_marks`) are not ops: `scalars` evaluates the
-    circuit in the clear once per statement and reads each scalar root
-    (`scalar_roots`, gate indices).
+    the secret inputs; constants and op results follow.  `layers` is the
+    schedule, one layer per multiplicative depth d from 0: the
+    multiplications of depth d, which read only slots of lower depth,
+    then the ADD and SMUL ops of depth d in post-order.  Exchanges are
+    numbered in post-order: the t-th multiplication reads the party's
+    randomness pair t and records message slot t, and the refresh is
+    exchange n_mul; a layer lists its exchanges t ascending.  Gates
+    inside an smul's scalar subtree (`circuit.scalar_marks`) are not
+    ops: `scalars` evaluates the circuit in the clear once per statement
+    and reads each scalar root (`scalar_roots`, gate indices).
 
     A view's encoding is its n_elements elements, `width` bytes each:
     `view_length` bytes, element j at `offsets[j]` = j * width.  `cols`
@@ -88,10 +92,14 @@ class Program:
         self.n_public, self.n_secret = topo.n_public, topo.n_secret
         self.n_in = topo.n_public + topo.n_secret
         init = [0] * self.n_in
-        ops = []
+        depth = [0] * self.n_in  # per slot: its multiplicative depth
+        # Per depth d: its multiplications' exchanges t, their (dst, a, b),
+        # and its ADD and SMUL ops; each list in post-order.
+        layers = [([], [], [])]
         self.scalar_roots = []  # gate index of each op smul's scalar
+        self.n_mul = 0
         slot = []  # per gate: its wire slot; None inside a scalar subtree
-        for i, ((op, _, a, b), public) in enumerate(zip(c.gates, scalar_marks(c))):
+        for (op, _, a, b), public in zip(c.gates, scalar_marks(c)):
             if public:
                 slot.append(None)
             elif op == "pinput":
@@ -99,19 +107,27 @@ class Program:
             elif op == "sinput":
                 slot.append(self.n_public + a)
             else:
-                slot.append(len(init))
+                dst = len(init)
+                slot.append(dst)
                 init.append(a if op == "const" else 0)
+                d = 0 if op == "const" else depth[slot[b]]
                 if op == "smul":
-                    ops.append((SMUL, slot[i], len(self.scalar_roots), slot[b]))
+                    layers[d][2].append((SMUL, dst, len(self.scalar_roots), slot[b]))
                     self.scalar_roots.append(a)
                 elif op == "add":
-                    ops.append((ADD, slot[i], slot[a], slot[b]))
+                    d = max(d, depth[slot[a]])
+                    layers[d][2].append((ADD, dst, slot[a], slot[b]))
                 elif op == "mul":
-                    ops.append((MUL, slot[i], slot[a], slot[b]))
-        self.ops = tuple(ops)
+                    d = max(d, depth[slot[a]]) + 1
+                    if d == len(layers):
+                        layers.append(([], [], []))
+                    layers[d][0].append(self.n_mul)
+                    layers[d][1].append((dst, slot[a], slot[b]))
+                    self.n_mul += 1
+                depth.append(d)
+        self.layers = tuple(tuple(map(tuple, layer)) for layer in layers)
         self.root = slot[-1]
         self.init = init
-        self.n_mul = [op[0] for op in ops].count(MUL)
         self._circuit = c
         self.n_rand = 2 * (self.n_mul + 1)
         self.n_elements = self.n_in + self.n_rand + 5 * self.n_mul + 10
@@ -164,27 +180,29 @@ def random_gate_randomness(rng: RandomSource, c: Circuit, reps: int = 1):
 
 
 def _interpret(prog: Program, inputs: Sequence, scalars: Sequence[int], n: int, exchange):
-    """Run prog's ops over n lanes, given the n_in input columns and each
-    smul scalar.  exchange(d) reshares the lanes' column d and returns the
-    five columns they received, one per sender; it is called in exchange
-    order, so its caller numbers exchanges by counting calls: each
-    multiplication's products, then zeros for the refresh.  Returns each
-    lane's refreshed share: its root share plus the zero shares it received."""
+    """Run prog's layers over n lanes, given the n_in input columns and
+    each smul scalar.  Per layer with multiplications, one product of the
+    operands joined and one exchange(d, ts): d holds, for each exchange t
+    of ts in turn, the lanes' column it reshares, and exchange returns the
+    five columns the lanes received, one per sender, each joined in the
+    same order; one recombination gives every product.  The refresh is
+    the last call, exchange n_mul of zeros.  Returns each lane's refreshed
+    share: its root share plus the zero shares it received."""
     F = prog.cols
     lam = prog.lam
     const = {v: F.const(v, n) for v in set(prog.init[prog.n_in:])}
     vals = [*inputs, *[const[v] for v in prog.init[prog.n_in:]]]
-    for code, dst, a, b in prog.ops:
-        y = vals[b]
-        if code == ADD:
-            vals[dst] = F.add(vals[a], y)
-        elif code == MUL:
-            vals[dst] = F.lincomb(lam, exchange(F.mul(vals[a], y)))
-        else:
-            vals[dst] = F.smul(scalars[a], y)
+    for ts, muls, ops in prog.layers:
+        if ts:
+            d = F.mul(F.join([vals[a] for _, a, _ in muls]), F.join([vals[b] for *_, b in muls]))
+            prods = F.lincomb(lam, exchange(d, ts))
+            for k, (dst, _, _) in enumerate(muls):
+                vals[dst] = prods[k * n:k * n + n]
+        for code, dst, a, b in ops:
+            vals[dst] = F.add(vals[a], vals[b]) if code == ADD else F.smul(scalars[a], vals[b])
     root = vals[prog.root]
     del vals  # free the wire columns
-    return F.lincomb((1,) * 6, [root, *exchange(F.const(0, n))])
+    return F.lincomb((1,) * 6, [root, *exchange(F.const(0, n), (prog.n_mul,))])
 
 
 def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]],
@@ -221,19 +239,20 @@ def run_protocol(s: Statement, input_sharings: Sequence[Sequence[Sequence[int]]]
           for i in range(prog.n_rand)]
     del draws
     encode_view(c, rows, enumerate([*inputs, *rc]))
-    exchanges = count()
+    m0 = prog.fields["messages"][0]
 
-    def exchange(d):
-        """Exchange t: every lane reshares d with its randomness pair t;
-        sh[x] holds what each lane sent to party x+1.  cols[q], what
-        every lane received from party q+1, is party q+1's lanes of
-        sh[0], ..., sh[4] in turn.  Views record the five received
-        columns at message slot t."""
-        t = next(exchanges)
-        sh = F.share(d, rc[2 * t], rc[2 * t + 1])
-        cols = [F.join([col[k:k + n] for col in sh]) for k in range(0, lanes, n)]
-        encode_view(c, rows, enumerate(cols, prog.fields["messages"][0] + 5 * t))
-        return cols
+    def exchange(d, ts):
+        """Exchanges ts: every lane reshares its column of d for each t
+        with its randomness pair t; sh[x] holds what each lane sent to
+        party x+1.  What every lane received from party q+1 in exchange
+        t is party q+1's lanes of sh[0], ..., sh[4] in t's block, which
+        views record at message slot t."""
+        sh = F.share(d, F.join([rc[2 * t] for t in ts]), F.join([rc[2 * t + 1] for t in ts]))
+        blocks = [[F.join([col[k:k + n] for col in sh]) for k in range(o, o + lanes, n)]
+                  for o in range(0, len(ts) * lanes, lanes)]
+        encode_view(c, rows, [(m0 + 5 * t + q, col) for t, cols in zip(ts, blocks)
+                              for q, col in enumerate(cols)])
+        return [F.join(cols) for cols in zip(*blocks)]
 
     own = _interpret(prog, inputs, prog.scalars(pubs), lanes, exchange)
     bcast = [own[k:k + n] * 5 for k in range(0, lanes, n)]
@@ -279,11 +298,13 @@ def out_messages(c: Circuit, x: Sequence[FieldElement],
     # The recorded columns at each messaging multiplication, then zin.
     recorded = [cols[k:k + 5] for k in range(prog.n_in + prog.n_rand, prog.n_elements - 5, 5)]
     del cols
-    sent = []
+    sent = [None] * (prog.n_mul + 1)  # per exchange t: what the lanes sent each party
 
-    def exchange(d):
-        sent.append(F.share(d, rc[2 * len(sent)], rc[2 * len(sent) + 1]))
-        return recorded[len(sent) - 1]
+    def exchange(d, ts):
+        sh = F.share(d, F.join([rc[2 * t] for t in ts]), F.join([rc[2 * t + 1] for t in ts]))
+        for k, t in enumerate(ts):
+            sent[t] = [col[k * n:k * n + n] for col in sh]
+        return [F.join([recorded[t][q] for t in ts]) for q in range(5)]
 
     own = _interpret(prog, inputs, prog.scalars(pubs), n, exchange)
     return ok, [b"".join([*[F.encode(row[a]) for row in sent], F.encode(own)]) for a in range(5)]
@@ -365,10 +386,10 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     The two corrupt parties are the lanes of one pass.  Incoming messages
     from honest parties are sampled uniformly; the honest broadcast shares
     are fixed so the opened sharing interpolates to y.  The returned views
-    are mutually consistent and both report local output y.  Draws, per
-    messaging multiplication in post-order: each corrupt party's (a1, a2),
-    then the honest parties' values sent to i and to j; then the same for
-    the refresh.
+    are mutually consistent and both report local output y.  Draws, all
+    before the run, per exchange in post-order (each messaging
+    multiplication, then the refresh): each corrupt party's (a1, a2),
+    then the honest parties' values sent to i and to j.
     """
     i, j = corrupt
     if i == j:
@@ -379,23 +400,20 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     honest = [k for k in PARTY_IDS if k not in corrupt]
     pubs = tuple(e.value for e in x)
     shares = [tuple(cs[lane].value for cs in corrupt_shares) for lane in (0, 1)]
-    rand = ([], [])
-    msgs = []
+    draws = [[rng.randbelow(p) for _ in range(10)] for _ in range(prog.n_mul + 1)]
+    msgs = [None] * (prog.n_mul + 1)  # per exchange t: per lane, its five received values
 
-    def exchange(d):
-        """Each corrupt lane reshares d with a fresh randomness pair,
-        appended to its view's; the honest parties' entries are uniform."""
-        draws = [rng.randbelow(p) for _ in range(4)]
-        rand[0].extend(draws[:2])
-        rand[1].extend(draws[2:])
-        sh = F.share(d, F.from_ints(draws[0::2]), F.from_ints(draws[1::2]))
-        cols = [None] * 5
-        for lane, q in enumerate(corrupt):
-            cols[q - 1] = F.from_ints((sh[i - 1][lane], sh[j - 1][lane]))
-        for k in honest:
-            cols[k - 1] = F.from_ints((rng.randbelow(p), rng.randbelow(p)))
-        msgs.append(list(zip(*cols)))
-        return cols
+    def exchange(d, ts):
+        """Each corrupt lane reshares d with its randomness pairs ts; the
+        honest parties' entries are uniform."""
+        sh = F.share(d, F.from_ints([draws[t][e] for t in ts for e in (0, 2)]),
+                     F.from_ints([draws[t][e] for t in ts for e in (1, 3)]))
+        for k, t in enumerate(ts):
+            got = {q: (sh[i - 1][2 * k + lane], sh[j - 1][2 * k + lane])
+                   for lane, q in enumerate(corrupt)}
+            got.update(zip(honest, zip(draws[t][4::2], draws[t][5::2])))
+            msgs[t] = [tuple(got[q][lane] for q in PARTY_IDS) for lane in (0, 1)]
+        return [F.from_ints([msgs[t][lane][q] for t in ts for lane in (0, 1)]) for q in range(5)]
 
     inputs = ([F.const(v, 2) for v in pubs]
               + [F.from_ints((a.value, b.value)) for a, b in corrupt_shares])
@@ -405,7 +423,8 @@ def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
     pts = ((0, y.value), (i, u_i), (j, u_j))
     bcast = [u_i if k == i else u_j if k == j else _interp_eval(pts, k, p) for k in PARTY_IDS]
     return tuple(make_view(c, public_inputs=pubs, secret_shares=shares[lane],
-                           randomness=rand[lane], messages=[m[lane] for m in msgs],
+                           randomness=[v for r in draws for v in r[2 * lane:2 * lane + 2]],
+                           messages=[m[lane] for m in msgs],
                            zin=zin[lane], bcast=bcast) for lane in (0, 1))
 
 

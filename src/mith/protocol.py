@@ -200,11 +200,13 @@ def check_repetitions(s: Statement, proof: Proof) -> list[bool]:
     proof records: openings verify, views pairwise consistent, both
     outputs hit the target; each, the openings too, is one call over the
     opened views of every repetition (`opened_views`).  Malformed data
-    yields False, never an exception."""
+    yields False, never an exception: a repetition whose challenge byte
+    is 10 or more is checked as for that byte mod 10, and fails."""
     if proof.reps < 1:
         return []
     c, scheme = s.circuit, scheme_by_name(proof.scheme, s.circuit.modulus.p)
-    body, chs, fields = proof.body, proof.challenges, block_fields(c, scheme)
+    body, fields = proof.body, block_fields(c, scheme)
+    chs = proof.challenges.translate(_CHALLENGE_TABLE)
     starts = range(0, len(body), len(body) // proof.reps)
     rows = opened_views(c, proof)
     n, ((_, L), (oi, ol), _, (oj, _)) = scheme.commitment_length, fields[5:]
@@ -216,7 +218,8 @@ def check_repetitions(s: Statement, proof: Proof) -> list[bool]:
     ok, to = mpc.out_messages(c, s.public_inputs, rows)
     good = [a and b and v for a, b, v in zip(ok, mpc.local_output(c, rows, s.target), opens)]
     consistent = mpc.consistent_views(c, rows, chs, to)
-    return [gi and gj and ok for gi, gj, ok in zip(good[::2], good[1::2], consistent)]
+    return [gi and gj and ok and ch < N_CHALLENGES for gi, gj, ok, ch
+            in zip(good[::2], good[1::2], consistent, proof.challenges)]
 
 
 def accepts(s: Statement, proof: Proof, checks) -> bool:

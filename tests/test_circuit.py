@@ -1,15 +1,18 @@
 """Circuit parsing, validation and plain evaluation."""
 
 import ast
+import hashlib
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mith import mpc
+from mith import circuit, mpc
 from mith.circuit import (
-    GATE_ID_BOUND, Circuit, Gate, Statement, Topology,
+    GATE_ID_BOUND, Circuit, Gate, Statement, Topology, canonical_statement_bytes,
     Witness, eval_plain, format_circuit, format_statement, format_witness,
     mul_gate_ids, parse_circuit, parse_statement, parse_witness,
     statement_circuit_path, statement_hash, validate_circuit,
@@ -365,7 +368,7 @@ def test_scalar_subtree_multiplications_exchange_nothing():
     assert mul_gate_ids(c) == [8, 12]
     prog = mpc.program(c)
     assert prog.n_mul == 2 and prog.n_rand == 6
-    assert [op[0] for op in prog.ops].count(mpc.MUL) == 2
+    assert sum(len(muls) for _, muls, _ in prog.layers) == 2
     for x in (0, 1, 5, 100):
         assert prog.scalars((x,)) == tuple(
             eval_oracle(f"field 101\ntopology 1 1 1\n{t}\n", [x], []) for t in SCALARS)
@@ -522,3 +525,49 @@ def test_statement_hash_distinguishes():
     h2 = statement_hash(Statement(c, (), m.element(11)))
     assert len(h1) == 32 and h1 != h2
     assert h1 == statement_hash(Statement(c, (), m.element(10)))
+
+
+def test_statement_hash_kept_on_its_statement():
+    """The digest is the SHA-256 of the canonical bytes, kept on the
+    Statement: the same object again, and a Statement with target + 1
+    gets its own."""
+    c = parse_circuit(SQUARE_PLUS_ONE)
+    s = Statement(c, (), c.modulus.element(10))
+    h = statement_hash(s)
+    assert h == hashlib.sha256(canonical_statement_bytes(s)).digest()
+    assert statement_hash(s) is h
+    other = Statement(c, (), s.target + c.modulus.one())
+    assert statement_hash(other) == hashlib.sha256(canonical_statement_bytes(other)).digest()
+    assert statement_hash(other) != h and statement_hash(s) is h
+
+
+def test_threads_hashing_one_statement_print_it_once(monkeypatch):
+    """Six threads that hash one fresh Statement at once (a barrier
+    releases them together), with thread switches forced often, print it
+    once and all get one digest."""
+    c = parse_circuit(SQUARE_PLUS_ONE)
+    printed = []
+    canonical = circuit.canonical_statement_bytes
+    monkeypatch.setattr(circuit, "canonical_statement_bytes",
+                        lambda st: printed.append(st) or canonical(st))
+    digests = []
+
+    def worker(s, together):
+        together.wait(10)
+        digests.append(statement_hash(s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for target in range(20):
+            s, together = Statement(c, (), c.modulus.element(target)), threading.Barrier(6)
+            threads = [threading.Thread(target=worker, args=(s, together)) for _ in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(10)
+            assert not any(th.is_alive() for th in threads)
+            assert printed[-1] is s and len(printed) == target + 1
+            assert len({id(d) for d in digests[-6:]}) == 1
+    finally:
+        sys.setswitchinterval(interval)

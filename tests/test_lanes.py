@@ -30,7 +30,7 @@ from mith.commit import PedersenScheme, scheme_by_name
 from mith.corpus import bench_circuit_a, bench_circuit_b, random_circuit, random_instance
 from mith.errors import MithError
 from mith.field import Modulus, RandomSource
-from mith.sss import PARTY_PAIRS
+from mith.sss import PARTY_PAIRS, share_sim
 
 from test_field import reference_randbelow
 from test_fuzz import TREES, render
@@ -45,6 +45,16 @@ def chain_circuit(n: int):
     return parse_circuit(f"field 101\ntopology 0 1 {n}\n{node}\n")
 
 
+# Post-order runs mul 2 (depth 1), mul 1 (depth 2), then mul 3 (depth 1):
+# exchanges 0 and 2 share the first multiplicative layer, and exchange 1
+# runs after both.
+INTERLEAVED_DEPTHS = (
+    "field 101\n"
+    "topology 1 1 4\n"
+    "(add 4 (mul 1 (mul 2 (sinput 0) (sinput 0)) (sinput 0)) (mul 3 (sinput 0) (pinput 0)))\n"
+)
+
+
 CIRCUITS = {
     "bench_a": bench_circuit_a,
     "bench_b": bench_circuit_b,
@@ -52,6 +62,7 @@ CIRCUITS = {
     "smul-over-mul": lambda: parse_circuit(SMUL_OVER_MUL),
     "chain-200": lambda: chain_circuit(200),
     "pre-order-ids": lambda: parse_circuit(PRE_ORDER_IDS),
+    "interleaved-depths": lambda: parse_circuit(INTERLEAVED_DEPTHS),
 }
 
 
@@ -258,3 +269,88 @@ def test_lanes_match_reference_on_generated_circuits(tree, p, scheme_name, reps)
     except MithError:  # an input leaf alone, or a secret smul scalar
         assume(False)
     check_against_reference(c, scheme_name, reps, seed=n_gates)
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_program_layers_schedule_every_exchange_once(name):
+    """Each multiplication is in one layer with its post-order exchange
+    index, ascending within the layer, and reads only the inputs, the
+    constants and what earlier layers wrote; a layer's ADD and SMUL ops
+    read nothing a later layer writes."""
+    c = CIRCUITS[name]()
+    prog = mpc.program(c)
+    ts = [t for layer_ts, _, _ in prog.layers for t in layer_ts]
+    assert sorted(ts) == list(range(prog.n_mul)) == list(range(sum(messaging_flags(c))))
+    assert all(list(layer_ts) == sorted(set(layer_ts)) for layer_ts, _, _ in prog.layers)
+    dsts = {dst for _, muls, ops in prog.layers
+            for dst in (*[m[0] for m in muls], *[op[1] for op in ops])}
+    written = set(range(len(prog.init))) - dsts  # the inputs and the constants
+    for layer_ts, muls, ops in prog.layers:
+        assert len(layer_ts) == len(muls)
+        assert all(a in written and b in written for _, a, b in muls)
+        written |= {dst for dst, _, _ in muls}
+        for code, dst, a, b in ops:
+            assert b in written and (code == mpc.SMUL or a in written)
+            written.add(dst)
+    assert written == set(range(len(prog.init)))
+
+
+def test_program_layer_sizes():
+    """depth-9's 24 multiplications fall in 8 layers; the interleaved
+    circuit runs exchanges 0 and 2 before exchange 1."""
+    layers = mpc.program(CIRCUITS["depth-9"]()).layers
+    assert [len(ts) for ts, _, _ in layers if ts] == [8, 6, 4, 2, 1, 1, 1, 1]
+    layers = mpc.program(CIRCUITS["interleaved-depths"]()).layers
+    assert [ts for ts, _, _ in layers if ts] == [(0, 2), (1,)]
+
+
+@pytest.mark.parametrize("name, calls", [("depth-9", 9), ("interleaved-depths", 3),
+                                         ("chain-200", 201), ("bench_a", 2)])
+def test_one_exchange_per_layer(monkeypatch, name, calls):
+    """The prover's and the verifier's runs each call their exchange once
+    per multiplicative layer and once for the refresh, with the layer's
+    exchange indices and one column per exchange, lanes long."""
+    c = CIRCUITS[name]()
+    prog = mpc.program(c)
+    want = [ts for ts, _, _ in prog.layers if ts] + [(prog.n_mul,)]
+    seen = []
+    interpret = mpc._interpret
+
+    def counting(prog, inputs, scalars, n, exchange):
+        got = []
+
+        def counted(d, ts):
+            got.append(ts)
+            assert len(d) == len(ts) * n
+            return exchange(d, ts)
+
+        own = interpret(prog, inputs, scalars, n, counted)
+        seen.append(got)
+        return own
+
+    monkeypatch.setattr(mpc, "_interpret", counting)
+    s, w = random_instance(random.Random(1), c)
+    assert pr.verify_repeated(s, pr.prove_repeated(w, s, 3, RandomSource(1)))
+    assert seen == [want, want] and len(want) == calls
+
+
+# SHA-256 of the ten simulated view pairs, one per challenge pair in
+# order, on random_instance(random.Random(5), c) with share_sim's draws
+# and mpc_simulate's from one RandomSource(b"simulator-kat"): computed
+# when each multiplication still called its own exchange, in post-order,
+# so the simulator's draw order per exchange is pinned.
+SIMULATOR_DIGESTS = {
+    "interleaved-depths": "9769d8774a01c4e719a13aa65aca2bc19fdd0ea519c84d71f8b280a0316ac325",
+    "depth-9": "d720f4686d387afcad57ececc11db4ad6e06a695a75867897f77e5a1de2cca84",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATOR_DIGESTS))
+def test_simulator_views_known_answer(name):
+    c = CIRCUITS[name]()
+    s, _ = random_instance(random.Random(5), c)
+    rng, h = RandomSource(b"simulator-kat"), hashlib.sha256()
+    for pair in PARTY_PAIRS:
+        cs = [share_sim(rng, pair, c.modulus) for _ in range(c.topology.n_secret)]
+        h.update(b"".join(mpc.mpc_simulate(c, s.public_inputs, pair, cs, s.target, rng)))
+    assert h.hexdigest() == SIMULATOR_DIGESTS[name]

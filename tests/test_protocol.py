@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from mith import commit, mpc
+from mith import circuit, commit, mpc
 from mith import protocol as pr
 from mith import session as ses
 from mith.circuit import Statement, Witness, parse_circuit
@@ -414,6 +414,42 @@ def test_parse_names_the_first_challenge_not_derived(m11, scheme_name):
             with pytest.raises(ProofError, match=f"^challenge of repetition {k} is not"):
                 pr.parse_proof(data[:pos] + bytes([other]) + data[pos + 1:], c)
     assert pr.verify_repeated(s, pr.parse_proof(data, c))
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_out_of_range_challenge_fails_only_its_repetition(m11, scheme_name):
+    """A Proof built in memory with a challenge byte of 10 or more: that
+    repetition's check is False, the others are checked as usual, and
+    nothing raises; a file of it stays malformed."""
+    s, w = golden_corpus(m11, 1)[0]
+    scheme = scheme_by_name(scheme_name, 11)
+    proof = pr.prove_repeated(w, s, 2, RandomSource(45), scheme)
+    size = len(proof.body) // 2
+    for k, byte in ((0, 10), (1, 255)):
+        pos = k * size + pr.commit_length(scheme)
+        bad = dataclasses.replace(proof, body=proof.body[:pos] + bytes([byte])
+                                  + proof.body[pos + 1:])
+        assert pr.check_repetitions(s, bad) == [k != 0, k != 1]
+        assert not pr.verify_repeated(s, bad)
+        with pytest.raises(ProofError, match=f"^challenge byte {byte} out of range"):
+            pr.parse_proof(pr.serialize_proof(bad, s.circuit), s.circuit)
+    assert pr.check_repetitions(s, proof) == [True, True]
+
+
+@pytest.mark.parametrize("scheme_name", ["prf", "pedersen"])
+def test_statement_hashed_once_from_prove_to_verify(m11, monkeypatch, scheme_name):
+    """Proving, writing, reading and verifying against one Statement
+    print and hash it once."""
+    s, w = golden_corpus(m11, 1)[0]
+    printed = []
+    canonical = circuit.canonical_statement_bytes
+    monkeypatch.setattr(circuit, "canonical_statement_bytes",
+                        lambda st: printed.append(st) or canonical(st))
+    scheme = scheme_by_name(scheme_name, 11)
+    data = pr.serialize_proof(pr.prove_repeated(w, s, 3, RandomSource(46), scheme), s.circuit)
+    assert pr.verify_repeated(s, pr.parse_proof(data, s.circuit))
+    assert printed == [s]
+    assert data[11:pr.HEADER_LENGTH] == hashlib.sha256(canonical(s)).digest()
 
 
 def unopened_commitment_bytes(proof, data: bytes) -> set[int]:

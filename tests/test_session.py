@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from mith import circuit
 from mith import protocol as pr
 from mith import session as ses
 from mith.circuit import Statement
@@ -110,6 +111,19 @@ def test_honest_session_accepts(m11):
     for s, w in golden_corpus(m11, 4):
         out = run_session(s, w, 10)
         assert out["prover"] is True and out["verifier"] is True
+
+
+def test_session_hashes_its_statement_once(m11, monkeypatch):
+    """A loopback session whose prover and verifier share one Statement
+    prints and hashes it once, though both sides need the digest at once."""
+    s, w = golden_corpus(m11, 1)[0]
+    printed = []
+    canonical = circuit.canonical_statement_bytes
+    monkeypatch.setattr(circuit, "canonical_statement_bytes",
+                        lambda st: printed.append(st) or canonical(st))
+    out = run_session(s, w, 4)
+    assert out["prover"] is True and out["verifier"] is True
+    assert printed == [s]
 
 
 def test_session_verdict_matches_offline_replay(m11):
