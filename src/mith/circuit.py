@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -381,16 +380,16 @@ def canonical_statement_bytes(s: Statement) -> bytes:
     return (_statement_head(s) + format_circuit(s.circuit)).encode("utf-8")
 
 
-_HASHING = threading.Lock()
-
-
 def statement_hash(s: Statement) -> bytes:
-    """SHA-256 of s's canonical bytes, computed once per Statement, also
-    when threads (a session's prover and verifier) ask at once, and kept
-    on it."""
-    with _HASHING:
-        return s.__dict__.get("_hash") or s.__dict__.setdefault(
-            "_hash", hashlib.sha256(canonical_statement_bytes(s)).digest())
+    """SHA-256 of s's canonical bytes, computed on first use and kept on the
+    Statement object, so callers that reuse one Statement (the harness
+    games, selftest, `mith bench`, a loopback session) print it once.
+    Threads that ask at once may each print it; all get the digest stored
+    first."""
+    h = s.__dict__.get("_hash")
+    if h is None:
+        h = s.__dict__.setdefault("_hash", hashlib.sha256(canonical_statement_bytes(s)).digest())
+    return h
 
 
 def _statement_lines(text: str) -> dict[str, list[str]]:

@@ -4,8 +4,6 @@ import ast
 import hashlib
 import random
 import re
-import sys
-import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -539,35 +537,3 @@ def test_statement_hash_kept_on_its_statement():
     other = Statement(c, (), s.target + c.modulus.one())
     assert statement_hash(other) == hashlib.sha256(canonical_statement_bytes(other)).digest()
     assert statement_hash(other) != h and statement_hash(s) is h
-
-
-def test_threads_hashing_one_statement_print_it_once(monkeypatch):
-    """Six threads that hash one fresh Statement at once (a barrier
-    releases them together), with thread switches forced often, print it
-    once and all get one digest."""
-    c = parse_circuit(SQUARE_PLUS_ONE)
-    printed = []
-    canonical = circuit.canonical_statement_bytes
-    monkeypatch.setattr(circuit, "canonical_statement_bytes",
-                        lambda st: printed.append(st) or canonical(st))
-    digests = []
-
-    def worker(s, together):
-        together.wait(10)
-        digests.append(statement_hash(s))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for target in range(20):
-            s, together = Statement(c, (), c.modulus.element(target)), threading.Barrier(6)
-            threads = [threading.Thread(target=worker, args=(s, together)) for _ in range(6)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(10)
-            assert not any(th.is_alive() for th in threads)
-            assert printed[-1] is s and len(printed) == target + 1
-            assert len({id(d) for d in digests[-6:]}) == 1
-    finally:
-        sys.setswitchinterval(interval)
