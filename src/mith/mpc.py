@@ -16,8 +16,9 @@ one byte per lane over a field below 128, else a list of ints), and for
 each layer's multiplications and for the refresh one exchange call
 supplies the columns the lanes received.  The prover
 (`run_protocol`) runs a lane per party and repetition and reshares with
-the drawn randomness; the simulator (`mpc_simulate`) runs the two
-corrupt parties and draws the honest parties' messages.
+the drawn randomness; the 2-privacy simulator (`mpc_simulate`) is one
+such run on dummy shares, with only the opened broadcast set to the
+claimed output.
 
 A party's view is flat: its public inputs, its input shares, its
 randomness, the incoming resharing column at each messaging
@@ -371,61 +372,40 @@ def consistent_views(c: Circuit, rows: bytes, challenges: bytes, to: Sequence[by
 # 2-privacy simulator
 
 
-def _interp_eval(pts: Sequence[tuple[int, int]], at: int, p: int) -> int:
-    """Evaluate the unique polynomial through pts at x=at (at not a node)."""
-    ws = lagrange_weights([x - at for x, _ in pts], p)
-    return sum(w * y for w, (_, y) in zip(ws, pts)) % p
-
-
 def mpc_simulate(c: Circuit, x: Sequence[FieldElement],
                  corrupt: tuple[int, int],
                  corrupt_shares: Sequence[tuple[FieldElement, FieldElement]],
                  y: FieldElement, rng: RandomSource) -> tuple[bytes, bytes]:
     """Simulate the joint view of two corrupt parties without the witness.
 
-    The two corrupt parties are the lanes of one pass.  Incoming messages
-    from honest parties are sampled uniformly; the honest broadcast shares
-    are fixed so the opened sharing interpolates to y.  The returned views
-    are mutually consistent and both report local output y.  Draws, all
-    before the run, per exchange in post-order (each messaging
-    multiplication, then the refresh): each corrupt party's (a1, a2),
-    then the honest parties' values sent to i and to j.
+    An honest run (`run_protocol`, one lane per party) on dummy shares:
+    corrupt parties i and j hold corrupt_shares, the honest parties 0 for
+    every secret input.  What an honest party sends i and j is two points
+    of a fresh degree-2 sharing, uniform whatever it shares; only the
+    broadcast gives the run away, so the honest parties' broadcast shares
+    are set on the degree-2 polynomial through (0, y), (i, u_i) and
+    (j, u_j), u the corrupt parties' own refreshed shares.  Both views
+    are consistent and report output y.  MithError unless corrupt is two
+    distinct parties of 1..5 and corrupt_shares holds a pair of elements
+    below p per secret input.
     """
     i, j = corrupt
-    if i == j:
-        raise MithError("corrupt parties must be distinct")
+    if tuple(sorted(corrupt)) not in PARTY_PAIRS:
+        raise MithError("corrupt parties must be two distinct parties of 1..5")
     prog = program(c)
-    F = prog.cols
-    p = prog.p
-    honest = [k for k in PARTY_IDS if k not in corrupt]
-    pubs = tuple(e.value for e in x)
-    shares = [tuple(cs[lane].value for cs in corrupt_shares) for lane in (0, 1)]
-    draws = [[rng.randbelow(p) for _ in range(10)] for _ in range(prog.n_mul + 1)]
-    msgs = [None] * (prog.n_mul + 1)  # per exchange t: per lane, its five received values
-
-    def exchange(d, ts):
-        """Each corrupt lane reshares d with its randomness pairs ts; the
-        honest parties' entries are uniform."""
-        sh = F.share(d, F.from_ints([draws[t][e] for t in ts for e in (0, 2)]),
-                     F.from_ints([draws[t][e] for t in ts for e in (1, 3)]))
-        for k, t in enumerate(ts):
-            got = {q: (sh[i - 1][2 * k + lane], sh[j - 1][2 * k + lane])
-                   for lane, q in enumerate(corrupt)}
-            got.update(zip(honest, zip(draws[t][4::2], draws[t][5::2])))
-            msgs[t] = [tuple(got[q][lane] for q in PARTY_IDS) for lane in (0, 1)]
-        return [F.from_ints([msgs[t][lane][q] for t in ts for lane in (0, 1)]) for q in range(5)]
-
-    inputs = ([F.const(v, 2) for v in pubs]
-              + [F.from_ints((a.value, b.value)) for a, b in corrupt_shares])
-    u_i, u_j = _interpret(prog, inputs, prog.scalars(pubs), 2, exchange)
-    zin = msgs.pop()
-    # Fix honest broadcasts so the degree-2 opened sharing hits y.
-    pts = ((0, y.value), (i, u_i), (j, u_j))
-    bcast = [u_i if k == i else u_j if k == j else _interp_eval(pts, k, p) for k in PARTY_IDS]
-    return tuple(make_view(c, public_inputs=pubs, secret_shares=shares[lane],
-                           randomness=[v for r in draws for v in r[2 * lane:2 * lane + 2]],
-                           messages=[m[lane] for m in msgs],
-                           zin=zin[lane], bcast=bcast) for lane in (0, 1))
+    if not all(0 <= e.value < prog.p for pair in corrupt_shares for e in pair):
+        raise MithError(f"corrupt shares must be elements below {prog.p}")
+    sharings = [[(a.value if q == i else b.value if q == j else 0,) for q in PARTY_IDS]
+                for a, b in corrupt_shares]
+    rows = run_protocol(Statement(c, tuple(x), y), sharings, random_gate_randomness(rng, c))
+    L = prog.view_length
+    views = [rows[(q - 1) * L:q * L] for q in corrupt]
+    bcast = list(view_fields(c, views[0])["bcast"])
+    pts = [(0, y.value), *((q, bcast[q - 1]) for q in corrupt)]
+    for k in set(PARTY_IDS) - set(corrupt):
+        ws = lagrange_weights([t - k for t, _ in pts], prog.p)
+        bcast[k - 1] = sum(w * v for w, (_, v) in zip(ws, pts)) % prog.p
+    return tuple(make_view(c, v, bcast=bcast) for v in views)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,8 @@ def share_sim(rng: RandomSource, corrupt: tuple[int, int], m: Modulus) -> tuple[
 
     For any secret, the joint share distribution of any two parties is
     uniform on F^2, so two independent uniform draws are a perfect
-    simulation.
+    simulation.  FieldError unless corrupt is two distinct parties of 1..5.
     """
-    i, j = corrupt
-    if i == j:
-        raise FieldError("corrupt parties must be distinct")
+    if tuple(sorted(corrupt)) not in PARTY_PAIRS:
+        raise FieldError("corrupt parties must be two distinct parties of 1..5")
     return rng.field_element(m), rng.field_element(m)

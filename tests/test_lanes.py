@@ -336,12 +336,14 @@ def test_one_exchange_per_layer(monkeypatch, name, calls):
 
 # SHA-256 of the ten simulated view pairs, one per challenge pair in
 # order, on random_instance(random.Random(5), c) with share_sim's draws
-# and mpc_simulate's from one RandomSource(b"simulator-kat"): computed
-# when each multiplication still called its own exchange, in post-order,
-# so the simulator's draw order per exchange is pinned.
+# and mpc_simulate's from one RandomSource(b"simulator-kat").  The
+# simulator is an honest run on dummy shares, so its draws are the
+# prover's gate randomness (`random_gate_randomness`: each exchange's
+# (a1, a2) for parties 1..5, in post-order); these digests pin that
+# schedule.
 SIMULATOR_DIGESTS = {
-    "interleaved-depths": "9769d8774a01c4e719a13aa65aca2bc19fdd0ea519c84d71f8b280a0316ac325",
-    "depth-9": "d720f4686d387afcad57ececc11db4ad6e06a695a75867897f77e5a1de2cca84",
+    "interleaved-depths": "ea24fb6288d96625c936d9cb6f9aabdb8f04b9c48f3985da946f6bb0d3a252ba",
+    "depth-9": "97315d2e2506fa8b18a3a2e56ea0d35c711d1f3fc986192e97418424cc716a7f",
 }
 
 

@@ -21,6 +21,7 @@ from mith.errors import MithError, ProofError
 from mith.field import FieldElement, Modulus, RandomSource, preset_modulus
 from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share
 
+from test_golden import SMUL_OVER_MUL
 from test_sss import Sharing, reconstruct
 
 ONE_MUL = "field 11\ntopology 0 1 1\n(mul 1 (sinput 0) (sinput 0))"
@@ -676,27 +677,40 @@ def test_global_consistency_equivalence_on_tampered_corpus(m11, rng):
 # Simulator
 
 
-def test_simulator_output_checks(m11, rng):
+@pytest.mark.parametrize("field", ["F11", "p256"])
+def test_simulator_output_checks(field, rng):
+    """Simulated pairs are consistent and open the target, over byte lanes
+    (F11) and int lanes (p256), on a corpus that includes a circuit with a
+    public input and an smul (`SMUL_OVER_MUL`)."""
     from mith.sss import share_sim
-    for s, w in golden_corpus(m11, 6):
+    m = Modulus(11) if field == "F11" else preset_modulus("p256")
+    smul = parse_circuit(SMUL_OVER_MUL.replace("field 101", f"field {m.p}"))
+    cases = golden_corpus(m, 6) + [random_instance(random.Random(4), smul)]
+    for s, w in cases:
         c = s.circuit
         target = s.target
         for corrupt in ((1, 2), (2, 5), (3, 4)):
-            cs = [share_sim(rng, corrupt, m11)
+            cs = [share_sim(rng, corrupt, m)
                   for _ in range(c.topology.n_secret)]
             vi, vj = mpc.mpc_simulate(c, s.public_inputs, corrupt, cs, target, rng)
             assert pairs_consistent(c, s.public_inputs, [(vi, vj, *corrupt)]) == [True]
             assert mpc.local_output(c, rows_of([vi, vj]), target) == [True, True]
 
 
-def test_simulator_rejects_equal_corrupt_parties(m11, rng):
+@pytest.mark.parametrize("corrupt, shares", [
+    ((3, 3), [(1, 1)]), ((0, 3), [(1, 1)]), ((2, 6), [(1, 1)]), ((1, 2), []), ((1, 2), [(256, 1)]),
+], ids=["equal", "party-0", "party-6", "no-shares", "share-above-p"])
+def test_simulator_rejects_equal_corrupt_parties(m11, rng, corrupt, shares):
+    """A corrupt pair must be two distinct parties of 1..5, and there must
+    be a pair of shares below p per secret input."""
     c = identity_circuit(m11)
+    pairs = [(FieldElement(a, m11), FieldElement(b, m11)) for a, b in shares]
     with pytest.raises(MithError):
-        mpc.mpc_simulate(c, (), (3, 3), [(m11.one(), m11.one())], m11.one(), rng)
+        mpc.mpc_simulate(c, (), corrupt, pairs, m11.one(), rng)
 
 
 class ScriptedRng:
-    """RandomSource stand-in that replays a fixed list of randbelow draws."""
+    """RandomSource stand-in that replays a fixed list of draws."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -705,6 +719,9 @@ class ScriptedRng:
         v = self.values.pop(0)
         assert 0 <= v < bound
         return v
+
+    def randbelows(self, bound, count):
+        return [self.randbelow(bound) for _ in range(count)]
 
     def field_element(self, modulus):
         return modulus.element(self.randbelow(modulus.p))
@@ -765,21 +782,24 @@ def real_execution_from_free_coords(c, s, w_val, free, m):
     return run1(s, [sharing], rand)
 
 
-def simulator_draws(free):
-    """The randbelow sequence that makes mpc_simulate realize the given
-    free coordinates (draw order mirrors the implementation)."""
+def simulator_draws(free, m=Modulus(11)):
+    """The draws that make mpc_simulate realize the given free coordinates
+    over m (ONE_MUL's field by default): the gate randomness of its run
+    on dummy shares, in the drawn order of `random_gate_randomness`.  The
+    corrupt parties' pairs are their own; each honest party shares 0, so
+    its pairs are the degree-2 polynomials through (0, 0) and the two
+    values it sends the corrupt pair, at the multiplication and at the
+    refresh."""
     (i, j), wi, wj, own_b, own_c, hin, zin = free
-    honest = [k for k in PARTY_IDS if k not in (i, j)]
-    seq = []
-    for q in (i, j):
-        seq += list(own_b[q])
-    for k in honest:
-        seq += [hin[k][0], hin[k][1]]
-    for q in (i, j):
-        seq += list(own_c[q])
-    for k in honest:
-        seq += [zin[k][0], zin[k][1]]
-    return seq
+    parties = []
+    for k in PARTY_IDS:
+        if k in (i, j):
+            parties.append((*own_b[k], *own_c[k]))
+        else:
+            _, b1, b2 = poly2_through(m, ((0, 0), (i, hin[k][0]), (j, hin[k][1])))
+            _, z1, z2 = poly2_through(m, ((0, 0), (i, zin[k][0]), (j, zin[k][1])))
+            parties.append((b1, b2, z1, z2))
+    return drawn(parties)
 
 
 def make_free(rnd, pair, p):

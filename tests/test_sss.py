@@ -181,6 +181,7 @@ def test_share_sim_deterministic_under_seed(m11):
     assert a == b
 
 
-def test_share_sim_rejects_duplicate_parties(m11):
+@pytest.mark.parametrize("pair", [(2, 2), (0, 7)], ids=["equal", "out-of-range"])
+def test_share_sim_rejects_duplicate_parties(m11, pair):
     with pytest.raises(FieldError):
-        share_sim(RandomSource(1), (2, 2), m11)
+        share_sim(RandomSource(1), pair, m11)
