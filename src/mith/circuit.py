@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from mith.errors import CircuitError, CircuitParseError
-from mith.field import FieldElement, Modulus
+from mith.field import FieldElement, Modulus, Record
 
 # Gate ids appear in no byte format (views encode elements only); the
 # bound stays as input validation, so a gate id is a u32 below 2^32 - 1.
@@ -35,8 +34,7 @@ _BINARY = ("add", "mul", "smul")
 _KEYWORDS = {*_INPUTS, "const", *_BINARY}
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     n_public: int
     n_secret: int
     n_gates: int
@@ -54,30 +52,33 @@ class Gate(NamedTuple):
     b: int | None = None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     topology: Topology
     gates: tuple[Gate, ...]
     modulus: Modulus
 
 
-@dataclass(frozen=True)
-class Statement:
-    """Public side of the relation: circuit, public inputs, expected output."""
+class Statement(Record):
+    """Public side of the relation: circuit, public inputs, expected output.
+    Each input and the target is an element of the circuit's field."""
 
     circuit: Circuit
     public_inputs: tuple[FieldElement, ...]
     target: FieldElement
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        m = self.circuit.modulus
         if len(self.public_inputs) != self.circuit.topology.n_public:
             raise CircuitError(
                 f"statement has {len(self.public_inputs)} public inputs, "
                 f"topology wants {self.circuit.topology.n_public}")
+        for x in (*self.public_inputs, self.target):
+            if not (isinstance(x, FieldElement) and x.modulus == m and 0 <= x.value < m.p):
+                raise CircuitError(f"statement value {x!r} is not an element of F_{m.p}")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     secret_inputs: tuple[FieldElement, ...]
 
 

@@ -10,11 +10,12 @@ it and returns the bytes it checked, and `verify_view` recomputes each
 commitment from its view and opening and compares bytes; all three take
 a batch, every view of a proof in one call.  Pedersen binds under
 SHA-256 collision resistance and discrete log, provided q > 2^256 so
-that H is never reduced; it hides perfectly.  Both bases are fixed for
-the life of a group, so they are looked up in 8-bit window tables built
-on first use (Brickell-Gordon-McCurley-Wilson): about 2n modular
-multiplications for an n-byte group order, in place of two full
-exponentiations.
+that H is never reduced; it hides perfectly.  Only a group's order q
+runs Miller-Rabin: P's primality follows from q's by Pocklington's
+criterion (`PedersenParams`).  Both bases are fixed for the life of a
+group, so they are looked up in 8-bit window tables built on first use
+(Brickell-Gordon-McCurley-Wilson): about 2n modular multiplications for
+an n-byte group order, in place of two full exponentiations.
 """
 
 from __future__ import annotations
@@ -22,34 +23,42 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from mith.errors import MithError, ProofError
-from mith.field import RandomSource, is_probable_prime
+from mith.field import RandomSource, Record, is_probable_prime
 
 PRF_KEY_LEN = 32
 DIGEST_LEN = 32
 
 
-@dataclass(frozen=True)
-class PedersenParams:
-    """Schnorr-style subgroup: generators g, h of prime order q in Z_P*."""
+class PedersenParams(Record):
+    """Schnorr-style subgroup: generators g, h of prime order q in Z_P*.
+    Only q runs Miller-Rabin when q^2 > P: the order checks prove P prime."""
 
     group_prime: int
     order: int
     g: int
     h: int
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         P, q, g, h = self.group_prime, self.order, self.g, self.h
-        if not is_probable_prime(P):
-            raise MithError("Pedersen group prime P is not prime")
         if not is_probable_prime(q):
             raise MithError("Pedersen subgroup order q is not prime")
         if (P - 1) % q != 0:
             raise MithError("Pedersen order q does not divide P-1")
+        # Pocklington (Brillhart, Lehmer and Selfridge, 1975): with q prime,
+        # q | P-1, q^2 > P and g^q = 1 for 1 < g < P (checked below), P is
+        # prime.  A prime factor r of P has r = 1 (mod q) unless g = 1
+        # (mod r), g's order mod r dividing q.  Split P = U V, V the factors
+        # = 1 (mod q); then U = 1 (mod q) too, so U, V > 1 would make
+        # P >= (q+1)^2.  V = 1 would leave g = 1 modulo every prime of P,
+        # hence, q being prime to P, g = 1 (mod P).  So P = V, and a
+        # composite V is at least (q+1)^2 again.
+        if q * q <= P and not is_probable_prime(P):
+            raise MithError("Pedersen group prime P is not prime")
         for name, x in (("g", g), ("h", h)):
             if not 1 < x < P:
                 raise MithError(f"Pedersen generator {name} out of range")
@@ -121,9 +130,9 @@ TEST_GROUP_64 = PedersenParams(
 )
 
 
-# Constructing the 257-bit group runs 64 Miller-Rabin rounds on P and on
-# q, so it is built on first access (`commit.BENCH_GROUP_257`), not on
-# import.
+# Constructing the 257-bit group runs 64 Miller-Rabin rounds on q (P's
+# primality follows from q's), so it is built on first access
+# (`commit.BENCH_GROUP_257`), not on import.
 @functools.cache
 def _bench_group_257() -> PedersenParams:
     return PedersenParams(

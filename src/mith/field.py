@@ -1,4 +1,5 @@
-"""Prime-field arithmetic, lane columns and randomness sources.
+"""Prime-field arithmetic, lane columns, randomness sources and the
+immutable `Record` base of the package's data types.
 
 Field elements are immutable and fully reduced; mixing elements of
 different moduli raises FieldError.  Serialization is fixed-width
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import secrets
+import os
 from itertools import chain, repeat
-from operator import mul
+from operator import attrgetter, mul
 
 from mith.errors import FieldError
 
@@ -65,7 +66,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     if n < _DETERMINISTIC_BOUND:
         bases = _DETERMINISTIC_BASES
     else:
-        bases = [2] + [secrets.randbelow(n - 3) + 2 for _ in range(rounds - 1)]
+        bases = [2, *[b + 2 for b in RandomSource().randbelows(n - 3, rounds - 1)]]
     return all(_miller_rabin_round(n, a, d, r) for a in bases)
 
 
@@ -168,6 +169,51 @@ class FieldElement:
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.modulus.byte_length, "big")
+
+
+class Record:
+    """An immutable record.  A subclass names its fields once, as class
+    annotations, and is built from their values by position or keyword;
+    records compare and hash by class and field values, and print as
+    Class(name=value, ...).  Setting or deleting an attribute raises, but
+    `__dict__` stays open, so a record can keep a derived value (a digest,
+    a compiled program) beside its fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*names)
+        # The field values as one tuple, read in C: equality and hashing
+        # (a Pedersen group keys its window tables) stay as fast as a tuple's.
+        cls._values = property((lambda self: (get(self),)) if len(names) == 1 else get)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        # Each field exactly once: no extra, repeated, unknown or missing value.
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for k in names:  # as attributes, not through __dict__: reads stay fast
+            object.__setattr__(self, k, values[k])
+
+    def __setattr__(self, name, val):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
 
 
 def lagrange_weights(xs, p: int) -> tuple[int, ...]:
@@ -283,9 +329,28 @@ class ByteColumns:
 
     def share(self, d: bytes, a1: bytes, a2: bytes) -> tuple[bytes, ...]:
         """Five party columns: lane k's shares of d[k] on the polynomial
-        d[k] + a1[k] x + a2[k] x^2, at x = 1..5."""
-        return tuple(self.add(d, self.add(self.smul(x, a1), self.smul(x * x, a2)))
-                     for x in range(1, 6))
+        s(x) = d[k] + a1[k] x + a2[k] x^2, at x = 1..5, by finite
+        differences on whole columns in 8-bit lanes: s(0) = d and s(x+1) =
+        s(x) + D(x), with D(0) = a1 + a2 and D(x+1) = D(x) + 2 a2.  Each
+        sum has lanes below 2p <= 254, so adding 128 - p sets a lane's top
+        bit exactly where p is to be subtracted."""
+        n, p = len(d), self.p
+        ones = _little(b"\x01" * n)
+        high = (128 - p) * ones
+
+        def red(s: int) -> int:
+            return s - ((s + high) >> 7 & ones) * p
+
+        a2 = _little(a2)
+        step = red(a2 + a2)
+        delta = red(_little(a1) + a2)
+        s = red(_little(d) + delta)
+        out = [s.to_bytes(n, "little")]
+        for _ in range(4):
+            delta = red(delta + step)
+            s = red(s + delta)
+            out.append(s.to_bytes(n, "little"))
+        return tuple(out)
 
 
 class IntColumns:
@@ -403,7 +468,7 @@ class RandomSource:
     def _fresh(self, n: int) -> bytes:
         """At least n new bytes of the stream."""
         if self._key is None:
-            return secrets.token_bytes(n)
+            return os.urandom(n)
         blocks = []
         for _ in range(-(-n // 32)):
             blocks.append(hashlib.sha256(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +32,7 @@ from mith import mpc
 from mith.circuit import Circuit, Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
 from mith.errors import MithError, ProofError, SimulationFailure
-from mith.field import RandomSource
+from mith.field import RandomSource, Record
 from mith.sss import PARTY_IDS, PARTY_PAIRS, random_share_randomness, share, share_sim
 
 N_CHALLENGES = len(PARTY_PAIRS)  # 10
@@ -47,8 +46,7 @@ MAX_REPS = 0xFFFFFFFF
 DERIVED_MODE_BYTE = 0x01
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(Record):
     """sigma repetitions as a proof file's blocks in one buffer, each a
     commitment message, a challenge byte (an index into PARTY_PAIRS) and
     a response (`block_fields`).  The challenges are the ones its builder
@@ -65,8 +63,7 @@ class Proof:
         return self.body[commit_length(scheme_by_name(self.scheme))::len(self.body) // self.reps]
 
 
-@dataclass(frozen=True)
-class ProverState:
+class ProverState(Record):
     """A commit phase of n repetitions: rows holds its 5n views, row
     q*n + k party q+1's in repetition k, and openings[q*n + k] opens
     that row's commitment."""
@@ -154,6 +151,8 @@ def run_repetitions(w: Witness, s: Statement, reps: int, rng: RandomSource) -> b
     p, n = c.modulus.p, c.topology.n_secret
     if len(w.secret_inputs) != n:
         raise MithError("witness does not cover the secret wires")
+    if not all(0 <= v.value < p for v in w.secret_inputs):
+        raise MithError(f"witness value not below the field modulus {p}")
     coeffs = random_share_randomness(rng, p, n * reps)
     sharings = [share(v.value, coeffs[2 * k::2 * n], coeffs[2 * k + 1::2 * n], p)
                 for k, v in enumerate(w.secret_inputs)]

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass
 from typing import NoReturn
 
 from mith import protocol as proto
 from mith.circuit import Statement, Witness, statement_hash
 from mith.commit import scheme_by_byte, scheme_by_name
 from mith.errors import MithError, SessionError
-from mith.field import RandomSource
+from mith.field import RandomSource, Record
 
 MSG_HELLO = 0x01
 MSG_COMMIT = 0x02
@@ -52,8 +51,7 @@ ERR_PHASE = 3
 ERR_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     msg_type: int
     payload: bytes
 

@@ -17,7 +17,7 @@ from mith.circuit import (
 )
 from mith.corpus import golden_corpus, random_circuit
 from mith.errors import CircuitError, CircuitParseError, MithError
-from mith.field import Modulus
+from mith.field import FieldElement, Modulus
 
 from test_fuzz import TREES, render
 
@@ -537,3 +537,51 @@ def test_statement_hash_kept_on_its_statement():
     other = Statement(c, (), s.target + c.modulus.one())
     assert statement_hash(other) == hashlib.sha256(canonical_statement_bytes(other)).digest()
     assert statement_hash(other) != h and statement_hash(s) is h
+
+
+PUBLIC_TIMES_SECRET = "field 11\ntopology 1 1 1\n(mul 1 (pinput 0) (sinput 0))\n"
+
+
+@pytest.mark.parametrize("value", [11, 12, 256, -1])
+def test_statement_values_below_p(value):
+    """A public input or target not in [0, p) raises at construction, where
+    it once gave a rejected proof (12) or a byte-lane ValueError (256)."""
+    c = parse_circuit(PUBLIC_TIMES_SECRET)
+    m = c.modulus
+    with pytest.raises(CircuitError, match="not an element of F_11"):
+        Statement(c, (FieldElement(value, m),), m.element(3))
+    with pytest.raises(CircuitError, match="not an element of F_11"):
+        Statement(c, (m.element(2),), FieldElement(value, m))
+
+
+def test_statement_values_in_the_circuit_field():
+    c = parse_circuit(PUBLIC_TIMES_SECRET)
+    m = c.modulus
+    for bad in (Modulus(13).element(2), 2):
+        with pytest.raises(CircuitError, match="not an element of F_11"):
+            Statement(c, (bad,), m.element(3))
+    s = Statement(circuit=c, public_inputs=(m.element(10),), target=m.zero())
+    assert s == Statement(c, (m.element(10),), m.zero())
+
+
+def test_records_are_immutable_values():
+    """Statement, like every record, is built by position or keyword, is
+    equal and hashes by its fields, prints them, and takes no assignment."""
+    c = parse_circuit(PUBLIC_TIMES_SECRET)
+    m = c.modulus
+    s = Statement(c, (m.element(2),), m.element(3))
+    assert s == Statement(c, public_inputs=(m.element(2),), target=m.element(3))
+    assert hash(s) == hash(Statement(c, (m.element(2),), m.element(3)))
+    assert s != Statement(c, (m.element(2),), m.element(4))
+    assert s != (c, (m.element(2),), m.element(3))
+    assert repr(c.topology) == "Topology(n_public=1, n_secret=1, n_gates=1)"
+    assert repr(Witness((m.element(3),))) == "Witness(secret_inputs=(FieldElement(3 mod 11),))"
+    with pytest.raises(AttributeError):
+        s.target = m.element(4)
+    with pytest.raises(AttributeError):
+        del s.circuit
+    for args, kwargs in (((c, ()), {}), ((c, (), m.zero(), 1), {}),
+                         ((c, (), m.zero()), {"target": m.zero()}),
+                         ((c, ()), {"target": m.zero(), "extra": 1})):
+        with pytest.raises(TypeError):
+            Statement(*args, **kwargs)

@@ -1,6 +1,5 @@
 """CLI exit-code contract and end-to-end file round-trips."""
 
-import dataclasses
 import json
 import os
 import socket
@@ -46,6 +45,18 @@ def run_cli(cwd, args, timeout=60):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
     return subprocess.run([sys.executable, "-m", "mith.cli", *map(str, args)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_prove_and_verify_modules_load_no_dataclasses_inspect_or_secrets():
+    """What a prover or verifier imports stays off the heavy standard-library
+    modules: their records are `field.Record`s, OS randomness is os.urandom."""
+    code = ("import sys\n"
+            "import mith.cli, mith.circuit, mith.commit, mith.protocol, mith.session\n"
+            "print(sorted({'dataclasses', 'inspect', 'secrets'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_prove_verify_round_trip(workdir, capsys):
@@ -117,8 +128,9 @@ def test_verify_verbose_flags_the_tampered_repetition(workdir, capsys):
     pos, n = pr.block_fields(c, scheme_by_name(proof.scheme))[6]  # the first opening
     pos += 2 * size
     path = workdir / "tampered.bin"
-    path.write_bytes(pr.serialize_proof(dataclasses.replace(
-        proof, body=proof.body[:pos] + bytes(n) + proof.body[pos + n:]), c))
+    path.write_bytes(pr.serialize_proof(pr.Proof(
+        proof.scheme, proof.stmt_hash, proof.reps,
+        proof.body[:pos] + bytes(n) + proof.body[pos + n:]), c))
     capsys.readouterr()
     assert run(["verify", "--statement", workdir / "s.st", "--proof", path,
                 "--verbose", "--min-bits", 0]) == 1

@@ -76,6 +76,18 @@ def test_share_matches_int_columns(case):
     assert [list(col) for col in got] == list(ints.share(d, a1, a2))
 
 
+@pytest.mark.parametrize("p, triples", [
+    (11, [(d, a1, a2) for d in range(11) for a1 in range(11) for a2 in range(11)]),
+    (127, [(126, 126, 126)] * 80),
+], ids=["F11-every-triple", "F127-all-p-minus-1"])
+def test_share_exhaustive_lanes(p, triples):
+    """Every (d, a1, a2) over F_11, and the largest values over the largest
+    byte-lane field, each triple a lane of one call."""
+    d, a1, a2 = (list(col) for col in zip(*triples))
+    got = ByteColumns(p).share(bytes(d), bytes(a1), bytes(a2))
+    assert [list(col) for col in got] == list(IntColumns(p).share(d, a1, a2))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 255), st.integers(0, 300), st.binary(max_size=8))
 def test_byte_randbelows_matches_reference(bound, count, seed):

@@ -201,6 +201,40 @@ def test_pedersen_params_invariants():
     assert BENCH_GROUP_257.order > 2**256
 
 
+def test_composite_group_prime_above_q_squared_rejected():
+    """A composite P = 1 (mod q) with q^2 > P has no element of order q
+    (Pocklington), so no choice of generators passes the order check that
+    stands in for Miller-Rabin on P: here with TEST_GROUP_64's q, and for
+    every generator over every such P for small q."""
+    q = TEST_GROUP_64.order
+    P = next(k * q + 1 for k in range(2, 100, 2) if not is_probable_prime(k * q + 1))
+    assert q * q > P
+    rng = random.Random(7)
+    candidates = [4, 9, P - 1] + [pow(rng.randrange(2, P - 1), (P - 1) // q, P)
+                                  for _ in range(200)]
+    for g in candidates:
+        with pytest.raises(MithError, match="generator g"):
+            PedersenParams(P, q, g, 9)
+    for q in (2, 3, 5, 7, 11, 13):
+        for P in range(q + 1, q * q, q):
+            if is_probable_prime(P):
+                continue
+            for g in range(P + 1):
+                with pytest.raises(MithError, match="generator g"):
+                    PedersenParams(P, q, g, 2)
+
+
+def test_composite_group_prime_below_q_squared_rejected():
+    """With q^2 <= P the order checks prove nothing, and Miller-Rabin on P
+    rejects a composite P whose generators do have order q: here the
+    Carmichael number 561 = 3 * 11 * 17 with q = 5."""
+    P, q = 561, 5
+    g, h = [x for x in range(2, P) if pow(x, q, P) == 1][:2]
+    assert (P - 1) % q == 0 and q * q <= P and g != h
+    with pytest.raises(MithError, match="group prime P is not prime"):
+        PedersenParams(P, q, g, h)
+
+
 def test_pedersen_zero_exponents_identity():
     c, _ = pedersen_commit(TEST_GROUP_64, [0], [0])
     assert c == (1,)
@@ -397,19 +431,20 @@ def test_fixed_base_cold_cache_threads():
 
 def test_bench_group_built_on_first_access():
     """Importing mith.commit runs no Miller-Rabin round on a 257-bit
-    number; the first access to BENCH_GROUP_257 validates P and q."""
+    number; the first access to BENCH_GROUP_257 validates the group, with
+    64 rounds on q alone (P's primality follows from q's)."""
     code = (
         "import mith.field as f\n"
         "big = []\n"
         "real = f._miller_rabin_round\n"
         "def counting(n, a, d, r):\n"
-        "    big.append(n.bit_length() > 200)\n"
+        "    if n.bit_length() > 200: big.append(n)\n"
         "    return real(n, a, d, r)\n"
         "f._miller_rabin_round = counting\n"
         "import mith.commit\n"
-        "assert not any(big), 'import ran rounds on a 257-bit number'\n"
+        "assert not big, 'import ran rounds on a 257-bit number'\n"
         "from mith.commit import BENCH_GROUP_257\n"
-        "assert sum(big) == 128, sum(big)\n"
+        "assert big == [BENCH_GROUP_257.order] * 64, len(big)\n"
         "assert mith.commit.BENCH_GROUP_257 is BENCH_GROUP_257\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mith.__file__)))

@@ -1004,3 +1004,12 @@ def test_shared_program_across_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
+
+
+@pytest.mark.parametrize("value", [12, 256])
+def test_simulator_rejects_public_input_above_p(m11, rng, value):
+    """A public input not below p raises where the Statement is built."""
+    c = parse_circuit("field 11\ntopology 1 1 1\n(mul 1 (pinput 0) (sinput 0))\n")
+    cs = [(m11.one(), m11.element(2))]
+    with pytest.raises(MithError, match="not an element of F_11"):
+        mpc.mpc_simulate(c, (FieldElement(value, m11),), (1, 2), cs, m11.one(), rng)

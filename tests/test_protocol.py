@@ -2,7 +2,6 @@
 serialization, and the rejection-sampling simulator."""
 
 import collections
-import dataclasses
 import hashlib
 import hmac
 import random
@@ -18,7 +17,7 @@ from mith.circuit import Statement, Witness, parse_circuit
 from mith.commit import scheme_by_name
 from mith.corpus import golden_corpus, random_instance
 from mith.errors import MithError, ProofError, SimulationFailure
-from mith.field import Modulus, RandomSource
+from mith.field import FieldElement, Modulus, RandomSource
 from mith.harness import OneBadPairCheater, canonical_false_statement
 from mith.sss import PARTY_IDS, PARTY_PAIRS
 
@@ -64,7 +63,7 @@ def repetitions(proof, c) -> list[Rep]:
 
 def with_repetitions(proof, reps):
     """proof with its repetitions replaced by reps."""
-    return dataclasses.replace(proof, reps=len(reps), body=b"".join(
+    return pr.Proof(proof.scheme, proof.stmt_hash, len(reps), b"".join(
         block(r.commitment, r.challenge, response(r.first, r.second)) for r in reps))
 
 
@@ -85,6 +84,19 @@ def drawn_challenges(s, commit, rng) -> bytes:
 def test_honest_single_run_accepts(m11, rng):
     for s, w in golden_corpus(m11, 10):
         assert pr.verify_repeated(s, single_run(s, w, rng))
+
+
+@pytest.mark.parametrize("value", [11, 12, 256])
+def test_witness_value_above_p_raises(m11, rng, value):
+    """A witness value not below p raises before any sharing, where it once
+    reached the views or the byte lanes."""
+    c = parse_circuit("field 11\ntopology 1 1 1\n(mul 1 (pinput 0) (sinput 0))\n")
+    s = Statement(c, (m11.element(2),), m11.element(6))
+    with pytest.raises(MithError, match="witness value not below"):
+        pr.run_repetitions(Witness((FieldElement(value, m11),)), s, 2, rng)
+    with pytest.raises(MithError, match="witness value not below"):
+        pr.prove_repeated(Witness((FieldElement(value, m11),)), s, 2, rng)
+    assert pr.verify_repeated(s, pr.prove_repeated(Witness((m11.element(3),)), s, 2, rng))
 
 
 def test_commitment_msg_has_five_verifiable_entries(m11, rng):
@@ -427,8 +439,8 @@ def test_out_of_range_challenge_fails_only_its_repetition(m11, scheme_name):
     size = len(proof.body) // 2
     for k, byte in ((0, 10), (1, 255)):
         pos = k * size + pr.commit_length(scheme)
-        bad = dataclasses.replace(proof, body=proof.body[:pos] + bytes([byte])
-                                  + proof.body[pos + 1:])
+        bad = pr.Proof(proof.scheme, proof.stmt_hash, proof.reps,
+                       proof.body[:pos] + bytes([byte]) + proof.body[pos + 1:])
         assert pr.check_repetitions(s, bad) == [k != 0, k != 1]
         assert not pr.verify_repeated(s, bad)
         with pytest.raises(ProofError, match=f"^challenge byte {byte} out of range"):
